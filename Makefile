@@ -23,7 +23,7 @@ unexport TAGS
 # against the //ldclint:lockrank catalog). Built from source on demand.
 LDCLINT := bin/ldclint
 
-.PHONY: all build test vet lint invariants race fuzz-smoke bench bench-smoke bench-read bench-format bench-shards bench-tail bench-blob run-server server-smoke ci
+.PHONY: all build test stress vet lint invariants race fuzz-smoke bench bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-tail bench-blob run-server server-smoke ci
 
 # run-server knobs (make run-server DB=/path PORT=6380)
 DB ?= /tmp/ldcserver-db
@@ -34,8 +34,17 @@ all: build
 build:
 	$(GO) build $(TESTFLAGS) ./...
 
+# -count=1 defeats the test cache: the concurrency tests are the ones that
+# matter on a re-run, and a cached "ok" says nothing about them.
 test:
-	$(GO) test $(TESTFLAGS) ./...
+	$(GO) test -count=1 $(TESTFLAGS) ./...
+
+# The tests that have actually broken tier-1: GC-vs-reader liveness, crash
+# recovery and the read-state protocol, repeated across scheduler widths
+# (both historical failures passed at GOMAXPROCS=1 and failed at 2).
+# Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
+stress:
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState' $(TESTFLAGS) ./internal/core
 
 vet:
 	$(GO) vet $(TESTFLAGS) ./...
@@ -122,6 +131,12 @@ bench-tail:
 bench-blob:
 	$(GO) run $(TESTFLAGS) ./cmd/ldcbench -json BENCH_blob.json -blobgain 2 blob
 
+# The benchmark spine's own smoke test (bench/ is a separate module, so the
+# root ./... never builds it): every workload traced at 1/100 scale, emitted
+# metric names checked against BENCHMARK.json.
+bench-spine-smoke:
+	cd bench && $(GO) test ./...
+
 # Serve an LDC database over RESP; talk to it with redis-cli -p $(PORT).
 run-server: build
 	$(GO) run ./cmd/ldcserver -db $(DB) -addr 127.0.0.1:$(PORT)
@@ -131,4 +146,4 @@ run-server: build
 server-smoke:
 	$(GO) test -count 1 -run TestServerBinarySmoke $(TESTFLAGS) ./cmd/ldcserver
 
-ci: vet lint race invariants fuzz-smoke bench-smoke bench-read bench-format bench-shards bench-tail bench-blob server-smoke
+ci: vet lint test stress race invariants fuzz-smoke bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-tail bench-blob server-smoke

@@ -88,15 +88,13 @@ func (c *Client) send(args ...interface{}) error {
 }
 
 // receive reads one reply, converting a server error reply into err.
-// Cluster MOVED redirects decode into *MovedError so callers can follow
-// them.
 func (c *Client) receive() (interface{}, error) {
 	v, err := c.r.ReadReply()
 	if err != nil {
 		return nil, err
 	}
 	if e, ok := v.(resp.Error); ok {
-		return nil, parseMoved(e)
+		return nil, e
 	}
 	return v, nil
 }

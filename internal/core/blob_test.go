@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -521,24 +523,32 @@ func TestBlobGCReaderTorture(t *testing.T) {
 	var wg sync.WaitGroup
 	fail := make(chan error, 8)
 
+	// The writer is paced by the sweeps, not only by the clock: every sweep
+	// forces a flush per segment, so a writer that outruns it multiplies the
+	// segment population sweep over sweep — the more so the slower the build
+	// (-race, -tags invariants).
+	const writesPerSweep = 250
+	var sweeps atomic.Int64
 	wg.Add(1)
 	go func() { // writer: keeps overwriting, generating garbage
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(1))
-		for gen := 1; ; gen++ {
+		for gen := 1; ; {
 			select {
 			case <-stop:
 				return
 			default:
+			}
+			time.Sleep(100 * time.Microsecond)
+			if int64(gen) > (sweeps.Load()+1)*writesPerSweep {
+				continue
 			}
 			i := rng.Intn(n)
 			if err := db.Put(key(i), blobValue(i+gen*1000, 150)); err != nil {
 				fail <- fmt.Errorf("writer: %w", err)
 				return
 			}
-			// Paced: an unthrottled writer grows the segment population
-			// faster than sweeps can scan it.
-			time.Sleep(100 * time.Microsecond)
+			gen++
 		}
 	}()
 	for r := 0; r < 3; r++ {
@@ -562,6 +572,9 @@ func TestBlobGCReaderTorture(t *testing.T) {
 					fail <- fmt.Errorf("reader: get %d: %d bytes", i, len(got))
 					return
 				}
+				// Spinning readers need not starve the sweeper at -cpu 1,
+				// where it would otherwise get one 10 ms slice in five.
+				runtime.Gosched()
 			}
 		}(int64(r))
 	}
@@ -581,8 +594,15 @@ func TestBlobGCReaderTorture(t *testing.T) {
 			}
 			count := 0
 			for it.SeekToFirst(); it.Valid(); it.Next() {
-				if len(it.Value()) != 150 {
-					fail <- fmt.Errorf("iter: %s: %d bytes", it.Key(), len(it.Value()))
+				k := string(it.Key())
+				v := it.Value()
+				if err := it.Error(); err != nil {
+					fail <- fmt.Errorf("iter: %s: %w", k, err)
+					it.Close()
+					return
+				}
+				if len(v) != 150 {
+					fail <- fmt.Errorf("iter: %s: %d bytes", k, len(v))
 					it.Close()
 					return
 				}
@@ -597,9 +617,6 @@ func TestBlobGCReaderTorture(t *testing.T) {
 				fail <- fmt.Errorf("iter saw %d keys, want %d", count, n)
 				return
 			}
-			// Leave windows with no iterator open, or GC's delete barrier
-			// (which waits for openIters to drain) never gets through.
-			time.Sleep(200 * time.Microsecond)
 		}
 	}()
 	wg.Add(1)
@@ -619,6 +636,7 @@ func TestBlobGCReaderTorture(t *testing.T) {
 				fail <- fmt.Errorf("gc sweep: %w", err)
 				return
 			}
+			sweeps.Add(1)
 			time.Sleep(5 * time.Millisecond)
 		}
 	}()
@@ -629,23 +647,175 @@ func TestBlobGCReaderTorture(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	// The racing sweeps were likely barred by live iterators; the quiesced
-	// sweep must reclaim deterministically.
+	// Readers that arrive during a pass do not block it, so the racing
+	// sweeps themselves must have reclaimed segments.
+	if s := db.Stats(); s.VlogGCPasses == 0 {
+		t.Errorf("no racing sweep reclaimed a segment: %+v", s)
+	}
 	if err := db.CompactRange(); err != nil {
 		t.Fatalf("final compact: %v", err)
 	}
 	if err := db.CompactValueLog(); err != nil {
 		t.Fatalf("final sweep: %v", err)
 	}
-	s := db.Stats()
-	if s.VlogGCPasses == 0 {
-		t.Errorf("torture ran but GC never reclaimed a segment: %+v", s)
-	}
 	for i := 0; i < n; i++ {
 		got, err := db.Get(key(i))
 		if err != nil || len(got) != 150 {
 			t.Fatalf("final get %d: %v (%d bytes)", i, err, len(got))
 		}
+	}
+}
+
+// firstSegment returns the path of the lowest-numbered value-log segment
+// that shard owns.
+func firstSegment(t *testing.T, fs vfs.FS, shard int) string {
+	t.Helper()
+	names, err := fs.List("/db/vlog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, firstNum := "", uint64(0)
+	for _, name := range names {
+		if sh, num, ok := vlog.ParseSegmentFileName(name); ok && sh == shard && (first == "" || num < firstNum) {
+			first, firstNum = name, num
+		}
+	}
+	if first == "" {
+		t.Fatalf("shard %d owns no segment in %v", shard, names)
+	}
+	return filepath.Join("/db/vlog", first)
+}
+
+// TestBlobGCOnlyOlderReadersBlock pins the liveness rule for value-log
+// segments: an iterator opened before a segment was proved dead keeps it on
+// disk; an iterator opened afterwards does not.
+func TestBlobGCOnlyOlderReadersBlock(t *testing.T) {
+	defer func(d time.Duration) { gcBarrierTimeout = d }(gcBarrierTimeout)
+	gcBarrierTimeout = 50 * time.Millisecond
+
+	opts := blobOpts(compaction.LDC)
+	db := openTestDB(t, opts)
+	defer db.Close()
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := db.Put(key(i), blobValue(i, 150)); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	old := firstSegment(t, opts.FS, 0)
+
+	// A sees generation 0; the overwrites then kill every record of the
+	// first segment.
+	a, err := db.NewIterator(nil)
+	if err != nil {
+		t.Fatalf("iterator A: %v", err)
+	}
+	a.SeekToFirst()
+	for i := 0; i < n; i++ {
+		if err := db.Put(key(i), blobValue(i+1000, 150)); err != nil {
+			t.Fatalf("overwrite: %v", err)
+		}
+	}
+	walk := func(name string, it *Iterator, gen int) {
+		t.Helper()
+		i := 0
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			if v := it.Value(); !bytes.Equal(v, blobValue(i+gen, 150)) {
+				t.Fatalf("%s: key %s: wrong value (%d bytes, err %v)", name, it.Key(), len(v), it.Error())
+			}
+			i++
+		}
+		if err := it.Error(); err != nil || i != n {
+			t.Fatalf("%s: saw %d keys, err %v; want %d", name, i, err, n)
+		}
+	}
+
+	if err := db.CompactValueLog(); err != nil {
+		t.Fatalf("sweep with A open: %v", err)
+	}
+	if !opts.FS.Exists(old) {
+		t.Fatalf("segment deleted under an iterator that can still reach it")
+	}
+	walk("A", a, 0)
+
+	b, err := db.NewIterator(nil)
+	if err != nil {
+		t.Fatalf("iterator B: %v", err)
+	}
+	defer b.Close()
+	b.SeekToFirst()
+	if err := a.Close(); err != nil {
+		t.Fatalf("close A: %v", err)
+	}
+	if err := db.CompactValueLog(); err != nil {
+		t.Fatalf("sweep with B open: %v", err)
+	}
+	if opts.FS.Exists(old) {
+		t.Fatalf("a reader that arrived after the segment died kept it on disk")
+	}
+	walk("B", b, 1000)
+}
+
+// TestBlobDanglingPointerIsAnError removes a sealed segment file out from
+// under an open database: every read path that touches a pointer into it
+// must report vlog.ErrSegmentGone on the first touch — never an empty
+// value, never a retry — and an iterator must stop being Valid.
+func TestBlobDanglingPointerIsAnError(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := blobOpts(compaction.LDC)
+			opts.Shards = shards
+			db := openTestDB(t, opts)
+			defer db.Close()
+			const n = 60
+			for i := 0; i < n; i++ {
+				if err := db.Put(key(i), blobValue(i, 150)); err != nil {
+					t.Fatalf("put: %v", err)
+				}
+			}
+			// key(0) was its shard's first separated value, so it lives in
+			// that shard's first segment (sealed long since: 2 KiB segments).
+			if err := opts.FS.Remove(firstSegment(t, opts.FS, db.shardIndex(key(0)))); err != nil {
+				t.Fatal(err)
+			}
+
+			if v, err := db.Get(key(0)); !errors.Is(err, vlog.ErrSegmentGone) {
+				t.Fatalf("Get = %d bytes, %v; want ErrSegmentGone", len(v), err)
+			}
+			if kvs, err := db.Scan(key(0), 5); !errors.Is(err, vlog.ErrSegmentGone) {
+				t.Fatalf("Scan = %d pairs, %v; want ErrSegmentGone", len(kvs), err)
+			}
+			for _, dir := range []string{"forward", "reverse"} {
+				it, err := db.NewIterator(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dir == "forward" {
+					it.Seek(key(0))
+				} else {
+					it.Seek(key(1))
+					it.Prev()
+				}
+				if !it.Valid() || !bytes.Equal(it.Key(), key(0)) {
+					t.Fatalf("%s: not positioned on key 0 (valid %v)", dir, it.Valid())
+				}
+				if v := it.Value(); v != nil {
+					t.Fatalf("%s: Value = %d bytes from a missing segment", dir, len(v))
+				}
+				if it.Valid() {
+					t.Fatalf("%s: still Valid after a failed resolution", dir)
+				}
+				if err := it.Error(); !errors.Is(err, vlog.ErrSegmentGone) {
+					t.Fatalf("%s: Error = %v; want ErrSegmentGone", dir, err)
+				}
+				if err := it.Close(); !errors.Is(err, vlog.ErrSegmentGone) {
+					t.Fatalf("%s: Close = %v; want ErrSegmentGone", dir, err)
+				}
+			}
+		})
 	}
 }
 

@@ -79,10 +79,6 @@ type store struct {
 	vlogw      *vlog.Writer
 	blockCache *cache.Cache
 
-	// openIters counts live store iterators; value-log segment deletion
-	// waits for it to reach zero because an iterator may resolve pointers
-	// at any time without holding a snapshot registration.
-	openIters atomic.Int64
 	// rotateForced asks the next commit leader to rotate the memtable even
 	// though it is not full (the GC flush barrier sets it; see forceRotate).
 	rotateForced atomic.Bool
@@ -141,9 +137,11 @@ type store struct {
 	// depends on this — Shutdown and a deferred test Close may race.
 	closeOnce sync.Once
 	closeErr  error
-	// retired is the final read state, stashed by stopBackgroundLocked;
-	// Close waits for its in-flight readers before closing table readers.
-	retired *readState
+	// retired holds the swapped-out read states that readers still pin
+	// (retireReadState prunes the drained ones). Close waits for all of them
+	// before closing table readers; value-log GC waits for those older than
+	// its proof before unlinking a segment. Guarded by mu.
+	retired []*readState
 
 	stats dbStats
 }
@@ -492,13 +490,16 @@ func (db *store) Close() error {
 				db.closeErr = err
 			}
 		}
-		// Reads that acquired the read state before it was retired — point
+		// Reads that acquired a read state before it was retired — point
 		// gets mid-probe, open iterators — still hold table readers. Wait for
 		// them to drain rather than closing files under them. Open iterators
 		// must therefore be closed before (or concurrently with) Close, the
 		// same contract LevelDB enforces.
-		if db.retired != nil {
-			<-db.retired.done
+		db.mu.Lock()
+		retired := db.retired
+		db.mu.Unlock()
+		for _, rs := range retired {
+			<-rs.done
 		}
 		db.tables.closeShard()
 		if err := db.set.Close(); db.closeErr == nil {
@@ -523,13 +524,10 @@ func (db *store) stopBackgroundLocked() {
 	}
 	// All republishers are drained (workers exited; rotation and commit are
 	// fenced by closed), so retiring the read state here is final: readers
-	// from now on observe nil and fail with ErrClosed. The retired state is
-	// remembered so Close can wait for in-flight readers to drain before the
-	// table cache is torn down.
-	if old := db.readState.Swap(nil); old != nil {
-		db.retired = old
-		old.unref()
-	}
+	// from now on observe nil and fail with ErrClosed. Still-pinned states
+	// stay in db.retired so Close can wait for in-flight readers to drain
+	// before the table cache is torn down.
+	db.retireReadState(db.readState.Swap(nil))
 }
 
 // ---------------------------------------------------------------------------
@@ -577,11 +575,6 @@ func (db *store) Apply(b *batch.Batch) error {
 // ---------------------------------------------------------------------------
 // Reads
 
-// Get returns the value of key, or ErrNotFound.
-func (db *store) Get(key []byte) ([]byte, error) {
-	return db.getAt(key, nil)
-}
-
 // getAt reads at a pinned sequence (nil = latest). The router resolves a
 // public Snapshot to this shard's captured sequence before calling in.
 func (db *store) getAt(key []byte, snapSeq *keys.Seq) ([]byte, error) {
@@ -596,21 +589,6 @@ func (db *store) getAt(key []byte, snapSeq *keys.Seq) ([]byte, error) {
 		db.adaptive.observeReads(1)
 	}
 
-	// A pointer entry can race GC deleting its segment between the LSM read
-	// and the vlog resolution; the rewritten pointer is already in the tree,
-	// so one re-read through the LSM observes it. Bounded to keep a real
-	// dangling pointer (a bug) from looping forever.
-	for attempt := 0; ; attempt++ {
-		val, err := db.getOnce(key, snapSeq)
-		if errors.Is(err, vlog.ErrSegmentGone) && attempt < 2 {
-			continue
-		}
-		return val, err
-	}
-}
-
-// getOnce performs one LSM lookup + blob resolution pass.
-func (db *store) getOnce(key []byte, snapSeq *keys.Seq) ([]byte, error) {
 	// Lock-free: one atomic load + ref pins (mem, imm, version) together; the
 	// visible sequence is then read from the Set's atomic counter. Entries at
 	// or below that sequence were applied to a memtable before the sequence
@@ -628,7 +606,11 @@ func (db *store) getOnce(key []byte, snapSeq *keys.Seq) ([]byte, error) {
 
 	// Memtables. Values alias the skiplist's buffers, which outlive the
 	// read state (the Go GC keeps them alive through the returned slice).
-	if val, kind, found := rs.mem.GetEntry(key, seq); found {
+	val, kind, found := rs.mem.GetEntry(key, seq)
+	if !found && rs.imm != nil {
+		val, kind, found = rs.imm.GetEntry(key, seq)
+	}
+	if found {
 		switch kind {
 		case keys.KindDelete:
 			return nil, ErrNotFound
@@ -636,17 +618,6 @@ func (db *store) getOnce(key []byte, snapSeq *keys.Seq) ([]byte, error) {
 			return db.resolveBlob(val)
 		}
 		return val, nil
-	}
-	if rs.imm != nil {
-		if val, kind, found := rs.imm.GetEntry(key, seq); found {
-			switch kind {
-			case keys.KindDelete:
-				return nil, ErrNotFound
-			case keys.KindBlobRef:
-				return db.resolveBlob(val)
-			}
-			return val, nil
-		}
 	}
 	val, kind, found, err := db.versionEntry(rs.v, key, seq)
 	if err != nil {

@@ -287,23 +287,23 @@ func (db *store) newIter(snapSeq *keys.Seq) (*storeIter, error) {
 	if db.adaptive != nil {
 		db.adaptive.observeReads(1)
 	}
-	seq := db.set.LastSeq()
-	if snapSeq != nil {
-		seq = *snapSeq
-	}
 	it, cleanup, err := db.newInternalIterator()
 	if err != nil {
 		return nil, err
 	}
-	// Registered for value-log GC: segment deletion waits until no iterator
-	// is live, because an iterator may resolve a pointer at any moment
-	// without holding a snapshot registration. Close deregisters.
-	db.openIters.Add(1)
+	// The sequence is read after the read state is pinned, like every other
+	// read: the pinned state then bounds it from below (readState.seq), which
+	// is what lets value-log GC wait only for states older than its proof.
+	seq := db.set.LastSeq()
+	if snapSeq != nil {
+		seq = *snapSeq
+	}
 	return &storeIter{db: db, it: it, cleanup: cleanup, seq: seq}, nil
 }
 
-// Valid reports whether the iterator is positioned on an entry.
-func (i *storeIter) Valid() bool { return i.valid }
+// Valid reports whether the iterator is positioned on an entry. An iterator
+// that failed to resolve a value stays invalid.
+func (i *storeIter) Valid() bool { return i.valid && i.err == nil }
 
 // Error returns the first error encountered.
 func (i *storeIter) Error() error {
@@ -321,7 +321,6 @@ func (i *storeIter) Close() error {
 	if i.cleanup != nil {
 		i.cleanup()
 		i.cleanup = nil
-		i.db.openIters.Add(-1)
 	}
 	i.valid = false
 	return err
@@ -337,8 +336,9 @@ func (i *storeIter) Key() []byte {
 
 // Value returns the current value, valid until the next positioning call.
 // Pointer entries resolve through the value log here, on demand, so scans
-// that only look at keys never touch the log; a resolution failure parks
-// the error on the iterator (visible via Error).
+// that only look at keys never touch the log. A resolution failure returns
+// nil and invalidates the iterator (Valid false, Error set): a value is
+// either right or the iterator has stopped.
 func (i *storeIter) Value() []byte {
 	if i.dir == 0 {
 		if keys.InternalKey(i.it.Key()).Kind() == keys.KindBlobRef {
@@ -352,14 +352,12 @@ func (i *storeIter) Value() []byte {
 	return i.savedValue
 }
 
-// resolve materializes a pointer entry's value, recording any failure on
-// the iterator.
+// resolve materializes a pointer entry's value; a failure invalidates the
+// iterator.
 func (i *storeIter) resolve(ptr []byte) []byte {
 	val, err := i.db.resolveBlob(ptr)
 	if err != nil {
-		if i.err == nil {
-			i.err = err
-		}
+		i.err, i.valid = err, false
 		return nil
 	}
 	return val
@@ -487,29 +485,7 @@ func (i *storeIter) findPrevUserEntry() {
 	i.valid = !deleted
 }
 
-// ---------------------------------------------------------------------------
-// Scan convenience
-
 // KV is a returned key/value pair; both slices are private copies.
 type KV struct {
 	Key, Value []byte
-}
-
-// scan returns up to limit pairs with keys >= start, at the latest state
-// (the paper's SCAN operation, covering ~100 pairs per request). Single-
-// shard fast path; the router's Scan merges shards.
-func (db *store) scan(start []byte, limit int) ([]KV, error) {
-	it, err := db.newIter(nil)
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	var out []KV
-	for it.Seek(start); it.Valid() && len(out) < limit; it.Next() {
-		out = append(out, KV{
-			Key:   append([]byte(nil), it.Key()...),
-			Value: append([]byte(nil), it.Value()...),
-		})
-	}
-	return out, it.Error()
 }

@@ -234,8 +234,7 @@ func (o Options) withDefaults() Options {
 
 // MaxShards caps Options.Shards. Past this point per-shard memtables and
 // WAL segments stop buying concurrency and start costing memory and file
-// handles; a process wanting more partitions should run more processes
-// (the CLUSTER direction).
+// handles; a process wanting more partitions should run more processes.
 const MaxShards = 256
 
 // normalizeShards maps the user's requested shard count to the effective

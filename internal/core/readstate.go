@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/invariants"
+	"repro/internal/keys"
 	"repro/internal/memtable"
 	"repro/internal/version"
 )
@@ -30,10 +32,18 @@ import (
 // sequence, and every published state contains all previously applied data,
 // so any sequence a reader observes is fully resolvable in any state loaded
 // afterwards).
+//
+// Liveness (DESIGN.md "Liveness"): a file is deleted only when no read state
+// a reader can still hold reaches it — tables and frozen files through v's
+// refcounts, value-log segments through the pointers visible at seq or later.
 type readState struct {
 	mem *memtable.MemTable
 	imm *memtable.MemTable // nil when no immutable memtable is pending
 	v   *version.Version
+	// seq is the store's last sequence at publication. Readers fetch their
+	// sequence after pinning the state, so all of them run at seq or later
+	// (registered snapshots aside; GC checks their floor separately).
+	seq keys.Seq
 
 	refs atomic.Int32
 	// released guards the version release: a reader racing loadReadState
@@ -42,9 +52,9 @@ type readState struct {
 	// crossing. Only the CAS winner may unref the version.
 	released atomic.Bool
 	// done closes when the state is fully released (refs drained and the
-	// version unref'd). Close waits on the final state's done before tearing
-	// down the table cache, so an in-flight read or open iterator never sees
-	// a reader closed underneath it.
+	// version unref'd). Close waits on every retired state's done before
+	// tearing down the table cache, value-log GC on the older ones before
+	// unlinking a segment: no reader sees a file closed or deleted under it.
 	done chan struct{}
 }
 
@@ -90,14 +100,32 @@ func (db *store) loadReadState() *readState {
 
 // publishReadState rebuilds and swaps in the read state from the DB's
 // current memtables and version. Callers hold db.mu (Open's exclusive
-// section counts); the swap itself is atomic, so readers never block on the
-// rebuild.
+// section counts), which also freezes the last sequence. The swap itself is
+// atomic, so readers never block on the rebuild.
 func (db *store) publishReadState() {
-	rs := &readState{mem: db.mem, imm: db.imm, v: db.set.Current(), done: make(chan struct{})}
+	rs := &readState{mem: db.mem, imm: db.imm, v: db.set.Current(), seq: db.set.LastSeq(), done: make(chan struct{})}
 	rs.refs.Store(1) // the pointer's own reference
-	old := db.readState.Swap(rs)
+	db.retireReadState(db.readState.Swap(rs))
 	db.stats.readStatePublishes.Add(1)
-	if old != nil {
-		old.unref()
+}
+
+// retireReadState drops the pointer's own reference on a swapped-out state
+// and keeps it in db.retired while readers still pin it, pruning the states
+// that have drained since the last call. Callers hold db.mu.
+func (db *store) retireReadState(old *readState) {
+	if old == nil {
+		return
+	}
+	old.unref()
+	db.retired = slices.DeleteFunc(append(db.retired, old), (*readState).drained)
+}
+
+// drained reports whether the state is fully released.
+func (rs *readState) drained() bool {
+	select {
+	case <-rs.done:
+		return true
+	default:
+		return false
 	}
 }

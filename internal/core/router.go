@@ -359,9 +359,8 @@ func (db *DB) shardOf(key []byte) *store { return db.shards[db.shardIndex(key)] 
 // NumShards reports the effective partition count.
 func (db *DB) NumShards() int { return len(db.shards) }
 
-// ShardOf reports which shard owns a key — the engine-level analogue of
-// Redis Cluster's KEYSLOT, exposed so the serving layer's CLUSTER stubs
-// can answer slot queries.
+// ShardOf reports which shard owns a key, exposed so the serving layer can
+// fan a multi-key read out by owning shard.
 func (db *DB) ShardOf(key []byte) int { return db.shardIndex(key) }
 
 // ---------------------------------------------------------------------------
@@ -439,24 +438,19 @@ func (db *DB) Apply(b *batch.Batch) error {
 // Reads
 
 // Get returns the value of key, or ErrNotFound.
-func (db *DB) Get(key []byte) ([]byte, error) { return db.shardOf(key).Get(key) }
+func (db *DB) Get(key []byte) ([]byte, error) { return db.shardOf(key).getAt(key, nil) }
 
 // GetAt reads at a snapshot (nil = latest).
 func (db *DB) GetAt(key []byte, snap *Snapshot) ([]byte, error) {
 	i := db.shardIndex(key)
-	if snap == nil {
-		return db.shards[i].getAt(key, nil)
-	}
-	return db.shards[i].getAt(key, &snap.seqs[i])
+	return db.shards[i].getAt(key, snap.seq(i))
 }
 
-// Scan returns up to limit pairs with keys >= start, at the latest state.
-// With multiple shards the result is the ordered merge of every shard's
+// Scan returns up to limit pairs with keys >= start, at the latest state
+// (the paper's SCAN operation, covering ~100 pairs per request). With
+// multiple shards the result is the ordered merge of every shard's
 // keyspace.
 func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
-	if len(db.shards) == 1 {
-		return db.shards[0].scan(start, limit)
-	}
 	it, err := db.NewIterator(nil)
 	if err != nil {
 		return nil, err
@@ -464,10 +458,14 @@ func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
 	defer it.Close()
 	var out []KV
 	for it.Seek(start); it.Valid() && len(out) < limit; it.Next() {
-		out = append(out, KV{
+		kv := KV{
 			Key:   append([]byte(nil), it.Key()...),
 			Value: append([]byte(nil), it.Value()...),
-		})
+		}
+		if !it.Valid() {
+			break // the value failed to resolve; Error says why
+		}
+		out = append(out, kv)
 	}
 	return out, it.Error()
 }
@@ -483,6 +481,14 @@ func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
 type Snapshot struct {
 	db   *DB
 	seqs []keys.Seq
+}
+
+// seq returns shard i's captured sequence, nil (= latest) for a nil snapshot.
+func (s *Snapshot) seq(i int) *keys.Seq {
+	if s == nil {
+		return nil
+	}
+	return &s.seqs[i]
 }
 
 // NewSnapshot captures the current state of every shard; Release it when
@@ -502,7 +508,9 @@ func (db *DB) NewSnapshot() (*Snapshot, error) {
 	return &Snapshot{db: db, seqs: seqs}, nil
 }
 
-// Release frees the snapshot on every shard.
+// Release frees the snapshot on every shard. Reads and iterators using it
+// must have finished: once released, value-log GC may reclaim the values
+// only the snapshot could still see.
 func (s *Snapshot) Release() {
 	for i, st := range s.db.shards {
 		st.releaseSeq(s.seqs[i])

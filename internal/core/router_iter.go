@@ -1,22 +1,16 @@
 package core
 
-import (
-	"repro/internal/iterator"
-	"repro/internal/keys"
-)
+import "repro/internal/iterator"
 
-// Iterator is the public ordered cursor over the whole database. Over one
-// shard it wraps the engine iterator directly (zero overhead — the literal
-// pre-sharding iterator). Over N shards it is an ordered k-way merge of the
-// per-shard iterators through the pooled merging iterator: hash routing
+// Iterator is the public ordered cursor over the whole database: an ordered
+// k-way merge of the per-shard iterators through the pooled merging iterator
+// (which, over one shard, is that shard's iterator itself). Hash routing
 // makes every user key live in exactly one shard, so the per-shard
 // iterators — which already collapse versions and tombstones down to live
 // user entries — never produce duplicate keys, and merging by user key
 // alone is exact. Not safe for concurrent use.
 type Iterator struct {
-	single *storeIter        // Shards==1 fast path
-	merged iterator.Iterator // k-way merge over subs
-	subs   []*shardUserIter
+	merged iterator.Iterator // k-way merge over one shardUserIter per shard
 	err    error
 }
 
@@ -25,112 +19,60 @@ type Iterator struct {
 // initial positioning pass). The iterator starts unpositioned; call Seek,
 // SeekToFirst, or SeekToLast.
 func (db *DB) NewIterator(snap *Snapshot) (*Iterator, error) {
-	if len(db.shards) == 1 {
-		var seqp *keys.Seq
-		if snap != nil {
-			seqp = &snap.seqs[0]
-		}
-		si, err := db.shards[0].newIter(seqp)
-		if err != nil {
-			return nil, err
-		}
-		return &Iterator{single: si}, nil
-	}
-	subs := make([]*shardUserIter, 0, len(db.shards))
 	children := make([]iterator.Iterator, 0, len(db.shards))
 	for i, st := range db.shards {
-		var seqp *keys.Seq
-		if snap != nil {
-			seqp = &snap.seqs[i]
-		}
-		si, err := st.newIter(seqp)
+		si, err := st.newIter(snap.seq(i))
 		if err != nil {
-			for _, sub := range subs {
-				_ = sub.Close() // unwind the partial build; the open error wins
+			for _, c := range children {
+				_ = c.Close() // unwind the partial build; the open error wins
 			}
 			return nil, err
 		}
-		sub := &shardUserIter{it: si}
-		subs = append(subs, sub)
-		children = append(children, sub)
+		children = append(children, &shardUserIter{it: si})
 	}
-	return &Iterator{
-		merged: iterator.NewMerging(db.opts.Comparer.Compare, children...),
-		subs:   subs,
-	}, nil
+	return &Iterator{merged: iterator.NewMerging(db.opts.Comparer.Compare, children...)}, nil
 }
 
 // Seek positions at the first key >= target.
-func (i *Iterator) Seek(target []byte) {
-	if i.single != nil {
-		i.single.Seek(target)
-		return
-	}
-	i.merged.SeekGE(target)
-}
+func (i *Iterator) Seek(target []byte) { i.merged.SeekGE(target) }
 
 // SeekToFirst positions at the smallest key.
-func (i *Iterator) SeekToFirst() {
-	if i.single != nil {
-		i.single.SeekToFirst()
-		return
-	}
-	i.merged.SeekToFirst()
-}
+func (i *Iterator) SeekToFirst() { i.merged.SeekToFirst() }
 
 // SeekToLast positions at the largest key.
-func (i *Iterator) SeekToLast() {
-	if i.single != nil {
-		i.single.SeekToLast()
-		return
-	}
-	i.merged.SeekToLast()
-}
+func (i *Iterator) SeekToLast() { i.merged.SeekToLast() }
 
 // Next advances; no-op when invalid.
 func (i *Iterator) Next() {
-	if i.single != nil {
-		i.single.Next()
-		return
-	}
-	if i.merged.Valid() {
+	if i.Valid() {
 		i.merged.Next()
 	}
 }
 
 // Prev steps backward; no-op when invalid.
 func (i *Iterator) Prev() {
-	if i.single != nil {
-		i.single.Prev()
-		return
-	}
-	if i.merged.Valid() {
+	if i.Valid() {
 		i.merged.Prev()
 	}
 }
 
 // Valid reports whether the iterator is positioned at an entry.
-func (i *Iterator) Valid() bool {
-	if i.single != nil {
-		return i.single.Valid()
-	}
-	return i.merged.Valid()
-}
+func (i *Iterator) Valid() bool { return i.err == nil && i.merged.Valid() }
 
 // Key returns the current key; valid until the next move.
-func (i *Iterator) Key() []byte {
-	if i.single != nil {
-		return i.single.Key()
-	}
-	return i.merged.Key()
-}
+func (i *Iterator) Key() []byte { return i.merged.Key() }
 
-// Value returns the current value; valid until the next move.
+// Value returns the current value; valid until the next move. A value that
+// cannot be read (a dangling value-log pointer) returns nil and invalidates
+// the iterator: Valid turns false and Error reports the cause.
 func (i *Iterator) Value() []byte {
-	if i.single != nil {
-		return i.single.Value()
+	v := i.merged.Value()
+	if v == nil {
+		// The merge caches which shards are positioned; notice here a shard
+		// iterator that invalidated itself inside Value.
+		i.err = i.merged.Error()
 	}
-	return i.merged.Value()
+	return v
 }
 
 // Error reports the first error the iterator encountered.
@@ -138,25 +80,11 @@ func (i *Iterator) Error() error {
 	if i.err != nil {
 		return i.err
 	}
-	if i.single != nil {
-		return i.single.Error()
-	}
-	if err := i.merged.Error(); err != nil {
-		return err
-	}
-	for _, sub := range i.subs {
-		if err := sub.it.Error(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return i.merged.Error()
 }
 
 // Close releases the iterator's pinned resources on every shard.
 func (i *Iterator) Close() error {
-	if i.single != nil {
-		return i.single.Close()
-	}
 	i.err = i.Error()
 	if err := i.merged.Close(); err != nil && i.err == nil {
 		i.err = err

@@ -161,58 +161,11 @@ func TestShardScanEquivalence(t *testing.T) {
 // the surviving bytes, and require every acknowledged write back — each
 // shard's WAL segment must replay into the right shard.
 func TestShardCrashRecovery(t *testing.T) {
-	errInjected := errors.New("injected write failure")
 	for _, budget := range []int64{200, 800, 3000} {
-		mem := vfs.Mem()
-		efs := vfs.NewErrFS(mem)
-		opts := shardOpts(4)
-		opts.FS = efs
-		opts.Sync = true
-
-		db, err := Open("/db", opts)
-		if err != nil {
-			t.Fatalf("budget %d: open: %v", budget, err)
-		}
-		efs.FailAfterWrites(budget, errInjected)
-
-		acked := map[string]string{}
-		rng := rand.New(rand.NewSource(budget))
-		for i := 0; i < 100000; i++ {
-			k := fmt.Sprintf("key-%05d", rng.Intn(2000))
-			v := fmt.Sprintf("v-%d-%d", budget, i)
-			if err := db.Put([]byte(k), []byte(v)); err != nil {
-				break
-			}
-			acked[k] = v
-		}
-		// Crash: abandon every shard without a clean Close.
-		efs.Disarm()
-		for _, st := range db.shards {
-			st.mu.Lock()
-			st.stopBackgroundLocked()
-			st.mu.Unlock()
-		}
-
-		// Reboot on the surviving bytes; the shard count comes from the
-		// marker, not the options.
-		opts2 := shardOpts(0)
-		opts2.FS = mem
-		opts2.Sync = true
-		db2, err := Open("/db", opts2)
-		if err != nil {
-			t.Fatalf("budget %d: reopen: %v", budget, err)
-		}
+		// The shard count comes from the marker, not the reopen options.
+		db2 := crashAtWriteBudget(t, shardOpts(4), shardOpts(0), budget)
 		if got := db2.NumShards(); got != 4 {
 			t.Fatalf("budget %d: recovered NumShards() = %d, want 4", budget, got)
-		}
-		for k, want := range acked {
-			got, err := db2.Get([]byte(k))
-			if err != nil {
-				t.Fatalf("budget %d: lost acknowledged key %q: %v", budget, k, err)
-			}
-			if string(got) != want {
-				t.Fatalf("budget %d: key %q = %q, want %q", budget, k, got, want)
-			}
 		}
 		if err := db2.Close(); err != nil {
 			t.Fatalf("budget %d: close: %v", budget, err)

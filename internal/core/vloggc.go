@@ -19,17 +19,22 @@ import (
 // live record to the active segment, and inject pointer rewrites through
 // the commit pipeline (KindBlobRewrite — applied only if the commit-time
 // guard proves no newer write raced the liveness read). A round that finds
-// zero live records proves the segment permanently dead — no future write
-// can ever point into a sealed segment — so after a flush/snapshot/iterator
-// barrier the file is deleted. Guarded rewrites leave their old record
-// live, so the next round simply rewrites it again with a fresh guard
-// sequence; the rounds are bounded and a still-live segment is left for a
-// later pass rather than ever deleted unsafely.
+// zero live records proves the segment dead at the current sequence and at
+// every later one — no future write can ever point into a sealed segment —
+// so once the rewrites are flushed and every reader older than the proof has
+// drained (blobBarrier) the file is deleted. Guarded rewrites leave their
+// old record live, so the next round simply rewrites it again with a fresh
+// guard sequence; the rounds are bounded and a still-live segment is left
+// for a later pass rather than ever deleted unsafely.
 
-// errGCBusy reports a GC pass that could not quiesce readers (or flush its
-// rewrites) within its deadline; the segment is skipped, not deleted, and a
-// later pass retries. Deliberately not a user-visible error.
+// errGCBusy reports a GC pass that could not outwait its older readers (or
+// flush its rewrites) within gcBarrierTimeout; the segment is skipped, not
+// deleted, and a later pass retries. Deliberately not a user-visible error.
 var errGCBusy = errors.New("ldc: value-log gc could not quiesce; segment skipped")
+
+// gcBarrierTimeout bounds blobBarrier; a variable so a test that holds a
+// reader open on purpose need not sit out the full wait.
+var gcBarrierTimeout = 2 * time.Second
 
 // gcMaxRounds bounds rewrite rounds per segment per pass. Two rounds
 // suffice unless user writes keep racing the guard; beyond that the
@@ -60,9 +65,6 @@ func (db *store) vlogGCSegment(num uint64) error {
 		rewritten += bytes
 		if live == 0 {
 			if err := db.vlogGCDelete(num); err != nil {
-				if errors.Is(err, errGCBusy) {
-					return errGCBusy
-				}
 				return err
 			}
 			db.vlog.NoteGCPass(rewritten)
@@ -175,17 +177,14 @@ func (db *store) recordLive(key []byte, ptr vlog.Pointer) (bool, error) {
 }
 
 // vlogGCDelete makes segment deletion safe, then deletes: the shard's
-// active segment is synced (the relocated copies must be durable), every
-// rewrite is forced out of the WAL-only window into tables (recovery drops
-// rewrites from the WAL, so a WAL-only rewrite plus a deleted old segment
-// would resurrect a dangling pointer), registered snapshots advance past
-// the rewrites, and open iterators drain. Cached decoded values die with
-// the segment.
+// active segment is synced (the relocated copies must be durable) and
+// blobBarrier outwaits everything that could still reach the old copies.
+// Cached decoded values die with the segment.
 func (db *store) vlogGCDelete(num uint64) error {
 	if err := db.vlogw.Sync(); err != nil {
 		return err
 	}
-	if err := db.blobBarrier(db.set.LastSeq(), 2*time.Second); err != nil {
+	if err := db.blobBarrier(db.set.LastSeq()); err != nil {
 		return err
 	}
 	if db.blockCache != nil {
@@ -194,12 +193,20 @@ func (db *store) vlogGCDelete(num uint64) error {
 	return db.vlog.DeleteSegment(num)
 }
 
-// blobBarrier blocks until every sequence up to target is covered by
-// tables (flushedThroughSeq >= target), no registered snapshot can still
-// observe a pre-target version, and no iterator is live. errGCBusy on
-// timeout — the caller skips the deletion, never forces it.
-func (db *store) blobBarrier(target keys.Seq, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+// blobBarrier applies the liveness rule to a segment proved dead at or
+// before sequence target: nil once nothing can reach the segment any more,
+// errGCBusy past gcBarrierTimeout — the caller skips the deletion, never
+// forces it. Three things could still reach it. Recovery, which drops GC
+// rewrites found in the WAL: wait until tables cover every sequence up to
+// target. A reader pinned on a read state published before target: retire
+// the current state if it is that old and wait for the older states to
+// drain; states at or past target read where the segment is unreferenced,
+// so readers arriving during or after the pass neither block nor race it.
+// A read at a registered snapshot below target: wait for the snapshot floor,
+// the one compactions keep shadowed entries for.
+func (db *store) blobBarrier(target keys.Seq) error {
+	deadline := time.Now().Add(gcBarrierTimeout)
+	var older []*readState
 	for {
 		db.mu.Lock()
 		if db.bgErr != nil {
@@ -211,20 +218,26 @@ func (db *store) blobBarrier(target keys.Seq, timeout time.Duration) error {
 			db.mu.Unlock()
 			return ErrClosed
 		}
-		if db.flushedThroughSeq >= target {
-			db.mu.Unlock()
-			break
-		}
-		if db.imm == nil && db.mem.Empty() {
+		if db.flushedThroughSeq < target && db.imm == nil && db.mem.Empty() {
 			// Nothing above the floor lives outside tables: all entries up
 			// to LastSeq were flushed, and any sequences consumed since
 			// (guard-dropped rewrites) added no entries. Promote directly —
 			// the rewrite-guard invariant is preserved.
 			db.flushedThroughSeq = db.set.LastSeq()
+		}
+		if db.flushedThroughSeq >= target {
+			if db.readState.Load().seq < target {
+				db.publishReadState()
+			}
+			for _, rs := range db.retired {
+				if rs.seq < target {
+					older = append(older, rs)
+				}
+			}
 			db.mu.Unlock()
 			break
 		}
-		needRotate := db.imm == nil && !db.mem.Empty()
+		needRotate := db.imm == nil
 		db.mu.Unlock()
 		if time.Now().After(deadline) {
 			return errGCBusy
@@ -240,15 +253,22 @@ func (db *store) blobBarrier(target keys.Seq, timeout time.Duration) error {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	for {
-		if db.smallestSnapshot() >= target && db.openIters.Load() == 0 {
-			return nil
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	for _, rs := range older {
+		select {
+		case <-rs.done:
+		case <-timer.C:
+			return errGCBusy
 		}
+	}
+	for db.smallestSnapshot() < target {
 		if time.Now().After(deadline) {
 			return errGCBusy
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	return nil
 }
 
 // forceRotate rotates to a fresh memtable and WAL via the commit pipeline,

@@ -132,11 +132,6 @@ type Server struct {
 
 	started time.Time
 	stats   serverStats
-
-	// Cluster node identity (cluster.go), derived lazily so the bound
-	// listen address can participate.
-	nodeIDOnce sync.Once
-	nodeIDVal  string
 }
 
 // New builds a server over db. The configuration must Validate.

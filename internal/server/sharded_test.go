@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/resp"
 )
 
 // startShardedServer is startServer over a hash-partitioned engine.
@@ -32,73 +31,6 @@ func startShardedServer(t testing.TB, shards int) (*Server, string) {
 	}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr().String()
-}
-
-func TestServerClusterStubs(t *testing.T) {
-	srv, addr := startShardedServer(t, 4)
-	defer srv.Shutdown()
-	c := dial(t, addr)
-	defer c.Close()
-
-	info, err := c.ClusterInfo()
-	if err != nil {
-		t.Fatalf("CLUSTER INFO: %v", err)
-	}
-	for _, want := range []string{"cluster_enabled:0", "cluster_state:ok", "ldc_shards:4"} {
-		if !strings.Contains(info, want) {
-			t.Errorf("CLUSTER INFO missing %q:\n%s", want, info)
-		}
-	}
-
-	id, err := c.ClusterMyID()
-	if err != nil {
-		t.Fatalf("CLUSTER MYID: %v", err)
-	}
-	if len(id) != 40 {
-		t.Errorf("CLUSTER MYID = %q (len %d), want 40 hex chars", id, len(id))
-	}
-	id2, _ := c.ClusterMyID()
-	if id2 != id {
-		t.Errorf("CLUSTER MYID unstable: %q then %q", id, id2)
-	}
-
-	// KEYSLOT answers the engine's routing, stable per key and in range.
-	seen := map[int64]bool{}
-	for i := 0; i < 64; i++ {
-		key := []byte(fmt.Sprintf("slot-key-%d", i))
-		slot, err := c.ClusterKeySlot(key)
-		if err != nil {
-			t.Fatalf("CLUSTER KEYSLOT: %v", err)
-		}
-		if slot < 0 || slot >= 4 {
-			t.Fatalf("CLUSTER KEYSLOT(%q) = %d, out of range [0,4)", key, slot)
-		}
-		again, _ := c.ClusterKeySlot(key)
-		if again != slot {
-			t.Fatalf("CLUSTER KEYSLOT(%q) unstable: %d then %d", key, slot, again)
-		}
-		seen[slot] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("64 keys landed on %d slot(s); hash routing should spread them", len(seen))
-	}
-
-	// SLOTS/SHARDS: no ranges assigned elsewhere — empty arrays.
-	for _, sub := range []string{"SLOTS", "SHARDS"} {
-		v, err := c.Do("CLUSTER", sub)
-		if err != nil {
-			t.Fatalf("CLUSTER %s: %v", sub, err)
-		}
-		if arr, ok := v.([]interface{}); !ok || len(arr) != 0 {
-			t.Errorf("CLUSTER %s = %v, want empty array", sub, v)
-		}
-	}
-
-	if _, err := c.Do("CLUSTER", "FAILOVER"); err == nil {
-		t.Error("CLUSTER FAILOVER succeeded, want unknown-subcommand error")
-	} else if _, isResp := err.(resp.Error); !isResp {
-		t.Errorf("CLUSTER FAILOVER error type %T, want resp.Error", err)
-	}
 }
 
 func TestServerShardedMGetAndScan(t *testing.T) {
@@ -154,12 +86,12 @@ func TestServerShardedMGetAndScan(t *testing.T) {
 		}
 	}
 
-	// INFO gains the cluster and per-shard breakdown sections.
+	// INFO carries the per-shard breakdown section.
 	info, err := c.Info("")
 	if err != nil {
 		t.Fatalf("INFO: %v", err)
 	}
-	for _, wantLine := range []string{"# Cluster", "ldc_shards:4", "# Shards", "shard_count:4", "shard0:puts=", "shard3:puts="} {
+	for _, wantLine := range []string{"# Shards", "shard_count:4", "shard0:puts=", "shard3:puts="} {
 		if !strings.Contains(info, wantLine) {
 			t.Errorf("INFO missing %q", wantLine)
 		}
@@ -170,6 +102,11 @@ func TestServerShardedMGetAndScan(t *testing.T) {
 	}
 	if !strings.Contains(shardsOnly, "shard_count:4") || strings.Contains(shardsOnly, "# Engine") {
 		t.Errorf("INFO shards section wrong:\n%s", shardsOnly)
+	}
+
+	// No cluster exists: CLUSTER is an unknown command like any other.
+	if _, err := c.Do("CLUSTER", "INFO"); err == nil || !strings.Contains(err.Error(), "unknown command") {
+		t.Errorf("CLUSTER INFO = %v, want the unknown-command error", err)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // built over it once at New, so the hot path records into it lock-free.
 var commandNames = []string{
 	"ping", "echo", "set", "get", "del", "mget", "mset", "scan",
-	"dbsize", "info", "quit", "command", "config", "select", "cluster",
+	"dbsize", "info", "quit", "command", "config", "select",
 }
 
 // cmdStat counts one command's calls and holds its latency histogram
@@ -225,12 +225,6 @@ func (s *Server) renderInfo(section string) string {
 		fmt.Fprintf(&b, "blob_values_separated:%d\r\n", ds.BlobValuesSeparated)
 		fmt.Fprintf(&b, "blob_resolves:%d\r\n", ds.BlobResolves)
 		fmt.Fprintf(&b, "blob_resolve_cache_hits:%d\r\n", ds.BlobResolveCacheHits)
-		fmt.Fprintf(&b, "\r\n")
-	}
-	if want("cluster") {
-		fmt.Fprintf(&b, "# Cluster\r\n")
-		fmt.Fprintf(&b, "cluster_enabled:0\r\n")
-		fmt.Fprintf(&b, "ldc_shards:%d\r\n", s.db.NumShards())
 		fmt.Fprintf(&b, "\r\n")
 	}
 	if want("shards") {

@@ -1,6 +1,7 @@
 package vlog
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -347,8 +348,10 @@ func (l *Log) MaxShard() int {
 }
 
 // DeleteSegment removes segment num from the registry and the filesystem.
-// The caller is responsible for quiescing readers first (flush barrier,
-// snapshot and iterator drain) — see the GC lifecycle in DESIGN.md.
+// The caller must first have made the segment unreachable: every pointer
+// into it superseded, the rewrites flushed, and every reader that could
+// still hold one drained (DESIGN.md "Liveness"). A pointer resolved
+// afterwards is dangling and reads as ErrSegmentGone.
 func (l *Log) DeleteSegment(num uint64) error {
 	l.mu.Lock()
 	seg := l.segs[num]
@@ -410,13 +413,17 @@ func (l *Log) Close() error {
 	return first
 }
 
-// readHandle returns the segment's shared lazy read handle.
+// readHandle returns the segment's shared lazy read handle. A registered
+// segment whose file is missing is as gone as an unregistered one.
 func (l *Log) readHandle(seg *segment) (vfs.File, error) {
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
 	if seg.rf == nil {
 		//ldclint:ignore mutexio one-time lazy open; per-segment lock so only first readers of a segment contend
 		f, err := l.readFS.Open(l.dir + "/" + SegmentFileName(seg.shard, seg.num))
+		if errors.Is(err, vfs.ErrNotExist) {
+			return nil, fmt.Errorf("%w: %v", ErrSegmentGone, err)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -26,9 +26,11 @@ func (r *Reader) Release() {
 }
 
 // Read resolves p. The returned key and value alias the reader's internal
-// buffer. A pointer into a segment GC has deleted returns ErrSegmentGone
-// (the caller re-reads through the LSM and finds the rewritten pointer);
-// a pointer that fails bounds or checksum validation returns ErrCorrupt.
+// buffer. A pointer whose segment does not exist — not registered, or its
+// file missing — returns ErrSegmentGone; a pointer that fails bounds or
+// checksum validation returns ErrCorrupt. Neither is retryable: the engine
+// unlinks a segment only after every reader that could hold a pointer into
+// it has drained, so both mean the tree references bytes the log lost.
 func (r *Reader) Read(p Pointer) (key, value []byte, err error) {
 	seg := r.log.lookup(p.Segment)
 	if seg == nil {
@@ -39,9 +41,6 @@ func (r *Reader) Read(p Pointer) (key, value []byte, err error) {
 	}
 	f, err := r.log.readHandle(seg)
 	if err != nil {
-		if r.log.lookup(p.Segment) == nil {
-			return nil, nil, fmt.Errorf("%w: %s", ErrSegmentGone, p)
-		}
 		return nil, nil, fmt.Errorf("vlog: open segment %d: %w", p.Segment, err)
 	}
 	if cap(r.buf) < int(p.Length) {
@@ -49,11 +48,6 @@ func (r *Reader) Read(p Pointer) (key, value []byte, err error) {
 	}
 	r.buf = r.buf[:p.Length]
 	if _, err := f.ReadAt(r.buf, int64(p.Offset)); err != nil {
-		// The handle may have been closed under us by a concurrent
-		// segment deletion; report that as retryable.
-		if r.log.lookup(p.Segment) == nil {
-			return nil, nil, fmt.Errorf("%w: %s", ErrSegmentGone, p)
-		}
 		return nil, nil, fmt.Errorf("vlog: read %s: %w", p, err)
 	}
 	key, value, n, err := DecodeRecord(r.buf)

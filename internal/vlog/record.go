@@ -37,10 +37,10 @@ import (
 // yields ErrCorrupt, never a panic (same contract as the LZ4 decoder).
 var ErrCorrupt = errors.New("vlog: corrupt record")
 
-// ErrSegmentGone reports a pointer into a segment that is no longer in
-// the log (deleted by GC between the pointer read and its resolution).
-// Callers retry through the read path, which then observes the rewritten
-// pointer.
+// ErrSegmentGone reports a pointer into a segment the log does not have: a
+// dangling pointer. It is never a race to retry — GC unlinks a segment only
+// once no reader can still hold a pointer into it — except for GC itself,
+// which may find a listed segment already reclaimed.
 var ErrSegmentGone = errors.New("vlog: segment gone")
 
 // PointerLen is the encoded size of a Pointer: fixed64 segment,

@@ -59,6 +59,18 @@
 // separation and keeps the on-disk layout byte-identical to prior
 // versions. See DESIGN.md ("Value separation").
 //
+// Durability and errors:
+//
+// With Options.Sync an acknowledged write is never lost. A write that
+// returned an error is indeterminate until the next successful Open: it is
+// not visible on the handle that failed, which refuses every later write
+// with the same error, but after reopening its keys hold either that write
+// (whole) or what preceded it. Reads never answer wrongly instead of
+// failing: a value that cannot be read is an error from Get and Scan, and
+// an iterator that meets one stops being Valid and reports it from Error.
+// A Snapshot must stay unreleased while reads and iterators use it. See
+// DESIGN.md ("Write path", "Liveness").
+//
 // For experiments, an SSD simulator with asymmetric read/write timing and
 // per-category I/O accounting is available via NewSimulatedSSD.
 package ldc
