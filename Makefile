@@ -23,7 +23,7 @@ unexport TAGS
 # against the //ldclint:lockrank catalog). Built from source on demand.
 LDCLINT := bin/ldclint
 
-.PHONY: all build test stress vet lint invariants race fuzz-smoke bench bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-tail bench-blob run-server server-smoke ci
+.PHONY: all build test stress vet lint invariants race fuzz-smoke bench bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-tail bench-blob loc run-server server-smoke ci
 
 # run-server knobs (make run-server DB=/path PORT=6380)
 DB ?= /tmp/ldcserver-db
@@ -112,24 +112,30 @@ bench-shards:
 	$(GO) test -race -run XXX -bench BenchmarkShardedWriters -benchtime 1x $(TESTFLAGS) ./internal/core
 
 # The tail-latency gate: run the brownout scenario (sustained load over a
-# compaction backlog, I/O limiter on vs off at equal offered load), record
-# the comparison to BENCH_tail.json, and fail if the limiter-on side's
-# foreground P99.9 exceeds 1.5x the limiter-off side's. The artifact's
-# headline ratio sits just under 1.0x; the 1.5x budget leaves room for
-# loaded-host noise while still catching regressions that invert the
-# scheduler into a tail liability.
+# compaction backlog, I/O limiter on vs off at equal offered load) and fail
+# if the limiter-on side's foreground P99.9 exceeds 1.5x the limiter-off
+# side's. The recorded headline ratio sits just under 1.0x; the 1.5x budget
+# leaves room for loaded-host noise while still catching regressions that
+# invert the scheduler into a tail liability. This target only gates: it
+# writes no file. To record a run, pass -json yourself:
+#   go run ./cmd/ldcbench -json BENCH_tail.json brownout
 bench-tail:
-	$(GO) run $(TESTFLAGS) ./cmd/ldcbench -json BENCH_tail.json -tailbudget 1.5 brownout
+	$(GO) run $(TESTFLAGS) ./cmd/ldcbench -tailbudget 1.5 brownout
 
 # The value-separation gate: sweep value size 128B-64KiB writing the same
-# user-byte volume with separation off vs on, record the comparison to
-# BENCH_blob.json, and fail unless separation cuts compaction write
-# amplification by at least 2x at 4KiB+ values. The measured reductions sit
-# far above the budget (hundreds of x at 16KiB+); the small-value rows are
-# reported ungated — there the log's own bytes and GC rewrites eat most of
-# the win, which is the honest half of the artifact.
+# user-byte volume with separation off vs on, and fail unless separation
+# cuts compaction write amplification by at least 2x at 4KiB+ values. The
+# measured reductions sit far above the budget (hundreds of x at 16KiB+);
+# the small-value rows are reported ungated — there the log's own bytes and
+# GC rewrites eat most of the win. Gates only, like bench-tail; to record:
+#   go run ./cmd/ldcbench -json BENCH_blob.json blob
 bench-blob:
-	$(GO) run $(TESTFLAGS) ./cmd/ldcbench -json BENCH_blob.json -blobgain 2 blob
+	$(GO) run $(TESTFLAGS) ./cmd/ldcbench -blobgain 2 blob
+
+# Non-test Go lines, the figure every PR reports its delta of (ROADMAP,
+# design axis). bench/ is the benchmark's own module and is not counted.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # The benchmark spine's own smoke test (bench/ is a separate module, so the
 # root ./... never builds it): every workload traced at 1/100 scale, emitted

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ldcdb -db DIR [-policy udc|ldc|tiered] <command> [args]
+//	ldcdb -db DIR [-policy udc|ldc] <command> [args]
 //
 // Commands:
 //
@@ -40,17 +40,15 @@ func parsePolicy(s string) ldc.Policy {
 		return ldc.PolicyUDC
 	case "ldc":
 		return ldc.PolicyLDC
-	case "tiered":
-		return ldc.PolicyTiered
 	}
-	fail("unknown policy %q (want udc, ldc, or tiered)", s)
+	fail("unknown policy %q (want one of: udc, ldc)", s)
 	panic("unreachable")
 }
 
 func main() {
 	var (
 		dir    = flag.String("db", "", "database directory (required)")
-		policy = flag.String("policy", "ldc", "compaction policy: udc, ldc, tiered")
+		policy = flag.String("policy", "ldc", "compaction policy: udc, ldc")
 	)
 	flag.Parse()
 	if *dir == "" || flag.NArg() == 0 {

@@ -35,10 +35,8 @@ func parsePolicy(s string) ldc.Policy {
 		return ldc.PolicyUDC
 	case "ldc":
 		return ldc.PolicyLDC
-	case "tiered":
-		return ldc.PolicyTiered
 	}
-	fail("unknown policy %q (want udc, ldc, or tiered)", s)
+	fail("unknown policy %q (want one of: udc, ldc)", s)
 	panic("unreachable")
 }
 
@@ -46,7 +44,7 @@ func main() {
 	var (
 		dir      = flag.String("db", "", "database directory (required)")
 		addr     = flag.String("addr", "127.0.0.1:6380", "TCP listen address (use :0 for an ephemeral port)")
-		policy   = flag.String("policy", "ldc", "compaction policy: udc, ldc, tiered")
+		policy   = flag.String("policy", "ldc", "compaction policy: udc, ldc")
 		sync     = flag.Bool("sync", false, "fsync the WAL on every commit")
 		shards   = flag.Int("shards", 0, "hash-partitioned engine shards (0 = adopt existing layout or single engine; rounds up to a power of two)")
 		maxConns = flag.Int("maxconns", 1024, "maximum simultaneous connections")

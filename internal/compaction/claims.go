@@ -53,19 +53,20 @@ func (c *Claim) Files() []uint64 {
 	return out
 }
 
-// claimFor derives the claim a pick needs before it may execute.
+// claimFor derives the claim a pick needs before it may execute: every file
+// the pick names, and their combined effective range (own keys plus attached
+// slice windows — rewrites consume the whole effective extent, and a link
+// computes its slice windows over it) at each level the job edits. A merge
+// names only its target and stays at one level; the frozen files backing the
+// target's slices are shared read-only inputs kept alive by version
+// refcounts, so concurrent merges of different targets never conflict.
 func (p *Picker) claimFor(pick Pick) *Claim {
 	ucmp := p.icmp.User
-	c := &Claim{kind: pick.Kind, level: pick.Level, files: map[uint64]struct{}{}}
-	addFiles := func(files []*version.FileMeta) {
+	c := &Claim{kind: pick.Kind, level: pick.Level, files: map[uint64]struct{}{}, l0: pick.Level == 0}
+	var r keys.KeyRange
+	for _, files := range [][]*version.FileMeta{pick.Inputs, pick.Overlaps} {
 		for _, f := range files {
 			c.files[f.Num] = struct{}{}
-		}
-	}
-	// unionRange grows r to cover each file's effective range (own keys plus
-	// attached slice windows — merges rewrite the whole effective extent).
-	unionRange := func(r keys.KeyRange, files []*version.FileMeta) keys.KeyRange {
-		for _, f := range files {
 			fr := version.EffectiveRange(ucmp, f)
 			if r.Lo == nil || ucmp.Compare(fr.Lo, r.Lo) < 0 {
 				r.Lo = fr.Lo
@@ -74,43 +75,10 @@ func (p *Picker) claimFor(pick Pick) *Claim {
 				r.Hi = fr.Hi
 			}
 		}
-		return r
 	}
-
-	switch pick.Kind {
-	case PickCompact:
-		// Reads Inputs (level) and Overlaps (level+1, including their
-		// slices); deletes both; writes outputs into level+1 anywhere inside
-		// the union of the input ranges.
-		addFiles(pick.Inputs)
-		addFiles(pick.Overlaps)
-		r := unionRange(keys.KeyRange{}, pick.Inputs)
-		r = unionRange(r, pick.Overlaps)
-		c.spans = append(c.spans, span{pick.Level, r}, span{pick.Level + 1, r})
-		c.l0 = pick.Level == 0
-	case PickTrivialMove:
-		f := pick.Inputs[0]
-		c.files[f.Num] = struct{}{}
-		r := version.EffectiveRange(ucmp, f)
-		c.spans = append(c.spans, span{pick.Level, r}, span{pick.Level + 1, r})
-		c.l0 = pick.Level == 0
-	case PickLink:
-		// Freezes Inputs[0] at level and appends slice metadata to every
-		// overlap at level+1. Metadata only, but the overlaps' metas must not
-		// be rewritten concurrently, and no other job may add files into the
-		// slice-window range at level+1 while windows are being computed.
-		addFiles(pick.Inputs)
-		addFiles(pick.Overlaps)
-		r := unionRange(keys.KeyRange{}, pick.Inputs)
-		r = unionRange(r, pick.Overlaps)
-		c.spans = append(c.spans, span{pick.Level, r}, span{pick.Level + 1, r})
-	case PickMerge:
-		// Rewrites Target in place at level, consuming its slices. The
-		// frozen files backing the slices are shared read-only inputs —
-		// version refcounts keep them alive — so only the target itself and
-		// its effective key range are claimed.
-		c.files[pick.Target.Num] = struct{}{}
-		c.spans = append(c.spans, span{pick.Level, version.EffectiveRange(ucmp, pick.Target)})
+	c.spans = append(c.spans, span{pick.Level, r})
+	if pick.OutputLevel != pick.Level {
+		c.spans = append(c.spans, span{pick.OutputLevel, r})
 	}
 	return c
 }

@@ -179,10 +179,47 @@ func TestConcurrentMergesDisjointTargets(t *testing.T) {
 	if p2.Kind != PickMerge {
 		t.Fatalf("second pick = %v, want concurrent Merge on the other target", p2.Kind)
 	}
-	if p2.Target.Num == p1.Target.Num {
-		t.Fatalf("same merge target %d handed out twice", p1.Target.Num)
+	if p2.Inputs[0].Num == p1.Inputs[0].Num {
+		t.Fatalf("same merge target %d handed out twice", p1.Inputs[0].Num)
 	}
 	if _, err := pk.Acquire(p2); err != nil {
 		t.Fatalf("Acquire second merge (shared frozen input): %v", err)
+	}
+}
+
+// TestClaimShapes pins what each kind of job holds. A merge holds only its
+// target and the target's effective range on the target's level; every other
+// kind holds all its files and their combined effective range on both levels
+// it edits.
+func TestClaimShapes(t *testing.T) {
+	pk := NewPicker(LDC, testParams(), icmp)
+	target := fm(2, "d", "f", 100)
+	target.Slices = []version.Slice{{FrozenNum: 90, Range: rangeOf("b", "h"), LinkSeq: 1}}
+	merge := pk.claimFor(mergePick(2, target, 1))
+	if files := merge.Files(); len(files) != 1 || files[0] != 2 {
+		t.Errorf("merge claim files = %v, want only the target (frozen inputs are shared)", merge.Files())
+	}
+	if len(merge.spans) != 1 || merge.spans[0].level != 2 ||
+		string(merge.spans[0].r.Lo) != "b" || string(merge.spans[0].r.Hi) != "h" || merge.l0 {
+		t.Errorf("merge claim spans = %+v l0=%v, want the effective range b..h at L2 only", merge.spans, merge.l0)
+	}
+
+	link := pk.claimFor(Pick{Kind: PickLink, Level: 1, OutputLevel: 2,
+		Inputs: []*version.FileMeta{fm(1, "c", "e", 100)}, Overlaps: []*version.FileMeta{target}})
+	if len(link.files) != 2 || len(link.spans) != 2 || link.spans[0].level != 1 || link.spans[1].level != 2 {
+		t.Fatalf("link claim = %d files, spans %+v; want both files on both levels", len(link.files), link.spans)
+	}
+	for _, s := range link.spans {
+		if string(s.r.Lo) != "b" || string(s.r.Hi) != "h" {
+			t.Errorf("link span at L%d = [%q,%q], want the combined effective range b..h", s.level, s.r.Lo, s.r.Hi)
+		}
+	}
+	if !merge.conflictsWith(icmp.User, link) {
+		t.Error("a link onto a file does not conflict with that file's merge")
+	}
+
+	l0 := pk.claimFor(pk.compactOrMove(0, []*version.FileMeta{fm(7, "a", "z", 100)}, nil, 1))
+	if !l0.l0 || len(l0.spans) != 2 || l0.kind != PickTrivialMove {
+		t.Errorf("L0 move claim = %v l0=%v spans %+v", l0, l0.l0, l0.spans)
 	}
 }

@@ -1,4 +1,4 @@
-// Package compaction holds the pure decision logic of the three compaction
+// Package compaction holds the pure decision logic of the two compaction
 // policies the repository implements:
 //
 //   - UDC — the traditional upper-level driven compaction of LevelDB: the
@@ -8,13 +8,12 @@
 //     *link* (freeze the file, slice it across the overlapping lower files);
 //     real I/O happens only as a *merge* driven by a lower-level file that
 //     has accumulated SliceThreshold slices (paper Algorithm 1).
-//   - Tiered — a size-tiered lazy policy (Cassandra-style) used to
-//     demonstrate the motivation that lazy schemes enlarge compaction
-//     granularity and tail latency.
 //
-// The package decides *what* to do (a Pick); the executing store performs
-// the I/O. Keeping the policy pure makes it unit-testable against synthetic
-// versions.
+// Both run the same merge-sort machinery and differ only in when a job
+// fires, how much it reads and where its output lands. The package decides
+// that (a Pick, which names the job's input files by level and its output
+// level); the executing store performs the I/O from the Pick alone. Keeping
+// the policy pure makes it unit-testable against synthetic versions.
 package compaction
 
 import (
@@ -34,8 +33,6 @@ const (
 	UDC Policy = iota
 	// LDC is the paper's lower-level driven compaction.
 	LDC
-	// Tiered is a size-tiered lazy baseline.
-	Tiered
 )
 
 // String names the policy.
@@ -45,8 +42,6 @@ func (p Policy) String() string {
 		return "UDC"
 	case LDC:
 		return "LDC"
-	case Tiered:
-		return "Tiered"
 	default:
 		return "unknown"
 	}
@@ -76,9 +71,6 @@ type Params struct {
 	// above it the most-linked file is force-merged. Defaults to 0.25 (the
 	// paper's worst-case space bound, §III-D).
 	FrozenFraction float64
-	// TieredTrigger is the per-tier file count for the Tiered policy.
-	// When zero it defaults to Fanout.
-	TieredTrigger int
 	// DisableTrivialMove forces a rewrite even when a file could move down
 	// by metadata only (ablation benchmarks).
 	DisableTrivialMove bool
@@ -106,9 +98,6 @@ func (p Params) withDefaults() Params {
 	if p.FrozenFraction <= 0 {
 		p.FrozenFraction = 0.25
 	}
-	if p.TieredTrigger <= 0 {
-		p.TieredTrigger = p.Fanout
-	}
 	return p
 }
 
@@ -128,17 +117,16 @@ type Kind int
 const (
 	// PickNone: nothing to do.
 	PickNone Kind = iota
-	// PickCompact: conventional merge of Inputs (level Level) with
-	// Overlaps (level Level+1); outputs land in Level+1. Used by UDC at
-	// all levels, by LDC for L0→L1, and by Tiered within tiers.
+	// PickCompact: conventional merge of Inputs with Overlaps one level
+	// down. Used by UDC at all levels and by LDC for L0→L1.
 	PickCompact
-	// PickTrivialMove: Inputs[0] can move to Level+1 by metadata only.
+	// PickTrivialMove: Inputs[0] moves to OutputLevel by metadata only.
 	PickTrivialMove
-	// PickLink: LDC link phase: freeze Inputs[0] (level Level) and attach
-	// one slice per file in Overlaps (level Level+1). Metadata only.
+	// PickLink: LDC link phase: freeze Inputs[0] and attach one slice per
+	// file in Overlaps. Metadata only.
 	PickLink
-	// PickMerge: LDC merge phase: rewrite Target (level Level) together
-	// with its accumulated slices; outputs land in Level (same level).
+	// PickMerge: LDC merge phase: rewrite Inputs[0] together with its
+	// accumulated slices, in place (OutputLevel == Level).
 	PickMerge
 )
 
@@ -160,18 +148,19 @@ func (k Kind) String() string {
 	}
 }
 
-// Pick describes one unit of compaction work.
+// Pick describes one unit of compaction work as data: every file the job
+// reads and removes from its level, and the level its outputs land in. The
+// executor and the claim set work from these fields alone.
 type Pick struct {
 	Kind Kind
-	// Level is the input level (for PickMerge: the level of Target).
-	Level int
-	// Inputs are upper-level input files.
+	// Level holds Inputs; OutputLevel holds Overlaps and receives the
+	// outputs. OutputLevel is Level+1 except for PickMerge, where it is Level.
+	Level, OutputLevel int
+	// Inputs are the files taken out of Level.
 	Inputs []*version.FileMeta
-	// Overlaps are the lower-level files involved (merge inputs for
-	// PickCompact, link targets for PickLink).
+	// Overlaps are the files involved at OutputLevel: rewritten and removed
+	// by PickCompact, given a slice each by PickLink.
 	Overlaps []*version.FileMeta
-	// Target is the lower-level file whose slices a PickMerge consumes.
-	Target *version.FileMeta
 	// Score is the pressure that triggered the pick (diagnostics).
 	Score float64
 }
@@ -307,14 +296,10 @@ func (p *Picker) minScore(level int) float64 {
 // in-flight claim, or a PickNone. With no claims outstanding the choice is
 // identical to the serial engine's.
 func (p *Picker) Pick(v *version.Version) Pick {
-	switch p.policy {
-	case Tiered:
-		return p.pickTiered(v)
-	case LDC:
+	if p.policy == LDC {
 		return p.pickLDC(v)
-	default:
-		return p.pickUDC(v)
 	}
+	return p.pickUDC(v)
 }
 
 // levelScore pairs a level with its compaction pressure.
@@ -443,10 +428,16 @@ func (p *Picker) pickUDC(v *version.Version) Pick {
 // compactOrMove builds the conventional pick for an input set: a trivial
 // move when nothing overlaps below (unless disabled), else a compact.
 func (p *Picker) compactOrMove(level int, inputs, overlaps []*version.FileMeta, score float64) Pick {
+	pick := Pick{Kind: PickCompact, Level: level, OutputLevel: level + 1, Inputs: inputs, Overlaps: overlaps, Score: score}
 	if len(overlaps) == 0 && len(inputs) == 1 && !p.params.DisableTrivialMove {
-		return Pick{Kind: PickTrivialMove, Level: level, Inputs: inputs, Score: score}
+		pick.Kind = PickTrivialMove
 	}
-	return Pick{Kind: PickCompact, Level: level, Inputs: inputs, Overlaps: overlaps, Score: score}
+	return pick
+}
+
+// mergePick builds the LDC merge of target with its slices, in place.
+func mergePick(level int, target *version.FileMeta, score float64) Pick {
+	return Pick{Kind: PickMerge, Level: level, OutputLevel: level, Inputs: []*version.FileMeta{target}, Score: score}
 }
 
 // pickLDC implements the paper's Algorithm 1 scheduling:
@@ -490,8 +481,7 @@ func (p *Picker) pickLDC(v *version.Version) Pick {
 	for level := 1; level < version.NumLevels; level++ {
 		for _, f := range v.Sliced[level] {
 			if len(f.Slices) >= ripeTs || f.SliceBytes() >= byteTrigger(f) {
-				pick := Pick{Kind: PickMerge, Level: level, Target: f,
-					Score: float64(len(f.Slices)) / float64(ts)}
+				pick := mergePick(level, f, float64(len(f.Slices))/float64(ts))
 				if p.admissible(pick) {
 					return pick
 				}
@@ -513,7 +503,7 @@ func (p *Picker) pickLDC(v *version.Version) Pick {
 			for level := 1; level < version.NumLevels; level++ {
 				for _, f := range v.Sliced[level] {
 					if sb := f.SliceBytes(); sb > bestBytes {
-						pick := Pick{Kind: PickMerge, Level: level, Target: f, Score: 1}
+						pick := mergePick(level, f, 1)
 						if p.admissible(pick) {
 							best, bestBytes = pick, sb
 						}
@@ -542,11 +532,7 @@ func (p *Picker) pickLDCLevel(v *version.Version, level int, score float64) Pick
 	if level == 0 {
 		inputs := p.expandL0(v, v.Levels[0][0])
 		r := inputsRange(p.icmp.User, inputs)
-		overlaps := v.EffectiveOverlaps(1, r)
-		pick := Pick{Kind: PickCompact, Level: 0, Inputs: inputs, Overlaps: overlaps, Score: score}
-		if len(overlaps) == 0 && len(inputs) == 1 && !p.params.DisableTrivialMove {
-			pick = Pick{Kind: PickTrivialMove, Level: 0, Inputs: inputs, Score: score}
-		}
+		pick := p.compactOrMove(0, inputs, v.EffectiveOverlaps(1, r), score)
 		if p.admissible(pick) {
 			return pick
 		}
@@ -561,16 +547,11 @@ func (p *Picker) pickLDCLevel(v *version.Version, level int, score float64) Pick
 			continue
 		}
 		sawUnsliced = true
-		var pick Pick
-		overlaps := v.EffectiveOverlaps(level+1, EffectiveRangeOf(p.icmp.User, f))
-		switch {
-		case len(overlaps) == 0 && p.params.DisableTrivialMove:
-			pick = Pick{Kind: PickCompact, Level: level, Inputs: []*version.FileMeta{f}, Score: score}
-		case len(overlaps) == 0:
-			pick = Pick{Kind: PickTrivialMove, Level: level, Inputs: []*version.FileMeta{f}, Score: score}
-		default:
-			pick = Pick{Kind: PickLink, Level: level, Inputs: []*version.FileMeta{f},
-				Overlaps: overlaps, Score: score}
+		inputs := []*version.FileMeta{f}
+		overlaps := v.EffectiveOverlaps(level+1, version.EffectiveRange(p.icmp.User, f))
+		pick := p.compactOrMove(level, inputs, overlaps, score)
+		if len(overlaps) > 0 {
+			pick.Kind = PickLink
 		}
 		if p.admissible(pick) {
 			return pick
@@ -583,7 +564,7 @@ func (p *Picker) pickLDCLevel(v *version.Version, level int, score float64) Pick
 		bestSlices := -1
 		for _, c := range v.Sliced[level] {
 			if len(c.Slices) > bestSlices {
-				pick := Pick{Kind: PickMerge, Level: level, Target: c, Score: score}
+				pick := mergePick(level, c, score)
 				if p.admissible(pick) {
 					best, bestSlices = pick, len(c.Slices)
 				}
@@ -591,37 +572,6 @@ func (p *Picker) pickLDCLevel(v *version.Version, level int, score float64) Pick
 		}
 		if best.Kind == PickMerge {
 			return best
-		}
-	}
-	return Pick{Kind: PickNone}
-}
-
-// EffectiveRangeOf is re-exported here for executor convenience.
-func EffectiveRangeOf(ucmp keys.Comparer, f *version.FileMeta) keys.KeyRange {
-	return version.EffectiveRange(ucmp, f)
-}
-
-// pickTiered merges a whole tier into the next when it accumulates
-// TieredTrigger files. Levels hold mutually overlapping runs, so the
-// store must be in overlap-tolerant mode.
-func (p *Picker) pickTiered(v *version.Version) Pick {
-	trigger := p.params.TieredTrigger
-	if len(p.inflight) > 0 {
-		trigger = int(math.Ceil(float64(trigger) * barDeep)) // premium, as in pickLDC
-	}
-	for level := 0; level < version.NumLevels-1; level++ {
-		files := v.Levels[level]
-		if len(files) >= trigger {
-			inputs := append([]*version.FileMeta(nil), files...)
-			pick := Pick{
-				Kind:   PickCompact,
-				Level:  level,
-				Inputs: inputs,
-				Score:  float64(len(files)) / float64(p.params.TieredTrigger),
-			}
-			if p.admissible(pick) {
-				return pick
-			}
 		}
 	}
 	return Pick{Kind: PickNone}

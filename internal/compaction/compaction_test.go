@@ -30,6 +30,14 @@ func buildV(t *testing.T, edit func(e *version.Edit)) *version.Version {
 	return v
 }
 
+// isMergeOf reports whether p is the in-place LDC merge of exactly file num
+// at level: the target is the only input, nothing else is rewritten, and the
+// outputs stay on the target's level.
+func isMergeOf(p Pick, level int, num uint64) bool {
+	return p.Kind == PickMerge && p.Level == level && p.OutputLevel == level &&
+		len(p.Inputs) == 1 && p.Inputs[0].Num == num && len(p.Overlaps) == 0
+}
+
 func testParams() Params {
 	return Params{Fanout: 10, SSTableSize: 1000, L0Trigger: 4}
 }
@@ -37,7 +45,7 @@ func testParams() Params {
 func TestDefaults(t *testing.T) {
 	p := Params{}.withDefaults()
 	if p.Fanout != 10 || p.SliceThreshold != 10 || p.L0Trigger != 4 ||
-		p.BaseLevelBytes != int64(p.Fanout)*p.SSTableSize || p.TieredTrigger != 10 {
+		p.BaseLevelBytes != int64(p.Fanout)*p.SSTableSize {
 		t.Errorf("defaults = %+v", p)
 	}
 }
@@ -95,8 +103,8 @@ func TestUDCPicksL0WithClosure(t *testing.T) {
 		e.AddFile(1, fm(5, "c", "m", 100))
 	})
 	got := pk.Pick(v)
-	if got.Kind != PickCompact || got.Level != 0 {
-		t.Fatalf("Pick = %v level %d", got.Kind, got.Level)
+	if got.Kind != PickCompact || got.Level != 0 || got.OutputLevel != 1 {
+		t.Fatalf("Pick = %v level %d -> %d", got.Kind, got.Level, got.OutputLevel)
 	}
 	if len(got.Inputs) != 3 {
 		t.Errorf("L0 closure picked %d files, want 3 (chain)", len(got.Inputs))
@@ -113,8 +121,8 @@ func TestUDCTrivialMove(t *testing.T) {
 		e.AddFile(2, fm(2, "m", "z", 100))   // no overlap with (a,c)
 	})
 	got := pk.Pick(v)
-	if got.Kind != PickTrivialMove || got.Inputs[0].Num != 1 {
-		t.Errorf("Pick = %v inputs=%v", got.Kind, got.Inputs)
+	if got.Kind != PickTrivialMove || got.Inputs[0].Num != 1 || got.Level != 1 || got.OutputLevel != 2 {
+		t.Errorf("Pick = %v inputs=%v level %d -> %d", got.Kind, got.Inputs, got.Level, got.OutputLevel)
 	}
 }
 
@@ -167,8 +175,8 @@ func TestLDCLinksInsteadOfCompacting(t *testing.T) {
 		e.AddFile(2, fm(3, "g", "p", 100))
 	})
 	got := pk.Pick(v)
-	if got.Kind != PickLink || got.Level != 1 {
-		t.Fatalf("Pick = %v", got.Kind)
+	if got.Kind != PickLink || got.Level != 1 || got.OutputLevel != 2 {
+		t.Fatalf("Pick = %v level %d -> %d", got.Kind, got.Level, got.OutputLevel)
 	}
 	if len(got.Overlaps) != 2 {
 		t.Errorf("link targets = %d", len(got.Overlaps))
@@ -189,8 +197,8 @@ func TestLDCMergePriorityAtThreshold(t *testing.T) {
 		e.AddSlice(2, 2, version.Slice{FrozenNum: 91, Range: keys.KeyRange{Lo: []byte("a"), Hi: []byte("f")}, LinkSeq: 2, Bytes: 50})
 	})
 	got := pk.Pick(v)
-	if got.Kind != PickMerge || got.Target == nil || got.Target.Num != 2 {
-		t.Fatalf("Pick = %v target=%v, want merge of file 2", got.Kind, got.Target)
+	if !isMergeOf(got, 2, 2) {
+		t.Fatalf("Pick = %+v, want merge of file 2 in place at L2", got)
 	}
 }
 
@@ -228,8 +236,8 @@ func TestLDCMergesWhenAllFilesSliced(t *testing.T) {
 		e.AddFile(2, fm(3, "a", "z", 100))
 	})
 	got := pk.Pick(v)
-	if got.Kind != PickMerge || got.Target.Num != 1 {
-		t.Errorf("Pick = %v target=%v", got.Kind, got.Target)
+	if !isMergeOf(got, 1, 1) {
+		t.Errorf("Pick = %+v, want merge of file 1 in place at L1", got)
 	}
 }
 
@@ -246,7 +254,7 @@ func TestLDCFrozenBackpressure(t *testing.T) {
 		e.AddSlice(2, 2, version.Slice{FrozenNum: 90, Range: keys.KeyRange{Lo: []byte("a"), Hi: []byte("f")}, LinkSeq: 1, Bytes: 100000})
 	})
 	got := pk.Pick(v)
-	if got.Kind != PickMerge || got.Target.Num != 2 {
+	if !isMergeOf(got, 2, 2) {
 		t.Errorf("Pick = %v, want forced merge under space backpressure", got.Kind)
 	}
 }
@@ -279,28 +287,6 @@ func TestAdaptiveThresholdFeedsPicker(t *testing.T) {
 	pk.SetThresholdFunc(nil)
 	if pk.SliceThreshold() != 7 {
 		t.Errorf("revert threshold = %d", pk.SliceThreshold())
-	}
-}
-
-func TestTieredMergesWholeTier(t *testing.T) {
-	params := testParams()
-	params.TieredTrigger = 3
-	pk := NewPicker(Tiered, params, icmp)
-	v := buildV(t, func(e *version.Edit) {
-		e.AddFile(0, fm(1, "a", "z", 100))
-		e.AddFile(0, fm(2, "a", "z", 100))
-	})
-	if got := pk.Pick(v); got.Kind != PickNone {
-		t.Fatalf("under-trigger tier picked %v", got.Kind)
-	}
-	v2 := buildV(t, func(e *version.Edit) {
-		e.AddFile(0, fm(1, "a", "z", 100))
-		e.AddFile(0, fm(2, "a", "z", 100))
-		e.AddFile(0, fm(3, "a", "z", 100))
-	})
-	got := pk.Pick(v2)
-	if got.Kind != PickCompact || len(got.Inputs) != 3 || len(got.Overlaps) != 0 {
-		t.Errorf("tiered pick = %v with %d inputs", got.Kind, len(got.Inputs))
 	}
 }
 
@@ -443,7 +429,7 @@ func TestLDCRipeMergeStillWinsBelowSlowdown(t *testing.T) {
 	pk := NewPicker(LDC, params, icmp)
 	v := buildV(t, ldcRipeMergeEdit(5)) // past L0Trigger, below slowdown
 	got := pk.Pick(v)
-	if got.Kind != PickMerge || got.Target == nil || got.Target.Num != 2 {
+	if !isMergeOf(got, 2, 2) {
 		t.Fatalf("Pick = %v, want the ripe merge while L0 is below the slowdown trigger", got.Kind)
 	}
 }

@@ -26,6 +26,12 @@ import (
 // and the only serialization between them is the final LogAndApply version
 // edit (ordered by version.Set internally).
 //
+// A compaction.Pick is data — the files to take out of each level and the
+// level the outputs land in — and the executor has two shapes for it: a
+// metadata edit (trivial move, LDC link; execEdit) and a rewrite (UDC
+// compaction, LDC's L0→L1 and LDC merge; execRewrite). A flush is the
+// rewrite's table-building loop (writeTables) over a memtable.
+//
 // db.mu is held while picking and while mutating DB state; it is released
 // during all file I/O and during LogAndApply, so foreground reads and writes
 // only contend with the brief bookkeeping sections.
@@ -54,12 +60,11 @@ func (db *store) workerExit() {
 }
 
 // flushWorker turns immutable memtables into L0 tables, one at a time, for
-// the DB's whole lifetime. Obsolete-file GC runs at the bottom of each
-// iteration with no lock held.
+// the DB's whole lifetime.
 func (db *store) flushWorker() {
 	defer db.workerExit()
+	db.mu.Lock()
 	for {
-		db.mu.Lock()
 		for !db.closed && (db.imm == nil || db.bgErr != nil) {
 			db.flushCond.Wait()
 		}
@@ -76,20 +81,25 @@ func (db *store) flushWorker() {
 		db.stats.flushNanos.Add(elapsed)
 		db.stats.compactionNanos.Add(elapsed)
 		db.flushActive = false
-		// The new L0 file may create compaction work; unblock the pool and
-		// any write stalled on the full memtable. Cleanup is announced
-		// before mu drops so WaitIdle covers the deletions too.
-		db.cleanActive++
-		db.workCond.Broadcast()
-		db.bgCond.Broadcast()
-		db.mu.Unlock()
-
-		db.deleteObsoleteFiles()
-		db.mu.Lock()
-		db.cleanActive--
-		db.bgCond.Broadcast()
-		db.mu.Unlock()
+		db.finishJobLocked()
 	}
+}
+
+// finishJobLocked ends a background job: it wakes the pool (the installed
+// version may expose new work, and a compaction's claim is free again) and
+// the foreground waiters (writes stalled on the memtable or L0), then
+// deletes the files the job made obsolete with db.mu released. The cleanup
+// is announced before mu drops so WaitIdle covers the deletions too.
+func (db *store) finishJobLocked() {
+	db.cleanActive++
+	db.workCond.Broadcast()
+	db.bgCond.Broadcast()
+	db.mu.Unlock()
+
+	db.deleteObsoleteFiles()
+	db.mu.Lock()
+	db.cleanActive--
+	db.bgCond.Broadcast()
 }
 
 // compactionWorker picks, claims, and executes compaction jobs until the DB
@@ -97,8 +107,8 @@ func (db *store) flushWorker() {
 // before db.mu is released guarantees their jobs are disjoint.
 func (db *store) compactionWorker(id int) {
 	defer db.workerExit()
+	db.mu.Lock()
 	for {
-		db.mu.Lock()
 		var pick compaction.Pick
 		for {
 			if db.closed {
@@ -118,7 +128,6 @@ func (db *store) compactionWorker(id int) {
 			// A conflicting claim here is an engine invariant violation (Pick
 			// vetted the candidate under this same lock hold); poison the DB.
 			db.fatal(err)
-			db.mu.Unlock()
 			continue
 		}
 		db.compActive++
@@ -132,35 +141,18 @@ func (db *store) compactionWorker(id int) {
 		if err != nil {
 			db.fatal(err)
 		}
-		// The applied edit may expose new work and frees this job's claim;
-		// wake the pool, and wake writers stalled on L0 pressure. Cleanup
-		// is announced before mu drops so WaitIdle covers the deletions.
-		db.cleanActive++
-		db.workCond.Broadcast()
-		db.bgCond.Broadcast()
-		db.mu.Unlock()
-
-		db.deleteObsoleteFiles()
-		db.mu.Lock()
-		db.cleanActive--
-		db.bgCond.Broadcast()
-		db.mu.Unlock()
+		db.finishJobLocked()
 	}
 }
 
-// execPick dispatches one claimed unit of compaction work. db.mu held on
-// entry and exit; released during I/O and the version edit.
+// execPick runs one claimed unit of compaction work in the shape its kind
+// calls for. db.mu held on entry and exit; released during I/O and the
+// version edit.
 func (db *store) execPick(pick compaction.Pick) error {
-	switch pick.Kind {
-	case compaction.PickTrivialMove:
-		return db.execTrivialMove(pick)
-	case compaction.PickLink:
-		return db.execLink(pick)
-	case compaction.PickMerge:
-		return db.execMerge(pick)
-	default:
-		return db.execCompact(pick)
+	if pick.Kind == compaction.PickTrivialMove || pick.Kind == compaction.PickLink {
+		return db.execEdit(pick)
 	}
+	return db.execRewrite(pick)
 }
 
 // flushImmLocked writes the immutable memtable as an L0 table. db.mu is
@@ -176,11 +168,12 @@ func (db *store) flushImmLocked() error {
 	boundary := db.rotBoundarySeq
 	db.mu.Unlock()
 
-	meta, err := db.buildTable(db.fsFlush, iosched.TierFlush, imm.NewIterator(), nil)
+	// No size cap: one memtable becomes exactly one L0 table.
+	outputs, err := db.writeTables(db.fsFlush, iosched.TierFlush, imm.NewIterator(), nil, 0)
 	if err == nil {
 		e := &version.Edit{}
 		e.SetLogNum(logNum)
-		if meta != nil {
+		for _, meta := range outputs {
 			e.AddFile(0, meta)
 			db.stats.flushWriteBytes.Add(meta.Size)
 		}
@@ -198,58 +191,76 @@ func (db *store) flushImmLocked() error {
 	return nil
 }
 
-// buildTable writes the entries of it (already in internal order, possibly
-// filtered by drop) into a new table file, charging the I/O scheduler at
-// tier block by block. A nil return meta means the input was empty. Called
-// without db.mu — the per-block token waits may sleep.
-func (db *store) buildTable(fs vfs.FS, tier iosched.Tier, it iterator.Iterator, drop func(ik keys.InternalKey) bool) (*version.FileMeta, error) {
+// writeTables streams the entries of it (already in internal order) into new
+// table files on fs and returns their metadata, charging the I/O scheduler at
+// tier block by block. Entries for which drop (when non-nil) reports true
+// are left out; a table is closed once it reaches maxSize, and never when
+// maxSize is 0. On error the partial table is only closed: nothing references
+// it, so the next Open's orphan sweep removes it along with the job's
+// finished outputs. Called without db.mu — the per-block token waits may
+// sleep.
+func (db *store) writeTables(fs vfs.FS, tier iosched.Tier, it iterator.Iterator,
+	drop func(ik keys.InternalKey, value []byte) bool, maxSize int64) ([]*version.FileMeta, error) {
 	defer it.Close()
-	num := db.set.NewFileNum()
-	name := version.TableFileName(db.dir, num)
-	raw, err := fs.Create(name)
-	if err != nil {
-		return nil, err
+	var (
+		outputs []*version.FileMeta
+		w       *sstable.Writer
+		f       vfs.File
+		num     uint64
+		err     error
+	)
+	finish := func() error {
+		props, err := w.Finish()
+		if err != nil {
+			return err
+		}
+		file := f
+		w, f = nil, nil
+		if err := file.Close(); err != nil {
+			return err
+		}
+		outputs = append(outputs, &version.FileMeta{
+			Num:      num,
+			Size:     props.FileSize,
+			Smallest: props.Smallest,
+			Largest:  props.Largest,
+		})
+		db.stats.blockBytesUncompressed.Add(props.UncompressedBytes)
+		db.stats.blockBytesCompressed.Add(props.CompressedBytes)
+		return nil
 	}
-	f := vfs.NewBuffered(raw, 64<<10)
-	w := sstable.NewWriter(f, db.tableWriterOptions(tier))
 	for it.SeekToFirst(); it.Valid(); it.Next() {
-		ik := keys.InternalKey(it.Key())
-		if drop != nil && drop(ik) {
+		ik, value := keys.InternalKey(it.Key()), it.Value()
+		if drop != nil && drop(ik, value) {
 			continue
 		}
-		if err := w.Add(ik, it.Value()); err != nil {
-			_ = f.Close() // discarding the partial table
-			_ = db.fsMeta.Remove(name)
-			return nil, err
+		if w == nil {
+			num = db.set.NewFileNum()
+			if f, err = fs.Create(version.TableFileName(db.dir, num)); err != nil {
+				break
+			}
+			f = vfs.NewBuffered(f, 64<<10)
+			w = sstable.NewWriter(f, db.tableWriterOptions(tier))
+		}
+		if err = w.Add(ik, value); err != nil {
+			break
+		}
+		if maxSize > 0 && w.EstimatedSize() >= maxSize {
+			if err = finish(); err != nil {
+				break
+			}
 		}
 	}
-	if err := it.Error(); err != nil {
-		_ = f.Close() // discarding the partial table
-		_ = db.fsMeta.Remove(name)
-		return nil, err
+	if err == nil {
+		err = it.Error()
 	}
-	if w.Entries() == 0 {
-		_ = f.Close() // empty output: nothing worth keeping
-		_ = db.fsMeta.Remove(name)
-		return nil, nil
+	if err == nil && w != nil {
+		err = finish()
 	}
-	props, err := w.Finish()
-	if err != nil {
-		_ = f.Close() // discarding the partial table
-		_ = db.fsMeta.Remove(name)
-		return nil, err
+	if err != nil && f != nil {
+		_ = f.Close() // partial table, left for the orphan sweep
 	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	db.stats.blockBytesUncompressed.Add(props.UncompressedBytes)
-	db.stats.blockBytesCompressed.Add(props.CompressedBytes)
-	return &version.FileMeta{
-		Num:      num,
-		Size:     props.FileSize,
-		Smallest: props.Smallest,
-		Largest:  props.Largest,
-	}, nil
+	return outputs, err
 }
 
 // tableWriterOptions builds writer options for a background table build at
@@ -303,51 +314,37 @@ func (db *store) applyPointers(e *version.Edit) {
 	}
 }
 
-// execTrivialMove reparents a file one level down: metadata only.
-func (db *store) execTrivialMove(pick compaction.Pick) error {
-	f := pick.Inputs[0]
-	e := &version.Edit{}
-	e.DeleteFile(pick.Level, f.Num)
-	e.AddFile(pick.Level+1, f)
-	db.pointerEdit(e, pick.Level, pick.Inputs)
-
-	db.mu.Unlock()
-	err := db.set.LogAndApply(e)
-	db.mu.Lock()
-	if err != nil {
-		return err
-	}
-	db.applyPointers(e)
-	db.publishReadState()
-	db.stats.trivialMoveCount.Add(1)
-	return nil
-}
-
-// execLink performs LDC's link phase (paper Algorithm 1, lines 1–9):
-// freeze the upper file and attach one slice per overlapped lower file.
-// Pure metadata — this is why LDC's per-action cost is tiny.
-func (db *store) execLink(pick compaction.Pick) error {
+// execEdit runs the picks that move no data. A trivial move reparents
+// Inputs[0] one level down. An LDC link (paper Algorithm 1, lines 1–9)
+// freezes it instead and attaches one slice per overlapped lower file — pure
+// metadata, which is why LDC's per-action cost is tiny.
+func (db *store) execEdit(pick compaction.Pick) error {
 	su := pick.Inputs[0]
-	overlaps := append([]*version.FileMeta(nil), pick.Overlaps...)
-	windows := compaction.SliceWindows(db.icmp.User, su, overlaps)
-
 	e := &version.Edit{}
 	e.DeleteFile(pick.Level, su.Num)
-	e.FreezeFile(&version.FrozenMeta{
-		Num:      su.Num,
-		Size:     su.Size,
-		Smallest: su.Smallest,
-		Largest:  su.Largest,
-	})
-	linkSeq := db.set.NewLinkSeq()
-	per := su.Size / int64(len(overlaps))
-	for i, sl := range overlaps {
-		e.AddSlice(pick.Level+1, sl.Num, version.Slice{
-			FrozenNum: su.Num,
-			Range:     windows[i],
-			LinkSeq:   linkSeq,
-			Bytes:     per,
+	count := &db.stats.trivialMoveCount
+	if pick.Kind == compaction.PickLink {
+		count = &db.stats.linkCount
+		overlaps := append([]*version.FileMeta(nil), pick.Overlaps...)
+		windows := compaction.SliceWindows(db.icmp.User, su, overlaps)
+		e.FreezeFile(&version.FrozenMeta{
+			Num:      su.Num,
+			Size:     su.Size,
+			Smallest: su.Smallest,
+			Largest:  su.Largest,
 		})
+		linkSeq := db.set.NewLinkSeq()
+		per := su.Size / int64(len(overlaps))
+		for i, sl := range overlaps {
+			e.AddSlice(pick.OutputLevel, sl.Num, version.Slice{
+				FrozenNum: su.Num,
+				Range:     windows[i],
+				LinkSeq:   linkSeq,
+				Bytes:     per,
+			})
+		}
+	} else {
+		e.AddFile(pick.OutputLevel, su)
 	}
 	db.pointerEdit(e, pick.Level, pick.Inputs)
 
@@ -359,16 +356,15 @@ func (db *store) execLink(pick compaction.Pick) error {
 	}
 	db.applyPointers(e)
 	db.publishReadState()
-	db.stats.linkCount.Add(1)
+	count.Add(1)
 	return nil
 }
 
-// compactionState carries shared drop logic across compact and merge.
+// compactionState carries a rewrite's drop logic.
 type compactionState struct {
 	db           *store
 	v            *version.Version
 	outputLevel  int
-	tier         iosched.Tier
 	smallestSnap keys.Seq
 
 	lastUserKey   []byte
@@ -379,8 +375,11 @@ type compactionState struct {
 // drop decides whether an entry can be elided, following LevelDB's rules:
 // older versions hidden behind a newer one visible to every snapshot are
 // dropped; tombstones additionally require that no deeper level could hold
-// the key (otherwise deleted data would resurface).
-func (cs *compactionState) drop(ik keys.InternalKey) bool {
+// the key (otherwise deleted data would resurface). This is also where
+// value-log bytes die: a dropped pointer entry means its record can never be
+// read again, so its weight moves to the owning segment's dead count — the
+// signal LDC-driven GC ranks segments by.
+func (cs *compactionState) drop(ik keys.InternalKey, value []byte) bool {
 	ucmp := cs.db.icmp.User
 	uk := ik.UserKey()
 	if !cs.haveLastUser || ucmp.Compare(uk, cs.lastUserKey) != 0 {
@@ -396,6 +395,11 @@ func (cs *compactionState) drop(ik keys.InternalKey) bool {
 		drop = true
 	}
 	cs.lastSeqForKey = ik.Seq()
+	if drop && ik.Kind() == keys.KindBlobRef && cs.db.vlog != nil {
+		if p, ok := vlog.DecodePointer(value); ok {
+			cs.db.vlog.MarkDead(p.Segment, int64(p.Length))
+		}
+	}
 	return drop
 }
 
@@ -407,15 +411,9 @@ func (cs *compactionState) drop(ik keys.InternalKey) bool {
 // new data for the key only ever enters *above* (via flushes into L0).
 func (cs *compactionState) isBaseLevelForKey(uk []byte) bool {
 	point := keys.KeyRange{Lo: uk, Hi: uk}
-	// Under the tiered policy the output level already holds older runs
-	// that are not merge inputs, so the check must include it; leveled
-	// policies rewrite every overlapping file at the output level, so the
+	// The job rewrites every overlapping file at the output level, so the
 	// check starts below it.
-	start := cs.outputLevel + 1
-	if cs.db.opts.Policy == compaction.Tiered {
-		start = cs.outputLevel
-	}
-	for level := start; level < version.NumLevels; level++ {
+	for level := cs.outputLevel + 1; level < version.NumLevels; level++ {
 		if len(cs.v.EffectiveOverlaps(level, point)) > 0 {
 			return false
 		}
@@ -491,85 +489,18 @@ func (db *store) inputIterators(files []*version.FileMeta) ([]iterator.Iterator,
 	return its, readBytes, nil
 }
 
-// writeOutputs streams a merged iterator into size-capped output tables.
-func (db *store) writeOutputs(merged iterator.Iterator, cs *compactionState) ([]*version.FileMeta, error) {
-	defer merged.Close()
-	var outputs []*version.FileMeta
-	var w *sstable.Writer
-	var f vfs.File
-	var num uint64
-
-	finish := func() error {
-		if w == nil {
-			return nil
-		}
-		props, err := w.Finish()
-		if err == nil {
-			err = f.Close()
-		}
-		if err != nil {
-			return err
-		}
-		outputs = append(outputs, &version.FileMeta{
-			Num:      num,
-			Size:     props.FileSize,
-			Smallest: props.Smallest,
-			Largest:  props.Largest,
-		})
-		db.stats.compactionWriteBytes.Add(props.FileSize)
-		db.stats.blockBytesUncompressed.Add(props.UncompressedBytes)
-		db.stats.blockBytesCompressed.Add(props.CompressedBytes)
-		w, f = nil, nil
-		return nil
-	}
-
-	for merged.SeekToFirst(); merged.Valid(); merged.Next() {
-		ik := keys.InternalKey(merged.Key())
-		if cs.drop(ik) {
-			// This is where value-log bytes die: a dropped pointer entry
-			// means its record can never be read again, so its weight moves
-			// to the owning segment's dead count — the signal LDC-driven GC
-			// ranks segments by.
-			if ik.Kind() == keys.KindBlobRef && db.vlog != nil {
-				if p, ok := vlog.DecodePointer(merged.Value()); ok {
-					db.vlog.MarkDead(p.Segment, int64(p.Length))
-				}
-			}
-			continue
-		}
-		if w == nil {
-			num = db.set.NewFileNum()
-			raw, err := db.fsCompW.Create(version.TableFileName(db.dir, num))
-			if err != nil {
-				return outputs, err
-			}
-			f = vfs.NewBuffered(raw, 64<<10)
-			w = sstable.NewWriter(f, db.tableWriterOptions(cs.tier))
-		}
-		if err := w.Add(ik, merged.Value()); err != nil {
-			_ = f.Close() // discarding the partial output
-			return outputs, err
-		}
-		if w.EstimatedSize() >= db.opts.SSTableSize {
-			if err := finish(); err != nil {
-				return outputs, err
-			}
-		}
-	}
-	if err := merged.Error(); err != nil {
-		if f != nil {
-			_ = f.Close() // discarding the partial output
-		}
-		return outputs, err
-	}
-	return outputs, finish()
-}
-
-// execCompact runs a conventional compaction (UDC at any level, LDC's
-// L0→L1, or a tiered tier-merge): merge Inputs with Overlaps, write outputs
-// one level down. Slices attached to overlapped files are consumed too.
-// db.mu held on entry/exit; released for the whole merge and version edit.
-func (db *store) execCompact(pick compaction.Pick) error {
+// execRewrite runs the picks that move data, all of them one merge sort: the
+// pick's Inputs and Overlaps, each with the slice windows of the frozen files
+// linked to it, are merged into new tables at pick.OutputLevel. For a
+// conventional compaction (UDC at any level, LDC's L0→L1) that is one level
+// down. For LDC's merge phase (paper Algorithm 1, lines 10–22) it is the
+// level of the one input, the lower-level target: only the slice ranges of
+// the frozen files are read — the halved compaction I/O of Fig 10(c) — and
+// those files may be shared with other concurrent merges, read-only and
+// pinned by the version ref. A merge was not chosen by the level's
+// round-robin cursor, so it alone leaves the cursor where it is. db.mu held
+// on entry/exit; released for the whole merge and version edit.
+func (db *store) execRewrite(pick compaction.Pick) error {
 	// Current (not CurrentNoRef+Ref) so the reference is acquired under
 	// set.mu, atomically with the pointer read: LogAndApply runs outside
 	// db.mu, so a racing worker could otherwise install a new version and
@@ -578,32 +509,36 @@ func (db *store) execCompact(pick compaction.Pick) error {
 	smallestSnap := db.smallestSnapshot()
 	db.mu.Unlock()
 
-	e := &version.Edit{}
-	all := append(append([]*version.FileMeta(nil), pick.Inputs...), pick.Overlaps...)
-	// L0→L1 compactions outrank LDC merges at the scheduler: draining L0 is
+	merge := pick.Kind == compaction.PickMerge
+	// L0→L1 compactions outrank the rest at the scheduler: draining L0 is
 	// what lifts the write throttle.
 	tier := iosched.TierMerge
 	if pick.Level == 0 {
 		tier = iosched.TierL0
 	}
+	e := &version.Edit{}
+	var outBytes int64
+	all := append(append([]*version.FileMeta(nil), pick.Inputs...), pick.Overlaps...)
 	its, readBytes, err := db.inputIterators(all)
 	if err == nil {
-		cs := &compactionState{db: db, v: v, outputLevel: pick.Level + 1, tier: tier, smallestSnap: smallestSnap}
+		cs := &compactionState{db: db, v: v, outputLevel: pick.OutputLevel, smallestSnap: smallestSnap}
 		merged := iterator.NewMerging(db.icmp.Compare, its...)
 		var outputs []*version.FileMeta
-		outputs, err = db.writeOutputs(merged, cs)
+		outputs, err = db.writeTables(db.fsCompW, tier, merged, cs.drop, db.opts.SSTableSize)
 		if err == nil {
-			db.stats.compactionReadBytes.Add(readBytes)
 			for _, f := range pick.Inputs {
 				e.DeleteFile(pick.Level, f.Num)
 			}
 			for _, f := range pick.Overlaps {
-				e.DeleteFile(pick.Level+1, f.Num)
+				e.DeleteFile(pick.OutputLevel, f.Num)
 			}
 			for _, out := range outputs {
-				e.AddFile(pick.Level+1, out)
+				e.AddFile(pick.OutputLevel, out)
+				outBytes += out.Size
 			}
-			db.pointerEdit(e, pick.Level, pick.Inputs)
+			if !merge {
+				db.pointerEdit(e, pick.Level, pick.Inputs)
+			}
 			err = db.set.LogAndApply(e)
 		}
 	}
@@ -615,52 +550,15 @@ func (db *store) execCompact(pick compaction.Pick) error {
 	}
 	db.applyPointers(e)
 	db.publishReadState()
-	db.stats.compactionCount.Add(1)
-	return nil
-}
-
-// execMerge runs LDC's merge phase (paper Algorithm 1, lines 10–22): the
-// lower-level target file plus the slice windows of its linked frozen
-// files are merge-sorted into new tables at the *same* level. Only the
-// slice ranges of the frozen files are read — this is the halved
-// compaction I/O of Fig 10(c). The frozen inputs may be shared with other
-// concurrent merges; they are read-only and pinned by the version ref.
-// db.mu held on entry/exit.
-func (db *store) execMerge(pick compaction.Pick) error {
-	v := db.set.Current() // ref taken under set.mu; see execCompact
-	smallestSnap := db.smallestSnapshot()
-	db.mu.Unlock()
-
-	e := &version.Edit{}
-	its, readBytes, err := db.inputIterators([]*version.FileMeta{pick.Target})
-	if err == nil {
-		cs := &compactionState{db: db, v: v, outputLevel: pick.Level, tier: iosched.TierMerge, smallestSnap: smallestSnap}
-		merged := iterator.NewMerging(db.icmp.Compare, its...)
-		var outputs []*version.FileMeta
-		outputs, err = db.writeOutputs(merged, cs)
-		if err == nil {
-			db.stats.compactionReadBytes.Add(readBytes)
-			db.stats.mergeReadBytes.Add(readBytes)
-			var outBytes int64
-			for _, out := range outputs {
-				outBytes += out.Size
-			}
-			db.stats.mergeWriteBytes.Add(outBytes)
-			e.DeleteFile(pick.Level, pick.Target.Num)
-			for _, out := range outputs {
-				e.AddFile(pick.Level, out)
-			}
-			err = db.set.LogAndApply(e)
-		}
+	db.stats.compactionReadBytes.Add(readBytes)
+	db.stats.compactionWriteBytes.Add(outBytes)
+	if merge {
+		db.stats.mergeReadBytes.Add(readBytes)
+		db.stats.mergeWriteBytes.Add(outBytes)
+		db.stats.mergeCount.Add(1)
+	} else {
+		db.stats.compactionCount.Add(1)
 	}
-	v.Unref()
-
-	db.mu.Lock()
-	if err != nil {
-		return err
-	}
-	db.publishReadState()
-	db.stats.mergeCount.Add(1)
 	return nil
 }
 

@@ -198,7 +198,6 @@ func openStore(cfg storeConfig, opts Options, tables *tableCache) (*store, error
 
 	db.tables = tables.forShard(cfg.shardID, dir)
 	db.set = version.NewSet(db.fsMeta, dir, icmp)
-	db.set.AllowOverlaps = opts.Policy == compaction.Tiered
 	db.picker = compaction.NewPicker(opts.Policy, opts.compactionParams(), icmp)
 	if opts.AdaptiveThreshold && opts.Policy == compaction.LDC {
 		db.adaptive = newAdaptiveThreshold(opts.SliceLinkThreshold, opts.Fanout)
@@ -231,6 +230,9 @@ func openStore(cfg storeConfig, opts Options, tables *tableCache) (*store, error
 		return nil, err
 	}
 
+	if err := db.removeOrphanTables(); err != nil {
+		return nil, err
+	}
 	db.deleteObsoleteFiles()
 	db.initCommitPipeline()
 	// Publish the initial read state before the DB (and its workers) become
@@ -244,16 +246,32 @@ func openStore(cfg storeConfig, opts Options, tables *tableCache) (*store, error
 // initFS derives per-category filesystem views when running on the SSD
 // simulator.
 func (db *store) initFS(fs vfs.FS) {
-	if sim, ok := fs.(*ssdsim.FS); ok {
-		db.fsUser = sim.WithCategory(ssdsim.CatUserRead)
-		db.fsWAL = sim.WithCategory(ssdsim.CatWAL)
-		db.fsFlush = sim.WithCategory(ssdsim.CatFlush)
-		db.fsCompR = sim.WithCategory(ssdsim.CatCompactionRead)
-		db.fsCompW = sim.WithCategory(ssdsim.CatCompactionWrite)
-		db.fsMeta = sim.WithCategory(ssdsim.CatOther)
-		return
+	db.fsUser = categorized(fs, ssdsim.CatUserRead)
+	db.fsWAL = categorized(fs, ssdsim.CatWAL)
+	db.fsFlush = categorized(fs, ssdsim.CatFlush)
+	db.fsCompR = categorized(fs, ssdsim.CatCompactionRead)
+	db.fsCompW = categorized(fs, ssdsim.CatCompactionWrite)
+	db.fsMeta = categorized(fs, ssdsim.CatOther)
+}
+
+// removeOrphanTables deletes every table file in the shard's directory that
+// the recovered version does not reference. The obsolete list lives only in
+// memory, so these are the files a crash left behind: tables whose removal
+// was pending, and the outputs of a flush or compaction that never committed
+// its edit. Only valid before the workers start — a running job's outputs
+// are in no version until its edit lands.
+func (db *store) removeOrphanTables() error {
+	names, err := db.fsMeta.List(db.dir)
+	if err != nil {
+		return err
 	}
-	db.fsUser, db.fsWAL, db.fsFlush, db.fsCompR, db.fsCompW, db.fsMeta = fs, fs, fs, fs, fs, fs
+	live := db.set.LiveFileNums()
+	for _, name := range names {
+		if typ, num := version.ParseFileName(name); typ == version.TypeTable && !live[num] {
+			_ = db.fsMeta.Remove(version.TableFileName(db.dir, num)) // best effort; the next Open retries
+		}
+	}
+	return nil
 }
 
 // logFileName returns the path of this shard's WAL file num: the historical
@@ -710,35 +728,9 @@ func (db *store) versionEntry(v *version.Version, key []byte, seq keys.Seq) ([]b
 	// several files' effective ranges cover the key (overlapping slice
 	// windows), pick the candidate with the highest visible sequence.
 	for level := 1; level < version.NumLevels; level++ {
-		if db.opts.Policy == compaction.Tiered {
-			// Tiers hold overlapping runs: check newest (highest num) first.
-			// The order is precomputed per version, so nothing is sorted or
-			// allocated here. Tiered levels carry no slices, so the files'
-			// own ranges are their effective ranges.
-			files := v.NewestFirst(level)
-			if files == nil {
-				// No overlapping runs in this level: at most one file can
-				// contain the key, so level order works as well.
-				files = v.Levels[level]
-			}
-			for _, f := range files {
-				if !f.UserRange().Contains(ucmp, key) {
-					continue
-				}
-				val, kind, _, found, err := db.tableProbe(f.Num, sk)
-				if err != nil {
-					return nil, 0, false, err
-				}
-				if found {
-					return val, kind, true, nil
-				}
-			}
-			continue
-		}
-		// Leveled (LDC/UDC): files are disjoint, so the key lives in at most
-		// one file's own range — plus any slice window covering it (windows
-		// of neighbouring files may overlap, so the few sliced files are
-		// checked exhaustively).
+		// Files are disjoint, so the key lives in at most one file's own
+		// range — plus any slice window covering it (windows of neighbouring
+		// files may overlap, so the few sliced files are checked exhaustively).
 		f := v.FindFile(level, key)
 		sliced := v.Sliced[level]
 		if f == nil && len(sliced) == 0 {

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/compaction"
-	"repro/internal/version"
 	"repro/internal/vfs"
 )
 
@@ -47,7 +46,7 @@ func key(i int) []byte   { return []byte(fmt.Sprintf("key-%08d", i)) }
 func value(i int) []byte { return []byte(fmt.Sprintf("value-%08d", i)) }
 
 func TestPutGetDelete(t *testing.T) {
-	for _, policy := range []compaction.Policy{compaction.UDC, compaction.LDC, compaction.Tiered} {
+	for _, policy := range []compaction.Policy{compaction.UDC, compaction.LDC} {
 		t.Run(policy.String(), func(t *testing.T) {
 			db := openTestDB(t, smallOpts(policy))
 			defer db.Close()
@@ -154,7 +153,7 @@ func TestUDCNeverLinks(t *testing.T) {
 // main end-to-end correctness test for the LDC read path (slices, frozen
 // files, merges).
 func TestRandomizedCrosscheck(t *testing.T) {
-	for _, policy := range []compaction.Policy{compaction.UDC, compaction.LDC, compaction.Tiered} {
+	for _, policy := range []compaction.Policy{compaction.UDC, compaction.LDC} {
 		t.Run(policy.String(), func(t *testing.T) {
 			db := openTestDB(t, smallOpts(policy))
 			defer db.Close()
@@ -450,15 +449,10 @@ func TestObsoleteFilesDeleted(t *testing.T) {
 	}
 	db.CompactRange()
 	db.WaitIdle()
-	db.shards[0].deleteObsoleteFiles()
 
 	// Every .sst on disk must be referenced by the live version.
-	live := db.shards[0].set.LiveFileNums()
-	names, _ := opts.FS.List("/db")
-	for _, name := range names {
-		if typ, num := version.ParseFileName(name); typ == version.TypeTable && !live[num] {
-			t.Errorf("orphan table file %s on disk", name)
-		}
+	if orphans := orphanTables(t, opts.FS, db); len(orphans) > 0 {
+		t.Errorf("orphan table files on disk: %v", orphans)
 	}
 	if db.Stats().ObsoleteDeleted == 0 {
 		t.Error("no obsolete files were ever deleted")

@@ -14,6 +14,29 @@ import (
 
 var errInjected = errors.New("injected I/O failure")
 
+// orphanTables lists the table files on disk, in any shard's directory, that
+// no live version references. Call it on an idle store. Files a reader's late
+// unref made obsolete wait in memory for the next job's cleanup; they are
+// deleted first, so what is left is what the store has lost track of.
+func orphanTables(t *testing.T, fs vfs.FS, db *DB) []string {
+	t.Helper()
+	var orphans []string
+	for _, st := range db.shards {
+		st.deleteObsoleteFiles()
+		names, err := fs.List(st.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := st.set.LiveFileNums()
+		for _, name := range names {
+			if typ, num := version.ParseFileName(name); typ == version.TypeTable && !live[num] {
+				orphans = append(orphans, st.dir+"/"+name)
+			}
+		}
+	}
+	return orphans
+}
+
 // crashAtWriteBudget is the crash-recovery oracle: it opens a store with
 // opts on an ErrFS that fails every write after budget operations, writes
 // until the injected failure surfaces, crashes (abandons the handle), reboots
@@ -23,7 +46,9 @@ var errInjected = errors.New("injected I/O failure")
 // indeterminate — its WAL record may have landed before the failing fsync,
 // so after reboot its key holds either the failed value or the last
 // acknowledged one. On the live handle the failed write is never visible
-// and the store stays poisoned. Returns the rebooted store.
+// and the store stays poisoned. The reboot also owes a clean directory: the
+// tables the crash orphaned (pending deletions, outputs of the flush or
+// compaction in flight) are gone. Returns the rebooted store.
 func crashAtWriteBudget(t *testing.T, opts, reopen Options, budget int64) *DB {
 	t.Helper()
 	mem := vfs.Mem()
@@ -97,7 +122,60 @@ func crashAtWriteBudget(t *testing.T, opts, reopen Options, budget int64) *DB {
 			check(db2, "after reboot", k, want)
 		}
 	}
+	db2.WaitIdle()
+	if orphans := orphanTables(t, mem, db2); len(orphans) > 0 {
+		t.Errorf("budget %d: table files no version references survived the reboot: %v", budget, orphans)
+	}
 	return db2
+}
+
+// TestReopenSweepKeepsLiveTables: the orphan sweep at Open must never see a
+// live table as a candidate. After a clean Close nothing is orphaned, so a
+// reopen leaves the set of table files exactly as it was.
+func TestReopenSweepKeepsLiveTables(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		opts := smallOpts(compaction.LDC)
+		opts.Shards = shards
+		db := openTestDB(t, opts)
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 8000; i++ {
+			db.Put(key(rng.Intn(3000)), value(i))
+		}
+		db.WaitIdle()
+		tables := func(db *DB) map[string]bool {
+			set := map[string]bool{}
+			for _, st := range db.shards {
+				names, err := opts.FS.List(st.dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, name := range names {
+					if typ, _ := version.ParseFileName(name); typ == version.TypeTable {
+						set[st.dir+"/"+name] = true
+					}
+				}
+			}
+			return set
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		before := tables(db)
+		db2 := openTestDB(t, opts)
+		after := tables(db2)
+		if orphans := orphanTables(t, opts.FS, db2); len(orphans) > 0 {
+			t.Errorf("shards=%d: orphans after a clean close: %v", shards, orphans)
+		}
+		if len(before) == 0 || len(after) != len(before) {
+			t.Errorf("shards=%d: %d table files before reopen, %d after", shards, len(before), len(after))
+		}
+		for name := range before {
+			if !after[name] {
+				t.Errorf("shards=%d: reopen removed live table %s", shards, name)
+			}
+		}
+		db2.Close()
+	}
 }
 
 // TestCrashRecoveryAtEveryWriteBudget simulates crashes at many points of a

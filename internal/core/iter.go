@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/compaction"
 	"repro/internal/invariants"
 	"repro/internal/iterator"
 	"repro/internal/keys"
@@ -229,17 +228,6 @@ func (db *store) newInternalIterator() (iterator.Iterator, func(), error) {
 	for level := 1; level < version.NumLevels; level++ {
 		files := v.Levels[level]
 		if len(files) == 0 {
-			continue
-		}
-		if db.opts.Policy == compaction.Tiered {
-			// Tiers hold overlapping runs: one child per file.
-			for i := len(files) - 1; i >= 0; i-- {
-				r, err := db.tables.get(files[i].Num)
-				if err != nil {
-					return fail(err)
-				}
-				children = append(children, r.NewIterator())
-			}
 			continue
 		}
 		children = append(children, db.newLevelIter(files))

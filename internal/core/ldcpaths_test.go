@@ -149,36 +149,6 @@ func TestSliceThresholdControlsMergeTiming(t *testing.T) {
 	}
 }
 
-// TestTieredBurstsLargerThanLeveled demonstrates the paper's motivation:
-// the lazy size-tiered policy performs its compactions in much larger
-// units than UDC or LDC on the same workload.
-func TestTieredBurstsLargerThanLeveled(t *testing.T) {
-	perCompaction := func(policy compaction.Policy) int64 {
-		db := openTestDB(t, smallOpts(policy))
-		defer db.Close()
-		rng := rand.New(rand.NewSource(3))
-		for i := 0; i < 15000; i++ {
-			db.Put(key(rng.Intn(5000)), value(i))
-		}
-		db.WaitIdle()
-		s := db.Stats()
-		units := s.CompactionCount + s.MergeCount
-		if units == 0 {
-			return 0
-		}
-		return (s.CompactionReadBytes + s.CompactionWriteBytes) / units
-	}
-	tiered := perCompaction(compaction.Tiered)
-	ldcUnit := perCompaction(compaction.LDC)
-	if tiered == 0 || ldcUnit == 0 {
-		t.Skip("workload too small to trigger compactions")
-	}
-	if tiered <= ldcUnit {
-		t.Errorf("tiered per-compaction unit (%d B) not larger than LDC's (%d B)",
-			tiered, ldcUnit)
-	}
-}
-
 // TestAdaptiveThresholdIntegration runs phases of different mixes through
 // the real store and checks T_s moves the right way.
 func TestAdaptiveThresholdIntegration(t *testing.T) {
@@ -224,5 +194,92 @@ func TestProfileAndTableBytesConsistent(t *testing.T) {
 	}
 	if db.BlockReads() < 0 {
 		t.Error("negative block reads")
+	}
+}
+
+// TestFlushOfOversizedMemtableIsOneTable: a flush shares the compaction's
+// table-writing loop but not its size cap — a memtable several times
+// SSTableSize still becomes exactly one L0 table.
+func TestFlushOfOversizedMemtableIsOneTable(t *testing.T) {
+	opts := smallOpts(compaction.LDC)
+	opts.MemTableSize = 256 << 10
+	opts.DisableAutoCompaction = true
+	db := openTestDB(t, opts)
+	defer db.Close()
+	for i := 0; i < 1000; i++ {
+		if err := db.Put(key(i), bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	v := db.shards[0].set.Current()
+	defer v.Unref()
+	if n := db.Stats().FlushCount; n != 1 || v.NumFiles(0) != 1 {
+		t.Fatalf("FlushCount = %d with %d L0 files, want one flush producing one table", n, v.NumFiles(0))
+	}
+	if size := v.Levels[0][0].Size; size < 3*opts.SSTableSize {
+		t.Fatalf("L0 table is %d bytes; the test needs several times SSTableSize (%d)", size, opts.SSTableSize)
+	}
+}
+
+// TestMergeLeavesCompactPointer drives picks by hand and checks the one
+// thing a merge does differently from the other rewrites: its target was
+// chosen by slice count, not by the level's round-robin cursor, so neither
+// the persisted cursor nor the picker's copy moves.
+func TestMergeLeavesCompactPointer(t *testing.T) {
+	opts := smallOpts(compaction.LDC)
+	opts.DisableAutoCompaction = true // the pool idles; the test is the worker
+	db := openTestDB(t, opts)
+	defer db.Close()
+	st := db.shards[0]
+	rng := rand.New(rand.NewSource(5))
+	merges, advanced := 0, 0
+	for round := 0; round < 200 && (merges == 0 || advanced == 0); round++ {
+		for i := 0; i < 300; i++ {
+			if err := db.Put(key(rng.Intn(4000)), value(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			st.mu.Lock()
+			pick := st.picker.Pick(st.set.CurrentNoRef())
+			if pick.Kind == compaction.PickNone {
+				st.mu.Unlock()
+				break
+			}
+			claim, err := st.picker.Acquire(pick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := st.set.CompactPointer(pick.Level)
+			err = st.execPick(pick)
+			st.picker.Release(claim)
+			after, inPicker := st.set.CompactPointer(pick.Level), st.picker.Pointer(pick.Level)
+			st.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.deleteObsoleteFiles()
+			moved := !bytes.Equal(before, after)
+			if !bytes.Equal(after, inPicker) {
+				t.Fatalf("%v at L%d: picker cursor %q, persisted %q", pick.Kind, pick.Level, inPicker, after)
+			}
+			if pick.Kind == compaction.PickMerge {
+				merges++
+				if moved {
+					t.Fatalf("merge at L%d moved the cursor %q -> %q", pick.Level, before, after)
+				}
+			} else if moved {
+				advanced++
+			}
+		}
+	}
+	if merges == 0 || advanced == 0 {
+		t.Fatalf("%d merges, %d cursor advances: the workload exercised neither side", merges, advanced)
 	}
 }

@@ -2,7 +2,7 @@
 // equivalent of LevelDB's db layer, built on the repository's substrates
 // (memtable, sstable, wal, version, compaction) — with the paper's
 // Lower-level Driven Compaction available as a policy beside the
-// traditional upper-level driven baseline and a size-tiered lazy baseline.
+// traditional upper-level driven baseline.
 package core
 
 import (
@@ -28,7 +28,7 @@ type Options struct {
 	// so custom comparers must be bytewise-compatible.
 	Comparer keys.Comparer
 
-	// Policy selects the compaction algorithm (UDC, LDC, Tiered).
+	// Policy selects the compaction algorithm (UDC or LDC).
 	Policy compaction.Policy
 
 	// Shards hash-partitions the store into this many independent engines —
@@ -263,7 +263,6 @@ func (o Options) compactionParams() compaction.Params {
 		L0Trigger:          o.L0CompactionTrigger,
 		L0SlowdownTrigger:  o.L0SlowdownTrigger,
 		SliceThreshold:     o.SliceLinkThreshold,
-		TieredTrigger:      o.Fanout,
 		DisableTrivialMove: o.DisableTrivialMove,
 	}
 }

@@ -18,7 +18,7 @@ import (
 // protocol against republication. Every key is written as key-i => val-i-g,
 // so any read that returns a torn or misrouted value fails loudly.
 func TestReadStateChurn(t *testing.T) {
-	for _, policy := range []compaction.Policy{compaction.LDC, compaction.Tiered} {
+	for _, policy := range []compaction.Policy{compaction.LDC} {
 		t.Run(policy.String(), func(t *testing.T) {
 			db := openTestDB(t, smallOpts(policy))
 			defer db.Close()

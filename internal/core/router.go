@@ -99,7 +99,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	requested := opts.Shards
 	opts = opts.withDefaults()
 	icmp := keys.InternalComparer{User: opts.Comparer}
-	meta := metaFS(opts.FS)
+	meta := categorized(opts.FS, ssdsim.CatOther) // marker file, directories
 
 	if err := meta.MkdirAll(dir); err != nil {
 		return nil, err
@@ -117,7 +117,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	db.gcMu.Rank("core.db.gcMu", 20)
 	db.blockCache = opts.newBlockCache()
-	db.tables = newTableCache(userFS(opts.FS), icmp, db.blockCache, *opts.VerifyChecksums)
+	db.tables = newTableCache(categorized(opts.FS, ssdsim.CatUserRead), icmp, db.blockCache, *opts.VerifyChecksums)
 	if opts.CompactionRateBytesPerSec > 0 {
 		db.limiter = iosched.New(iosched.Options{
 			BytesPerSec: opts.CompactionRateBytesPerSec,
@@ -125,6 +125,16 @@ func Open(dir string, opts Options) (*DB, error) {
 			L0Aging:     opts.CompactionL0AgingBound,
 			MergeAging:  opts.CompactionMergeAgingBound,
 		})
+	}
+
+	// fail unwinds a partial open; the open error wins over any unwind error.
+	fail := func(err error) (*DB, error) {
+		for _, st := range db.shards {
+			_ = st.Close()
+		}
+		db.closeVlog()
+		db.limiter.Close()
+		return nil, err
 	}
 
 	// The value log opens when separation is enabled — or when disabled but
@@ -135,66 +145,53 @@ func Open(dir string, opts Options) (*DB, error) {
 	vlogDir := filepath.Join(dir, "vlog")
 	if opts.BlobThreshold > 0 || vlogDirHasSegments(meta, vlogDir) {
 		if err := meta.MkdirAll(vlogDir); err != nil {
-			db.limiter.Close()
-			return nil, err
+			return fail(err)
 		}
-		vl, err := vlog.Open(walFS(opts.FS), vlogDir, vlog.Options{
+		// Appends sit on the foreground write path exactly like WAL records,
+		// and GC segment scans are relocation reads like a compaction's
+		// input reads, so each is accounted in that device category.
+		db.vlog, err = vlog.Open(categorized(opts.FS, ssdsim.CatWAL), vlogDir, vlog.Options{
 			SegmentSize: opts.BlobSegmentSize,
-			ReadFS:      userFS(opts.FS),
-			ScanFS:      compactionReadFS(opts.FS),
+			ReadFS:      categorized(opts.FS, ssdsim.CatUserRead),
+			ScanFS:      categorized(opts.FS, ssdsim.CatCompactionRead),
 		})
 		if err != nil {
-			db.limiter.Close()
-			return nil, err
+			return fail(err)
 		}
-		if max := vl.MaxShard(); max >= n {
-			_ = vl.Close()
-			db.limiter.Close()
-			return nil, fmt.Errorf("%w: value log holds segments for shard %d but the database has %d shards",
-				ErrInvalidOptions, max, n)
+		if max := db.vlog.MaxShard(); max >= n {
+			return fail(fmt.Errorf("%w: value log holds segments for shard %d but the database has %d shards",
+				ErrInvalidOptions, max, n))
 		}
-		db.vlog = vl
 	}
 
+	// One shard is rooted at the database directory itself, WAL included —
+	// the pre-sharding layout, byte for byte. Several get a directory each, a
+	// shared WAL directory and the marker recording their count.
+	var cfgs []storeConfig
 	if n == 1 {
-		st, err := openStore(storeConfig{
-			dir: dir, walDir: dir, limiter: db.limiter,
-			vlog: db.vlog, blockCache: db.blockCache,
-		}, opts, db.tables)
-		if err != nil {
-			db.closeVlog()
-			db.limiter.Close()
-			return nil, err
+		cfgs = []storeConfig{{dir: dir, walDir: dir}}
+	} else {
+		walDir := filepath.Join(dir, "wal")
+		if err := meta.MkdirAll(walDir); err != nil {
+			return fail(err)
 		}
-		db.shards = []*store{st}
-		db.startValueGC()
-		return db, nil
+		if err := writeShardsMarker(meta, dir, n); err != nil {
+			return fail(err)
+		}
+		for i := 0; i < n; i++ {
+			cfgs = append(cfgs, storeConfig{
+				dir: filepath.Join(dir, fmt.Sprintf("shard-%d", i)), walDir: walDir, walShared: true, shardID: i,
+			})
+		}
 	}
-
-	walDir := filepath.Join(dir, "wal")
-	if err := meta.MkdirAll(walDir); err != nil {
-		return nil, err
-	}
-	if err := writeShardsMarker(meta, dir, n); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		st, err := openStore(storeConfig{
-			dir:        filepath.Join(dir, fmt.Sprintf("shard-%d", i)),
-			walDir:     walDir,
-			walShared:  true,
-			shardID:    i,
-			limiter:    db.limiter,
-			vlog:       db.vlog,
-			blockCache: db.blockCache,
-		}, opts, db.tables)
+	for _, cfg := range cfgs {
+		cfg.limiter, cfg.vlog, cfg.blockCache = db.limiter, db.vlog, db.blockCache
+		st, err := openStore(cfg, opts, db.tables)
 		if err != nil {
-			for _, prev := range db.shards {
-				_ = prev.Close() // unwind the partial open; the open error wins
+			if n > 1 {
+				err = fmt.Errorf("ldc: open shard %d: %w", cfg.shardID, err)
 			}
-			db.closeVlog()
-			db.limiter.Close()
-			return nil, fmt.Errorf("ldc: open shard %d: %w", i, err)
+			return fail(err)
 		}
 		db.shards = append(db.shards, st)
 	}
@@ -218,38 +215,11 @@ func vlogDirHasSegments(fs vfs.FS, dir string) bool {
 	return false
 }
 
-// metaFS derives the housekeeping I/O view (marker file, directories) from
-// the configured filesystem, mirroring store.initFS's category tagging.
-func metaFS(fs vfs.FS) vfs.FS {
+// categorized returns the view of fs whose I/O the SSD simulator accounts
+// under cat; any other filesystem has no categories and is returned as is.
+func categorized(fs vfs.FS, cat ssdsim.Category) vfs.FS {
 	if sim, ok := fs.(*ssdsim.FS); ok {
-		return sim.WithCategory(ssdsim.CatOther)
-	}
-	return fs
-}
-
-// userFS derives the user/table-read I/O view for the shared table cache.
-func userFS(fs vfs.FS) vfs.FS {
-	if sim, ok := fs.(*ssdsim.FS); ok {
-		return sim.WithCategory(ssdsim.CatUserRead)
-	}
-	return fs
-}
-
-// walFS derives the log-append I/O view: value-log appends sit on the
-// foreground write path exactly like WAL records, so they are accounted in
-// the same device category.
-func walFS(fs vfs.FS) vfs.FS {
-	if sim, ok := fs.(*ssdsim.FS); ok {
-		return sim.WithCategory(ssdsim.CatWAL)
-	}
-	return fs
-}
-
-// compactionReadFS derives the background-read I/O view for GC segment
-// scans, which are relocation reads like a compaction's input reads.
-func compactionReadFS(fs vfs.FS) vfs.FS {
-	if sim, ok := fs.(*ssdsim.FS); ok {
-		return sim.WithCategory(ssdsim.CatCompactionRead)
+		return sim.WithCategory(cat)
 	}
 	return fs
 }

@@ -454,3 +454,38 @@ func TestShardStatsAggregate(t *testing.T) {
 		t.Error("aggregate WriteState is empty")
 	}
 }
+
+// TestOpenUnwindsWhenShardMarkerFails: a sharded Open that fails after the
+// value log is open (here: writing the LDC_SHARDS marker) must release the
+// log and the limiter like every later failure does, and leave a directory
+// the next Open can use.
+func TestOpenUnwindsWhenShardMarkerFails(t *testing.T) {
+	efs := vfs.NewErrFS(vfs.Mem())
+	opts := shardOpts(2)
+	opts.FS = efs
+	opts.BlobThreshold = 64
+	opts.CompactionRateBytesPerSec = 1 << 20
+	efs.FailAfterWrites(0, errInjected) // the marker's Create is Open's first write
+	if db, err := Open("/db", opts); !errors.Is(err, errInjected) {
+		t.Fatalf("Open = %v, %v; want the injected marker failure", db, err)
+	}
+	if n := efs.WriteOps(); n != 1 {
+		t.Fatalf("Open failed after %d write ops; the test assumes the marker is the first", n)
+	}
+	efs.Disarm()
+
+	db, err := Open("/db", opts)
+	if err != nil {
+		t.Fatalf("reopen after the failed Open: %v", err)
+	}
+	big := bytes.Repeat([]byte("v"), 200) // above BlobThreshold: lands in the value log
+	if err := db.Put([]byte("k"), big); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := db.Get([]byte("k")); err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("Get = %d bytes, %v", len(got), err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close = %v", err)
+	}
+}

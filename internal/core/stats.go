@@ -26,7 +26,7 @@ type Stats struct {
 
 	// Operation counts.
 	FlushCount       int64
-	CompactionCount  int64 // conventional compactions (UDC, L0, tiered)
+	CompactionCount  int64 // conventional compactions (UDC, LDC L0→L1)
 	LinkCount        int64 // LDC link phases (metadata only)
 	MergeCount       int64 // LDC merge phases
 	TrivialMoveCount int64

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/compaction"
 )
 
 // ErrInvalidOptions tags every configuration rejection; callers test for it
@@ -58,9 +60,13 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: MaxWriteGroupBytes %d is below the %d-byte floor (a group must hold at least one batch)",
 			ErrInvalidOptions, o.MaxWriteGroupBytes, minWriteGroupBytes)
 	}
-	// Format knobs are enums, not sizes: any value outside the registry
-	// would be stamped into on-disk trailers/footers and make the table
-	// unreadable, so reject it here rather than at the first flush.
+	// Enums, not sizes. An unknown policy must not quietly run as UDC; a
+	// format value outside the registry would be stamped into on-disk
+	// trailers/footers and make the table unreadable, so reject it here
+	// rather than at the first flush.
+	if o.Policy != compaction.UDC && o.Policy != compaction.LDC {
+		return fmt.Errorf("%w: unknown Policy %d (use compaction.UDC or LDC)", ErrInvalidOptions, int(o.Policy))
+	}
 	if !o.Compression.Valid() {
 		return fmt.Errorf("%w: unknown Compression %d (use compress.None, Flate, or LZ4)",
 			ErrInvalidOptions, uint8(o.Compression))

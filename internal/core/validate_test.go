@@ -35,6 +35,7 @@ func TestValidateRejections(t *testing.T) {
 		{"compaction trigger above slowdown", func(o *Options) { o.L0CompactionTrigger = 20 }, "L0CompactionTrigger"},
 		{"slowdown above stop", func(o *Options) { o.L0SlowdownTrigger, o.L0StopTrigger = 6, 4 }, "L0SlowdownTrigger"},
 		{"block bigger than table", func(o *Options) { o.BlockSize, o.SSTableSize = 1<<20, 64<<10 }, "BlockSize"},
+		{"unknown Policy", func(o *Options) { o.Policy = compaction.Policy(2) }, "Policy"},
 		{"unknown Compression", func(o *Options) { o.Compression = compress.Kind(3) }, "Compression"},
 		{"wild Compression", func(o *Options) { o.Compression = compress.Kind(255) }, "Compression"},
 		{"unknown ChecksumKind", func(o *Options) { o.ChecksumKind = checksum.Kind(2) }, "ChecksumKind"},

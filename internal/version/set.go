@@ -22,10 +22,6 @@ type Set struct {
 	dir  string
 	icmp keys.InternalComparer
 
-	// AllowOverlaps tolerates overlapping files within sorted levels, as the
-	// size-tiered policy produces. Set before Create/Recover.
-	AllowOverlaps bool
-
 	// logMu serializes LogAndApply invocations: MANIFEST records must land in
 	// the same order versions are installed, and each edit must build on the
 	// version produced by the previous one. Held across I/O, so it is separate
@@ -197,7 +193,7 @@ func (s *Set) Recover() error {
 	if !sawComparer {
 		return errors.New("version: manifest missing comparer record")
 	}
-	if err := base.checkInvariants(s.AllowOverlaps); err != nil {
+	if err := base.CheckInvariants(); err != nil {
 		return err
 	}
 
@@ -373,7 +369,7 @@ func (s *Set) LogAndApply(e *Edit) error {
 	b.apply(e)
 	nv, _ := b.finish()
 	nv.set = s
-	if err := nv.checkInvariants(s.AllowOverlaps); err != nil {
+	if err := nv.CheckInvariants(); err != nil {
 		return fmt.Errorf("version: edit produces invalid version: %w", err)
 	}
 

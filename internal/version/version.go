@@ -21,15 +21,6 @@ type Version struct {
 	// Sliced lists, per level, the files currently carrying slice links
 	// (order matches Levels). Derived at build time for the read path.
 	Sliced [NumLevels][]*FileMeta
-	// overlapping marks sorted levels that contain mutually overlapping
-	// runs (the size-tiered policy produces them); range searches fall back
-	// to linear scans there. Derived at build time.
-	overlapping [NumLevels]bool
-	// newestFirst holds, for each overlapping level, the level's files
-	// ordered by descending file number (newest data first). Precomputed at
-	// build time so tiered point lookups probe newest-first without sorting
-	// per get. Nil for levels without overlapping runs.
-	newestFirst [NumLevels][]*FileMeta
 
 	refs atomic.Int32
 	set  *Set // for file refcount release; nil in standalone tests
@@ -143,16 +134,6 @@ func (v *Version) Overlaps(level int, r keys.KeyRange) []*FileMeta {
 		return out
 	}
 	files := v.Levels[level]
-	if v.overlapping[level] {
-		// Overlapping runs (tiered mode): the binary search below is
-		// unsound, scan linearly.
-		for _, f := range files {
-			if f.UserRange().Overlaps(ucmp, r) {
-				out = append(out, f)
-			}
-		}
-		return out
-	}
 	// First file whose largest >= r.Lo.
 	i := sort.Search(len(files), func(i int) bool {
 		return ucmp.Compare(files[i].Largest.UserKey(), r.Lo) >= 0
@@ -166,25 +147,11 @@ func (v *Version) Overlaps(level int, r keys.KeyRange) []*FileMeta {
 	return out
 }
 
-// NewestFirst returns the level's files ordered newest-first (descending
-// file number) when the level holds overlapping runs, or nil when it does
-// not (then at most one file can contain any given key, so order is moot).
-// The returned slice is shared with the version and must not be modified.
-func (v *Version) NewestFirst(level int) []*FileMeta { return v.newestFirst[level] }
-
 // FindFile returns the unique file in a sorted level (>=1) that could
 // contain ukey, or nil.
 func (v *Version) FindFile(level int, ukey []byte) *FileMeta {
 	ucmp := v.icmp.User
 	files := v.Levels[level]
-	if v.overlapping[level] {
-		for _, f := range files {
-			if f.UserRange().Contains(ucmp, ukey) {
-				return f
-			}
-		}
-		return nil
-	}
 	i := sort.Search(len(files), func(i int) bool {
 		return ucmp.Compare(files[i].Largest.UserKey(), ukey) >= 0
 	})
@@ -211,13 +178,10 @@ func (v *Version) allFileNums() []uint64 {
 	return nums
 }
 
-// CheckInvariants validates level ordering and slice consistency; tests and
-// the compaction engine call it after every apply in debug paths.
-func (v *Version) CheckInvariants() error { return v.checkInvariants(false) }
-
-// checkInvariants optionally tolerates overlapping files within sorted
-// levels, which the size-tiered policy produces by design.
-func (v *Version) checkInvariants(allowOverlaps bool) error {
+// CheckInvariants validates level ordering (levels >= 1 hold disjoint files)
+// and slice consistency. The Set runs it on every edit and on recovery, so a
+// MANIFEST describing overlapping files is an error, never a served tree.
+func (v *Version) CheckInvariants() error {
 	ucmp := v.icmp.User
 	for level := 1; level < NumLevels; level++ {
 		files := v.Levels[level]
@@ -225,7 +189,7 @@ func (v *Version) checkInvariants(allowOverlaps bool) error {
 			if v.icmp.Compare(files[i].Smallest, files[i].Largest) > 0 {
 				return fmt.Errorf("L%d file %06d: smallest > largest", level, files[i].Num)
 			}
-			if !allowOverlaps && i > 0 && ucmp.Compare(files[i-1].Largest.UserKey(), files[i].Smallest.UserKey()) >= 0 {
+			if i > 0 && ucmp.Compare(files[i-1].Largest.UserKey(), files[i].Smallest.UserKey()) >= 0 {
 				return fmt.Errorf("L%d files %06d and %06d overlap",
 					level, files[i-1].Num, files[i].Num)
 			}
@@ -319,19 +283,10 @@ func (b *builder) finish() (*Version, []uint64) {
 			})
 		}
 		v.Levels[level] = files
-		for i, f := range files {
+		for _, f := range files {
 			if len(f.Slices) > 0 {
 				v.Sliced[level] = append(v.Sliced[level], f)
 			}
-			if level >= 1 && i > 0 &&
-				b.icmp.User.Compare(files[i-1].Largest.UserKey(), f.Smallest.UserKey()) >= 0 {
-				v.overlapping[level] = true
-			}
-		}
-		if v.overlapping[level] {
-			nf := append([]*FileMeta(nil), files...)
-			sort.Slice(nf, func(i, j int) bool { return nf[i].Num > nf[j].Num })
-			v.newestFirst[level] = nf
 		}
 	}
 

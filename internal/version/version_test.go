@@ -1,11 +1,13 @@
 package version
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/keys"
 	"repro/internal/vfs"
+	"repro/internal/wal"
 )
 
 var icmp = keys.InternalComparer{User: keys.BytewiseComparer{}}
@@ -380,6 +382,60 @@ func TestSetRecover(t *testing.T) {
 	}
 	if got := s2.NewFileNum(); got <= fileNumBefore {
 		t.Errorf("file allocator regressed: %d <= %d", got, fileNumBefore)
+	}
+}
+
+// TestSetRejectsOverlappingLevel: levels >= 1 hold disjoint files, always.
+// An edit that would break that is refused before it reaches the MANIFEST,
+// and a MANIFEST that already describes such a tree (an overlap-tolerant
+// policy of an older release wrote them) fails recovery instead of serving
+// reads whose binary search assumes disjoint files.
+func TestSetRejectsOverlappingLevel(t *testing.T) {
+	s, fs := newTestSet(t)
+	e := &Edit{}
+	e.AddFile(1, fm(10, "a", "m", 100))
+	if err := s.LogAndApply(e); err != nil {
+		t.Fatal(err)
+	}
+	bad := &Edit{}
+	bad.AddFile(1, fm(11, "f", "z", 100))
+	if err := s.LogAndApply(bad); err == nil {
+		t.Fatal("LogAndApply accepted an edit that overlaps two L1 files")
+	}
+	v := s.Current()
+	if v.NumFiles(1) != 1 {
+		t.Errorf("rejected edit was installed: %d L1 files", v.NumFiles(1))
+	}
+	v.Unref()
+	s.Close()
+
+	// Hand-write the MANIFEST the rejected edit would have produced.
+	snap := &Edit{ComparerName: icmp.User.Name()}
+	snap.SetNextFileNum(20)
+	snap.AddFile(1, fm(10, "a", "m", 100))
+	snap.AddFile(1, fm(11, "f", "z", 100))
+	mf, err := fs.Create(ManifestFileName("/db", 19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.NewWriter(mf).AddRecord(snap.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if err := mf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := fs.Create(CurrentFileName("/db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cur.Write([]byte("MANIFEST-000019\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewSet(fs, "/db", icmp).Recover(); err == nil || !strings.Contains(err.Error(), "overlap") {
+		t.Fatalf("Recover of a MANIFEST with overlapping L1 files = %v, want the overlap error", err)
 	}
 }
 

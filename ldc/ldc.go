@@ -3,8 +3,7 @@
 // LevelDB-compatible semantics) implementing the Lower-level Driven
 // Compaction method of Chai et al., "LDC: A Lower-Level Driven Compaction
 // Method to Optimize SSD-Oriented Key-Value Stores" (ICDE 2019), alongside
-// the traditional upper-level driven baseline and a size-tiered lazy
-// policy.
+// the traditional upper-level driven baseline.
 //
 // Quick start:
 //
@@ -23,9 +22,6 @@
 //     roughly halving compaction I/O and cutting write tail latency — the
 //     right default on SSDs.
 //   - PolicyUDC is the classic LevelDB behaviour, kept as the baseline.
-//   - PolicyTiered is a size-tiered lazy scheme that trades write
-//     amplification for large bursts; it demonstrates the motivation of
-//     the paper and is not recommended for latency-sensitive use.
 //
 // Scaling out on one machine:
 //
@@ -127,8 +123,6 @@ const (
 	PolicyUDC = compaction.UDC
 	// PolicyLDC is the paper's lower-level driven compaction.
 	PolicyLDC = compaction.LDC
-	// PolicyTiered is a size-tiered lazy baseline.
-	PolicyTiered = compaction.Tiered
 )
 
 // Compression selects the per-block codec for newly written tables

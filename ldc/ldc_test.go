@@ -27,7 +27,7 @@ func openMem(t *testing.T, policy ldc.Policy) *ldc.DB {
 }
 
 func TestPublicAPIBasics(t *testing.T) {
-	for _, policy := range []ldc.Policy{ldc.PolicyUDC, ldc.PolicyLDC, ldc.PolicyTiered} {
+	for _, policy := range []ldc.Policy{ldc.PolicyUDC, ldc.PolicyLDC} {
 		t.Run(policy.String(), func(t *testing.T) {
 			db := openMem(t, policy)
 			defer db.Close()
