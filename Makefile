@@ -41,10 +41,11 @@ test:
 
 # The tests that have actually broken tier-1: GC-vs-reader liveness, crash
 # recovery and the read-state protocol, repeated across scheduler widths
-# (both historical failures passed at GOMAXPROCS=1 and failed at 2).
+# (both historical failures passed at GOMAXPROCS=1 and failed at 2); plus the
+# compaction-input fault tests, whose failed job races the pool's cleanup.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput' $(TESTFLAGS) ./internal/core
 
 vet:
 	$(GO) vet $(TESTFLAGS) ./...
@@ -84,10 +85,12 @@ fuzz-smoke:
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x $(TESTFLAGS) .
 
-# One race-checked pass over the group-commit writer benchmark and the
-# serving-layer benchmark: catches write-path and protocol races without
-# measuring anything. Real server numbers live in BENCH_server.json.
+# One race-checked pass over the group-commit writer benchmark, the
+# serving-layer benchmark and the table-iterator leaf benchmark (block at a
+# time vs sequential): catches write-path, protocol and pooled-buffer races
+# without measuring anything. Real server numbers live in BENCH_server.json.
 bench-smoke:
+	$(GO) test -race -run XXX -bench BenchmarkTableIterSequential -benchtime 1x -benchmem $(TESTFLAGS) ./internal/sstable
 	$(GO) test -race -run XXX -bench BenchmarkConcurrentWriters -benchtime 1x $(TESTFLAGS) ./internal/core
 	$(GO) test -race -run XXX -bench 'BenchmarkServerPipelinedSet/sync=false/conns=16' -benchtime 1x $(TESTFLAGS) ./internal/server
 

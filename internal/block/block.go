@@ -112,20 +112,32 @@ type Reader struct {
 
 // NewReader validates the trailer and returns a reader.
 func NewReader(cmp iterator.CompareFunc, data []byte) (*Reader, error) {
+	r := new(Reader)
+	if err := r.Init(cmp, data); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Init rebinds r to another encoded block, so a caller that walks many
+// blocks one at a time (a compaction input) allocates no Reader per block.
+// Iterators bound to r must be re-Init'ed afterwards.
+func (r *Reader) Init(cmp iterator.CompareFunc, data []byte) error {
 	if len(data) < 4 {
-		return nil, fmt.Errorf("block: too short (%d bytes)", len(data))
+		return fmt.Errorf("block: too short (%d bytes)", len(data))
 	}
 	n := int(encoding.Fixed32(data[len(data)-4:]))
 	end := len(data) - 4 - 4*n
 	if n < 1 || end < 0 {
-		return nil, fmt.Errorf("block: bad restart count %d", n)
+		return fmt.Errorf("block: bad restart count %d", n)
 	}
-	return &Reader{
+	*r = Reader{
 		cmp:         cmp,
 		data:        data[:end],
 		restarts:    data[end : len(data)-4],
 		numRestarts: n,
-	}, nil
+	}
+	return nil
 }
 
 // Resident reports the bytes the reader keeps alive: the full decoded

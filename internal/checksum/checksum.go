@@ -55,6 +55,15 @@ func (k Kind) String() string {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// trailers holds every one-byte slice Sum can need: a fresh []byte{b} per call
+// escapes into crc32 and allocates, once per block read or written.
+var trailers = func() (t [256][1]byte) {
+	for i := range t {
+		t[i][0] = byte(i)
+	}
+	return t
+}()
+
 // Sum computes the 32-bit checksum of kind k over data followed by the
 // single trailing byte (the block trailer's type byte, which must be
 // covered so a bit flip in it is detected).
@@ -64,7 +73,7 @@ func Sum(k Kind, data []byte, trailing byte) uint32 {
 		return fold32(xxhash64(data, uint64(trailing)))
 	default:
 		crc := crc32.Update(0, crcTable, data)
-		return crc32.Update(crc, crcTable, []byte{trailing})
+		return crc32.Update(crc, crcTable, trailers[trailing][:])
 	}
 }
 

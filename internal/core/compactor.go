@@ -214,9 +214,12 @@ func (db *store) writeTables(fs vfs.FS, tier iosched.Tier, it iterator.Iterator,
 		if err != nil {
 			return err
 		}
-		file := f
+		file, built := f, w
 		w, f = nil, nil
 		if err := file.Close(); err != nil {
+			return err
+		}
+		if err := db.tables.install(num, built); err != nil {
 			return err
 		}
 		outputs = append(outputs, &version.FileMeta{
@@ -239,7 +242,7 @@ func (db *store) writeTables(fs vfs.FS, tier iosched.Tier, it iterator.Iterator,
 			if f, err = fs.Create(version.TableFileName(db.dir, num)); err != nil {
 				break
 			}
-			f = vfs.NewBuffered(f, 64<<10)
+			f = vfs.NewBuffered(f, sstable.IOChunk)
 			w = sstable.NewWriter(f, db.tableWriterOptions(tier))
 		}
 		if err = w.Add(ik, value); err != nil {
@@ -421,72 +424,52 @@ func (cs *compactionState) isBaseLevelForKey(uk []byte) bool {
 	return true
 }
 
-// compactionReader opens a dedicated, uncached reader for an input file so
-// its I/O is charged to the compaction-read category. Returned closers
-// release the handles.
-func (db *store) compactionReader(num uint64) (*sstable.Reader, error) {
-	f, err := db.fsCompR.Open(version.TableFileName(db.dir, num))
-	if err != nil {
-		return nil, err
-	}
-	r, err := sstable.OpenReader(f, sstable.ReaderOptions{
-		Cmp:             db.icmp,
-		FileNum:         num,
-		VerifyChecksums: *db.opts.VerifyChecksums,
-	})
-	if err != nil {
-		_ = f.Close() // reader never took ownership
-		return nil, err
-	}
-	return r, nil
+// meteredFile counts the bytes read through a compaction input's handle, so
+// a job reports what it fetched rather than an estimate of it.
+type meteredFile struct {
+	vfs.File
+	read *int64
 }
 
-// ownedTableIter wraps a table iterator and closes its dedicated reader.
-type ownedTableIter struct {
-	iterator.Iterator
-	r *sstable.Reader
+func (m meteredFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := m.File.ReadAt(p, off)
+	*m.read += int64(n)
+	return n, err
 }
 
-func (o *ownedTableIter) Close() error {
-	err := o.Iterator.Close()
-	if cerr := o.r.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// inputIterators builds compaction input iterators for a set of files,
-// including their attached slices (clamped frozen-file views).
-func (db *store) inputIterators(files []*version.FileMeta) ([]iterator.Iterator, int64, error) {
+// inputIterators builds a rewrite's input iterators: one sequential pass per
+// file, plus one per attached slice, clamped to the slice's window of its
+// frozen file. A pass walks the index the table cache's reader pins but reads
+// through a handle of its own on db.fsCompR, which charges the I/O to the
+// compaction-read category; the bytes it reads are added to *read while the
+// merge runs.
+func (db *store) inputIterators(files []*version.FileMeta, read *int64) ([]iterator.Iterator, error) {
 	var its []iterator.Iterator
-	var readBytes int64
-	fail := func(err error) ([]iterator.Iterator, int64, error) {
-		for _, it := range its {
-			it.Close()
+	open := func(num uint64, window *keys.KeyRange) error {
+		r, err := db.tables.get(num)
+		if err != nil {
+			return err
 		}
-		return nil, 0, err
+		f, err := db.fsCompR.Open(version.TableFileName(db.dir, num))
+		if err != nil {
+			return err
+		}
+		its = append(its, r.NewSequential(meteredFile{f, read}, window))
+		return nil
 	}
 	for _, f := range files {
-		r, err := db.compactionReader(f.Num)
-		if err != nil {
-			return fail(err)
+		err := open(f.Num, nil)
+		for i := 0; err == nil && i < len(f.Slices); i++ {
+			err = open(f.Slices[i].FrozenNum, &f.Slices[i].Range)
 		}
-		its = append(its, &ownedTableIter{Iterator: r.NewIterator(), r: r})
-		readBytes += f.Size
-		for i := range f.Slices {
-			s := &f.Slices[i]
-			fr, err := db.compactionReader(s.FrozenNum)
-			if err != nil {
-				return fail(err)
+		if err != nil {
+			for _, it := range its {
+				_ = it.Close() // read-only handles
 			}
-			its = append(its, &ownedTableIter{
-				Iterator: iterator.NewClamped(db.icmp.User, fr.NewIterator(), s.Range),
-				r:        fr,
-			})
-			readBytes += s.Bytes
+			return nil, err
 		}
 	}
-	return its, readBytes, nil
+	return its, nil
 }
 
 // execRewrite runs the picks that move data, all of them one merge sort: the
@@ -517,9 +500,9 @@ func (db *store) execRewrite(pick compaction.Pick) error {
 		tier = iosched.TierL0
 	}
 	e := &version.Edit{}
-	var outBytes int64
+	var readBytes, outBytes int64
 	all := append(append([]*version.FileMeta(nil), pick.Inputs...), pick.Overlaps...)
-	its, readBytes, err := db.inputIterators(all)
+	its, err := db.inputIterators(all, &readBytes)
 	if err == nil {
 		cs := &compactionState{db: db, v: v, outputLevel: pick.OutputLevel, smallestSnap: smallestSnap}
 		merged := iterator.NewMerging(db.icmp.Compare, its...)

@@ -116,17 +116,43 @@ func TestPersistenceThroughFlushAndCompaction(t *testing.T) {
 	}
 }
 
+// TestLDCPerformsLinksAndMerges also pins that a compaction stays off the
+// read path's books: every link and merge here runs inside CompactRange with
+// no read in flight, and across it the block cache sees no lookup and the
+// shared table readers fetch no block (their counters only ever drop, when a
+// compacted file's reader is evicted).
 func TestLDCPerformsLinksAndMerges(t *testing.T) {
-	db := openTestDB(t, smallOpts(compaction.LDC))
+	opts := smallOpts(compaction.LDC)
+	opts.DisableAutoCompaction = true
+	db := openTestDB(t, opts)
 	defer db.Close()
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 12000; i++ {
-		if err := db.Put(key(rng.Intn(4000)), value(i)); err != nil {
+	for round := 0; round < 12; round++ {
+		for i := 0; i < 1000; i++ {
+			if err := db.Put(key(rng.Intn(4000)), value(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 100; i++ { // open readers, fill the cache
+			if _, err := db.Get(key(rng.Intn(4000))); err != nil && !errors.Is(err, ErrNotFound) {
+				t.Fatal(err)
+			}
+		}
+		before, blockReads := db.Stats(), db.BlockReads()
+		if err := db.CompactRange(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := db.CompactRange(); err != nil {
-		t.Fatal(err)
+		after := db.Stats()
+		if after.BlockCacheHits != before.BlockCacheHits || after.BlockCacheMisses != before.BlockCacheMisses {
+			t.Fatalf("compaction looked blocks up in the cache: hits %d -> %d, misses %d -> %d",
+				before.BlockCacheHits, after.BlockCacheHits, before.BlockCacheMisses, after.BlockCacheMisses)
+		}
+		if got := db.BlockReads(); got > blockReads {
+			t.Fatalf("compaction moved the readers' BlockReads %d -> %d", blockReads, got)
+		}
+		if after.CompressedBytesRead > before.CompressedBytesRead {
+			t.Fatalf("compaction moved the readers' IOBytes %d -> %d", before.CompressedBytesRead, after.CompressedBytesRead)
+		}
 	}
 	s := db.Stats()
 	if s.LinkCount == 0 {
@@ -134,6 +160,9 @@ func TestLDCPerformsLinksAndMerges(t *testing.T) {
 	}
 	if s.MergeCount == 0 {
 		t.Error("LDC never merged")
+	}
+	if s.BlockCacheMisses == 0 || db.BlockReads() == 0 {
+		t.Error("the reads between compactions never reached a table")
 	}
 }
 

@@ -88,12 +88,7 @@ func (st *shardTables) get(num uint64) (*sstable.Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := sstable.OpenReader(f, sstable.ReaderOptions{
-		Cmp:             tc.icmp,
-		Cache:           tc.blockCache,
-		FileNum:         st.cacheNum(num),
-		VerifyChecksums: tc.verify,
-	})
+	r, err := sstable.OpenReader(f, st.readerOptions(num))
 	if err != nil {
 		_ = f.Close() // reader never took ownership
 		return nil, err
@@ -103,6 +98,34 @@ func (st *shardTables) get(num uint64) (*sstable.Reader, error) {
 		return existing.(*sstable.Reader), nil
 	}
 	return r, nil
+}
+
+func (st *shardTables) readerOptions(num uint64) sstable.ReaderOptions {
+	return sstable.ReaderOptions{
+		Cmp:             st.tc.icmp,
+		Cache:           st.tc.blockCache,
+		FileNum:         st.cacheNum(num),
+		VerifyChecksums: st.tc.verify,
+	}
+}
+
+// install publishes the reader of a table this process has just built, with
+// the index and filter the writer still holds, so that neither a read nor a
+// compaction ever fetches them back from the device. Called before the table
+// enters a version, so no get can race it; a table that never enters one
+// keeps its reader until closeShard.
+func (st *shardTables) install(num uint64, w *sstable.Writer) error {
+	f, err := st.tc.fs.Open(version.TableFileName(st.dir, num))
+	if err != nil {
+		return err
+	}
+	r, err := w.OpenReader(f, st.readerOptions(num))
+	if err != nil {
+		_ = f.Close() // reader never took ownership
+		return err
+	}
+	st.tc.readers.Store(tableKey{shard: st.shard, num: num}, r)
+	return nil
 }
 
 // evict closes and forgets the reader for a deleted file of this shard and

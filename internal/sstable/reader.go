@@ -34,7 +34,10 @@ type ReaderOptions struct {
 
 // Reader provides random access to one table. It is safe for concurrent use.
 type Reader struct {
-	opts   ReaderOptions
+	opts ReaderOptions
+	// cmp is opts.Cmp.Compare, bound once: every block reader built over this
+	// table takes it, and binding a method value allocates.
+	cmp    iterator.CompareFunc
 	f      vfs.File
 	size   int64 // file length, fixed at open; bounds-checks block handles
 	index  *block.Reader
@@ -77,12 +80,12 @@ func OpenReader(f vfs.File, opts ReaderOptions) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{opts: opts, f: f, size: size, cksum: ftr.checksum}
+	r := &Reader{opts: opts, cmp: opts.Cmp.Compare, f: f, size: size, cksum: ftr.checksum}
 	idxData, err := r.readBlockContents(ftr.indexHandle)
 	if err != nil {
 		return nil, err
 	}
-	r.index, err = block.NewReader(opts.Cmp.Compare, idxData)
+	r.index, err = block.NewReader(r.cmp, idxData)
 	if err != nil {
 		return nil, err
 	}
@@ -123,27 +126,48 @@ func (r *Reader) IOBytes() (compressed, uncompressed int64) {
 func (r *Reader) ChecksumKind() checksum.Kind { return r.cksum }
 
 // readBlockContents fetches, verifies, and decompresses a block, without
-// caching. The checksum (per the table's footer kind) covers the on-disk
-// payload and type byte, so it is verified before any decode touches the
-// bytes; the type byte then names the codec.
+// caching.
 func (r *Reader) readBlockContents(h blockHandle) ([]byte, error) {
-	// A corrupt handle (flipped bit in an index entry or the footer) can
-	// point anywhere; reject it here so a bad length surfaces as ErrCorrupt
-	// rather than a huge allocation or an untyped short-read error.
-	end := h.offset + h.length + blockTrailerLen
-	if end < h.offset || end > uint64(r.size) {
-		return nil, fmt.Errorf("%w: block handle [%d,+%d) beyond file %06d of %d bytes",
-			ErrCorrupt, h.offset, h.length, r.opts.FileNum, r.size)
+	if err := r.checkHandle(h); err != nil {
+		return nil, err
 	}
 	buf := make([]byte, h.length+blockTrailerLen)
 	if _, err := r.f.ReadAt(buf, int64(h.offset)); err != nil {
 		return nil, fmt.Errorf("sstable %06d: %w", r.opts.FileNum, err)
 	}
-	payload, trailer := buf[:h.length], buf[h.length:]
+	contents, err := r.decodeBlock(buf, h.offset)
+	if err != nil {
+		return nil, err
+	}
+	r.compressedBytesRead.Add(int64(h.length))
+	r.uncompressedBytesRead.Add(int64(len(contents)))
+	return contents, nil
+}
+
+// checkHandle rejects a handle that points outside the file. A corrupt
+// handle (flipped bit in an index entry or the footer) can point anywhere;
+// caught here, a bad length surfaces as ErrCorrupt rather than a huge
+// allocation or an untyped short-read error.
+func (r *Reader) checkHandle(h blockHandle) error {
+	end := h.offset + h.length + blockTrailerLen
+	if end < h.offset || end > uint64(r.size) {
+		return fmt.Errorf("%w: block handle [%d,+%d) beyond file %06d of %d bytes",
+			ErrCorrupt, h.offset, h.length, r.opts.FileNum, r.size)
+	}
+	return nil
+}
+
+// decodeBlock verifies and decompresses one on-disk block (payload plus
+// trailer) read from offset off. The checksum (per the table's footer kind)
+// covers the payload and type byte, so it is verified before any decode
+// touches the bytes; the type byte then names the codec. A raw block's
+// contents alias buf.
+func (r *Reader) decodeBlock(buf []byte, off uint64) ([]byte, error) {
+	payload, trailer := buf[:len(buf)-blockTrailerLen], buf[len(buf)-blockTrailerLen:]
 	if r.opts.VerifyChecksums {
 		if checksum.Sum(r.cksum, payload, trailer[0]) != encoding.Fixed32(trailer[1:]) {
 			return nil, fmt.Errorf("%w: %v mismatch in file %06d at offset %d",
-				ErrCorrupt, r.cksum, r.opts.FileNum, h.offset)
+				ErrCorrupt, r.cksum, r.opts.FileNum, off)
 		}
 	}
 	kind := compress.Kind(trailer[0])
@@ -152,10 +176,8 @@ func (r *Reader) readBlockContents(h blockHandle) ([]byte, error) {
 	}
 	contents, err := compress.Decompress(kind, payload)
 	if err != nil {
-		return nil, fmt.Errorf("%w: file %06d offset %d: %v", ErrCorrupt, r.opts.FileNum, h.offset, err)
+		return nil, fmt.Errorf("%w: file %06d offset %d: %v", ErrCorrupt, r.opts.FileNum, off, err)
 	}
-	r.compressedBytesRead.Add(int64(len(payload)))
-	r.uncompressedBytesRead.Add(int64(len(contents)))
 	return contents, nil
 }
 
@@ -172,7 +194,7 @@ func (r *Reader) dataBlock(h blockHandle) (*block.Reader, error) {
 		return nil, err
 	}
 	r.blockReads.Add(1)
-	br, err := block.NewReader(r.opts.Cmp.Compare, contents)
+	br, err := block.NewReader(r.cmp, contents)
 	if err != nil {
 		return nil, err
 	}

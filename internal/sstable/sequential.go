@@ -1,0 +1,308 @@
+package sstable
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"sync"
+
+	"repro/internal/block"
+	"repro/internal/invariants"
+	"repro/internal/iterator"
+	"repro/internal/keys"
+	"repro/internal/vfs"
+)
+
+// IOChunk is the request size of background table I/O. Tables are written
+// through a buffer of this size (core.writeTables) and compaction inputs are
+// read back in runs of at most this size, so the device sees the same large
+// sequential requests in both directions. A constant, not an option: the
+// device charges a fixed cost per request, and nothing in the engine wants a
+// different value.
+const IOChunk = 64 << 10
+
+var errForwardOnly = errors.New("sstable: sequential iterator cannot move backwards")
+
+var (
+	chunkPool   = sync.Pool{New: func() interface{} { return new([IOChunk]byte) }}
+	seqIterPool = sync.Pool{New: func() interface{} { return new(seqIter) }}
+)
+
+// NewSequential returns an iterator for one forward pass over the table — a
+// compaction input — that reads through f, a handle of the caller's on the
+// same file. With a window, the pass covers exactly the entries whose user
+// key lies in it (an LDC slice of a frozen table); without, the whole table.
+//
+// The pass walks the index r pins and reads only the data blocks that can
+// hold a key of the window: from the first block whose last key reaches
+// window.Lo through the first block whose last key reaches window.Hi. Those
+// blocks are fetched in runs of whole, adjacent blocks of at most IOChunk
+// bytes per read (a single block larger than that is read alone), and every
+// block is verified and decoded out of the run exactly as a point read does.
+// Nothing else of r is touched: not its file handle, not its read counters
+// (BlockReads and IOBytes describe user reads), and not the block cache — a
+// compaction reads each block once, so caching them would only evict what
+// user reads put there. The footer, index and filter blocks are not read.
+//
+// The iterator owns f and closes it on Close. It moves forward only:
+// SeekToLast and Prev fail it. Values alias the run's buffer and, as the
+// Iterator contract says, die at the next positioning call.
+func (r *Reader) NewSequential(f vfs.File, window *keys.KeyRange) iterator.Iterator {
+	t := seqIterPool.Get().(*seqIter)
+	t.r, t.f = r, f
+	t.idx.Init(r.index)
+	t.clamped = window != nil
+	if window != nil {
+		// The smallest and the largest internal key a user key in the window
+		// can have.
+		t.lo = keys.MakeSearchKey(t.lo[:0], window.Lo, keys.MaxSeq)
+		t.hi = keys.MakeInternalKey(t.hi[:0], window.Hi, 0, keys.KindDelete)
+	}
+	t.run, t.last, t.dataOK = t.run[:0], false, false
+	t.err = nil
+	t.closed = false
+	return t
+}
+
+// seqIter is the sequential-read table iterator. It holds one run of blocks
+// in memory at a time and hands the buffer over to the next run when the
+// current one is used up.
+type seqIter struct {
+	r       *Reader  // shared: only its index, checksum kind and options are used
+	f       vfs.File // this pass's own handle
+	clamped bool
+	lo, hi  keys.InternalKey
+
+	idx  block.Iter    // index cursor: the first block after the current run
+	run  []blockHandle // the current run's blocks, adjacent on disk
+	last bool          // the run ends with the window's last block
+	pos  int           // data is bound to run[pos]
+
+	chunk *[IOChunk]byte // pooled run buffer, taken at the first fetch
+	buf   []byte         // the run's bytes: chunk[:n], or a one-off for an oversized block
+	blk   block.Reader
+	data  block.Iter
+
+	dataOK bool // data is bound to a block of the window
+	err    error
+	closed bool
+}
+
+// assertOpen catches use-after-Close under -tags invariants, where Close
+// keeps the iterator out of the pool so a stale caller trips here instead of
+// silently driving the next owner's pass.
+func (t *seqIter) assertOpen() {
+	if invariants.Enabled && t.closed {
+		panic("invariant violated: sequential table iterator used after Close")
+	}
+}
+
+// poison overwrites a buffer the iterator lets go of, under -tags invariants,
+// so that a slice kept into it reads 0xDD instead of plausible bytes.
+func poison(b []byte) {
+	if invariants.Enabled {
+		for i := range b {
+			b[i] = 0xDD
+		}
+	}
+}
+
+// fetchRun reads the next run: the blocks from the index cursor on, for as
+// long as they are adjacent on disk, fit one chunk together and belong to the
+// window. It reports false at the end of the window or on error.
+func (t *seqIter) fetchRun() bool {
+	poison(t.buf) // a value kept across the hand-over reads as garbage at once
+	t.run, t.pos = t.run[:0], 0
+	n := 0
+	for ; t.idx.Valid() && !t.last; t.idx.Next() {
+		h, w := decodeBlockHandle(t.idx.Value())
+		if w == 0 {
+			t.err = fmt.Errorf("%w: bad index entry", ErrCorrupt)
+			return false
+		}
+		if err := t.r.checkHandle(h); err != nil {
+			t.err = err
+			return false
+		}
+		size := int(h.length) + blockTrailerLen
+		if len(t.run) > 0 && (h.offset != t.run[0].offset+uint64(n) || n+size > IOChunk) {
+			break
+		}
+		t.run = append(t.run, h)
+		n += size
+		// Index keys are the last key of their block, so the first one to
+		// reach hi names the last block a key of the window can be in.
+		t.last = t.clamped && t.r.cmp(t.idx.Key(), t.hi) >= 0
+	}
+	if len(t.run) == 0 {
+		return false
+	}
+	if n <= IOChunk {
+		if t.chunk == nil {
+			t.chunk = chunkPool.Get().(*[IOChunk]byte)
+		}
+		t.buf = t.chunk[:n]
+	} else {
+		t.buf = make([]byte, n)
+	}
+	off := t.run[0].offset
+	if got, err := t.f.ReadAt(t.buf, int64(off)); got < n {
+		// A short read is an error whatever the file says about it: decoding
+		// the part that arrived would end the input early, silently.
+		if err == nil {
+			err = io.ErrUnexpectedEOF
+		}
+		t.err = fmt.Errorf("sstable %06d: read [%d,+%d): %w", t.r.opts.FileNum, off, n, err)
+		return false
+	}
+	return true
+}
+
+// nextBlock binds data to the block after the current one, fetching the next
+// run when this one is used up.
+func (t *seqIter) nextBlock() bool {
+	t.dataOK = false
+	t.pos++
+	if t.pos >= len(t.run) && (t.last || !t.fetchRun()) {
+		return false
+	}
+	h := t.run[t.pos]
+	start := h.offset - t.run[0].offset
+	contents, err := t.r.decodeBlock(t.buf[start:start+h.length+blockTrailerLen], h.offset)
+	if err == nil {
+		if err = t.blk.Init(t.r.cmp, contents); err != nil {
+			err = fmt.Errorf("%w: file %06d offset %d: %v", ErrCorrupt, t.r.opts.FileNum, h.offset, err)
+		}
+	}
+	if err != nil {
+		t.err = err
+		return false
+	}
+	t.data.Init(&t.blk)
+	t.dataOK = true
+	return true
+}
+
+// settle moves off exhausted blocks and ends the pass at the first key past
+// the window. Only the window's last block can hold one: every earlier block
+// ends below hi.
+func (t *seqIter) settle() {
+	for t.dataOK && !t.data.Valid() {
+		if err := t.data.Error(); err != nil {
+			t.err = err
+			return
+		}
+		if !t.nextBlock() {
+			return
+		}
+		t.data.SeekToFirst()
+	}
+	if t.dataOK && t.last && t.pos == len(t.run)-1 && t.r.cmp(t.data.Key(), t.hi) > 0 {
+		t.dataOK = false
+	}
+}
+
+// seek starts the pass at the first entry >= target inside the window; a nil
+// target is the window's first entry.
+func (t *seqIter) seek(target []byte) {
+	t.assertOpen()
+	if t.err != nil {
+		return
+	}
+	t.run, t.pos, t.last, t.dataOK = t.run[:0], -1, false, false
+	if t.clamped {
+		if target == nil || t.r.cmp(target, t.lo) < 0 {
+			target = t.lo
+		}
+		if t.r.cmp(target, t.hi) > 0 {
+			return // nothing at or after target is inside the window
+		}
+	}
+	// Index keys are the last key of each block, so the first index entry
+	// >= target references the block that could contain it.
+	if target == nil {
+		t.idx.SeekToFirst()
+	} else {
+		t.idx.SeekGE(target)
+	}
+	if !t.nextBlock() {
+		return
+	}
+	if target == nil {
+		t.data.SeekToFirst()
+	} else {
+		t.data.SeekGE(target)
+	}
+	t.settle()
+}
+
+func (t *seqIter) SeekGE(target []byte) { t.seek(target) }
+func (t *seqIter) SeekToFirst()         { t.seek(nil) }
+
+func (t *seqIter) Next() {
+	t.assertOpen()
+	if !t.Valid() {
+		return
+	}
+	t.data.Next()
+	t.settle()
+}
+
+func (t *seqIter) SeekToLast() { t.failBackwards() }
+func (t *seqIter) Prev()       { t.failBackwards() }
+
+func (t *seqIter) failBackwards() {
+	t.assertOpen()
+	if t.err == nil {
+		t.err = errForwardOnly
+	}
+}
+
+func (t *seqIter) Valid() bool {
+	t.assertOpen()
+	return t.err == nil && t.dataOK && t.data.Valid()
+}
+
+func (t *seqIter) Key() []byte   { return t.data.Key() }
+func (t *seqIter) Value() []byte { return t.data.Value() }
+
+func (t *seqIter) Error() error {
+	if t.err != nil {
+		return t.err
+	}
+	if t.dataOK {
+		if err := t.data.Error(); err != nil {
+			return err
+		}
+	}
+	return t.idx.Error()
+}
+
+// Close releases the file and the run buffer and returns the iterator to the
+// pool. Double-Close is tolerated (the second call reports the same error),
+// but any other use after Close is invalid.
+func (t *seqIter) Close() error {
+	if t.closed {
+		return t.err
+	}
+	t.err = t.Error()
+	t.closed = true
+	if err := t.f.Close(); err != nil && t.err == nil {
+		t.err = err
+	}
+	if t.chunk != nil {
+		poison(t.chunk[:])
+		chunkPool.Put(t.chunk)
+		t.chunk = nil
+	}
+	// Drop every reference into the run and the index before pooling.
+	t.r, t.f, t.buf, t.blk, t.dataOK = nil, nil, nil, block.Reader{}, false
+	t.idx.Init(nil)
+	t.data.Init(nil)
+	if invariants.Enabled {
+		return t.err // the carcass stays out of the pool: see assertOpen
+	}
+	err := t.err
+	seqIterPool.Put(t)
+	return err
+}

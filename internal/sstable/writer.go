@@ -101,6 +101,11 @@ type Writer struct {
 
 	userKeys [][]byte // for the filter block
 
+	// indexBlock and filter are the finished table's index and filter block
+	// contents, kept by Finish for OpenReader.
+	indexBlock []byte
+	filter     bloom.Filter
+
 	props Props
 	err   error
 }
@@ -238,9 +243,9 @@ func (w *Writer) Finish() (Props, error) {
 
 	ftr := footer{checksum: w.opts.Checksum}
 	if w.opts.BloomBitsPerKey > 0 {
-		filter := bloom.New(w.userKeys, w.opts.BloomBitsPerKey)
-		w.props.FilterBytes = len(filter)
-		h, err := w.writeBlock(filter)
+		w.filter = bloom.New(w.userKeys, w.opts.BloomBitsPerKey)
+		w.props.FilterBytes = len(w.filter)
+		h, err := w.writeBlock(w.filter)
 		if err != nil {
 			w.err = err
 			return Props{}, err
@@ -248,7 +253,8 @@ func (w *Writer) Finish() (Props, error) {
 		ftr.filterHandle = h
 	}
 
-	ih, err := w.writeBlock(w.index.Finish())
+	w.indexBlock = w.index.Finish()
+	ih, err := w.writeBlock(w.indexBlock)
 	if err != nil {
 		w.err = err
 		return Props{}, err
@@ -274,4 +280,24 @@ func (w *Writer) Finish() (Props, error) {
 	}
 	w.props.FileSize = int64(w.offset)
 	return w.props, nil
+}
+
+// OpenReader returns a Reader over the table Finish has just written, with f
+// as its read handle, without reading the file: the index and the filter it
+// pins are the ones this writer built. A table's builder hands this to
+// whoever serves the table, so its metadata blocks are never read back. Like
+// the package's OpenReader, the Reader owns f.
+func (w *Writer) OpenReader(f vfs.File, opts ReaderOptions) (*Reader, error) {
+	if w.props.FileSize == 0 { // set by a Finish that succeeded, and only then
+		return nil, fmt.Errorf("sstable: OpenReader on a table that is not finished")
+	}
+	r := &Reader{opts: opts, cmp: opts.Cmp.Compare, f: f, size: w.props.FileSize, cksum: w.opts.Checksum}
+	var err error
+	if r.index, err = block.NewReader(r.cmp, w.indexBlock); err != nil {
+		return nil, err
+	}
+	if len(w.filter) > 0 {
+		r.filter = w.filter
+	}
+	return r, nil
 }

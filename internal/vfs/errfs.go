@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"errors"
+	"io"
 	"sync"
 	"sync/atomic"
 )
@@ -27,7 +28,8 @@ type ErrFS struct {
 	mu        sync.Mutex
 	writeOps  int64
 	syncHook  func(name string) // invoked at the top of every File.Sync
-	tornFiles map[string]int    // name -> bytes to drop from the tail at Close
+	readHook  func(name string, off int64, n int) (int, error)
+	tornFiles map[string]int // name -> bytes to drop from the tail at Close
 }
 
 // NewErrFS wraps inner. The returned filesystem behaves identically until
@@ -58,6 +60,18 @@ func (e *ErrFS) Disarm() { e.armed.Store(false) }
 func (e *ErrFS) SetSyncHook(fn func(name string)) {
 	e.mu.Lock()
 	e.syncHook = fn
+	e.mu.Unlock()
+}
+
+// SetReadHook installs fn, consulted at the top of every ReadAt of n bytes at
+// off on a file opened through this filesystem. It returns how many of the n
+// bytes the read may deliver and the error to fail it with: (n, nil) lets the
+// read through, fewer bytes shorten it (with io.ErrUnexpectedEOF when fn gives
+// no error of its own), and an error fails it after that many bytes. nil
+// removes the hook.
+func (e *ErrFS) SetReadHook(fn func(name string, off int64, n int) (int, error)) {
+	e.mu.Lock()
+	e.readHook = fn
 	e.mu.Unlock()
 }
 
@@ -165,9 +179,15 @@ func (e *ErrFS) Create(name string) (File, error) {
 	return &errFile{fs: e, f: f, name: name}, nil
 }
 
-// Open implements FS (reads are not failed; recovery reads should see
-// whatever survived).
-func (e *ErrFS) Open(name string) (File, error) { return e.inner.Open(name) }
+// Open implements FS. Reads fail only through SetReadHook, never through the
+// write countdown: recovery reads should see whatever survived.
+func (e *ErrFS) Open(name string) (File, error) {
+	f, err := e.inner.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &errFile{fs: e, f: f, name: name}, nil
+}
 
 // Remove implements FS.
 func (e *ErrFS) Remove(name string) error {
@@ -220,6 +240,21 @@ func (f *errFile) Sync() error {
 	return f.f.Sync()
 }
 
-func (f *errFile) ReadAt(p []byte, off int64) (int, error) { return f.f.ReadAt(p, off) }
-func (f *errFile) Close() error                            { return f.f.Close() }
-func (f *errFile) Size() (int64, error)                    { return f.f.Size() }
+func (f *errFile) ReadAt(p []byte, off int64) (int, error) {
+	f.fs.mu.Lock()
+	hook := f.fs.readHook
+	f.fs.mu.Unlock()
+	if hook != nil {
+		if keep, err := hook(f.name, off, len(p)); err != nil || keep < len(p) {
+			n, _ := f.f.ReadAt(p[:keep], off)
+			if err == nil {
+				err = io.ErrUnexpectedEOF
+			}
+			return n, err
+		}
+	}
+	return f.f.ReadAt(p, off)
+}
+
+func (f *errFile) Close() error         { return f.f.Close() }
+func (f *errFile) Size() (int64, error) { return f.f.Size() }

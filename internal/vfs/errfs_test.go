@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"errors"
+	"io"
 	"testing"
 )
 
@@ -141,4 +142,43 @@ func TestTearFileTruncatesTail(t *testing.T) {
 		t.Fatalf("size after over-tear = %d, want 0", size)
 	}
 	_ = g2.Close()
+}
+
+func TestErrFSReadHookFailsAndShortens(t *testing.T) {
+	fs := NewErrFS(Mem())
+	f, _ := fs.Create("/x")
+	_, _ = f.Write([]byte("0123456789"))
+	_ = f.Close()
+	r, err := fs.Open("/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	buf := make([]byte, 4)
+
+	fs.SetReadHook(func(name string, off int64, n int) (int, error) {
+		if name != "/x" {
+			t.Errorf("hook saw %q", name)
+		}
+		switch off {
+		case 2:
+			return n / 2, nil // shorten
+		case 4:
+			return 0, errBoom // fail
+		}
+		return n, nil
+	})
+	if n, err := r.ReadAt(buf, 0); n != 4 || err != nil || string(buf) != "0123" {
+		t.Fatalf("untouched read = %d %v %q", n, err, buf)
+	}
+	if n, err := r.ReadAt(buf, 2); n != 2 || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("shortened read = %d %v, want 2 bytes and io.ErrUnexpectedEOF", n, err)
+	}
+	if n, err := r.ReadAt(buf, 4); n != 0 || !errors.Is(err, errBoom) {
+		t.Fatalf("failed read = %d %v", n, err)
+	}
+	fs.SetReadHook(nil)
+	if n, err := r.ReadAt(buf, 4); n != 4 || err != nil {
+		t.Fatalf("read after the hook is removed = %d %v", n, err)
+	}
 }
