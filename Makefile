@@ -42,10 +42,12 @@ test:
 # The tests that have actually broken tier-1: GC-vs-reader liveness, crash
 # recovery and the read-state protocol, repeated across scheduler widths
 # (both historical failures passed at GOMAXPROCS=1 and failed at 2); plus the
-# compaction-input fault tests, whose failed job races the pool's cleanup.
+# compaction-input fault tests, whose failed job races the pool's cleanup, and
+# the sync-commit tests, whose vlog fsync runs beside the WAL's on a goroutine
+# of its own (overlap, failure of either, Close against a parked group).
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit' $(TESTFLAGS) ./internal/core
 
 vet:
 	$(GO) vet $(TESTFLAGS) ./...
@@ -85,13 +87,14 @@ fuzz-smoke:
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x $(TESTFLAGS) .
 
-# One race-checked pass over the group-commit writer benchmark, the
+# One race-checked pass over the group-commit writer benchmark, the sync-
+# commit leaf benchmark (inline vs separated values: overlapped fsyncs), the
 # serving-layer benchmark and the table-iterator leaf benchmark (block at a
 # time vs sequential): catches write-path, protocol and pooled-buffer races
 # without measuring anything. Real server numbers live in BENCH_server.json.
 bench-smoke:
 	$(GO) test -race -run XXX -bench BenchmarkTableIterSequential -benchtime 1x -benchmem $(TESTFLAGS) ./internal/sstable
-	$(GO) test -race -run XXX -bench BenchmarkConcurrentWriters -benchtime 1x $(TESTFLAGS) ./internal/core
+	$(GO) test -race -run XXX -bench 'BenchmarkConcurrentWriters|BenchmarkCommitSyncBlob' -benchtime 1x -benchmem $(TESTFLAGS) ./internal/core
 	$(GO) test -race -run XXX -bench 'BenchmarkServerPipelinedSet/sync=false/conns=16' -benchtime 1x $(TESTFLAGS) ./internal/server
 
 # One race-checked pass over the concurrent-read benchmarks: exercises the

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/encoding"
+	"repro/internal/invariants"
 	"repro/internal/keys"
 )
 
@@ -91,9 +92,16 @@ func (b *Batch) Size() int {
 	return len(b.data)
 }
 
-// Reset clears the batch for reuse.
+// Reset clears the batch for reuse. Slices handed out by Encode and Each
+// are dead from here on; under -tags invariants the cleared payload is
+// overwritten so a caller that kept one reads 0xDD, not the next batch.
 func (b *Batch) Reset() {
 	b.init()
+	if invariants.Enabled {
+		for i := headerLen; i < len(b.data); i++ {
+			b.data[i] = 0xDD
+		}
+	}
 	b.data = b.data[:headerLen]
 	b.count = 0
 }

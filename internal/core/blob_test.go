@@ -257,6 +257,12 @@ func TestBlobGCReclaimsDeadSegments(t *testing.T) {
 			if err := db.CompactValueLog(); err != nil {
 				t.Fatalf("compact value log: %v", err)
 			}
+			// The sweep relocated every live record through the commit
+			// pipeline (GC rewrites); those are not user writes.
+			if s := db.Stats(); s.VlogGCBytesRewritten == 0 || s.Puts != n*gens || s.Deletes != 0 {
+				t.Errorf("after GC rewrote %d bytes: Puts=%d Deletes=%d, want %d and 0",
+					s.VlogGCBytesRewritten, s.Puts, s.Deletes, n*gens)
+			}
 			if err := db.Close(); err != nil {
 				t.Fatalf("close: %v", err)
 			}

@@ -79,6 +79,14 @@ type store struct {
 	vlogw      *vlog.Writer
 	blockCache *cache.Cache
 
+	// vlogSyncFn is the body of the goroutine a sync write group's leader
+	// starts to fsync the value log beside its WAL append and fsync, and
+	// vlogSynced carries that fsync's result back to the leader (write.go).
+	// Both are made once: groups commit one at a time, so one func value and
+	// one one-slot channel serve them all without a per-group allocation.
+	vlogSyncFn func()
+	vlogSynced chan error
+
 	// rotateForced asks the next commit leader to rotate the memtable even
 	// though it is not full (the GC flush barrier sets it; see forceRotate).
 	rotateForced atomic.Bool
@@ -183,6 +191,8 @@ func openStore(cfg storeConfig, opts Options, tables *tableCache) (*store, error
 	if cfg.vlog != nil {
 		db.vlog = cfg.vlog
 		db.vlogw = cfg.vlog.NewWriter(cfg.shardID)
+		db.vlogSynced = make(chan error, 1)
+		db.vlogSyncFn = func() { db.vlogSynced <- db.vlogw.Sync() }
 		db.blockCache = cfg.blockCache
 	}
 	db.mu.Rank("core.store.mu", 30)
@@ -555,22 +565,14 @@ func (db *store) stopBackgroundLocked() {
 func (db *store) Put(key, value []byte) error {
 	b := batch.New()
 	b.Set(key, value)
-	err := db.Apply(b)
-	if err == nil {
-		db.stats.puts.Add(1)
-	}
-	return err
+	return db.Apply(b)
 }
 
 // Delete writes a tombstone for a key.
 func (db *store) Delete(key []byte) error {
 	b := batch.New()
 	b.Delete(key)
-	err := db.Apply(b)
-	if err == nil {
-		db.stats.deletes.Add(1)
-	}
-	return err
+	return db.Apply(b)
 }
 
 // Apply commits a batch atomically through the group-commit pipeline: the

@@ -77,6 +77,9 @@ type DB struct {
 	gcStop chan struct{}
 	gcWG   sync.WaitGroup
 
+	// splits pools the scratch of multi-shard Applies (*applySplit).
+	splits sync.Pool
+
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -116,6 +119,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		mask: uint64(n - 1),
 	}
 	db.gcMu.Rank("core.db.gcMu", 20)
+	db.splits.New = func() any { return newApplySplit(db) }
 	db.blockCache = opts.newBlockCache()
 	db.tables = newTableCache(categorized(opts.FS, ssdsim.CatUserRead), icmp, db.blockCache, *opts.VerifyChecksums)
 	if opts.CompactionRateBytesPerSec > 0 {
@@ -345,9 +349,10 @@ func (db *DB) Delete(key []byte) error { return db.shardOf(key).Delete(key) }
 // Apply commits a batch through the group-commit pipelines. A batch whose
 // keys all hash to one shard commits atomically through that shard's
 // pipeline with no copying. A multi-shard batch is split into per-shard
-// sub-batches committed concurrently; Apply returns after every sub-batch
-// is committed (per-shard atomic and durable — see the DB doc comment for
-// the cross-shard relaxation), with the first error reported.
+// sub-batches committed concurrently, one of them on the calling goroutine;
+// Apply returns after every sub-batch is committed (per-shard atomic and
+// durable — see the DB doc comment for the cross-shard relaxation), with
+// the lowest-numbered failing shard's error reported.
 func (db *DB) Apply(b *batch.Batch) error {
 	if b.Empty() {
 		return nil
@@ -368,40 +373,65 @@ func (db *DB) Apply(b *batch.Batch) error {
 	if !multi {
 		return db.shards[first].Apply(b)
 	}
-	// Split and fan out. Entries keep their relative order within each
-	// shard (a key's updates all land in one sub-batch, in batch order).
-	subs := make([]*batch.Batch, len(db.shards))
+	// Split: entries keep their relative order within each shard (a key's
+	// updates all land in one sub-batch, in batch order).
+	sp := db.splits.Get().(*applySplit)
 	_ = b.Each(func(kind keys.Kind, key, value []byte) error {
-		i := db.shardIndex(key)
-		if subs[i] == nil {
-			subs[i] = batch.New()
-		}
+		sb := sp.subs[db.shardIndex(key)]
 		if kind == keys.KindDelete {
-			subs[i].Delete(key)
+			sb.Delete(key)
 		} else {
-			subs[i].Set(key, value)
+			sb.Set(key, value)
 		}
 		return nil
 	})
-	errs := make([]error, len(subs))
-	var wg sync.WaitGroup
-	for i, sb := range subs {
-		if sb == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, sb *batch.Batch) {
-			defer wg.Done()
-			errs[i] = db.shards[i].Apply(sb)
-		}(i, sb)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	// Fan out all but one sub-batch, commit that one here — the caller would
+	// otherwise only sleep through the others' commits — then collect.
+	for i, sb := range sp.subs {
+		if i != first && !sb.Empty() {
+			sp.wg.Add(1)
+			go sp.commit[i]()
 		}
 	}
-	return nil
+	sp.errs[first] = db.shards[first].Apply(sp.subs[first])
+	sp.wg.Wait()
+	var err error
+	for i, sb := range sp.subs {
+		if err == nil {
+			err = sp.errs[i]
+		}
+		sp.errs[i] = nil
+		sb.Reset()
+	}
+	db.splits.Put(sp)
+	return err
+}
+
+// applySplit is the scratch of one multi-shard Apply: a sub-batch, an error
+// slot and a fan-out goroutine body per shard. It is pooled on the DB —
+// emptied, never shrunk — so a pipelined burst that keeps spanning shards
+// allocates none of it again. Shard commits copy what they keep (WAL record,
+// memtable entries, separated values), so a sub-batch is free for the next
+// call as soon as its Apply returns.
+type applySplit struct {
+	subs   []*batch.Batch
+	errs   []error
+	commit []func()
+	wg     sync.WaitGroup
+}
+
+func newApplySplit(db *DB) *applySplit {
+	n := len(db.shards)
+	sp := &applySplit{subs: make([]*batch.Batch, n), errs: make([]error, n), commit: make([]func(), n)}
+	for i := range sp.subs {
+		i := i
+		sp.subs[i] = batch.New()
+		sp.commit[i] = func() {
+			defer sp.wg.Done()
+			sp.errs[i] = db.shards[i].Apply(sp.subs[i])
+		}
+	}
+	return sp
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/batch"
@@ -488,4 +489,168 @@ func TestOpenUnwindsWhenShardMarkerFails(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatalf("Close = %v", err)
 	}
+}
+
+// shardEntries lists shard st's live-memtable entries — internal key (user
+// key, sequence, kind) and value — in memtable order: what a sub-batch's
+// commit left behind, entry order included.
+func shardEntries(st *store) []string {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var out []string
+	it := st.mem.NewIterator()
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		out = append(out, fmt.Sprintf("%x=%x", it.Key(), it.Value()))
+	}
+	return out
+}
+
+// TestApplyMultiShardInlineEquivalence: a multi-shard Apply commits one
+// sub-batch on the caller and fans the rest out from pooled scratch. It must
+// be indistinguishable from applying each hand-built sub-batch to its shard:
+// same per-key state, same per-shard entries in the same order; one failing
+// shard — the caller-run one or a fanned-out one — is the error reported
+// while the others commit; and reused scratch carries nothing over.
+func TestApplyMultiShardInlineEquivalence(t *testing.T) {
+	for _, shards := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := shardOpts(shards)
+			opts.MemTableSize = 4 << 20 // nothing flushes: the memtables hold every entry
+			routed := openTestDB(t, opts)
+			defer routed.Close()
+			opts.FS = vfs.Mem()
+			byHand := openTestDB(t, opts)
+			defer byHand.Close()
+
+			rng := rand.New(rand.NewSource(int64(shards)))
+			model := map[string]string{}
+			for round := 0; round < 40; round++ {
+				b := batch.New()
+				subs := make([]*batch.Batch, shards)
+				for i := range subs {
+					subs[i] = batch.New()
+				}
+				for n := 1 + rng.Intn(24); n > 0; n-- {
+					k := key(rng.Intn(40)) // few keys: sets and deletes of one key interleave
+					if rng.Intn(4) == 0 {
+						b.Delete(k)
+						subs[byHand.ShardOf(k)].Delete(k)
+						delete(model, string(k))
+					} else {
+						v := value(rng.Int())
+						b.Set(k, v)
+						subs[byHand.ShardOf(k)].Set(k, v)
+						model[string(k)] = string(v)
+					}
+				}
+				if err := routed.Apply(b); err != nil {
+					t.Fatal(err)
+				}
+				for i, sb := range subs {
+					if err := byHand.shards[i].Apply(sb); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for i := 0; i < 40; i++ {
+				got, err := routed.Get(key(i))
+				if want, ok := model[string(key(i))]; ok != (err == nil) || string(got) != want {
+					t.Errorf("%s = %q, %v; want %q (present=%v)", key(i), got, err, want, ok)
+				}
+			}
+			for i := range routed.shards {
+				got, want := shardEntries(routed.shards[i]), shardEntries(byHand.shards[i])
+				if !slices.Equal(got, want) {
+					t.Errorf("shard %d: %d entries through Apply differ from the %d applied by hand", i, len(got), len(want))
+				}
+			}
+		})
+	}
+
+	// span returns n keys named prefix-*, the first owned by shard lead, that
+	// together touch every shard.
+	span := func(db *DB, prefix string, lead, n int) [][]byte {
+		var ks [][]byte
+		seen := map[int]bool{}
+		for i := 0; len(ks) < n || len(seen) < db.NumShards(); i++ {
+			k := []byte(fmt.Sprintf("%s-%04d", prefix, i))
+			if len(ks) == 0 && db.ShardOf(k) != lead {
+				continue
+			}
+			ks = append(ks, k)
+			seen[db.ShardOf(k)] = true
+		}
+		return ks
+	}
+
+	// Shard 1 leads the batch, so it commits on the caller; the failing shard
+	// is that one, then a fanned-out one.
+	for _, failing := range []int{1, 2} {
+		t.Run(fmt.Sprintf("failing-shard=%d", failing), func(t *testing.T) {
+			db := openTestDB(t, shardOpts(4))
+			defer db.Close()
+			errShard := errors.New("injected shard failure")
+			st := db.shards[failing]
+			st.mu.Lock()
+			st.fatal(errShard)
+			st.mu.Unlock()
+
+			ks := span(db, "e", 1, 16)
+			b := batch.New()
+			for _, k := range ks {
+				b.Set(k, []byte("v"))
+			}
+			if err := db.Apply(b); !errors.Is(err, errShard) {
+				t.Fatalf("Apply = %v, want the failing shard's error", err)
+			}
+			for _, k := range ks {
+				_, err := db.Get(k)
+				if owner := db.ShardOf(k); owner == failing && !errors.Is(err, ErrNotFound) {
+					t.Errorf("%s on the failing shard: %v, want not found", k, err)
+				} else if owner != failing && err != nil {
+					t.Errorf("%s on healthy shard %d: %v, want committed", k, owner, err)
+				}
+			}
+		})
+	}
+
+	t.Run("scratch-reuse", func(t *testing.T) {
+		db := openTestDB(t, shardOpts(4))
+		defer db.Close()
+		apply := func(ks [][]byte) {
+			b := batch.New()
+			for _, k := range ks {
+				b.Set(k, []byte("v"))
+			}
+			if err := db.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, bKeys := span(db, "a", 0, 32), span(db, "b", 3, 8)
+		apply(a)
+		seqA := map[string]uint64{}
+		lastA := make([]uint64, 4)
+		for _, k := range a {
+			s, _ := db.shardOf(k).mem.LatestSeq(k)
+			seqA[string(k)] = uint64(s)
+		}
+		for i, st := range db.shards {
+			lastA[i] = uint64(st.set.LastSeq())
+		}
+		apply(bKeys)
+		perShard := make([]uint64, 4)
+		for _, k := range bKeys {
+			perShard[db.ShardOf(k)]++
+		}
+		for i, st := range db.shards {
+			if got := uint64(st.set.LastSeq()) - lastA[i]; got != perShard[i] {
+				t.Errorf("shard %d consumed %d sequences for the second batch's %d entries", i, got, perShard[i])
+			}
+		}
+		for _, k := range a {
+			if s, _ := db.shardOf(k).mem.LatestSeq(k); uint64(s) != seqA[string(k)] {
+				t.Errorf("%s was rewritten at sequence %d by a batch that does not hold it (was %d)", k, s, seqA[string(k)])
+			}
+		}
+	})
 }

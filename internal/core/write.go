@@ -78,13 +78,22 @@ func (db *store) rotateMemtableLocked() error {
 	return nil
 }
 
-// commitGroup durably applies one formed write group: stamp its sequence
-// range, append the concatenated record to the WAL, fsync if requested (with
-// db.mu released), then apply to the memtable and publish the sequence.
+// commitGroup durably applies one formed write group: append its separated
+// values to the value log, stamp its sequence range, append the concatenated
+// record to the WAL, then apply to the memtable and publish the sequence.
 // Memtable application precedes SetLastSeq so no reader can observe a
-// sequence whose entries are not yet visible; for sync groups the fsync
-// precedes application, so nothing becomes visible before it is durable.
-// Only the pipeline calls this, one group at a time.
+// sequence whose entries are not yet visible. A sync group waits once, with
+// db.mu released, for two fsyncs that run side by side:
+//
+//	vlog append → (vlog fsync ∥ WAL append → WAL fsync) → join → apply → SetLastSeq
+//
+// Application and the acknowledgement follow both durability points, so
+// nothing becomes visible before it is durable. The WAL record may reach the
+// device before the values its pointers name; that order is safe because
+// recovery treats a record whose pointers dangle past the value log's valid
+// extent as torn and drops the batch whole (replayLog) — exactly what a crash
+// before an unacknowledged commit may do. Only the pipeline calls this, one
+// group at a time.
 func (db *store) commitGroup(g *batch.Group, sync bool) error {
 	// Value separation runs before db.mu: the pipeline serializes leaders,
 	// so this shard's vlog appends are single-writer, and the (possibly
@@ -102,28 +111,110 @@ func (db *store) commitGroup(g *batch.Group, sync bool) error {
 	if sep != nil {
 		b = sep
 	}
-	if sync && db.vlogw != nil {
-		// One vlog durability point per write group, mirroring the WAL: an
-		// acknowledged sync commit must never lose its separated values.
-		// (Recovery treats a WAL record whose pointers dangle past the
-		// vlog's valid extent as torn, so an unsynced crash drops the whole
-		// batch — exactly the non-sync contract.)
-		if err := db.vlogw.Sync(); err != nil {
-			db.mu.Lock()
-			db.fatal(err)
-			db.mu.Unlock()
-			return err
-		}
+	// One vlog durability point per sync group, mirroring the WAL's: an
+	// acknowledged sync commit must never lose its separated values. It runs
+	// on its own goroutine, which takes only the writer's lock, and is joined
+	// below on every path — so Close, which waits for the in-flight group,
+	// never tears the writer down under it.
+	vlogSync := sync && db.vlogw != nil && db.vlogw.Dirty()
+	if vlogSync {
+		go db.vlogSyncFn()
 	}
 	db.mu.Lock()
-	if db.bgErr != nil {
-		err := db.bgErr
+	seq, err := db.logGroupLocked(g, sep, b)
+	if sync {
+		// The leader waits outside db.mu: readers, the flush worker, and
+		// compactions all proceed during the fsyncs, and followers piling up
+		// behind this group are exactly how sync cost gets amortized. The
+		// WAL writer cannot be swapped concurrently — rotation only happens
+		// on this (leader-exclusive) path.
+		logw := db.logw
+		db.mu.Unlock()
+		var syncErr error
+		if err == nil {
+			start := time.Now()
+			syncErr = logw.Sync()
+			db.stats.walSyncNanos.Add(int64(time.Since(start)))
+			db.stats.walSyncCount.Add(1)
+		}
+		if vlogSync {
+			// The WAL's error wins when both fsyncs fail: program order, not
+			// completion order, so the reported error is deterministic.
+			if verr := <-db.vlogSynced; syncErr == nil {
+				syncErr = verr
+			}
+		}
+		db.mu.Lock()
+		if syncErr != nil {
+			db.fatal(syncErr)
+			if err == nil {
+				err = syncErr
+			}
+		}
+	}
+	if err != nil {
 		db.mu.Unlock()
 		return err
 	}
+	i := keys.Seq(0)
+	var userBytes, puts, deletes int64
+	b.Each(func(kind keys.Kind, key, value []byte) error {
+		if kind == keys.KindBlobRewrite {
+			// GC pointer rewrite: apply as a plain pointer entry only if the
+			// key was not written past the GC's read sequence; a failed
+			// guard drops the rewrite (its sequence number stays consumed)
+			// and marks the new copy dead for a later pass. Not counted as
+			// user bytes or a put — it is background relocation, not a user
+			// write.
+			readSeq := keys.Seq(encoding.Fixed64(value))
+			ptr := value[8:]
+			if db.rewriteGuardLocked(key, readSeq) {
+				db.mem.Add(seq+i, keys.KindBlobRef, key, ptr)
+			} else {
+				if p, ok := vlog.DecodePointer(ptr); ok {
+					db.vlog.MarkDead(p.Segment, int64(p.Length))
+				}
+				db.vlog.NoteGuardedRewrite()
+			}
+			i++
+			return nil
+		}
+		db.mem.Add(seq+i, kind, key, value)
+		userBytes += int64(len(key) + len(value))
+		if kind == keys.KindDelete {
+			deletes++
+		} else {
+			puts++
+		}
+		i++
+		return nil
+	})
+	// Separated entries count at their original size: the user wrote the
+	// value, even though the tree stores a 20-byte pointer.
+	db.stats.userWriteBytes.Add(userBytes + extraUserBytes)
+	// Request counters move where entries are applied, so a write counts the
+	// same whether it arrived through Put, Delete or a batch.
+	db.stats.puts.Add(puts)
+	db.stats.deletes.Add(deletes)
+	db.set.SetLastSeq(seq + keys.Seq(b.Count()) - 1)
+	if db.adaptive != nil {
+		db.adaptive.observeWrites(int64(b.Count()))
+	}
+	db.mu.Unlock()
+	return nil
+}
+
+// logGroupLocked is commitGroup's step under db.mu up to the WAL append:
+// refuse a poisoned or closed store, honor a pending forced rotation, stamp
+// the group's sequence range and append its record. It returns the group's
+// first sequence. A failure that leaves the log or the rotation half done
+// poisons the store here; the caller only unlocks and reports.
+func (db *store) logGroupLocked(g *batch.Group, sep, b *batch.Batch) (keys.Seq, error) {
+	if db.bgErr != nil {
+		return 0, db.bgErr
+	}
 	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if db.rotateForced.Load() && db.imm == nil {
 		// GC flush barrier requested a rotation; this is the leader-
@@ -133,8 +224,7 @@ func (db *store) commitGroup(g *batch.Group, sync bool) error {
 		if !db.mem.Empty() {
 			if err := db.rotateMemtableLocked(); err != nil {
 				db.fatal(err)
-				db.mu.Unlock()
-				return err
+				return 0, err
 			}
 		}
 	}
@@ -151,65 +241,10 @@ func (db *store) commitGroup(g *batch.Group, sync bool) error {
 		// The log may now hold a partial record for an unpublished sequence
 		// range; poison the store so the range is never reassigned.
 		db.fatal(err)
-		db.mu.Unlock()
-		return err
+		return 0, err
 	}
 	db.stats.walWriteBytes.Add(int64(len(rec)))
-	if sync {
-		// The leader syncs outside db.mu: readers, the flush worker, and
-		// compactions all proceed during the fsync, and followers piling up
-		// behind this group are exactly how sync cost gets amortized. The
-		// writer cannot be swapped concurrently — rotation only happens on
-		// this (leader-exclusive) path.
-		logw := db.logw
-		db.mu.Unlock()
-		start := time.Now()
-		err := logw.Sync()
-		db.stats.walSyncNanos.Add(int64(time.Since(start)))
-		db.stats.walSyncCount.Add(1)
-		db.mu.Lock()
-		if err != nil {
-			db.fatal(err)
-			db.mu.Unlock()
-			return err
-		}
-	}
-	i := keys.Seq(0)
-	var userBytes int64
-	b.Each(func(kind keys.Kind, key, value []byte) error {
-		if kind == keys.KindBlobRewrite {
-			// GC pointer rewrite: apply as a plain pointer entry only if the
-			// key was not written past the GC's read sequence; a failed
-			// guard drops the rewrite (its sequence number stays consumed)
-			// and marks the new copy dead for a later pass. Not counted as
-			// user bytes — it is background relocation, not a user write.
-			readSeq := keys.Seq(encoding.Fixed64(value))
-			ptr := value[8:]
-			if db.rewriteGuardLocked(key, readSeq) {
-				db.mem.Add(seq+i, keys.KindBlobRef, key, ptr)
-			} else {
-				if p, ok := vlog.DecodePointer(ptr); ok {
-					db.vlog.MarkDead(p.Segment, int64(p.Length))
-				}
-				db.vlog.NoteGuardedRewrite()
-			}
-			i++
-			return nil
-		}
-		db.mem.Add(seq+i, kind, key, value)
-		userBytes += int64(len(key) + len(value))
-		i++
-		return nil
-	})
-	// Separated entries count at their original size: the user wrote the
-	// value, even though the tree stores a 20-byte pointer.
-	db.stats.userWriteBytes.Add(userBytes + extraUserBytes)
-	db.set.SetLastSeq(seq + keys.Seq(b.Count()) - 1)
-	if db.adaptive != nil {
-		db.adaptive.observeWrites(int64(b.Count()))
-	}
-	db.mu.Unlock()
-	return nil
+	return seq, nil
 }
 
 // separateValues is the commit-time value-separation transform: every Set

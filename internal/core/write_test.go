@@ -31,15 +31,16 @@ func TestReadsProceedDuringSlowWALSync(t *testing.T) {
 
 	entered := make(chan struct{}, 16)
 	gate := make(chan struct{})
-	efs.SetSyncHook(func(name string) {
+	efs.SetSyncHook(func(name string) error {
 		if !strings.HasSuffix(name, ".log") {
-			return
+			return nil
 		}
 		select {
 		case entered <- struct{}{}:
 		default:
 		}
 		<-gate
+		return nil
 	})
 
 	writeDone := make(chan error, 1)

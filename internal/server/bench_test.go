@@ -13,10 +13,10 @@ import (
 	"repro/internal/vfs"
 )
 
-// slowSyncFS charges a fixed latency for every Sync of a .log file — the
-// same stand-in for a device fsync that core's group-commit benchmark
-// uses. With durable writes this is the cost pipelining amortizes: one WAL
-// sync per burst instead of one per command.
+// slowSyncFS charges a fixed latency for every Sync of a .log or .vlog
+// file — the same stand-in for a device fsync that core's group-commit
+// benchmark uses. With durable writes this is the cost pipelining
+// amortizes: one WAL sync per burst instead of one per command.
 type slowSyncFS struct {
 	vfs.FS
 	delay time.Duration
@@ -27,7 +27,7 @@ func (s *slowSyncFS) Create(name string) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	if strings.HasSuffix(name, ".log") {
+	if strings.HasSuffix(name, ".log") || strings.HasSuffix(name, ".vlog") {
 		return &slowSyncFile{File: f, delay: s.delay}, nil
 	}
 	return f, nil

@@ -27,7 +27,7 @@ type ErrFS struct {
 	//ldclint:lockrank vfs.errfs.mu 78
 	mu        sync.Mutex
 	writeOps  int64
-	syncHook  func(name string) // invoked at the top of every File.Sync
+	syncHook  func(name string) error // consulted at the top of every File.Sync
 	readHook  func(name string, off int64, n int) (int, error)
 	tornFiles map[string]int // name -> bytes to drop from the tail at Close
 }
@@ -55,9 +55,10 @@ func (e *ErrFS) Disarm() { e.armed.Store(false) }
 
 // SetSyncHook installs fn, called with the file's name at the start of every
 // File.Sync before fault accounting or delegation. Tests use it to delay or
-// block fsyncs (e.g. to pin that reads proceed while a WAL sync is slow);
-// nil removes the hook.
-func (e *ErrFS) SetSyncHook(fn func(name string)) {
+// block fsyncs (e.g. to pin that reads proceed while a WAL sync is slow) and,
+// by returning an error, to fail the sync of one named file: the sync then
+// returns that error without reaching the file below. nil removes the hook.
+func (e *ErrFS) SetSyncHook(fn func(name string) error) {
 	e.mu.Lock()
 	e.syncHook = fn
 	e.mu.Unlock()
@@ -232,7 +233,9 @@ func (f *errFile) Sync() error {
 	hook := f.fs.syncHook
 	f.fs.mu.Unlock()
 	if hook != nil {
-		hook(f.name)
+		if err := hook(f.name); err != nil {
+			return err
+		}
 	}
 	if f.fs.step() {
 		return f.fs.FailErr

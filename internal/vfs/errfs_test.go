@@ -87,7 +87,7 @@ func TestErrFSUnwraps(t *testing.T) {
 func TestSyncHookObservesSyncs(t *testing.T) {
 	efs := NewErrFS(Mem())
 	var synced []string
-	efs.SetSyncHook(func(name string) { synced = append(synced, name) })
+	efs.SetSyncHook(func(name string) error { synced = append(synced, name); return nil })
 	f, err := efs.Create("/dir/a.log")
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +98,29 @@ func TestSyncHookObservesSyncs(t *testing.T) {
 	}
 	if len(synced) != 1 || synced[0] != "/dir/a.log" {
 		t.Fatalf("hook saw %v, want [/dir/a.log]", synced)
+	}
+	// An error from the hook fails the sync of the file it names, and only
+	// that file's; the failed sync is not a counted write operation.
+	boom := errors.New("injected sync failure")
+	efs.SetSyncHook(func(name string) error {
+		if name == "/dir/a.log" {
+			return boom
+		}
+		return nil
+	})
+	g, err := efs.Create("/dir/b.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := efs.WriteOps()
+	if err := f.Sync(); err != boom {
+		t.Fatalf("sync of the named file = %v, want the injected error", err)
+	}
+	if got := efs.WriteOps(); got != ops {
+		t.Fatalf("failed sync counted as a write op: %d -> %d", ops, got)
+	}
+	if err := g.Sync(); err != nil {
+		t.Fatalf("sync of another file = %v, want nil", err)
 	}
 	efs.SetSyncHook(nil)
 	if err := f.Sync(); err != nil {

@@ -103,6 +103,15 @@ func (w *Writer) rotateLocked() error {
 	return nil
 }
 
+// Dirty reports whether a Sync issued now would reach the device: records
+// were appended since the last one. The commit leader asks before it starts
+// a sync it would otherwise have to hand to another goroutine for nothing.
+func (w *Writer) Dirty() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.f != nil && w.dirty
+}
+
 // Sync makes every appended record durable. No-op when nothing was
 // appended since the last Sync.
 func (w *Writer) Sync() error {
