@@ -44,10 +44,14 @@ test:
 # (both historical failures passed at GOMAXPROCS=1 and failed at 2); plus the
 # compaction-input fault tests, whose failed job races the pool's cleanup, and
 # the sync-commit tests, whose vlog fsync runs beside the WAL's on a goroutine
-# of its own (overlap, failure of either, Close against a parked group).
+# of its own (overlap, failure of either, Close against a parked group); and
+# the scan path's tests — lazily opened slices against the eager reference
+# under a concurrent writer, and the table iterator's read-ahead requests,
+# block ownership and bad-byte handling.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead' $(TESTFLAGS) ./internal/sstable
 
 vet:
 	$(GO) vet $(TESTFLAGS) ./...
@@ -90,18 +94,21 @@ bench:
 # One race-checked pass over the group-commit writer benchmark, the sync-
 # commit leaf benchmark (inline vs separated values: overlapped fsyncs), the
 # serving-layer benchmark and the table-iterator leaf benchmark (block at a
-# time vs sequential): catches write-path, protocol and pooled-buffer races
-# without measuring anything. Real server numbers live in BENCH_server.json.
+# time vs read-ahead vs sequential): catches write-path, protocol and
+# pooled-buffer races without measuring anything. Real server numbers live in
+# BENCH_server.json.
 bench-smoke:
 	$(GO) test -race -run XXX -bench BenchmarkTableIterSequential -benchtime 1x -benchmem $(TESTFLAGS) ./internal/sstable
 	$(GO) test -race -run XXX -bench 'BenchmarkConcurrentWriters|BenchmarkCommitSyncBlob' -benchtime 1x -benchmem $(TESTFLAGS) ./internal/core
 	$(GO) test -race -run XXX -bench 'BenchmarkServerPipelinedSet/sync=false/conns=16' -benchtime 1x $(TESTFLAGS) ./internal/server
 
-# One race-checked pass over the concurrent-read benchmarks: exercises the
-# lock-free read state against flush/compaction republication without
-# measuring anything. Real numbers live in BENCH_read_path.json.
+# One race-checked pass over the concurrent-read benchmarks and the 100-pair
+# scan over a sliced tree (cold/warm cache x inside/outside the slices):
+# exercises the lock-free read state against flush/compaction republication
+# and the lazy slice children without measuring anything. Real numbers live in
+# BENCH_read_path.json.
 bench-read:
-	$(GO) test -race -run XXX -bench 'BenchmarkGetConcurrent|BenchmarkGetCacheHit' -benchtime 1x $(TESTFLAGS) ./internal/core
+	$(GO) test -race -run XXX -bench 'BenchmarkGetConcurrent|BenchmarkGetCacheHit|BenchmarkScan100$$' -benchtime 1x -benchmem $(TESTFLAGS) ./internal/core
 
 # One race-checked pass over the on-disk format sweep (raw vs flate vs lz4
 # fill/scan/footprint): exercises every codec and checksum through flush,

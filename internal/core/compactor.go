@@ -194,11 +194,12 @@ func (db *store) flushImmLocked() error {
 // writeTables streams the entries of it (already in internal order) into new
 // table files on fs and returns their metadata, charging the I/O scheduler at
 // tier block by block. Entries for which drop (when non-nil) reports true
-// are left out; a table is closed once it reaches maxSize, and never when
-// maxSize is 0. On error the partial table is only closed: nothing references
-// it, so the next Open's orphan sweep removes it along with the job's
-// finished outputs. Called without db.mu — the per-block token waits may
-// sleep.
+// are left out; a table is closed once it reaches maxSize — at the next change
+// of user key, since the versions of one key a snapshot keeps alive must not
+// straddle two tables of a sorted level — and never when maxSize is 0. On
+// error the partial table is only closed: nothing references it, so the next
+// Open's orphan sweep removes it along with the job's finished outputs.
+// Called without db.mu — the per-block token waits may sleep.
 func (db *store) writeTables(fs vfs.FS, tier iosched.Tier, it iterator.Iterator,
 	drop func(ik keys.InternalKey, value []byte) bool, maxSize int64) ([]*version.FileMeta, error) {
 	defer it.Close()
@@ -208,6 +209,8 @@ func (db *store) writeTables(fs vfs.FS, tier iosched.Tier, it iterator.Iterator,
 		f       vfs.File
 		num     uint64
 		err     error
+		full    bool // the table has reached maxSize, on user key lastKey
+		lastKey []byte
 	)
 	finish := func() error {
 		props, err := w.Finish()
@@ -215,7 +218,7 @@ func (db *store) writeTables(fs vfs.FS, tier iosched.Tier, it iterator.Iterator,
 			return err
 		}
 		file, built := f, w
-		w, f = nil, nil
+		w, f, full = nil, nil, false
 		if err := file.Close(); err != nil {
 			return err
 		}
@@ -237,6 +240,11 @@ func (db *store) writeTables(fs vfs.FS, tier iosched.Tier, it iterator.Iterator,
 		if drop != nil && drop(ik, value) {
 			continue
 		}
+		if full && db.icmp.User.Compare(ik.UserKey(), lastKey) != 0 {
+			if err = finish(); err != nil {
+				break
+			}
+		}
 		if w == nil {
 			num = db.set.NewFileNum()
 			if f, err = fs.Create(version.TableFileName(db.dir, num)); err != nil {
@@ -248,10 +256,8 @@ func (db *store) writeTables(fs vfs.FS, tier iosched.Tier, it iterator.Iterator,
 		if err = w.Add(ik, value); err != nil {
 			break
 		}
-		if maxSize > 0 && w.EstimatedSize() >= maxSize {
-			if err = finish(); err != nil {
-				break
-			}
+		if !full && maxSize > 0 && w.EstimatedSize() >= maxSize {
+			full, lastKey = true, append(lastKey[:0], ik.UserKey()...)
 		}
 	}
 	if err == nil {

@@ -726,16 +726,15 @@ func (db *store) versionEntry(v *version.Version, key []byte, seq keys.Seq) ([]b
 		}
 	}
 
-	// Sorted levels: probe slices (newest link first) then the file; when
-	// several files' effective ranges cover the key (overlapping slice
-	// windows), pick the candidate with the highest visible sequence.
+	// Sorted levels: probe the slice windows that cover the key, then the
+	// file. Files are disjoint, so the key lives in at most one file's own
+	// range, but windows of neighbouring files may overlap, so several can
+	// cover it; the candidate with the highest visible sequence wins, which
+	// makes the order they are probed in immaterial.
 	for level := 1; level < version.NumLevels; level++ {
-		// Files are disjoint, so the key lives in at most one file's own
-		// range — plus any slice window covering it (windows of neighbouring
-		// files may overlap, so the few sliced files are checked exhaustively).
 		f := v.FindFile(level, key)
-		sliced := v.Sliced[level]
-		if f == nil && len(sliced) == 0 {
+		w := &v.Windows[level]
+		if f == nil && len(w.ByLo) == 0 {
 			continue
 		}
 		var (
@@ -744,20 +743,20 @@ func (db *store) versionEntry(v *version.Version, key []byte, seq keys.Seq) ([]b
 			bestKind  keys.Kind
 			bestFound bool
 		)
-		for _, sf := range sliced {
-			// Slices newest-first.
-			for i := len(sf.Slices) - 1; i >= 0; i-- {
-				s := &sf.Slices[i]
-				if !s.Range.Contains(ucmp, key) {
-					continue
-				}
-				val, kind, entrySeq, found, err := db.tableProbe(s.FrozenNum, sk)
-				if err != nil {
-					return nil, 0, false, err
-				}
-				if found && (!bestFound || entrySeq > bestSeq) {
-					bestSeq, bestVal, bestKind, bestFound = entrySeq, val, kind, true
-				}
+		// A covering window starts at or below the key, so it is among
+		// ByLo[:n]; walking down from there, MaxHi tells when no window
+		// further down can reach the key any more.
+		for i := w.StartingAtOrBelow(ucmp, key) - 1; i >= 0 && ucmp.Compare(w.MaxHi[i], key) >= 0; i-- {
+			s := w.ByLo[i]
+			if ucmp.Compare(s.Range.Hi, key) < 0 {
+				continue
+			}
+			val, kind, entrySeq, found, err := db.tableProbe(s.FrozenNum, sk)
+			if err != nil {
+				return nil, 0, false, err
+			}
+			if found && (!bestFound || entrySeq > bestSeq) {
+				bestSeq, bestVal, bestKind, bestFound = entrySeq, val, kind, true
 			}
 		}
 		if f != nil {

@@ -405,6 +405,45 @@ func TestSnapshotSurvivesCompaction(t *testing.T) {
 	}
 }
 
+// TestSnapshotsPinMoreVersionsThanATableHolds: the versions of one user key
+// that snapshots keep alive can outgrow a table. A compaction's outputs must
+// still have disjoint user-key ranges — the table is cut at the next change of
+// user key, not in the middle of one — or the edit is refused and the store
+// stops on a background error.
+func TestSnapshotsPinMoreVersionsThanATableHolds(t *testing.T) {
+	for _, policy := range []compaction.Policy{compaction.UDC, compaction.LDC} {
+		db := openTestDB(t, smallOpts(policy)) // 8 KiB tables
+		hot := key(750)
+		var snaps []*Snapshot
+		for v := 0; v < 40; v++ { // 40 KiB of one key, each version pinned
+			if err := db.Put(hot, bytes.Repeat([]byte{byte('a' + v%26)}, 1024)); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := db.NewSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps = append(snaps, snap)
+			for i := 0; i < 150; i++ {
+				if err := db.Put(key((v*150+i)%1500), value(i)); err != nil {
+					t.Fatalf("%v: put after %d versions: %v", policy, v, err)
+				}
+			}
+		}
+		if err := db.CompactRange(); err != nil {
+			t.Fatalf("%v: CompactRange: %v", policy, err)
+		}
+		for v, snap := range snaps {
+			got, err := db.GetAt(hot, snap)
+			if err != nil || len(got) != 1024 || got[0] != byte('a'+v%26) {
+				t.Errorf("%v: version %d at its snapshot = %.8q, %v", policy, v, got, err)
+			}
+			snap.Release()
+		}
+		db.Close()
+	}
+}
+
 func TestReopenRecoversData(t *testing.T) {
 	for _, policy := range []compaction.Policy{compaction.UDC, compaction.LDC} {
 		t.Run(policy.String(), func(t *testing.T) {

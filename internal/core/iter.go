@@ -193,9 +193,295 @@ func (l *levelIter) Close() error {
 	return err
 }
 
+// sliceIter is the LDC read-path modification for scans: every slice window
+// linked to a file of one level, as a single child of the merged view. Windows
+// overlap each other and the level's files, so their entries are merged, not
+// concatenated — but only the windows the position is inside are open
+// (a table-cache lookup, a clamped table iterator, a block load each). The
+// rest cost nothing: windows that end before the position are skipped by key
+// range alone, and the ones still ahead stand in the merge as one bound
+// (iterator.Lazy), entered one at a time as the merge reaches them.
+//
+// Moving forward the windows are taken in Range.Lo order (version.Windows):
+// the ones not yet reached are ByLo[next:], and the search key of
+// ByLo[next].Range.Lo is a lower bound of everything in them, since every key
+// of a window is at or above its Lo and the Los only grow. Moving backward is
+// the mirror image: the windows not yet reached are ByLo[:next], and no entry
+// of theirs lies above MaxHi[next-1].
+//
+// sliceIters are pooled like levelIters; Close recycles them.
+type sliceIter struct {
+	db *store
+	w  *version.Windows
+
+	reverse bool
+	next    int
+	bound   []byte // the bound the unreached windows stand on, if any are left
+	// open holds the windows the position is inside, by value so that their
+	// bound keys are rebuilt into kept buffers. There are only a handful (a
+	// lower file carries at most T_s links), so the one on the smallest key —
+	// largest, moving backward — is found by comparing them all.
+	open    []iterator.Clamped
+	cur     int  // index in open of that window, -1 if none is open
+	pending bool // the bound comes before open[cur]: the iterator rests on it
+
+	turn   []byte // copy of the position across a change of direction
+	err    error
+	closed bool
+}
+
+var sliceIterPool = sync.Pool{New: func() interface{} { return new(sliceIter) }}
+
+func (db *store) newSliceIter(w *version.Windows) iterator.Iterator {
+	l := sliceIterPool.Get().(*sliceIter)
+	l.db, l.w, l.cur, l.pending, l.err, l.closed = db, w, -1, false, nil, false
+	return l
+}
+
+// assertOpen is levelIter.assertOpen for the slice iterator.
+func (l *sliceIter) assertOpen() {
+	if invariants.Enabled && l.closed {
+		panic("invariant violated: sliceIter used after Close")
+	}
+}
+
+// enter opens window i for the caller to position (settle drops it again if
+// that leaves it invalid). A table that cannot be opened fails the iterator.
+func (l *sliceIter) enter(i int) *iterator.Clamped {
+	s := l.w.ByLo[i]
+	r, err := l.db.tables.get(s.FrozenNum)
+	if err != nil {
+		l.err = err
+		return nil
+	}
+	if n := len(l.open); n < cap(l.open) {
+		l.open = l.open[:n+1] // with the buffers of a window closed earlier
+	} else {
+		l.open = append(l.open, iterator.Clamped{})
+	}
+	c := &l.open[len(l.open)-1]
+	c.Init(l.db.icmp.User, s.Range)
+	c.Child = r.NewIteratorUpTo(c.Hi())
+	return c
+}
+
+// leave closes open[i], a window the position has left (or never was in), and
+// keeps its error.
+func (l *sliceIter) leave(i int) {
+	if err := l.open[i].Close(); err != nil && l.err == nil {
+		l.err = err
+	}
+	last := len(l.open) - 1
+	l.open[i], l.open[last] = l.open[last], l.open[i]
+	l.open[last].Child = nil
+	l.open = l.open[:last]
+}
+
+// restart closes every open window ahead of a seek in the given direction.
+func (l *sliceIter) restart(reverse bool) bool {
+	l.assertOpen()
+	for len(l.open) > 0 {
+		l.leave(len(l.open) - 1)
+	}
+	l.reverse, l.cur, l.pending = reverse, -1, false
+	return l.err == nil
+}
+
+// settle, after windows were entered or open[cur] stepped, drops the windows
+// that ran out and finds what the iterator now rests on: the open window on
+// the nearest key, or the bound if that comes first.
+func (l *sliceIter) settle() {
+	cmp := l.db.icmp.Compare
+	for i := len(l.open) - 1; i >= 0; i-- {
+		if !l.open[i].Valid() {
+			l.leave(i)
+		}
+	}
+	l.cur = -1
+	for i := range l.open {
+		if l.cur < 0 {
+			l.cur = i
+		} else if c := cmp(l.open[i].Key(), l.open[l.cur].Key()); c != 0 && (c < 0) != l.reverse {
+			l.cur = i
+		}
+	}
+	if l.reverse {
+		l.pending = l.next > 0 && (l.cur < 0 || cmp(l.bound, l.open[l.cur].Key()) >= 0)
+	} else {
+		l.pending = l.next < len(l.w.ByLo) && (l.cur < 0 || cmp(l.bound, l.open[l.cur].Key()) <= 0)
+	}
+}
+
+// reach records that the unreached windows now begin (end, moving backward)
+// at next, and builds the bound they stand on.
+func (l *sliceIter) reach(next int) {
+	l.next = next
+	switch {
+	case l.reverse && next > 0:
+		l.bound = keys.MakeInternalKey(l.bound[:0], l.w.MaxHi[next-1], 0, keys.KindDelete)
+	case !l.reverse && next < len(l.w.ByLo):
+		l.bound = keys.MakeSearchKey(l.bound[:0], l.w.ByLo[next].Range.Lo, keys.MaxSeq)
+	}
+}
+
+func (l *sliceIter) Valid() bool {
+	l.assertOpen()
+	return l.err == nil && (l.pending || l.cur >= 0)
+}
+
+// Pending implements iterator.Lazy.
+func (l *sliceIter) Pending() bool { return l.err == nil && l.pending }
+
+// Open implements iterator.Lazy: it enters the nearest unreached window.
+func (l *sliceIter) Open() {
+	l.assertOpen()
+	if l.reverse {
+		l.reach(l.next - 1)
+		if c := l.enter(l.next); c != nil {
+			c.SeekToLast()
+		}
+	} else {
+		if c := l.enter(l.next); c != nil {
+			c.SeekToFirst()
+		}
+		l.reach(l.next + 1)
+	}
+	l.settle()
+}
+
+func (l *sliceIter) SeekGE(target []byte) {
+	if !l.restart(false) {
+		return
+	}
+	ucmp, uk := l.db.icmp.User, keys.InternalKey(target).UserKey()
+	// The windows that start at or below the target are ByLo[:n]; the ones
+	// among them that reach it are entered, and MaxHi says how far down the
+	// list one can still be found. The rest of ByLo[:n] lies below the target.
+	n := l.w.StartingAtOrBelow(ucmp, uk)
+	for i := n - 1; i >= 0 && ucmp.Compare(l.w.MaxHi[i], uk) >= 0; i-- {
+		if ucmp.Compare(l.w.ByLo[i].Range.Hi, uk) >= 0 {
+			if c := l.enter(i); c != nil {
+				c.SeekGE(target)
+			}
+		}
+	}
+	l.reach(n)
+	l.settle()
+}
+
+func (l *sliceIter) SeekToFirst() {
+	if l.restart(false) {
+		l.reach(0)
+		l.settle()
+	}
+}
+
+func (l *sliceIter) SeekToLast() { l.seekLT(nil) }
+
+// seekLT rests the iterator, moving backward, on the last entry below key; nil
+// is the end. Windows that start above key hold nothing below it; of the
+// others, the ones that could reach key are entered at once — down to where
+// MaxHi drops below it, a few more than those that do reach it when a long
+// window precedes short ones — and the rest stand on the bound.
+func (l *sliceIter) seekLT(key []byte) {
+	if !l.restart(true) {
+		return
+	}
+	n := len(l.w.ByLo)
+	if key != nil {
+		ucmp, uk := l.db.icmp.User, keys.InternalKey(key).UserKey()
+		i := l.w.StartingAtOrBelow(ucmp, uk) - 1
+		for ; i >= 0 && ucmp.Compare(l.w.MaxHi[i], uk) >= 0; i-- {
+			c := l.enter(i)
+			if c == nil {
+				continue
+			}
+			if c.SeekGE(key); c.Valid() {
+				c.Prev()
+			} else {
+				c.SeekToLast()
+			}
+		}
+		n = i + 1
+	}
+	l.reach(n)
+	l.settle()
+}
+
+// Next steps forward. Moving backward it first turns around; the merge only
+// asks that of an iterator resting on an entry, which the seek finds again.
+func (l *sliceIter) Next() {
+	if !l.Valid() || l.pending {
+		return
+	}
+	if l.reverse {
+		l.turn = append(l.turn[:0], l.Key()...)
+		l.SeekGE(l.turn)
+		if !l.Valid() || l.pending || l.db.icmp.Compare(l.Key(), l.turn) != 0 {
+			return
+		}
+	}
+	l.open[l.cur].Next()
+	l.settle()
+}
+
+// Prev steps backward. Moving forward it first turns around, onto the last
+// entry below the position — which may be the bound: no entry lies between
+// the entries already passed and a bound the iterator rests on.
+func (l *sliceIter) Prev() {
+	if !l.Valid() {
+		return
+	}
+	if !l.reverse {
+		l.turn = append(l.turn[:0], l.Key()...)
+		l.seekLT(l.turn)
+		return
+	}
+	if l.pending {
+		return
+	}
+	l.open[l.cur].Prev()
+	l.settle()
+}
+
+func (l *sliceIter) Key() []byte {
+	l.assertOpen()
+	if l.pending {
+		return l.bound
+	}
+	return l.open[l.cur].Key()
+}
+
+func (l *sliceIter) Value() []byte {
+	l.assertOpen()
+	if l.pending {
+		return nil
+	}
+	return l.open[l.cur].Value()
+}
+
+func (l *sliceIter) Error() error { return l.err }
+
+// Close releases the open windows and recycles the iterator. Double-Close is
+// tolerated; any other use after Close is invalid.
+func (l *sliceIter) Close() error {
+	if l.closed {
+		return l.err
+	}
+	l.restart(false)
+	l.closed = true
+	err := l.err
+	l.db, l.w = nil, nil
+	if invariants.Enabled {
+		return err // the carcass stays out of the pool: see levelIter.Close
+	}
+	sliceIterPool.Put(l)
+	return err
+}
+
 // newInternalIterator assembles the full merged view: memtables, L0 tables
-// (as independent children), one levelIter per sorted level, plus — the LDC
-// read-path modification — one clamped frozen-table iterator per slice.
+// (as independent children), and per sorted level one levelIter over its
+// files plus one sliceIter over the slices linked to them.
 // The returned cleanup must be called when the iterator is closed.
 func (db *store) newInternalIterator() (iterator.Iterator, func(), error) {
 	// Lock-free acquisition: the read state pins (mem, imm, version) with a
@@ -211,36 +497,24 @@ func (db *store) newInternalIterator() (iterator.Iterator, func(), error) {
 	if rs.imm != nil {
 		children = append(children, rs.imm.NewIterator())
 	}
-	fail := func(err error) (iterator.Iterator, func(), error) {
-		for _, c := range children {
-			c.Close()
-		}
-		rs.unref()
-		return nil, nil, err
-	}
 	for i := len(v.Levels[0]) - 1; i >= 0; i-- {
 		r, err := db.tables.get(v.Levels[0][i].Num)
 		if err != nil {
-			return fail(err)
+			for _, c := range children {
+				c.Close()
+			}
+			rs.unref()
+			return nil, nil, err
 		}
 		children = append(children, r.NewIterator())
 	}
 	for level := 1; level < version.NumLevels; level++ {
-		files := v.Levels[level]
-		if len(files) == 0 {
+		if len(v.Levels[level]) == 0 {
 			continue
 		}
-		children = append(children, db.newLevelIter(files))
-		for _, f := range v.Sliced[level] {
-			for i := range f.Slices {
-				s := &f.Slices[i]
-				r, err := db.tables.get(s.FrozenNum)
-				if err != nil {
-					return fail(err)
-				}
-				children = append(children,
-					iterator.NewClamped(db.icmp.User, r.NewIterator(), s.Range))
-			}
+		children = append(children, db.newLevelIter(v.Levels[level]))
+		if w := &v.Windows[level]; len(w.ByLo) > 0 {
+			children = append(children, db.newSliceIter(w))
 		}
 	}
 	merged := iterator.NewMerging(db.icmp.Compare, children...)
@@ -260,6 +534,7 @@ type storeIter struct {
 	cleanup func()
 	seq     keys.Seq
 
+	seekKey    []byte // the search key of the last seek, built into kept capacity
 	valid      bool
 	dir        int8 // 0 forward, 1 reverse
 	savedKey   []byte
@@ -361,7 +636,8 @@ func (i *storeIter) SeekToFirst() {
 // Seek positions at the first key >= target.
 func (i *storeIter) Seek(target []byte) {
 	i.dir = 0
-	i.it.SeekGE(keys.MakeSearchKey(nil, target, i.seq))
+	i.seekKey = keys.MakeSearchKey(i.seekKey[:0], target, i.seq)
+	i.it.SeekGE(i.seekKey)
 	i.findNextUserEntry(false)
 }
 
@@ -381,7 +657,8 @@ func (i *storeIter) Next() {
 		// Switch reverse→forward: position the internal iterator at the
 		// first entry past savedKey.
 		i.dir = 0
-		i.it.SeekGE(keys.MakeSearchKey(nil, i.savedKey, keys.MaxSeq))
+		i.seekKey = keys.MakeSearchKey(i.seekKey[:0], i.savedKey, keys.MaxSeq)
+		i.it.SeekGE(i.seekKey)
 		for i.it.Valid() &&
 			i.db.icmp.User.Compare(keys.InternalKey(i.it.Key()).UserKey(), i.savedKey) == 0 {
 			i.it.Next()

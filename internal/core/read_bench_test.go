@@ -7,12 +7,14 @@ import (
 	"testing"
 
 	"repro/internal/compaction"
+	"repro/internal/ssdsim"
+	"repro/internal/vfs"
 )
 
 // Read-path benchmarks: concurrent point-get throughput with and without a
-// competing writer (the scenario the read-state refactor targets), plus a
-// single-threaded cache-hit Get for allocs/op tracking. Results are recorded
-// in BENCH_read_path.json.
+// competing writer (the scenario the read-state refactor targets), a
+// single-threaded cache-hit Get for allocs/op tracking (results recorded in
+// BENCH_read_path.json), and a 100-pair scan with the device requests it makes.
 
 // benchReadDB opens a store preloaded with n sequential keys, compacted to a
 // steady state. The block cache is sized to hold the whole dataset so the
@@ -113,6 +115,69 @@ func BenchmarkGetCacheHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Get(key); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScan100 is the paper's SCAN on an LDC tree with a few hundred live
+// slices, over a device that only counts (ssdsim at Scale 0): from a key inside
+// the most-linked file, where the scan crosses that file's slice windows, and
+// from a region no window reaches, where the slices must cost nothing; with the
+// block cache emptied before every scan and with it warm. Beside time and
+// allocations it reports the device requests and bytes of one scan.
+func BenchmarkScan100(b *testing.B) {
+	prof := ssdsim.DefaultProfile()
+	prof.Scale = 0
+	dev := ssdsim.NewDevice(prof)
+	db, slices, sliced := slicedTree(b, ssdsim.Wrap(vfs.Mem(), dev), 55000)
+	if slices < 200 {
+		b.Fatalf("the tree carries %d slices, want at least 200", slices)
+	}
+	st := db.shards[0]
+	emptyCache := func() {
+		v := st.set.Current()
+		defer v.Unref()
+		for _, files := range v.Levels {
+			for _, f := range files {
+				db.blockCache.EvictFile(st.tables.cacheNum(f.Num))
+			}
+		}
+		for num := range v.Frozen {
+			db.blockCache.EvictFile(st.tables.cacheNum(num))
+		}
+	}
+	for _, cold := range []bool{true, false} {
+		for _, start := range []struct {
+			name string
+			key  []byte
+		}{{"sliced", sliced}, {"unsliced", regionKey('a', 1000)}} {
+			name := fmt.Sprintf("cache=warm/start=%s", start.name)
+			if cold {
+				name = fmt.Sprintf("cache=cold/start=%s", start.name)
+			}
+			b.Run(name, func(b *testing.B) {
+				scan := func() {
+					if kvs, err := db.Scan(start.key, 100); err != nil || len(kvs) != 100 {
+						b.Fatalf("Scan = %d pairs, %v", len(kvs), err)
+					}
+				}
+				scan()
+				before := dev.Snapshot().ByCategory[ssdsim.CatUserRead]
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if cold {
+						b.StopTimer()
+						emptyCache()
+						b.StartTimer()
+					}
+					scan()
+				}
+				b.StopTimer()
+				after := dev.Snapshot().ByCategory[ssdsim.CatUserRead]
+				b.ReportMetric(float64(after.ReadOps-before.ReadOps)/float64(b.N), "device-reads/op")
+				b.ReportMetric(float64(after.ReadBytes-before.ReadBytes)/float64(b.N), "device-bytes/op")
+			})
 		}
 	}
 }

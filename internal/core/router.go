@@ -465,7 +465,9 @@ func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
 		if !it.Valid() {
 			break // the value failed to resolve; Error says why
 		}
-		out = append(out, kv)
+		if out = append(out, kv); len(out) == limit {
+			break // not one step further: the next pair may cost a block
+		}
 	}
 	return out, it.Error()
 }

@@ -1,0 +1,506 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/compaction"
+	"repro/internal/encoding"
+	"repro/internal/invariants"
+	"repro/internal/iterator"
+	"repro/internal/keys"
+	"repro/internal/sstable"
+	"repro/internal/version"
+	"repro/internal/vfs"
+)
+
+// seekOnly makes a table iterator read one block per request whichever way it
+// moves: it steps forward by seeking to the key after the current one, and a
+// seek reads a block alone. (Its twin lives in sstable's tests.)
+type seekOnly struct {
+	iterator.Iterator
+	next []byte
+}
+
+func (s *seekOnly) Next() {
+	ik := keys.InternalKey(s.Key())
+	if t := encoding.Fixed64(ik[len(ik)-keys.TrailerLen:]); t > 0 {
+		s.next = encoding.PutFixed64(append(s.next[:0], ik.UserKey()...), t-1)
+	} else {
+		s.next = keys.MakeSearchKey(s.next[:0], append(bytes.Clone(ik.UserKey()), 0), keys.MaxSeq)
+	}
+	s.SeekGE(s.next)
+}
+
+// newEagerIter is the reference the lazy scan path is held to: the merged view
+// as it was built before — every table of every level and every slice of every
+// sliced file opened up front and seeked on every seek, each slice a clamped
+// iterator of its own in one flat merge, every block read alone.
+func (db *store) newEagerIter(t testing.TB, seq keys.Seq) *storeIter {
+	t.Helper()
+	rs := db.loadReadState()
+	if rs == nil {
+		t.Fatal("store is closed")
+	}
+	table := func(num uint64) iterator.Iterator {
+		r, err := db.tables.get(num)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &seekOnly{Iterator: r.NewIterator()}
+	}
+	children := []iterator.Iterator{rs.mem.NewIterator()}
+	if rs.imm != nil {
+		children = append(children, rs.imm.NewIterator())
+	}
+	for level, files := range rs.v.Levels {
+		for i := len(files) - 1; i >= 0; i-- {
+			children = append(children, table(files[i].Num))
+			for _, s := range files[i].Slices {
+				if level == 0 {
+					t.Fatal("an L0 file carries a slice")
+				}
+				children = append(children, iterator.NewClamped(db.icmp.User, table(s.FrozenNum), s.Range))
+			}
+		}
+	}
+	return &storeIter{db: db, it: iterator.NewMerging(db.icmp.Compare, children...), cleanup: rs.unref, seq: seq}
+}
+
+// scanModel is the expected content of a store: user key to value, tombstones
+// removed.
+type scanModel map[string]string
+
+func (m scanModel) sorted() []string {
+	ks := make([]string, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	sort.Strings(ks)
+	return ks
+}
+
+// churn applies n random puts, overwrites and deletes over keys key(0..space)
+// to both db and the model.
+func churn(t testing.TB, db *DB, m scanModel, rng *rand.Rand, n, space int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		k := key(rng.Intn(space))
+		if rng.Intn(5) == 0 {
+			if err := db.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+			delete(m, string(k))
+			continue
+		}
+		v := fmt.Sprintf("v%d-%s", i, strings.Repeat("x", rng.Intn(120)))
+		if err := db.Put(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		m[string(k)] = v
+	}
+}
+
+// windowBounds lists the Lo and Hi of every slice window of the current
+// version, the keys where the lazy path changes what it does.
+func windowBounds(db *store) (bounds [][]byte, slices int) {
+	v := db.set.Current()
+	defer v.Unref()
+	for level := range v.Windows {
+		for _, s := range v.Windows[level].ByLo {
+			bounds = append(bounds, s.Range.Lo, s.Range.Hi)
+			slices++
+		}
+	}
+	return bounds, slices
+}
+
+// TestLazyScanMatchesEagerReference is the model-based equivalence test of the
+// scan path: on random trees with overlapping slice windows, tombstones,
+// overwrites and a pinned snapshot, random programs of seeks and steps in both
+// directions read the same keys and values, byte for byte, through the store's
+// iterator (slices opened lazily, tables read ahead) and through the eager
+// reference — while a writer keeps flushing, linking and merging underneath.
+func TestLazyScanMatchesEagerReference(t *testing.T) {
+	const space = 3000
+	for _, policy := range []compaction.Policy{compaction.UDC, compaction.LDC} {
+		t.Run(policy.String(), func(t *testing.T) {
+			opts := smallOpts(policy)
+			opts.SliceLinkThreshold = 6 // keep several links outstanding per file
+			db := openTestDB(t, opts)
+			defer db.Close()
+			st := db.shards[0]
+			rng := rand.New(rand.NewSource(18))
+
+			// An early snapshot keeps shadowed versions and tombstones alive in
+			// the tables; the second one is what every program reads at.
+			early := scanModel{}
+			churn(t, db, early, rng, 6000, space)
+			pinned, err := db.NewSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pinned.Release()
+			model := scanModel{}
+			for k, v := range early {
+				model[k] = v
+			}
+			churn(t, db, model, rng, 14000, space)
+			snap, err := db.NewSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Release()
+			seq := *snap.seq(0)
+
+			// The writer overwrites the same keys above the snapshot, a burst
+			// beside every program, so that flushes, links and merges keep
+			// replacing the tables under the iterators however slow the build.
+			burst := make(chan struct{}, 1)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				wrng := rand.New(rand.NewSource(81))
+				for range burst {
+					for i := 0; i < 250; i++ {
+						if err := db.Put(key(wrng.Intn(space)), []byte(fmt.Sprintf("later-%d", i))); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}()
+			defer wg.Wait()
+			defer close(burst)
+
+			programs, maxSlices := 40, 0
+			if testing.Short() {
+				programs = 8 // the race detector and the invariants build run this 20 to 50 times slower
+			}
+			for prog := 0; prog < programs; prog++ {
+				select {
+				case burst <- struct{}{}:
+				default: // the last burst is still going
+				}
+				bounds, slices := windowBounds(st)
+				maxSlices = max(maxSlices, slices)
+				lazy, err := st.newIter(&seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eager := st.newEagerIter(t, seq)
+				var trace []string
+				check := func(op string) {
+					t.Helper()
+					trace = append(trace, op)
+					if err := errors.Join(lazy.Error(), eager.Error()); err != nil {
+						t.Fatalf("program %d %v: %v", prog, trace, err)
+					}
+					if lazy.Valid() != eager.Valid() {
+						t.Fatalf("program %d %v: lazy valid=%v, eager valid=%v", prog, trace, lazy.Valid(), eager.Valid())
+					}
+					if !lazy.Valid() {
+						return
+					}
+					if !bytes.Equal(lazy.Key(), eager.Key()) || !bytes.Equal(lazy.Value(), eager.Value()) {
+						t.Fatalf("program %d %v: lazy at %q=%q, eager at %q=%q", prog, trace,
+							lazy.Key(), lazy.Value(), eager.Key(), eager.Value())
+					}
+					if want, ok := model[string(lazy.Key())]; !ok || want != string(lazy.Value()) {
+						t.Fatalf("program %d %v: at %q=%q, the model has %q (present=%v)", prog, trace,
+							lazy.Key(), lazy.Value(), want, ok)
+					}
+				}
+				for step := 0; step < 120; step++ {
+					switch r := rng.Intn(20); {
+					case r == 0:
+						lazy.SeekToFirst()
+						eager.SeekToFirst()
+						check("first")
+					case r == 1:
+						lazy.SeekToLast()
+						eager.SeekToLast()
+						check("last")
+					case r < 5:
+						var target []byte
+						switch c := rng.Intn(10); {
+						case c < 5 && len(bounds) > 0:
+							// Exactly on a window's Lo or Hi, or just past it.
+							target = bytes.Clone(bounds[rng.Intn(len(bounds))])
+							if rng.Intn(3) == 0 {
+								target = append(target, 0)
+							}
+						case c == 5:
+							target = []byte("a") // below everything
+						case c == 6:
+							target = []byte("z") // above everything
+						default:
+							target = key(rng.Intn(space + 10))
+						}
+						lazy.Seek(target)
+						eager.Seek(target)
+						check(fmt.Sprintf("seek(%q)", target))
+					case r < 14 || !lazy.Valid():
+						if !lazy.Valid() {
+							continue
+						}
+						lazy.Next()
+						eager.Next()
+						check("next")
+					default:
+						lazy.Prev()
+						eager.Prev()
+						check("prev")
+					}
+				}
+				if err := errors.Join(lazy.Close(), eager.Close()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if policy == compaction.LDC && maxSlices < 10 {
+				t.Errorf("the tree never carried more than %d slices: the lazy path was hardly exercised", maxSlices)
+			}
+
+			// Whole walks, both ways, against the model.
+			want := model.sorted()
+			lazy, err := st.newIter(&seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lazy.Close()
+			i := 0
+			for lazy.SeekToFirst(); lazy.Valid(); lazy.Next() {
+				if i >= len(want) || string(lazy.Key()) != want[i] || string(lazy.Value()) != model[want[i]] {
+					t.Fatalf("forward walk, position %d: %q=%q", i, lazy.Key(), lazy.Value())
+				}
+				i++
+			}
+			if i != len(want) || lazy.Error() != nil {
+				t.Fatalf("forward walk ended after %d of %d keys: %v", i, len(want), lazy.Error())
+			}
+			for lazy.SeekToLast(); lazy.Valid(); lazy.Prev() {
+				i--
+				if i < 0 || string(lazy.Key()) != want[i] || string(lazy.Value()) != model[want[i]] {
+					t.Fatalf("reverse walk, position %d: %q=%q", i, lazy.Key(), lazy.Value())
+				}
+			}
+			if i != 0 || lazy.Error() != nil {
+				t.Fatalf("reverse walk stopped %d keys short: %v", i, lazy.Error())
+			}
+		})
+	}
+}
+
+// slicedTree builds a quiesced LDC tree over fs with two key regions: "a-…",
+// written once and compacted to the bottom before anything else, so that no
+// slice window ever reaches into it, and "b-…", churned until the tree carries
+// a few hundred live slices. It returns the tree, the number of slices, and a
+// key of b in the most-linked file.
+func slicedTree(t testing.TB, fs vfs.FS, churnPuts int) (db *DB, slices int, sliced []byte) {
+	t.Helper()
+	db, err := Open("/sliced", Options{
+		FS: fs, Policy: compaction.LDC,
+		MemTableSize: 32 << 10, SSTableSize: 32 << 10, Fanout: 10, SliceLinkThreshold: 10,
+		BlockCacheSize: 4 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	val := bytes.Repeat([]byte("v"), 256)
+	for i := 0; i < 4000; i++ {
+		if err := db.Put(regionKey('a', i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CompactRange(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < churnPuts; i++ {
+		if err := db.Put(regionKey('b', rng.Intn(30000)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.WaitIdle()
+	v := db.shards[0].set.Current()
+	defer v.Unref()
+	most := 0
+	for level := 1; level < version.NumLevels; level++ {
+		for _, s := range v.Windows[level].ByLo {
+			if s.Range.Contains(db.shards[0].icmp.User, regionKey('a', 3999)) {
+				t.Fatalf("window %q..%q reaches into region a", s.Range.Lo, s.Range.Hi)
+			}
+		}
+		slices += len(v.Windows[level].ByLo)
+		for _, f := range v.Sliced[level] {
+			if len(f.Slices) > most {
+				most, sliced = len(f.Slices), f.Smallest.UserKey()
+			}
+		}
+	}
+	return db, slices, sliced
+}
+
+func regionKey(region byte, i int) []byte { return []byte(fmt.Sprintf("%c-%08d", region, i)) }
+
+// TestLazyScanAllocsIgnoreSlicesOutsideRange: what a scan allocates depends on
+// what it reads, not on how many slices the tree carries elsewhere.
+func TestLazyScanAllocsIgnoreSlicesOutsideRange(t *testing.T) {
+	scanAllocs := func(db *DB) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if kvs, err := db.Scan(regionKey('a', 1000), 100); err != nil || len(kvs) != 100 {
+				t.Fatalf("Scan = %d pairs, %v", len(kvs), err)
+			}
+		})
+	}
+	bare, none, _ := slicedTree(t, vfs.Mem(), 0)
+	if none != 0 {
+		t.Fatalf("the tree without churn carries %d slices", none)
+	}
+	want := scanAllocs(bare)
+	db, slices, _ := slicedTree(t, vfs.Mem(), 55000)
+	if slices < 300 {
+		t.Fatalf("the churned tree carries %d slices, want at least 300", slices)
+	}
+	got := scanAllocs(db)
+	// The churned tree has a few more levels and L0 tables to put in the merge,
+	// and a pool may have dropped an iterator in between (the race detector
+	// makes pools do that at random): a handful of allocations, against the one
+	// and more per slice that building every slice's child used to cost.
+	if got > want+8 {
+		t.Errorf("Scan of 100 pairs outside every window allocates %.0f times with %d slices in the tree, %.0f with none", got, slices, want)
+	}
+	t.Logf("allocs per Scan(100): %.0f with %d slices elsewhere, %.0f with none", got, slices, want)
+}
+
+// TestLazyScanCorruptBlock damages one data block of a table and checks, at the
+// level of DB.Scan, that bad bytes behind a read-ahead are nobody's problem
+// until a scan gets to them, and then the problem a Get of a key there has.
+func TestLazyScanCorruptBlock(t *testing.T) {
+	fs := vfs.NewErrFS(vfs.Mem())
+	opts := smallOpts(compaction.UDC)
+	opts.FS, opts.MemTableSize, opts.SSTableSize, opts.BlockSize = fs, 256<<10, 256<<10, 4096
+	db := openTestDB(t, opts)
+	const n = 200 // less than one memtable
+	val := bytes.Repeat([]byte("v"), 1000)
+	for i := 0; i < n; i++ {
+		if err := db.Put(key(i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	db.WaitIdle()
+	v := db.shards[0].set.Current()
+	var tables []*version.FileMeta
+	for _, files := range v.Levels {
+		tables = append(tables, files...)
+	}
+	v.Unref()
+	if len(tables) != 1 {
+		t.Fatalf("%d tables, want the one flush", len(tables))
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The middle of the file is a data block well inside the third or fourth
+	// read-ahead request of a scan from the start.
+	name := version.TableFileName("/db", tables[0].Num)
+	if err := fs.FlipBit(name, tables[0].Size/2); err != nil {
+		t.Fatal(err)
+	}
+	db = openTestDB(t, opts)
+	defer db.Close()
+
+	// The first key whose Get fails is the first key of the damaged block.
+	bad, perr := -1, error(nil)
+	for i := 0; i < n && bad < 0; i++ {
+		if _, err := db.Get(key(i)); err != nil {
+			bad, perr = i, err
+		}
+	}
+	if bad < 40 || !errors.Is(perr, sstable.ErrCorrupt) {
+		t.Fatalf("first unreadable key is %d: %v", bad, perr)
+	}
+	// Start over with nothing cached, so that the scans below read ahead
+	// across the damaged block themselves.
+	db.Close()
+	db = openTestDB(t, opts)
+	defer db.Close()
+
+	kvs, err := db.Scan(key(0), bad)
+	if err != nil || len(kvs) != bad {
+		t.Fatalf("Scan of the %d pairs before the bad block = %d pairs, %v", bad, len(kvs), err)
+	}
+	kvs, err = db.Scan(key(0), bad+1)
+	if len(kvs) != bad || err == nil || err.Error() != perr.Error() {
+		t.Fatalf("Scan onto the bad block = %d pairs, %v; Get says %v", len(kvs), err, perr)
+	}
+	if want := fmt.Sprintf("file %06d at offset", tables[0].Num); !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want it to name %s", err, want)
+	}
+	// Past the bad block the table reads on.
+	next := bad
+	for err != nil {
+		next++
+		_, err = db.Get(key(next))
+	}
+	if kvs, err = db.Scan(key(next), n); err != nil || len(kvs) != n-next {
+		t.Errorf("Scan from behind the bad block = %d pairs, %v", len(kvs), err)
+	}
+}
+
+// TestLazyScanSliceIterUseAfterCloseCaught runs the use-after-Close trap the
+// other pooled iterators have over the slice iterator.
+func TestLazyScanSliceIterUseAfterCloseCaught(t *testing.T) {
+	if !invariants.Enabled {
+		t.Skip("poison checks compile away without -tags invariants")
+	}
+	db, slices, sliced := slicedTree(t, vfs.Mem(), 8000)
+	if slices == 0 {
+		t.Fatal("no slices")
+	}
+	st := db.shards[0]
+	v := st.set.Current()
+	defer v.Unref()
+	level := 1
+	for len(v.Windows[level].ByLo) == 0 {
+		level++
+	}
+	for name, use := range map[string]func(iterator.Iterator){
+		"Valid":       func(it iterator.Iterator) { it.Valid() },
+		"Key":         func(it iterator.Iterator) { it.Key() },
+		"Next":        func(it iterator.Iterator) { it.Next() },
+		"Prev":        func(it iterator.Iterator) { it.Prev() },
+		"SeekToFirst": func(it iterator.Iterator) { it.SeekToFirst() },
+		"SeekToLast":  func(it iterator.Iterator) { it.SeekToLast() },
+		"SeekGE":      func(it iterator.Iterator) { it.SeekGE(keys.MakeSearchKey(nil, sliced, keys.MaxSeq)) },
+		"Open":        func(it iterator.Iterator) { it.(iterator.Lazy).Open() },
+	} {
+		it := st.newSliceIter(&v.Windows[level])
+		it.SeekToFirst()
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := it.Close(); err != nil {
+			t.Errorf("second Close = %v", err)
+		}
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "invariant violated") {
+					t.Errorf("%s after Close: recovered %q, want an invariant violation", name, msg)
+				}
+			}()
+			use(it)
+		}()
+	}
+}

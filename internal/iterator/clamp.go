@@ -7,79 +7,106 @@ import "repro/internal/keys"
 // SSTable's iterator clamped to the key range the slice was linked with.
 // Closing the clamped iterator closes the child.
 func NewClamped(ucmp keys.Comparer, child Iterator, r keys.KeyRange) Iterator {
-	return &clampIter{ucmp: ucmp, child: child, r: r}
+	c := new(Clamped)
+	c.Init(ucmp, r)
+	c.Child = child
+	return c
 }
 
-type clampIter struct {
-	ucmp  keys.Comparer
-	child Iterator
-	r     keys.KeyRange
-	valid bool
+// Clamped is the clamping iterator by value, for an owner that keeps many and
+// reuses them: Init sets the window and builds its two bound keys into
+// buffers the value keeps, so re-initialising and seeking allocate nothing.
+// The owner sets Child before the first positioning call; Hi is there to tell
+// a child that reads ahead where the window ends.
+type Clamped struct {
+	Child Iterator
+
+	ucmp keys.Comparer
+	r    keys.KeyRange
+	// lo sorts before every version of r.Lo, hi after every version of r.Hi:
+	// the window's entries are exactly the child's in [lo, hi].
+	lo, hi keys.InternalKey
+	valid  bool
 }
 
-func (c *clampIter) inRange() bool {
-	uk := keys.InternalKey(c.child.Key()).UserKey()
+// Init points c at window r with no child.
+func (c *Clamped) Init(ucmp keys.Comparer, r keys.KeyRange) {
+	c.Child, c.ucmp, c.r, c.valid = nil, ucmp, r, false
+	c.lo = keys.MakeSearchKey(c.lo[:0], r.Lo, keys.MaxSeq)
+	c.hi = keys.MakeInternalKey(c.hi[:0], r.Hi, 0, keys.KindDelete)
+}
+
+// Hi returns the largest internal key an entry of the window can have.
+func (c *Clamped) Hi() []byte { return c.hi }
+
+func (c *Clamped) inRange() bool {
+	uk := keys.InternalKey(c.Child.Key()).UserKey()
 	return c.ucmp.Compare(uk, c.r.Lo) >= 0 && c.ucmp.Compare(uk, c.r.Hi) <= 0
 }
 
 // settle updates validity after a positioning call; the child may be on a
 // key outside the clamp window, in which case the iterator is invalid.
-func (c *clampIter) settle() {
-	c.valid = c.child.Valid() && c.inRange()
+func (c *Clamped) settle() {
+	c.valid = c.Child.Valid() && c.inRange()
 }
 
-func (c *clampIter) Valid() bool { return c.valid }
+func (c *Clamped) Valid() bool { return c.valid }
 
-func (c *clampIter) SeekGE(target []byte) {
+func (c *Clamped) SeekGE(target []byte) {
 	uk := keys.InternalKey(target).UserKey()
-	if c.ucmp.Compare(uk, c.r.Lo) < 0 {
-		// Target below the window: start at the window's first key. A search
-		// key with MaxSeq positions before every version of Lo.
-		c.child.SeekGE(keys.MakeSearchKey(nil, c.r.Lo, keys.MaxSeq))
-	} else {
-		c.child.SeekGE(target)
+	switch {
+	case c.ucmp.Compare(uk, c.r.Hi) > 0:
+		// Target above the window: nothing to find, and no reason to make the
+		// child load a block to learn it.
+		c.valid = false
+		return
+	case c.ucmp.Compare(uk, c.r.Lo) < 0:
+		// Target below the window: start at the window's first key.
+		c.Child.SeekGE(c.lo)
+	default:
+		c.Child.SeekGE(target)
 	}
 	c.settle()
 }
 
-func (c *clampIter) SeekToFirst() {
-	c.child.SeekGE(keys.MakeSearchKey(nil, c.r.Lo, keys.MaxSeq))
+func (c *Clamped) SeekToFirst() {
+	c.Child.SeekGE(c.lo)
 	c.settle()
 }
 
-func (c *clampIter) SeekToLast() {
+func (c *Clamped) SeekToLast() {
 	// Position after every version of Hi, then step back.
-	c.child.SeekGE(keys.MakeInternalKey(nil, c.r.Hi, 0, keys.KindDelete))
-	if c.child.Valid() {
-		if c.ucmp.Compare(keys.InternalKey(c.child.Key()).UserKey(), c.r.Hi) == 0 {
+	c.Child.SeekGE(c.hi)
+	if c.Child.Valid() {
+		if c.ucmp.Compare(keys.InternalKey(c.Child.Key()).UserKey(), c.r.Hi) == 0 {
 			// Landed on the oldest version of Hi itself — still in range.
 			c.settle()
 			return
 		}
-		c.child.Prev()
+		c.Child.Prev()
 	} else {
-		c.child.SeekToLast()
+		c.Child.SeekToLast()
 	}
 	c.settle()
 }
 
-func (c *clampIter) Next() {
+func (c *Clamped) Next() {
 	if !c.valid {
 		return
 	}
-	c.child.Next()
+	c.Child.Next()
 	c.settle()
 }
 
-func (c *clampIter) Prev() {
+func (c *Clamped) Prev() {
 	if !c.valid {
 		return
 	}
-	c.child.Prev()
+	c.Child.Prev()
 	c.settle()
 }
 
-func (c *clampIter) Key() []byte   { return c.child.Key() }
-func (c *clampIter) Value() []byte { return c.child.Value() }
-func (c *clampIter) Error() error  { return c.child.Error() }
-func (c *clampIter) Close() error  { return c.child.Close() }
+func (c *Clamped) Key() []byte   { return c.Child.Key() }
+func (c *Clamped) Value() []byte { return c.Child.Value() }
+func (c *Clamped) Error() error  { return c.Child.Error() }
+func (c *Clamped) Close() error  { return c.Child.Close() }

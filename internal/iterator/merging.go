@@ -26,12 +26,33 @@ func NewMerging(cmp CompareFunc, children ...Iterator) Iterator {
 	m := mergingPool.Get().(*mergingIter)
 	m.cmp = cmp
 	m.children = append(m.children[:0], children...)
+	m.lazy, m.anyLazy = m.lazy[:0], false
+	for _, c := range children {
+		l, _ := c.(Lazy)
+		m.lazy = append(m.lazy, l)
+		m.anyLazy = m.anyLazy || l != nil
+	}
 	m.heap.m = m
 	m.heap.idx = m.heap.idx[:0]
 	m.dir = forward
 	m.err = nil
 	m.closed = false
 	return m
+}
+
+// Lazy is a child that can stand in a merge on a bound of the entries it has
+// not reached yet instead of on an entry: a lower bound while moving forward,
+// an upper bound while moving backward. While Pending it is Valid and Key
+// returns the bound, so the merge orders it like any other child; only when
+// the bound comes to the top — no other child has anything before it — does
+// the merge call Open, which moves the child off the bound: onto its next
+// entry, onto its next bound, or to its end. What a scan never reaches is
+// never opened. A Lazy child only makes sense inside a merge; alone it would
+// show its bounds as entries.
+type Lazy interface {
+	Iterator
+	Pending() bool
+	Open()
 }
 
 type direction int8
@@ -44,6 +65,10 @@ const (
 type mergingIter struct {
 	cmp      CompareFunc
 	children []Iterator
+	// lazy[i] is children[i] when that child is Lazy, nil otherwise. A merge
+	// without one (every compaction's) pays a single untaken branch per step.
+	lazy    []Lazy
+	anyLazy bool
 	// heap holds the indexes of valid children, ordered by current key
 	// (min-heap when dir==forward, max-heap when dir==reverse).
 	heap   mergeHeap
@@ -92,6 +117,34 @@ func (m *mergingIter) rebuild() {
 		}
 	}
 	heap.Init(&m.heap)
+	if m.anyLazy {
+		m.openPending()
+	}
+}
+
+// fixTop restores the heap after the top child moved.
+func (m *mergingIter) fixTop() {
+	if m.top().Valid() {
+		heap.Fix(&m.heap, 0)
+		return
+	}
+	if err := m.top().Error(); err != nil && m.err == nil {
+		m.err = err
+	}
+	heap.Pop(&m.heap)
+}
+
+// openPending opens lazy children for as long as one's bound is on top, so
+// that the merge always rests on an entry.
+func (m *mergingIter) openPending() {
+	for len(m.heap.idx) > 0 {
+		l := m.lazy[m.heap.idx[0]]
+		if l == nil || !l.Pending() {
+			return
+		}
+		l.Open()
+		m.fixTop()
+	}
 }
 
 func (m *mergingIter) Valid() bool { return m.err == nil && len(m.heap.idx) > 0 }
@@ -147,13 +200,9 @@ func (m *mergingIter) Next() {
 		return
 	}
 	m.top().Next()
-	if m.top().Valid() {
-		heap.Fix(&m.heap, 0)
-	} else {
-		if err := m.top().Error(); err != nil && m.err == nil {
-			m.err = err
-		}
-		heap.Pop(&m.heap)
+	m.fixTop()
+	if m.anyLazy {
+		m.openPending()
 	}
 }
 
@@ -183,13 +232,9 @@ func (m *mergingIter) Prev() {
 		return
 	}
 	m.top().Prev()
-	if m.top().Valid() {
-		heap.Fix(&m.heap, 0)
-	} else {
-		if err := m.top().Error(); err != nil && m.err == nil {
-			m.err = err
-		}
-		heap.Pop(&m.heap)
+	m.fixTop()
+	if m.anyLazy {
+		m.openPending()
 	}
 }
 

@@ -1,0 +1,374 @@
+package sstable
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"strings"
+	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/iterator"
+	"repro/internal/keys"
+	"repro/internal/vfs"
+)
+
+// raTable is one table of 4 KiB blocks (four 1 KiB values each) on a read-
+// logging filesystem, with its layout, and a reader over a cold block cache.
+type raTable struct {
+	fs     *readLog
+	r      *Reader
+	cache  *cache.Cache
+	blocks []tableBlock
+}
+
+const raFileNum = 7
+
+// newRATable builds (once per fs) and opens the table; the log starts empty.
+func newRATable(t testing.TB, fs *readLog, nblocks int) *raTable {
+	t.Helper()
+	if !fs.Exists("/ra.sst") {
+		kvs := make([]kv, 4*nblocks)
+		for i := range kvs {
+			kvs[i] = kv{u: fmt.Sprintf("key-%06d", i), seq: 1, val: fmt.Sprintf("%06d", i) + strings.Repeat("v", 1018)}
+		}
+		buildTable(t, fs, "/ra.sst", WriterOptions{Cmp: icmp, BlockSize: 4096, BloomBitsPerKey: 10}, kvs)
+	}
+	ropts := defaultROpts()
+	ropts.Cache, ropts.FileNum = cache.New(16<<20), raFileNum
+	tb := &raTable{fs: fs, cache: ropts.Cache, r: openTable(t, fs, "/ra.sst", ropts)}
+	t.Cleanup(func() { _ = tb.r.Close() })
+	tb.blocks, _ = layout(t, tb.r)
+	if len(tb.blocks) != nblocks {
+		t.Fatalf("table has %d blocks, want %d", len(tb.blocks), nblocks)
+	}
+	fs.reads = nil
+	return tb
+}
+
+// firstKey is the search key that lands on block i's first entry.
+func (tb *raTable) firstKey(i int) []byte {
+	return keys.MakeSearchKey(nil, []byte(fmt.Sprintf("key-%06d", 4*i)), keys.MaxSeq)
+}
+
+// blockAt maps an offset to the block that starts there.
+func (tb *raTable) blockAt(t *testing.T, off int64) int {
+	t.Helper()
+	for i, b := range tb.blocks {
+		if b.off == off {
+			return i
+		}
+	}
+	t.Fatalf("a read starts at %d, which is no block's offset", off)
+	return -1
+}
+
+// requests renders the log as block ranges: "0 1-3 4-10" is a read of block
+// 0, one of blocks 1 to 3 and one of blocks 4 to 10.
+func (tb *raTable) requests(t *testing.T) string {
+	t.Helper()
+	var out []string
+	for _, rd := range tb.fs.reads {
+		first := tb.blockAt(t, rd.off)
+		last, n := first, tb.blocks[first].size
+		for n < int64(rd.n) {
+			last++
+			n += tb.blocks[last].size
+		}
+		if n != int64(rd.n) {
+			t.Fatalf("read of %d bytes at block %d does not end on a block boundary", rd.n, first)
+		}
+		if last == first {
+			out = append(out, fmt.Sprint(first))
+		} else {
+			out = append(out, fmt.Sprintf("%d-%d", first, last))
+		}
+	}
+	tb.fs.reads = nil
+	return strings.Join(out, " ")
+}
+
+// walk steps it forward until it rests on block upTo's first entry (or the
+// end), counting entries.
+func (tb *raTable) walk(t *testing.T, it iterator.Iterator, upTo int) (n int) {
+	t.Helper()
+	for ; it.Valid(); it.Next() {
+		if upTo < len(tb.blocks) && icmp.Compare(it.Key(), tb.firstKey(upTo)) >= 0 {
+			break
+		}
+		n++
+	}
+	if err := it.Error(); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestReadAheadRequestShape pins what a user iterator asks the device for. On
+// this table a block is a little over 4 KiB on disk, so a 16 KiB request holds
+// 3 of them, a 32 KiB one 7 and a 64 KiB one 15.
+func TestReadAheadRequestShape(t *testing.T) {
+	fs := newReadLog(vfs.Mem())
+	const n = 60
+
+	t.Run("cold forward walk ramps up", func(t *testing.T) {
+		tb := newRATable(t, fs, n)
+		if sz := tb.blocks[0].size; 3*sz > readAheadMin || 4*sz <= readAheadMin || 15*sz > IOChunk || 16*sz <= IOChunk {
+			t.Fatalf("blocks of %d bytes do not pack 3, 7 and 15 to a request", sz)
+		}
+		it := tb.r.NewIterator()
+		defer it.Close()
+		it.SeekToFirst()
+		if got := tb.walk(t, it, n); got != 4*n {
+			t.Fatalf("walked %d entries, want %d", got, 4*n)
+		}
+		if got, want := tb.requests(t), "0 1-3 4-10 11-25 26-40 41-55 56-59"; got != want {
+			t.Errorf("requests %q, want %q", got, want)
+		}
+		// Every block went into the cache under its own offset, charged what it
+		// keeps resident.
+		var resident int64
+		for i, b := range tb.blocks {
+			v, ok := tb.cache.Get(cache.Key{FileNum: raFileNum, Offset: uint64(b.off)})
+			if !ok {
+				t.Fatalf("block %d is not cached", i)
+			}
+			resident += v.(interface{ Resident() int64 }).Resident()
+		}
+		if tb.cache.Len() != n || tb.cache.Used() != resident {
+			t.Errorf("cache holds %d entries charged %d bytes, want %d charged %d", tb.cache.Len(), tb.cache.Used(), n, resident)
+		}
+		// A second walk finds everything cached.
+		it.SeekToFirst()
+		tb.walk(t, it, n)
+		if got := tb.requests(t); got != "" {
+			t.Errorf("warm walk read %q", got)
+		}
+	})
+
+	t.Run("a seek starts the ramp over", func(t *testing.T) {
+		tb := newRATable(t, fs, n)
+		it := tb.r.NewIterator()
+		defer it.Close()
+		it.SeekToFirst()
+		tb.walk(t, it, 12) // two steps up the ramp: the next request would be 64 KiB
+		it.SeekGE(tb.firstKey(30))
+		tb.walk(t, it, 45)
+		if got, want := tb.requests(t), "0 1-3 4-10 11-25 30 31-33 34-40 41-55"; got != want {
+			t.Errorf("requests %q, want %q", got, want)
+		}
+	})
+
+	t.Run("never past the block that holds upper", func(t *testing.T) {
+		tb := newRATable(t, fs, n)
+		w := keys.KeyRange{Lo: []byte("key-000010"), Hi: []byte("key-000077")} // blocks 2 to 19
+		first, last, _ := span(tb.blocks, &w)
+		if first != 2 || last != 19 {
+			t.Fatalf("window spans blocks %d to %d", first, last)
+		}
+		hi := keys.MakeInternalKey(nil, w.Hi, 0, keys.KindDelete)
+		it := iterator.NewClamped(icmp.User, tb.r.NewIteratorUpTo(hi), w)
+		defer it.Close()
+		it.SeekToFirst()
+		if got := len(drain(t, it)); got != 68 {
+			t.Fatalf("window yielded %d entries, want 68", got)
+		}
+		if got, want := tb.requests(t), "2 3-5 6-12 13-19"; got != want {
+			t.Errorf("requests %q, want %q", got, want)
+		}
+	})
+
+	t.Run("a request stops short of a cached block", func(t *testing.T) {
+		tb := newRATable(t, fs, n)
+		if _, _, found, err := tb.r.Get([]byte("key-000033"), keys.MaxSeq); !found || err != nil { // block 8
+			t.Fatal(found, err)
+		}
+		it := tb.r.NewIterator()
+		defer it.Close()
+		it.SeekToFirst()
+		tb.walk(t, it, 30)
+		if got, want := tb.requests(t), "8 0 1-3 4-7 9-23 24-38"; got != want {
+			t.Errorf("requests %q, want %q", got, want)
+		}
+	})
+
+	t.Run("reverse walks and point reads take one block", func(t *testing.T) {
+		tb := newRATable(t, fs, n)
+		it := tb.r.NewIterator()
+		defer it.Close()
+		entries := 0
+		for it.SeekToLast(); it.Valid(); it.Prev() {
+			entries++
+		}
+		if err := it.Error(); err != nil || entries != 4*n {
+			t.Fatalf("reverse walk: %d entries, %v", entries, err)
+		}
+		if len(tb.fs.reads) != n {
+			t.Errorf("reverse walk made %d reads of %d blocks", len(tb.fs.reads), n)
+		}
+		for i, rd := range tb.fs.reads {
+			if b := tb.blocks[n-1-i]; rd.off != b.off || int64(rd.n) != b.size {
+				t.Fatalf("reverse read %d is [%d,+%d), want block %d alone", i, rd.off, rd.n, n-1-i)
+			}
+		}
+		tb = newRATable(t, fs, n)
+		for i := 0; i < 4*n; i += 4 {
+			if _, _, found, err := tb.r.Get([]byte(fmt.Sprintf("key-%06d", i)), keys.MaxSeq); !found || err != nil {
+				t.Fatal(i, found, err)
+			}
+		}
+		var want []string
+		for i := 0; i < n; i++ {
+			want = append(want, fmt.Sprint(i))
+		}
+		if got := tb.requests(t); got != strings.Join(want, " ") {
+			t.Errorf("point reads requested %q", got)
+		}
+	})
+
+	t.Run("a forward step after a reverse one reads ahead again", func(t *testing.T) {
+		tb := newRATable(t, fs, n)
+		it := tb.r.NewIterator()
+		defer it.Close()
+		it.SeekGE(tb.firstKey(20))
+		it.Prev() // onto block 19
+		tb.walk(t, it, 30)
+		if got, want := tb.requests(t), "20 19 21-23 24-30"; got != want {
+			t.Errorf("requests %q, want %q", got, want)
+		}
+	})
+}
+
+// TestReadAheadBlocksOwnTheirBytes checks that blocks cached out of one
+// request share no memory: scribbling over everything one of them can reach
+// leaves its neighbours readable. (Under -tags invariants the request's buffer
+// is poisoned as well, so a block that aliased it would fail every test here.)
+func TestReadAheadBlocksOwnTheirBytes(t *testing.T) {
+	tb := newRATable(t, newReadLog(vfs.Mem()), 30)
+	it := tb.r.NewIterator()
+	it.SeekToFirst()
+	want := drain(t, it)
+	it.Close()
+	if got := tb.requests(t); got != "0 1-3 4-10 11-25 26-29" {
+		t.Fatalf("requests %q", got)
+	}
+	// Blocks 4 to 10 came in one request. From an entry of block 6, reach as
+	// far as the allocation behind it goes.
+	it = tb.r.NewIterator()
+	it.SeekGE(tb.firstKey(6))
+	v := it.Value()
+	v = v[:cap(v)]
+	for i := range v {
+		v[i] = 0xEE
+	}
+	it.Close()
+	// Every other block still reads as before (block 6 itself is now garbage
+	// that nothing validates again, so the walk goes around it).
+	it = tb.r.NewIterator()
+	defer it.Close()
+	it.SeekToFirst()
+	for i := 0; i < 24; i++ {
+		if i > 0 {
+			it.Next()
+		}
+		if !it.Valid() || !bytes.Equal(it.Key(), want[i].k) || !bytes.Equal(it.Value(), want[i].v) {
+			t.Fatalf("entry %d (block %d) changed when block 6 was overwritten", i, i/4)
+		}
+	}
+	it.SeekGE(tb.firstKey(7))
+	for i, got := range drain(t, it) {
+		if w := want[28+i]; !bytes.Equal(got.k, w.k) || !bytes.Equal(got.v, w.v) {
+			t.Fatalf("entry %d (block %d) changed when block 6 was overwritten", 28+i, 7+i/4)
+		}
+	}
+	if got := tb.requests(t); got != "" {
+		t.Errorf("the blocks were to come from the cache, yet %q was read", got)
+	}
+}
+
+// TestReadAheadBadBytes: a block that fails its checksum inside a request is a
+// problem only for a scan that gets to it, and then the same problem a point
+// read of it has.
+func TestReadAheadBadBytes(t *testing.T) {
+	fs := newReadLog(vfs.Mem())
+	tb := newRATable(t, fs, 30)
+	bad := tb.blocks[7] // inside the 4-10 request
+	if err := fs.FlipBit("/ra.sst", bad.off+bad.size/2); err != nil {
+		t.Fatal(err)
+	}
+	tb = newRATable(t, fs, 30) // over the damaged file
+	cached := func(i int) bool {
+		_, ok := tb.cache.Get(cache.Key{FileNum: raFileNum, Offset: uint64(tb.blocks[i].off)})
+		return ok
+	}
+
+	// A scan that ends in block 6 never learns of it.
+	it := tb.r.NewIterator()
+	defer it.Close()
+	it.SeekToFirst()
+	for i := 1; i < 4*7; i++ {
+		it.Next()
+	}
+	if !it.Valid() || it.Error() != nil || string(keys.InternalKey(it.Key()).UserKey()) != "key-000027" {
+		t.Fatalf("scan up to the bad block: valid=%v err=%v", it.Valid(), it.Error())
+	}
+	if got := tb.requests(t); got != "0 1-3 4-10" {
+		t.Fatalf("requests %q", got)
+	}
+	for i := 4; i <= 10; i++ {
+		if cached(i) != (i < 7) {
+			t.Errorf("block %d cached = %v: the good blocks before the bad one are kept, nothing from it on", i, cached(i))
+		}
+	}
+
+	// One step further it reports what a point read reports.
+	_, _, _, perr := tb.r.Get([]byte("key-000028"), keys.MaxSeq)
+	it.Next()
+	err := it.Error()
+	if it.Valid() || !errors.Is(err, ErrCorrupt) || perr == nil || err.Error() != perr.Error() {
+		t.Errorf("scan onto the bad block: valid=%v err=%v; the point read says %v", it.Valid(), err, perr)
+	}
+	if want := fmt.Sprintf("file %06d at offset %d", raFileNum, bad.off); !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want it to name %s", err, want)
+	}
+	if cached(7) {
+		t.Error("the bad block is cached")
+	}
+}
+
+// TestReadAheadShortRead fails, then shortens, the 4-10 request: the scan
+// stops with an error, never as if the table ended there.
+func TestReadAheadShortRead(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name  string
+		fault func(n int) (int, error)
+		want  error
+	}{
+		{"failed", func(n int) (int, error) { return 0, boom }, boom},
+		{"short", func(n int) (int, error) { return n - 1, nil }, io.ErrUnexpectedEOF},
+		{"block-aligned short", func(n int) (int, error) { return n / 7 * 3, nil }, io.ErrUnexpectedEOF},
+	} {
+		fs := newReadLog(vfs.Mem())
+		tb := newRATable(t, fs, 30)
+		fs.fault = func(i, n int) (int, error) {
+			if i != 2 {
+				return n, nil
+			}
+			return tc.fault(n)
+		}
+		it := tb.r.NewIterator()
+		it.SeekToFirst()
+		entries := 0
+		for ; it.Valid(); it.Next() {
+			entries++
+		}
+		if err := it.Close(); entries != 4*4 || !errors.Is(err, tc.want) {
+			t.Errorf("%s: scan ended after %d entries with %v, want 16 and %v", tc.name, entries, err, tc.want)
+		}
+		if got := tb.requests(t); got != "0 1-3 4-10" {
+			t.Errorf("%s: requests %q", tc.name, got)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -181,18 +182,38 @@ func (r *Reader) decodeBlock(buf []byte, off uint64) ([]byte, error) {
 	return contents, nil
 }
 
-// dataBlock returns a (possibly cached) reader for the data block at h.
-func (r *Reader) dataBlock(h blockHandle) (*block.Reader, error) {
+// cached returns the reader of the data block at offset off if the block
+// cache holds it, nil otherwise.
+func (r *Reader) cached(off uint64) *block.Reader {
 	if r.opts.Cache != nil {
-		k := cache.Key{FileNum: r.opts.FileNum, Offset: h.offset}
-		if v, ok := r.opts.Cache.Get(k); ok {
-			return v.(*block.Reader), nil
+		if v, ok := r.opts.Cache.Get(cache.Key{FileNum: r.opts.FileNum, Offset: off}); ok {
+			return v.(*block.Reader)
 		}
 	}
+	return nil
+}
+
+// dataBlock returns a (possibly cached) reader for the data block at h.
+func (r *Reader) dataBlock(h blockHandle) (*block.Reader, error) {
+	if br := r.cached(h.offset); br != nil {
+		return br, nil
+	}
+	return r.readBlock(h)
+}
+
+// readBlock fetches the data block at h in a request of its own and caches it.
+func (r *Reader) readBlock(h blockHandle) (*block.Reader, error) {
 	contents, err := r.readBlockContents(h)
 	if err != nil {
 		return nil, err
 	}
+	return r.newDataBlock(contents, h.offset)
+}
+
+// newDataBlock makes the decoded contents of the data block at off, which the
+// reader must own, a fetched block: counted, and in the block cache if there
+// is one.
+func (r *Reader) newDataBlock(contents []byte, off uint64) (*block.Reader, error) {
 	r.blockReads.Add(1)
 	br, err := block.NewReader(r.cmp, contents)
 	if err != nil {
@@ -203,8 +224,7 @@ func (r *Reader) dataBlock(h blockHandle) (*block.Reader, error) {
 		// every hit would defeat the cache), so the charge is the real
 		// resident footprint — the decoded size, not the on-disk handle
 		// length, which may be several times smaller under compression.
-		k := cache.Key{FileNum: r.opts.FileNum, Offset: h.offset}
-		r.opts.Cache.Set(k, br, br.Resident())
+		r.opts.Cache.Set(cache.Key{FileNum: r.opts.FileNum, Offset: off}, br, br.Resident())
 	}
 	return br, nil
 }
@@ -282,11 +302,18 @@ var tableIterPool = sync.Pool{New: func() interface{} { return new(tableIter) }}
 // NewIterator returns a two-level iterator over the table. Iterators are
 // pooled: Close returns the iterator for reuse, so it must not be used after
 // Close.
-func (r *Reader) NewIterator() iterator.Iterator {
+func (r *Reader) NewIterator() iterator.Iterator { return r.NewIteratorUpTo(nil) }
+
+// NewIteratorUpTo is NewIterator for a caller that will not read past upper
+// (an internal key the caller keeps unchanged until Close): the iterator still
+// yields whatever the table holds, but reads ahead no further than the block
+// upper falls in. nil is no limit.
+func (r *Reader) NewIteratorUpTo(upper []byte) iterator.Iterator {
 	t := tableIterPool.Get().(*tableIter)
 	t.r = r
 	t.index.Init(r.index)
 	t.dataOK = false
+	t.upper = upper
 	t.err = nil
 	t.closed = false
 	return t
@@ -295,17 +322,39 @@ func (r *Reader) NewIterator() iterator.Iterator {
 // tableIter walks the index block and lazily opens data blocks. The block
 // cursors are held by value so a pooled tableIter re-seeks without
 // allocating.
+//
+// A block the iterator seeks to, or steps back onto, is read alone, as a point
+// read is. A block it steps forward onto and does not find cached is read
+// together with the blocks after it, in one request (readAhead): the device
+// charges per request, and an iterator that has walked off the end of one
+// block is likely to walk off the next.
 type tableIter struct {
 	r      *Reader
 	index  block.Iter
 	data   block.Iter
 	dataOK bool // data is bound to the block of the current index entry
+
+	upper []byte        // read-ahead stops with the block this key falls in; nil: the table's end
+	ahead int           // byte budget of the next read-ahead request
+	scout block.Iter    // index cursor that runs ahead to size a request
+	run   []blockHandle // the request's blocks (scratch)
+	// held keeps the last request's blocks for the iterator itself: there may
+	// be no block cache, or one so small or so busy that a block is evicted
+	// before the walk gets to it, and it must not be read twice.
+	held []heldBlock
+
 	err    error
 	closed bool
 }
 
-// loadData opens the data block referenced by the current index entry.
-func (t *tableIter) loadData() bool {
+type heldBlock struct {
+	offset uint64
+	br     *block.Reader
+}
+
+// loadData opens the data block referenced by the current index entry;
+// forward says the iterator got there by stepping off the block before it.
+func (t *tableIter) loadData(forward bool) bool {
 	t.dataOK = false
 	if !t.index.Valid() {
 		return false
@@ -315,14 +364,105 @@ func (t *tableIter) loadData() bool {
 		t.err = fmt.Errorf("%w: bad index entry", ErrCorrupt)
 		return false
 	}
-	br, err := t.r.dataBlock(h)
-	if err != nil {
-		t.err = err
-		return false
+	br := t.r.cached(h.offset)
+	for i := 0; br == nil && i < len(t.held); i++ {
+		if t.held[i].offset == h.offset {
+			br = t.held[i].br
+		}
+	}
+	if br == nil {
+		var err error
+		if forward {
+			br, err = t.readAhead(h)
+		} else {
+			br, err = t.r.readBlock(h)
+		}
+		if err != nil {
+			t.err = err
+			return false
+		}
 	}
 	t.data.Init(br)
 	t.dataOK = true
 	return true
+}
+
+// readAhead fetches the block at h — the current index entry's — and the
+// blocks that follow it in one request: adjacent blocks within the budget, up
+// to upper's block, and short of the first one already cached (someone read
+// that far before, and what lies beyond may be cached as well). Each block is
+// verified and decoded exactly as a block read alone is, and goes into the
+// block cache under its own offset owning its bytes, so that evicting one
+// frees it; the request's buffer is back in the pool when readAhead returns.
+// The iterator also holds the blocks itself until its next request (held).
+//
+// Only the block at h can fail the call. A bad block further on is left out
+// (and so is everything after it): if the scan gets that far it reads the
+// block again, at the head of a request, and reports it then.
+func (t *tableIter) readAhead(h blockHandle) (*block.Reader, error) {
+	r := t.r
+	budget := t.ahead
+	t.ahead = min(2*t.ahead, IOChunk)
+	t.scout.Init(r.index)
+	t.scout.SeekGE(t.index.Key())
+	run, n, _, err := r.nextRun(&t.scout, t.run[:0], budget, t.upper)
+	t.run = run[:0]
+	if err != nil {
+		return nil, err
+	}
+	for i := 1; i < len(run); i++ {
+		if r.cached(run[i].offset) != nil {
+			run, n = run[:i], int(run[i].offset-run[0].offset)
+			break
+		}
+	}
+	if len(run) < 2 {
+		return r.readBlock(h)
+	}
+	chunk := chunkPool.Get().(*[IOChunk]byte)
+	if err = r.readRun(r.f, chunk[:n], h.offset); err == nil {
+		t.held = t.held[:0]
+		for _, b := range run {
+			start := b.offset - h.offset
+			br, berr := r.runBlock(chunk[start:start+b.length+blockTrailerLen], b.offset)
+			if berr != nil {
+				if len(t.held) == 0 {
+					err = berr // the block asked for; any other is the next reader's
+				}
+				break
+			}
+			t.held = append(t.held, heldBlock{b.offset, br})
+		}
+	}
+	poison(chunk[:n])
+	chunkPool.Put(chunk)
+	if err != nil {
+		return nil, err
+	}
+	return t.held[0].br, nil
+}
+
+// runBlock makes one block of a run, read into the run's shared buffer, a
+// fetched data block that owns its bytes: a raw block's contents alias the
+// buffer and are copied out, a compressed block's were decoded out of it.
+func (r *Reader) runBlock(buf []byte, off uint64) (*block.Reader, error) {
+	contents, err := r.decodeBlock(buf, off)
+	if err != nil {
+		return nil, err
+	}
+	if compress.Kind(buf[len(buf)-blockTrailerLen]) == compress.None {
+		contents = bytes.Clone(contents)
+	}
+	r.compressedBytesRead.Add(int64(len(buf) - blockTrailerLen))
+	r.uncompressedBytesRead.Add(int64(len(contents)))
+	return r.newDataBlock(contents, off)
+}
+
+// seekData opens the block a seek landed on, alone, and starts the read-ahead
+// ramp over: a seek says nothing about how far the caller will walk.
+func (t *tableIter) seekData() bool {
+	t.ahead = readAheadMin
+	return t.loadData(false)
 }
 
 func (t *tableIter) Valid() bool {
@@ -336,7 +476,7 @@ func (t *tableIter) SeekGE(target []byte) {
 	// Index keys are the last key of each block, so the first index entry
 	// >= target references the block that could contain it.
 	t.index.SeekGE(target)
-	if !t.loadData() {
+	if !t.seekData() {
 		return
 	}
 	t.data.SeekGE(target)
@@ -348,7 +488,7 @@ func (t *tableIter) SeekToFirst() {
 		return
 	}
 	t.index.SeekToFirst()
-	if !t.loadData() {
+	if !t.seekData() {
 		return
 	}
 	t.data.SeekToFirst()
@@ -360,7 +500,7 @@ func (t *tableIter) SeekToLast() {
 		return
 	}
 	t.index.SeekToLast()
-	if !t.loadData() {
+	if !t.seekData() {
 		return
 	}
 	t.data.SeekToLast()
@@ -391,7 +531,7 @@ func (t *tableIter) skipForwardEmpty() {
 			return
 		}
 		t.index.Next()
-		if !t.loadData() {
+		if !t.loadData(true) {
 			return
 		}
 		t.data.SeekToFirst()
@@ -405,7 +545,7 @@ func (t *tableIter) skipBackwardEmpty() {
 			return
 		}
 		t.index.Prev()
-		if !t.loadData() {
+		if !t.loadData(false) {
 			return
 		}
 		t.data.SeekToLast()
@@ -434,8 +574,10 @@ func (t *tableIter) Close() error {
 	err := t.Error()
 	if !t.closed {
 		t.closed = true
-		t.r = nil
+		t.r, t.upper = nil, nil
 		t.dataOK = false
+		clear(t.held)
+		t.held = t.held[:0]
 		tableIterPool.Put(t)
 	}
 	return err

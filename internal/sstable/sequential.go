@@ -21,6 +21,12 @@ import (
 // different value.
 const IOChunk = 64 << 10
 
+// readAheadMin is the size of the first request a user iterator reads ahead
+// with once it steps forward off a block onto one that is not cached; the size
+// doubles with every such request up to IOChunk, and a seek starts it over. A
+// short scan so over-reads little, a long one soon reads like a compaction.
+const readAheadMin = 16 << 10
+
 var errForwardOnly = errors.New("sstable: sequential iterator cannot move backwards")
 
 var (
@@ -107,34 +113,58 @@ func poison(b []byte) {
 	}
 }
 
-// fetchRun reads the next run: the blocks from the index cursor on, for as
-// long as they are adjacent on disk, fit one chunk together and belong to the
-// window. It reports false at the end of the window or on error.
-func (t *seqIter) fetchRun() bool {
-	poison(t.buf) // a value kept across the hand-over reads as garbage at once
-	t.run, t.pos = t.run[:0], 0
-	n := 0
-	for ; t.idx.Valid() && !t.last; t.idx.Next() {
-		h, w := decodeBlockHandle(t.idx.Value())
+// nextRun collects the next run of a forward pass: the blocks from the index
+// cursor on, for as long as they are adjacent on disk and together fit budget
+// bytes (the first is taken whatever its size), through the block that holds
+// upper when there is one — index keys are the last key of their block, so
+// the first to reach upper names the last block a key up to it can be in. The
+// cursor is left on the first block not taken. n is the run's length on disk;
+// last reports that the run ends with upper's block.
+func (r *Reader) nextRun(idx *block.Iter, run []blockHandle, budget int, upper []byte) (_ []blockHandle, n int, last bool, err error) {
+	for ; idx.Valid() && !last; idx.Next() {
+		h, w := decodeBlockHandle(idx.Value())
 		if w == 0 {
-			t.err = fmt.Errorf("%w: bad index entry", ErrCorrupt)
-			return false
+			return run, n, last, fmt.Errorf("%w: bad index entry", ErrCorrupt)
 		}
-		if err := t.r.checkHandle(h); err != nil {
-			t.err = err
-			return false
+		if err := r.checkHandle(h); err != nil {
+			return run, n, last, err
 		}
 		size := int(h.length) + blockTrailerLen
-		if len(t.run) > 0 && (h.offset != t.run[0].offset+uint64(n) || n+size > IOChunk) {
+		if len(run) > 0 && (h.offset != run[0].offset+uint64(n) || n+size > budget) {
 			break
 		}
-		t.run = append(t.run, h)
+		run = append(run, h)
 		n += size
-		// Index keys are the last key of their block, so the first one to
-		// reach hi names the last block a key of the window can be in.
-		t.last = t.clamped && t.r.cmp(t.idx.Key(), t.hi) >= 0
+		last = upper != nil && r.cmp(idx.Key(), upper) >= 0
 	}
-	if len(t.run) == 0 {
+	return run, n, last, nil
+}
+
+// readRun fills buf with the run that starts at off, through f. A short read
+// is an error whatever the file says about it: decoding the part that arrived
+// would end the input early, silently.
+func (r *Reader) readRun(f vfs.File, buf []byte, off uint64) error {
+	if got, err := f.ReadAt(buf, int64(off)); got < len(buf) {
+		if err == nil {
+			err = io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("sstable %06d: read [%d,+%d): %w", r.opts.FileNum, off, len(buf), err)
+	}
+	return nil
+}
+
+// fetchRun reads the next run of the window, at most one chunk of blocks. It
+// reports false at the end of the window or on error.
+func (t *seqIter) fetchRun() bool {
+	poison(t.buf) // a value kept across the hand-over reads as garbage at once
+	t.pos = 0
+	var upper []byte
+	if t.clamped {
+		upper = t.hi
+	}
+	var n int
+	t.run, n, t.last, t.err = t.r.nextRun(&t.idx, t.run[:0], IOChunk, upper)
+	if t.err != nil || len(t.run) == 0 {
 		return false
 	}
 	if n <= IOChunk {
@@ -145,17 +175,8 @@ func (t *seqIter) fetchRun() bool {
 	} else {
 		t.buf = make([]byte, n)
 	}
-	off := t.run[0].offset
-	if got, err := t.f.ReadAt(t.buf, int64(off)); got < n {
-		// A short read is an error whatever the file says about it: decoding
-		// the part that arrived would end the input early, silently.
-		if err == nil {
-			err = io.ErrUnexpectedEOF
-		}
-		t.err = fmt.Errorf("sstable %06d: read [%d,+%d): %w", t.r.opts.FileNum, off, n, err)
-		return false
-	}
-	return true
+	t.err = t.r.readRun(t.f, t.buf, t.run[0].offset)
+	return t.err == nil
 }
 
 // nextBlock binds data to the block after the current one, fetching the next

@@ -13,18 +13,20 @@ import (
 	"repro/internal/cache"
 	"repro/internal/checksum"
 	"repro/internal/compress"
+	"repro/internal/encoding"
 	"repro/internal/invariants"
 	"repro/internal/iterator"
 	"repro/internal/keys"
 	"repro/internal/vfs"
 )
 
-// countingFile records every read made through it. hook, when set, may fail
-// or shorten the i-th read (counted from 0).
-type countingFile struct {
-	vfs.File
+// readLog is a filesystem that records every read made of the files opened
+// through it, with vfs.ErrFS's read hook. fault, when set, may fail or shorten
+// the i-th read (counted from 0) of n bytes, the way the hook does.
+type readLog struct {
+	*vfs.ErrFS
 	reads []readOp
-	hook  func(i int, p []byte) (int, error)
+	fault func(i, n int) (int, error)
 }
 
 type readOp struct {
@@ -32,20 +34,21 @@ type readOp struct {
 	n   int
 }
 
-func (c *countingFile) ReadAt(p []byte, off int64) (int, error) {
-	i := len(c.reads)
-	c.reads = append(c.reads, readOp{off, len(p)})
-	if c.hook != nil {
-		if keep, err := c.hook(i, p); err != nil || keep < len(p) {
-			n, _ := c.File.ReadAt(p[:keep], off)
-			return n, err
+func newReadLog(inner vfs.FS) *readLog {
+	l := &readLog{ErrFS: vfs.NewErrFS(inner)}
+	l.SetReadHook(func(_ string, off int64, n int) (int, error) {
+		i := len(l.reads)
+		l.reads = append(l.reads, readOp{off, n})
+		if l.fault != nil {
+			return l.fault(i, n)
 		}
-	}
-	return c.File.ReadAt(p, off)
+		return n, nil
+	})
+	return l
 }
 
-func (c *countingFile) bytes() (n int64) {
-	for _, r := range c.reads {
+func (l *readLog) bytes() (n int64) {
+	for _, r := range l.reads {
 		n += int64(r.n)
 	}
 	return n
@@ -159,12 +162,12 @@ func checkSequential(t *testing.T, fs vfs.FS, name string, r *Reader, w *keys.Ke
 	}
 	onDisk, decoded := r.IOBytes()
 
-	f, err := fs.Open(name)
+	cf := newReadLog(fs)
+	f, err := cf.Open(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf := &countingFile{File: f}
-	it := r.NewSequential(cf, w)
+	it := r.NewSequential(f, w)
 	it.SeekToFirst()
 	got := drain(t, it)
 	if err := it.Close(); err != nil {
@@ -368,9 +371,9 @@ func TestSequentialNeverReadsMetadata(t *testing.T) {
 	r := openTable(t, fs, "/t.sst", defaultROpts())
 	defer r.Close()
 	_, dataEnd := layout(t, r)
-	f, _ := fs.Open("/t.sst")
-	cf := &countingFile{File: f}
-	it := r.NewSequential(cf, nil)
+	cf := newReadLog(fs)
+	f, _ := cf.Open("/t.sst")
+	it := r.NewSequential(f, nil)
 	it.SeekToFirst()
 	if n := len(drain(t, it)); n != 2000 {
 		t.Fatalf("pass yielded %d entries", n)
@@ -482,34 +485,35 @@ func TestSequentialReadErrors(t *testing.T) {
 	r := openTable(t, fs, "/t.sst", defaultROpts())
 	defer r.Close()
 	boom := errors.New("boom")
-	for name, hook := range map[string]func(i int, p []byte) (int, error){
-		"failed":              func(i int, p []byte) (int, error) { return 0, boom },
-		"short, with error":   func(i int, p []byte) (int, error) { return len(p) / 2, io.ErrUnexpectedEOF },
-		"short, no error":     func(i int, p []byte) (int, error) { return len(p) - 1, nil },
-		"block-aligned short": func(i int, p []byte) (int, error) { return 0, nil },
+	for _, tc := range []struct {
+		name  string
+		fault func(n int) (int, error)
+		want  error
+	}{
+		{"failed", func(n int) (int, error) { return 0, boom }, boom},
+		{"short, with error", func(n int) (int, error) { return n / 2, boom }, boom},
+		{"short", func(n int) (int, error) { return n - 1, nil }, io.ErrUnexpectedEOF},
+		{"block-aligned short", func(n int) (int, error) { return 0, nil }, io.ErrUnexpectedEOF},
 	} {
-		f, _ := fs.Open("/t.sst")
-		cf := &countingFile{File: f}
-		cf.hook = func(i int, p []byte) (int, error) {
+		cf := newReadLog(fs)
+		cf.fault = func(i, n int) (int, error) {
 			if i != 1 {
-				return len(p), nil
+				return n, nil
 			}
-			return hook(i, p)
+			return tc.fault(n)
 		}
-		it := r.NewSequential(cf, nil)
+		f, _ := cf.Open("/t.sst")
+		it := r.NewSequential(f, nil)
 		n := 0
 		for it.SeekToFirst(); it.Valid(); it.Next() {
 			n++
 		}
 		err := it.Close()
 		if len(cf.reads) != 2 || n == 0 {
-			t.Fatalf("%s: %d reads, %d entries: the fault was to hit the second run of several", name, len(cf.reads), n)
+			t.Fatalf("%s: %d reads, %d entries: the fault was to hit the second run of several", tc.name, len(cf.reads), n)
 		}
-		if err == nil {
-			t.Errorf("%s read of the second run: pass ended clean after %d entries", name, n)
-		}
-		if name == "failed" && !errors.Is(err, boom) {
-			t.Errorf("failed read surfaced as %v", err)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s read of the second run: pass ended with %v after %d entries, want %v", tc.name, err, n, tc.want)
 		}
 	}
 }
@@ -523,9 +527,9 @@ func TestSequentialValuesDieAtHandOver(t *testing.T) {
 	buildTable(t, fs, "/t.sst", WriterOptions{Cmp: icmp, BlockSize: 4096}, sortedKVs(20000))
 	r := openTable(t, fs, "/t.sst", defaultROpts())
 	defer r.Close()
-	f, _ := fs.Open("/t.sst")
-	cf := &countingFile{File: f}
-	it := r.NewSequential(cf, nil)
+	cf := newReadLog(fs)
+	f, _ := cf.Open("/t.sst")
+	it := r.NewSequential(f, nil)
 	defer it.Close()
 	it.SeekToFirst()
 	kept, want := it.Value(), bytes.Clone(it.Value())
@@ -584,27 +588,42 @@ func TestSequentialUseAfterCloseCaught(t *testing.T) {
 	}
 }
 
+// seekOnly makes a table iterator read one block per request whichever way
+// it moves, as every iterator did before read-ahead: it steps forward by
+// seeking to the key after the current one, and a seek reads a block alone.
+// (It pays for a seek per entry, so compare its request counts, not its time.)
+type seekOnly struct {
+	iterator.Iterator
+	next []byte
+}
+
+func (s *seekOnly) Next() {
+	// The internal key after (ukey, trailer) has the trailer one lower, or is
+	// the first key of the next user key.
+	ik := keys.InternalKey(s.Key())
+	if t := encoding.Fixed64(ik[len(ik)-keys.TrailerLen:]); t > 0 {
+		s.next = encoding.PutFixed64(append(s.next[:0], ik.UserKey()...), t-1)
+	} else {
+		s.next = keys.MakeSearchKey(s.next[:0], append(bytes.Clone(ik.UserKey()), 0), keys.MaxSeq)
+	}
+	s.SeekGE(s.next)
+}
+
 // BenchmarkTableIterSequential walks one 4 MiB table of 1 KiB values from a
-// counting in-memory file: block-at-a-time as user iterators (and, before
-// sequential passes, compaction inputs) read it, against one sequential pass.
+// counting in-memory file the three ways there are to read one: a block per
+// request, as point reads, seeks and reverse steps do; a user iterator's
+// forward walk, reading ahead; and a compaction input's sequential pass.
 func BenchmarkTableIterSequential(b *testing.B) {
-	fs := vfs.Mem()
+	fs := newReadLog(vfs.Mem())
 	val := strings.Repeat("v", 1024)
 	kvs := make([]kv, 4096)
 	for i := range kvs {
 		kvs[i] = kv{u: fmt.Sprintf("key-%06d", i), seq: 1, val: val}
 	}
 	buildTable(b, fs, "/bench.sst", WriterOptions{Cmp: icmp, BloomBitsPerKey: 10}, kvs)
-	walk := func(b *testing.B, open func(cf *countingFile) (iterator.Iterator, func())) {
-		var reads, entries int
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f, err := fs.Open("/bench.sst")
-			if err != nil {
-				b.Fatal(err)
-			}
-			cf := &countingFile{File: f}
-			it, done := open(cf)
+	walk := func(b *testing.B, open func() (iterator.Iterator, func())) {
+		once := func() (entries int) {
+			it, done := open()
 			for it.SeekToFirst(); it.Valid(); it.Next() {
 				entries++
 			}
@@ -612,40 +631,52 @@ func BenchmarkTableIterSequential(b *testing.B) {
 				b.Fatal(err)
 			}
 			done()
-			reads += len(cf.reads)
+			return entries
+		}
+		entries := 0
+		fs.reads = fs.reads[:0]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			entries += once()
 		}
 		b.StopTimer()
 		if entries != b.N*len(kvs) {
 			b.Fatalf("walked %d entries, want %d", entries, b.N*len(kvs))
 		}
-		allocs := float64(testing.AllocsPerRun(1, func() {
-			f, _ := fs.Open("/bench.sst")
-			it, done := open(&countingFile{File: f})
-			for it.SeekToFirst(); it.Valid(); it.Next() {
-			}
-			it.Close()
-			done()
-		}))
+		reads := len(fs.reads)
+		allocs := testing.AllocsPerRun(1, func() { once() })
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(entries), "ns/entry")
 		b.ReportMetric(allocs/float64(len(kvs)), "allocs/entry")
 		b.ReportMetric(float64(reads)/float64(b.N), "readops/table")
 	}
+	// The user iterators walk a reader opened per pass (footer, index and
+	// filter reads included) over an empty block cache, which is what a
+	// compaction input cost before sequential passes; the sequential pass
+	// shares one pinned reader and leaves the cache alone.
+	user := func(wrap func(iterator.Iterator) iterator.Iterator) func() (iterator.Iterator, func()) {
+		return func() (iterator.Iterator, func()) {
+			ropts := defaultROpts()
+			ropts.Cache = cache.New(8 << 20)
+			r := openTable(b, fs, "/bench.sst", ropts)
+			return wrap(r.NewIterator()), func() { _ = r.Close() }
+		}
+	}
 	b.Run("block-at-a-time", func(b *testing.B) {
-		// What a compaction input cost before: its own uncached reader, opened
-		// (footer, index, filter) and walked one block per read.
-		walk(b, func(cf *countingFile) (iterator.Iterator, func()) {
-			r, err := OpenReader(cf, defaultROpts())
-			if err != nil {
-				b.Fatal(err)
-			}
-			return r.NewIterator(), func() { _ = r.Close() }
-		})
+		walk(b, user(func(it iterator.Iterator) iterator.Iterator { return &seekOnly{Iterator: it} }))
+	})
+	b.Run("readahead", func(b *testing.B) {
+		walk(b, user(func(it iterator.Iterator) iterator.Iterator { return it }))
 	})
 	b.Run("sequential", func(b *testing.B) {
 		r := openTable(b, fs, "/bench.sst", defaultROpts())
 		defer r.Close()
-		walk(b, func(cf *countingFile) (iterator.Iterator, func()) {
-			return r.NewSequential(cf, nil), func() {}
+		walk(b, func() (iterator.Iterator, func()) {
+			f, err := fs.Open("/bench.sst")
+			if err != nil {
+				b.Fatal(err)
+			}
+			return r.NewSequential(f, nil), func() {}
 		})
 	})
 }

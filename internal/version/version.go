@@ -2,6 +2,7 @@ package version
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -21,6 +22,11 @@ type Version struct {
 	// Sliced lists, per level, the files currently carrying slice links
 	// (order matches Levels). Derived at build time for the read path.
 	Sliced [NumLevels][]*FileMeta
+	// Windows indexes, per level, every slice linked to a file of the level
+	// by where its window starts. Derived at build time like Sliced, and as
+	// immutable: the read path finds the windows that cover a key, or that a
+	// scan is about to enter, without walking the rest.
+	Windows [NumLevels]Windows
 
 	refs atomic.Int32
 	set  *Set // for file refcount release; nil in standalone tests
@@ -117,6 +123,44 @@ func (v *Version) SliceCount(level int) int {
 		n += len(f.Slices)
 	}
 	return n
+}
+
+// Windows is one level's slice windows ordered for the read path.
+type Windows struct {
+	// ByLo holds the slices in Range.Lo order.
+	ByLo []*Slice
+	// MaxHi[i] is the largest Range.Hi among ByLo[:i+1]: no window at or
+	// before i reaches past it, which is what bounds a walk down from i.
+	MaxHi [][]byte
+}
+
+// StartingAtOrBelow counts the windows whose Lo is at or below ukey: they are
+// ByLo[:n], and every window from n on lies wholly above ukey.
+func (w *Windows) StartingAtOrBelow(ucmp keys.Comparer, ukey []byte) int {
+	return sort.Search(len(w.ByLo), func(i int) bool {
+		return ucmp.Compare(w.ByLo[i].Range.Lo, ukey) > 0
+	})
+}
+
+func newWindows(ucmp keys.Comparer, sliced []*FileMeta) Windows {
+	n := 0
+	for _, f := range sliced {
+		n += len(f.Slices)
+	}
+	w := Windows{ByLo: make([]*Slice, 0, n), MaxHi: make([][]byte, n)}
+	for _, f := range sliced {
+		for i := range f.Slices {
+			w.ByLo = append(w.ByLo, &f.Slices[i])
+		}
+	}
+	slices.SortStableFunc(w.ByLo, func(a, b *Slice) int { return ucmp.Compare(a.Range.Lo, b.Range.Lo) })
+	for i, s := range w.ByLo {
+		w.MaxHi[i] = s.Range.Hi
+		if i > 0 && ucmp.Compare(w.MaxHi[i-1], s.Range.Hi) > 0 {
+			w.MaxHi[i] = w.MaxHi[i-1]
+		}
+	}
+	return w
 }
 
 // Overlaps returns the files in level whose user-key range intersects r.
@@ -287,6 +331,13 @@ func (b *builder) finish() (*Version, []uint64) {
 			if len(f.Slices) > 0 {
 				v.Sliced[level] = append(v.Sliced[level], f)
 			}
+		}
+		if slices.Equal(v.Sliced[level], b.base.Sliced[level]) {
+			// The edit left this level's links alone (metas are replaced when
+			// a slice is attached), so the base's index still describes them.
+			v.Windows[level] = b.base.Windows[level]
+		} else {
+			v.Windows[level] = newWindows(b.icmp.User, v.Sliced[level])
 		}
 	}
 
