@@ -47,11 +47,14 @@ test:
 # of its own (overlap, failure of either, Close against a parked group); and
 # the scan path's tests — lazily opened slices against the eager reference
 # under a concurrent writer, and the table iterator's read-ahead requests,
-# block ownership and bad-byte handling.
+# block ownership and bad-byte handling; and the point-read path's — the stats
+# contract of sampled Gets, and the in-place block seek against the copying
+# reference, on intact and on damaged blocks.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats' $(TESTFLAGS) ./internal/core
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead' $(TESTFLAGS) ./internal/sstable
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSeekGE' $(TESTFLAGS) ./internal/block
 
 vet:
 	$(GO) vet $(TESTFLAGS) ./...
@@ -70,8 +73,13 @@ lint: $(LDCLINT)
 # The runtime half of the correctness tooling: rebuild with -tags invariants
 # so refcount poisoning, iterator use-after-close traps, and cache
 # accounting checks are compiled in, then run the short suite under them.
+# Then the reader-lifetime proof: the churn test (Gets and scans against
+# flush, link, merge and obsolete-file deletion) with the race detector on
+# top, where a closed table reader traps any probe that still reaches it — a
+# reader pointer cached on a version's file meta must never outlive the file.
 invariants:
 	$(GO) test -short $(if $(TAGS),-tags 'invariants $(TAGS)',-tags invariants) $(GOFLAGS) ./...
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestReadStateChurn$$' $(if $(TAGS),-tags 'invariants $(TAGS)',-tags invariants) $(GOFLAGS) ./internal/core
 
 # The concurrent compaction engine must stay race-clean; -short skips the
 # multi-minute stress runs but still covers the pool, claims, and cache.
@@ -79,10 +87,11 @@ race:
 	$(GO) test -race -short $(TESTFLAGS) ./...
 
 # Ten seconds of each decoder-facing fuzzer: enough to shake out shallow
-# regressions in the block, compression, codec, and vlog record parsers on
+# regressions in the block seek, block, compression, codec, and vlog record parsers on
 # every CI run; long campaigns stay manual (go test -fuzz=... -fuzztime=10m).
 FUZZTIME ?= 10s
 fuzz-smoke:
+	$(GO) test -run XXX -fuzz FuzzBlockSeekGE -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/block
 	$(GO) test -run XXX -fuzz FuzzBlockRoundTrip -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/sstable
 	$(GO) test -run XXX -fuzz FuzzLZ4Decode -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/compress
 	$(GO) test -run XXX -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/compress

@@ -185,8 +185,13 @@ func (it *Iter) Init(r *Reader) {
 }
 
 // decodeAt decodes the entry at off, using it.key as the prefix carrier.
-// Returns the offset past the entry, or -1 on corruption.
+// Returns the offset past the entry, or -1 on corruption (which includes an
+// offset outside the block: restart offsets are read from the block itself).
 func (it *Iter) decodeAt(off int) int {
+	if off > len(it.r.data) {
+		it.corrupt(off)
+		return -1
+	}
 	d := it.r.data[off:]
 	shared, n1 := encoding.Uvarint(d)
 	if n1 == 0 {
@@ -204,13 +209,50 @@ func (it *Iter) decodeAt(off int) int {
 		return -1
 	}
 	h := n1 + n2 + n3
-	if uint64(len(d)-h) < unshared+vlen || uint64(len(it.key)) < shared {
+	if rest := uint64(len(d) - h); unshared > rest || vlen > rest-unshared || uint64(len(it.key)) < shared {
 		it.corrupt(off)
 		return -1
 	}
 	it.key = append(it.key[:shared], d[h:h+int(unshared)]...)
 	it.value = d[h+int(unshared) : h+int(unshared)+int(vlen)]
 	return off + h + int(unshared) + int(vlen)
+}
+
+// restartKey returns the key of the entry at off, a restart point, where it
+// lies in the block: a restart entry shares nothing with its predecessor, so
+// its whole key is contiguous. ok is false where decodeAt would report
+// corruption, shared != 0 included (seekRestart decodes against an empty
+// key).
+func (r *Reader) restartKey(off int) (key []byte, ok bool) {
+	if off > len(r.data) {
+		return nil, false
+	}
+	d := r.data[off:]
+	if len(d) >= 3 && d[0] == 0 && d[1] < 0x80 && d[2] < 0x80 {
+		// Every length in one byte: all but a few index entries, and any data
+		// entry with a short value.
+		if klen := int(d[1]); klen+int(d[2]) <= len(d)-3 {
+			return d[3 : 3+klen], true
+		}
+		return nil, false
+	}
+	shared, n1 := encoding.Uvarint(d)
+	if n1 == 0 || shared != 0 {
+		return nil, false
+	}
+	unshared, n2 := encoding.Uvarint(d[n1:])
+	if n2 == 0 {
+		return nil, false
+	}
+	vlen, n3 := encoding.Uvarint(d[n1+n2:])
+	if n3 == 0 {
+		return nil, false
+	}
+	h := n1 + n2 + n3
+	if rest := uint64(len(d) - h); unshared > rest || vlen > rest-unshared {
+		return nil, false
+	}
+	return d[h : h+int(unshared)], true
 }
 
 func (it *Iter) corrupt(off int) {
@@ -227,26 +269,33 @@ func (it *Iter) seekRestart(i int) {
 	it.next = it.decodeAt(it.offset)
 }
 
+// SeekGE positions at the first entry whose key is at or after target. The
+// binary search compares target with each restart key in place (restartKey);
+// only the restart it settles on is decoded into it.key, for the scan
+// forward.
 func (it *Iter) SeekGE(target []byte) {
 	if it.err != nil {
 		return
 	}
 	// Binary search: last restart whose key <= target.
-	lo, hi := 0, it.r.numRestarts-1
+	r := it.r
+	lo, hi := 0, r.numRestarts-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		it.seekRestart(mid)
-		if it.err != nil {
+		off := r.restartOffset(mid)
+		key, ok := r.restartKey(off)
+		if !ok {
+			it.corrupt(off)
 			return
 		}
-		if it.r.cmp(it.key, target) <= 0 {
+		if r.cmp(key, target) <= 0 {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
 	it.seekRestart(lo)
-	for it.Valid() && it.r.cmp(it.key, target) < 0 {
+	for it.Valid() && r.cmp(it.key, target) < 0 {
 		it.Next()
 	}
 }

@@ -9,17 +9,23 @@ import "sync/atomic"
 // read/write mix over fixed-size windows of operations and nudges T_s one
 // step per window with hysteresis, bounded to [minTs, 4×fanout].
 //
-// Everything is atomic: threshold() and observe() sit on the lock-free read
-// path (every Get records itself), so neither may take a mutex. Window
-// adjustment is guarded by a CAS flag — one adjuster per window, with other
-// observers simply continuing to count.
+// The controller keeps no tally of its own: observe is handed the store's
+// cumulative request counters (db.observeMix — every write group, every scan
+// and every timed Get call it) and closes a window when they have moved by a
+// window's worth since the last close. Nothing here takes a mutex:
+// threshold() and observe() sit on the lock-free read path. Window
+// adjustment is guarded by a CAS flag — one adjuster per window; an observer
+// whose counters are still inside the window returns after one load.
 type adaptiveThreshold struct {
 	ts     atomic.Int64
 	minTs  int64
 	maxTs  int64
 	window int64
 
-	reads, writes atomic.Int64
+	// closedAt is reads+writes at the last window close; reads and writes are
+	// the two counters then, owned by whoever holds adjusting.
+	closedAt      atomic.Int64
+	reads, writes int64
 	adjusting     atomic.Bool
 }
 
@@ -45,41 +51,41 @@ func newAdaptiveThreshold(initial, fanout int) *adaptiveThreshold {
 
 func (a *adaptiveThreshold) threshold() int { return int(a.ts.Load()) }
 
-func (a *adaptiveThreshold) observeReads(n int64)  { a.observe(n, 0) }
-func (a *adaptiveThreshold) observeWrites(n int64) { a.observe(0, n) }
-
-func (a *adaptiveThreshold) observe(r, w int64) {
-	reads := a.reads.Add(r)
-	writes := a.writes.Add(w)
-	if reads+writes < a.window {
+// observe takes the cumulative read and write request counts.
+func (a *adaptiveThreshold) observe(reads, writes int64) {
+	if reads+writes-a.closedAt.Load() < a.window {
 		return
 	}
 	if !a.adjusting.CompareAndSwap(false, true) {
 		return // another observer is mid-adjustment
 	}
-	reads = a.reads.Swap(0)
-	writes = a.writes.Swap(0)
-	if total := reads + writes; total > 0 {
-		ratio := float64(writes) / float64(total)
-		ts := a.ts.Load()
-		step := ts / 4
-		if step < 1 {
-			step = 1
-		}
-		switch {
-		case ratio > 0.55 && ts < a.maxTs:
-			ts += step
-			if ts > a.maxTs {
-				ts = a.maxTs
-			}
-			a.ts.Store(ts)
-		case ratio < 0.45 && ts > a.minTs:
-			ts -= step
-			if ts < a.minTs {
-				ts = a.minTs
-			}
-			a.ts.Store(ts)
-		}
+	defer a.adjusting.Store(false)
+	dr, dw := reads-a.reads, writes-a.writes
+	if dr < 0 || dw < 0 || dr+dw < a.window {
+		// A counter read before the adjuster ahead of us closed its window:
+		// either one older than that close would skew the ratio.
+		return
 	}
-	a.adjusting.Store(false)
+	a.reads, a.writes = reads, writes
+	a.closedAt.Store(reads + writes)
+	ratio := float64(dw) / float64(dr+dw)
+	ts := a.ts.Load()
+	step := ts / 4
+	if step < 1 {
+		step = 1
+	}
+	switch {
+	case ratio > 0.55 && ts < a.maxTs:
+		ts += step
+		if ts > a.maxTs {
+			ts = a.maxTs
+		}
+		a.ts.Store(ts)
+	case ratio < 0.45 && ts > a.minTs:
+		ts -= step
+		if ts < a.minTs {
+			ts = a.minTs
+		}
+		a.ts.Store(ts)
+	}
 }

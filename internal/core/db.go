@@ -18,6 +18,7 @@ import (
 	"repro/internal/keys"
 	"repro/internal/memtable"
 	"repro/internal/ssdsim"
+	"repro/internal/sstable"
 	"repro/internal/version"
 	"repro/internal/vfs"
 	"repro/internal/vlog"
@@ -595,20 +596,43 @@ func (db *store) Apply(b *batch.Batch) error {
 // ---------------------------------------------------------------------------
 // Reads
 
+// ReadSampleEvery is how many Gets share one reading of the clock: two
+// time.Now calls, a histogram record and a shared counter add cost about a
+// tenth of a cached Get, and a 1-in-16 sample taken by ordinal (not by key
+// or outcome) estimates the same latency distribution and total, for traffic
+// with no period that divides 16. A constant, exported so that what prints
+// Stats.ReadLatency can say what it is.
+const ReadSampleEvery = 16
+
 // getAt reads at a pinned sequence (nil = latest). The router resolves a
 // public Snapshot to this shard's captured sequence before calling in.
+// Stats.Gets counts every call; every ReadSampleEvery-th is timed, standing
+// for itself and the fifteen before it in Stats.ReadTime.
 func (db *store) getAt(key []byte, snapSeq *keys.Seq) ([]byte, error) {
-	start := time.Now()
-	defer func() {
-		d := time.Since(start)
-		db.stats.readNanos.Add(int64(d))
-		db.stats.readHist.Record(d)
-	}()
-	db.stats.gets.Add(1)
-	if db.adaptive != nil {
-		db.adaptive.observeReads(1)
+	if db.stats.gets.Add(1)%ReadSampleEvery != 0 {
+		return db.lookup(key, snapSeq)
 	}
+	start := time.Now()
+	val, err := db.lookup(key, snapSeq)
+	d := time.Since(start)
+	db.stats.readNanos.Add(int64(d) * ReadSampleEvery)
+	db.stats.readHist.Record(d)
+	db.observeMix()
+	return val, err
+}
 
+// observeMix shows the adaptive-T_s controller, if there is one, the request
+// counters it derives the read/write mix from.
+func (db *store) observeMix() {
+	if db.adaptive != nil {
+		s := &db.stats
+		db.adaptive.observe(s.gets.Load()+s.scans.Load(), s.puts.Load()+s.deletes.Load())
+	}
+}
+
+// lookup is the point read itself: memtables, then tables, all searched with
+// the one record built here.
+func (db *store) lookup(key []byte, snapSeq *keys.Seq) ([]byte, error) {
 	// Lock-free: one atomic load + ref pins (mem, imm, version) together; the
 	// visible sequence is then read from the Set's atomic counter. Entries at
 	// or below that sequence were applied to a memtable before the sequence
@@ -623,12 +647,16 @@ func (db *store) getAt(key []byte, snapSeq *keys.Seq) ([]byte, error) {
 	if snapSeq != nil {
 		seq = *snapSeq
 	}
+	sc := readScratchPool.Get().(*readScratch)
+	defer readScratchPool.Put(sc)
+	var sk keys.InternalKey
+	sc.rec, sk = memtable.SearchRecord(sc.rec, key, seq)
 
 	// Memtables. Values alias the skiplist's buffers, which outlive the
 	// read state (the Go GC keeps them alive through the returned slice).
-	val, kind, found := rs.mem.GetEntry(key, seq)
+	val, kind, found := rs.mem.GetEntry(sc.rec)
 	if !found && rs.imm != nil {
-		val, kind, found = rs.imm.GetEntry(key, seq)
+		val, kind, found = rs.imm.GetEntry(sc.rec)
 	}
 	if found {
 		switch kind {
@@ -639,7 +667,7 @@ func (db *store) getAt(key []byte, snapSeq *keys.Seq) ([]byte, error) {
 		}
 		return val, nil
 	}
-	val, kind, found, err := db.versionEntry(rs.v, key, seq)
+	val, kind, found, err := db.versionEntry(rs.v, sk)
 	if err != nil {
 		return nil, err
 	}
@@ -688,27 +716,38 @@ func (db *store) resolveBlob(ptr []byte) ([]byte, error) {
 	return append([]byte(nil), cached...), nil
 }
 
-// readScratch carries a point get's search-key buffer; pooled so a
-// steady-state get builds its search key into reused capacity.
+// readScratch carries a point read's search record (memtable.SearchRecord);
+// pooled so a steady-state read builds it into reused capacity.
 type readScratch struct {
-	sk []byte
+	rec []byte
 }
 
 var readScratchPool = sync.Pool{New: func() interface{} { return new(readScratch) }}
 
-// versionEntry searches table files level by level and returns the winning
-// raw entry (kind + stored value — for a pointer entry, the pointer bytes,
-// not the resolved value). The value aliases a cached block, so callers
-// must copy what they keep while still holding the read-state ref; losers
-// (older versions, tombstones) are never copied. found=false with nil err
-// means no table holds a visible version.
-func (db *store) versionEntry(v *version.Version, key []byte, seq keys.Seq) ([]byte, keys.Kind, bool, error) {
+// probeTally counts one read's filter consultations and table probes, so the
+// shared counters are advanced once per read rather than once per table.
+type probeTally struct {
+	bloomProbes, bloomNegatives, tableProbes int64
+}
+
+// versionEntry searches table files level by level with the search key sk
+// and returns the winning raw entry (kind + stored value — for a pointer
+// entry, the pointer bytes, not the resolved value). The value aliases a
+// cached block, so callers must copy what they keep while still holding the
+// read-state ref; losers (older versions, tombstones) are never copied.
+// found=false with nil err means no table holds a visible version.
+func (db *store) versionEntry(v *version.Version, sk keys.InternalKey) ([]byte, keys.Kind, bool, error) {
+	var n probeTally
+	val, kind, found, err := db.searchTables(v, sk, &n)
+	db.stats.bloomProbes.Add(n.bloomProbes)
+	db.stats.bloomNegatives.Add(n.bloomNegatives)
+	db.stats.tableProbes.Add(n.tableProbes)
+	return val, kind, found, err
+}
+
+func (db *store) searchTables(v *version.Version, sk keys.InternalKey, n *probeTally) ([]byte, keys.Kind, bool, error) {
 	ucmp := db.icmp.User
-	sc := readScratchPool.Get().(*readScratch)
-	defer readScratchPool.Put(sc)
-	// One search key per get, shared by every probed table.
-	sc.sk = keys.MakeSearchKey(sc.sk[:0], key, seq)
-	sk := keys.InternalKey(sc.sk)
+	key := sk.UserKey()
 
 	// L0: newest file first.
 	l0 := v.Levels[0]
@@ -717,7 +756,7 @@ func (db *store) versionEntry(v *version.Version, key []byte, seq keys.Seq) ([]b
 		if !f.UserRange().Contains(ucmp, key) {
 			continue
 		}
-		val, kind, _, found, err := db.tableProbe(f.Num, sk)
+		val, kind, _, found, err := db.tableProbe(&f.Table, f.Num, sk, n)
 		if err != nil {
 			return nil, 0, false, err
 		}
@@ -751,7 +790,7 @@ func (db *store) versionEntry(v *version.Version, key []byte, seq keys.Seq) ([]b
 			if ucmp.Compare(s.Range.Hi, key) < 0 {
 				continue
 			}
-			val, kind, entrySeq, found, err := db.tableProbe(s.FrozenNum, sk)
+			val, kind, entrySeq, found, err := db.tableProbe(nil, s.FrozenNum, sk, n)
 			if err != nil {
 				return nil, 0, false, err
 			}
@@ -760,7 +799,7 @@ func (db *store) versionEntry(v *version.Version, key []byte, seq keys.Seq) ([]b
 			}
 		}
 		if f != nil {
-			val, kind, entrySeq, found, err := db.tableProbe(f.Num, sk)
+			val, kind, entrySeq, found, err := db.tableProbe(&f.Table, f.Num, sk, n)
 			if err != nil {
 				return nil, 0, false, err
 			}
@@ -790,20 +829,23 @@ func (db *store) finishTableHit(val []byte, kind keys.Kind) ([]byte, error) {
 }
 
 // tableProbe is the per-table point lookup: bloom filter, then the reader's
-// direct index→data-block probe (no iterator construction). The returned
-// value aliases the cached block — callers copy only what they return. The
-// entry sequence orders candidates across overlapping slice windows.
-func (db *store) tableProbe(num uint64, sk keys.InternalKey) (val []byte, kind keys.Kind, entrySeq keys.Seq, found bool, err error) {
-	r, err := db.tables.get(num)
+// direct index→data-block probe (no iterator construction). table is the
+// reader slot of the meta that named file num in the caller's pinned version
+// (shardTables.through), nil for a slice window's frozen file, which is
+// looked up by number. The returned value aliases the cached block —
+// callers copy only what they return. The entry sequence orders candidates
+// across overlapping slice windows.
+func (db *store) tableProbe(table *atomic.Pointer[sstable.Reader], num uint64, sk keys.InternalKey, n *probeTally) (val []byte, kind keys.Kind, entrySeq keys.Seq, found bool, err error) {
+	r, err := db.tables.through(table, num)
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
-	db.stats.bloomProbes.Add(1)
+	n.bloomProbes++
 	if !r.MayContain(sk.UserKey()) {
-		db.stats.bloomNegatives.Add(1)
+		n.bloomNegatives++
 		return nil, 0, 0, false, nil
 	}
-	db.stats.tableProbes.Add(1)
+	n.tableProbes++
 	return r.Probe(sk)
 }
 

@@ -547,9 +547,7 @@ type storeIter struct {
 // state). Close it when done.
 func (db *store) newIter(snapSeq *keys.Seq) (*storeIter, error) {
 	db.stats.scans.Add(1)
-	if db.adaptive != nil {
-		db.adaptive.observeReads(1)
-	}
+	db.observeMix()
 	it, cleanup, err := db.newInternalIterator()
 	if err != nil {
 		return nil, err

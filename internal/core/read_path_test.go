@@ -1,0 +1,227 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/compaction"
+	"repro/internal/invariants"
+	"repro/internal/keys"
+	"repro/internal/version"
+	"repro/internal/vfs"
+)
+
+// countProbes is the test's own account of what one Get of key costs on the
+// tables of v: filter consultations, negative answers and table probes, made
+// with the probe-everything-then-stop rule of DESIGN "Read path" (L0 newest
+// first; per sorted level every covering window and the file, stopping at the
+// first level that holds a visible version) directly on the table readers.
+func countProbes(t *testing.T, st *store, v *version.Version, key []byte) (n probeTally) {
+	t.Helper()
+	ucmp := st.icmp.User
+	sk := keys.MakeSearchKey(nil, key, keys.MaxSeq)
+	probe := func(num uint64) bool {
+		r, err := st.tables.get(num)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.bloomProbes++
+		if !r.MayContain(key) {
+			n.bloomNegatives++
+			return false
+		}
+		n.tableProbes++
+		_, _, _, found, err := r.Probe(sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return found
+	}
+	for i := len(v.Levels[0]) - 1; i >= 0; i-- {
+		if f := v.Levels[0][i]; f.UserRange().Contains(ucmp, key) && probe(f.Num) {
+			return n
+		}
+	}
+	for level := 1; level < version.NumLevels; level++ {
+		found := false
+		for _, f := range v.Levels[level] {
+			for _, s := range f.Slices {
+				if s.Range.Contains(ucmp, key) && probe(s.FrozenNum) {
+					found = true
+				}
+			}
+			if f.UserRange().Contains(ucmp, key) && probe(f.Num) {
+				found = true
+			}
+		}
+		if found {
+			return n
+		}
+	}
+	return n
+}
+
+// TestGetStatsContract pins what Stats says about N cached Gets now that
+// only one in ReadSampleEvery reads the clock and the probe counters are
+// advanced once per Get: the request and probe counts are exact, the latency
+// histogram holds exactly the sampled Gets, and ReadTime is their time scaled
+// back up.
+func TestGetStatsContract(t *testing.T) {
+	db, slices, _ := slicedTree(t, vfs.Mem(), 20000)
+	if slices == 0 {
+		t.Fatal("the tree carries no slices")
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	db.WaitIdle()
+	st := db.shards[0]
+	v := st.set.Current()
+	defer v.Unref()
+
+	const n = 16000
+	var want probeTally
+	if s := db.Stats(); s.Gets != 0 || s.ReadLatency.Count != 0 || s.BloomProbes != 0 {
+		t.Fatalf("the store has served reads before the test's: %d Gets, %d timed, %d filter probes", s.Gets, s.ReadLatency.Count, s.BloomProbes)
+	}
+	for i := 0; i < n; i++ {
+		// Region b is where the slices are; every fourth key is absent.
+		key := regionKey('b', (i*7)%30000)
+		if i%4 == 3 {
+			key = append(key, '!')
+		}
+		c := countProbes(t, st, v, key)
+		want.bloomProbes += c.bloomProbes
+		want.bloomNegatives += c.bloomNegatives
+		want.tableProbes += c.tableProbes
+		if _, err := db.Get(key); err != nil && !errors.Is(err, ErrNotFound) {
+			t.Fatal(err)
+		}
+	}
+	s := db.Stats()
+	if st.set.CurrentNoRef() != v {
+		t.Fatal("the version changed under the test")
+	}
+
+	if s.Gets != n {
+		t.Errorf("Gets = %d, want exactly %d", s.Gets, n)
+	}
+	d := s.ReadLatency
+	if d.Count != n/ReadSampleEvery {
+		t.Errorf("ReadLatency.Count = %d, want %d/%d", d.Count, n, ReadSampleEvery)
+	}
+	got := probeTally{s.BloomProbes, s.BloomNegatives, s.TableProbes}
+	if got != want || want.tableProbes < n/4 || want.bloomNegatives == 0 {
+		t.Errorf("bloom probes / negatives / table probes = %+v, the test counted %+v", got, want)
+	}
+	if amp := float64(s.TableProbes) / float64(s.Gets); s.PointReadAmp != amp {
+		t.Errorf("PointReadAmp = %v, want TableProbes/Gets = %v", s.PointReadAmp, amp)
+	}
+	// ReadTime is an estimate: ReadSampleEvery times the sampled Gets' time.
+	// It is exactly that (the histogram's mean is its sum over its count), and
+	// therefore between half the sampled median and the sampled maximum per
+	// Get — a lost or doubled scale factor falls outside.
+	if scaled := d.Mean * ReadSampleEvery * time.Duration(d.Count); s.ReadTime < scaled-scaled/100 || s.ReadTime > scaled+scaled/100 {
+		t.Errorf("ReadTime = %v, want %d x the %d samples' total %v", s.ReadTime, ReadSampleEvery, d.Count, scaled/ReadSampleEvery)
+	}
+	if s.ReadTime < n*d.P50/2 || s.ReadTime > n*d.Max {
+		t.Errorf("ReadTime = %v for %d Gets with sampled median %v and maximum %v", s.ReadTime, n, d.P50, d.Max)
+	}
+}
+
+// TestGetAllocs: a Get allocates the value it returns and nothing else —
+// nothing at all when the value aliases a memtable or there is none to
+// return — whether or not an immutable memtable is on the path.
+func TestGetAllocs(t *testing.T) {
+	if !exactAllocs {
+		t.Skip("allocation counts are exact only without -race and -tags invariants")
+	}
+	for _, withImm := range []bool{false, true} {
+		name := "imm=absent"
+		if withImm {
+			name = "imm=present"
+		}
+		t.Run(name, func(t *testing.T) {
+			fs := vfs.NewErrFS(vfs.Mem())
+			opts := smallOpts(compaction.LDC)
+			opts.FS = fs
+			db := openTestDB(t, opts)
+			defer db.Close()
+			val := bytes.Repeat([]byte("v"), 100)
+			for i := 0; i < 1000; i++ {
+				if err := db.Put(key(i), val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			db.WaitIdle()
+			inImm, inMem := key(2000), key(3000)
+			if withImm {
+				// Park the flush of the next memtable in its table's fsync.
+				release := make(chan struct{})
+				defer close(release)
+				fs.SetSyncHook(func(name string) error {
+					if strings.HasSuffix(name, ".sst") {
+						<-release
+					}
+					return nil
+				})
+				if err := db.Put(inImm, val); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; !immPresent(db); i++ {
+					if err := db.Put(key(4000+i), val); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := db.Put(inMem, val); err != nil {
+				t.Fatal(err)
+			}
+			if immPresent(db) != withImm {
+				t.Fatalf("immutable memtable present = %v", !withImm)
+			}
+			type getCase struct {
+				name  string
+				key   []byte
+				found bool
+				most  float64
+			}
+			cases := []getCase{
+				{"table hit", key(500), true, 1},
+				{"memtable hit", inMem, true, 1},
+				{"not found", key(999999), false, 0},
+			}
+			if withImm {
+				cases = append(cases, getCase{"immutable memtable hit", inImm, true, 1})
+			}
+			for _, tc := range cases {
+				got := testing.AllocsPerRun(200, func() {
+					v, err := db.Get(tc.key)
+					if tc.found && (err != nil || !bytes.Equal(v, val)) || !tc.found && !errors.Is(err, ErrNotFound) {
+						t.Fatalf("Get(%s) = %.10q, %v", tc.key, v, err)
+					}
+				})
+				if got > tc.most {
+					t.Errorf("%s: %.0f allocations per Get, want at most %.0f", tc.name, got, tc.most)
+				}
+			}
+		})
+	}
+}
+
+// exactAllocs: the race detector makes sync.Pool drop items at random, and
+// the invariants build allocates in its lock-rank and cache-accounting
+// checks, so an exact allocation count holds under neither.
+const exactAllocs = !raceEnabled && !invariants.Enabled
+
+func immPresent(db *DB) bool {
+	rs := db.shards[0].loadReadState()
+	defer rs.unref()
+	return rs.imm != nil
+}

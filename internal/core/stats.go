@@ -36,7 +36,7 @@ type Stats struct {
 	CompactionTime time.Duration // background compaction + flush work
 	FlushTime      time.Duration // flush-worker subset of CompactionTime
 	WriteTime      time.Duration // user write path (DoWrite)
-	ReadTime       time.Duration // user read path
+	ReadTime       time.Duration // user read path; an estimate: the 1-in-16 sampled Gets' time, scaled by 16
 	StallTime      time.Duration // write-path waits on compaction
 	SlowdownCount  int64         // 1ms L0 slowdowns applied
 	StopCount      int64         // hard write stops encountered
@@ -53,7 +53,7 @@ type Stats struct {
 	MaxConcurrentCompactions int64   // high-water mark of simultaneously executing jobs
 	WorkerCompactions        []int64 // jobs completed per compaction worker
 
-	// Request counts.
+	// Request counts (exact: every request counts itself).
 	Puts, Gets, Deletes, Scans int64
 
 	// Read path (the lock-free read-state refactor's observability).
@@ -83,7 +83,11 @@ type Stats struct {
 	// Foreground latency distributions: full percentile ladders for the
 	// user-facing read (Get) and write (Apply) paths — the tail-latency lens
 	// the brownout benchmark gates on. Populated by the router from merged
-	// per-shard histograms; zero in aggregateStats input.
+	// per-shard histograms; zero in aggregateStats input. WriteLatency holds
+	// every Apply. ReadLatency is a 1-in-16 sample (ReadSampleEvery): every
+	// sixteenth Get of a shard, by ordinal, so Count is Gets/16. It stands for
+	// all Gets only when the traffic has no period that divides 16: a client
+	// loop of 15 cached Gets and a cold one always times the same position.
 	ReadLatency  histogram.Distribution
 	WriteLatency histogram.Distribution
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/keys"
@@ -98,6 +99,26 @@ func (st *shardTables) get(num uint64) (*sstable.Reader, error) {
 		return existing.(*sstable.Reader), nil
 	}
 	return r, nil
+}
+
+// through is get for a file named by a version the caller has pinned: slot,
+// the reader pointer on that file's meta, answers every probe after the first
+// with one load. The map stays the owner — a reader is closed only by evict,
+// for a file no version references any more, so none that a pinned version
+// names — and a slot is only ever filled with the map's reader. A nil slot
+// is plain get.
+func (st *shardTables) through(slot *atomic.Pointer[sstable.Reader], num uint64) (*sstable.Reader, error) {
+	if slot == nil {
+		return st.get(num)
+	}
+	if r := slot.Load(); r != nil {
+		return r, nil
+	}
+	r, err := st.get(num)
+	if err == nil {
+		slot.Store(r)
+	}
+	return r, err
 }
 
 func (st *shardTables) readerOptions(num uint64) sstable.ReaderOptions {

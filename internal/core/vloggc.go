@@ -7,6 +7,7 @@ import (
 	"repro/internal/batch"
 	"repro/internal/iosched"
 	"repro/internal/keys"
+	"repro/internal/memtable"
 	"repro/internal/vlog"
 )
 
@@ -156,15 +157,15 @@ func (db *store) recordLive(key []byte, ptr vlog.Pointer) (bool, error) {
 		return false, ErrClosed
 	}
 	defer rs.unref()
-	seq := db.set.LastSeq()
+	rec, sk := memtable.SearchRecord(nil, key, db.set.LastSeq())
 
-	val, kind, found := rs.mem.GetEntry(key, seq)
+	val, kind, found := rs.mem.GetEntry(rec)
 	if !found && rs.imm != nil {
-		val, kind, found = rs.imm.GetEntry(key, seq)
+		val, kind, found = rs.imm.GetEntry(rec)
 	}
 	if !found {
 		var err error
-		val, kind, found, err = db.versionEntry(rs.v, key, seq)
+		val, kind, found, err = db.versionEntry(rs.v, sk)
 		if err != nil {
 			return false, err
 		}

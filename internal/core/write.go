@@ -197,9 +197,7 @@ func (db *store) commitGroup(g *batch.Group, sync bool) error {
 	db.stats.puts.Add(puts)
 	db.stats.deletes.Add(deletes)
 	db.set.SetLastSeq(seq + keys.Seq(b.Count()) - 1)
-	if db.adaptive != nil {
-		db.adaptive.observeWrites(int64(b.Count()))
-	}
+	db.observeMix()
 	db.mu.Unlock()
 	return nil
 }

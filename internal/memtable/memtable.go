@@ -68,34 +68,47 @@ func (m *MemTable) Add(seq keys.Seq, kind keys.Kind, ukey, value []byte) {
 	m.approximateBytes.Add(int64(len(rec)))
 }
 
+// SearchRecord builds, into buf's capacity, the record a lookup of ukey at
+// snapshot seq seeks a memtable with, and returns it with its suffix sk — the
+// search key keys.MakeSearchKey builds, which is what tables are searched
+// with. A read therefore builds one record and probes every memtable and
+// table with it. The skiplist compares full records; one holding just the
+// prefixed internal key (no value) decodes the same way because
+// GetLengthPrefixed reads only the prefix.
+func SearchRecord(buf, ukey []byte, seq keys.Seq) (rec []byte, sk keys.InternalKey) {
+	ikeyLen := len(ukey) + keys.TrailerLen
+	prefix := encoding.UvarintLen(uint64(ikeyLen))
+	if cap(buf) < prefix+ikeyLen {
+		buf = make([]byte, 0, prefix+ikeyLen)
+	}
+	rec = keys.MakeSearchKey(encoding.PutUvarint(buf[:0], uint64(ikeyLen)), ukey, seq)
+	return rec, keys.InternalKey(rec[prefix:])
+}
+
 // Get looks up ukey at snapshot seq. It reports (value, true, nil) for a live
 // entry, (nil, true, ErrDeleted-equivalent) semantics are avoided: instead it
 // returns (nil, false, true) for "found a tombstone" via the deleted flag.
 // found==false means the memtable has no visible version of ukey.
 func (m *MemTable) Get(ukey []byte, seq keys.Seq) (value []byte, deleted, found bool) {
-	value, kind, found := m.GetEntry(ukey, seq)
+	rec, _ := SearchRecord(nil, ukey, seq)
+	value, kind, found := m.GetEntry(rec)
 	return value, found && kind == keys.KindDelete, found
 }
 
-// GetEntry is Get with the entry kind exposed: under value separation the
-// newest version may be a pointer entry (keys.KindBlobRef) whose payload the
-// caller must resolve through the value log rather than return verbatim.
-func (m *MemTable) GetEntry(ukey []byte, seq keys.Seq) (value []byte, kind keys.Kind, found bool) {
+// GetEntry looks up the newest version of a user key visible at a snapshot,
+// both named by rec (see SearchRecord), with the entry kind exposed: under
+// value separation the newest version may be a pointer entry
+// (keys.KindBlobRef) whose payload the caller must resolve through the value
+// log rather than return verbatim.
+func (m *MemTable) GetEntry(rec []byte) (value []byte, kind keys.Kind, found bool) {
 	it := m.list.NewIterator()
-	// Build the length-prefixed search record directly, in one allocation.
-	// The skiplist compares full records; a record holding just the prefixed
-	// internal key (no value) decodes the same way because
-	// GetLengthPrefixed reads only the prefix.
-	ikeyLen := len(ukey) + keys.TrailerLen
-	rec := make([]byte, 0, encoding.UvarintLen(uint64(ikeyLen))+ikeyLen)
-	rec = encoding.PutUvarint(rec, uint64(ikeyLen))
-	rec = keys.MakeSearchKey(rec, ukey, seq)
 	it.SeekGE(rec)
 	if !it.Valid() {
 		return nil, 0, false
 	}
+	sk, _ := decodeKey(rec)
 	ikey, rest := decodeKey(it.Key())
-	if m.icmp.User.Compare(keys.InternalKey(ikey).UserKey(), ukey) != 0 {
+	if m.icmp.User.Compare(keys.InternalKey(ikey).UserKey(), keys.InternalKey(sk).UserKey()) != 0 {
 		return nil, 0, false
 	}
 	k := keys.InternalKey(ikey).Kind()
@@ -110,10 +123,7 @@ func (m *MemTable) GetEntry(ukey []byte, seq keys.Seq) (value []byte, kind keys.
 // landed between its liveness read and the rewrite's application.
 func (m *MemTable) LatestSeq(ukey []byte) (keys.Seq, bool) {
 	it := m.list.NewIterator()
-	ikeyLen := len(ukey) + keys.TrailerLen
-	rec := make([]byte, 0, encoding.UvarintLen(uint64(ikeyLen))+ikeyLen)
-	rec = encoding.PutUvarint(rec, uint64(ikeyLen))
-	rec = keys.MakeSearchKey(rec, ukey, keys.MaxSeq)
+	rec, _ := SearchRecord(nil, ukey, keys.MaxSeq)
 	it.SeekGE(rec)
 	if !it.Valid() {
 		return 0, false

@@ -281,7 +281,7 @@ func TestServerInfo(t *testing.T) {
 		"# Server", "# Clients", "# Stats", "# Commandstats", "# Engine",
 		"connected_clients:1", "write_groups_total:", "avg_group_size:",
 		"apply_batches:", "cmdstat_set:",
-		"write_latency_usec:count=", "read_latency_usec:count=",
+		"write_latency_usec:count=", "read_latency_usec:count=", "read_latency_sample_every:16",
 		"io_sched_flush_bytes:", "io_sched_throttled_waits:",
 		"io_sched_preemptions:", "io_sched_queue_depths:flush=",
 	} {

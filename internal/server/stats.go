@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/histogram"
 )
 
@@ -202,6 +203,9 @@ func (s *Server) renderInfo(section string) string {
 				lat.d.P999.Microseconds(), lat.d.P9999.Microseconds(),
 				lat.d.Max.Microseconds())
 		}
+		// The engine times one Get in this many (a 1-in-16 sample, scaled in
+		// read time totals); cmdstat_get above times every GET.
+		fmt.Fprintf(&b, "read_latency_sample_every:%d\r\n", core.ReadSampleEvery)
 		// I/O scheduler counters (zero when rate limiting is disabled,
 		// except the per-tier byte accounting which always runs).
 		fmt.Fprintf(&b, "io_sched_flush_bytes:%d\r\n", ds.IOSchedFlushBytes)

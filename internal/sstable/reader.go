@@ -12,6 +12,7 @@ import (
 	"repro/internal/checksum"
 	"repro/internal/compress"
 	"repro/internal/encoding"
+	"repro/internal/invariants"
 	"repro/internal/iterator"
 	"repro/internal/keys"
 	"repro/internal/vfs"
@@ -55,6 +56,11 @@ type Reader struct {
 	// ratio is the read-side compression ratio surfaced by DB.Stats.
 	compressedBytesRead   atomic.Int64
 	uncompressedBytesRead atomic.Int64
+
+	// closedInv records Close under -tags invariants: a lookup or a new
+	// iterator on a reader after that is the use of a table its owner has
+	// already let go of (a reader pointer that outlived the file's liveness).
+	closedInv atomic.Bool
 }
 
 // OpenReader reads the footer, index, and filter of a table file. The
@@ -101,11 +107,24 @@ func OpenReader(f vfs.File, opts ReaderOptions) (*Reader, error) {
 }
 
 // Close releases the underlying file.
-func (r *Reader) Close() error { return r.f.Close() }
+func (r *Reader) Close() error {
+	if invariants.Enabled {
+		r.closedInv.Store(true)
+	}
+	return r.f.Close()
+}
+
+// checkOpen traps, under -tags invariants, op on a reader that was closed.
+func (r *Reader) checkOpen(op string) {
+	if invariants.Enabled && r.closedInv.Load() {
+		invariants.Violatedf("sstable %06d: %s on a closed reader", r.opts.FileNum, op)
+	}
+}
 
 // MayContain consults the Bloom filter for ukey; tables written without a
 // filter report true.
 func (r *Reader) MayContain(ukey []byte) bool {
+	r.checkOpen("MayContain")
 	if r.filter == nil {
 		return true
 	}
@@ -266,6 +285,7 @@ var probePool = sync.Pool{New: func() interface{} { return new(pointProbe) }}
 // >= sk names the one block whose key range can contain sk, and a SeekGE
 // inside it always lands on an entry (its last key is >= sk).
 func (r *Reader) Probe(sk keys.InternalKey) (value []byte, kind keys.Kind, entrySeq keys.Seq, found bool, err error) {
+	r.checkOpen("Probe")
 	p := probePool.Get().(*pointProbe)
 	defer probePool.Put(p)
 	p.idx.Init(r.index)
@@ -309,6 +329,7 @@ func (r *Reader) NewIterator() iterator.Iterator { return r.NewIteratorUpTo(nil)
 // yields whatever the table holds, but reads ahead no further than the block
 // upper falls in. nil is no limit.
 func (r *Reader) NewIteratorUpTo(upper []byte) iterator.Iterator {
+	r.checkOpen("NewIterator")
 	t := tableIterPool.Get().(*tableIter)
 	t.r = r
 	t.index.Init(r.index)

@@ -54,6 +54,7 @@ var (
 // SeekToLast and Prev fail it. Values alias the run's buffer and, as the
 // Iterator contract says, die at the next positioning call.
 func (r *Reader) NewSequential(f vfs.File, window *keys.KeyRange) iterator.Iterator {
+	r.checkOpen("NewSequential")
 	t := seqIterPool.Get().(*seqIter)
 	t.r, t.f = r, f
 	t.idx.Init(r.index)

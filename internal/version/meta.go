@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/keys"
+	"repro/internal/sstable"
 )
 
 // NumLevels is the number of on-disk levels (L0..L6).
@@ -49,6 +50,13 @@ type FileMeta struct {
 
 	// AllowedSeeks implements LevelDB's seek-triggered compaction budget.
 	AllowedSeeks atomic.Int32
+
+	// Table is the file's open reader once a read has fetched it from the
+	// table cache, so that a probe reaches it by a pointer load. The table
+	// cache stays the owner: it closes a reader only when the file is
+	// obsolete, which no file of a version still referenced is, and a reader
+	// gets at a meta only through such a version.
+	Table atomic.Pointer[sstable.Reader]
 
 	refs atomic.Int32
 }
@@ -97,6 +105,7 @@ func (f *FileMeta) withSlices(slices []Slice) *FileMeta {
 		Slices:   slices,
 	}
 	nf.AllowedSeeks.Store(f.AllowedSeeks.Load())
+	nf.Table.Store(f.Table.Load())
 	return nf
 }
 
