@@ -49,10 +49,13 @@ test:
 # under a concurrent writer, and the table iterator's read-ahead requests,
 # block ownership and bad-byte handling; and the point-read path's — the stats
 # contract of sampled Gets, and the in-place block seek against the copying
-# reference, on intact and on damaged blocks.
+# reference, on intact and on damaged blocks; and LDC's level-1 target — the
+# rule, the picker draining the staging level before L0, and the L0→L1 share
+# of the write bill on a bench-shaped tree.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLevelTargets|TestLDCDrainsStagingLevel|TestDebt' $(TESTFLAGS) ./internal/compaction
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead' $(TESTFLAGS) ./internal/sstable
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSeekGE' $(TESTFLAGS) ./internal/block
 

@@ -54,9 +54,6 @@ type Params struct {
 	Fanout int
 	// SSTableSize is the target output file size (b).
 	SSTableSize int64
-	// BaseLevelBytes caps level 1; deeper levels grow by Fanout. When zero
-	// it defaults to Fanout × SSTableSize.
-	BaseLevelBytes int64
 	// L0Trigger is the L0 file count that triggers an L0→L1 compaction.
 	L0Trigger int
 	// L0SlowdownTrigger is the L0 file count at which the commit controller
@@ -83,9 +80,6 @@ func (p Params) withDefaults() Params {
 	if p.SSTableSize <= 0 {
 		p.SSTableSize = 2 << 20
 	}
-	if p.BaseLevelBytes <= 0 {
-		p.BaseLevelBytes = int64(p.Fanout) * p.SSTableSize
-	}
 	if p.L0Trigger <= 0 {
 		p.L0Trigger = 4
 	}
@@ -99,15 +93,6 @@ func (p Params) withDefaults() Params {
 		p.FrozenFraction = 0.25
 	}
 	return p
-}
-
-// MaxBytesForLevel returns the capacity target of a level (levels >= 1).
-func (p Params) MaxBytesForLevel(level int) int64 {
-	n := p.BaseLevelBytes
-	for l := 1; l < level; l++ {
-		n *= int64(p.Fanout)
-	}
-	return n
 }
 
 // Kind discriminates what a Pick asks the store to do.
@@ -214,43 +199,58 @@ func (p *Picker) SliceThreshold() int {
 
 // Score reports the compaction pressure of a level: >= 1 means the level
 // needs compaction. L0 scores by file count, deeper levels by byte size
-// relative to the level target. Under LDC, bytes pending in slices count
-// toward the level that will absorb them.
+// relative to the level target.
 func (p *Picker) Score(v *version.Version, level int) float64 {
 	if level == 0 {
 		return float64(v.NumFiles(0)) / float64(p.params.L0Trigger)
 	}
+	return float64(p.levelBytes(v, level)) / float64(p.MaxBytesForLevel(level))
+}
+
+// levelBytes is a level's size as held against its target: resident bytes
+// plus, under LDC, the bytes pending in slices it will absorb.
+func (p *Picker) levelBytes(v *version.Version, level int) int64 {
 	bytes := v.LevelBytes(level)
 	if p.policy == LDC {
 		for _, f := range v.Sliced[level] {
 			bytes += f.SliceBytes()
 		}
 	}
-	return float64(bytes) / float64(p.MaxBytesForLevel(level))
+	return bytes
 }
 
-// MaxBytesForLevel exposes the level target for stats.
-func (p *Picker) MaxBytesForLevel(level int) int64 { return p.params.MaxBytesForLevel(level) }
+// MaxBytesForLevel is the capacity target of a level (levels >= 1), decided
+// here and nowhere else: the ladder Fanout^level × SSTableSize, except that
+// LDC's level 1 is a staging level sized to what one L0 compaction brings —
+// a table leaves it by a link, for free, and stays in it only to be rewritten
+// by the next L0 compaction (DESIGN, "Level targets").
+func (p *Picker) MaxBytesForLevel(level int) int64 {
+	if p.policy == LDC && level == 1 {
+		return int64(min(p.params.L0Trigger, p.params.Fanout)) * p.params.SSTableSize
+	}
+	n := p.params.SSTableSize
+	for l := 0; l < level; l++ {
+		n *= int64(p.params.Fanout)
+	}
+	return n
+}
 
-// Debt estimates the bytes of compaction work the tree owes before every
+// Debt estimates the bytes of compaction I/O the tree owes before every
 // level is back under its target: excess L0 files at one table each, plus
-// each deeper level's bytes over target (under LDC, bytes pending in slices
-// count toward the level that will absorb them). The commit controller
-// scales its continuous slowdown with this figure, so admission tightens as
-// background work falls behind rather than stepping at the L0 cliff.
+// each deeper level's bytes over target — except LDC's level 1, whose overage
+// leaves by links, one MANIFEST record each. The commit controller scales its
+// continuous slowdown with this figure, so admission tightens as background
+// work falls behind rather than stepping at the L0 cliff.
 func (p *Picker) Debt(v *version.Version) int64 {
 	var debt int64
 	if extra := v.NumFiles(0) - p.params.L0Trigger; extra > 0 {
 		debt += int64(extra) * p.params.SSTableSize
 	}
 	for level := 1; level < version.NumLevels; level++ {
-		bytes := v.LevelBytes(level)
-		if p.policy == LDC {
-			for _, f := range v.Sliced[level] {
-				bytes += f.SliceBytes()
-			}
+		if p.policy == LDC && level == 1 {
+			continue
 		}
-		if over := bytes - p.MaxBytesForLevel(level); over > 0 {
+		if over := p.levelBytes(v, level) - p.MaxBytesForLevel(level); over > 0 {
 			debt += over
 		}
 	}
@@ -453,8 +453,14 @@ func (p *Picker) pickLDC(v *version.Version) Pick {
 	// the throttle — ripe merges are deferrable debt by comparison. This
 	// mirrors the I/O scheduler's tier order (flush > L0→L1 > merges) at
 	// the picking layer, so a compaction storm cannot park every worker on
-	// merges while foreground writes sit in the slowdown curve.
+	// merges while foreground writes sit in the slowdown curve. Level 1's
+	// links go first: free, and each takes a table out of what L0 rewrites.
 	if v.NumFiles(0) >= p.params.L0SlowdownTrigger {
+		if s := p.Score(v, 1); s >= p.minScore(1) {
+			if pick := p.pickLDCLevel(v, 1, s); pick.Kind == PickLink || pick.Kind == PickTrivialMove {
+				return pick
+			}
+		}
 		if pick := p.pickLDCLevel(v, 0, p.Score(v, 0)); pick.Kind != PickNone {
 			return pick
 		}

@@ -44,19 +44,43 @@ func testParams() Params {
 
 func TestDefaults(t *testing.T) {
 	p := Params{}.withDefaults()
-	if p.Fanout != 10 || p.SliceThreshold != 10 || p.L0Trigger != 4 ||
-		p.BaseLevelBytes != int64(p.Fanout)*p.SSTableSize {
+	if p.Fanout != 10 || p.SliceThreshold != 10 || p.L0Trigger != 4 || p.SSTableSize != 2<<20 {
 		t.Errorf("defaults = %+v", p)
 	}
 }
 
-func TestMaxBytesForLevel(t *testing.T) {
-	p := Params{Fanout: 10, SSTableSize: 1000}.withDefaults()
-	if p.MaxBytesForLevel(1) != 10000 {
-		t.Errorf("L1 = %d", p.MaxBytesForLevel(1))
+// TestLevelTargets pins the level-target rule: UDC keeps the ladder
+// Fanout^level × SSTableSize on every level; LDC sizes level 1 to one L0
+// compaction's input and keeps the ladder from level 2 down.
+func TestLevelTargets(t *testing.T) {
+	const b = 1000
+	cases := []struct {
+		name              string
+		fanout, l0Trigger int
+		ldcL1             int64
+	}{
+		{"spine shape", 10, 4, 4 * b},
+		{"trigger equals fanout", 4, 4, 4 * b},
+		{"fanout below trigger", 3, 8, 3 * b},
+		{"defaulted trigger", 10, 0, 4 * b},
 	}
-	if p.MaxBytesForLevel(3) != 1000000 {
-		t.Errorf("L3 = %d", p.MaxBytesForLevel(3))
+	for _, tc := range cases {
+		params := Params{Fanout: tc.fanout, SSTableSize: b, L0Trigger: tc.l0Trigger}
+		udc, ldc := NewPicker(UDC, params, icmp), NewPicker(LDC, params, icmp)
+		ladder := int64(b)
+		for level := 1; level <= 4; level++ {
+			ladder *= int64(tc.fanout)
+			if got := udc.MaxBytesForLevel(level); got != ladder {
+				t.Errorf("%s: UDC L%d = %d, want %d", tc.name, level, got, ladder)
+			}
+			want := ladder
+			if level == 1 {
+				want = tc.ldcL1
+			}
+			if got := ldc.MaxBytesForLevel(level); got != want {
+				t.Errorf("%s: LDC L%d = %d, want %d", tc.name, level, got, want)
+			}
+		}
 	}
 }
 
@@ -273,6 +297,72 @@ func TestLDCL0StillCompactsConventionally(t *testing.T) {
 	}
 }
 
+// TestLDCDrainsStagingLevelBeforeL0 drives the picker over a synthetic tree
+// (L0 at its trigger, ten slice-free L1 tables over a populated L2), applying
+// each link the way the store does. L1 is a staging level: it links its tables
+// down while it scores >= 1 (a tie with L0 goes to the deeper level), and the
+// L0 compaction that follows rewrites fewer L1 tables than the L1 target.
+func TestLDCDrainsStagingLevelBeforeL0(t *testing.T) {
+	pk := NewPicker(LDC, testParams(), icmp) // L1 target 4 tables of 1000
+	key := func(i int) string { return string(rune('a' + i)) }
+	type link struct {
+		su     *version.FileMeta
+		target uint64 // the one L2 table su overlaps
+		slice  version.Slice
+	}
+	var links []link
+	build := func() *version.Version {
+		return buildV(t, func(e *version.Edit) {
+			for i := 0; i < 4; i++ {
+				e.AddFile(0, fm(uint64(100+i), "a", "z", 1000))
+			}
+			linked := map[uint64]bool{}
+			for _, l := range links {
+				linked[l.su.Num] = true
+				e.FreezeFile(&version.FrozenMeta{Num: l.su.Num, Size: l.su.Size, Smallest: l.su.Smallest, Largest: l.su.Largest})
+			}
+			for i := 0; i < 10; i++ {
+				if num := uint64(10 + i); !linked[num] {
+					e.AddFile(1, fm(num, key(2*i), key(2*i+1), 1000))
+				}
+			}
+			for j := 0; j < 5; j++ { // each L2 table spans two L1 tables
+				num := uint64(50 + j)
+				e.AddFile(2, fm(num, key(4*j), key(4*j+3), 10000))
+				for _, l := range links {
+					if l.target == num {
+						e.AddSlice(2, num, l.slice)
+					}
+				}
+			}
+		})
+	}
+
+	v := build()
+	for pk.Score(v, 1) >= 1 {
+		got := pk.Pick(v)
+		if got.Kind != PickLink || got.Level != 1 || len(got.Overlaps) != 1 {
+			t.Fatalf("pick %d = %v at L%d over %d targets with L1 scoring %.2f and L0 %.2f, want a link",
+				len(links), got.Kind, got.Level, len(got.Overlaps), pk.Score(v, 1), pk.Score(v, 0))
+		}
+		su, target := got.Inputs[0], got.Overlaps[0]
+		w := SliceWindows(icmp.User, su, got.Overlaps)[0]
+		links = append(links, link{su, target.Num,
+			version.Slice{FrozenNum: su.Num, Range: w, LinkSeq: uint64(len(links) + 1), Bytes: su.Size}})
+		v = build()
+	}
+	if len(links) != 7 { // 10 -> 3 tables: the 7th link breaks the 1.0 tie with L0
+		t.Errorf("%d links before L1 fell under its target, want 7", len(links))
+	}
+	got := pk.Pick(v)
+	if got.Kind != PickCompact || got.Level != 0 {
+		t.Fatalf("Pick = %v at L%d, want the L0 compaction once L1 is drained", got.Kind, got.Level)
+	}
+	if target := pk.MaxBytesForLevel(1) / 1000; int64(len(got.Overlaps)) >= target {
+		t.Errorf("L0 compaction rewrites %d L1 tables, want fewer than the %d-table target", len(got.Overlaps), target)
+	}
+}
+
 func TestAdaptiveThresholdFeedsPicker(t *testing.T) {
 	params := testParams()
 	params.SliceThreshold = 7
@@ -375,34 +465,53 @@ func TestDebtCountsExcessL0Files(t *testing.T) {
 	}
 }
 
+// TestDebtCountsDeepOverageAndSliceBytes states what Debt charges under each
+// policy: bytes whose retirement costs I/O. UDC owes every level's overage,
+// each byte of it a rewrite. LDC owes the slice bytes pending on levels >= 2
+// (a merge absorbs them) and L0's excess, but nothing for level 1: a table
+// leaves it by a link. Targets: L1 10000 (UDC) / 4000 (LDC), L2 100000.
 func TestDebtCountsDeepOverageAndSliceBytes(t *testing.T) {
-	pk := NewPicker(LDC, testParams(), icmp) // L1 target 10000
-	v := buildV(t, func(e *version.Edit) {
-		f := fm(1, "a", "m", 12000)
-		e.AddFile(1, f)
-		e.FreezeFile(&version.FrozenMeta{Num: 90, Size: 500, Smallest: ik("a", 9), Largest: ik("m", 8)})
-		e.AddSlice(1, 1, version.Slice{FrozenNum: 90, Range: keys.KeyRange{Lo: []byte("a"), Hi: []byte("m")}, LinkSeq: 1, Bytes: 500})
-	})
-	// 12000 resident + 500 pending slice bytes against a 10000 target.
-	if got := pk.Debt(v); got != 2500 {
-		t.Errorf("Debt = %d, want 2500", got)
+	l1Over := func(e *version.Edit) { e.AddFile(1, fm(1, "a", "m", 12000)) }
+	l2Slices := func(e *version.Edit) {
+		e.AddFile(2, fm(2, "a", "m", 99000))
+		e.FreezeFile(&version.FrozenMeta{Num: 90, Size: 3500, Smallest: ik("a", 9), Largest: ik("m", 8)})
+		e.AddSlice(2, 2, version.Slice{FrozenNum: 90, Range: keys.KeyRange{Lo: []byte("a"), Hi: []byte("m")}, LinkSeq: 1, Bytes: 3500})
 	}
-	// The same tree under UDC ignores slices (there are none to absorb).
-	udc := NewPicker(UDC, testParams(), icmp)
-	if got := udc.Debt(v); got != 2000 {
-		t.Errorf("UDC Debt = %d, want 2000", got)
+	l0Excess := func(e *version.Edit) {
+		for i := 0; i < 6; i++ {
+			e.AddFile(0, fm(uint64(10+i), "a", "z", 100))
+		}
+	}
+	cases := []struct {
+		name     string
+		edit     func(e *version.Edit)
+		udc, ldc int64
+	}{
+		{"L1 over target", l1Over, 2000, 0},
+		{"slice bytes pending on L2", l2Slices, 0, 2500},
+		{"L0 past its trigger", l0Excess, 2000, 2000},
+		{"all three", func(e *version.Edit) { l1Over(e); l2Slices(e); l0Excess(e) }, 4000, 4500},
+	}
+	for _, tc := range cases {
+		v := buildV(t, tc.edit)
+		if got := NewPicker(UDC, testParams(), icmp).Debt(v); got != tc.udc {
+			t.Errorf("%s: UDC Debt = %d, want %d", tc.name, got, tc.udc)
+		}
+		if got := NewPicker(LDC, testParams(), icmp).Debt(v); got != tc.ldc {
+			t.Errorf("%s: LDC Debt = %d, want %d", tc.name, got, tc.ldc)
+		}
 	}
 }
 
 // ldcRipeMergeEdit populates a version with a ripe L2 merge target (two
-// slices against SliceThreshold 2, as in TestLDCMergePriorityAtThreshold)
-// plus n chained L0 files.
-func ldcRipeMergeEdit(n int) func(e *version.Edit) {
+// slices against SliceThreshold 2, as in TestLDCMergePriorityAtThreshold),
+// one L1 table of l1Bytes (target 4000) and n chained L0 files.
+func ldcRipeMergeEdit(n int, l1Bytes int64) func(e *version.Edit) {
 	return func(e *version.Edit) {
 		for i := 0; i < n; i++ {
 			e.AddFile(0, fm(uint64(100+i), "a", "z", 100))
 		}
-		e.AddFile(1, fm(1, "a", "m", 20000))
+		e.AddFile(1, fm(1, "a", "m", l1Bytes))
 		f := fm(2, "a", "f", 100)
 		e.AddFile(2, f)
 		e.FreezeFile(&version.FrozenMeta{Num: 90, Size: 100, Smallest: ik("a", 9), Largest: ik("f", 8)})
@@ -412,12 +521,18 @@ func ldcRipeMergeEdit(n int) func(e *version.Edit) {
 	}
 }
 
+// Once L0 is deep enough that writers are throttled, the ripe merge waits for
+// the L0 compaction — and the L0 compaction waits only for level 1's pending
+// links, which are free and shrink what it rewrites.
 func TestLDCL0UrgencyPreemptsRipeMerge(t *testing.T) {
 	params := testParams() // L0SlowdownTrigger defaults to 2*L0Trigger = 8
 	params.SliceThreshold = 2
 	pk := NewPicker(LDC, params, icmp)
-	v := buildV(t, ldcRipeMergeEdit(8)) // at the slowdown trigger
-	got := pk.Pick(v)
+	got := pk.Pick(buildV(t, ldcRipeMergeEdit(8, 20000))) // L1 over its target
+	if got.Kind != PickLink || got.Level != 1 {
+		t.Fatalf("Pick = %v level %d, want L1's pending link ahead of the urgent L0 compaction", got.Kind, got.Level)
+	}
+	got = pk.Pick(buildV(t, ldcRipeMergeEdit(8, 1000))) // L1 drained
 	if got.Kind != PickCompact || got.Level != 0 {
 		t.Fatalf("Pick = %v level %d, want L0 compaction once writers are throttled", got.Kind, got.Level)
 	}
@@ -427,7 +542,7 @@ func TestLDCRipeMergeStillWinsBelowSlowdown(t *testing.T) {
 	params := testParams()
 	params.SliceThreshold = 2
 	pk := NewPicker(LDC, params, icmp)
-	v := buildV(t, ldcRipeMergeEdit(5)) // past L0Trigger, below slowdown
+	v := buildV(t, ldcRipeMergeEdit(5, 20000)) // past L0Trigger, below slowdown
 	got := pk.Pick(v)
 	if !isMergeOf(got, 2, 2) {
 		t.Fatalf("Pick = %v, want the ripe merge while L0 is below the slowdown trigger", got.Kind)

@@ -48,8 +48,6 @@ type Options struct {
 	SSTableSize int64
 	// Fanout is the paper's k: capacity ratio between levels (default 10).
 	Fanout int
-	// BaseLevelBytes caps L1 (default Fanout × SSTableSize).
-	BaseLevelBytes int64
 	// SliceLinkThreshold is the paper's T_s (default Fanout). Ignored unless
 	// Policy == LDC.
 	SliceLinkThreshold int
@@ -171,9 +169,6 @@ func (o Options) withDefaults() Options {
 	if o.Fanout <= 1 {
 		o.Fanout = 10
 	}
-	if o.BaseLevelBytes <= 0 {
-		o.BaseLevelBytes = int64(o.Fanout) * o.SSTableSize
-	}
 	if o.SliceLinkThreshold <= 0 {
 		o.SliceLinkThreshold = o.Fanout
 	}
@@ -259,7 +254,6 @@ func (o Options) compactionParams() compaction.Params {
 	return compaction.Params{
 		Fanout:             o.Fanout,
 		SSTableSize:        o.SSTableSize,
-		BaseLevelBytes:     o.BaseLevelBytes,
 		L0Trigger:          o.L0CompactionTrigger,
 		L0SlowdownTrigger:  o.L0SlowdownTrigger,
 		SliceThreshold:     o.SliceLinkThreshold,

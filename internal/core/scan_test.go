@@ -300,10 +300,12 @@ func TestLazyScanMatchesEagerReference(t *testing.T) {
 
 // slicedTree builds a quiesced LDC tree over fs with two key regions: "a-…",
 // written once and compacted to the bottom before anything else, so that no
-// slice window ever reaches into it, and "b-…", churned until the tree carries
-// a few hundred live slices. It returns the tree, the number of slices, and a
-// key of b in the most-linked file.
-func slicedTree(t testing.TB, fs vfs.FS, churnPuts int) (db *DB, slices int, sliced []byte) {
+// slice window ever reaches into it, and "b-…", churned a chunk of puts at a
+// time until the quiesced tree carries at least minSlices live slices (how
+// many a given number of puts leaves depends on how the merges interleave
+// with them). It returns the tree, the number of slices, and a key of b in the
+// most-linked file.
+func slicedTree(t testing.TB, fs vfs.FS, minSlices int) (db *DB, slices int, sliced []byte) {
 	t.Helper()
 	db, err := Open("/sliced", Options{
 		FS: fs, Policy: compaction.LDC,
@@ -323,13 +325,27 @@ func slicedTree(t testing.TB, fs vfs.FS, churnPuts int) (db *DB, slices int, sli
 	if err := db.CompactRange(); err != nil {
 		t.Fatal(err)
 	}
+	const chunkPuts, maxChunks = 5000, 20
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < churnPuts; i++ {
-		if err := db.Put(regionKey('b', rng.Intn(30000)), val); err != nil {
-			t.Fatal(err)
+	for chunk := 0; slices < minSlices; chunk++ {
+		if chunk == maxChunks {
+			t.Fatalf("the tree carries %d slices after %d puts, want at least %d", slices, chunk*chunkPuts, minSlices)
 		}
+		for i := 0; i < chunkPuts; i++ {
+			if err := db.Put(regionKey('b', rng.Intn(30000)), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.WaitIdle()
+		slices, sliced = countSlices(t, db)
 	}
-	db.WaitIdle()
+	return db, slices, sliced
+}
+
+// countSlices returns the number of live slices in db's tree and a key in its
+// most-linked file, and fails the test if a window reaches into region a.
+func countSlices(t testing.TB, db *DB) (slices int, sliced []byte) {
+	t.Helper()
 	v := db.shards[0].set.Current()
 	defer v.Unref()
 	most := 0
@@ -346,7 +362,7 @@ func slicedTree(t testing.TB, fs vfs.FS, churnPuts int) (db *DB, slices int, sli
 			}
 		}
 	}
-	return db, slices, sliced
+	return slices, sliced
 }
 
 func regionKey(region byte, i int) []byte { return []byte(fmt.Sprintf("%c-%08d", region, i)) }
@@ -361,15 +377,9 @@ func TestLazyScanAllocsIgnoreSlicesOutsideRange(t *testing.T) {
 			}
 		})
 	}
-	bare, none, _ := slicedTree(t, vfs.Mem(), 0)
-	if none != 0 {
-		t.Fatalf("the tree without churn carries %d slices", none)
-	}
+	bare, _, _ := slicedTree(t, vfs.Mem(), 0)
 	want := scanAllocs(bare)
-	db, slices, _ := slicedTree(t, vfs.Mem(), 55000)
-	if slices < 300 {
-		t.Fatalf("the churned tree carries %d slices, want at least 300", slices)
-	}
+	db, slices, _ := slicedTree(t, vfs.Mem(), 300)
 	got := scanAllocs(db)
 	// The churned tree has a few more levels and L0 tables to put in the merge,
 	// and a pool may have dropped an iterator in between (the race detector
@@ -465,10 +475,7 @@ func TestLazyScanSliceIterUseAfterCloseCaught(t *testing.T) {
 	if !invariants.Enabled {
 		t.Skip("poison checks compile away without -tags invariants")
 	}
-	db, slices, sliced := slicedTree(t, vfs.Mem(), 8000)
-	if slices == 0 {
-		t.Fatal("no slices")
-	}
+	db, _, sliced := slicedTree(t, vfs.Mem(), 1)
 	st := db.shards[0]
 	v := st.set.Current()
 	defer v.Unref()

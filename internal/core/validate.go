@@ -32,7 +32,6 @@ func (o Options) Validate() error {
 		{"MemTableSize", o.MemTableSize},
 		{"SSTableSize", o.SSTableSize},
 		{"Fanout", int64(o.Fanout)},
-		{"BaseLevelBytes", o.BaseLevelBytes},
 		{"SliceLinkThreshold", int64(o.SliceLinkThreshold)},
 		{"L0CompactionTrigger", int64(o.L0CompactionTrigger)},
 		{"L0SlowdownTrigger", int64(o.L0SlowdownTrigger)},

@@ -21,7 +21,6 @@ func TestValidateRejections(t *testing.T) {
 		{"negative MemTableSize", func(o *Options) { o.MemTableSize = -1 }, "MemTableSize"},
 		{"negative SSTableSize", func(o *Options) { o.SSTableSize = -4096 }, "SSTableSize"},
 		{"negative Fanout", func(o *Options) { o.Fanout = -2 }, "Fanout"},
-		{"negative BaseLevelBytes", func(o *Options) { o.BaseLevelBytes = -1 }, "BaseLevelBytes"},
 		{"negative SliceLinkThreshold", func(o *Options) { o.SliceLinkThreshold = -1 }, "SliceLinkThreshold"},
 		{"negative L0CompactionTrigger", func(o *Options) { o.L0CompactionTrigger = -1 }, "L0CompactionTrigger"},
 		{"negative L0SlowdownTrigger", func(o *Options) { o.L0SlowdownTrigger = -1 }, "L0SlowdownTrigger"},
