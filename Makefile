@@ -23,7 +23,7 @@ unexport TAGS
 # against the //ldclint:lockrank catalog). Built from source on demand.
 LDCLINT := bin/ldclint
 
-.PHONY: all build test stress vet lint invariants race fuzz-smoke bench bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-tail bench-blob loc run-server server-smoke ci
+.PHONY: all build test stress vet fmt-check lint invariants race fuzz-smoke bench bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-tail bench-blob loc run-server server-smoke ci
 
 # run-server knobs (make run-server DB=/path PORT=6380)
 DB ?= /tmp/ldcserver-db
@@ -51,16 +51,31 @@ test:
 # contract of sampled Gets, and the in-place block seek against the copying
 # reference, on intact and on damaged blocks; and LDC's level-1 target — the
 # rule, the picker draining the staging level before L0, and the L0→L1 share
-# of the write bill on a bench-shaped tree.
+# of the write bill on a bench-shaped tree; and the write path's allocation
+# budget — a Put, a commit with and without followers, a memtable Add, a
+# skiplist insert across slab changes, a table entry, a log record, a link
+# edit — whose bounds must not depend on GOMAXPROCS, with the pipeline's
+# writer recycling under a racing Close.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs' $(TESTFLAGS) ./internal/core
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLevelTargets|TestLDCDrainsStagingLevel|TestDebt' $(TESTFLAGS) ./internal/compaction
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead' $(TESTFLAGS) ./internal/sstable
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead|TestWriterAddAllocs' $(TESTFLAGS) ./internal/sstable
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSeekGE' $(TESTFLAGS) ./internal/block
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters' $(TESTFLAGS) ./internal/commit
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestAddAllocs|TestRecordChunkEdges' $(TESTFLAGS) ./internal/memtable
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestInsertAllocs|TestTowerAtSlabBoundary|TestSlabsKeepNodesApart|TestIteratorHeldAcrossSlabChange' $(TESTFLAGS) ./internal/skiplist
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestAddRecordAllocs' $(TESTFLAGS) ./internal/wal
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLinkEditAllocs' $(TESTFLAGS) ./internal/version
 
 vet:
 	$(GO) vet $(TESTFLAGS) ./...
+
+# Every Go file is gofmt-clean, the analyzers' fixture packages aside (they
+# hold deliberately odd code) and whatever the benchmark's build left behind.
+fmt-check:
+	@out=$$(gofmt -l . | grep -v -e '^tools/ldclint/testdata/' -e '^\.bench_build/'); \
+	if [ -n "$$out" ]; then echo "gofmt -l names:"; echo "$$out"; exit 1; fi
 
 $(LDCLINT): tools/ldclint/*.go
 	$(GO) build -o $(LDCLINT) ./tools/ldclint
@@ -86,8 +101,11 @@ invariants:
 
 # The concurrent compaction engine must stay race-clean; -short skips the
 # multi-minute stress runs but still covers the pool, claims, and cache.
+# Then the commit pipeline's recycled writers, group and follower slice, ten
+# times at each scheduler width: committers, followers and a Close racing them.
 race:
 	$(GO) test -race -short $(TESTFLAGS) ./...
+	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters' $(TESTFLAGS) ./internal/commit
 
 # Ten seconds of each decoder-facing fuzzer: enough to shake out shallow
 # regressions in the block seek, block, compression, codec, and vlog record parsers on
@@ -177,4 +195,4 @@ run-server: build
 server-smoke:
 	$(GO) test -count 1 -run TestServerBinarySmoke $(TESTFLAGS) ./cmd/ldcserver
 
-ci: vet lint test stress race invariants fuzz-smoke bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-tail bench-blob server-smoke
+ci: vet fmt-check lint test stress race invariants fuzz-smoke bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-tail bench-blob server-smoke

@@ -9,10 +9,17 @@ import "repro/internal/keys"
 // the sequences their operations received.
 type Group struct {
 	members []*Batch
-	merged  *Batch // cached concatenation; nil until built
-	count   int    // total operations across members
-	size    int    // encoded size of the merged record
+	// merged is the concatenation of the members, valid once built; its
+	// buffer survives Reset so a reused group builds the next one in place.
+	merged Batch
+	built  bool
+	count  int // total operations across members
+	size   int // encoded size of the merged record
 }
+
+// maxRetainedMerge bounds the merge buffer a group keeps across Reset: one
+// oversized group must not pin its record's size for the group's lifetime.
+const maxRetainedMerge = 1 << 20
 
 // Add appends a member batch to the group.
 func (g *Group) Add(b *Batch) {
@@ -20,7 +27,7 @@ func (g *Group) Add(b *Batch) {
 		g.size = headerLen
 	}
 	g.members = append(g.members, b)
-	g.merged = nil
+	g.built = false
 	g.count += b.Count()
 	g.size += b.Size() - headerLen
 }
@@ -35,30 +42,40 @@ func (g *Group) Count() int { return g.count }
 // header plus every member's payload.
 func (g *Group) Size() int { return g.size }
 
-// Reset clears the group for reuse.
+// Reset clears the group for reuse and lets go of its members: no pointer to
+// a member batch survives, and the merged view handed out by Batch is dead.
 func (g *Group) Reset() {
+	clear(g.members)
 	g.members = g.members[:0]
-	g.merged = nil
+	if cap(g.merged.data) > maxRetainedMerge {
+		g.merged = Batch{}
+	} else if g.built {
+		g.merged.Reset() // poisons the dead view under -tags invariants
+	}
+	g.built = false
 	g.count = 0
 	g.size = 0
 }
 
 // Batch returns the merged view that is logged and applied: the sole member
 // itself when the group has one (no copy), otherwise a concatenation built
-// once and cached. The result aliases member payloads; it is valid until a
-// member mutates.
+// once and cached. The result is valid until a member mutates or the group
+// is Reset.
 func (g *Group) Batch() *Batch {
 	if len(g.members) == 1 {
 		return g.members[0]
 	}
-	if g.merged == nil {
-		m := &Batch{data: make([]byte, headerLen, g.size)}
-		for _, b := range g.members {
-			m.Append(b)
+	if !g.built {
+		if cap(g.merged.data) < g.size {
+			g.merged.data = make([]byte, headerLen, g.size)
 		}
-		g.merged = m
+		g.merged.Reset()
+		for _, b := range g.members {
+			g.merged.Append(b)
+		}
+		g.built = true
 	}
-	return g.merged
+	return &g.merged
 }
 
 // SetSequence stamps the merged record with the group's base sequence and

@@ -132,3 +132,60 @@ func TestGroupMergedValuesIntact(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupReusesMergeBuffer: a group that is Reset and filled again builds
+// its merged record in the buffer of the last one — the record is right, a
+// member added after Batch was taken is in the next Batch, and Reset keeps no
+// pointer to a member.
+func TestGroupReusesMergeBuffer(t *testing.T) {
+	var g Group
+	member := func(key string) *Batch {
+		b := New()
+		b.Set([]byte(key), []byte("v-"+key))
+		return b
+	}
+	ops := func() string {
+		var s []string
+		g.Batch().Each(func(_ keys.Kind, key, value []byte) error {
+			s = append(s, string(key)+"="+string(value))
+			return nil
+		})
+		return fmt.Sprint(s)
+	}
+	g.Add(member("a"))
+	g.Add(member("bb"))
+	g.Add(member("ccc"))
+	if got := ops(); got != "[a=v-a bb=v-bb ccc=v-ccc]" {
+		t.Fatalf("first group merged to %s", got)
+	}
+	first := &g.Batch().Encode()[0]
+	g.Reset()
+	if members := g.members[:cap(g.members)]; members[0] != nil || members[1] != nil || members[2] != nil {
+		t.Fatal("Reset left member batches reachable from the group")
+	}
+
+	g.Add(member("x"))
+	g.Add(member("y"))
+	if got := ops(); got != "[x=v-x y=v-y]" {
+		t.Fatalf("second group merged to %s", got)
+	}
+	if g.Batch().Count() != 2 || g.Size() != g.Batch().Size() {
+		t.Fatalf("second group: count %d, size %d vs record %d", g.Batch().Count(), g.Size(), g.Batch().Size())
+	}
+	if &g.Batch().Encode()[0] != first {
+		t.Fatal("second group's record was not built in the first's buffer")
+	}
+	g.Add(member("z"))
+	if got := ops(); got != "[x=v-x y=v-y z=v-z]" {
+		t.Fatalf("after a late Add the group merged to %s", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		m := g.members[0]
+		g.Reset()
+		g.Add(m)
+		g.Add(m)
+		g.Batch()
+	}); allocs != 0 {
+		t.Fatalf("refilling a group allocates %.0f times, want 0", allocs)
+	}
+}

@@ -14,6 +14,17 @@ type Filter []byte
 // New builds a filter over the given keys with the given bits per key.
 // bitsPerKey below 1 is clamped to 1.
 func New(keysList [][]byte, bitsPerKey int) Filter {
+	hashes := make([]uint32, len(keysList))
+	for i, key := range keysList {
+		hashes[i] = Hash(key)
+	}
+	return FromHashes(hashes, bitsPerKey)
+}
+
+// FromHashes builds the filter New builds over the keys whose Hash values
+// these are, one per key: the hash is all of a key the filter uses, so a
+// table builder keeps four bytes per entry instead of a copy of the key.
+func FromHashes(hashes []uint32, bitsPerKey int) Filter {
 	if bitsPerKey < 1 {
 		bitsPerKey = 1
 	}
@@ -25,7 +36,7 @@ func New(keysList [][]byte, bitsPerKey int) Filter {
 	if k > 30 {
 		k = 30
 	}
-	bits := len(keysList) * bitsPerKey
+	bits := len(hashes) * bitsPerKey
 	if bits < 64 {
 		bits = 64
 	}
@@ -34,8 +45,7 @@ func New(keysList [][]byte, bitsPerKey int) Filter {
 	buf := make([]byte, nBytes+1)
 	buf[nBytes] = k
 
-	for _, key := range keysList {
-		h := Hash(key)
+	for _, h := range hashes {
 		delta := h>>17 | h<<15
 		for i := uint8(0); i < k; i++ {
 			pos := h % uint32(bits)

@@ -1,6 +1,8 @@
 package bloom
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"testing"
@@ -141,5 +143,70 @@ func BenchmarkMayContain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.MayContain(key(i % 4096))
+	}
+}
+
+// filterFromKeys is the filter construction as it was when New walked the
+// keys themselves: the reference FromHashes is held to, byte for byte.
+func filterFromKeys(keysList [][]byte, bitsPerKey int) Filter {
+	if bitsPerKey < 1 {
+		bitsPerKey = 1
+	}
+	k := uint8(float64(bitsPerKey) * 0.69)
+	if k < 1 {
+		k = 1
+	}
+	if k > 30 {
+		k = 30
+	}
+	bits := len(keysList) * bitsPerKey
+	if bits < 64 {
+		bits = 64
+	}
+	nBytes := (bits + 7) / 8
+	bits = nBytes * 8
+	buf := make([]byte, nBytes+1)
+	buf[nBytes] = k
+	for _, key := range keysList {
+		h := Hash(key)
+		delta := h>>17 | h<<15
+		for i := uint8(0); i < k; i++ {
+			pos := h % uint32(bits)
+			buf[pos/8] |= 1 << (pos % 8)
+			h += delta
+		}
+	}
+	return buf
+}
+
+// TestFilterFromHashesMatchesNew: a filter built from the keys' hashes is the
+// filter built from the keys — same bytes on disk — from the empty set and
+// the 64-bit floor (0, 1 and 7 keys at 1 bit per key) to 100 000 keys, with
+// duplicate keys counted twice as a table with two versions of a key does.
+// The digest is of the 1 000-key, 10-bit filter as built before FromHashes
+// existed.
+func TestFilterFromHashesMatchesNew(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 1000, 100000} {
+		keysList := make([][]byte, n)
+		hashes := make([]uint32, n)
+		for i := range keysList {
+			keysList[i] = key(i - i%5/4) // every fifth key repeats its predecessor
+			hashes[i] = Hash(keysList[i])
+		}
+		for _, bitsPerKey := range []int{0, 1, 10, 16} {
+			want := filterFromKeys(keysList, bitsPerKey)
+			if got := FromHashes(hashes, bitsPerKey); !bytes.Equal(got, want) {
+				t.Errorf("%d keys, %d bits per key: FromHashes differs from the filter built from keys", n, bitsPerKey)
+			}
+			if got := New(keysList, bitsPerKey); !bytes.Equal(got, want) {
+				t.Errorf("%d keys, %d bits per key: New differs from the filter built from keys", n, bitsPerKey)
+			}
+			if n == 1000 && bitsPerKey == 10 {
+				const parent = "09ee43b6e05fa2b66e911d1cf3ef4499a4e4a8b2bd2514dbcd2d70f6706b27e5"
+				if got := fmt.Sprintf("%x", sha256.Sum256(want)); got != parent {
+					t.Errorf("1 000 keys, 10 bits per key: filter digest %s, want %s", got, parent)
+				}
+			}
+		}
 	}
 }

@@ -11,7 +11,6 @@
 package cache
 
 import (
-	"container/list"
 	"runtime"
 
 	"repro/internal/invariants"
@@ -37,16 +36,39 @@ type shard struct {
 	mu       invariants.Mutex
 	capacity int64
 	used     int64
-	ll       *list.List // front = most recent
-	items    map[Key]*list.Element
+	// lru is the sentinel of the circular recency list: lru.next is the most
+	// recent entry, lru.prev the oldest. n counts the entries on it.
+	lru   entry
+	n     int
+	items map[Key]*entry
 
 	hits, misses int64
 }
 
+// entry is a cached value and its own node on the shard's recency list.
 type entry struct {
-	key    Key
-	value  interface{}
-	charge int64
+	key        Key
+	value      interface{}
+	charge     int64
+	prev, next *entry
+}
+
+func (s *shard) pushFront(e *entry) {
+	e.prev, e.next = &s.lru, s.lru.next
+	e.prev.next, e.next.prev = e, e
+	s.n++
+}
+
+func (s *shard) unlink(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	s.n--
+}
+
+// remove drops a resident entry from the list, the map and the byte count.
+func (s *shard) remove(e *entry) {
+	s.unlink(e)
+	delete(s.items, e.key)
+	s.used -= e.charge
 }
 
 // checkAccounting verifies the shard's byte/entry bookkeeping under
@@ -58,11 +80,11 @@ func (s *shard) checkAccounting() {
 	if s.used < 0 {
 		invariants.Violatedf("cache shard byte accounting went negative: %d", s.used)
 	}
-	if len(s.items) != s.ll.Len() {
+	if len(s.items) != s.n {
 		invariants.Violatedf("cache shard map/list disagree: %d items, %d list entries",
-			len(s.items), s.ll.Len())
+			len(s.items), s.n)
 	}
-	if s.ll.Len() == 0 && s.used != 0 {
+	if s.n == 0 && s.used != 0 {
 		invariants.Violatedf("cache shard empty but %d bytes still charged", s.used)
 	}
 }
@@ -130,8 +152,8 @@ func NewSharded(capacity int64, n int) *Cache {
 		if int64(i) < extra {
 			s.capacity++
 		}
-		s.ll = list.New()
-		s.items = make(map[Key]*list.Element)
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
+		s.items = make(map[Key]*entry)
 	}
 	return c
 }
@@ -156,10 +178,11 @@ func (c *Cache) Get(k Key) (interface{}, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[k]; ok {
-		s.ll.MoveToFront(el)
+	if e, ok := s.items[k]; ok {
+		s.unlink(e)
+		s.pushFront(e)
 		s.hits++
-		return el.Value.(*entry).value, true
+		return e.value, true
 	}
 	s.misses++
 	return nil, false
@@ -190,31 +213,21 @@ func (c *Cache) Set(k Key, v interface{}, charge int64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[k]; ok {
-		old := el.Value.(*entry)
+	if old, ok := s.items[k]; ok {
 		s.used += charge - old.charge
 		old.value, old.charge = v, charge
-		s.ll.MoveToFront(el)
+		s.unlink(old)
+		s.pushFront(old)
 	} else {
-		el := s.ll.PushFront(&entry{key: k, value: v, charge: charge})
-		s.items[k] = el
+		e := &entry{key: k, value: v, charge: charge}
+		s.pushFront(e)
+		s.items[k] = e
 		s.used += charge
 	}
-	for s.used > s.capacity && s.ll.Len() > 0 {
-		s.evictOldest()
+	for s.used > s.capacity && s.n > 0 {
+		s.remove(s.lru.prev)
 	}
 	s.checkAccounting()
-}
-
-func (s *shard) evictOldest() {
-	el := s.ll.Back()
-	if el == nil {
-		return
-	}
-	e := el.Value.(*entry)
-	s.ll.Remove(el)
-	delete(s.items, e.key)
-	s.used -= e.charge
 }
 
 // EvictFile drops every entry belonging to the given file, called when an
@@ -223,15 +236,12 @@ func (c *Cache) EvictFile(fileNum uint64) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for el := s.ll.Front(); el != nil; {
-			next := el.Next()
-			e := el.Value.(*entry)
+		for e := s.lru.next; e != &s.lru; {
+			next := e.next
 			if e.key.FileNum == fileNum {
-				s.ll.Remove(el)
-				delete(s.items, e.key)
-				s.used -= e.charge
+				s.remove(e)
 			}
-			el = next
+			e = next
 		}
 		s.checkAccounting()
 		s.mu.Unlock()
@@ -244,7 +254,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += s.ll.Len()
+		n += s.n
 		s.mu.Unlock()
 	}
 	return n

@@ -45,7 +45,10 @@ type Metrics struct {
 	SyncNanos  int64 // reserved for the store's WAL-sync time (not set here)
 }
 
-// writer is one queued commit request.
+// writer is one queued commit request. A writer belongs to the committer
+// that took it until that committer has read its result under p.mu, which is
+// where it goes back on the free list — so nobody sets or reads the result of
+// a writer that has been handed to another committer.
 type writer struct {
 	b    *batch.Batch
 	sync bool
@@ -68,8 +71,15 @@ type Pipeline struct {
 	mu      invariants.Mutex
 	cond    *sync.Cond
 	queue   []*writer // waiting committers; queue[0] is the next leader
+	free    []*writer // recycled writers
 	leading bool      // a leader is building or committing a group
 	closed  bool
+
+	// group and followers are the in-flight group's, reused from one leader
+	// to the next: while leading is set only that leader touches them (the
+	// followers under mu), and it resets them before it gives leading up.
+	group     batch.Group
+	followers []*writer
 
 	groups     atomic.Int64
 	batches    atomic.Int64
@@ -104,70 +114,95 @@ func (p *Pipeline) Metrics() Metrics {
 // sync batch never rides a non-sync leader's group, so the request is
 // honored by its own group's leader.
 func (p *Pipeline) Commit(b *batch.Batch, sync bool) error {
-	w := &writer{b: b, sync: sync}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return p.closedErr
 	}
+	var w *writer
+	if n := len(p.free); n > 0 {
+		w, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		w = new(writer)
+	}
+	*w = writer{b: b, sync: sync}
 	p.queue = append(p.queue, w)
 	for !w.done && !(len(p.queue) > 0 && p.queue[0] == w && !p.leading) {
 		p.cond.Wait()
 	}
 	if w.done {
 		err := w.err
+		p.recycle(w)
 		p.mu.Unlock()
 		return err
 	}
 	// Leader: claim the in-flight slot and leave the queue; followers keep
 	// enqueueing while this group waits for admission.
 	p.leading = true
-	p.queue = p.queue[1:]
+	p.dequeue(1)
 	p.mu.Unlock()
 
 	err := p.env.MakeRoom()
-	var group batch.Group
-	group.Add(w.b)
-	var followers []*writer
 	if err == nil {
-		followers = p.drainFollowers(&group, w.sync)
-		err = p.env.Commit(&group, w.sync)
+		p.group.Add(b)
+		p.drainFollowers(sync)
+		err = p.env.Commit(&p.group, sync)
 		if err == nil {
 			p.groups.Add(1)
-			p.batches.Add(int64(group.Len()))
-			p.groupBytes.Add(int64(group.Size()))
+			p.batches.Add(int64(p.group.Len()))
+			p.groupBytes.Add(int64(p.group.Size()))
 		}
+		// The members go back to their callers when those wake: drop them
+		// first.
+		p.group.Reset()
 	}
 
 	p.mu.Lock()
-	p.leading = false
-	w.done, w.err = true, err
-	for _, f := range followers {
+	for i, f := range p.followers {
 		f.done, f.err = true, err
+		p.followers[i] = nil
 	}
+	p.followers = p.followers[:0]
+	p.recycle(w)
+	p.leading = false
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	return err
+}
+
+// recycle puts a writer whose committer is done with it on the free list.
+// Caller holds p.mu.
+func (p *Pipeline) recycle(w *writer) {
+	w.b = nil
+	p.free = append(p.free, w)
+}
+
+// dequeue removes the first n queued writers in place, so the queue keeps
+// its capacity. Caller holds p.mu.
+func (p *Pipeline) dequeue(n int) {
+	m := copy(p.queue, p.queue[n:])
+	clear(p.queue[m:])
+	p.queue = p.queue[:m]
 }
 
 // drainFollowers moves queued writers into the leader's group, stopping at
 // the byte cap or — when the leader is non-sync — at the first sync writer,
 // which must lead its own group to get its fsync (LevelDB's rule; a sync
 // leader may absorb non-sync followers, upgrading their durability).
-func (p *Pipeline) drainFollowers(group *batch.Group, leaderSync bool) []*writer {
-	var followers []*writer
+func (p *Pipeline) drainFollowers(leaderSync bool) {
 	p.mu.Lock()
-	for len(p.queue) > 0 && group.Size() < p.maxBytes {
-		f := p.queue[0]
+	n := 0
+	for n < len(p.queue) && p.group.Size() < p.maxBytes {
+		f := p.queue[n]
 		if f.sync && !leaderSync {
 			break
 		}
-		p.queue = p.queue[1:]
-		followers = append(followers, f)
-		group.Add(f.b)
+		p.followers = append(p.followers, f)
+		p.group.Add(f.b)
+		n++
 	}
+	p.dequeue(n)
 	p.mu.Unlock()
-	return followers
 }
 
 // Close fails all queued writers and every later Commit with the closed
@@ -180,7 +215,7 @@ func (p *Pipeline) Close() {
 	for _, w := range p.queue {
 		w.done, w.err = true, p.closedErr
 	}
-	p.queue = nil
+	p.dequeue(len(p.queue))
 	p.cond.Broadcast()
 	for p.leading {
 		p.cond.Wait()

@@ -3,11 +3,14 @@ package commit
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/invariants"
 	"repro/internal/keys"
 )
 
@@ -172,9 +175,9 @@ func TestSyncWriterNeverRidesNonSyncGroup(t *testing.T) {
 
 	// Non-sync leader: drains up to, but not including, the sync writer.
 	p.queue = mkQueue()
-	var g batch.Group
-	g.Add(oneOp("leader"))
-	followers := p.drainFollowers(&g, false)
+	p.group.Add(oneOp("leader"))
+	p.drainFollowers(false)
+	followers := p.followers
 	if len(followers) != 1 || followers[0].sync {
 		t.Fatalf("non-sync leader drained %d followers (sync=%v), want 1 non-sync",
 			len(followers), followers[0].sync)
@@ -186,9 +189,11 @@ func TestSyncWriterNeverRidesNonSyncGroup(t *testing.T) {
 
 	// Sync leader: absorbs everything.
 	p.queue = mkQueue()
-	var g2 batch.Group
-	g2.Add(oneOp("leader"))
-	followers = p.drainFollowers(&g2, true)
+	p.group.Reset()
+	p.group.Add(oneOp("leader"))
+	p.followers = p.followers[:0]
+	p.drainFollowers(true)
+	followers = p.followers
 	if len(followers) != 3 || len(p.queue) != 0 {
 		t.Fatalf("sync leader drained %d followers, %d left; want 3, 0", len(followers), len(p.queue))
 	}
@@ -348,5 +353,194 @@ func TestConcurrentCommitStress(t *testing.T) {
 	}
 	if m.Groups > m.Batches {
 		t.Fatalf("groups %d > batches %d", m.Groups, m.Batches)
+	}
+}
+
+// stubEnv admits at once and does what a store's commit does to a group:
+// stamp it and take its merged record.
+func stubEnv(commit func(g *batch.Group) error) Env {
+	seq := keys.Seq(1)
+	return Env{
+		MakeRoom: func() error { return nil },
+		Commit: func(g *batch.Group, _ bool) error {
+			g.SetSequence(seq)
+			seq += keys.Seq(g.Count())
+			_ = g.Batch().Encode()
+			return commit(g)
+		},
+	}
+}
+
+// TestCommitAllocsLeaderAlone: an uncontended Commit reuses a writer from the
+// free list, the pipeline's one group and the queue's capacity, so in steady
+// state it allocates nothing.
+func TestCommitAllocsLeaderAlone(t *testing.T) {
+	if invariants.Enabled {
+		t.Skip("the invariants build allocates in its lock-rank checks")
+	}
+	p := NewPipeline(stubEnv(func(*batch.Group) error { return nil }), Options{})
+	b := oneOp("k")
+	const n = 1000
+	perCommit := testing.AllocsPerRun(5, func() {
+		for i := 0; i < n; i++ {
+			if err := p.Commit(b, i%2 == 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / n
+	if perCommit > 0.001 {
+		t.Errorf("%.4f allocations per uncontended Commit, want 0", perCommit)
+	}
+}
+
+// TestCommitAllocsWithFollowers: a leader that drains followers reuses the
+// follower slice and the group's merge buffer as well. Each round parks four
+// committers behind a leader held inside its commit, so the next leader takes
+// the other three as followers; nothing in a round allocates.
+func TestCommitAllocsWithFollowers(t *testing.T) {
+	if invariants.Enabled {
+		t.Skip("the invariants build allocates in its lock-rank checks")
+	}
+	const followers = 4
+	start := make(chan struct{}, followers)
+	done := make(chan error, followers)
+	var p *Pipeline
+	merged := 0
+	p = NewPipeline(stubEnv(func(g *batch.Group) error {
+		if g.Len() > 1 {
+			merged++
+			return nil
+		}
+		// The round's first leader: release the others and hold the
+		// pipeline until all of them are queued behind this group.
+		for i := 0; i < followers; i++ {
+			start <- struct{}{}
+		}
+		for queued := 0; queued < followers; {
+			runtime.Gosched()
+			p.mu.Lock()
+			queued = len(p.queue)
+			p.mu.Unlock()
+		}
+		return nil
+	}), Options{})
+	for i := 0; i < followers; i++ {
+		b := oneOp(fmt.Sprintf("f%d", i))
+		go func() {
+			for range start {
+				done <- p.Commit(b, false)
+			}
+		}()
+	}
+	defer close(start)
+	lead := oneOp("leader")
+	const rounds = 200
+	perRound := testing.AllocsPerRun(5, func() {
+		for i := 0; i < rounds; i++ {
+			if err := p.Commit(lead, false); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < followers; j++ {
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}) / rounds
+	if merged == 0 {
+		t.Fatal("no group ever had followers")
+	}
+	if perRound > 0.01 {
+		t.Errorf("%.3f allocations per round of one lone leader and one group of %d, want 0", perRound, followers)
+	}
+}
+
+// TestPipelineRecyclesWriters: writers go back on the free list and are handed
+// to the next committer, and no committer is ever told another's outcome.
+// Eight committers, sync and not, commit batches of which some make their
+// whole group fail with an error naming that group; every caller must get
+// exactly the error of the group its batch was in, until a Close racing them
+// turns the rest away with the closed error. At the end the free list holds
+// each writer once.
+func TestPipelineRecyclesWriters(t *testing.T) {
+	var mu sync.Mutex
+	want := map[string]error{} // batch key -> its group's outcome
+	groups := 0
+	p := NewPipeline(stubEnv(func(g *batch.Group) error {
+		mu.Lock()
+		defer mu.Unlock()
+		groups++
+		var err error
+		var members []string
+		_ = g.Batch().Each(func(_ keys.Kind, key, _ []byte) error {
+			members = append(members, string(key))
+			if key[0] == 'b' {
+				err = fmt.Errorf("group %d failed", groups)
+			}
+			return nil
+		})
+		for _, m := range members {
+			want[m] = err
+		}
+		return err
+	}), Options{})
+
+	const committers, per = 8, 400
+	var wg sync.WaitGroup
+	var committed atomic.Int64
+	for w := 0; w < committers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			b := batch.New()
+			for i := 0; i < per; i++ {
+				key := fmt.Sprintf("ok-%d-%d", w, i)
+				if (w+i)%7 == 0 {
+					key = fmt.Sprintf("bad-%d-%d", w, i)
+				}
+				b.Reset()
+				b.Set([]byte(key), []byte("v"))
+				err := p.Commit(b, w%2 == 0)
+				mu.Lock()
+				wanted, grouped := want[key]
+				mu.Unlock()
+				switch {
+				case !grouped:
+					if !errors.Is(err, ErrPipelineClosed) {
+						t.Errorf("%s was in no group but Commit returned %v", key, err)
+					}
+					return
+				case err != wanted:
+					t.Errorf("%s: Commit returned %v, its group's outcome was %v", key, err, wanted)
+					return
+				case err == nil:
+					committed.Add(1)
+				}
+				if w == 0 && i == per/2 {
+					wg.Add(1)
+					go func() { defer wg.Done(); p.Close() }()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := p.Commit(oneOp("late"), false); !errors.Is(err, ErrPipelineClosed) {
+		t.Fatalf("commit after close = %v, want the closed error", err)
+	}
+	if m := p.Metrics(); m.Batches != committed.Load() {
+		t.Fatalf("%d batches committed by the metrics, %d by their callers", m.Batches, committed.Load())
+	}
+	if len(p.queue) != 0 || len(p.followers) != 0 || p.group.Len() != 0 {
+		t.Fatalf("idle pipeline holds %d queued, %d followers, %d group members", len(p.queue), len(p.followers), p.group.Len())
+	}
+	seen := map[*writer]bool{}
+	for _, w := range p.free {
+		if seen[w] || w.b != nil {
+			t.Fatalf("free list: writer listed twice or still holding a batch")
+		}
+		seen[w] = true
+	}
+	if len(p.free) == 0 || len(p.free) > committers {
+		t.Fatalf("free list holds %d writers, want 1..%d", len(p.free), committers)
 	}
 }

@@ -562,18 +562,33 @@ func (db *store) stopBackgroundLocked() {
 // ---------------------------------------------------------------------------
 // Writes
 
+// opBatches holds the one-entry batches of Put and Delete. Nothing refers to
+// a batch once Apply has returned (the WAL, the value log and the memtable
+// each copy what they keep; the commit group drops its members before it
+// wakes them), so it is reset and handed to the next caller; under -tags
+// invariants Reset poisons the payload, which is what would show a reference
+// that was kept.
+var opBatches = sync.Pool{New: func() any { return batch.New() }}
+
+func (db *store) applyOp(b *batch.Batch) error {
+	err := db.Apply(b)
+	b.Reset()
+	opBatches.Put(b)
+	return err
+}
+
 // Put inserts or updates a key.
 func (db *store) Put(key, value []byte) error {
-	b := batch.New()
+	b := opBatches.Get().(*batch.Batch)
 	b.Set(key, value)
-	return db.Apply(b)
+	return db.applyOp(b)
 }
 
 // Delete writes a tombstone for a key.
 func (db *store) Delete(key []byte) error {
-	b := batch.New()
+	b := opBatches.Get().(*batch.Batch)
 	b.Delete(key)
-	return db.Apply(b)
+	return db.applyOp(b)
 }
 
 // Apply commits a batch atomically through the group-commit pipeline: the

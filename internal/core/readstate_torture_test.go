@@ -160,7 +160,7 @@ func TestVersionRefAfterReleaseCaught(t *testing.T) {
 	}
 	defer db.Close()
 	v := db.shards[0].set.Current() // refs the current version
-	v.Unref()             // returns it; the Set still holds its own ref
+	v.Unref()                       // returns it; the Set still holds its own ref
 	// Force the Set to drop the version by installing successors: fill past
 	// the memtable bound so a flush runs LogAndApply, then drain background
 	// work so the old version's last reference is gone.

@@ -59,7 +59,7 @@ func TestValidateRejections(t *testing.T) {
 		{"negative BlobThreshold", func(o *Options) { o.BlobThreshold = -1 }, "BlobThreshold"},
 		{"negative BlobSegmentSize", func(o *Options) { o.BlobSegmentSize = -4096 }, "BlobSegmentSize"},
 		{"blob threshold above table size", func(o *Options) {
-			o.SSTableSize, o.BlobThreshold = 64 << 10, 128 << 10
+			o.SSTableSize, o.BlobThreshold = 64<<10, 128<<10
 		}, "BlobThreshold"},
 		{"gc threshold above one", func(o *Options) {
 			o.BlobThreshold, o.BlobGCThreshold = 1024, 1.5
@@ -69,7 +69,7 @@ func TestValidateRejections(t *testing.T) {
 		}, "BlobGCThreshold"},
 		{"gc threshold with separation disabled", func(o *Options) { o.BlobGCThreshold = 0.5 }, "value separation disabled"},
 		{"segment smaller than one value", func(o *Options) {
-			o.BlobThreshold, o.BlobSegmentSize = 8 << 10, 4 << 10
+			o.BlobThreshold, o.BlobSegmentSize = 8<<10, 4<<10
 		}, "BlobSegmentSize"},
 	}
 	for _, tc := range cases {

@@ -155,3 +155,49 @@ func TestGroupCommitStatsSurface(t *testing.T) {
 		t.Fatalf("write state = %q, want ok at rest", s.WriteState)
 	}
 }
+
+// TestPutAllocsSteadyState: a Put keeps nothing on the heap but its memtable
+// bytes. With a memtable too large to rotate (so no flush, no table build and
+// no version edit run behind the loop) a 1 KiB Put costs the amortised share
+// of a 64 KiB record chunk, of the skiplist's slabs and of the log file's
+// growth — a few hundredths of an allocation, against the batch, its grown
+// payload, a writer, a group, a record, a node and a tower before. The bar
+// leaves room for what the in-memory filesystem under the log does.
+func TestPutAllocsSteadyState(t *testing.T) {
+	if !exactAllocs {
+		t.Skip("the race detector empties sync.Pool at random and the invariants build allocates in its checks")
+	}
+	opts := smallOpts(compaction.LDC)
+	opts.MemTableSize = 256 << 20
+	for _, tc := range []struct {
+		name   string
+		shards int
+		sync   bool
+	}{{"one shard", 1, false}, {"two shards, sync", 2, true}} {
+		opts.FS, opts.Shards, opts.Sync = vfs.Mem(), tc.shards, tc.sync
+		db := openTestDB(t, opts)
+		const n = 4000
+		ks := make([][]byte, n)
+		for i := range ks {
+			ks[i] = key(i)
+		}
+		v := bytes.Repeat([]byte{'v'}, 1<<10)
+		put := func() {
+			for _, k := range ks {
+				if err := db.Put(k, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		put() // grow the pooled batch, the queue and the log writer's buffer
+		perPut := testing.AllocsPerRun(3, put) / n
+		t.Logf("%s: %.3f allocations per Put", tc.name, perPut)
+		if perPut > 0.5 {
+			t.Errorf("%s: %.3f allocations per steady-state Put, want <= 0.5", tc.name, perPut)
+		}
+		if got, err := db.Get(ks[n-1]); err != nil || !bytes.Equal(got, v) {
+			t.Errorf("%s: Get after the Puts = %d bytes, %v", tc.name, len(got), err)
+		}
+		db.Close()
+	}
+}

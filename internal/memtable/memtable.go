@@ -20,6 +20,11 @@ import (
 	"repro/internal/skiplist"
 )
 
+// chunkSize is the size of the byte chunks records are carved from. A record
+// larger than a quarter of it gets an allocation of its own, so a chunk's
+// unused tail stays under a quarter of its size.
+const chunkSize = 64 << 10
+
 // MemTable is safe for a single writer with concurrent readers, matching the
 // skiplist contract; the DB serializes writers.
 type MemTable struct {
@@ -27,6 +32,10 @@ type MemTable struct {
 	list *skiplist.List
 	// approximateBytes includes per-entry encoding overhead.
 	approximateBytes atomic.Int64
+	// chunk is the current record chunk: len is what records have taken, cap
+	// what is left. Only the single writer touches it; records carved from it
+	// are never moved, and the chunk lives as long as any of them.
+	chunk []byte
 }
 
 // New returns an empty memtable ordered by icmp.
@@ -52,6 +61,19 @@ func decodeValue(rest []byte) []byte {
 	return v
 }
 
+// alloc returns an empty slice with room for exactly n bytes.
+func (m *MemTable) alloc(n int) []byte {
+	if n > chunkSize/4 {
+		return make([]byte, 0, n)
+	}
+	if cap(m.chunk)-len(m.chunk) < n {
+		m.chunk = make([]byte, 0, chunkSize)
+	}
+	off := len(m.chunk)
+	m.chunk = m.chunk[:off+n]
+	return m.chunk[off : off : off+n]
+}
+
 // Add inserts a (ukey, value) entry with the given sequence and kind.
 // For KindDelete, value is ignored and stored empty.
 func (m *MemTable) Add(seq keys.Seq, kind keys.Kind, ukey, value []byte) {
@@ -59,8 +81,8 @@ func (m *MemTable) Add(seq keys.Seq, kind keys.Kind, ukey, value []byte) {
 		value = nil
 	}
 	ikeyLen := len(ukey) + keys.TrailerLen
-	rec := make([]byte, 0, encoding.UvarintLen(uint64(ikeyLen))+ikeyLen+
-		encoding.UvarintLen(uint64(len(value)))+len(value))
+	rec := m.alloc(encoding.UvarintLen(uint64(ikeyLen)) + ikeyLen +
+		encoding.UvarintLen(uint64(len(value))) + len(value))
 	rec = encoding.PutUvarint(rec, uint64(ikeyLen))
 	rec = keys.MakeInternalKey(rec, ukey, seq, kind)
 	rec = encoding.PutLengthPrefixed(rec, value)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/encoding"
 	"repro/internal/keys"
 )
 
@@ -151,5 +152,111 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// recordLen is the packed size of an entry, which is what Add carves and what
+// ApproximateBytes counts.
+func recordLen(ukey, value int) int {
+	ikey := ukey + keys.TrailerLen
+	return encoding.UvarintLen(uint64(ikey)) + ikey + encoding.UvarintLen(uint64(value)) + value
+}
+
+// TestAddAllocsAmortised: records come from 64 KiB chunks and skiplist nodes
+// from slabs, so filling a memtable costs a chunk per 64 KiB of records plus a
+// slab per 128 entries — a few hundredths of an allocation per Add, for
+// 1 KiB values as for 64 B ones.
+func TestAddAllocsAmortised(t *testing.T) {
+	const n = 10000
+	ukeys := make([][]byte, n)
+	for i := range ukeys {
+		ukeys[i] = []byte(fmt.Sprintf("user-key-%07d", i*7919%n))
+	}
+	for _, size := range []int{1 << 10, 64} {
+		value := bytes.Repeat([]byte{'v'}, size)
+		perAdd := testing.AllocsPerRun(3, func() {
+			m := New(icmp)
+			for i, k := range ukeys {
+				m.Add(keys.Seq(i+1), keys.KindSet, k, value)
+			}
+		}) / n
+		if perAdd > 0.1 {
+			t.Errorf("%d B values: %.4f allocations per Add, want <= 0.1", size, perAdd)
+		}
+	}
+}
+
+// TestRecordChunkEdges: a record of exactly a quarter chunk is the largest
+// the chunk takes; one byte more, or more than a whole chunk, gets an
+// allocation of its own and leaves the chunk where it was. Each reads back
+// whole, small records keep packing into the chunk around them, and
+// ApproximateBytes counts record bytes only — no chunk slack — so a memtable
+// rotates where it did before chunks.
+func TestRecordChunkEdges(t *testing.T) {
+	m := New(icmp)
+	ukey := []byte("k")
+	// The value whose record is exactly a quarter chunk.
+	quarter := chunkSize / 4
+	for recordLen(len(ukey), quarter) > chunkSize/4 {
+		quarter--
+	}
+	if recordLen(len(ukey), quarter) != chunkSize/4 {
+		t.Fatalf("test sizing: record of %d, want %d", recordLen(len(ukey), quarter), chunkSize/4)
+	}
+	var want int64
+	seq := keys.Seq(0)
+	base := func() *byte {
+		if cap(m.chunk) == 0 {
+			return nil
+		}
+		return &m.chunk[:1][0]
+	}
+	// add reports how much of the current chunk the record took, or -1 when
+	// it started a chunk after the first.
+	add := func(valueLen int) (carved int) {
+		seq++
+		value := bytes.Repeat([]byte{byte('a' + seq)}, valueLen)
+		before, chunk := len(m.chunk), base()
+		m.Add(seq, keys.KindSet, ukey, value)
+		want += int64(recordLen(len(ukey), valueLen))
+		got, _, found := m.Get(ukey, seq)
+		if !found || !bytes.Equal(got, value) {
+			t.Fatalf("record with a %d B value does not read back", valueLen)
+		}
+		if chunk != nil && base() != chunk {
+			return -1
+		}
+		return len(m.chunk) - before
+	}
+	if n := add(10); n != recordLen(1, 10) {
+		t.Fatalf("small record carved %d bytes of chunk, want %d", n, recordLen(1, 10))
+	}
+	if n := add(quarter); n != chunkSize/4 {
+		t.Fatalf("quarter-chunk record carved %d bytes of chunk, want %d", n, chunkSize/4)
+	}
+	if n := add(quarter + 1); n != 0 {
+		t.Fatalf("record one byte over a quarter chunk carved %d bytes of chunk, want its own allocation", n)
+	}
+	if n := add(2 * chunkSize); n != 0 {
+		t.Fatalf("record larger than a chunk carved %d bytes of chunk, want its own allocation", n)
+	}
+	if n := add(10); n != recordLen(1, 10) {
+		t.Fatalf("small record after the large ones carved %d bytes of chunk, want %d", n, recordLen(1, 10))
+	}
+	// Fill the chunk to the brim: the record that no longer fits starts the
+	// next chunk, and those before it stay readable.
+	for len(m.chunk)+chunkSize/4 <= chunkSize {
+		add(quarter)
+	}
+	if n := add(quarter); n != -1 || len(m.chunk) != chunkSize/4 {
+		t.Fatalf("record that does not fit the chunk's tail: carved %d, chunk now %d bytes", n, len(m.chunk))
+	}
+	for s := keys.Seq(1); s <= seq; s++ {
+		if got, _, found := m.Get(ukey, s); !found || len(got) == 0 || got[0] != byte('a'+s) {
+			t.Fatalf("record %d is damaged after later chunks", s)
+		}
+	}
+	if m.ApproximateBytes() != want {
+		t.Fatalf("ApproximateBytes = %d, want the %d record bytes", m.ApproximateBytes(), want)
 	}
 }

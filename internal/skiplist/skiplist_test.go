@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -191,5 +192,110 @@ func BenchmarkSeekGE(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it.SeekGE([]byte(fmt.Sprintf("key-%012d", i%100000)))
+	}
+}
+
+// TestTowerAtSlabBoundary: a tower is carved whole from one slab. Whatever is
+// left of the current slab — nothing, less than the tower, exactly the tower
+// — a node of full height gets maxHeight links of its own, capped so that it
+// cannot reach a neighbour's.
+func TestTowerAtSlabBoundary(t *testing.T) {
+	l := newList()
+	l.Insert([]byte("a")) // starts both slabs
+	for _, left := range []int{0, 1, maxHeight - 1, maxHeight, maxHeight + 1} {
+		l.towers = l.towers[:left]
+		old := l.towers
+		n := l.newNode([]byte("k"), maxHeight)
+		if len(n.next) != maxHeight || cap(n.next) != maxHeight {
+			t.Fatalf("%d links left: tower has len %d cap %d, want %d", left, len(n.next), cap(n.next), maxHeight)
+		}
+		if left < maxHeight {
+			if len(l.towers) != towerSlab-maxHeight {
+				t.Fatalf("%d links left: %d links after the node, want a fresh slab less one tower", left, len(l.towers))
+			}
+		} else if &n.next[0] != &old[0] || len(l.towers) != left-maxHeight {
+			t.Fatalf("%d links left: the tower did not come from the current slab", left)
+		}
+	}
+}
+
+// TestSlabsKeepNodesApart inserts across many slab changes and checks that no
+// two nodes share a link cell and that the list is still one sorted chain of
+// every key at level 0.
+func TestSlabsKeepNodesApart(t *testing.T) {
+	l := newList()
+	const n = 20 * nodeSlab
+	for i := 0; i < n; i++ {
+		l.Insert([]byte(fmt.Sprintf("key-%08d", i*7919%n)))
+	}
+	cells := map[*atomic.Pointer[node]]bool{}
+	count := 0
+	var prev []byte
+	for x := l.head.next[0].Load(); x != nil; x = x.next[0].Load() {
+		if prev != nil && bytes.Compare(prev, x.key) >= 0 {
+			t.Fatalf("%q follows %q", x.key, prev)
+		}
+		prev = x.key
+		count++
+		if len(x.next) != cap(x.next) {
+			t.Fatalf("node %q: tower len %d cap %d", x.key, len(x.next), cap(x.next))
+		}
+		for i := range x.next {
+			if cells[&x.next[i]] {
+				t.Fatalf("node %q shares link cell %d with another node", x.key, i)
+			}
+			cells[&x.next[i]] = true
+		}
+	}
+	if count != n || l.Len() != n {
+		t.Fatalf("walked %d nodes, Len %d, want %d", count, l.Len(), n)
+	}
+}
+
+// TestIteratorHeldAcrossSlabChange: nodes never move, so an iterator parked
+// on one keeps its key and its place while the writer fills slab after slab.
+func TestIteratorHeldAcrossSlabChange(t *testing.T) {
+	l := newList()
+	l.Insert([]byte("m"))
+	it := l.NewIterator()
+	it.SeekToFirst()
+	held := it.Key()
+	const n = 3 * nodeSlab
+	for i := 0; i < n; i++ {
+		l.Insert([]byte(fmt.Sprintf("a%05d", i)))
+		l.Insert([]byte(fmt.Sprintf("z%05d", i)))
+	}
+	if !it.Valid() || string(it.Key()) != "m" || &it.Key()[0] != &held[0] {
+		t.Fatalf("held iterator reads %q after %d inserts", it.Key(), 2*n)
+	}
+	for i := 0; i < n; i++ {
+		it.Next()
+		if want := fmt.Sprintf("z%05d", i); !it.Valid() || string(it.Key()) != want {
+			t.Fatalf("step %d after the held key: got %q want %q", i, it.Key(), want)
+		}
+	}
+	it.SeekGE([]byte("m"))
+	it.Prev()
+	if want := fmt.Sprintf("a%05d", n-1); !it.Valid() || string(it.Key()) != want {
+		t.Fatalf("Prev from the held key: got %q want %q", it.Key(), want)
+	}
+}
+
+// TestInsertAllocsAmortised: nodes and towers come from slabs, so an insert
+// costs one allocation in nodeSlab and 4/3 in towerSlab, not two.
+func TestInsertAllocsAmortised(t *testing.T) {
+	const n = 10000
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%08d", i*7919%n))
+	}
+	perInsert := testing.AllocsPerRun(3, func() {
+		l := newList()
+		for _, k := range keys {
+			l.Insert(k)
+		}
+	}) / n
+	if perInsert > 0.05 {
+		t.Errorf("%.4f allocations per insert, want <= 0.05", perInsert)
 	}
 }

@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/block"
@@ -99,7 +100,11 @@ type Writer struct {
 	// compressBuf is the reusable destination for per-block compression.
 	compressBuf []byte
 
-	userKeys [][]byte // for the filter block
+	// keyHashes holds bloom.Hash of every entry's user key, which is all the
+	// filter block is built from.
+	keyHashes []uint32
+	// trailer is writeBlock's scratch; a local would escape through f.Write.
+	trailer [blockTrailerLen]byte
 
 	// indexBlock and filter are the finished table's index and filter block
 	// contents, kept by Finish for OpenReader.
@@ -154,7 +159,7 @@ func (w *Writer) Add(ikey keys.InternalKey, value []byte) error {
 		w.props.BlobRefBytes += int64(encoding.Fixed32(value[16:]))
 	}
 	if w.opts.BloomBitsPerKey > 0 {
-		w.userKeys = append(w.userKeys, append([]byte(nil), ikey.UserKey()...))
+		w.keyHashes = append(w.keyHashes, bloom.Hash(ikey.UserKey()))
 	}
 	w.data.Add(ikey, value)
 	if w.data.EstimatedSize() >= w.opts.BlockSize {
@@ -168,7 +173,8 @@ func (w *Writer) Add(ikey keys.InternalKey, value []byte) error {
 // plain "use the last key" fallback is always correct).
 func (w *Writer) flushPendingIndex(nextKey []byte) {
 	sep := w.pendingKey
-	w.index.Add(sep, w.pendingHandle.encode(nil))
+	var handle [2 * binary.MaxVarintLen64]byte
+	w.index.Add(sep, w.pendingHandle.encode(handle[:0]))
 	w.havePending = false
 	_ = nextKey
 }
@@ -203,15 +209,15 @@ func (w *Writer) writeBlock(contents []byte) (blockHandle, error) {
 	w.props.CompressedBytes += int64(len(payload))
 
 	h := blockHandle{offset: w.offset, length: uint64(len(payload))}
-	trailer := [blockTrailerLen]byte{byte(kind)}
-	encoding.PutFixed32(trailer[1:1], checksum.Sum(w.opts.Checksum, payload, byte(kind)))
+	w.trailer[0] = byte(kind)
+	encoding.PutFixed32(w.trailer[1:1], checksum.Sum(w.opts.Checksum, payload, byte(kind)))
 	if w.opts.ChargeWrite != nil {
 		w.opts.ChargeWrite(len(payload) + blockTrailerLen)
 	}
 	if _, err := w.f.Write(payload); err != nil {
 		return blockHandle{}, err
 	}
-	if _, err := w.f.Write(trailer[:]); err != nil {
+	if _, err := w.f.Write(w.trailer[:]); err != nil {
 		return blockHandle{}, err
 	}
 	w.offset += uint64(len(payload)) + blockTrailerLen
@@ -243,7 +249,7 @@ func (w *Writer) Finish() (Props, error) {
 
 	ftr := footer{checksum: w.opts.Checksum}
 	if w.opts.BloomBitsPerKey > 0 {
-		w.filter = bloom.New(w.userKeys, w.opts.BloomBitsPerKey)
+		w.filter = bloom.FromHashes(w.keyHashes, w.opts.BloomBitsPerKey)
 		w.props.FilterBytes = len(w.filter)
 		h, err := w.writeBlock(w.filter)
 		if err != nil {

@@ -1,6 +1,7 @@
 package version
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -301,7 +302,10 @@ func (b *builder) apply(e *Edit) {
 // slices all disappeared are dropped (their numbers are returned so the Set
 // can release them).
 func (b *builder) finish() (*Version, []uint64) {
-	v := &Version{icmp: b.icmp, Frozen: map[uint64]*FrozenMeta{}}
+	// The maps are sized from the base version and the sliced lists counted
+	// before they are made: an edit changes a handful of files, and growing
+	// these entry by entry was most of what applying it allocated.
+	v := &Version{icmp: b.icmp, Frozen: make(map[uint64]*FrozenMeta, len(b.base.Frozen)+len(b.frozen))}
 	for level := 0; level < NumLevels; level++ {
 		files := make([]*FileMeta, 0, len(b.base.Levels[level])+len(b.added[level]))
 		for _, f := range b.base.Levels[level] {
@@ -320,16 +324,23 @@ func (b *builder) finish() (*Version, []uint64) {
 			}
 		}
 		if level == 0 {
-			sort.Slice(files, func(i, j int) bool { return files[i].Num < files[j].Num })
+			slices.SortFunc(files, func(x, y *FileMeta) int { return cmp.Compare(x.Num, y.Num) })
 		} else {
-			sort.Slice(files, func(i, j int) bool {
-				return b.icmp.Compare(files[i].Smallest, files[j].Smallest) < 0
-			})
+			slices.SortFunc(files, func(x, y *FileMeta) int { return b.icmp.Compare(x.Smallest, y.Smallest) })
 		}
 		v.Levels[level] = files
+		sliced := 0
 		for _, f := range files {
 			if len(f.Slices) > 0 {
-				v.Sliced[level] = append(v.Sliced[level], f)
+				sliced++
+			}
+		}
+		if sliced > 0 {
+			v.Sliced[level] = make([]*FileMeta, 0, sliced)
+			for _, f := range files {
+				if len(f.Slices) > 0 {
+					v.Sliced[level] = append(v.Sliced[level], f)
+				}
 			}
 		}
 		if slices.Equal(v.Sliced[level], b.base.Sliced[level]) {
@@ -348,11 +359,11 @@ func (b *builder) finish() (*Version, []uint64) {
 	for _, fm := range b.frozen {
 		v.Frozen[fm.Num] = fm
 	}
-	refs := map[uint64]int{}
+	refs := make(map[uint64]int, len(v.Frozen))
 	for level := 1; level < NumLevels; level++ {
-		for _, f := range v.Levels[level] {
-			for _, s := range f.Slices {
-				refs[s.FrozenNum]++
+		for _, f := range v.Sliced[level] {
+			for i := range f.Slices {
+				refs[f.Slices[i].FrozenNum]++
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package version
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -511,5 +512,52 @@ func TestManifestRotatedOnRecover(t *testing.T) {
 	}
 	if manifests != 1 {
 		t.Errorf("%d manifests on disk after recover, want 1 (old removed)", manifests)
+	}
+}
+
+// TestLinkEditAllocs bounds what applying one link edit costs on a tree of
+// the shape a fill builds: 150 frozen files, each linked onto one of 150
+// level-2 files, and ten level-1 files of which the edit freezes one and
+// links it onto ten level-2 files. The builder sizes the frozen map and the
+// reference count map from the base version, counts the sliced lists before
+// making them and sorts without a reflect swapper; growing and reflecting
+// cost 85 allocations here, sizing costs 51, and the bar sits midway.
+func TestLinkEditAllocs(t *testing.T) {
+	key := func(i int) string { return fmt.Sprintf("k%05d", i) }
+	base := &Edit{}
+	for i := 0; i < 10; i++ {
+		base.AddFile(1, fm(uint64(1+i), key(150*i), key(150*i+149), 100))
+	}
+	for i := 0; i < 150; i++ {
+		lo, hi := key(10*i), key(10*i+9)
+		base.AddFile(2, fm(uint64(100+i), lo, hi, 100))
+		base.FreezeFile(&FrozenMeta{Num: uint64(1000 + i), Size: 100, Smallest: ik(lo, 2), Largest: ik(hi, 1)})
+		base.AddSlice(2, uint64(100+i), Slice{FrozenNum: uint64(1000 + i),
+			Range: keys.KeyRange{Lo: []byte(lo), Hi: []byte(hi)}, LinkSeq: uint64(1 + i), Bytes: 50})
+	}
+	v := buildVersion(t, base)
+
+	link := &Edit{}
+	link.DeleteFile(1, 1)
+	link.FreezeFile(&FrozenMeta{Num: 1, Size: 100, Smallest: ik(key(0), 2), Largest: ik(key(149), 1)})
+	for i := 0; i < 10; i++ {
+		link.AddSlice(2, uint64(100+i), Slice{FrozenNum: 1,
+			Range: keys.KeyRange{Lo: []byte(key(10 * i)), Hi: []byte(key(10*i + 9))}, LinkSeq: uint64(200 + i), Bytes: 10})
+	}
+	var out *Version
+	allocs := testing.AllocsPerRun(50, func() {
+		b := newBuilder(icmp, v)
+		b.apply(link)
+		out, _ = b.finish()
+	})
+	if err := out.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Frozen) != 151 || out.NumFiles(1) != 9 || out.SliceCount(2) != 160 {
+		t.Fatalf("link edit gave %d frozen, %d L1 files, %d L2 slices", len(out.Frozen), out.NumFiles(1), out.SliceCount(2))
+	}
+	t.Logf("one link edit on a 150-frozen-file version: %.0f allocs", allocs)
+	if allocs > 68 {
+		t.Errorf("one link edit allocates %.0f times, want <= 68", allocs)
 	}
 }

@@ -31,6 +31,18 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// typeCRC[t] is the CRC state after the type byte t, which every fragment's
+// checksum starts with (LevelDB's type_crc_).
+var typeCRC = func() (crcs [typeLast + 1]uint32) {
+	for t := range crcs {
+		crcs[t] = crc32.Update(0, crcTable, []byte{byte(t)})
+	}
+	return crcs
+}()
+
+// zeroPad is what a block tail too short for a header is filled with.
+var zeroPad [headerLen - 1]byte
+
 // ErrCorrupt reports a damaged log; by construction it only arises at the
 // point the log was torn, so records before it are trustworthy.
 var ErrCorrupt = errors.New("wal: corrupt log")
@@ -101,7 +113,7 @@ func (w *Writer) AddRecord(rec []byte) error {
 		if leftover < headerLen {
 			// Pad the block tail with zeros; readers skip it.
 			if leftover > 0 {
-				if err := w.write(make([]byte, leftover)); err != nil {
+				if err := w.write(zeroPad[:leftover]); err != nil {
 					return err
 				}
 			}
@@ -138,8 +150,7 @@ func (w *Writer) AddRecord(rec []byte) error {
 
 func (w *Writer) writeFragment(typ byte, frag []byte) error {
 	w.buf = w.buf[:0]
-	crc := crc32.Update(0, crcTable, []byte{typ})
-	crc = crc32.Update(crc, crcTable, frag)
+	crc := crc32.Update(typeCRC[typ], crcTable, frag)
 	w.buf = encoding.PutFixed32(w.buf, crc)
 	w.buf = append(w.buf, byte(len(frag)), byte(len(frag)>>8), typ)
 	w.buf = append(w.buf, frag...)
