@@ -42,7 +42,9 @@ test:
 # The tests that have actually broken tier-1: GC-vs-reader liveness, crash
 # recovery and the read-state protocol, repeated across scheduler widths
 # (both historical failures passed at GOMAXPROCS=1 and failed at 2); plus the
-# compaction-input fault tests, whose failed job races the pool's cleanup, and
+# compaction-input fault tests, whose failed job races the workers' cleanup;
+# the worker-lifecycle tests (Close, WaitIdle and CompactRange against a flush
+# and a compaction in flight, a clean Close leaving no unreferenced table); and
 # the sync-commit tests, whose vlog fsync runs beside the WAL's on a goroutine
 # of its own (overlap, failure of either, Close against a parked group); and
 # the scan path's tests — lazily opened slices against the eager reference
@@ -58,7 +60,7 @@ test:
 # writer recycling under a racing Close.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard' $(TESTFLAGS) ./internal/core
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLevelTargets|TestLDCDrainsStagingLevel|TestDebt' $(TESTFLAGS) ./internal/compaction
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead|TestWriterAddAllocs' $(TESTFLAGS) ./internal/sstable
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSeekGE' $(TESTFLAGS) ./internal/block
@@ -99,8 +101,9 @@ invariants:
 	$(GO) test -short $(if $(TAGS),-tags 'invariants $(TAGS)',-tags invariants) $(GOFLAGS) ./...
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestReadStateChurn$$' $(if $(TAGS),-tags 'invariants $(TAGS)',-tags invariants) $(GOFLAGS) ./internal/core
 
-# The concurrent compaction engine must stay race-clean; -short skips the
-# multi-minute stress runs but still covers the pool, claims, and cache.
+# The background engine must stay race-clean; -short skips the multi-minute
+# stress runs but still covers each shard's flush and compaction worker, the
+# read state, and the cache.
 # Then the commit pipeline's recycled writers, group and follower slice, ten
 # times at each scheduler width: committers, followers and a Close racing them.
 race:
@@ -175,10 +178,15 @@ bench-tail:
 bench-blob:
 	$(GO) run $(TESTFLAGS) ./cmd/ldcbench -blobgain 2 blob
 
-# Non-test Go lines, the figure every PR reports its delta of (ROADMAP,
-# design axis). bench/ is the benchmark's own module and is not counted.
+# Non-test Go lines, the figures every PR reports its delta of (ROADMAP,
+# design axis): the engine, the repo's own vettool, and their total — last, so
+# a script that reads the last line reads the total. bench/ is the benchmark's
+# own module and is not counted.
+LOCFIND := find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
+	@echo "engine $$($(LOCFIND) -not -path './tools/*' | xargs cat | wc -l)"
+	@echo "tools/ldclint $$($(LOCFIND) -path './tools/ldclint/*' | xargs cat | wc -l)"
+	@$(LOCFIND) | xargs cat | wc -l
 
 # The benchmark spine's own smoke test (bench/ is a separate module, so the
 # root ./... never builds it): every workload traced at 1/100 scale, emitted

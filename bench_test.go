@@ -12,7 +12,6 @@
 package repro_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/compaction"
@@ -342,45 +341,6 @@ func BenchmarkFig15Space(b *testing.B) {
 			}
 		}
 		b.ReportMetric(maxOv, "max-space-overhead-%")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent compaction engine
-
-// BenchmarkParallelCompactionFill measures the concurrent compaction engine:
-// a write-only fill + overwrite under LDC at CompactionParallelism 1 (the
-// serial baseline) vs 4, reporting throughput, p99 write latency, and total
-// write-stall time. BENCH_parallel_compaction.json records the baseline.
-func BenchmarkParallelCompactionFill(b *testing.B) {
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := benchConfig()
-				cfg.CompactionParallelism = par
-				env, err := harness.NewEnv(cfg, compaction.LDC)
-				if err != nil {
-					b.Fatal(err)
-				}
-				w := ycsb.WO(cfg.Ops, cfg.KeySpace)
-				w.ValueSize = cfg.ValueSize
-				if err := env.Load(w); err != nil {
-					env.Close()
-					b.Fatal(err)
-				}
-				r, err := env.Run(w)
-				if err != nil {
-					env.Close()
-					b.Fatal(err)
-				}
-				s := env.DB.Stats()
-				b.ReportMetric(r.Throughput, "ops/s")
-				b.ReportMetric(float64(r.WriteHist.Percentile(99).Microseconds()), "p99-write-µs")
-				b.ReportMetric(float64(s.StallTime.Milliseconds()), "stall-ms")
-				b.ReportMetric(float64(s.MaxConcurrentCompactions), "max-concurrent")
-				env.Close()
-			}
-		})
 	}
 }
 

@@ -17,7 +17,6 @@
 package compaction
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/keys"
@@ -135,7 +134,7 @@ func (k Kind) String() string {
 
 // Pick describes one unit of compaction work as data: every file the job
 // reads and removes from its level, and the level its outputs land in. The
-// executor and the claim set work from these fields alone.
+// executor works from these fields alone.
 type Pick struct {
 	Kind Kind
 	// Level holds Inputs; OutputLevel holds Overlaps and receives the
@@ -150,11 +149,11 @@ type Pick struct {
 	Score float64
 }
 
-// Picker chooses compaction work from a version. It is not safe for
-// concurrent use; the store calls it under its own mutex. The picker also
-// tracks the claims of in-flight jobs (see claims.go): Pick never returns
-// work whose inputs or output key ranges intersect a claimed job, which is
-// what lets the store run several disjoint LDC merges in parallel.
+// Picker chooses compaction work from a version. Pick is a pure function of
+// the version, the round-robin cursors and T_s: it changes none of them, and
+// the store, which runs one compaction job per shard at a time, moves a cursor
+// only after the job's edit has committed. Not safe for concurrent use; the
+// store calls it under its own mutex.
 type Picker struct {
 	policy Policy
 	params Params
@@ -165,8 +164,6 @@ type Picker struct {
 	// threshold supplies T_s dynamically (self-adaptive mode); nil means
 	// use params.SliceThreshold.
 	threshold func() int
-	// inflight holds one claim per scheduled-but-unapplied job.
-	inflight []*Claim
 }
 
 // NewPicker returns a picker for the given policy.
@@ -257,44 +254,7 @@ func (p *Picker) Debt(v *version.Version) int64 {
 	return debt
 }
 
-// Admission premiums for concurrent work: while any job is in flight, new
-// work must be this factor more urgent than the normal trigger before an
-// additional worker takes it. Without the premium a multi-worker pool
-// drains work the instant it ripens — L0 compactions at exactly the
-// trigger, merges at exactly T_s — producing many small jobs where a busy
-// single worker would have batched the same bytes into fewer, larger ones:
-// pure write amplification on a device that serializes I/O anyway. The
-// premium vanishes whenever the picker is idle, so a single-worker pool
-// never sees it, and frozen-space backpressure (a hard space bound) is
-// always exempt. The values were tuned on the repository's fill benchmark:
-// L0 batching matters most (each L0 job drags the overlapping L1 files, so
-// halving L0 job count nearly halves that write amplification), merges
-// benefit moderately from extra slice accumulation, and byte-pressure
-// links/compactions need only a nudge.
-const (
-	// barL0 scales the L0 file-count trigger for concurrent picks.
-	barL0 = 1.75
-	// barDeep scales the byte-pressure trigger of levels >= 1.
-	barDeep = 1.25
-	// barMerge scales T_s (slice count and byte trigger) for LDC merges.
-	barMerge = 1.5
-)
-
-// minScore is the pressure threshold a level must reach to be picked right
-// now: 1 when the picker is idle, the level's admission premium otherwise.
-func (p *Picker) minScore(level int) float64 {
-	if len(p.inflight) == 0 {
-		return 1.0
-	}
-	if level == 0 {
-		return barL0
-	}
-	return barDeep
-}
-
-// Pick returns the next unit of work that does not conflict with any
-// in-flight claim, or a PickNone. With no claims outstanding the choice is
-// identical to the serial engine's.
+// Pick returns the next unit of work for v, or a PickNone.
 func (p *Picker) Pick(v *version.Version) Pick {
 	if p.policy == LDC {
 		return p.pickLDC(v)
@@ -308,15 +268,13 @@ type levelScore struct {
 	score float64
 }
 
-// levelsByScore returns every level scoring at least minScore (1, or the
-// concurrency admission bar while jobs are in flight), ordered by score
-// descending with ties going to the deeper level — the first entry matches
-// the serial engine's single-level selection, and the rest give a
-// concurrent picker fallbacks when the hottest level's work is claimed.
+// levelsByScore returns every level scoring at least 1, ordered by score
+// descending with ties going to the deeper level; the levels after the first
+// are fallbacks for a hottest level that has nothing to pick.
 func (p *Picker) levelsByScore(v *version.Version) []levelScore {
 	var out []levelScore
 	for level := 0; level < version.NumLevels-1; level++ {
-		if s := p.Score(v, level); s >= p.minScore(level) {
+		if s := p.Score(v, level); s >= 1 {
 			out = append(out, levelScore{level, s})
 		}
 	}
@@ -399,28 +357,18 @@ func inputsRange(ucmp keys.Comparer, files []*version.FileMeta) keys.KeyRange {
 	return r
 }
 
-// pickUDC implements the LevelDB-style upper-level driven pick, trying the
-// most pressured level first and falling back to other pressured levels and
-// later round-robin files when the preferred work is already claimed.
+// pickUDC implements the LevelDB-style upper-level driven pick: the most
+// pressured level compacts all of L0, or its first file past the cursor.
 func (p *Picker) pickUDC(v *version.Version) Pick {
 	for _, ls := range p.levelsByScore(v) {
+		var inputs []*version.FileMeta
 		if ls.level == 0 {
-			inputs := p.expandL0(v, v.Levels[0][0])
-			r := inputsRange(p.icmp.User, inputs)
-			pick := p.compactOrMove(0, inputs, v.Overlaps(1, r), ls.score)
-			if p.admissible(pick) {
-				return pick
-			}
-			continue
+			inputs = p.expandL0(v, v.Levels[0][0])
+		} else {
+			inputs = p.roundRobin(v, ls.level)[:1] // a level that scores holds a file
 		}
-		for _, f := range p.roundRobin(v, ls.level) {
-			inputs := []*version.FileMeta{f}
-			r := inputsRange(p.icmp.User, inputs)
-			pick := p.compactOrMove(ls.level, inputs, v.Overlaps(ls.level+1, r), ls.score)
-			if p.admissible(pick) {
-				return pick
-			}
-		}
+		r := inputsRange(p.icmp.User, inputs)
+		return p.compactOrMove(ls.level, inputs, v.Overlaps(ls.level+1, r), ls.score)
 	}
 	return Pick{Kind: PickNone}
 }
@@ -452,11 +400,11 @@ func (p *Picker) pickLDC(v *version.Version) Pick {
 	// delaying writers, draining it is the only background work that lifts
 	// the throttle — ripe merges are deferrable debt by comparison. This
 	// mirrors the I/O scheduler's tier order (flush > L0→L1 > merges) at
-	// the picking layer, so a compaction storm cannot park every worker on
+	// the picking layer, so a compaction storm cannot keep the worker on
 	// merges while foreground writes sit in the slowdown curve. Level 1's
 	// links go first: free, and each takes a table out of what L0 rewrites.
 	if v.NumFiles(0) >= p.params.L0SlowdownTrigger {
-		if s := p.Score(v, 1); s >= p.minScore(1) {
+		if s := p.Score(v, 1); s >= 1 {
 			if pick := p.pickLDCLevel(v, 1, s); pick.Kind == PickLink || pick.Kind == PickTrivialMove {
 				return pick
 			}
@@ -466,31 +414,14 @@ func (p *Picker) pickLDC(v *version.Version) Pick {
 		}
 	}
 
-	// 1. Merge any file that accumulated enough upper-level data: either
+	// 1. Merge the first file that accumulated enough upper-level data: either
 	// SliceThreshold slices (Algorithm 1's trigger) or slice bytes matching
 	// its own size ("nearly the same amount of data as itself", §III-A),
 	// scaled with T_s when the threshold is self-adapted away from fan-out.
-	// Ripe merges are the jobs that parallelize best — their inputs are one
-	// lower-level file plus slice windows, so distinct targets rarely
-	// conflict — and every admissible one is offered in turn. While other
-	// jobs are in flight the triggers carry the barMerge premium: an extra
-	// worker only takes a merge that is over-ripe, letting barely-ripe
-	// targets keep accumulating slices the way they would under a busy
-	// single worker.
-	ripeTs := ts
-	if len(p.inflight) > 0 {
-		ripeTs = int(math.Ceil(float64(ts) * barMerge))
-	}
-	byteTrigger := func(f *version.FileMeta) int64 {
-		return f.Size * int64(ripeTs) / int64(p.params.Fanout)
-	}
 	for level := 1; level < version.NumLevels; level++ {
 		for _, f := range v.Sliced[level] {
-			if len(f.Slices) >= ripeTs || f.SliceBytes() >= byteTrigger(f) {
-				pick := mergePick(level, f, float64(len(f.Slices))/float64(ts))
-				if p.admissible(pick) {
-					return pick
-				}
+			if len(f.Slices) >= ts || f.SliceBytes() >= f.Size*int64(ts)/int64(p.params.Fanout) {
+				return mergePick(level, f, float64(len(f.Slices))/float64(ts))
 			}
 		}
 	}
@@ -509,10 +440,7 @@ func (p *Picker) pickLDC(v *version.Version) Pick {
 			for level := 1; level < version.NumLevels; level++ {
 				for _, f := range v.Sliced[level] {
 					if sb := f.SliceBytes(); sb > bestBytes {
-						pick := mergePick(level, f, 1)
-						if p.admissible(pick) {
-							best, bestBytes = pick, sb
-						}
+						best, bestBytes = mergePick(level, f, 1), sb
 					}
 				}
 			}
@@ -532,55 +460,38 @@ func (p *Picker) pickLDC(v *version.Version) Pick {
 	return Pick{Kind: PickNone}
 }
 
-// pickLDCLevel picks link/move/merge work for one pressured level, skipping
-// candidates claimed by in-flight jobs.
+// pickLDCLevel picks link/move/merge work for one pressured level.
 func (p *Picker) pickLDCLevel(v *version.Version, level int, score float64) Pick {
 	if level == 0 {
 		inputs := p.expandL0(v, v.Levels[0][0])
 		r := inputsRange(p.icmp.User, inputs)
-		pick := p.compactOrMove(0, inputs, v.EffectiveOverlaps(1, r), score)
-		if p.admissible(pick) {
-			return pick
-		}
-		return Pick{Kind: PickNone}
+		return p.compactOrMove(0, inputs, v.EffectiveOverlaps(1, r), score)
 	}
 
 	// A file already carrying slices cannot be frozen (paper §III-D); the
-	// round-robin pass links the first admissible slice-free file.
-	sawUnsliced := false
+	// round-robin pass links the first slice-free file.
 	for _, f := range p.roundRobin(v, level) {
 		if len(f.Slices) > 0 {
 			continue
 		}
-		sawUnsliced = true
 		inputs := []*version.FileMeta{f}
 		overlaps := v.EffectiveOverlaps(level+1, version.EffectiveRange(p.icmp.User, f))
 		pick := p.compactOrMove(level, inputs, overlaps, score)
 		if len(overlaps) > 0 {
 			pick.Kind = PickLink
 		}
-		if p.admissible(pick) {
-			return pick
+		return pick
+	}
+	// Every file carries slices: merge the fullest one so the level can
+	// progress next round.
+	best := Pick{Kind: PickNone}
+	bestSlices := -1
+	for _, c := range v.Sliced[level] {
+		if len(c.Slices) > bestSlices {
+			best, bestSlices = mergePick(level, c, score), len(c.Slices)
 		}
 	}
-	if !sawUnsliced {
-		// Every file carries slices: merge the fullest admissible one so the
-		// level can progress next round.
-		var best Pick
-		bestSlices := -1
-		for _, c := range v.Sliced[level] {
-			if len(c.Slices) > bestSlices {
-				pick := mergePick(level, c, score)
-				if p.admissible(pick) {
-					best, bestSlices = pick, len(c.Slices)
-				}
-			}
-		}
-		if best.Kind == PickMerge {
-			return best
-		}
-	}
-	return Pick{Kind: PickNone}
+	return best
 }
 
 // SliceWindows computes the per-target slice key windows for a link of

@@ -116,16 +116,19 @@ func TestPickNoneWhenBalanced(t *testing.T) {
 	}
 }
 
+// l0ClosureEdit is a chained L0 at its trigger over one L1 table.
+func l0ClosureEdit(e *version.Edit) {
+	// Four mutually chained L0 files.
+	e.AddFile(0, fm(1, "a", "f", 100))
+	e.AddFile(0, fm(2, "e", "k", 100))
+	e.AddFile(0, fm(3, "j", "p", 100))
+	e.AddFile(0, fm(4, "x", "z", 100)) // disjoint from the chain
+	e.AddFile(1, fm(5, "c", "m", 100))
+}
+
 func TestUDCPicksL0WithClosure(t *testing.T) {
 	pk := NewPicker(UDC, testParams(), icmp)
-	v := buildV(t, func(e *version.Edit) {
-		// Four mutually chained L0 files.
-		e.AddFile(0, fm(1, "a", "f", 100))
-		e.AddFile(0, fm(2, "e", "k", 100))
-		e.AddFile(0, fm(3, "j", "p", 100))
-		e.AddFile(0, fm(4, "x", "z", 100)) // disjoint from the chain
-		e.AddFile(1, fm(5, "c", "m", 100))
-	})
+	v := buildV(t, l0ClosureEdit)
 	got := pk.Pick(v)
 	if got.Kind != PickCompact || got.Level != 0 || got.OutputLevel != 1 {
 		t.Fatalf("Pick = %v level %d -> %d", got.Kind, got.Level, got.OutputLevel)
@@ -167,12 +170,15 @@ func TestUDCCompactWithOverlaps(t *testing.T) {
 	}
 }
 
+// twoFullL1Edit is a level 1 of two tables, each over the level target.
+func twoFullL1Edit(e *version.Edit) {
+	e.AddFile(1, fm(1, "a", "c", 20000))
+	e.AddFile(1, fm(2, "d", "f", 20000))
+}
+
 func TestRoundRobinPointerAdvances(t *testing.T) {
 	pk := NewPicker(UDC, testParams(), icmp)
-	v := buildV(t, func(e *version.Edit) {
-		e.AddFile(1, fm(1, "a", "c", 20000))
-		e.AddFile(1, fm(2, "d", "f", 20000))
-	})
+	v := buildV(t, twoFullL1Edit)
 	first := pk.Pick(v)
 	if first.Inputs[0].Num != 1 {
 		t.Fatalf("first pick = file %d", first.Inputs[0].Num)
@@ -191,13 +197,16 @@ func TestRoundRobinPointerAdvances(t *testing.T) {
 	}
 }
 
+// linkableEdit is an over-target L1 table above two L2 tables.
+func linkableEdit(e *version.Edit) {
+	e.AddFile(1, fm(1, "a", "m", 20000))
+	e.AddFile(2, fm(2, "a", "f", 100))
+	e.AddFile(2, fm(3, "g", "p", 100))
+}
+
 func TestLDCLinksInsteadOfCompacting(t *testing.T) {
 	pk := NewPicker(LDC, testParams(), icmp)
-	v := buildV(t, func(e *version.Edit) {
-		e.AddFile(1, fm(1, "a", "m", 20000))
-		e.AddFile(2, fm(2, "a", "f", 100))
-		e.AddFile(2, fm(3, "g", "p", 100))
-	})
+	v := buildV(t, linkableEdit)
 	got := pk.Pick(v)
 	if got.Kind != PickLink || got.Level != 1 || got.OutputLevel != 2 {
 		t.Fatalf("Pick = %v level %d -> %d", got.Kind, got.Level, got.OutputLevel)
@@ -226,19 +235,22 @@ func TestLDCMergePriorityAtThreshold(t *testing.T) {
 	}
 }
 
+// oneSlicedEdit is an over-target L1 whose first table already carries a slice.
+func oneSlicedEdit(e *version.Edit) {
+	// L1 over target with two files; file 1 already carries a slice.
+	f1 := fm(1, "a", "c", 15000)
+	e.AddFile(1, f1)
+	e.AddFile(1, fm(2, "d", "f", 15000))
+	e.FreezeFile(&version.FrozenMeta{Num: 90, Size: 10, Smallest: ik("a", 9), Largest: ik("c", 8)})
+	e.AddSlice(1, 1, version.Slice{FrozenNum: 90, Range: keys.KeyRange{Lo: []byte("a"), Hi: []byte("c")}, LinkSeq: 1, Bytes: 10})
+	e.AddFile(2, fm(3, "a", "z", 100))
+}
+
 func TestLDCSkipsSlicedFilesForLinking(t *testing.T) {
 	params := testParams()
 	params.SliceThreshold = 5
 	pk := NewPicker(LDC, params, icmp)
-	v := buildV(t, func(e *version.Edit) {
-		// L1 over target with two files; file 1 already carries a slice.
-		f1 := fm(1, "a", "c", 15000)
-		e.AddFile(1, f1)
-		e.AddFile(1, fm(2, "d", "f", 15000))
-		e.FreezeFile(&version.FrozenMeta{Num: 90, Size: 10, Smallest: ik("a", 9), Largest: ik("c", 8)})
-		e.AddSlice(1, 1, version.Slice{FrozenNum: 90, Range: keys.KeyRange{Lo: []byte("a"), Hi: []byte("c")}, LinkSeq: 1, Bytes: 10})
-		e.AddFile(2, fm(3, "a", "z", 100))
-	})
+	v := buildV(t, oneSlicedEdit)
 	got := pk.Pick(v)
 	if got.Kind != PickLink {
 		t.Fatalf("Pick = %v", got.Kind)
@@ -248,21 +260,33 @@ func TestLDCSkipsSlicedFilesForLinking(t *testing.T) {
 	}
 }
 
+// allSlicedEdit is an over-target L1 whose only table carries a slice.
+func allSlicedEdit(e *version.Edit) {
+	f1 := fm(1, "a", "c", 25000)
+	e.AddFile(1, f1)
+	e.FreezeFile(&version.FrozenMeta{Num: 90, Size: 10, Smallest: ik("a", 9), Largest: ik("c", 8)})
+	e.AddSlice(1, 1, version.Slice{FrozenNum: 90, Range: keys.KeyRange{Lo: []byte("a"), Hi: []byte("c")}, LinkSeq: 1, Bytes: 10})
+	e.AddFile(2, fm(3, "a", "z", 100))
+}
+
 func TestLDCMergesWhenAllFilesSliced(t *testing.T) {
 	params := testParams()
 	params.SliceThreshold = 5
 	pk := NewPicker(LDC, params, icmp)
-	v := buildV(t, func(e *version.Edit) {
-		f1 := fm(1, "a", "c", 25000)
-		e.AddFile(1, f1)
-		e.FreezeFile(&version.FrozenMeta{Num: 90, Size: 10, Smallest: ik("a", 9), Largest: ik("c", 8)})
-		e.AddSlice(1, 1, version.Slice{FrozenNum: 90, Range: keys.KeyRange{Lo: []byte("a"), Hi: []byte("c")}, LinkSeq: 1, Bytes: 10})
-		e.AddFile(2, fm(3, "a", "z", 100))
-	})
+	v := buildV(t, allSlicedEdit)
 	got := pk.Pick(v)
 	if !isMergeOf(got, 1, 1) {
 		t.Errorf("Pick = %+v, want merge of file 1 in place at L1", got)
 	}
+}
+
+// frozenHeavyEdit is a tiny L2 table under a huge frozen region.
+func frozenHeavyEdit(e *version.Edit) {
+	f := fm(2, "a", "f", 100)
+	e.AddFile(2, f)
+	// Huge frozen region vs tiny resident data.
+	e.FreezeFile(&version.FrozenMeta{Num: 90, Size: 100000, Smallest: ik("a", 9), Largest: ik("f", 8)})
+	e.AddSlice(2, 2, version.Slice{FrozenNum: 90, Range: keys.KeyRange{Lo: []byte("a"), Hi: []byte("f")}, LinkSeq: 1, Bytes: 100000})
 }
 
 func TestLDCFrozenBackpressure(t *testing.T) {
@@ -270,13 +294,7 @@ func TestLDCFrozenBackpressure(t *testing.T) {
 	params.SliceThreshold = 100 // never trigger by count
 	params.FrozenFraction = 0.10
 	pk := NewPicker(LDC, params, icmp)
-	v := buildV(t, func(e *version.Edit) {
-		f := fm(2, "a", "f", 100)
-		e.AddFile(2, f)
-		// Huge frozen region vs tiny resident data.
-		e.FreezeFile(&version.FrozenMeta{Num: 90, Size: 100000, Smallest: ik("a", 9), Largest: ik("f", 8)})
-		e.AddSlice(2, 2, version.Slice{FrozenNum: 90, Range: keys.KeyRange{Lo: []byte("a"), Hi: []byte("f")}, LinkSeq: 1, Bytes: 100000})
-	})
+	v := buildV(t, frozenHeavyEdit)
 	got := pk.Pick(v)
 	if !isMergeOf(got, 2, 2) {
 		t.Errorf("Pick = %v, want forced merge under space backpressure", got.Kind)

@@ -18,25 +18,19 @@ import (
 	"repro/internal/vfs"
 )
 
-// nextPick is the compaction the pool would run next on an idle store.
+// nextPick is the compaction the worker would run next on an idle store.
 func nextPick(st *store) compaction.Pick {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.picker.Pick(st.set.CurrentNoRef())
 }
 
-// runPick executes pick the way a compaction worker does, on the test's
-// goroutine: the store must have DisableAutoCompaction set, so the pool idles.
+// runPick executes pick the way the compaction worker does, on the test's
+// goroutine: the store must have DisableAutoCompaction set, so the worker idles.
 func runPick(t *testing.T, st *store, pick compaction.Pick) error {
 	t.Helper()
 	st.mu.Lock()
-	claim, err := st.picker.Acquire(pick)
-	if err != nil {
-		st.mu.Unlock()
-		t.Fatal(err)
-	}
-	err = st.execPick(pick)
-	st.picker.Release(claim)
+	err := st.execPick(pick)
 	st.mu.Unlock()
 	st.deleteObsoleteFiles()
 	return err

@@ -13,18 +13,17 @@ import (
 	"repro/internal/vlog"
 )
 
-// The background engine: one dedicated flush worker plus a pool of
-// Options.CompactionParallelism compaction workers, all long-lived
-// goroutines started by Open and drained by Close.
+// The background engine: one flush worker and one compaction worker per
+// shard, long-lived goroutines started by Open and drained by Close. Shards
+// are the unit of background parallelism.
 //
 // The flush worker owns immutable-memtable flushes exclusively, so a flush
 // never queues behind a long merge — the write path's "previous memtable
-// still flushing" stall only lasts as long as the flush itself. Compaction
-// workers each loop { pick, claim, execute, release }: the picker vets every
-// candidate against the in-flight claim set (see compaction/claims.go), so
-// concurrent jobs never share an input file or overlapping output key range,
-// and the only serialization between them is the final LogAndApply version
-// edit (ordered by version.Set internally).
+// still flushing" stall only lasts as long as the flush itself. The
+// compaction worker loops { pick, execute }: two compactions of one shard
+// never overlap, so a pick is a function of the current version alone. A
+// flush and a compaction do overlap; their version edits touch disjoint files
+// (a flush only adds L0 tables) and are ordered by version.Set.
 //
 // A compaction.Pick is data — the files to take out of each level and the
 // level the outputs land in — and the executor has two shapes for it: a
@@ -36,18 +35,14 @@ import (
 // during all file I/O and during LogAndApply, so foreground reads and writes
 // only contend with the brief bookkeeping sections.
 
-// startWorkers launches the flush worker and the compaction pool. Called
+// startWorkers launches the flush worker and the compaction worker. Called
 // once at the end of Open, before the DB is visible to any other goroutine.
 func (db *store) startWorkers() {
-	n := db.opts.CompactionParallelism
-	db.stats.initWorkers(n)
 	db.mu.Lock()
-	db.workersRunning = 1 + n
+	db.workersRunning = 2
 	db.mu.Unlock()
 	go db.flushWorker()
-	for i := 0; i < n; i++ {
-		go db.compactionWorker(i)
-	}
+	go db.compactionWorker()
 }
 
 // workerExit records a worker goroutine's termination; Close waits for the
@@ -85,11 +80,11 @@ func (db *store) flushWorker() {
 	}
 }
 
-// finishJobLocked ends a background job: it wakes the pool (the installed
-// version may expose new work, and a compaction's claim is free again) and
-// the foreground waiters (writes stalled on the memtable or L0), then
-// deletes the files the job made obsolete with db.mu released. The cleanup
-// is announced before mu drops so WaitIdle covers the deletions too.
+// finishJobLocked ends a background job: it wakes the compaction worker (the
+// installed version may expose new work) and the foreground waiters (writes
+// stalled on the memtable or L0), then deletes the files the job made
+// obsolete with db.mu released. The cleanup is announced before mu drops so
+// WaitIdle covers the deletions too.
 func (db *store) finishJobLocked() {
 	db.cleanActive++
 	db.workCond.Broadcast()
@@ -102,10 +97,9 @@ func (db *store) finishJobLocked() {
 	db.bgCond.Broadcast()
 }
 
-// compactionWorker picks, claims, and executes compaction jobs until the DB
-// closes. Multiple workers run this loop concurrently; the claim taken
-// before db.mu is released guarantees their jobs are disjoint.
-func (db *store) compactionWorker(id int) {
+// compactionWorker picks and executes compaction jobs, one at a time, until
+// the DB closes.
+func (db *store) compactionWorker() {
 	defer db.workerExit()
 	db.mu.Lock()
 	for {
@@ -123,21 +117,12 @@ func (db *store) compactionWorker(id int) {
 			}
 			db.workCond.Wait()
 		}
-		claim, err := db.picker.Acquire(pick)
-		if err != nil {
-			// A conflicting claim here is an engine invariant violation (Pick
-			// vetted the candidate under this same lock hold); poison the DB.
-			db.fatal(err)
-			continue
-		}
-		db.compActive++
-		db.stats.noteConcurrency(db.compActive)
+		db.compActive = true
+		db.stats.maxConcurrentCompactions.Store(1)
 		start := time.Now()
-		err = db.execPick(pick)
+		err := db.execPick(pick)
 		db.stats.compactionNanos.Add(int64(time.Since(start)))
-		db.stats.workerJobs[id].Add(1)
-		db.picker.Release(claim)
-		db.compActive--
+		db.compActive = false
 		if err != nil {
 			db.fatal(err)
 		}
@@ -145,7 +130,7 @@ func (db *store) compactionWorker(id int) {
 	}
 }
 
-// execPick runs one claimed unit of compaction work in the shape its kind
+// execPick runs one unit of compaction work in the shape its kind
 // calls for. db.mu held on entry and exit; released during I/O and the
 // version edit.
 func (db *store) execPick(pick compaction.Pick) error {
@@ -308,18 +293,11 @@ func (db *store) pointerEdit(e *version.Edit, level int, inputs []*version.FileM
 	e.CompactPointers = append(e.CompactPointers, version.CompactPointer{Level: level, Key: largest.Clone()})
 }
 
-// applyPointers refreshes the picker's round-robin cursors for the levels an
-// applied edit advanced. It deliberately reads the authoritative value back
-// from the version set rather than installing the edit's own keys: workers
-// reach this point in job-completion order under db.mu, which can differ
-// from LogAndApply commit order for two same-level jobs, and installing the
-// edit's key directly could regress the in-memory cursor behind the value
-// persisted in set.compactPointers/MANIFEST. The set's value is updated in
-// commit order, so reading it here always yields the cursor of this job's
-// commit or a later one. Caller holds db.mu.
+// applyPointers moves the picker's round-robin cursors to where a committed
+// edit put them. Caller holds db.mu.
 func (db *store) applyPointers(e *version.Edit) {
 	for _, cp := range e.CompactPointers {
-		db.picker.SetPointer(cp.Level, db.set.CompactPointer(cp.Level))
+		db.picker.SetPointer(cp.Level, cp.Key)
 	}
 }
 
@@ -412,12 +390,10 @@ func (cs *compactionState) drop(ik keys.InternalKey, value []byte) bool {
 	return drop
 }
 
-// isBaseLevelForKey consults the version the job was picked from. Under
-// concurrent compaction that version may be stale by the time drop runs,
-// but the answer cannot be wrongly "true": any job that could add the key
-// below this job's output level would overlap this job's claimed key range
-// at a deeper level only by rewriting files this version already shows, and
-// new data for the key only ever enters *above* (via flushes into L0).
+// isBaseLevelForKey consults the version the job was picked from. A flush
+// may have installed a newer one by the time drop runs, but the answer cannot
+// be wrongly "true": new data for the key only ever enters *above* (via
+// flushes into L0), and no other compaction of this shard runs beside this one.
 func (cs *compactionState) isBaseLevelForKey(uk []byte) bool {
 	point := keys.KeyRange{Lo: uk, Hi: uk}
 	// The job rewrites every overlapping file at the output level, so the
@@ -485,14 +461,14 @@ func (db *store) inputIterators(files []*version.FileMeta, read *int64) ([]itera
 // down. For LDC's merge phase (paper Algorithm 1, lines 10–22) it is the
 // level of the one input, the lower-level target: only the slice ranges of
 // the frozen files are read — the halved compaction I/O of Fig 10(c) — and
-// those files may be shared with other concurrent merges, read-only and
-// pinned by the version ref. A merge was not chosen by the level's
-// round-robin cursor, so it alone leaves the cursor where it is. db.mu held
-// on entry/exit; released for the whole merge and version edit.
+// those files stay where they are, pinned by the version ref. A merge was not
+// chosen by the level's round-robin cursor, so it alone leaves the cursor
+// where it is. db.mu held on entry/exit; released for the whole merge and
+// version edit.
 func (db *store) execRewrite(pick compaction.Pick) error {
 	// Current (not CurrentNoRef+Ref) so the reference is acquired under
 	// set.mu, atomically with the pointer read: LogAndApply runs outside
-	// db.mu, so a racing worker could otherwise install a new version and
+	// db.mu, so the flush worker could otherwise install a new version and
 	// drop the fetched one to zero refs between the read and the Ref.
 	v := db.set.Current()
 	smallestSnap := db.smallestSnapshot()
@@ -552,8 +528,8 @@ func (db *store) execRewrite(pick compaction.Pick) error {
 }
 
 // deleteObsoleteFiles removes table files no longer referenced by any
-// version. Called without db.mu; safe for any number of concurrent callers
-// (TakeObsolete hands each file number to exactly one of them).
+// version. Called without db.mu; safe for concurrent callers (TakeObsolete
+// hands each file number to exactly one of them).
 func (db *store) deleteObsoleteFiles() {
 	for _, num := range db.set.TakeObsolete() {
 		db.tables.evict(num)

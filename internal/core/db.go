@@ -34,7 +34,7 @@ var (
 )
 
 // store is one shard's complete engine: memtable + WAL segment + group-
-// commit pipeline + read state + version set + compaction claim space. It is
+// commit pipeline + read state + version set + background workers. It is
 // exactly the pre-sharding DB, made unexported; the public DB (router.go) is
 // a thin hash router over Options.Shards of these. All methods are safe for
 // concurrent use.
@@ -124,15 +124,15 @@ type store struct {
 
 	// Background-engine state, all guarded by mu. Three condition variables
 	// partition the wakeups: flushCond wakes the flush worker (imm set, or
-	// shutdown), workCond wakes compaction workers (new version, released
-	// claim, manual compaction, or shutdown), and bgCond announces progress
-	// to foreground waiters (stalled writes, WaitIdle, CompactRange, Close).
+	// shutdown), workCond wakes the compaction worker (new version, manual
+	// compaction, or shutdown), and bgCond announces progress to foreground
+	// waiters (stalled writes, WaitIdle, CompactRange, Close).
 	flushCond *sync.Cond
 	workCond  *sync.Cond
 	bgCond    *sync.Cond
 
 	flushActive    bool // flush worker is mid-flush
-	compActive     int  // compaction workers mid-job
+	compActive     bool // compaction worker is mid-job
 	cleanActive    int  // workers mid-deleteObsoleteFiles (post-job cleanup)
 	workersRunning int  // live worker goroutines; Close drains to zero
 	manualWant     int  // CompactRange callers forcing work despite DisableAutoCompaction
@@ -486,7 +486,7 @@ func (db *store) newLogLocked() error {
 }
 
 // Close flushes the memtable state to disk-safe form (the WAL already holds
-// it) and stops background work, draining the whole worker pool. Close is
+// it) and stops background work, draining both workers. Close is
 // idempotent and safe to call concurrently: every call returns only after
 // the teardown is complete, and all calls return the same result. After
 // Close, the public entry points (Put, Delete, Apply, Get, GetAt, Scan,
@@ -530,6 +530,10 @@ func (db *store) Close() error {
 		for _, rs := range retired {
 			<-rs.done
 		}
+		// A reader's late unref may have made tables obsolete after the last
+		// job's cleanup ran; no later job will come for them (DESIGN,
+		// "Liveness").
+		db.deleteObsoleteFiles()
 		db.tables.closeShard()
 		if err := db.set.Close(); db.closeErr == nil {
 			db.closeErr = err
@@ -539,8 +543,8 @@ func (db *store) Close() error {
 }
 
 // stopBackgroundLocked marks the store closed and waits until every worker
-// goroutine has exited. In-flight jobs run to completion (their claims and
-// version edits resolve normally); idle workers wake, observe closed, and
+// goroutine has exited. In-flight jobs run to completion (their version
+// edits resolve normally); idle workers wake, observe closed, and
 // return. Callers hold db.mu. Also used by crash-simulation tests, which
 // abandon the handle without a clean Close.
 func (db *store) stopBackgroundLocked() {
@@ -1041,8 +1045,8 @@ func (db *store) Flush() error {
 }
 
 // CompactRange forces compaction work until the tree is quiescent — used by
-// tests and experiments to reach a steady state. It drives the worker pool
-// even when DisableAutoCompaction is set.
+// tests and experiments to reach a steady state. It drives the compaction
+// worker even when DisableAutoCompaction is set.
 func (db *store) CompactRange() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -1056,9 +1060,9 @@ func (db *store) CompactRange() error {
 		if db.closed {
 			return ErrClosed
 		}
-		if db.imm == nil && !db.flushActive && db.compActive == 0 {
-			// Quiescent moment: with no claims in flight, a None pick means
-			// the tree has truly converged.
+		if db.imm == nil && !db.flushActive && !db.compActive {
+			// Quiescent moment: with no job running, a None pick means the
+			// tree has truly converged.
 			if db.picker.Pick(db.set.CurrentNoRef()).Kind == compaction.PickNone {
 				return nil
 			}
@@ -1070,15 +1074,15 @@ func (db *store) CompactRange() error {
 
 // WaitIdle blocks until no background work is running or immediately
 // pickable: the flush worker is idle with no pending immutable memtable,
-// every compaction worker has drained, and no worker is still mid
-// obsolete-file cleanup (workers delete after releasing their job claim,
+// the compaction worker is between jobs, and neither is still mid
+// obsolete-file cleanup (workers delete after their job is accounted done,
 // so without the cleanActive term a caller could observe dead table files
 // that a worker is about to remove). Returns early if the store is closed
 // or poisoned by a background error.
 func (db *store) WaitIdle() {
 	db.mu.Lock()
 	for !db.closed && db.bgErr == nil {
-		if db.imm == nil && !db.flushActive && db.compActive == 0 && db.cleanActive == 0 {
+		if db.imm == nil && !db.flushActive && !db.compActive && db.cleanActive == 0 {
 			if db.opts.DisableAutoCompaction && db.manualWant == 0 {
 				break
 			}

@@ -598,7 +598,7 @@ func TestLDCStagingLevelBoundsL0Share(t *testing.T) {
 	db := openTestDB(t, Options{
 		FS: vfs.Mem(), Policy: compaction.LDC,
 		MemTableSize: 32 << 10, SSTableSize: 32 << 10, Fanout: 10, SliceLinkThreshold: 10,
-		BlockCacheSize: 1 << 20, CompactionParallelism: 1,
+		BlockCacheSize: 1 << 20,
 	})
 	defer db.Close()
 	rng := rand.New(rand.NewSource(21))

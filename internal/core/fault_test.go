@@ -15,6 +15,24 @@ import (
 
 var errInjected = errors.New("injected I/O failure")
 
+// unreferencedTables lists the table files in st's directory that no live
+// version of st references.
+func unreferencedTables(t *testing.T, fs vfs.FS, st *store) []string {
+	t.Helper()
+	names, err := fs.List(st.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	live := st.set.LiveFileNums()
+	for _, name := range names {
+		if typ, num := version.ParseFileName(name); typ == version.TypeTable && !live[num] {
+			out = append(out, st.dir+"/"+name)
+		}
+	}
+	return out
+}
+
 // orphanTables lists the table files on disk, in any shard's directory, that
 // no live version references. Call it on an idle store. Files a reader's late
 // unref made obsolete wait in memory for the next job's cleanup; they are
@@ -24,16 +42,7 @@ func orphanTables(t *testing.T, fs vfs.FS, db *DB) []string {
 	var orphans []string
 	for _, st := range db.shards {
 		st.deleteObsoleteFiles()
-		names, err := fs.List(st.dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live := st.set.LiveFileNums()
-		for _, name := range names {
-			if typ, num := version.ParseFileName(name); typ == version.TypeTable && !live[num] {
-				orphans = append(orphans, st.dir+"/"+name)
-			}
-		}
+		orphans = append(orphans, unreferencedTables(t, fs, st)...)
 	}
 	return orphans
 }

@@ -230,7 +230,7 @@ func TestFlushOfOversizedMemtableIsOneTable(t *testing.T) {
 // the persisted cursor nor the picker's copy moves.
 func TestMergeLeavesCompactPointer(t *testing.T) {
 	opts := smallOpts(compaction.LDC)
-	opts.DisableAutoCompaction = true // the pool idles; the test is the worker
+	opts.DisableAutoCompaction = true // the worker idles; the test is the worker
 	db := openTestDB(t, opts)
 	defer db.Close()
 	st := db.shards[0]
@@ -252,13 +252,8 @@ func TestMergeLeavesCompactPointer(t *testing.T) {
 				st.mu.Unlock()
 				break
 			}
-			claim, err := st.picker.Acquire(pick)
-			if err != nil {
-				t.Fatal(err)
-			}
 			before := st.set.CompactPointer(pick.Level)
-			err = st.execPick(pick)
-			st.picker.Release(claim)
+			err := st.execPick(pick)
 			after, inPicker := st.set.CompactPointer(pick.Level), st.picker.Pointer(pick.Level)
 			st.mu.Unlock()
 			if err != nil {

@@ -6,9 +6,6 @@
 package core
 
 import (
-	"runtime"
-	"time"
-
 	"repro/internal/cache"
 	"repro/internal/checksum"
 	"repro/internal/compaction"
@@ -33,9 +30,9 @@ type Options struct {
 
 	// Shards hash-partitions the store into this many independent engines —
 	// each with its own memtable, WAL segment, group-commit pipeline, read
-	// state, stall controller, and compaction claim space — behind one DB
-	// facade, sharing a single block cache and table cache. 0 or 1 means
-	// unsharded: the literal single engine with its historical on-disk
+	// state, stall controller, flush worker and compaction worker — behind
+	// one DB facade, sharing a single block cache and table cache. 0 or 1
+	// means unsharded: the literal single engine with its historical on-disk
 	// layout. Counts are rounded up to the next power of two (mirroring the
 	// block cache's shard clamping) so key routing is a mask, and clamped to
 	// MaxShards. The count is fixed at creation and recorded on disk
@@ -80,22 +77,10 @@ type Options struct {
 	// BloomBitsPerKey sizes table filters; 0 uses the default (10);
 	// negative disables filters.
 	BloomBitsPerKey int
-	// BlockCacheSize bounds the shared data-block cache (default 8 MiB).
+	// BlockCacheSize bounds the shared data-block cache (default 8 MiB). The
+	// cache is striped into cache.DefaultShards() locks, fewer when that
+	// would leave a stripe under 4×BlockSize (cache.ClampShards).
 	BlockCacheSize int64
-	// BlockCacheShards stripes the block cache into this many locks; 0 picks
-	// a count from GOMAXPROCS (see cache.DefaultShards). The count is
-	// clamped down so each shard's capacity slice stays at least 4×BlockSize
-	// (cache.ClampShards) — a tiny cache is never split into uselessly small
-	// shards.
-	BlockCacheShards int
-
-	// CompactionParallelism sizes the compaction worker pool (default
-	// max(1, GOMAXPROCS/2)). Memtable flushes always run on their own
-	// dedicated worker and are not counted here. With parallelism 1 the
-	// engine picks and executes compactions exactly as the serial engine
-	// did; higher values let the picker hand out multiple jobs whose input
-	// files and output key ranges are disjoint.
-	CompactionParallelism int
 
 	// MaxWriteGroupBytes caps the encoded size of one commit group: the
 	// group leader stops absorbing queued writers once the combined WAL
@@ -113,13 +98,6 @@ type Options struct {
 	// max(1 MiB, CompactionRateBytesPerSec/8). Must be at least BlockSize
 	// when set — a smaller bucket could never admit one block.
 	CompactionRateBurstBytes int64
-	// CompactionL0AgingBound bounds starvation of queued L0→L1 compaction
-	// I/O: a waiter older than this competes at flush priority (default
-	// 500ms). Must not exceed CompactionMergeAgingBound.
-	CompactionL0AgingBound time.Duration
-	// CompactionMergeAgingBound is the same bound for LDC lower-level
-	// merge I/O (default 2s).
-	CompactionMergeAgingBound time.Duration
 
 	// BlobThreshold enables value separation: values at or above this many
 	// bytes are appended to the shared value log (internal/vlog) inside
@@ -193,12 +171,6 @@ func (o Options) withDefaults() Options {
 	if o.BlockCacheSize <= 0 {
 		o.BlockCacheSize = 8 << 20
 	}
-	if o.CompactionParallelism <= 0 {
-		o.CompactionParallelism = runtime.GOMAXPROCS(0) / 2
-		if o.CompactionParallelism < 1 {
-			o.CompactionParallelism = 1
-		}
-	}
 	if o.MaxWriteGroupBytes <= 0 {
 		o.MaxWriteGroupBytes = 1 << 20
 	}
@@ -207,12 +179,6 @@ func (o Options) withDefaults() Options {
 		if o.CompactionRateBurstBytes < 1<<20 {
 			o.CompactionRateBurstBytes = 1 << 20
 		}
-	}
-	if o.CompactionL0AgingBound <= 0 {
-		o.CompactionL0AgingBound = 500 * time.Millisecond
-	}
-	if o.CompactionMergeAgingBound <= 0 {
-		o.CompactionMergeAgingBound = 2 * time.Second
 	}
 	if o.BlobGCThreshold == 0 {
 		o.BlobGCThreshold = 0.5
@@ -262,13 +228,9 @@ func (o Options) compactionParams() compaction.Params {
 }
 
 func (o Options) newBlockCache() *cache.Cache {
-	n := o.BlockCacheShards
-	if n <= 0 {
-		n = cache.DefaultShards()
-	}
 	// Capacity splits evenly across shards, so clamp the count to keep each
 	// shard's slice well above the block size — otherwise a small cache with
 	// many shards silently caches nothing.
-	n = cache.ClampShards(n, o.BlockCacheSize, int64(o.BlockSize))
+	n := cache.ClampShards(cache.DefaultShards(), o.BlockCacheSize, int64(o.BlockSize))
 	return cache.NewSharded(o.BlockCacheSize, n)
 }

@@ -30,7 +30,7 @@ import (
 // pipeline, and ordered scans merge the shards' iterators. Shards share
 // one block cache and one table cache; everything else (memtable, WAL
 // segment, commit pipeline, read state, stall controller, version set,
-// compaction claim space) is per shard, so shards flush, commit, and
+// flush and compaction worker) is per shard, so shards flush, commit, and
 // compact independently.
 //
 // Cross-shard semantics (the sequence/visibility rule):
@@ -126,8 +126,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		db.limiter = iosched.New(iosched.Options{
 			BytesPerSec: opts.CompactionRateBytesPerSec,
 			Burst:       opts.CompactionRateBurstBytes,
-			L0Aging:     opts.CompactionL0AgingBound,
-			MergeAging:  opts.CompactionMergeAgingBound,
 		})
 	}
 

@@ -32,8 +32,8 @@ func (s *slowDeviceFS) Create(name string) (vfs.File, error) {
 // BenchmarkShardedWriters sweeps the shard count under a fixed pool of 16
 // concurrent writers filling random-ish keys, on a slow-durability device
 // with a small memtable so flush and compaction pressure is constant. One
-// engine serializes every flush and compaction barrier behind one claim
-// space and stalls its writers at the L0 triggers; N shards run N
+// engine serializes every flush and compaction barrier behind one pair of
+// workers and stalls its writers at the L0 triggers; N shards run N
 // independent flush/compaction pipelines whose device waits overlap, and
 // each shard sees 1/N of the inflow against the same stall thresholds —
 // the vLSM argument that cross-partition compaction interference, not raw

@@ -49,9 +49,9 @@ type Stats struct {
 	WALSyncCount      int64   // WAL fsyncs issued by group leaders
 	WriteState        string  // controller admission state: ok|delayed|stopped
 
-	// Concurrency (the parallel engine's effect).
-	MaxConcurrentCompactions int64   // high-water mark of simultaneously executing jobs
-	WorkerCompactions        []int64 // jobs completed per compaction worker
+	// MaxConcurrentCompactions is the high-water mark of simultaneously
+	// executing compaction jobs: 0 or 1 per shard, summed across shards.
+	MaxConcurrentCompactions int64
 
 	// Request counts (exact: every request counts itself).
 	Puts, Gets, Deletes, Scans int64
@@ -170,8 +170,7 @@ type dbStats struct {
 	walSyncNanos    atomic.Int64
 	walSyncCount    atomic.Int64
 
-	maxConcurrentCompactions atomic.Int64
-	workerJobs               []atomic.Int64 // sized once in initWorkers, before workers start
+	maxConcurrentCompactions atomic.Int64 // 1 once the compaction worker has run a job
 
 	puts, gets, deletes, scans atomic.Int64
 
@@ -191,23 +190,6 @@ type dbStats struct {
 	// Stats carries its own snapshot.
 	readHist  histogram.Histogram
 	writeHist histogram.Histogram
-}
-
-// initWorkers sizes the per-worker counters; called once before the worker
-// pool starts, so the slice header is never written concurrently.
-func (d *dbStats) initWorkers(n int) {
-	d.workerJobs = make([]atomic.Int64, n)
-}
-
-// noteConcurrency records a new number of simultaneously executing
-// compaction jobs, keeping the high-water mark.
-func (d *dbStats) noteConcurrency(n int) {
-	for {
-		cur := d.maxConcurrentCompactions.Load()
-		if int64(n) <= cur || d.maxConcurrentCompactions.CompareAndSwap(cur, int64(n)) {
-			return
-		}
-	}
 }
 
 func (d *dbStats) snapshot() Stats {
@@ -233,7 +215,6 @@ func (d *dbStats) snapshot() Stats {
 		WALSyncCount:         d.walSyncCount.Load(),
 
 		MaxConcurrentCompactions: d.maxConcurrentCompactions.Load(),
-		WorkerCompactions:        d.workerSnapshot(),
 
 		Puts:    d.puts.Load(),
 		Gets:    d.gets.Load(),
@@ -262,14 +243,6 @@ func (d *dbStats) snapshot() Stats {
 	return s
 }
 
-func (d *dbStats) workerSnapshot() []int64 {
-	out := make([]int64, len(d.workerJobs))
-	for i := range d.workerJobs {
-		out[i] = d.workerJobs[i].Load()
-	}
-	return out
-}
-
 // writeStateRank orders controller admission states by severity so the
 // aggregate can report the worst shard's state.
 func writeStateRank(s string) int {
@@ -287,10 +260,9 @@ func writeStateRank(s string) int {
 // Raw counters sum; derived ratios (AvgGroupSize, PointReadAmp,
 // CompressionRatio) are recomputed from the summed numerators and
 // denominators rather than averaged, so they stay exact; WriteState reports
-// the most-restricted shard; WorkerCompactions concatenates every shard's
-// worker pool (each shard runs its own); MaxConcurrentCompactions sums the
-// per-shard high-water marks (shards compact independently, so the sum is
-// the database-wide capacity bound). Block-cache, I/O-scheduler, and
+// the most-restricted shard; MaxConcurrentCompactions sums the per-shard
+// high-water marks (shards compact independently, so the sum is the
+// database-wide capacity bound). Block-cache, I/O-scheduler, and
 // latency-distribution fields are left zero — the cache and limiter are
 // shared and folded in exactly once by the router, and distributions cannot
 // be summed (the router merges the shards' raw histograms instead).
@@ -329,7 +301,6 @@ func aggregateStats(per []Stats) Stats {
 		}
 
 		s.MaxConcurrentCompactions += p.MaxConcurrentCompactions
-		s.WorkerCompactions = append(s.WorkerCompactions, p.WorkerCompactions...)
 
 		s.Puts += p.Puts
 		s.Gets += p.Gets

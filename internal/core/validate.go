@@ -38,14 +38,10 @@ func (o Options) Validate() error {
 		{"L0StopTrigger", int64(o.L0StopTrigger)},
 		{"BlockSize", int64(o.BlockSize)},
 		{"BlockCacheSize", o.BlockCacheSize},
-		{"BlockCacheShards", int64(o.BlockCacheShards)},
-		{"CompactionParallelism", int64(o.CompactionParallelism)},
 		{"MaxWriteGroupBytes", int64(o.MaxWriteGroupBytes)},
 		{"Shards", int64(o.Shards)},
 		{"CompactionRateBytesPerSec", o.CompactionRateBytesPerSec},
 		{"CompactionRateBurstBytes", o.CompactionRateBurstBytes},
-		{"CompactionL0AgingBound", int64(o.CompactionL0AgingBound)},
-		{"CompactionMergeAgingBound", int64(o.CompactionMergeAgingBound)},
 		{"BlobThreshold", o.BlobThreshold},
 		{"BlobSegmentSize", o.BlobSegmentSize},
 	} {
@@ -90,18 +86,12 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: BlockSize %d exceeds SSTableSize %d",
 			ErrInvalidOptions, d.BlockSize, d.SSTableSize)
 	}
-	// I/O-scheduler knobs. An explicit burst below one block can never
+	// I/O-scheduler knob. An explicit burst below one block can never
 	// admit a single write (the limiter clamps oversized requests to the
-	// burst, turning every block into a full-bucket wait); an L0 aging
-	// bound above the merge bound inverts the starvation ladder — aged
-	// merges would outrank aged L0 work that arrived later.
+	// burst, turning every block into a full-bucket wait).
 	if o.CompactionRateBurstBytes > 0 && o.CompactionRateBurstBytes < int64(d.BlockSize) {
 		return fmt.Errorf("%w: CompactionRateBurstBytes %d is below BlockSize %d (the bucket could never admit one block)",
 			ErrInvalidOptions, o.CompactionRateBurstBytes, d.BlockSize)
-	}
-	if d.CompactionL0AgingBound > d.CompactionMergeAgingBound {
-		return fmt.Errorf("%w: CompactionL0AgingBound %v exceeds CompactionMergeAgingBound %v (priority-aging bounds inverted)",
-			ErrInvalidOptions, d.CompactionL0AgingBound, d.CompactionMergeAgingBound)
 	}
 	// Value-separation knobs. A threshold above the table size is
 	// self-defeating (every value that could fill a table is already out of

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/checksum"
 	"repro/internal/compaction"
@@ -27,8 +26,6 @@ func TestValidateRejections(t *testing.T) {
 		{"negative L0StopTrigger", func(o *Options) { o.L0StopTrigger = -1 }, "L0StopTrigger"},
 		{"negative BlockSize", func(o *Options) { o.BlockSize = -512 }, "BlockSize"},
 		{"negative BlockCacheSize", func(o *Options) { o.BlockCacheSize = -1 }, "BlockCacheSize"},
-		{"negative BlockCacheShards", func(o *Options) { o.BlockCacheShards = -8 }, "BlockCacheShards"},
-		{"negative CompactionParallelism", func(o *Options) { o.CompactionParallelism = -4 }, "CompactionParallelism"},
 		{"negative MaxWriteGroupBytes", func(o *Options) { o.MaxWriteGroupBytes = -1 }, "MaxWriteGroupBytes"},
 		{"tiny MaxWriteGroupBytes", func(o *Options) { o.MaxWriteGroupBytes = 100 }, "floor"},
 		{"compaction trigger above slowdown", func(o *Options) { o.L0CompactionTrigger = 20 }, "L0CompactionTrigger"},
@@ -43,19 +40,11 @@ func TestValidateRejections(t *testing.T) {
 		{"wildly negative Shards", func(o *Options) { o.Shards = -64 }, "Shards"},
 		{"negative CompactionRateBytesPerSec", func(o *Options) { o.CompactionRateBytesPerSec = -1 }, "CompactionRateBytesPerSec"},
 		{"negative CompactionRateBurstBytes", func(o *Options) { o.CompactionRateBurstBytes = -4096 }, "CompactionRateBurstBytes"},
-		{"negative CompactionL0AgingBound", func(o *Options) { o.CompactionL0AgingBound = -time.Second }, "CompactionL0AgingBound"},
-		{"negative CompactionMergeAgingBound", func(o *Options) { o.CompactionMergeAgingBound = -time.Millisecond }, "CompactionMergeAgingBound"},
 		{"burst below one block", func(o *Options) { o.CompactionRateBurstBytes = 100 }, "CompactionRateBurstBytes"},
 		{"burst below explicit block size", func(o *Options) {
 			o.BlockSize = 8 << 10
 			o.CompactionRateBurstBytes = 4 << 10
 		}, "below BlockSize"},
-		{"aging bounds inverted", func(o *Options) {
-			o.CompactionL0AgingBound, o.CompactionMergeAgingBound = 3*time.Second, time.Second
-		}, "priority-aging bounds inverted"},
-		{"explicit L0 aging above default merge bound", func(o *Options) {
-			o.CompactionL0AgingBound = 5 * time.Second // merge bound defaults to 2s
-		}, "CompactionL0AgingBound"},
 		{"negative BlobThreshold", func(o *Options) { o.BlobThreshold = -1 }, "BlobThreshold"},
 		{"negative BlobSegmentSize", func(o *Options) { o.BlobSegmentSize = -4096 }, "BlobSegmentSize"},
 		{"blob threshold above table size", func(o *Options) {
@@ -112,7 +101,6 @@ func TestValidateAccepts(t *testing.T) {
 		{"rate limit with defaulted burst", Options{CompactionRateBytesPerSec: 8 << 20}},
 		{"rate limit with explicit burst", Options{CompactionRateBytesPerSec: 8 << 20, CompactionRateBurstBytes: 1 << 20}},
 		{"burst exactly one block", Options{CompactionRateBurstBytes: 4 << 10}},
-		{"equal aging bounds", Options{CompactionL0AgingBound: time.Second, CompactionMergeAgingBound: time.Second}},
 		{"accounting-only scheduler (rate zero)", Options{CompactionRateBurstBytes: 1 << 20}},
 		{"separation with defaults", Options{BlobThreshold: 1024}},
 		{"separation fully tuned", Options{BlobThreshold: 1024, BlobGCThreshold: 0.25, BlobSegmentSize: 4 << 20}},

@@ -43,11 +43,6 @@ type Config struct {
 	// 1: on a single-core host, extra client goroutines add scheduler
 	// jitter that swamps the policies' differences.
 	Clients int
-	// CompactionParallelism sizes the store's compaction worker pool. The
-	// default is 1 so experiment shapes stay comparable to the paper's
-	// single-compactor LevelDB baseline; the parallel-compaction benchmark
-	// raises it explicitly.
-	CompactionParallelism int
 	// MaxWriteGroupBytes caps the commit pipeline's write groups; 0 uses the
 	// store default (1 MiB). Only matters with Clients > 1.
 	MaxWriteGroupBytes int
@@ -119,8 +114,6 @@ func Default() Config {
 		BloomBitsPerKey: 10,
 		BlockCacheSize:  8 << 20,
 		Clients:         1,
-
-		CompactionParallelism: 1,
 
 		Seed:   1,
 		Device: dev,

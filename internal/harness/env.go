@@ -74,21 +74,20 @@ func NewEnv(cfg Config, policy compaction.Policy) (*Env, error) {
 	dev := ssdsim.NewDevice(cfg.Device)
 	fs := ssdsim.Wrap(vfs.Mem(), dev)
 	db, err := core.Open("/db", core.Options{
-		FS:                    fs,
-		Policy:                policy,
-		MemTableSize:          cfg.MemTableSize,
-		SSTableSize:           cfg.SSTableSize,
-		Fanout:                cfg.Fanout,
-		SliceLinkThreshold:    cfg.SliceThreshold,
-		BloomBitsPerKey:       cfg.BloomBitsPerKey,
-		BlockCacheSize:        cfg.BlockCacheSize,
-		CompactionParallelism: cfg.CompactionParallelism,
-		MaxWriteGroupBytes:    cfg.MaxWriteGroupBytes,
-		Shards:                cfg.Shards,
-		Compression:           cfg.Compression,
-		ChecksumKind:          cfg.ChecksumKind,
-		AdaptiveThreshold:     cfg.AdaptiveThreshold,
-		DisableTrivialMove:    cfg.DisableTrivialMove,
+		FS:                 fs,
+		Policy:             policy,
+		MemTableSize:       cfg.MemTableSize,
+		SSTableSize:        cfg.SSTableSize,
+		Fanout:             cfg.Fanout,
+		SliceLinkThreshold: cfg.SliceThreshold,
+		BloomBitsPerKey:    cfg.BloomBitsPerKey,
+		BlockCacheSize:     cfg.BlockCacheSize,
+		MaxWriteGroupBytes: cfg.MaxWriteGroupBytes,
+		Shards:             cfg.Shards,
+		Compression:        cfg.Compression,
+		ChecksumKind:       cfg.ChecksumKind,
+		AdaptiveThreshold:  cfg.AdaptiveThreshold,
+		DisableTrivialMove: cfg.DisableTrivialMove,
 
 		CompactionRateBytesPerSec: cfg.CompactionRateBytesPerSec,
 		CompactionRateBurstBytes:  cfg.CompactionRateBurstBytes,

@@ -15,8 +15,8 @@ import (
 // Set owns the current Version, the MANIFEST log, the file-number and
 // sequence allocators, and per-file reference counts used to decide when a
 // table file becomes obsolete. LogAndApply serializes itself internally, so
-// concurrent compaction workers may call it directly; reads of Current are
-// safe from any goroutine.
+// a shard's flush and compaction workers may call it directly; reads of
+// Current are safe from any goroutine.
 type Set struct {
 	fs   vfs.FS
 	dir  string
@@ -347,10 +347,9 @@ func (s *Set) snapshotEdit() *Edit {
 }
 
 // LogAndApply persists edit to the MANIFEST and installs the resulting
-// version as current. Invocations are serialized internally; callers may
-// invoke it from concurrent compaction workers without extra locking, but
-// the edits themselves must be compatible (the claim bookkeeping in the
-// compaction picker guarantees concurrent edits touch disjoint files).
+// version as current. Invocations are serialized internally; a shard's flush
+// and compaction workers invoke it without extra locking, and their edits are
+// compatible because a flush only adds L0 tables.
 func (s *Set) LogAndApply(e *Edit) error {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
