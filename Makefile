@@ -23,7 +23,7 @@ unexport TAGS
 # against the //ldclint:lockrank catalog). Built from source on demand.
 LDCLINT := bin/ldclint
 
-.PHONY: all build test stress vet fmt-check lint invariants race fuzz-smoke bench bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-tail bench-blob loc run-server server-smoke ci
+.PHONY: all build test stress vet fmt-check lint invariants race fuzz-smoke bench bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-tail bench-blob exhibits-smoke loc run-server server-smoke ci
 
 # run-server knobs (make run-server DB=/path PORT=6380)
 DB ?= /tmp/ldcserver-db
@@ -121,8 +121,10 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/compress
 	$(GO) test -run XXX -fuzz FuzzVlogRecordDecode -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/vlog
 
+# Every exhibit of internal/harness once at the benchmark scale, each headline
+# as a metric.
 bench:
-	$(GO) test -run XXX -bench . -benchtime 1x $(TESTFLAGS) .
+	$(GO) test -run XXX -bench BenchmarkExhibit -benchtime 1x $(TESTFLAGS) .
 
 # One race-checked pass over the group-commit writer benchmark, the sync-
 # commit leaf benchmark (inline vs separated values: overlapped fsyncs), the
@@ -143,12 +145,12 @@ bench-smoke:
 bench-read:
 	$(GO) test -race -run XXX -bench 'BenchmarkGetConcurrent|BenchmarkGetCacheHit|BenchmarkScan100$$' -benchtime 1x -benchmem $(TESTFLAGS) ./internal/core
 
-# One race-checked pass over the on-disk format sweep (raw vs flate vs lz4
+# One race-checked pass over the format exhibit (raw vs flate vs lz4
 # fill/scan/footprint): exercises every codec and checksum through flush,
 # compaction, and the block cache without measuring anything. Real numbers
-# live in BENCH_format.json.
+# live in EXPERIMENTS.json.
 bench-format:
-	$(GO) test -race -run XXX -bench BenchmarkFormat -benchtime 1x $(TESTFLAGS) .
+	$(GO) test -race -run XXX -bench 'BenchmarkExhibit/format$$' -benchtime 1x $(TESTFLAGS) .
 
 # One race-checked pass over the sharded-writers sweep (shards 1/2/4/8 x 16
 # writers): exercises hash routing, per-shard commit pipelines, and shared
@@ -157,26 +159,28 @@ bench-format:
 bench-shards:
 	$(GO) test -race -run XXX -bench BenchmarkShardedWriters -benchtime 1x $(TESTFLAGS) ./internal/core
 
-# The tail-latency gate: run the brownout scenario (sustained load over a
-# compaction backlog, I/O limiter on vs off at equal offered load) and fail
-# if the limiter-on side's foreground P99.9 exceeds 1.5x the limiter-off
-# side's. The recorded headline ratio sits just under 1.0x; the 1.5x budget
-# leaves room for loaded-host noise while still catching regressions that
-# invert the scheduler into a tail liability. This target only gates: it
-# writes no file. To record a run, pass -json yourself:
-#   go run ./cmd/ldcbench -json BENCH_tail.json brownout
+# The tail-latency gate: the brownout exhibit (sustained load over a
+# compaction backlog, I/O limiter on vs off at equal offered load) fails if the
+# limiter-on side's foreground P99.9 exceeds its budget of 1.5x the
+# limiter-off side's. The budget is a constant of the exhibit's row in
+# internal/harness/exhibits.go; the recorded ratio sits just under 1.0x.
 bench-tail:
-	$(GO) run $(TESTFLAGS) ./cmd/ldcbench -tailbudget 1.5 brownout
+	$(GO) run $(TESTFLAGS) ./cmd/ldcbench brownout
 
-# The value-separation gate: sweep value size 128B-64KiB writing the same
-# user-byte volume with separation off vs on, and fail unless separation
-# cuts compaction write amplification by at least 2x at 4KiB+ values. The
-# measured reductions sit far above the budget (hundreds of x at 16KiB+);
-# the small-value rows are reported ungated — there the log's own bytes and
-# GC rewrites eat most of the win. Gates only, like bench-tail; to record:
-#   go run ./cmd/ldcbench -json BENCH_blob.json blob
+# The value-separation gate: the blob exhibit (value size 128B-64KiB, the same
+# user-byte volume with separation off vs on) fails unless separation cuts
+# compaction write amplification by its budget of 2x at 4KiB+ values. The
+# measured reductions sit far above it (hundreds of x at 16KiB+); the
+# small-value rows are reported unbudgeted — there the log's own bytes and GC
+# rewrites eat most of the win.
 bench-blob:
-	$(GO) run $(TESTFLAGS) ./cmd/ldcbench -blobgain 2 blob
+	$(GO) run $(TESTFLAGS) ./cmd/ldcbench blob
+
+# Every exhibit end to end at the sub-second scale with no device latency:
+# that the table, the drivers' loop and the printer hold together. Budgets are
+# reported as not evaluated there.
+exhibits-smoke:
+	$(GO) run $(TESTFLAGS) ./cmd/ldcbench -quick all
 
 # Non-test Go lines, the figures every PR reports its delta of (ROADMAP,
 # design axis): the engine, the repo's own vettool, and their total — last, so
@@ -203,4 +207,4 @@ run-server: build
 server-smoke:
 	$(GO) test -count 1 -run TestServerBinarySmoke $(TESTFLAGS) ./cmd/ldcserver
 
-ci: vet fmt-check lint test stress race invariants fuzz-smoke bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-tail bench-blob server-smoke
+ci: vet fmt-check lint test stress race invariants fuzz-smoke bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-tail bench-blob exhibits-smoke server-smoke

@@ -1,106 +1,25 @@
 // Command ldcbench regenerates the paper's tables and figures on this
-// repository's store and SSD simulator.
+// repository's store and SSD simulator: a loop over harness.Exhibits.
 //
 // Usage:
 //
-//	ldcbench [flags] <experiment>...
+//	ldcbench [flags] <exhibit>...
 //
-// Experiments: table1 fig1 fig7 fig8 fig9 fig10a fig10b fig10c fig11
-// fig12a fig12b fig12c fig13 fig14 fig15 format, or "all".
-//
+// Exhibits are named in the usage text (ldcbench -h); "all" runs every one.
 // Flags scale the run; defaults regenerate every shape in a few minutes.
+// The command exits 1 when an exhibit's budgeted headline is breached on a
+// run with device latency on.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/harness"
 )
-
-type experiment struct {
-	name string
-	desc string
-	run  func(harness.Config, io.Writer) error
-}
-
-func wrap[T interface{ Print(io.Writer) }](f func(harness.Config) (T, error)) func(harness.Config, io.Writer) error {
-	return func(cfg harness.Config, out io.Writer) error {
-		r, err := f(cfg)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-		return nil
-	}
-}
-
-var experiments = []experiment{
-	{"table1", "time breakdown of an insert-only run (paper Table I)", wrap(harness.RunTable1)},
-	{"fig1", "latency fluctuation of the UDC baseline (paper Fig 1)", wrap(harness.RunFig1)},
-	{"fig7", "fan-out tuning alone does not help UDC (paper Fig 7)", wrap(harness.RunFig7)},
-	{"fig8", "P90-P99.99 tail latency, UDC vs LDC (paper Fig 8)", wrap(harness.RunFig8)},
-	{"fig9", "average latency per workload (paper Fig 9)", wrap(harness.RunFig9)},
-	{"fig10a", "throughput, GET workloads (paper Fig 10a)", wrap(harness.RunFig10a)},
-	{"fig10b", "throughput, SCAN workloads (paper Fig 10b)", wrap(harness.RunFig10b)},
-	{"fig10c", "compaction I/O volume (paper Fig 10c)", wrap(harness.RunFig10c)},
-	{"fig11", "uniform vs Zipf distributions (paper Fig 11)", wrap(harness.RunFig11)},
-	{"fig12a", "SliceLink threshold sweep (paper Fig 12a,d)", wrap(harness.RunFig12a)},
-	{"fig12b", "fan-out sweep, both policies (paper Fig 12b,e)", wrap(harness.RunFig12b)},
-	{"fig12c", "Bloom filter size sweep (paper Fig 12c,f)", wrap(harness.RunFig12c)},
-	{"fig13", "Bloom bits/key vs data-block reads (paper Fig 13)", wrap(harness.RunFig13)},
-	{"fig14", "scalability with request count (paper Fig 14)", wrap(harness.RunFig14)},
-	{"fig15", "space efficiency (paper Fig 15)", wrap(harness.RunFig15)},
-	{"format", "on-disk format sweep: raw vs flate vs lz4", wrap(harness.RunFormat)},
-	{"brownout", "sustained load under compaction backlog, I/O limiter on vs off", runBrownout},
-	{"blob", "value-size sweep: write amplification, value separation off vs on", runBlob},
-}
-
-// Gated-experiment flag values, set in main before experiments run. The
-// -json path is shared: brownout and blob each record their own comparison,
-// so run them in separate invocations when recording (the Makefile does).
-var (
-	jsonPath       string
-	brownoutBudget float64
-	blobGain       float64
-)
-
-// runBrownout is wired by hand instead of through wrap: it optionally
-// records its result as JSON and enforces the CI tail budget.
-func runBrownout(cfg harness.Config, out io.Writer) error {
-	r, err := harness.RunBrownout(cfg)
-	if err != nil {
-		return err
-	}
-	r.Print(out)
-	if jsonPath != "" {
-		if err := r.WriteJSON(jsonPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", jsonPath)
-	}
-	return r.CheckBudget(brownoutBudget)
-}
-
-// runBlob mirrors runBrownout: record the sweep, then enforce the CI gate
-// on the separation benefit at large values.
-func runBlob(cfg harness.Config, out io.Writer) error {
-	r, err := harness.RunBlob(cfg)
-	if err != nil {
-		return err
-	}
-	r.Print(out)
-	if jsonPath != "" {
-		if err := r.WriteJSON(jsonPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", jsonPath)
-	}
-	return r.CheckGain(blobGain)
-}
 
 func main() {
 	var (
@@ -112,16 +31,14 @@ func main() {
 		adaptive = flag.Bool("adaptive", false, "enable the self-adaptive SliceLink threshold")
 		seed     = flag.Int64("seed", 0, "workload seed (0 = preset)")
 		clients  = flag.Int("clients", 0, "concurrent workload clients (0 = preset)")
+		jsonPath = flag.String("json", "", "record every exhibit run, with the host and configuration, to this JSON file")
 	)
-	flag.StringVar(&jsonPath, "json", "", "record the experiment's comparison to this JSON file (brownout, blob)")
-	flag.Float64Var(&brownoutBudget, "tailbudget", 0, "fail if limiter-on P99.9 exceeds this multiple of limiter-off (0 = no gate)")
-	flag.Float64Var(&blobGain, "blobgain", 0, "fail if separation cuts compaction write-amp by less than this factor at 4KiB+ values (0 = no gate)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ldcbench [flags] <experiment>...\n\nexperiments:\n")
-		for _, e := range experiments {
-			fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.name, e.desc)
+		fmt.Fprintf(os.Stderr, "usage: ldcbench [flags] <exhibit>...\n\nexhibits:\n")
+		for _, e := range harness.Exhibits {
+			fmt.Fprintf(os.Stderr, "  %-15s %s\n", e.Name, e.Desc)
 		}
-		fmt.Fprintf(os.Stderr, "  %-8s run every experiment\n\nflags:\n", "all")
+		fmt.Fprintf(os.Stderr, "  %-15s run every exhibit\n\nflags:\n", "all")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -141,8 +58,8 @@ func main() {
 		cfg.KeySpace = *keySpace
 	}
 	if *fanout > 0 {
-		cfg.Fanout = *fanout
-		cfg.SliceThreshold = *fanout
+		cfg.Store.Fanout = *fanout
+		cfg.Store.SliceLinkThreshold = *fanout
 	}
 	if *scale >= 0 {
 		cfg.Device.Scale = *scale
@@ -153,33 +70,49 @@ func main() {
 	if *clients > 0 {
 		cfg.Clients = *clients
 	}
-	cfg.AdaptiveThreshold = *adaptive
+	cfg.Store.AdaptiveThreshold = *adaptive
 
-	names := flag.Args()
-	if len(names) == 1 && names[0] == "all" {
-		names = names[:0]
-		for _, e := range experiments {
-			names = append(names, e.name)
+	var exhibits []harness.Exhibit
+	for _, name := range flag.Args() {
+		i := slices.IndexFunc(harness.Exhibits, func(e harness.Exhibit) bool { return e.Name == name })
+		switch {
+		case name == "all":
+			exhibits = append(exhibits, harness.Exhibits...)
+		case i < 0:
+			fmt.Fprintf(os.Stderr, "ldcbench: unknown exhibit %q\n", name)
+			os.Exit(2)
+		default:
+			exhibits = append(exhibits, harness.Exhibits[i])
 		}
 	}
-	for _, name := range names {
-		var found *experiment
-		for i := range experiments {
-			if experiments[i].name == name {
-				found = &experiments[i]
-				break
-			}
-		}
-		if found == nil {
-			fmt.Fprintf(os.Stderr, "ldcbench: unknown experiment %q\n", name)
-			os.Exit(2)
-		}
-		fmt.Printf("== %s: %s ==\n", found.name, found.desc)
+	var tables []harness.Table
+	breached := false
+	for _, e := range exhibits {
+		fmt.Printf("== %s: %s ==\n", e.Name, e.Desc)
 		start := time.Now()
-		if err := found.run(cfg, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "ldcbench: %s: %v\n", found.name, err)
+		t, err := harness.Run(e, cfg)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ldcbench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("-- %s done in %v --\n\n", found.name, time.Since(start).Round(time.Millisecond))
+		t.Print(os.Stdout)
+		fmt.Printf("-- %s done in %v --\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+		tables = append(tables, t)
+		for _, h := range t.Readings() {
+			if h.Breached() {
+				fmt.Fprintf(os.Stderr, "ldcbench: %s: %s is %.2f, budget %s\n", e.Name, h.Name, h.Value, h.Budget)
+				breached = true
+			}
+		}
+	}
+	if *jsonPath != "" {
+		if err := harness.WriteJSON(*jsonPath, cfg, tables); err != nil {
+			fmt.Fprintf(os.Stderr, "ldcbench: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Printf("wrote %s\n", *jsonPath)
+	}
+	if breached {
+		os.Exit(1)
 	}
 }

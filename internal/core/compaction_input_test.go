@@ -27,7 +27,7 @@ func nextPick(st *store) compaction.Pick {
 
 // runPick executes pick the way the compaction worker does, on the test's
 // goroutine: the store must have DisableAutoCompaction set, so the worker idles.
-func runPick(t *testing.T, st *store, pick compaction.Pick) error {
+func runPick(t testing.TB, st *store, pick compaction.Pick) error {
 	t.Helper()
 	st.mu.Lock()
 	err := st.execPick(pick)

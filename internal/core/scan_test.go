@@ -300,43 +300,55 @@ func TestLazyScanMatchesEagerReference(t *testing.T) {
 
 // slicedTree builds a quiesced LDC tree over fs with two key regions: "a-…",
 // written once and compacted to the bottom before anything else, so that no
-// slice window ever reaches into it, and "b-…", churned a chunk of puts at a
-// time until the quiesced tree carries at least minSlices live slices (how
-// many a given number of puts leaves depends on how the merges interleave
-// with them). It returns the tree, the number of slices, and a key of b in the
-// most-linked file.
+// slice window ever reaches into it, and "b-…", churned a round of puts at a
+// time until the quiesced tree carries at least minSlices live slices. The
+// store's compaction worker idles and the test is the worker: after every
+// round it flushes and runs each pick the worker would, in the worker's order,
+// so no merge races a put and the tree — its slice count with it — is the same
+// on every run. It returns the tree, the number of slices, and a key of b in
+// the most-linked file.
 func slicedTree(t testing.TB, fs vfs.FS, minSlices int) (db *DB, slices int, sliced []byte) {
 	t.Helper()
 	db, err := Open("/sliced", Options{
 		FS: fs, Policy: compaction.LDC,
 		MemTableSize: 32 << 10, SSTableSize: 32 << 10, Fanout: 10, SliceLinkThreshold: 10,
-		BlockCacheSize: 4 << 20,
+		BlockCacheSize: 4 << 20, DisableAutoCompaction: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
+	st := db.shards[0]
 	val := bytes.Repeat([]byte("v"), 256)
-	for i := 0; i < 4000; i++ {
-		if err := db.Put(regionKey('a', i), val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.CompactRange(); err != nil {
-		t.Fatal(err)
-	}
-	const chunkPuts, maxChunks = 5000, 20
-	rng := rand.New(rand.NewSource(1))
-	for chunk := 0; slices < minSlices; chunk++ {
-		if chunk == maxChunks {
-			t.Fatalf("the tree carries %d slices after %d puts, want at least %d", slices, chunk*chunkPuts, minSlices)
-		}
-		for i := 0; i < chunkPuts; i++ {
-			if err := db.Put(regionKey('b', rng.Intn(30000)), val); err != nil {
+	// A round is two memtables or so: L0 stays far below the stop trigger,
+	// where a put would wait for a worker that is not coming.
+	const roundPuts, chunkRounds, maxChunks = 250, 20, 20
+	round := func(key func(i int) []byte) {
+		for i := 0; i < roundPuts; i++ {
+			if err := db.Put(key(i), val); err != nil {
 				t.Fatal(err)
 			}
 		}
-		db.WaitIdle()
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for pick := nextPick(st); pick.Kind != compaction.PickNone; pick = nextPick(st) {
+			if err := runPick(t, st, pick); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for base := 0; base < 4000; base += roundPuts {
+		round(func(i int) []byte { return regionKey('a', base+i) })
+	}
+	rng := rand.New(rand.NewSource(1))
+	for chunk := 0; slices < minSlices; chunk++ {
+		if chunk == maxChunks {
+			t.Fatalf("the tree carries %d slices after %d puts, want at least %d", slices, chunk*chunkRounds*roundPuts, minSlices)
+		}
+		for r := 0; r < chunkRounds; r++ {
+			round(func(int) []byte { return regionKey('b', rng.Intn(30000)) })
+		}
 		slices, sliced = countSlices(t, db)
 	}
 	return db, slices, sliced

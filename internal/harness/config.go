@@ -1,7 +1,10 @@
 // Package harness regenerates every table and figure of the paper's
-// evaluation (§IV) on this repository's store and SSD simulator. Each
-// RunXxx function performs the experiment and returns printable rows; the
-// ldcbench command and the repository benchmarks are thin wrappers.
+// evaluation (§IV) on this repository's store and SSD simulator. The
+// evaluation is one experiment repeated over a grid — a store, a YCSB mix,
+// one swept parameter — so the package is one measured cell (Measure), one
+// table of exhibits (Exhibits) and the loop that drives a row of it (Run);
+// the ldcbench command and the repository benchmark are loops over that
+// table.
 //
 // Absolute numbers differ from the paper (the substrate is a simulator and
 // the workloads are scaled down), but each experiment's *shape* — who wins,
@@ -10,8 +13,7 @@
 package harness
 
 import (
-	"repro/internal/checksum"
-	"repro/internal/compress"
+	"repro/internal/core"
 	"repro/internal/ssdsim"
 )
 
@@ -26,71 +28,18 @@ type Config struct {
 	KeySpace int64
 	// ValueSize is the value payload (paper: 1 KiB).
 	ValueSize int
-
-	// MemTableSize and SSTableSize shape the tree (paper: 2 MiB tables).
-	MemTableSize int64
-	SSTableSize  int64
-	// Fanout is the paper's k (default 10).
-	Fanout int
-	// SliceThreshold is the paper's T_s (default = Fanout).
-	SliceThreshold int
-	// BloomBitsPerKey sizes table filters (paper default: 10).
-	BloomBitsPerKey int
-	// BlockCacheSize bounds the block cache.
-	BlockCacheSize int64
-
 	// Clients is the number of concurrent workload clients. The default is
 	// 1: on a single-core host, extra client goroutines add scheduler
 	// jitter that swamps the policies' differences.
 	Clients int
-	// MaxWriteGroupBytes caps the commit pipeline's write groups; 0 uses the
-	// store default (1 MiB). Only matters with Clients > 1.
-	MaxWriteGroupBytes int
-	// Shards is the number of hash-partitioned engine instances behind the
-	// DB facade (0 or 1 = the single classic engine, matching the paper's
-	// setup). Non-powers-of-two round up; only matters with Clients > 1,
-	// where shards overlap each other's flush/compaction stalls.
-	Shards int
 	// Seed fixes the workload randomness.
 	Seed int64
-
 	// Device is the simulated SSD profile.
 	Device ssdsim.Profile
-
-	// Compression selects the per-block codec for written tables
-	// (default raw, matching the paper's format).
-	Compression compress.Kind
-	// ChecksumKind selects the per-table block checksum (default CRC32C).
-	ChecksumKind checksum.Kind
-	// ValueCompressibility is the redundant fraction of each value
-	// (0 = the incompressible xorshift values of every other experiment;
-	// the format benchmarks use 0.5 so codecs have something to find).
-	ValueCompressibility float64
-
-	// BlobThreshold enables value separation: values at or above this many
-	// bytes live in the value log and the tree stores pointers (0 = off,
-	// the layout of every other experiment). The blob sweep sets it.
-	BlobThreshold int64
-	// BlobGCThreshold is the dead-byte fraction at which value-log GC
-	// rewrites a segment (0 = store default).
-	BlobGCThreshold float64
-	// BlobSegmentSize is the value-log rotation threshold (0 = store
-	// default).
-	BlobSegmentSize int64
-
-	// CompactionRateBytesPerSec caps background table-write bandwidth via
-	// the store's I/O scheduler (0 = unlimited; the brownout experiment
-	// sets it on one side of its comparison).
-	CompactionRateBytesPerSec int64
-	// CompactionRateBurstBytes bounds the limiter's idle token accumulation
-	// (0 = store default).
-	CompactionRateBurstBytes int64
-
-	// AdaptiveThreshold enables §III-B-4 self-tuning in LDC runs.
-	AdaptiveThreshold bool
-	// DisableTrivialMove forces rewrites instead of metadata moves
-	// (ablation).
-	DisableTrivialMove bool
+	// Store is the store under test, as the store itself takes it: a sweep
+	// sets the field it sweeps (c.Store.Fanout = k). FS is Measure's to
+	// fill: every cell gets a fresh in-memory file system over Device.
+	Store core.Options
 }
 
 // Default returns the standard experiment scale: ~100k requests against a
@@ -104,19 +53,20 @@ func Default() Config {
 	// target.
 	dev.Scale = 2.5
 	return Config{
-		Ops:             60_000,
-		KeySpace:        24_000,
-		ValueSize:       1024,
-		MemTableSize:    256 << 10,
-		SSTableSize:     256 << 10,
-		Fanout:          10,
-		SliceThreshold:  10,
-		BloomBitsPerKey: 10,
-		BlockCacheSize:  8 << 20,
-		Clients:         1,
-
-		Seed:   1,
-		Device: dev,
+		Ops:       60_000,
+		KeySpace:  24_000,
+		ValueSize: 1024,
+		Clients:   1,
+		Seed:      1,
+		Device:    dev,
+		Store: core.Options{
+			MemTableSize:       256 << 10,
+			SSTableSize:        256 << 10,
+			Fanout:             10, // the paper's k
+			SliceLinkThreshold: 10, // the paper's T_s
+			BloomBitsPerKey:    10,
+			BlockCacheSize:     8 << 20,
+		},
 	}
 }
 
@@ -127,17 +77,10 @@ func Quick() Config {
 	c.Ops = 8_000
 	c.KeySpace = 4_000
 	c.ValueSize = 256
-	c.MemTableSize = 32 << 10
-	c.SSTableSize = 32 << 10
-	c.Fanout = 4
-	c.SliceThreshold = 4
+	c.Store.MemTableSize = 32 << 10
+	c.Store.SSTableSize = 32 << 10
+	c.Store.Fanout = 4
+	c.Store.SliceLinkThreshold = 4
 	c.Device.Scale = 0
-	return c
-}
-
-// ScaleOps returns a copy with the request count (and preload via key
-// space) multiplied — the Fig 14/15 sweeps.
-func (c Config) ScaleOps(factor float64) Config {
-	c.Ops = int64(float64(c.Ops) * factor)
 	return c
 }

@@ -137,13 +137,3 @@ func ScnRWB(ops, keySpace int64) Workload {
 func ScnRH(ops, keySpace int64) Workload {
 	return Workload{Name: "SCN-RH", WriteRatio: 0.3, ScanQueries: true, Ops: ops, KeySpace: keySpace}.withDefaults()
 }
-
-// PointWorkloads returns the GET-family mixes of Fig 10(a).
-func PointWorkloads(ops, keySpace int64) []Workload {
-	return []Workload{WO(ops, keySpace), WH(ops, keySpace), RWB(ops, keySpace), RH(ops, keySpace), RO(ops, keySpace)}
-}
-
-// ScanWorkloads returns the SCAN-family mixes of Fig 10(b).
-func ScanWorkloads(ops, keySpace int64) []Workload {
-	return []Workload{ScnWH(ops, keySpace), ScnRWB(ops, keySpace), ScnRH(ops, keySpace)}
-}

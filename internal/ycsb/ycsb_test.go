@@ -130,12 +130,6 @@ func TestWorkloadDefaults(t *testing.T) {
 	if wo.Preload != 250 {
 		t.Errorf("WO preload = %d, want the YCSB load phase", wo.Preload)
 	}
-	if got := len(PointWorkloads(10, 10)); got != 5 {
-		t.Errorf("PointWorkloads = %d entries", got)
-	}
-	if got := len(ScanWorkloads(10, 10)); got != 3 {
-		t.Errorf("ScanWorkloads = %d entries", got)
-	}
 }
 
 // memStore is a trivial thread-safe store for runner tests.
