@@ -23,7 +23,7 @@ unexport TAGS
 # against the //ldclint:lockrank catalog). Built from source on demand.
 LDCLINT := bin/ldclint
 
-.PHONY: all build test stress vet fmt-check lint invariants race fuzz-smoke bench bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-tail bench-blob exhibits-smoke loc run-server server-smoke ci
+.PHONY: all build test stress vet fmt-check lint invariants race fuzz-smoke bench bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-blob exhibits-smoke loc run-server server-smoke ci
 
 # run-server knobs (make run-server DB=/path PORT=6380)
 DB ?= /tmp/ldcserver-db
@@ -159,14 +159,6 @@ bench-format:
 bench-shards:
 	$(GO) test -race -run XXX -bench BenchmarkShardedWriters -benchtime 1x $(TESTFLAGS) ./internal/core
 
-# The tail-latency gate: the brownout exhibit (sustained load over a
-# compaction backlog, I/O limiter on vs off at equal offered load) fails if the
-# limiter-on side's foreground P99.9 exceeds its budget of 1.5x the
-# limiter-off side's. The budget is a constant of the exhibit's row in
-# internal/harness/exhibits.go; the recorded ratio sits just under 1.0x.
-bench-tail:
-	$(GO) run $(TESTFLAGS) ./cmd/ldcbench brownout
-
 # The value-separation gate: the blob exhibit (value size 128B-64KiB, the same
 # user-byte volume with separation off vs on) fails unless separation cuts
 # compaction write amplification by its budget of 2x at 4KiB+ values. The
@@ -207,4 +199,4 @@ run-server: build
 server-smoke:
 	$(GO) test -count 1 -run TestServerBinarySmoke $(TESTFLAGS) ./cmd/ldcserver
 
-ci: vet fmt-check lint test stress race invariants fuzz-smoke bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-tail bench-blob exhibits-smoke server-smoke
+ci: vet fmt-check lint test stress race invariants fuzz-smoke bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-blob exhibits-smoke server-smoke

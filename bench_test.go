@@ -1,6 +1,6 @@
 // Package repro's root benchmark regenerates every exhibit of
-// harness.Exhibits — the paper's Table I and Figs 1, 7–15, the format,
-// brownout and blob exhibits and the ablations of DESIGN.md — one
+// harness.Exhibits — the paper's Table I and Figs 1, 7–15, the format and
+// blob exhibits and the ablations of DESIGN.md — one
 // sub-benchmark each. An iteration performs the complete exhibit and reports
 // every headline through b.ReportMetric, so `go test -bench=.` produces the
 // whole reproduction in one pass.

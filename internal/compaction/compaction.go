@@ -398,11 +398,10 @@ func (p *Picker) pickLDC(v *version.Version) Pick {
 
 	// 0. L0 urgency: once L0 is deep enough that the commit controller is
 	// delaying writers, draining it is the only background work that lifts
-	// the throttle — ripe merges are deferrable debt by comparison. This
-	// mirrors the I/O scheduler's tier order (flush > L0→L1 > merges) at
-	// the picking layer, so a compaction storm cannot keep the worker on
-	// merges while foreground writes sit in the slowdown curve. Level 1's
-	// links go first: free, and each takes a table out of what L0 rewrites.
+	// the throttle — ripe merges are deferrable debt by comparison, so a
+	// compaction storm cannot keep the worker on merges while foreground
+	// writes sit in the slowdown curve. Level 1's links go first: free, and
+	// each takes a table out of what L0 rewrites.
 	if v.NumFiles(0) >= p.params.L0SlowdownTrigger {
 		if s := p.Score(v, 1); s >= 1 {
 			if pick := p.pickLDCLevel(v, 1, s); pick.Kind == PickLink || pick.Kind == PickTrivialMove {

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/compaction"
-	"repro/internal/iosched"
 	"repro/internal/iterator"
 	"repro/internal/keys"
 	"repro/internal/sstable"
@@ -154,7 +153,7 @@ func (db *store) flushImmLocked() error {
 	db.mu.Unlock()
 
 	// No size cap: one memtable becomes exactly one L0 table.
-	outputs, err := db.writeTables(db.fsFlush, iosched.TierFlush, imm.NewIterator(), nil, 0)
+	outputs, err := db.writeTables(db.fsFlush, imm.NewIterator(), nil, 0)
 	if err == nil {
 		e := &version.Edit{}
 		e.SetLogNum(logNum)
@@ -177,17 +176,24 @@ func (db *store) flushImmLocked() error {
 }
 
 // writeTables streams the entries of it (already in internal order) into new
-// table files on fs and returns their metadata, charging the I/O scheduler at
-// tier block by block. Entries for which drop (when non-nil) reports true
-// are left out; a table is closed once it reaches maxSize — at the next change
-// of user key, since the versions of one key a snapshot keeps alive must not
-// straddle two tables of a sorted level — and never when maxSize is 0. On
+// table files on fs and returns their metadata. Entries for which drop (when
+// non-nil) reports true are left out; a table is closed once it reaches
+// maxSize — at the next change of user key, since the versions of one key a
+// snapshot keeps alive must not straddle two tables of a sorted level — and
+// never when maxSize is 0. On
 // error the partial table is only closed: nothing references it, so the next
 // Open's orphan sweep removes it along with the job's finished outputs.
-// Called without db.mu — the per-block token waits may sleep.
-func (db *store) writeTables(fs vfs.FS, tier iosched.Tier, it iterator.Iterator,
+// Called without db.mu.
+func (db *store) writeTables(fs vfs.FS, it iterator.Iterator,
 	drop func(ik keys.InternalKey, value []byte) bool, maxSize int64) ([]*version.FileMeta, error) {
 	defer it.Close()
+	wopts := sstable.WriterOptions{
+		Cmp:             db.icmp,
+		BlockSize:       db.opts.BlockSize,
+		BloomBitsPerKey: db.opts.BloomBitsPerKey,
+		Compression:     db.opts.Compression,
+		Checksum:        db.opts.ChecksumKind,
+	}
 	var (
 		outputs []*version.FileMeta
 		w       *sstable.Writer
@@ -236,7 +242,7 @@ func (db *store) writeTables(fs vfs.FS, tier iosched.Tier, it iterator.Iterator,
 				break
 			}
 			f = vfs.NewBuffered(f, sstable.IOChunk)
-			w = sstable.NewWriter(f, db.tableWriterOptions(tier))
+			w = sstable.NewWriter(f, wopts)
 		}
 		if err = w.Add(ik, value); err != nil {
 			break
@@ -255,25 +261,6 @@ func (db *store) writeTables(fs vfs.FS, tier iosched.Tier, it iterator.Iterator,
 		_ = f.Close() // partial table, left for the orphan sweep
 	}
 	return outputs, err
-}
-
-// tableWriterOptions builds writer options for a background table build at
-// the given scheduler tier. When the shared limiter is enabled, every block
-// write first waits for tokens — this is the pacing point that keeps
-// compaction bursts from monopolizing the device. The writers run outside
-// db.mu, so the wait blocks only the background job itself.
-func (db *store) tableWriterOptions(tier iosched.Tier) sstable.WriterOptions {
-	opts := sstable.WriterOptions{
-		Cmp:             db.icmp,
-		BlockSize:       db.opts.BlockSize,
-		BloomBitsPerKey: db.opts.BloomBitsPerKey,
-		Compression:     db.opts.Compression,
-		Checksum:        db.opts.ChecksumKind,
-	}
-	if lim := db.limiter; lim != nil {
-		opts.ChargeWrite = func(n int) { lim.Wait(tier, n) }
-	}
-	return opts
 }
 
 // pointerEdit records the round-robin cursor advance for a level in the
@@ -475,12 +462,6 @@ func (db *store) execRewrite(pick compaction.Pick) error {
 	db.mu.Unlock()
 
 	merge := pick.Kind == compaction.PickMerge
-	// L0→L1 compactions outrank the rest at the scheduler: draining L0 is
-	// what lifts the write throttle.
-	tier := iosched.TierMerge
-	if pick.Level == 0 {
-		tier = iosched.TierL0
-	}
 	e := &version.Edit{}
 	var readBytes, outBytes int64
 	all := append(append([]*version.FileMeta(nil), pick.Inputs...), pick.Overlaps...)
@@ -489,7 +470,7 @@ func (db *store) execRewrite(pick compaction.Pick) error {
 		cs := &compactionState{db: db, v: v, outputLevel: pick.OutputLevel, smallestSnap: smallestSnap}
 		merged := iterator.NewMerging(db.icmp.Compare, its...)
 		var outputs []*version.FileMeta
-		outputs, err = db.writeTables(db.fsCompW, tier, merged, cs.drop, db.opts.SSTableSize)
+		outputs, err = db.writeTables(db.fsCompW, merged, cs.drop, db.opts.SSTableSize)
 		if err == nil {
 			for _, f := range pick.Inputs {
 				e.DeleteFile(pick.Level, f.Num)

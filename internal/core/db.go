@@ -14,7 +14,6 @@ import (
 	"repro/internal/commit"
 	"repro/internal/compaction"
 	"repro/internal/invariants"
-	"repro/internal/iosched"
 	"repro/internal/keys"
 	"repro/internal/memtable"
 	"repro/internal/ssdsim"
@@ -66,11 +65,6 @@ type store struct {
 	picker   *compaction.Picker
 	adaptive *adaptiveThreshold
 	tables   *shardTables
-
-	// limiter is the database-wide background-I/O scheduler, shared across
-	// shards because the device is shared (router.go owns its lifecycle).
-	// nil when rate limiting is disabled.
-	limiter *iosched.Limiter
 
 	// vlog is the database-wide value log (router-owned, nil when value
 	// separation is disabled and no segments exist on disk); vlogw is this
@@ -164,8 +158,6 @@ type storeConfig struct {
 	walDir    string
 	walShared bool
 	shardID   int
-	// limiter is the database-wide compaction I/O scheduler (nil = none).
-	limiter *iosched.Limiter
 	// vlog is the database-wide value log (nil = separation off and no
 	// segments on disk); blockCache is the shared block cache, used here to
 	// cache decoded vlog values.
@@ -187,7 +179,6 @@ func openStore(cfg storeConfig, opts Options, tables *tableCache) (*store, error
 		shardID:   cfg.shardID,
 		walDir:    cfg.walDir,
 		walShared: cfg.walShared,
-		limiter:   cfg.limiter,
 	}
 	if cfg.vlog != nil {
 		db.vlog = cfg.vlog

@@ -82,23 +82,6 @@ type Options struct {
 	// would leave a stripe under 4×BlockSize (cache.ClampShards).
 	BlockCacheSize int64
 
-	// MaxWriteGroupBytes caps the encoded size of one commit group: the
-	// group leader stops absorbing queued writers once the combined WAL
-	// record reaches this size (default 1 MiB).
-	MaxWriteGroupBytes int
-
-	// CompactionRateBytesPerSec caps the sustained rate of background
-	// table writes (flushes, compactions, LDC merges) across the whole
-	// database — one token bucket shared by every shard, charged per block
-	// written. 0 (default) disables rate limiting; the scheduler then only
-	// keeps per-tier accounting. See internal/iosched.
-	CompactionRateBytesPerSec int64
-	// CompactionRateBurstBytes caps idle token accumulation (the largest
-	// instantaneous burst the limiter admits). 0 defaults to
-	// max(1 MiB, CompactionRateBytesPerSec/8). Must be at least BlockSize
-	// when set — a smaller bucket could never admit one block.
-	CompactionRateBurstBytes int64
-
 	// BlobThreshold enables value separation: values at or above this many
 	// bytes are appended to the shared value log (internal/vlog) inside
 	// the group-commit leader's critical section, and the LSM stores a
@@ -120,8 +103,6 @@ type Options struct {
 	// Sync makes every committed write fsync the WAL (default false, like
 	// LevelDB: the OS buffers).
 	Sync bool
-	// VerifyChecksums validates block CRCs on every read (default true).
-	VerifyChecksums *bool
 
 	// DisableAutoCompaction stops the background compactor (tests).
 	DisableAutoCompaction bool
@@ -171,24 +152,11 @@ func (o Options) withDefaults() Options {
 	if o.BlockCacheSize <= 0 {
 		o.BlockCacheSize = 8 << 20
 	}
-	if o.MaxWriteGroupBytes <= 0 {
-		o.MaxWriteGroupBytes = 1 << 20
-	}
-	if o.CompactionRateBytesPerSec > 0 && o.CompactionRateBurstBytes <= 0 {
-		o.CompactionRateBurstBytes = o.CompactionRateBytesPerSec / 8
-		if o.CompactionRateBurstBytes < 1<<20 {
-			o.CompactionRateBurstBytes = 1 << 20
-		}
-	}
 	if o.BlobGCThreshold == 0 {
 		o.BlobGCThreshold = 0.5
 	}
 	if o.BlobSegmentSize <= 0 {
 		o.BlobSegmentSize = vlog.DefaultSegmentSize
-	}
-	if o.VerifyChecksums == nil {
-		t := true
-		o.VerifyChecksums = &t
 	}
 	return o
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/histogram"
 	"repro/internal/invariants"
-	"repro/internal/iosched"
 	"repro/internal/keys"
 	"repro/internal/ssdsim"
 	"repro/internal/version"
@@ -59,13 +58,6 @@ type DB struct {
 
 	blockCache *cache.Cache
 	tables     *tableCache
-
-	// limiter schedules all shards' background (flush/compaction/merge)
-	// table writes against one shared token bucket — one bucket per
-	// database, not per shard, because the underlying device is shared: N
-	// per-shard buckets would jointly admit N× the configured rate. nil
-	// when Options.CompactionRateBytesPerSec <= 0.
-	limiter *iosched.Limiter
 
 	// vlog is the database-wide value log (WiscKey-style value separation);
 	// nil when Options.BlobThreshold is 0 and no segments exist on disk.
@@ -121,13 +113,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	db.gcMu.Rank("core.db.gcMu", 20)
 	db.splits.New = func() any { return newApplySplit(db) }
 	db.blockCache = opts.newBlockCache()
-	db.tables = newTableCache(categorized(opts.FS, ssdsim.CatUserRead), icmp, db.blockCache, *opts.VerifyChecksums)
-	if opts.CompactionRateBytesPerSec > 0 {
-		db.limiter = iosched.New(iosched.Options{
-			BytesPerSec: opts.CompactionRateBytesPerSec,
-			Burst:       opts.CompactionRateBurstBytes,
-		})
-	}
+	db.tables = newTableCache(categorized(opts.FS, ssdsim.CatUserRead), icmp, db.blockCache)
 
 	// fail unwinds a partial open; the open error wins over any unwind error.
 	fail := func(err error) (*DB, error) {
@@ -135,7 +121,6 @@ func Open(dir string, opts Options) (*DB, error) {
 			_ = st.Close()
 		}
 		db.closeVlog()
-		db.limiter.Close()
 		return nil, err
 	}
 
@@ -187,7 +172,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 	}
 	for _, cfg := range cfgs {
-		cfg.limiter, cfg.vlog, cfg.blockCache = db.limiter, db.vlog, db.blockCache
+		cfg.vlog, cfg.blockCache = db.vlog, db.blockCache
 		st, err := openStore(cfg, opts, db.tables)
 		if err != nil {
 			if n > 1 {
@@ -526,16 +511,11 @@ func (s *Snapshot) Release() {
 func (db *DB) Close() error {
 	db.closeOnce.Do(func() {
 		// Stop the value-log GC worker before anything else: a pass in
-		// flight drives shard commit pipelines and the limiter, so both
-		// must outlive it.
+		// flight drives shard commit pipelines, so they must outlive it.
 		if db.gcStop != nil {
 			close(db.gcStop)
 			db.gcWG.Wait()
 		}
-		// Release the limiter next so shard Closes never wedge behind a
-		// compaction job queued for tokens; released waiters run to
-		// completion unthrottled, which is exactly what teardown wants.
-		db.limiter.Close()
 		for _, st := range db.shards {
 			if err := st.Close(); db.closeErr == nil {
 				db.closeErr = err
@@ -706,18 +686,6 @@ func (db *DB) Stats() Stats {
 		s.BlobResolves = vs.Resolves
 		s.BlobResolveCacheHits = vs.ResolveCacheHits
 	}
-	// The I/O scheduler is shared; fold its counters in once (Metrics is
-	// nil-safe, so this is zero-valued with the limiter disabled).
-	im := db.limiter.Metrics()
-	s.IOSchedFlushBytes = im.ChargedBytes[iosched.TierFlush]
-	s.IOSchedL0Bytes = im.ChargedBytes[iosched.TierL0]
-	s.IOSchedMergeBytes = im.ChargedBytes[iosched.TierMerge]
-	s.IOSchedThrottledWaits = im.ThrottledWaits
-	s.IOSchedThrottleTime = im.ThrottleTime
-	s.IOSchedPreemptions = im.Preemptions
-	s.IOSchedQueueFlush = im.QueueDepth[iosched.TierFlush]
-	s.IOSchedQueueL0 = im.QueueDepth[iosched.TierL0]
-	s.IOSchedQueueMerge = im.QueueDepth[iosched.TierMerge]
 	// Distributions cannot be summed field-by-field: merge the shards' raw
 	// histograms, then snapshot. With one shard this is a plain snapshot.
 	if len(db.shards) == 1 {

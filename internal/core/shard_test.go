@@ -458,14 +458,13 @@ func TestShardStatsAggregate(t *testing.T) {
 
 // TestOpenUnwindsWhenShardMarkerFails: a sharded Open that fails after the
 // value log is open (here: writing the LDC_SHARDS marker) must release the
-// log and the limiter like every later failure does, and leave a directory
-// the next Open can use.
+// log like every later failure does, and leave a directory the next Open can
+// use.
 func TestOpenUnwindsWhenShardMarkerFails(t *testing.T) {
 	efs := vfs.NewErrFS(vfs.Mem())
 	opts := shardOpts(2)
 	opts.FS = efs
 	opts.BlobThreshold = 64
-	opts.CompactionRateBytesPerSec = 1 << 20
 	efs.FailAfterWrites(0, errInjected) // the marker's Create is Open's first write
 	if db, err := Open("/db", opts); !errors.Is(err, errInjected) {
 		t.Fatalf("Open = %v, %v; want the injected marker failure", db, err)

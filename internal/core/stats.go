@@ -82,8 +82,8 @@ type Stats struct {
 
 	// Foreground latency distributions: full percentile ladders for the
 	// user-facing read (Get) and write (Apply) paths — the tail-latency lens
-	// the brownout benchmark gates on. Populated by the router from merged
-	// per-shard histograms; zero in aggregateStats input. WriteLatency holds
+	// of Fig 1 and Fig 8. Populated by the router from merged per-shard
+	// histograms; zero in aggregateStats input. WriteLatency holds
 	// every Apply. ReadLatency is a 1-in-16 sample (ReadSampleEvery): every
 	// sixteenth Get of a shard, by ordinal, so Count is Gets/16. It stands for
 	// all Gets only when the traffic has no period that divides 16: a client
@@ -108,18 +108,17 @@ type Stats struct {
 	BlobResolves         int64   // pointer resolutions on the read path
 	BlobResolveCacheHits int64   // resolutions served from the block cache
 
-	// I/O scheduler (internal/iosched) counters. The limiter is one shared
-	// database-wide instance, so like the block cache these are folded in
-	// once by the router and left zero per shard.
-	IOSchedFlushBytes     int64         // bytes charged at flush tier
-	IOSchedL0Bytes        int64         // bytes charged at L0→L1 tier
-	IOSchedMergeBytes     int64         // bytes charged at LDC-merge tier
-	IOSchedThrottledWaits int64         // block writes that had to queue for tokens
-	IOSchedThrottleTime   time.Duration // cumulative queue wait
-	IOSchedPreemptions    int64         // grants that jumped an older lower-tier waiter
-	IOSchedQueueFlush     int64         // current queue depth, flush tier
-	IOSchedQueueL0        int64         // current queue depth, L0 tier
-	IOSchedQueueMerge     int64         // current queue depth, merge tier
+	// The four IOSched fields are always zero: the background I/O rate
+	// limiter they counted is deleted.
+	//
+	// Deprecated: bench/ is the last reader; ROADMAP 3(b) deletes it.
+	IOSchedFlushBytes int64
+	// Deprecated: bench/ is the last reader; ROADMAP 3(b) deletes it.
+	IOSchedL0Bytes int64
+	// Deprecated: bench/ is the last reader; ROADMAP 3(b) deletes it.
+	IOSchedMergeBytes int64
+	// Deprecated: bench/ is the last reader; ROADMAP 3(b) deletes it.
+	IOSchedThrottleTime time.Duration
 }
 
 // WriteAmplification reports physical table writes per user byte:
@@ -262,10 +261,10 @@ func writeStateRank(s string) int {
 // denominators rather than averaged, so they stay exact; WriteState reports
 // the most-restricted shard; MaxConcurrentCompactions sums the per-shard
 // high-water marks (shards compact independently, so the sum is the
-// database-wide capacity bound). Block-cache, I/O-scheduler, and
-// latency-distribution fields are left zero — the cache and limiter are
-// shared and folded in exactly once by the router, and distributions cannot
-// be summed (the router merges the shards' raw histograms instead).
+// database-wide capacity bound). Block-cache and latency-distribution fields
+// are left zero — the cache is shared and folded in exactly once by the
+// router, and distributions cannot be summed (the router merges the shards'
+// raw histograms instead).
 func aggregateStats(per []Stats) Stats {
 	var s Stats
 	for _, p := range per {

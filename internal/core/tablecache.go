@@ -35,7 +35,6 @@ type tableCache struct {
 	fs         vfs.FS // tagged with the user-read I/O category
 	icmp       keys.InternalComparer
 	blockCache *cache.Cache
-	verify     bool
 
 	// readers maps tableKey → *sstable.Reader. A sync.Map because the hot
 	// path (get on an already-open table) sits on the lock-free read path
@@ -45,13 +44,8 @@ type tableCache struct {
 	readers sync.Map
 }
 
-func newTableCache(fs vfs.FS, icmp keys.InternalComparer, bc *cache.Cache, verify bool) *tableCache {
-	return &tableCache{
-		fs:         fs,
-		icmp:       icmp,
-		blockCache: bc,
-		verify:     verify,
-	}
+func newTableCache(fs vfs.FS, icmp keys.InternalComparer, bc *cache.Cache) *tableCache {
+	return &tableCache{fs: fs, icmp: icmp, blockCache: bc}
 }
 
 // forShard binds the shared cache to one shard's identity and table
@@ -126,7 +120,7 @@ func (st *shardTables) readerOptions(num uint64) sstable.ReaderOptions {
 		Cmp:             st.tc.icmp,
 		Cache:           st.tc.blockCache,
 		FileNum:         st.cacheNum(num),
-		VerifyChecksums: st.tc.verify,
+		VerifyChecksums: true,
 	}
 }
 

@@ -11,18 +11,12 @@ import (
 // with errors.Is and read the wrapped detail for the specific field.
 var ErrInvalidOptions = errors.New("ldc: invalid options")
 
-// minWriteGroupBytes is the floor for an explicit MaxWriteGroupBytes: a
-// group must comfortably hold at least one small batch (12-byte header plus
-// a key/value pair), and anything under 4 KiB degenerates the pipeline into
-// one-batch groups, silently losing group commit.
-const minWriteGroupBytes = 4 << 10
-
 // Validate rejects nonsensical configurations before they turn into
-// confusing runtime behaviour (a cache that caches nothing, a write group
-// that can never absorb a follower, triggers that stop writes before
-// slowing them). Zero values mean "use the default" throughout Options, so
-// Validate rejects explicit negatives and relations that are inconsistent
-// after defaulting. Open calls it; so does the server's config validation.
+// confusing runtime behaviour (a table smaller than its block, a value-log
+// GC that never collects, triggers that stop writes before slowing them).
+// Zero values mean "use the default" throughout Options, so Validate rejects
+// explicit negatives and relations that are inconsistent after defaulting.
+// Open calls it; so does the server's config validation.
 func (o Options) Validate() error {
 	type field struct {
 		name string
@@ -38,10 +32,7 @@ func (o Options) Validate() error {
 		{"L0StopTrigger", int64(o.L0StopTrigger)},
 		{"BlockSize", int64(o.BlockSize)},
 		{"BlockCacheSize", o.BlockCacheSize},
-		{"MaxWriteGroupBytes", int64(o.MaxWriteGroupBytes)},
 		{"Shards", int64(o.Shards)},
-		{"CompactionRateBytesPerSec", o.CompactionRateBytesPerSec},
-		{"CompactionRateBurstBytes", o.CompactionRateBurstBytes},
 		{"BlobThreshold", o.BlobThreshold},
 		{"BlobSegmentSize", o.BlobSegmentSize},
 	} {
@@ -50,10 +41,6 @@ func (o Options) Validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("%w: %s is negative (%d); use 0 for the default", ErrInvalidOptions, f.name, f.v)
 		}
-	}
-	if o.MaxWriteGroupBytes > 0 && o.MaxWriteGroupBytes < minWriteGroupBytes {
-		return fmt.Errorf("%w: MaxWriteGroupBytes %d is below the %d-byte floor (a group must hold at least one batch)",
-			ErrInvalidOptions, o.MaxWriteGroupBytes, minWriteGroupBytes)
 	}
 	// Enums, not sizes. An unknown policy must not quietly run as UDC; a
 	// format value outside the registry would be stamped into on-disk
@@ -86,24 +73,18 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: BlockSize %d exceeds SSTableSize %d",
 			ErrInvalidOptions, d.BlockSize, d.SSTableSize)
 	}
-	// I/O-scheduler knob. An explicit burst below one block can never
-	// admit a single write (the limiter clamps oversized requests to the
-	// burst, turning every block into a full-bucket wait).
-	if o.CompactionRateBurstBytes > 0 && o.CompactionRateBurstBytes < int64(d.BlockSize) {
-		return fmt.Errorf("%w: CompactionRateBurstBytes %d is below BlockSize %d (the bucket could never admit one block)",
-			ErrInvalidOptions, o.CompactionRateBurstBytes, d.BlockSize)
-	}
 	// Value-separation knobs. A threshold above the table size is
 	// self-defeating (every value that could fill a table is already out of
-	// the tree); a GC threshold outside (0,1] either divides by zero intent
-	// (never collect) or demands more than all bytes dead. Explicit GC
-	// tuning with separation disabled is almost certainly a typo'd config,
-	// so reject it rather than silently never separating.
+	// the tree); a GC threshold outside (0,1] — NaN included, which every
+	// comparison would wave through — either never collects or demands more
+	// than all bytes dead. Explicit GC tuning with separation disabled is
+	// almost certainly a typo'd config, so reject it rather than silently
+	// never separating.
 	if o.BlobThreshold > d.SSTableSize {
 		return fmt.Errorf("%w: BlobThreshold %d exceeds SSTableSize %d",
 			ErrInvalidOptions, o.BlobThreshold, d.SSTableSize)
 	}
-	if o.BlobGCThreshold != 0 && (o.BlobGCThreshold <= 0 || o.BlobGCThreshold > 1) {
+	if o.BlobGCThreshold != 0 && !(o.BlobGCThreshold > 0 && o.BlobGCThreshold <= 1) {
 		return fmt.Errorf("%w: BlobGCThreshold %v outside (0, 1]",
 			ErrInvalidOptions, o.BlobGCThreshold)
 	}

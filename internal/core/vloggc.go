@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/iosched"
 	"repro/internal/keys"
 	"repro/internal/memtable"
 	"repro/internal/vlog"
@@ -90,11 +89,6 @@ func (db *store) vlogGCRound(num uint64) (live int, liveBytes int64, err error) 
 			err = cerr
 		}
 	}()
-	// The whole-segment read is charged up front at merge priority: GC is
-	// background relocation and must never outrank L0 draining or starve
-	// foreground reads of device tokens.
-	db.limiter.Wait(iosched.TierMerge, int(seg.Size()))
-
 	b := batch.New()
 	var chunkBytes int64
 	readSeq := db.set.LastSeq()
@@ -125,10 +119,7 @@ func (db *store) vlogGCRound(num uint64) (live int, liveBytes int64, err error) 
 		liveBytes += int64(ptr.Length)
 		// Relocate: new copy first (write-through, so the pointer is
 		// resolvable the instant the rewrite applies), then the guarded
-		// pointer rewrite through the normal commit pipeline. The append is
-		// charged like the scan — this is the "GC write amplification"
-		// column of the blob benchmark.
-		db.limiter.Wait(iosched.TierMerge, int(ptr.Length))
+		// pointer rewrite through the normal commit pipeline.
 		np, err := db.vlogw.Append(key, value)
 		if err != nil {
 			return err

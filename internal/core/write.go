@@ -56,8 +56,7 @@ func (db *store) initCommitPipeline() {
 		MakeRoom: db.controller.MakeRoom,
 		Commit:   db.commitGroup,
 	}, commit.Options{
-		MaxGroupBytes: db.opts.MaxWriteGroupBytes,
-		ClosedError:   ErrClosed,
+		ClosedError: ErrClosed,
 	})
 }
 

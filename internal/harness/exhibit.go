@@ -61,11 +61,11 @@ func (c Column) format(v float64) string {
 type Headline struct {
 	Name  string
 	Value func([]Row) float64
-	// AtMost and AtLeast are the exhibit's budget (0 = none): a run with
-	// device latency on fails when the value is outside it. A budget above
-	// the recorded value leaves headroom for loaded-host noise while still
-	// catching a regression that inverts the mechanism.
-	AtMost, AtLeast float64
+	// AtLeast is the exhibit's budget (0 = none): a run with device latency
+	// on fails when the value is below it. A budget under the recorded value
+	// leaves headroom for loaded-host noise while still catching a
+	// regression that inverts the mechanism.
+	AtLeast float64
 }
 
 // Table is a measured exhibit.
@@ -114,13 +114,7 @@ func (t Table) Readings() []Reading {
 	var out []Reading
 	for _, h := range t.Headlines {
 		r := Reading{Name: h.Name, Value: h.Value(t.Rows)}
-		switch {
-		case h.AtMost != 0:
-			r.Budget, r.Verdict = fmt.Sprintf("<= %g", h.AtMost), "ok"
-			if r.Value > h.AtMost {
-				r.Verdict = "breached"
-			}
-		case h.AtLeast != 0:
+		if h.AtLeast != 0 {
 			r.Budget, r.Verdict = fmt.Sprintf(">= %g", h.AtLeast), "ok"
 			if r.Value < h.AtLeast {
 				r.Verdict = "breached"
@@ -163,9 +157,9 @@ func (t Table) Print(w io.Writer) {
 				if !t.Phases {
 					break
 				}
-				fmt.Fprintf(w, "%s phase %-13s %d ops in %v: stall %v (%d slowdowns, %d stops), token wait %v\n",
+				fmt.Fprintf(w, "%s phase %-13s %d ops in %v: stall %v (%d slowdowns, %d stops)\n",
 					strings.Join(r.Labels, "/"), p.Name, p.Ops, p.Duration.Round(time.Millisecond),
-					p.Stall.Round(time.Microsecond), p.Slowdowns, p.Stops, p.Throttle.Round(time.Microsecond))
+					p.Stall.Round(time.Microsecond), p.Slowdowns, p.Stops)
 			}
 		}
 	}

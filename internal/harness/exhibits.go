@@ -14,7 +14,7 @@ import (
 )
 
 // Exhibits is the evaluation: the paper's Table I and Figs 1, 7–15, the three
-// exhibits the repository adds beyond it (format, brownout, blob) and the
+// exhibits the repository adds beyond it (format, blob) and the
 // ablations of DESIGN.md. A new exhibit is one entry here and nothing in the
 // drivers.
 var Exhibits = []Exhibit{
@@ -295,70 +295,6 @@ var Exhibits = []Exhibit{
 		},
 	},
 	{
-		// The scenario the I/O scheduler exists for: a write burst leaves the
-		// tree owing a backlog of compaction work, then a mixed workload keeps
-		// arriving while the backlog drains. Without pacing, compaction I/O
-		// lands on the shared device in full-table bursts and foreground
-		// requests queue behind them — the tail spikes of Fig 1. With the
-		// limiter the same backlog drains at a bounded rate, trading some
-		// throughput for a bounded foreground tail. Both sides see the
-		// identical offered load (same seeds, same steps); only the scheduler
-		// differs.
-		Name: "brownout", Desc: "sustained load under compaction backlog, I/O limiter on vs off",
-		Labels: []string{"side"},
-		Grid: func(c Config) (rows []Row) {
-			c.Store.Policy = compaction.LDC
-			// With one closed-loop client nothing queues behind a compaction
-			// burst, and the tail the scheduler exists to bound never forms.
-			c.Clients = max(c.Clients, 4)
-			// A write-only burst over the full key space, deliberately left
-			// undrained, then the paper's balanced mix while it drains.
-			fill, sustained := c.mix(ycsb.WO), c.mix(ycsb.RWB)
-			fill.Name, fill.Ops, sustained.Name = "fill", c.Ops/2, "sustained"
-			for _, on := range []bool{false, true} {
-				label := "limiter-off"
-				if on {
-					// The budget sits just above the scenario's sustained
-					// compaction demand — the point is pacing, not starvation:
-					// a much lower rate lets debt accumulate until the
-					// admission curve throttles the foreground worse than the
-					// bursts did, while a deep bucket would let whole tables
-					// through back-to-back. One SSTable of burst smooths device
-					// contention at block granularity and costs the limited
-					// side no measurable throughput.
-					label = "limiter-on"
-					c.Store.CompactionRateBytesPerSec, c.Store.CompactionRateBurstBytes = 20<<20, 256<<10
-				}
-				// The P99.9 of a single run rides on a handful of samples.
-				rows = append(rows, row(Cell{Config: c, Steps: []Step{{OpRunCarry, fill}, {OpRun, sustained}}, Trials: 5}, label))
-			}
-			return rows
-		},
-		Columns: []Column{
-			{"rate(MiB/s)", "%.0f", func(r Row) float64 { return mb(r.Cells[0].Store.CompactionRateBytesPerSec) }},
-			colThroughput,
-			{"mean", "", mean},
-			{"P50", "", p50},
-			{"P99", "", p99},
-			{"P99.9", "", p999},
-			{"P99.99", "", p9999},
-			{"max", "", pMax},
-			{"stall", "", phaseSum(func(p Phase) float64 { return float64(p.Stall) })},
-			{"slowdowns", "%.0f", phaseSum(func(p Phase) float64 { return float64(p.Slowdowns) })},
-			{"stops", "%.0f", phaseSum(func(p Phase) float64 { return float64(p.Stops) })},
-			{"throttled", "%.0f", phaseSum(func(p Phase) float64 { return float64(p.ThrottledWaits) })},
-			{"token wait", "", phaseSum(func(p Phase) float64 { return float64(p.Throttle) })},
-			{"preemptions", "%.0f", phaseSum(func(p Phase) float64 { return float64(p.Preemptions) })},
-		},
-		Headlines: []Headline{
-			// Below 1 the limiter improved the tail. The recorded ratio sits
-			// just under 1.
-			{Name: "P99.9-on/off-x", Value: func(rows []Row) float64 { return ratio(p999(rows[1]), p999(rows[0])) }, AtMost: 1.5},
-			{Name: "throughput-cost-%", Value: func(rows []Row) float64 { return -gain(throughput(rows[0]), throughput(rows[1])) }},
-		},
-		Phases: true,
-	},
-	{
 		// The WiscKey argument: compaction write amplification is paid per
 		// byte the tree stores, so moving large values into an append-only log
 		// and leaving a 20-byte pointer behind shrinks the amplified payload
@@ -606,23 +542,11 @@ func latency(f func(histogram.Distribution) time.Duration) func(Row) float64 {
 
 var (
 	mean  = latency(func(d histogram.Distribution) time.Duration { return d.Mean })
-	p50   = latency(func(d histogram.Distribution) time.Duration { return d.P50 })
 	p90   = latency(func(d histogram.Distribution) time.Duration { return d.P90 })
 	p99   = latency(func(d histogram.Distribution) time.Duration { return d.P99 })
 	p999  = latency(func(d histogram.Distribution) time.Duration { return d.P999 })
 	p9999 = latency(func(d histogram.Distribution) time.Duration { return d.P9999 })
-	pMax  = latency(func(d histogram.Distribution) time.Duration { return d.Max })
 )
-
-// phaseSum adds f over every step of every trial of the row's cell.
-func phaseSum(f func(Phase) float64) func(Row) float64 {
-	return func(r Row) (sum float64) {
-		for _, p := range r.M[0].Phases {
-			sum += f(p)
-		}
-		return sum
-	}
-}
 
 // bytesPerKey is the table footprint per distinct key.
 func bytesPerKey(r Row) float64 { return float64(r.M[0].TableBytes) / float64(r.Cells[0].KeySpace) }

@@ -103,8 +103,7 @@ func TestEveryExhibitRunsQuick(t *testing.T) {
 			if h.Name != e.Headlines[i].Name || strings.ContainsAny(h.Name, " \t") || math.IsNaN(h.Value) || math.IsInf(h.Value, 0) {
 				t.Errorf("%s: headline %d = %+v, declared as %q", e.Name, i, h, e.Headlines[i].Name)
 			}
-			budgeted := e.Headlines[i].AtMost != 0 || e.Headlines[i].AtLeast != 0
-			if budgeted != (h.Verdict == "not evaluated") || h.Breached() {
+			if (e.Headlines[i].AtLeast != 0) != (h.Verdict == "not evaluated") || h.Breached() {
 				t.Errorf("%s: %s has verdict %q on a run without device latency", e.Name, h.Name, h.Verdict)
 			}
 		}
@@ -153,10 +152,10 @@ func TestEveryExhibitRunsQuick(t *testing.T) {
 func TestBudgetVerdicts(t *testing.T) {
 	three := func([]Row) float64 { return 3 }
 	tab := Table{Config: Default(), Exhibit: Exhibit{Headlines: []Headline{
-		{Name: "over", Value: three, AtMost: 1.5}, {Name: "under", Value: three, AtLeast: 4},
-		{Name: "inside", Value: three, AtMost: 3}, {Name: "free", Value: three},
+		{Name: "under", Value: three, AtLeast: 4}, {Name: "inside", Value: three, AtLeast: 3},
+		{Name: "free", Value: three},
 	}}}
-	want := []string{"breached", "breached", "ok", ""}
+	want := []string{"breached", "ok", ""}
 	for i, h := range tab.Readings() {
 		if h.Verdict != want[i] || h.Breached() != (want[i] == "breached") {
 			t.Errorf("%s: verdict %q, want %q", h.Name, h.Verdict, want[i])
@@ -164,7 +163,7 @@ func TestBudgetVerdicts(t *testing.T) {
 	}
 	tab.Config = Quick()
 	for i, h := range tab.Readings() {
-		if (h.Verdict == "not evaluated") != (i < 3) || h.Breached() {
+		if (h.Verdict == "not evaluated") != (i < 2) || h.Breached() {
 			t.Errorf("%s without device latency: verdict %q", h.Name, h.Verdict)
 		}
 	}

@@ -25,10 +25,6 @@ const (
 	// OpRun drives the mix measured, then waits out background work so the
 	// next step starts from a quiesced tree.
 	OpRun
-	// OpRunCarry is OpRun without the wait: the next step inherits this one's
-	// compaction debt — how the brownout scenario hands a backlog-laden
-	// tree to its measured phase.
-	OpRunCarry
 	// OpFlush writes the memtable out, OpCompact merges to quiescence and
 	// OpGC runs one value-log collection pass; no-ops where there is no work.
 	OpFlush
@@ -46,7 +42,7 @@ func (s Step) String() string {
 	switch s.Op {
 	case OpLoad:
 		return "load"
-	case OpRun, OpRunCarry:
+	case OpRun:
 		return "run:" + s.Mix.Name
 	case OpFlush:
 		return "flush"
@@ -75,7 +71,7 @@ type Cell struct {
 }
 
 // Phase is the accounting of one step: the deltas of the store's throttle
-// and scheduler counters across exactly that step, so a cell's stalls can be
+// counters across exactly that step, so a cell's stalls can be
 // attributed to loading vs measurement instead of one aggregate.
 type Phase struct {
 	Name       string
@@ -85,12 +81,6 @@ type Phase struct {
 	Stall      time.Duration // foreground write-path waits (delays + stops)
 	Slowdowns  int64
 	Stops      int64
-	// Background I/O against the rate limiter (zero when it is disabled):
-	// block writes that queued for tokens, their cumulative wait, and grants
-	// that jumped an older lower-tier waiter.
-	ThrottledWaits int64
-	Throttle       time.Duration
-	Preemptions    int64
 }
 
 // Measurement is everything an exhibit reads off a cell. Latencies and
@@ -185,11 +175,9 @@ func (c Cell) trial(seed int64, m *Measurement) (last *ycsb.Result, err error) {
 			p.Ops = s.Mix.Preload
 			dev.Reset()
 			blockBase = db.BlockReads()
-		case OpRun, OpRunCarry:
+		case OpRun:
 			last, err = ycsb.Run(ops, s.Mix, ycsb.RunnerOptions{Seed: seed, Clients: c.Clients, TimelineSlot: c.Timeline})
-			if s.Op == OpRun {
-				db.WaitIdle()
-			}
+			db.WaitIdle()
 			p.Ops, p.Throughput = last.Ops, last.Throughput
 		case OpFlush:
 			err = db.Flush()
@@ -206,9 +194,6 @@ func (c Cell) trial(seed int64, m *Measurement) (last *ycsb.Result, err error) {
 		p.Stall = after.StallTime - before.StallTime
 		p.Slowdowns = after.SlowdownCount - before.SlowdownCount
 		p.Stops = after.StopCount - before.StopCount
-		p.ThrottledWaits = after.IOSchedThrottledWaits - before.IOSchedThrottledWaits
-		p.Throttle = after.IOSchedThrottleTime - before.IOSchedThrottleTime
-		p.Preemptions = after.IOSchedPreemptions - before.IOSchedPreemptions
 		m.Phases = append(m.Phases, p)
 	}
 	m.Stats = db.Stats()

@@ -1,397 +1,19 @@
-// Package iosched rate-limits and prioritizes background (compaction-class)
-// I/O so that it cannot brown out foreground operations. The paper's LDC
-// design reduces *how much* compaction I/O happens; this package controls
-// *when* it happens, which is what governs foreground tail latency (vLSM's
-// observation: P99.9 in LSM stores is compaction interference, not medians).
+// Package iosched is what is left of the deleted background I/O rate
+// limiter: the names bench/ still compiles against.
 //
-// The model is a single token bucket shared by every background writer in
-// the process — one bucket per DB, across all shards, because the simulated
-// (and any real) SSD is one shared device: per-shard buckets would let N
-// shards jointly issue N× the configured rate. Writers charge the bucket
-// per block written via Wait(tier, n); when tokens run short they queue and
-// are granted strictly by priority:
-//
-//	TierFlush  — memtable flushes; blocking these blocks writers directly.
-//	TierL0     — L0→L1 compactions; L0 depth drives the write throttle.
-//	TierMerge  — LDC lower-level merges; deferrable background debt.
-//
-// A low tier cannot starve forever: after a configurable aging bound a
-// waiter is promoted to flush priority (its arrival order then breaks the
-// tie, so promoted work drains in FIFO order among the promoted).
-//
-// The limiter is nil-safe and cheap when disabled (rate <= 0): it then only
-// keeps per-tier byte accounting, taking the mutex once per block.
+// Deprecated: bench/ is the last reader; ROADMAP 3(b) deletes it.
 package iosched
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/invariants"
-)
-
-// Tier orders background I/O classes by priority; lower value = served
-// first.
+// Deprecated: bench/ is the last reader; ROADMAP 3(b) deletes it.
 type Tier int
 
-const (
-	// TierFlush is memtable-flush I/O: highest priority, since a blocked
-	// flush backs up into the commit pipeline's stop state.
-	TierFlush Tier = iota
-	// TierL0 is L0→L1 compaction I/O: draining L0 lifts the write throttle.
-	TierL0
-	// TierMerge is LDC lower-level merge I/O: pure background debt.
-	TierMerge
+// Deprecated: bench/ is the last reader; ROADMAP 3(b) deletes it.
+const TierFlush Tier = 0
 
-	// NumTiers sizes per-tier arrays.
-	NumTiers = 3
-)
+// Deprecated: bench/ is the last reader; ROADMAP 3(b) deletes it.
+type Limiter struct{}
 
-// String names the tier for stats and logs.
-func (t Tier) String() string {
-	switch t {
-	case TierFlush:
-		return "flush"
-	case TierL0:
-		return "l0"
-	case TierMerge:
-		return "merge"
-	}
-	return "unknown"
-}
-
-// Options configures a Limiter.
-type Options struct {
-	// BytesPerSec is the sustained background write budget. <= 0 disables
-	// throttling (the limiter still counts charged bytes per tier).
-	BytesPerSec int64
-	// Burst caps accumulated idle tokens; a request larger than Burst is
-	// clamped to it (it admits once the bucket is full). 0 defaults to
-	// max(1 MiB, BytesPerSec/8).
-	Burst int64
-	// L0Aging and MergeAging bound starvation: a waiter older than its
-	// tier's bound is promoted to flush priority. Zero defaults to 500ms
-	// and 2s respectively.
-	L0Aging    time.Duration
-	MergeAging time.Duration
-	// Now injects a monotonic clock for tests; nil uses time.Now.
-	Now func() time.Time
-}
-
-// Metrics is a point-in-time snapshot of limiter activity.
-type Metrics struct {
-	// ChargedBytes counts bytes charged per tier (accounted even when
-	// throttling is disabled).
-	ChargedBytes [NumTiers]int64
-	// ThrottledWaits counts Wait calls that had to queue.
-	ThrottledWaits int64
-	// ThrottleTime is the cumulative time Wait calls spent queued.
-	ThrottleTime time.Duration
-	// Preemptions counts grants that jumped ahead of an older waiter of a
-	// lower-priority tier.
-	Preemptions int64
-	// QueueDepth is the current number of queued waiters per tier.
-	QueueDepth [NumTiers]int64
-}
-
-// waiter is one queued Wait call.
-type waiter struct {
-	tier    Tier
-	bytes   float64
-	seq     uint64
-	since   time.Time
-	granted bool
-}
-
-// Limiter is a shared, prioritized token bucket. The zero value is not
-// usable; construct with New. A nil *Limiter is valid and disabled.
-type Limiter struct {
-	rate  float64 // tokens (bytes) per second; <= 0 disables throttling
-	burst float64
-	aging [NumTiers]time.Duration
-	now   func() time.Time
-
-	//ldclint:lockrank iosched.limiter.mu 75
-	mu     invariants.Mutex
-	cond   *sync.Cond
-	tokens float64
-	last   time.Time // last refill instant
-	seq    uint64
-	queue  []*waiter
-	closed bool
-
-	wakerRunning bool
-	wakeCh       chan struct{}
-	closeCh      chan struct{}
-
-	// sleepFor is the waker's interruptible sleep; tests replace it to
-	// drive the clock deterministically.
-	sleepFor func(d time.Duration)
-
-	charged       [NumTiers]atomic.Int64
-	throttled     atomic.Int64
-	throttleNanos atomic.Int64
-	preemptions   atomic.Int64
-	depth         [NumTiers]atomic.Int64
-}
-
-// New builds a Limiter from opts, applying defaults. A zero Options value
-// yields a disabled (accounting-only) limiter.
-func New(opts Options) *Limiter {
-	l := &Limiter{
-		rate:    float64(opts.BytesPerSec),
-		now:     opts.Now,
-		wakeCh:  make(chan struct{}, 1),
-		closeCh: make(chan struct{}),
-	}
-	if l.now == nil {
-		l.now = time.Now
-	}
-	burst := opts.Burst
-	if burst <= 0 {
-		burst = opts.BytesPerSec / 8
-		if burst < 1<<20 {
-			burst = 1 << 20
-		}
-	}
-	l.burst = float64(burst)
-	l.aging[TierFlush] = 0 // already top priority; unused
-	l.aging[TierL0] = opts.L0Aging
-	if l.aging[TierL0] <= 0 {
-		l.aging[TierL0] = 500 * time.Millisecond
-	}
-	l.aging[TierMerge] = opts.MergeAging
-	if l.aging[TierMerge] <= 0 {
-		l.aging[TierMerge] = 2 * time.Second
-	}
-	l.mu.Rank("iosched.limiter.mu", 75)
-	l.cond = sync.NewCond(&l.mu)
-	l.tokens = l.burst // start full: no throttling until the budget is spent
-	l.last = l.now()
-	l.sleepFor = l.sleepReal
-	return l
-}
-
-// Enabled reports whether the limiter actually throttles (non-nil with a
-// positive rate).
-func (l *Limiter) Enabled() bool { return l != nil && l.rate > 0 }
-
-// Wait charges n bytes at the given tier, blocking until the bucket can
-// cover them (in priority order among waiters). It is a no-op on a nil
-// limiter and never blocks when throttling is disabled or the limiter is
-// closed. Wait must not be called while holding locks that foreground
-// operations take — it can sleep for (n / rate) seconds.
-func (l *Limiter) Wait(tier Tier, n int) {
-	if l == nil || n <= 0 {
-		return
-	}
-	l.charged[tier].Add(int64(n))
-	if l.rate <= 0 {
-		return
-	}
-	need := float64(n)
-	if need > l.burst {
-		// A request larger than the bucket can never be satisfied whole;
-		// admit it at full burst (Validate rejects bursts below a block).
-		need = l.burst
-	}
-
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return
-	}
-	l.refillLocked()
-	if len(l.queue) == 0 && l.tokens >= need {
-		l.tokens -= need
-		l.mu.Unlock()
-		return
-	}
-
-	w := &waiter{tier: tier, bytes: need, seq: l.seq, since: l.now()}
-	l.seq++
-	l.queue = append(l.queue, w)
-	l.depth[tier].Add(1)
-	l.grantLocked() // tokens may cover us (or a higher-priority peer) already
-	if !w.granted && !l.closed {
-		l.throttled.Add(1)
-		start := l.now()
-		l.ensureWakerLocked()
-		for !w.granted && !l.closed {
-			l.cond.Wait()
-		}
-		l.throttleNanos.Add(int64(l.now().Sub(start)))
-	}
-	if !w.granted {
-		// Closed while queued: release without charging tokens.
-		l.removeLocked(w)
-	}
-	l.mu.Unlock()
-}
-
-// Close releases every queued waiter and disables future blocking. Charged
-// bytes accounting remains valid after Close.
-func (l *Limiter) Close() {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	if !l.closed {
-		l.closed = true
-		close(l.closeCh)
-		l.cond.Broadcast()
-	}
-	l.mu.Unlock()
-}
-
-// Metrics snapshots the limiter's counters. Safe on a nil limiter.
-func (l *Limiter) Metrics() Metrics {
-	var m Metrics
-	if l == nil {
-		return m
-	}
-	for i := 0; i < NumTiers; i++ {
-		m.ChargedBytes[i] = l.charged[i].Load()
-		m.QueueDepth[i] = l.depth[i].Load()
-	}
-	m.ThrottledWaits = l.throttled.Load()
-	m.ThrottleTime = time.Duration(l.throttleNanos.Load())
-	m.Preemptions = l.preemptions.Load()
-	return m
-}
-
-// refillLocked accrues tokens for the time since the last refill.
-func (l *Limiter) refillLocked() {
-	now := l.now()
-	if dt := now.Sub(l.last); dt > 0 {
-		l.tokens += l.rate * dt.Seconds()
-		if l.tokens > l.burst {
-			l.tokens = l.burst
-		}
-	}
-	l.last = now
-}
-
-// effTier is the waiter's priority after aging: a waiter past its tier's
-// aging bound competes at flush priority (ties broken by arrival order).
-func (l *Limiter) effTier(w *waiter, now time.Time) Tier {
-	if w.tier == TierFlush {
-		return TierFlush
-	}
-	if now.Sub(w.since) >= l.aging[w.tier] {
-		return TierFlush
-	}
-	return w.tier
-}
-
-// headLocked returns the highest-priority ungranted waiter: minimum
-// (effective tier, seq).
-func (l *Limiter) headLocked(now time.Time) *waiter {
-	var best *waiter
-	var bestTier Tier
-	for _, w := range l.queue {
-		if w.granted {
-			continue
-		}
-		et := l.effTier(w, now)
-		if best == nil || et < bestTier || (et == bestTier && w.seq < best.seq) {
-			best, bestTier = w, et
-		}
-	}
-	return best
-}
-
-// grantLocked serves waiters in priority order while tokens last, counting
-// a preemption whenever a grant bypasses an older ungranted waiter.
-func (l *Limiter) grantLocked() {
-	now := l.now()
-	granted := false
-	for {
-		w := l.headLocked(now)
-		if w == nil || l.tokens < w.bytes {
-			break
-		}
-		l.tokens -= w.bytes
-		w.granted = true
-		for _, o := range l.queue {
-			if !o.granted && o.seq < w.seq {
-				l.preemptions.Add(1)
-				break
-			}
-		}
-		l.removeLocked(w)
-		granted = true
-	}
-	if granted {
-		l.cond.Broadcast()
-	}
-}
-
-// removeLocked deletes w from the queue and its tier's depth gauge. It is
-// idempotent per waiter because grant and close paths can both reach it.
-func (l *Limiter) removeLocked(w *waiter) {
-	for i, o := range l.queue {
-		if o == w {
-			l.queue = append(l.queue[:i], l.queue[i+1:]...)
-			l.depth[w.tier].Add(-1)
-			return
-		}
-	}
-}
-
-// ensureWakerLocked makes sure a waker goroutine is running (or nudges the
-// running one) so queued waiters are granted as tokens accrue.
-func (l *Limiter) ensureWakerLocked() {
-	if l.wakerRunning {
-		select {
-		case l.wakeCh <- struct{}{}:
-		default:
-		}
-		return
-	}
-	l.wakerRunning = true
-	go l.waker()
-}
-
-// waker periodically refills the bucket and grants waiters. It runs only
-// while the queue is non-empty, sleeping roughly the head waiter's token
-// deficit each round.
-func (l *Limiter) waker() {
-	for {
-		l.mu.Lock()
-		if l.closed || len(l.queue) == 0 {
-			l.wakerRunning = false
-			l.mu.Unlock()
-			return
-		}
-		l.refillLocked()
-		l.grantLocked()
-		var wait time.Duration
-		if w := l.headLocked(l.now()); w != nil {
-			deficit := w.bytes - l.tokens
-			wait = time.Duration(deficit / l.rate * float64(time.Second))
-			if wait < 50*time.Microsecond {
-				wait = 50 * time.Microsecond
-			}
-			if wait > time.Second {
-				wait = time.Second
-			}
-		}
-		l.mu.Unlock()
-		if wait > 0 {
-			l.sleepFor(wait)
-		}
-	}
-}
-
-// sleepReal sleeps d or returns early on a nudge or Close.
-func (l *Limiter) sleepReal(d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-l.wakeCh:
-	case <-l.closeCh:
-	}
-}
+// Wait does nothing; a nil *Limiter is fine.
+//
+// Deprecated: bench/ is the last reader; ROADMAP 3(b) deletes it.
+func (*Limiter) Wait(Tier, int) {}

@@ -282,12 +282,14 @@ func TestServerInfo(t *testing.T) {
 		"connected_clients:1", "write_groups_total:", "avg_group_size:",
 		"apply_batches:", "cmdstat_set:",
 		"write_latency_usec:count=", "read_latency_usec:count=", "read_latency_sample_every:16",
-		"io_sched_flush_bytes:", "io_sched_throttled_waits:",
-		"io_sched_preemptions:", "io_sched_queue_depths:flush=",
 	} {
 		if !strings.Contains(info, want) {
 			t.Errorf("INFO missing %q", want)
 		}
+	}
+	// The background I/O rate limiter is deleted; so are its counters.
+	if strings.Contains(info, "io_sched_") {
+		t.Errorf("INFO still carries io_sched_ lines:\n%s", info)
 	}
 	engine, err := c.Info("engine")
 	if err != nil {

@@ -206,16 +206,6 @@ func (s *Server) renderInfo(section string) string {
 		// The engine times one Get in this many (a 1-in-16 sample, scaled in
 		// read time totals); cmdstat_get above times every GET.
 		fmt.Fprintf(&b, "read_latency_sample_every:%d\r\n", core.ReadSampleEvery)
-		// I/O scheduler counters (zero when rate limiting is disabled,
-		// except the per-tier byte accounting which always runs).
-		fmt.Fprintf(&b, "io_sched_flush_bytes:%d\r\n", ds.IOSchedFlushBytes)
-		fmt.Fprintf(&b, "io_sched_l0_bytes:%d\r\n", ds.IOSchedL0Bytes)
-		fmt.Fprintf(&b, "io_sched_merge_bytes:%d\r\n", ds.IOSchedMergeBytes)
-		fmt.Fprintf(&b, "io_sched_throttled_waits:%d\r\n", ds.IOSchedThrottledWaits)
-		fmt.Fprintf(&b, "io_sched_throttle_usec:%d\r\n", ds.IOSchedThrottleTime.Microseconds())
-		fmt.Fprintf(&b, "io_sched_preemptions:%d\r\n", ds.IOSchedPreemptions)
-		fmt.Fprintf(&b, "io_sched_queue_depths:flush=%d,l0=%d,merge=%d\r\n",
-			ds.IOSchedQueueFlush, ds.IOSchedQueueL0, ds.IOSchedQueueMerge)
 		// Value-log counters (all zero when value separation never ran and
 		// no log segments exist on disk).
 		fmt.Fprintf(&b, "vlog_segments:%d\r\n", ds.VlogSegments)

@@ -29,8 +29,8 @@ type ReaderOptions struct {
 	Cache *cache.Cache
 	// FileNum namespaces cache keys and names the table in errors.
 	FileNum uint64
-	// VerifyChecksums controls per-read CRC validation (default true via
-	// NewReaderOptions; zero value disables).
+	// VerifyChecksums controls per-read CRC validation (the zero value
+	// disables it; the engine always sets it).
 	VerifyChecksums bool
 }
 

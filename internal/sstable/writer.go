@@ -31,14 +31,6 @@ type WriterOptions struct {
 	// (default checksum.CRC32C); recorded in the footer.
 	Checksum checksum.Kind
 
-	// ChargeWrite, when non-nil, is invoked with the on-disk byte count of
-	// each block (payload + trailer) immediately before it is written. The
-	// engine points this at its background-I/O rate limiter, so table
-	// builds pace themselves block by block instead of bursting a whole
-	// file. ChargeWrite may sleep; it must not be set on writers built
-	// while holding locks foreground operations need.
-	ChargeWrite func(n int)
-
 	// legacyV1Footer emits the pre-compression v1 footer (tests only: it
 	// reproduces seed-era tables to pin backward compatibility). Requires
 	// Compression == None and Checksum == CRC32C.
@@ -211,9 +203,6 @@ func (w *Writer) writeBlock(contents []byte) (blockHandle, error) {
 	h := blockHandle{offset: w.offset, length: uint64(len(payload))}
 	w.trailer[0] = byte(kind)
 	encoding.PutFixed32(w.trailer[1:1], checksum.Sum(w.opts.Checksum, payload, byte(kind)))
-	if w.opts.ChargeWrite != nil {
-		w.opts.ChargeWrite(len(payload) + blockTrailerLen)
-	}
 	if _, err := w.f.Write(payload); err != nil {
 		return blockHandle{}, err
 	}

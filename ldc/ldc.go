@@ -36,13 +36,13 @@
 //
 // Bounding tail latency:
 //
-// Options.CompactionRateBytesPerSec paces background table writes through
-// a shared token-bucket scheduler with strict priority (flushes, then
-// L0→L1 compactions, then LDC merges) and per-tier anti-starvation aging
-// bounds, and foreground write admission slows continuously with L0 depth
-// and compaction debt rather than at a cliff. Stats reports full
-// read/write latency percentile ladders plus the scheduler's counters.
-// See DESIGN.md ("I/O scheduling").
+// LDC cuts the tail by doing less compaction I/O, not by pacing it. The one
+// throttle is on the foreground: write admission slows continuously with L0
+// depth and compaction debt rather than at a cliff, and once L0 reaches the
+// slowdown trigger the picker runs the L0→L1 compaction ahead of lower-level
+// merges. Stats reports full read/write latency percentile ladders beside
+// the stall, slowdown and stop counters. See DESIGN.md ("Admission
+// control").
 //
 // Separating large values:
 //

@@ -30,7 +30,6 @@ import (
 func TestAnalyzersOnFixtures(t *testing.T) {
 	pkgs := []string{
 		"mutexio_fire", "mutexio_clean",
-		"mutexio_iosched_fire", "mutexio_iosched_clean",
 		"mutexio_wrapped_fire", "mutexio_wrapped_clean",
 		"refpair_fire", "refpair_clean",
 		"atomicfield_fire", "atomicfield_clean",
@@ -51,7 +50,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 func TestFirePackagesActuallyFire(t *testing.T) {
 	for _, tc := range []struct{ pkg, analyzer string }{
 		{"mutexio_fire", "mutexio"},
-		{"mutexio_iosched_fire", "mutexio"},
 		{"mutexio_wrapped_fire", "mutexio"},
 		{"refpair_fire", "refpair"},
 		{"atomicfield_fire", "atomicfield"},
@@ -76,7 +74,7 @@ func TestFirePackagesActuallyFire(t *testing.T) {
 // all — the false-positive budget for sanctioned shapes is zero.
 func TestCleanPackagesStaySilent(t *testing.T) {
 	for _, pkg := range []string{
-		"mutexio_clean", "mutexio_iosched_clean", "mutexio_wrapped_clean",
+		"mutexio_clean", "mutexio_wrapped_clean",
 		"refpair_clean", "atomicfield_clean", "errclose_clean",
 		"lockorder_clean", "lockorder_xdep",
 	} {

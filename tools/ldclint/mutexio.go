@@ -22,9 +22,6 @@ package main
 //   - (wal.Writer) Sync — AddRecord/Flush under the lock is the engine's
 //     deliberate append-under-mutex design and stays legal
 //   - (sstable.Writer) Add / Finish
-//   - (iosched.Limiter) Wait — a token wait can sleep for a full bucket
-//     refill, and blocking a foreground lock on background pacing is
-//     exactly the priority inversion the scheduler exists to prevent
 //   - every method on a type from package net (Conn writes, Accept, ...)
 //
 // Intentional exceptions — version.Set.logMu is documented as held across
@@ -113,10 +110,6 @@ func (m *mutexWalker) ioCall(call *ast.CallExpr) string {
 		return "(wal.Writer).Sync"
 	case pkgPathMatches(pkg, "sstable") && typ == "Writer" && (name == "Add" || name == "Finish"):
 		return "(sstable.Writer)." + name
-	case pkgPathMatches(pkg, "iosched") && typ == "Limiter" && name == "Wait":
-		// Not device I/O itself, but it blocks for up to a bucket refill on
-		// the background rate limiter — worse than an fsync under a hot lock.
-		return "(iosched.Limiter).Wait"
 	case pkg == "net":
 		// Only the methods that actually touch the socket; Addr/LocalAddr/
 		// SetDeadline-style bookkeeping is in-memory or non-blocking.
