@@ -199,6 +199,16 @@ func TestSyncWriterNeverRidesNonSyncGroup(t *testing.T) {
 	}
 }
 
+// TestMaxGroupBytesDefaultsToOneMiB pins the cap the store gets: it passes
+// no MaxGroupBytes since core.Options.MaxWriteGroupBytes was deleted.
+func TestMaxGroupBytesDefaultsToOneMiB(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if p := NewPipeline(newRecordingEnv().env(), Options{MaxGroupBytes: n}); p.maxBytes != 1<<20 {
+			t.Errorf("MaxGroupBytes %d: cap = %d, want %d", n, p.maxBytes, 1<<20)
+		}
+	}
+}
+
 func TestMaxGroupBytesCapsDraining(t *testing.T) {
 	r := newRecordingEnv()
 	r.gate = make(chan struct{})
