@@ -57,10 +57,14 @@ test:
 # budget — a Put, a commit with and without followers, a memtable Add, a
 # skiplist insert across slab changes, a table entry, a log record, a link
 # edit — whose bounds must not depend on GOMAXPROCS, with the pipeline's
-# writer recycling under a racing Close.
+# writer recycling under a racing Close; and the read path's allocation
+# budget — a warm 100-pair Scan, a Get that misses a full block cache, a
+# block-cache Set on a full shard — whose bounds must not depend on the
+# cache's stripe count, which follows GOMAXPROCS.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSetAllocsOnFullShard' $(TESTFLAGS) ./internal/cache
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLevelTargets|TestLDCDrainsStagingLevel|TestDebt' $(TESTFLAGS) ./internal/compaction
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead|TestWriterAddAllocs' $(TESTFLAGS) ./internal/sstable
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSeekGE' $(TESTFLAGS) ./internal/block
@@ -104,11 +108,14 @@ invariants:
 # The background engine must stay race-clean; -short skips the multi-minute
 # stress runs but still covers each shard's flush and compaction worker, the
 # read state, and the cache.
-# Then the commit pipeline's recycled writers, group and follower slice, ten
-# times at each scheduler width: committers, followers and a Close racing them.
+# Then the commit pipeline's recycled writers, group and follower slice, and
+# the block cache's recycled entries, ten times at each scheduler width:
+# committers, followers and a Close racing them; Sets, Gets and EvictFiles
+# racing over a cache that recycles an entry on nearly every Set.
 race:
 	$(GO) test -race -short $(TESTFLAGS) ./...
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters' $(TESTFLAGS) ./internal/commit
+	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestRecycledEntries' $(TESTFLAGS) ./internal/cache
 
 # Ten seconds of each decoder-facing fuzzer: enough to shake out shallow
 # regressions in the block seek, block, compression, codec, and vlog record parsers on

@@ -120,7 +120,8 @@ func NewReader(cmp iterator.CompareFunc, data []byte) (*Reader, error) {
 }
 
 // Init rebinds r to another encoded block, so a caller that walks many
-// blocks one at a time (a compaction input) allocates no Reader per block.
+// blocks one at a time (a compaction input, a table iterator, a point probe)
+// allocates no Reader per block.
 // Iterators bound to r must be re-Init'ed afterwards.
 func (r *Reader) Init(cmp iterator.CompareFunc, data []byte) error {
 	if len(data) < 4 {
@@ -138,14 +139,6 @@ func (r *Reader) Init(cmp iterator.CompareFunc, data []byte) error {
 		numRestarts: n,
 	}
 	return nil
-}
-
-// Resident reports the bytes the reader keeps alive: the full decoded
-// block (entries + restart array + count). This is the correct cache
-// charge for a cached block — the on-disk form may be compressed and
-// smaller, but THIS is what occupies memory.
-func (r *Reader) Resident() int64 {
-	return int64(len(r.data) + len(r.restarts) + 4)
 }
 
 func (r *Reader) restartOffset(i int) int {

@@ -1,13 +1,20 @@
-// Package cache provides the LRU cache used for SSTable data blocks, index
-// blocks, and Bloom filters. The paper's read-path analysis assumes indexes
-// and filters of hot SSTables stay resident in memory (§II-B, §III-C); this
-// cache is that residency.
+// Package cache provides the LRU cache of decoded bytes the read path shares:
+// SSTable data blocks (uncompressed) and value-log values. Index blocks and
+// Bloom filters are not cached here; each sstable.Reader pins its own, which
+// is the paper's assumption that indexes and filters of hot SSTables stay
+// resident in memory (§II-B, §III-C).
 //
 // Entries are keyed by (file number, offset) and weighed by their byte size.
 // The cache is lock-striped into shards so concurrent compaction readers and
 // foreground Gets do not contend on one mutex: each key hashes to a shard
 // with its own lock, LRU list, and capacity slice. The cache is safe for
 // concurrent use.
+//
+// An entry evicted (or dropped by EvictFile) is cleared and kept on its
+// shard's free list for the next Set, so a full cache inserts without
+// allocating. Entries never leave the shard lock, so no caller can see one
+// being recycled. The bytes a Get returned stay valid after their entry goes:
+// the cache only drops its reference to them and never writes to them.
 package cache
 
 import (
@@ -41,6 +48,9 @@ type shard struct {
 	lru   entry
 	n     int
 	items map[Key]*entry
+	// free heads the entries released by eviction, linked through next, for
+	// Set to reuse.
+	free *entry
 
 	hits, misses int64
 }
@@ -48,7 +58,7 @@ type shard struct {
 // entry is a cached value and its own node on the shard's recency list.
 type entry struct {
 	key        Key
-	value      interface{}
+	value      []byte
 	charge     int64
 	prev, next *entry
 }
@@ -64,11 +74,14 @@ func (s *shard) unlink(e *entry) {
 	s.n--
 }
 
-// remove drops a resident entry from the list, the map and the byte count.
-func (s *shard) remove(e *entry) {
+// release drops a resident entry from the list, the map and the byte count,
+// clears it and keeps it on the free list.
+func (s *shard) release(e *entry) {
 	s.unlink(e)
 	delete(s.items, e.key)
 	s.used -= e.charge
+	*e = entry{next: s.free}
+	s.free = e
 }
 
 // checkAccounting verifies the shard's byte/entry bookkeeping under
@@ -174,7 +187,7 @@ func (c *Cache) shardFor(k Key) *shard {
 }
 
 // Get returns the cached value for k, if present.
-func (c *Cache) Get(k Key) (interface{}, bool) {
+func (c *Cache) Get(k Key) ([]byte, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -190,22 +203,15 @@ func (c *Cache) Get(k Key) (interface{}, bool) {
 
 // Set inserts or replaces the value for k with the given byte charge,
 // evicting least-recently-used entries of k's shard as needed. The charge
-// must be the value's resident (in-memory, uncompressed) size: the shard
-// capacity math and ClampShards both reason in charged bytes, so charging
-// a smaller on-disk length would silently let a shard hold many times its
-// budget.
-func (c *Cache) Set(k Key, v interface{}, charge int64) {
-	if invariants.Enabled {
-		if charge < 0 {
-			invariants.Violatedf("cache: negative charge %d", charge)
-		}
-		// Values that know their resident size must be charged exactly it —
-		// this is the accounting check behind compression-aware caching
-		// (cache uncompressed contents, charge real bytes).
-		if rv, ok := v.(interface{ Resident() int64 }); ok && rv.Resident() != charge {
-			invariants.Violatedf("cache: charge %d != resident bytes %d for %v",
-				charge, rv.Resident(), k)
-		}
+// must be len(v), the value's resident (decoded, uncompressed) size: the
+// shard capacity math and ClampShards both reason in charged bytes, so
+// charging a smaller on-disk length would silently let a shard hold many
+// times its budget. A value charged more than its shard's capacity is not
+// cached and evicts nothing; an older value under k is dropped, so it is
+// never served again.
+func (c *Cache) Set(k Key, v []byte, charge int64) {
+	if invariants.Enabled && charge != int64(len(v)) {
+		invariants.Violatedf("cache: charge %d != resident bytes %d for %v", charge, len(v), k)
 	}
 	s := c.shardFor(k)
 	if s.capacity <= 0 {
@@ -213,19 +219,32 @@ func (c *Cache) Set(k Key, v interface{}, charge int64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.items[k]; ok {
+	old := s.items[k]
+	switch {
+	case charge > s.capacity:
+		if old != nil {
+			s.release(old)
+		}
+	case old != nil:
 		s.used += charge - old.charge
 		old.value, old.charge = v, charge
 		s.unlink(old)
 		s.pushFront(old)
-	} else {
-		e := &entry{key: k, value: v, charge: charge}
+	default:
+		e := s.free
+		if e != nil {
+			s.free = e.next
+		} else {
+			e = new(entry)
+		}
+		e.key, e.value, e.charge = k, v, charge
 		s.pushFront(e)
 		s.items[k] = e
 		s.used += charge
 	}
-	for s.used > s.capacity && s.n > 0 {
-		s.remove(s.lru.prev)
+	// The entry just set fits the shard alone, so it is never the one evicted.
+	for s.used > s.capacity {
+		s.release(s.lru.prev)
 	}
 	s.checkAccounting()
 }
@@ -239,7 +258,7 @@ func (c *Cache) EvictFile(fileNum uint64) {
 		for e := s.lru.next; e != &s.lru; {
 			next := e.next
 			if e.key.FileNum == fileNum {
-				s.remove(e)
+				s.release(e)
 			}
 			e = next
 		}

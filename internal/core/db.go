@@ -708,7 +708,7 @@ func (db *store) resolveBlob(ptr []byte) ([]byte, error) {
 	if db.blockCache != nil {
 		if v, hit := db.blockCache.Get(ck); hit {
 			db.vlog.NoteResolve(true)
-			return append([]byte(nil), v.([]byte)...), nil
+			return append([]byte(nil), v...), nil
 		}
 	}
 	db.vlog.NoteResolve(false)

@@ -748,7 +748,9 @@ func (i *storeIter) findPrevUserEntry() {
 	i.valid = !deleted
 }
 
-// KV is a returned key/value pair; both slices are private copies.
+// KV is a returned key/value pair; both slices are private copies. Scan may
+// carve several pairs out of one buffer, but each slice's capacity ends
+// where it does, so appending to one never writes into another.
 type KV struct {
 	Key, Value []byte
 }

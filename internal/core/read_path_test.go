@@ -212,6 +212,56 @@ func TestGetAllocs(t *testing.T) {
 	}
 }
 
+// TestGetMissAllocs: a Get whose block misses a full block cache allocates
+// the block's bytes and the value it returns. The block's reader is the
+// probe's own, and the cache entry is the one the insert evicts.
+func TestGetMissAllocs(t *testing.T) {
+	if !exactAllocs {
+		t.Skip("allocation counts are exact only without -race and -tags invariants")
+	}
+	opts := smallOpts(compaction.LDC)
+	// One entry per block, and room for about 130 of the tree's 1000 blocks.
+	opts.BlockSize, opts.BlockCacheSize = 64, 16<<10
+	db := openTestDB(t, opts)
+	defer db.Close()
+	val := bytes.Repeat([]byte("v"), 100)
+	const n = 1000
+	ks := make([][]byte, n)
+	for i := range ks {
+		ks[i] = key(i)
+		if err := db.Put(ks[i], val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CompactRange(); err != nil {
+		t.Fatal(err)
+	}
+	// Walking the keys in order cycles through every block, far more than the
+	// cache holds, so under LRU each block is gone by the time it comes round
+	// again.
+	i := 0
+	get := func() {
+		k := ks[i%n]
+		i++
+		if v, err := db.Get(k); err != nil || !bytes.Equal(v, val) {
+			t.Fatalf("Get(%s) = %.10q, %v", k, v, err)
+		}
+	}
+	for j := 0; j < 2*n; j++ { // fill the cache and open every table
+		get()
+	}
+	before := db.Stats()
+	const runs = 400
+	got := testing.AllocsPerRun(runs, get)
+	after := db.Stats()
+	if misses := after.BlockCacheMisses - before.BlockCacheMisses; misses < runs {
+		t.Fatalf("%d block-cache misses in %d Gets: the Gets do not miss", misses, runs+1)
+	}
+	if got > 2 {
+		t.Errorf("%.0f allocations per Get that misses the block cache, want at most 2", got)
+	}
+}
+
 // exactAllocs: the race detector makes sync.Pool drop items at random, and
 // the invariants build allocates in its lock-rank and cache-accounting
 // checks, so an exact allocation count holds under neither.

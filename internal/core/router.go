@@ -429,26 +429,50 @@ func (db *DB) GetAt(key []byte, snap *Snapshot) ([]byte, error) {
 	return db.shards[i].getAt(key, snap.seq(i))
 }
 
+// scanChunk is the size of the buffers Scan copies pairs into, the largest
+// size class the Go allocator serves without a large-object allocation. A
+// pair larger than a chunk is copied into an allocation of its own.
+const scanChunk = 32 << 10
+
 // Scan returns up to limit pairs with keys >= start, at the latest state
 // (the paper's SCAN operation, covering ~100 pairs per request). With
 // multiple shards the result is the ordered merge of every shard's
-// keyspace.
+// keyspace. A limit of zero or less returns nil without reading anything.
+//
+// The pairs are copied into shared chunks of scanChunk bytes, so a scan
+// allocates per chunk rather than per pair; every Key and Value ends at its
+// own capacity (see KV). A caller that keeps one pair keeps its chunk alive.
 func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
+	if limit <= 0 {
+		return nil, nil
+	}
 	it, err := db.NewIterator(nil)
 	if err != nil {
 		return nil, err
 	}
 	defer it.Close()
-	var out []KV
-	for it.Seek(start); it.Valid() && len(out) < limit; it.Next() {
-		kv := KV{
-			Key:   append([]byte(nil), it.Key()...),
-			Value: append([]byte(nil), it.Value()...),
-		}
+	// Capped: a limit far beyond what the store holds (SCAN COUNT huge) must
+	// not be allocated up front.
+	out := make([]KV, 0, min(limit, 256))
+	var chunk []byte
+	for it.Seek(start); it.Valid(); it.Next() {
+		k, v := it.Key(), it.Value()
 		if !it.Valid() {
 			break // the value failed to resolve; Error says why
 		}
-		if out = append(out, kv); len(out) == limit {
+		n := len(k) + len(v)
+		var b []byte
+		if n > scanChunk {
+			b = make([]byte, n)
+		} else {
+			if n > cap(chunk)-len(chunk) {
+				chunk = make([]byte, 0, scanChunk)
+			}
+			b, chunk = chunk[len(chunk):len(chunk)+n], chunk[:len(chunk)+n]
+		}
+		copy(b, k)
+		copy(b[len(k):], v)
+		if out = append(out, KV{Key: b[:len(k):len(k)], Value: b[len(k):n:n]}); len(out) == limit {
 			break // not one step further: the next pair may cost a block
 		}
 	}

@@ -403,6 +403,73 @@ func TestLazyScanAllocsIgnoreSlicesOutsideRange(t *testing.T) {
 	t.Logf("allocs per Scan(100): %.0f with %d slices elsewhere, %.0f with none", got, slices, want)
 }
 
+// TestScanAllocs: a warm 100-pair Scan allocates its result, a chunk per
+// scanChunk bytes of pairs, and the iterators it builds; nothing per pair or
+// per block. The pairs here are ≈ 270 bytes, two chunks' worth.
+func TestScanAllocs(t *testing.T) {
+	if !exactAllocs {
+		t.Skip("allocation counts are exact only without -race and -tags invariants")
+	}
+	db, _, sliced := slicedTree(t, vfs.Mem(), 300)
+	for _, start := range [][]byte{sliced, regionKey('a', 1000)} {
+		got := testing.AllocsPerRun(20, func() {
+			if kvs, err := db.Scan(start, 100); err != nil || len(kvs) != 100 {
+				t.Fatalf("Scan = %d pairs, %v", len(kvs), err)
+			}
+		})
+		if got > 24 {
+			t.Errorf("Scan(%s, 100) with a warm cache: %.0f allocations, want at most 24", start, got)
+		}
+	}
+}
+
+// TestScanPairsEndAtTheirCapacity: Scan carves pairs out of shared chunks, so
+// every Key and Value ends at its own capacity — appending to one pair never
+// writes into the next — and a pair larger than a chunk comes back whole; from
+// the memtable and from tables alike.
+func TestScanPairsEndAtTheirCapacity(t *testing.T) {
+	opts := smallOpts(compaction.LDC)
+	opts.MemTableSize, opts.SSTableSize = 1<<20, 1<<20
+	db := openTestDB(t, opts)
+	defer db.Close()
+	sizes := []int{0, 1, 100, scanChunk - 12, scanChunk, 40 << 10, 7}
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i%26)}, sizes[i%len(sizes)]) }
+	const n = 60
+	for i := 0; i < n; i++ {
+		if err := db.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, where := range []string{"memtable", "tables"} {
+		if where == "tables" {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		kvs, err := db.Scan(nil, n+1)
+		if err != nil || len(kvs) != n {
+			t.Fatalf("%s: Scan = %d pairs, %v; want %d", where, len(kvs), err, n)
+		}
+		for i, kv := range kvs {
+			if cap(kv.Key) != len(kv.Key) || cap(kv.Value) != len(kv.Value) {
+				t.Errorf("%s: pair %d: key len %d cap %d, value len %d cap %d", where, i, len(kv.Key), cap(kv.Key), len(kv.Value), cap(kv.Value))
+			}
+		}
+		for i := range kvs {
+			kvs[i].Key = append(kvs[i].Key, '!')
+			kvs[i].Value = append(kvs[i].Value, '!')
+		}
+		for i, kv := range kvs {
+			if !bytes.Equal(kv.Key, append(key(i), '!')) || !bytes.Equal(kv.Value, append(val(i), '!')) {
+				t.Fatalf("%s: after appending to every pair, pair %d reads %.20q = %d bytes", where, i, kv.Key, len(kv.Value))
+			}
+		}
+	}
+	if kvs, err := db.Scan(nil, 0); kvs != nil || err != nil {
+		t.Errorf("Scan(nil, 0) = %d pairs, %v; want nil, nil", len(kvs), err)
+	}
+}
+
 // TestLazyScanCorruptBlock damages one data block of a table and checks, at the
 // level of DB.Scan, that bad bytes behind a read-ahead are nobody's problem
 // until a scan gets to them, and then the problem a Get of a key there has.

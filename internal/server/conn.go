@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"math"
 	"net"
 	"os"
 	"strconv"
@@ -434,7 +435,7 @@ func (c *conn) cmdScan(cmd [][]byte) {
 			c.w.Error("ERR value is not an integer or out of range")
 			return
 		}
-		count = n
+		count = min(n, math.MaxInt-1) // count+1 below must not overflow
 	}
 	if !c.flushWrites() {
 		return

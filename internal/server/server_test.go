@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -172,6 +174,41 @@ func TestServerScanPagination(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if got[i-1] >= got[i] {
 			t.Fatalf("scan out of order: %q before %q", got[i-1], got[i])
+		}
+	}
+}
+
+// TestServerScanCount pages a 3-key store with COUNTs around its size and at
+// the largest integer, which must read as "everything", not overflow the
+// one-extra-pair lookahead.
+func TestServerScanCount(t *testing.T) {
+	srv, addr, serveErr := startServer(t, Config{})
+	defer func() {
+		srv.Shutdown()
+		<-serveErr
+	}()
+	c := dial(t, addr)
+	defer c.Close()
+	if _, err := c.Do("MSET", "a", "1", "b", "2", "c", "3"); err != nil {
+		t.Fatalf("MSET: %v", err)
+	}
+	for _, tc := range []struct {
+		count int
+		next  string
+		keys  string
+	}{
+		{1, "b", "a"},
+		{2, "c", "a b"},
+		{3, "0", "a b c"},
+		{4, "0", "a b c"},
+		{math.MaxInt, "0", "a b c"},
+	} {
+		next, keys, err := c.Scan([]byte("0"), tc.count)
+		if err != nil {
+			t.Fatalf("SCAN 0 COUNT %d: %v", tc.count, err)
+		}
+		if got := string(bytes.Join(keys, []byte(" "))); string(next) != tc.next || got != tc.keys {
+			t.Errorf("SCAN 0 COUNT %d = cursor %q, keys %q; want %q, %q", tc.count, next, got, tc.next, tc.keys)
 		}
 	}
 }

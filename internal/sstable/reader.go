@@ -42,7 +42,7 @@ type Reader struct {
 	cmp    iterator.CompareFunc
 	f      vfs.File
 	size   int64 // file length, fixed at open; bounds-checks block handles
-	index  *block.Reader
+	index  block.Reader
 	filter bloom.Filter
 	// cksum is the table's checksum function, read from the footer (legacy
 	// v1 footers imply CRC32C).
@@ -92,8 +92,7 @@ func OpenReader(f vfs.File, opts ReaderOptions) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.index, err = block.NewReader(r.cmp, idxData)
-	if err != nil {
+	if err := r.index.Init(r.cmp, idxData); err != nil {
 		return nil, err
 	}
 	if ftr.filterHandle.length > 0 {
@@ -201,51 +200,49 @@ func (r *Reader) decodeBlock(buf []byte, off uint64) ([]byte, error) {
 	return contents, nil
 }
 
-// cached returns the reader of the data block at offset off if the block
-// cache holds it, nil otherwise.
-func (r *Reader) cached(off uint64) *block.Reader {
-	if r.opts.Cache != nil {
-		if v, ok := r.opts.Cache.Get(cache.Key{FileNum: r.opts.FileNum, Offset: off}); ok {
-			return v.(*block.Reader)
-		}
+// cached returns the decoded bytes of the data block at offset off if the
+// block cache holds them.
+func (r *Reader) cached(off uint64) ([]byte, bool) {
+	if r.opts.Cache == nil {
+		return nil, false
 	}
-	return nil
+	return r.opts.Cache.Get(cache.Key{FileNum: r.opts.FileNum, Offset: off})
 }
 
-// dataBlock returns a (possibly cached) reader for the data block at h.
-func (r *Reader) dataBlock(h blockHandle) (*block.Reader, error) {
-	if br := r.cached(h.offset); br != nil {
-		return br, nil
+// dataBlock binds br to the (possibly cached) data block at h.
+func (r *Reader) dataBlock(br *block.Reader, h blockHandle) error {
+	if contents, ok := r.cached(h.offset); ok {
+		return br.Init(r.cmp, contents)
 	}
-	return r.readBlock(h)
+	return r.readBlock(br, h)
 }
 
-// readBlock fetches the data block at h in a request of its own and caches it.
-func (r *Reader) readBlock(h blockHandle) (*block.Reader, error) {
+// readBlock fetches the data block at h in a request of its own, caches it
+// and binds br to it.
+func (r *Reader) readBlock(br *block.Reader, h blockHandle) error {
 	contents, err := r.readBlockContents(h)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return r.newDataBlock(contents, h.offset)
+	return r.newDataBlock(br, contents, h.offset)
 }
 
 // newDataBlock makes the decoded contents of the data block at off, which the
-// reader must own, a fetched block: counted, and in the block cache if there
-// is one.
-func (r *Reader) newDataBlock(contents []byte, off uint64) (*block.Reader, error) {
+// reader must own, a fetched block: bound to br, counted, and in the block
+// cache if there is one. A block br rejects is not cached.
+func (r *Reader) newDataBlock(br *block.Reader, contents []byte, off uint64) error {
 	r.blockReads.Add(1)
-	br, err := block.NewReader(r.cmp, contents)
-	if err != nil {
-		return nil, err
+	if err := br.Init(r.cmp, contents); err != nil {
+		return err
 	}
 	if r.opts.Cache != nil {
 		// The cache holds UNCOMPRESSED block contents (decompressing on
 		// every hit would defeat the cache), so the charge is the real
 		// resident footprint — the decoded size, not the on-disk handle
 		// length, which may be several times smaller under compression.
-		r.opts.Cache.Set(cache.Key{FileNum: r.opts.FileNum, Offset: off}, br, br.Resident())
+		r.opts.Cache.Set(cache.Key{FileNum: r.opts.FileNum, Offset: off}, contents, int64(len(contents)))
 	}
-	return br, nil
+	return nil
 }
 
 // Get returns the value of the newest version of ukey visible at snapshot
@@ -261,10 +258,12 @@ func (r *Reader) Get(ukey []byte, seq keys.Seq) (value []byte, deleted, found bo
 	return value, found && kind == keys.KindDelete, found, err
 }
 
-// pointProbe carries the two block cursors of one point lookup; pooled so a
-// steady-state probe allocates nothing beyond a possible block fetch.
+// pointProbe carries the two block cursors of one point lookup and the reader
+// of its data block; pooled so a steady-state probe allocates nothing beyond
+// a possible block fetch.
 type pointProbe struct {
 	idx, data block.Iter
+	blk       block.Reader
 }
 
 var probePool = sync.Pool{New: func() interface{} { return new(pointProbe) }}
@@ -288,7 +287,7 @@ func (r *Reader) Probe(sk keys.InternalKey) (value []byte, kind keys.Kind, entry
 	r.checkOpen("Probe")
 	p := probePool.Get().(*pointProbe)
 	defer probePool.Put(p)
-	p.idx.Init(r.index)
+	p.idx.Init(&r.index)
 	p.idx.SeekGE(sk)
 	if !p.idx.Valid() {
 		return nil, 0, 0, false, p.idx.Error()
@@ -297,11 +296,10 @@ func (r *Reader) Probe(sk keys.InternalKey) (value []byte, kind keys.Kind, entry
 	if n == 0 {
 		return nil, 0, 0, false, fmt.Errorf("%w: bad index entry", ErrCorrupt)
 	}
-	br, err := r.dataBlock(h)
-	if err != nil {
+	if err := r.dataBlock(&p.blk, h); err != nil {
 		return nil, 0, 0, false, err
 	}
-	p.data.Init(br)
+	p.data.Init(&p.blk)
 	p.data.SeekGE(sk)
 	if !p.data.Valid() {
 		return nil, 0, 0, false, p.data.Error()
@@ -332,7 +330,7 @@ func (r *Reader) NewIteratorUpTo(upper []byte) iterator.Iterator {
 	r.checkOpen("NewIterator")
 	t := tableIterPool.Get().(*tableIter)
 	t.r = r
-	t.index.Init(r.index)
+	t.index.Init(&r.index)
 	t.dataOK = false
 	t.upper = upper
 	t.err = nil
@@ -341,8 +339,8 @@ func (r *Reader) NewIteratorUpTo(upper []byte) iterator.Iterator {
 }
 
 // tableIter walks the index block and lazily opens data blocks. The block
-// cursors are held by value so a pooled tableIter re-seeks without
-// allocating.
+// cursors and the data block's reader are held by value so a pooled tableIter
+// re-seeks, and opens a block, without allocating.
 //
 // A block the iterator seeks to, or steps back onto, is read alone, as a point
 // read is. A block it steps forward onto and does not find cached is read
@@ -352,8 +350,9 @@ func (r *Reader) NewIteratorUpTo(upper []byte) iterator.Iterator {
 type tableIter struct {
 	r      *Reader
 	index  block.Iter
-	data   block.Iter
-	dataOK bool // data is bound to the block of the current index entry
+	blk    block.Reader // the current data block
+	data   block.Iter   // cursor over blk
+	dataOK bool         // data is bound to the block of the current index entry
 
 	upper []byte        // read-ahead stops with the block this key falls in; nil: the table's end
 	ahead int           // byte budget of the next read-ahead request
@@ -369,8 +368,8 @@ type tableIter struct {
 }
 
 type heldBlock struct {
-	offset uint64
-	br     *block.Reader
+	offset   uint64
+	contents []byte
 }
 
 // loadData opens the data block referenced by the current index entry;
@@ -385,25 +384,26 @@ func (t *tableIter) loadData(forward bool) bool {
 		t.err = fmt.Errorf("%w: bad index entry", ErrCorrupt)
 		return false
 	}
-	br := t.r.cached(h.offset)
-	for i := 0; br == nil && i < len(t.held); i++ {
+	contents, ok := t.r.cached(h.offset)
+	for i := 0; !ok && i < len(t.held); i++ {
 		if t.held[i].offset == h.offset {
-			br = t.held[i].br
+			contents, ok = t.held[i].contents, true
 		}
 	}
-	if br == nil {
-		var err error
-		if forward {
-			br, err = t.readAhead(h)
-		} else {
-			br, err = t.r.readBlock(h)
-		}
-		if err != nil {
-			t.err = err
-			return false
-		}
+	var err error
+	switch {
+	case ok:
+		err = t.blk.Init(t.r.cmp, contents)
+	case forward:
+		err = t.readAhead(h)
+	default:
+		err = t.r.readBlock(&t.blk, h)
 	}
-	t.data.Init(br)
+	if err != nil {
+		t.err = err
+		return false
+	}
+	t.data.Init(&t.blk)
 	t.dataOK = true
 	return true
 }
@@ -415,58 +415,60 @@ func (t *tableIter) loadData(forward bool) bool {
 // verified and decoded exactly as a block read alone is, and goes into the
 // block cache under its own offset owning its bytes, so that evicting one
 // frees it; the request's buffer is back in the pool when readAhead returns.
-// The iterator also holds the blocks itself until its next request (held).
+// The iterator also holds the blocks itself until its next request (held),
+// and leaves blk bound to the block at h.
 //
 // Only the block at h can fail the call. A bad block further on is left out
 // (and so is everything after it): if the scan gets that far it reads the
 // block again, at the head of a request, and reports it then.
-func (t *tableIter) readAhead(h blockHandle) (*block.Reader, error) {
+func (t *tableIter) readAhead(h blockHandle) error {
 	r := t.r
 	budget := t.ahead
 	t.ahead = min(2*t.ahead, IOChunk)
-	t.scout.Init(r.index)
+	t.scout.Init(&r.index)
 	t.scout.SeekGE(t.index.Key())
 	run, n, _, err := r.nextRun(&t.scout, t.run[:0], budget, t.upper)
 	t.run = run[:0]
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i := 1; i < len(run); i++ {
-		if r.cached(run[i].offset) != nil {
+		if _, ok := r.cached(run[i].offset); ok {
 			run, n = run[:i], int(run[i].offset-run[0].offset)
 			break
 		}
 	}
 	if len(run) < 2 {
-		return r.readBlock(h)
+		return r.readBlock(&t.blk, h)
 	}
 	chunk := chunkPool.Get().(*[IOChunk]byte)
 	if err = r.readRun(r.f, chunk[:n], h.offset); err == nil {
 		t.held = t.held[:0]
 		for _, b := range run {
 			start := b.offset - h.offset
-			br, berr := r.runBlock(chunk[start:start+b.length+blockTrailerLen], b.offset)
+			contents, berr := r.runBlock(&t.blk, chunk[start:start+b.length+blockTrailerLen], b.offset)
 			if berr != nil {
 				if len(t.held) == 0 {
 					err = berr // the block asked for; any other is the next reader's
 				}
 				break
 			}
-			t.held = append(t.held, heldBlock{b.offset, br})
+			t.held = append(t.held, heldBlock{b.offset, contents})
 		}
 	}
 	poison(chunk[:n])
 	chunkPool.Put(chunk)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return t.held[0].br, nil
+	return t.blk.Init(r.cmp, t.held[0].contents)
 }
 
 // runBlock makes one block of a run, read into the run's shared buffer, a
-// fetched data block that owns its bytes: a raw block's contents alias the
-// buffer and are copied out, a compressed block's were decoded out of it.
-func (r *Reader) runBlock(buf []byte, off uint64) (*block.Reader, error) {
+// fetched data block that owns its bytes, bound to br: a raw block's contents
+// alias the buffer and are copied out, a compressed block's were decoded out
+// of it.
+func (r *Reader) runBlock(br *block.Reader, buf []byte, off uint64) ([]byte, error) {
 	contents, err := r.decodeBlock(buf, off)
 	if err != nil {
 		return nil, err
@@ -476,7 +478,7 @@ func (r *Reader) runBlock(buf []byte, off uint64) (*block.Reader, error) {
 	}
 	r.compressedBytesRead.Add(int64(len(buf) - blockTrailerLen))
 	r.uncompressedBytesRead.Add(int64(len(contents)))
-	return r.newDataBlock(contents, off)
+	return contents, r.newDataBlock(br, contents, off)
 }
 
 // seekData opens the block a seek landed on, alone, and starts the read-ahead
@@ -595,7 +597,7 @@ func (t *tableIter) Close() error {
 	err := t.Error()
 	if !t.closed {
 		t.closed = true
-		t.r, t.upper = nil, nil
+		t.r, t.upper, t.blk = nil, nil, block.Reader{}
 		t.dataOK = false
 		clear(t.held)
 		t.held = t.held[:0]

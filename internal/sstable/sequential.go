@@ -57,7 +57,7 @@ func (r *Reader) NewSequential(f vfs.File, window *keys.KeyRange) iterator.Itera
 	r.checkOpen("NewSequential")
 	t := seqIterPool.Get().(*seqIter)
 	t.r, t.f = r, f
-	t.idx.Init(r.index)
+	t.idx.Init(&r.index)
 	t.clamped = window != nil
 	if window != nil {
 		// The smallest and the largest internal key a user key in the window

@@ -65,7 +65,7 @@ type tableBlock struct {
 func layout(t testing.TB, r *Reader) (blocks []tableBlock, dataEnd int64) {
 	t.Helper()
 	var it block.Iter
-	it.Init(r.index)
+	it.Init(&r.index)
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		h, n := decodeBlockHandle(it.Value())
 		if n == 0 {

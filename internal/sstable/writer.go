@@ -287,8 +287,7 @@ func (w *Writer) OpenReader(f vfs.File, opts ReaderOptions) (*Reader, error) {
 		return nil, fmt.Errorf("sstable: OpenReader on a table that is not finished")
 	}
 	r := &Reader{opts: opts, cmp: opts.Cmp.Compare, f: f, size: w.props.FileSize, cksum: w.opts.Checksum}
-	var err error
-	if r.index, err = block.NewReader(r.cmp, w.indexBlock); err != nil {
+	if err := r.index.Init(r.cmp, w.indexBlock); err != nil {
 		return nil, err
 	}
 	if len(w.filter) > 0 {
