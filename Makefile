@@ -50,8 +50,9 @@ test:
 # the scan path's tests — lazily opened slices against the eager reference
 # under a concurrent writer, and the table iterator's read-ahead requests,
 # block ownership and bad-byte handling; and the point-read path's — the stats
-# contract of sampled Gets, and the in-place block seek against the copying
-# reference, on intact and on damaged blocks; and LDC's level-1 target — the
+# contract of sampled Gets, the in-place block seek against the copying
+# reference, on intact and on damaged blocks, and each table's decoded index
+# against a walk of its on-disk index block; and LDC's level-1 target — the
 # rule, the picker draining the staging level before L0, and the L0→L1 share
 # of the write bill on a bench-shaped tree; and the write path's allocation
 # budget — a Put, a commit with and without followers, a memtable Add, a
@@ -59,14 +60,14 @@ test:
 # edit — whose bounds must not depend on GOMAXPROCS, with the pipeline's
 # writer recycling under a racing Close; and the read path's allocation
 # budget — a warm 100-pair Scan, a Get that misses a full block cache, a
-# block-cache Set on a full shard — whose bounds must not depend on the
-# cache's stripe count, which follows GOMAXPROCS.
+# table Probe on a cached block, a block-cache Set on a full shard — whose
+# bounds must not depend on the cache's stripe count, which follows GOMAXPROCS.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard' $(TESTFLAGS) ./internal/core
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSetAllocsOnFullShard' $(TESTFLAGS) ./internal/cache
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLevelTargets|TestLDCDrainsStagingLevel|TestDebt' $(TESTFLAGS) ./internal/compaction
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead|TestWriterAddAllocs' $(TESTFLAGS) ./internal/sstable
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead|TestWriterAddAllocs|TestProbeAllocs|TestDecodedIndexMatchesOnDisk' $(TESTFLAGS) ./internal/sstable
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSeekGE' $(TESTFLAGS) ./internal/block
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters' $(TESTFLAGS) ./internal/commit
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestAddAllocs|TestRecordChunkEdges' $(TESTFLAGS) ./internal/memtable
@@ -118,15 +119,18 @@ race:
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestRecycledEntries' $(TESTFLAGS) ./internal/cache
 
 # Ten seconds of each decoder-facing fuzzer: enough to shake out shallow
-# regressions in the block seek, block, compression, codec, and vlog record parsers on
-# every CI run; long campaigns stay manual (go test -fuzz=... -fuzztime=10m).
+# regressions in the block seek, block, table index, compression, codec, vlog
+# record and WAL parsers on every CI run; long campaigns stay manual
+# (go test -fuzz=... -fuzztime=10m).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzBlockSeekGE -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/block
 	$(GO) test -run XXX -fuzz FuzzBlockRoundTrip -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/sstable
+	$(GO) test -run XXX -fuzz FuzzTableIndex -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/sstable
 	$(GO) test -run XXX -fuzz FuzzLZ4Decode -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/compress
 	$(GO) test -run XXX -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/compress
 	$(GO) test -run XXX -fuzz FuzzVlogRecordDecode -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/vlog
+	$(GO) test -run XXX -fuzz FuzzWALReader -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/wal
 
 # Every exhibit of internal/harness once at the benchmark scale, each headline
 # as a metric.

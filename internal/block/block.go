@@ -145,6 +145,41 @@ func (r *Reader) restartOffset(i int) int {
 	return int(encoding.Fixed32(r.restarts[4*i:]))
 }
 
+// NumRestarts reports the number of restart points: the number of entries of
+// a non-empty block that restarts at every entry (see EachRestart).
+func (r *Reader) NumRestarts() int { return r.numRestarts }
+
+// EachRestart calls fn with the key and value of every entry of a block that
+// restarts at every entry, as an index block does, in order and where they lie
+// in the block, and with keyAt, the offset of the key in the block: key is
+// block[keyAt:keyAt+len(key)]. It fails any other block — one whose entries do
+// not each start at the next restart point and end where the one after
+// begins — with the corrupt-entry error, and stops at the first error fn
+// returns, returning it. An empty block has no entries.
+func (r *Reader) EachRestart(fn func(keyAt int, key, value []byte) error) error {
+	if len(r.data) == 0 {
+		return nil
+	}
+	at := 0
+	for i := 0; i < r.numRestarts; i++ {
+		if r.restartOffset(i) != at {
+			return corruptAt(at)
+		}
+		key, value, next, ok := r.restartEntry(at)
+		if !ok {
+			return corruptAt(at)
+		}
+		if err := fn(next-len(value)-len(key), key, value); err != nil {
+			return err
+		}
+		at = next
+	}
+	if at != len(r.data) {
+		return corruptAt(at)
+	}
+	return nil
+}
+
 // Iter returns an iterator over the block.
 func (r *Reader) Iter() iterator.Iterator {
 	it := &Iter{}
@@ -211,45 +246,49 @@ func (it *Iter) decodeAt(off int) int {
 	return off + h + int(unshared) + int(vlen)
 }
 
-// restartKey returns the key of the entry at off, a restart point, where it
-// lies in the block: a restart entry shares nothing with its predecessor, so
-// its whole key is contiguous. ok is false where decodeAt would report
-// corruption, shared != 0 included (seekRestart decodes against an empty
-// key).
-func (r *Reader) restartKey(off int) (key []byte, ok bool) {
+// restartEntry returns the key and value of the entry at off, a restart
+// point, where they lie in the block — a restart entry shares nothing with its
+// predecessor, so its whole key is contiguous — and the offset past it. ok is
+// false where decodeAt would report corruption, shared != 0 included
+// (seekRestart decodes against an empty key).
+func (r *Reader) restartEntry(off int) (key, value []byte, next int, ok bool) {
 	if off > len(r.data) {
-		return nil, false
+		return nil, nil, 0, false
 	}
 	d := r.data[off:]
 	if len(d) >= 3 && d[0] == 0 && d[1] < 0x80 && d[2] < 0x80 {
-		// Every length in one byte: all but a few index entries, and any data
-		// entry with a short value.
-		if klen := int(d[1]); klen+int(d[2]) <= len(d)-3 {
-			return d[3 : 3+klen], true
+		// Every length in one byte: any entry with a short key and a value
+		// under 128 bytes.
+		klen, vlen := int(d[1]), int(d[2])
+		if klen+vlen > len(d)-3 {
+			return nil, nil, 0, false
 		}
-		return nil, false
+		return d[3 : 3+klen], d[3+klen : 3+klen+vlen], off + 3 + klen + vlen, true
 	}
 	shared, n1 := encoding.Uvarint(d)
 	if n1 == 0 || shared != 0 {
-		return nil, false
+		return nil, nil, 0, false
 	}
 	unshared, n2 := encoding.Uvarint(d[n1:])
 	if n2 == 0 {
-		return nil, false
+		return nil, nil, 0, false
 	}
 	vlen, n3 := encoding.Uvarint(d[n1+n2:])
 	if n3 == 0 {
-		return nil, false
+		return nil, nil, 0, false
 	}
 	h := n1 + n2 + n3
 	if rest := uint64(len(d) - h); unshared > rest || vlen > rest-unshared {
-		return nil, false
+		return nil, nil, 0, false
 	}
-	return d[h : h+int(unshared)], true
+	end := h + int(unshared) + int(vlen)
+	return d[h : h+int(unshared)], d[h+int(unshared) : end], off + end, true
 }
 
+func corruptAt(off int) error { return fmt.Errorf("block: corrupt entry at offset %d", off) }
+
 func (it *Iter) corrupt(off int) {
-	it.err = fmt.Errorf("block: corrupt entry at offset %d", off)
+	it.err = corruptAt(off)
 	it.offset = -1
 }
 
@@ -263,7 +302,7 @@ func (it *Iter) seekRestart(i int) {
 }
 
 // SeekGE positions at the first entry whose key is at or after target. The
-// binary search compares target with each restart key in place (restartKey);
+// binary search compares target with each restart key in place (restartEntry);
 // only the restart it settles on is decoded into it.key, for the scan
 // forward.
 func (it *Iter) SeekGE(target []byte) {
@@ -276,7 +315,7 @@ func (it *Iter) SeekGE(target []byte) {
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
 		off := r.restartOffset(mid)
-		key, ok := r.restartKey(off)
+		key, _, _, ok := r.restartEntry(off)
 		if !ok {
 			it.corrupt(off)
 			return

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -224,6 +225,37 @@ func TestQuickRoundTripAndSeek(t *testing.T) {
 	}
 }
 
+// TestEachRestart: a block that restarts at every entry yields exactly the
+// entries an iterator walks, each key at the offset it reports, and one that
+// does not is refused.
+func TestEachRestart(t *testing.T) {
+	kvs := []string{"a", "1", "ab", "22", "abc", "", "b", "4444"}
+	for _, interval := range []int{1, 2} {
+		r := buildBlock(t, interval, kvs...)
+		var got []string
+		err := r.EachRestart(func(keyAt int, key, value []byte) error {
+			if at := r.data[keyAt : keyAt+len(key)]; &at[0] != &key[0] {
+				t.Errorf("key %q reported at offset %d, which holds %q", key, keyAt, at)
+			}
+			got = append(got, string(key)+"="+string(value))
+			return nil
+		})
+		if interval > 1 {
+			if err == nil || !strings.HasPrefix(err.Error(), "block: corrupt entry") {
+				t.Errorf("interval %d: EachRestart = %v, %v, want the corrupt-entry error", interval, got, err)
+			}
+			continue
+		}
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(collect(t, r)) {
+			t.Errorf("interval 1: EachRestart = %v, %v, the iterator walks %v", got, err, collect(t, r))
+		}
+	}
+	empty := buildBlock(t, 1)
+	if err := empty.EachRestart(func(_ int, key, value []byte) error { return fmt.Errorf("entry %q", key) }); err != nil {
+		t.Errorf("empty block: %v", err)
+	}
+}
+
 func BenchmarkBlockAdd(b *testing.B) {
 	val := bytes.Repeat([]byte{'v'}, 100)
 	w := &Writer{}
@@ -237,18 +269,29 @@ func BenchmarkBlockAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkBlockSeekGE seeks a 4 KiB data block at three value sizes: under
+// 128 bytes every restart entry's lengths fit one byte each (restartEntry's
+// fast path); at 128 bytes and over the value length takes two.
 func BenchmarkBlockSeekGE(b *testing.B) {
-	w := &Writer{}
-	for i := 0; i < 100; i++ {
-		w.Add([]byte(fmt.Sprintf("key-%06d", i)), []byte("value"))
-	}
-	r, err := NewReader(bytes.Compare, w.Finish())
-	if err != nil {
-		b.Fatal(err)
-	}
-	it := r.Iter()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it.SeekGE([]byte(fmt.Sprintf("key-%06d", i%100)))
+	for _, vlen := range []int{20, 128, 1024} {
+		b.Run(fmt.Sprintf("value=%dB", vlen), func(b *testing.B) {
+			w := &Writer{}
+			var targets [][]byte
+			for i := 0; w.EstimatedSize() < 4<<10 || i < 2; i++ {
+				k := trailerKey(fmt.Sprintf("user-key-%06d", i), 100)
+				w.Add(k, bytes.Repeat([]byte{'v'}, vlen))
+				targets = append(targets, k)
+			}
+			r, err := NewReader(trailerCmp, w.Finish())
+			if err != nil {
+				b.Fatal(err)
+			}
+			var it Iter
+			it.Init(r)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				it.SeekGE(targets[i%len(targets)])
+			}
+		})
 	}
 }

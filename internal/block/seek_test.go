@@ -130,12 +130,21 @@ func checkSeekMatchesReference(t *testing.T, enc []byte, targets [][]byte) {
 
 // checkSeekSurvivesDamage seeks a block that may be damaged: whatever the
 // bytes, a seek ends in the corrupt-entry error or on a position whose key
-// and value can be read, and so does a walk on from there.
+// and value can be read, and so does a walk on from there. EachRestart, too,
+// ends in that error or in entries it can hand out.
 func checkSeekSurvivesDamage(t *testing.T, enc []byte, targets [][]byte) {
 	t.Helper()
 	r, err := NewReader(trailerCmp, enc)
 	if err != nil {
 		return // the trailer took the damage
+	}
+	if err := r.EachRestart(func(keyAt int, key, value []byte) error {
+		if keyAt < 0 || keyAt+len(key) > len(enc) || !bytes.Equal(enc[keyAt:keyAt+len(key)], key) {
+			t.Fatalf("EachRestart reports a %d-byte key at offset %d of a %d-byte block, which holds other bytes there", len(key), keyAt, len(enc))
+		}
+		return nil
+	}); err != nil && !strings.HasPrefix(err.Error(), "block: corrupt entry") {
+		t.Fatalf("EachRestart on a damaged block: %v", err)
 	}
 	var it Iter
 	for _, target := range targets {

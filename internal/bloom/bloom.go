@@ -58,7 +58,11 @@ func FromHashes(hashes []uint32, bitsPerKey int) Filter {
 
 // MayContain reports whether key could be in the set. False negatives never
 // occur; false positives occur at a rate governed by bits per key.
-func (f Filter) MayContain(key []byte) bool {
+func (f Filter) MayContain(key []byte) bool { return f.MayContainHash(Hash(key)) }
+
+// MayContainHash is MayContain for the key whose Hash is h, so that a lookup
+// that consults several filters hashes its key once.
+func (f Filter) MayContainHash(h uint32) bool {
 	if len(f) < 2 {
 		return false
 	}
@@ -68,7 +72,6 @@ func (f Filter) MayContain(key []byte) bool {
 		// Reserved for future encodings; treat as a match to stay safe.
 		return true
 	}
-	h := Hash(key)
 	delta := h>>17 | h<<15
 	for i := uint8(0); i < k; i++ {
 		pos := h % bits

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/bloom"
 	"repro/internal/cache"
 	"repro/internal/commit"
 	"repro/internal/compaction"
@@ -640,9 +641,23 @@ func (db *store) observeMix() {
 	}
 }
 
-// lookup is the point read itself: memtables, then tables, all searched with
-// the one record built here.
+// lookup is the point read itself. A plain value found in a table aliases a
+// data block, and is copied only here, after find has released the read
+// state: block bytes belong to the collector, and neither the block cache nor
+// anything else writes them once they are filled (see "Liveness" in DESIGN).
 func (db *store) lookup(key []byte, snapSeq *keys.Seq) ([]byte, error) {
+	val, inBlock, err := db.find(key, snapSeq)
+	if err != nil || !inBlock {
+		return val, err
+	}
+	return append([]byte(nil), val...), nil
+}
+
+// find returns the value of key visible at snapSeq (nil = latest) under a
+// read state it holds for the call: a memtable's value as it lies in the
+// skiplist, a resolved blob as a copy of its own, and a table's plain value as
+// it lies in its data block, which inBlock reports.
+func (db *store) find(key []byte, snapSeq *keys.Seq) (val []byte, inBlock bool, err error) {
 	// Lock-free: one atomic load + ref pins (mem, imm, version) together; the
 	// visible sequence is then read from the Set's atomic counter. Entries at
 	// or below that sequence were applied to a memtable before the sequence
@@ -650,7 +665,7 @@ func (db *store) lookup(key []byte, snapSeq *keys.Seq) ([]byte, error) {
 	// applied data, so the pair is always consistent.
 	rs := db.loadReadState()
 	if rs == nil {
-		return nil, ErrClosed
+		return nil, false, ErrClosed
 	}
 	defer rs.unref()
 	seq := db.set.LastSeq()
@@ -659,32 +674,37 @@ func (db *store) lookup(key []byte, snapSeq *keys.Seq) ([]byte, error) {
 	}
 	sc := readScratchPool.Get().(*readScratch)
 	defer readScratchPool.Put(sc)
+	val, kind, found, inBlock, err := db.entry(rs, sc, key, seq)
+	switch {
+	case err != nil:
+		return nil, false, err
+	case !found || kind == keys.KindDelete:
+		return nil, false, ErrNotFound
+	case kind == keys.KindBlobRef:
+		val, err = db.resolveBlob(val)
+		return val, false, err
+	}
+	return val, inBlock, nil
+}
+
+// entry returns the newest raw entry of key visible at seq in rs — kind and
+// stored value; for a pointer entry, the pointer bytes — searching the
+// memtables, then the tables, all with the one record it builds into sc.
+// inBlock reports that the entry came from a table: its value aliases a data
+// block. A memtable's value aliases the skiplist's buffers, which outlive the
+// read state (the Go GC keeps them alive through the returned slice).
+func (db *store) entry(rs *readState, sc *readScratch, key []byte, seq keys.Seq) (val []byte, kind keys.Kind, found, inBlock bool, err error) {
 	var sk keys.InternalKey
 	sc.rec, sk = memtable.SearchRecord(sc.rec, key, seq)
-
-	// Memtables. Values alias the skiplist's buffers, which outlive the
-	// read state (the Go GC keeps them alive through the returned slice).
-	val, kind, found := rs.mem.GetEntry(sc.rec)
+	val, kind, found = rs.mem.GetEntry(sc.rec)
 	if !found && rs.imm != nil {
 		val, kind, found = rs.imm.GetEntry(sc.rec)
 	}
 	if found {
-		switch kind {
-		case keys.KindDelete:
-			return nil, ErrNotFound
-		case keys.KindBlobRef:
-			return db.resolveBlob(val)
-		}
-		return val, nil
+		return val, kind, true, false, nil
 	}
-	val, kind, found, err := db.versionEntry(rs.v, sk)
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		return nil, ErrNotFound
-	}
-	return db.finishTableHit(val, kind)
+	val, kind, found, err = db.versionEntry(rs.v, sc, sk)
+	return val, kind, found, found, err
 }
 
 // blobCacheBit namespaces decoded vlog values inside the shared block
@@ -726,10 +746,16 @@ func (db *store) resolveBlob(ptr []byte) ([]byte, error) {
 	return append([]byte(nil), cached...), nil
 }
 
-// readScratch carries a point read's search record (memtable.SearchRecord);
-// pooled so a steady-state read builds it into reused capacity.
+// readScratch is one point read's working state, pooled so that a
+// steady-state read builds nothing: the search record
+// (memtable.SearchRecord), the cursor every table probe of the read works in,
+// the user key's bloom.Hash, which every table's filter takes, and the read's
+// probe tally.
 type readScratch struct {
-	rec []byte
+	rec   []byte
+	probe sstable.ProbeCursor
+	hash  uint32
+	n     probeTally
 }
 
 var readScratchPool = sync.Pool{New: func() interface{} { return new(readScratch) }}
@@ -743,19 +769,21 @@ type probeTally struct {
 // versionEntry searches table files level by level with the search key sk
 // and returns the winning raw entry (kind + stored value — for a pointer
 // entry, the pointer bytes, not the resolved value). The value aliases a
-// cached block, so callers must copy what they keep while still holding the
-// read-state ref; losers (older versions, tombstones) are never copied.
-// found=false with nil err means no table holds a visible version.
-func (db *store) versionEntry(v *version.Version, sk keys.InternalKey) ([]byte, keys.Kind, bool, error) {
-	var n probeTally
-	val, kind, found, err := db.searchTables(v, sk, &n)
-	db.stats.bloomProbes.Add(n.bloomProbes)
-	db.stats.bloomNegatives.Add(n.bloomNegatives)
-	db.stats.tableProbes.Add(n.tableProbes)
+// data block, which nothing writes once filled, so a caller may copy it after
+// releasing the read state; a pointer must be resolved before, while the
+// state still keeps its segment. Losers (older versions, tombstones) are
+// never copied. found=false with nil err means no table holds a visible
+// version.
+func (db *store) versionEntry(v *version.Version, sc *readScratch, sk keys.InternalKey) ([]byte, keys.Kind, bool, error) {
+	sc.hash, sc.n = bloom.Hash(sk.UserKey()), probeTally{}
+	val, kind, found, err := db.searchTables(v, sc, sk)
+	db.stats.bloomProbes.Add(sc.n.bloomProbes)
+	db.stats.bloomNegatives.Add(sc.n.bloomNegatives)
+	db.stats.tableProbes.Add(sc.n.tableProbes)
 	return val, kind, found, err
 }
 
-func (db *store) searchTables(v *version.Version, sk keys.InternalKey, n *probeTally) ([]byte, keys.Kind, bool, error) {
+func (db *store) searchTables(v *version.Version, sc *readScratch, sk keys.InternalKey) ([]byte, keys.Kind, bool, error) {
 	ucmp := db.icmp.User
 	key := sk.UserKey()
 
@@ -766,7 +794,7 @@ func (db *store) searchTables(v *version.Version, sk keys.InternalKey, n *probeT
 		if !f.UserRange().Contains(ucmp, key) {
 			continue
 		}
-		val, kind, _, found, err := db.tableProbe(&f.Table, f.Num, sk, n)
+		val, kind, _, found, err := db.tableProbe(&f.Table, f.Num, sc, sk)
 		if err != nil {
 			return nil, 0, false, err
 		}
@@ -800,7 +828,7 @@ func (db *store) searchTables(v *version.Version, sk keys.InternalKey, n *probeT
 			if ucmp.Compare(s.Range.Hi, key) < 0 {
 				continue
 			}
-			val, kind, entrySeq, found, err := db.tableProbe(nil, s.FrozenNum, sk, n)
+			val, kind, entrySeq, found, err := db.tableProbe(nil, s.FrozenNum, sc, sk)
 			if err != nil {
 				return nil, 0, false, err
 			}
@@ -809,7 +837,7 @@ func (db *store) searchTables(v *version.Version, sk keys.InternalKey, n *probeT
 			}
 		}
 		if f != nil {
-			val, kind, entrySeq, found, err := db.tableProbe(&f.Table, f.Num, sk, n)
+			val, kind, entrySeq, found, err := db.tableProbe(&f.Table, f.Num, sc, sk)
 			if err != nil {
 				return nil, 0, false, err
 			}
@@ -824,39 +852,25 @@ func (db *store) searchTables(v *version.Version, sk keys.InternalKey, n *probeT
 	return nil, 0, false, nil
 }
 
-// finishTableHit materializes a winning table probe: tombstones become
-// ErrNotFound, pointer entries resolve through the value log (already a
-// private copy), and plain values — which alias a cached block — are
-// copied exactly once here.
-func (db *store) finishTableHit(val []byte, kind keys.Kind) ([]byte, error) {
-	switch kind {
-	case keys.KindDelete:
-		return nil, ErrNotFound
-	case keys.KindBlobRef:
-		return db.resolveBlob(val)
-	}
-	return append([]byte(nil), val...), nil
-}
-
 // tableProbe is the per-table point lookup: bloom filter, then the reader's
-// direct index→data-block probe (no iterator construction). table is the
-// reader slot of the meta that named file num in the caller's pinned version
-// (shardTables.through), nil for a slice window's frozen file, which is
-// looked up by number. The returned value aliases the cached block —
-// callers copy only what they return. The entry sequence orders candidates
-// across overlapping slice windows.
-func (db *store) tableProbe(table *atomic.Pointer[sstable.Reader], num uint64, sk keys.InternalKey, n *probeTally) (val []byte, kind keys.Kind, entrySeq keys.Seq, found bool, err error) {
+// direct index→data-block probe (no iterator construction), both with what
+// sc carries. table is the reader slot of the meta that named file num in the
+// caller's pinned version (shardTables.through), nil for a slice window's
+// frozen file, which is looked up by number. The returned value aliases the
+// data block — callers copy only what they return. The entry sequence orders
+// candidates across overlapping slice windows.
+func (db *store) tableProbe(table *atomic.Pointer[sstable.Reader], num uint64, sc *readScratch, sk keys.InternalKey) (val []byte, kind keys.Kind, entrySeq keys.Seq, found bool, err error) {
 	r, err := db.tables.through(table, num)
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
-	n.bloomProbes++
-	if !r.MayContain(sk.UserKey()) {
-		n.bloomNegatives++
+	sc.n.bloomProbes++
+	if !r.MayContainHash(sc.hash) {
+		sc.n.bloomNegatives++
 		return nil, 0, 0, false, nil
 	}
-	n.tableProbes++
-	return r.Probe(sk)
+	sc.n.tableProbes++
+	return r.Probe(&sc.probe, sk)
 }
 
 // ---------------------------------------------------------------------------

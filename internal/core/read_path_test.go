@@ -10,6 +10,7 @@ import (
 	"repro/internal/compaction"
 	"repro/internal/invariants"
 	"repro/internal/keys"
+	"repro/internal/sstable"
 	"repro/internal/version"
 	"repro/internal/vfs"
 )
@@ -23,6 +24,7 @@ func countProbes(t *testing.T, st *store, v *version.Version, key []byte) (n pro
 	t.Helper()
 	ucmp := st.icmp.User
 	sk := keys.MakeSearchKey(nil, key, keys.MaxSeq)
+	var c sstable.ProbeCursor
 	probe := func(num uint64) bool {
 		r, err := st.tables.get(num)
 		if err != nil {
@@ -34,7 +36,7 @@ func countProbes(t *testing.T, st *store, v *version.Version, key []byte) (n pro
 			return false
 		}
 		n.tableProbes++
-		_, _, _, found, err := r.Probe(sk)
+		_, _, _, found, err := r.Probe(&c, sk)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/keys"
-	"repro/internal/memtable"
 	"repro/internal/vlog"
 )
 
@@ -148,18 +147,11 @@ func (db *store) recordLive(key []byte, ptr vlog.Pointer) (bool, error) {
 		return false, ErrClosed
 	}
 	defer rs.unref()
-	rec, sk := memtable.SearchRecord(nil, key, db.set.LastSeq())
-
-	val, kind, found := rs.mem.GetEntry(rec)
-	if !found && rs.imm != nil {
-		val, kind, found = rs.imm.GetEntry(rec)
-	}
-	if !found {
-		var err error
-		val, kind, found, err = db.versionEntry(rs.v, sk)
-		if err != nil {
-			return false, err
-		}
+	sc := readScratchPool.Get().(*readScratch)
+	defer readScratchPool.Put(sc)
+	val, kind, found, _, err := db.entry(rs, sc, key, db.set.LastSeq())
+	if err != nil {
+		return false, err
 	}
 	if !found || kind != keys.KindBlobRef {
 		return false, nil

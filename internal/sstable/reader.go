@@ -2,7 +2,9 @@ package sstable
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -39,11 +41,16 @@ type Reader struct {
 	opts ReaderOptions
 	// cmp is opts.Cmp.Compare, bound once: every block reader built over this
 	// table takes it, and binding a method value allocates.
-	cmp    iterator.CompareFunc
-	f      vfs.File
-	size   int64 // file length, fixed at open; bounds-checks block handles
-	index  block.Reader
-	filter bloom.Filter
+	cmp  iterator.CompareFunc
+	f    vfs.File
+	size int64 // file length, fixed at open; bounds-checks block handles
+	// index is the decoded index block, one entry per data block in file
+	// order (decodeIndex); point probes, table iterators and sequential passes
+	// search and walk it by position. Its keys lie in indexBlock, which the
+	// reader pins.
+	index      []indexEntry
+	indexBlock []byte
+	filter     bloom.Filter
 	// cksum is the table's checksum function, read from the footer (legacy
 	// v1 footers imply CRC32C).
 	cksum checksum.Kind
@@ -87,12 +94,12 @@ func OpenReader(f vfs.File, opts ReaderOptions) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{opts: opts, cmp: opts.Cmp.Compare, f: f, size: size, cksum: ftr.checksum}
+	r := newReader(f, opts, size, ftr.checksum)
 	idxData, err := r.readBlockContents(ftr.indexHandle)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.index.Init(r.cmp, idxData); err != nil {
+	if err := r.decodeIndex(idxData); err != nil {
 		return nil, err
 	}
 	if ftr.filterHandle.length > 0 {
@@ -103,6 +110,74 @@ func OpenReader(f vfs.File, opts ReaderOptions) (*Reader, error) {
 		r.filter = bloom.Filter(fl)
 	}
 	return r, nil
+}
+
+func newReader(f vfs.File, opts ReaderOptions, size int64, cksum checksum.Kind) *Reader {
+	return &Reader{opts: opts, cmp: opts.Cmp.Compare, f: f, size: size, cksum: cksum}
+}
+
+// indexEntry is one data block as the index names it: where the block's last
+// internal key lies in the index block, and the block's handle. It holds no
+// pointer, so the collector never scans the array.
+type indexEntry struct {
+	keyAt, keyLen uint32 // the key is indexBlock[keyAt:keyAt+keyLen]
+	h             blockHandle
+}
+
+// decodeIndex makes data, the table's index block, r.index: one array sized
+// once, whose keys lie in data, which r pins as r.indexBlock. The writer
+// restarts the index at every entry, so each key lies whole in the block
+// (block.Reader.EachRestart). Every handle is checked against the file here,
+// and an index that fails any check fails the open with ErrCorrupt: nothing
+// that walks the index later can meet a bad entry.
+func (r *Reader) decodeIndex(data []byte) error {
+	var br block.Reader
+	if err := br.Init(r.cmp, data); err != nil {
+		return fmt.Errorf("%w: index of file %06d: %v", ErrCorrupt, r.opts.FileNum, err)
+	}
+	index := make([]indexEntry, 0, br.NumRestarts())
+	err := br.EachRestart(func(keyAt int, key, value []byte) error {
+		h, n := decodeBlockHandle(value)
+		if n == 0 || n != len(value) || len(key) < keys.TrailerLen || uint64(keyAt+len(key)) > math.MaxUint32 {
+			return fmt.Errorf("%w: bad index entry in file %06d", ErrCorrupt, r.opts.FileNum)
+		}
+		if err := r.checkHandle(h); err != nil {
+			return err
+		}
+		index = append(index, indexEntry{uint32(keyAt), uint32(len(key)), h})
+		return nil
+	})
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			err = fmt.Errorf("%w: index of file %06d: %v", ErrCorrupt, r.opts.FileNum, err)
+		}
+		return err
+	}
+	r.index, r.indexBlock = index, data
+	return nil
+}
+
+// indexKey returns the internal key of index entry i, where it lies in the
+// index block.
+func (r *Reader) indexKey(i int) []byte {
+	e := &r.index[i]
+	return r.indexBlock[e.keyAt : e.keyAt+e.keyLen]
+}
+
+// seekIndex returns the position of the first index entry at or after the
+// internal key ik, len(r.index) if there is none. Index keys are the last key
+// of each block, so that entry names the one block that can hold ik.
+func (r *Reader) seekIndex(ik []byte) int {
+	lo, hi := 0, len(r.index)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.cmp(r.indexKey(mid), ik) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Close releases the underlying file.
@@ -122,12 +197,16 @@ func (r *Reader) checkOpen(op string) {
 
 // MayContain consults the Bloom filter for ukey; tables written without a
 // filter report true.
-func (r *Reader) MayContain(ukey []byte) bool {
+func (r *Reader) MayContain(ukey []byte) bool { return r.MayContainHash(bloom.Hash(ukey)) }
+
+// MayContainHash is MayContain for the user key whose bloom.Hash is h: a read
+// that consults several tables hashes its key once.
+func (r *Reader) MayContainHash(h uint32) bool {
 	r.checkOpen("MayContain")
 	if r.filter == nil {
 		return true
 	}
-	return r.filter.MayContain(ukey)
+	return r.filter.MayContainHash(h)
 }
 
 // BlockReads reports how many data blocks were fetched from the file
@@ -254,57 +333,50 @@ func (r *Reader) Get(ukey []byte, seq keys.Seq) (value []byte, deleted, found bo
 	if !r.MayContain(ukey) {
 		return nil, false, false, nil
 	}
-	value, kind, _, found, err := r.Probe(keys.MakeSearchKey(nil, ukey, seq))
+	var c ProbeCursor
+	value, kind, _, found, err := r.Probe(&c, keys.MakeSearchKey(nil, ukey, seq))
 	return value, found && kind == keys.KindDelete, found, err
 }
 
-// pointProbe carries the two block cursors of one point lookup and the reader
-// of its data block; pooled so a steady-state probe allocates nothing beyond
-// a possible block fetch.
-type pointProbe struct {
-	idx, data block.Iter
-	blk       block.Reader
+// ProbeCursor is what a point probe works in: the reader of its data block
+// and the cursor over it, held by value. A caller keeps one per concurrent
+// read and hands it to every Probe the read makes, so that a probe of a
+// cached block allocates nothing. The zero value is ready for use.
+type ProbeCursor struct {
+	blk  block.Reader
+	data block.Iter
 }
 
-var probePool = sync.Pool{New: func() interface{} { return new(pointProbe) }}
-
-// Probe is the allocation-light point-get fast path: it seeks the pinned
-// index block, fetches exactly one data block (through the cache), and seeks
-// that block directly — no two-level iterator is built. sk is the search key
+// Probe is the point-get fast path: it binary-searches the decoded index,
+// fetches exactly one data block (through the cache) into c, and seeks that
+// block directly — no two-level iterator is built. sk is the search key
 // encoding (ukey, snapshot seq); see keys.MakeSearchKey. The Bloom filter is
 // NOT consulted: callers that want filtering call MayContain first (the DB
 // does, so it can count probes and negatives). entrySeq reports the sequence
 // of the found entry and kind its stored kind (a keys.KindBlobRef value is
 // an encoded value-log pointer the caller resolves). The returned value
-// aliases the cached block; callers copy at their final return site, not
-// here.
+// aliases the block's bytes, not c, so the next Probe with c leaves it
+// intact; callers copy at their final return site, not here.
 //
-// A single index seek suffices because index keys are exactly the last key
+// A single index search suffices because index keys are exactly the last key
 // of each data block (see Writer.flushPendingIndex): the first index entry
 // >= sk names the one block whose key range can contain sk, and a SeekGE
 // inside it always lands on an entry (its last key is >= sk).
-func (r *Reader) Probe(sk keys.InternalKey) (value []byte, kind keys.Kind, entrySeq keys.Seq, found bool, err error) {
+func (r *Reader) Probe(c *ProbeCursor, sk keys.InternalKey) (value []byte, kind keys.Kind, entrySeq keys.Seq, found bool, err error) {
 	r.checkOpen("Probe")
-	p := probePool.Get().(*pointProbe)
-	defer probePool.Put(p)
-	p.idx.Init(&r.index)
-	p.idx.SeekGE(sk)
-	if !p.idx.Valid() {
-		return nil, 0, 0, false, p.idx.Error()
+	i := r.seekIndex(sk)
+	if i == len(r.index) {
+		return nil, 0, 0, false, nil
 	}
-	h, n := decodeBlockHandle(p.idx.Value())
-	if n == 0 {
-		return nil, 0, 0, false, fmt.Errorf("%w: bad index entry", ErrCorrupt)
-	}
-	if err := r.dataBlock(&p.blk, h); err != nil {
+	if err := r.dataBlock(&c.blk, r.index[i].h); err != nil {
 		return nil, 0, 0, false, err
 	}
-	p.data.Init(&p.blk)
-	p.data.SeekGE(sk)
-	if !p.data.Valid() {
-		return nil, 0, 0, false, p.data.Error()
+	c.data.Init(&c.blk)
+	c.data.SeekGE(sk)
+	if !c.data.Valid() {
+		return nil, 0, 0, false, c.data.Error()
 	}
-	ik := keys.InternalKey(p.data.Key())
+	ik := keys.InternalKey(c.data.Key())
 	if r.opts.Cmp.User.Compare(ik.UserKey(), sk.UserKey()) != 0 {
 		return nil, 0, 0, false, nil
 	}
@@ -312,7 +384,7 @@ func (r *Reader) Probe(sk keys.InternalKey) (value []byte, kind keys.Kind, entry
 	if k == keys.KindDelete {
 		return nil, k, ik.Seq(), true, nil
 	}
-	return p.data.Value(), k, ik.Seq(), true, nil
+	return c.data.Value(), k, ik.Seq(), true, nil
 }
 
 var tableIterPool = sync.Pool{New: func() interface{} { return new(tableIter) }}
@@ -330,7 +402,7 @@ func (r *Reader) NewIteratorUpTo(upper []byte) iterator.Iterator {
 	r.checkOpen("NewIterator")
 	t := tableIterPool.Get().(*tableIter)
 	t.r = r
-	t.index.Init(&r.index)
+	t.index = -1
 	t.dataOK = false
 	t.upper = upper
 	t.err = nil
@@ -338,8 +410,8 @@ func (r *Reader) NewIteratorUpTo(upper []byte) iterator.Iterator {
 	return t
 }
 
-// tableIter walks the index block and lazily opens data blocks. The block
-// cursors and the data block's reader are held by value so a pooled tableIter
+// tableIter walks the decoded index and lazily opens data blocks. The block
+// cursor and the data block's reader are held by value so a pooled tableIter
 // re-seeks, and opens a block, without allocating.
 //
 // A block the iterator seeks to, or steps back onto, is read alone, as a point
@@ -349,15 +421,13 @@ func (r *Reader) NewIteratorUpTo(upper []byte) iterator.Iterator {
 // block is likely to walk off the next.
 type tableIter struct {
 	r      *Reader
-	index  block.Iter
+	index  int          // position in r.index of the current data block
 	blk    block.Reader // the current data block
 	data   block.Iter   // cursor over blk
 	dataOK bool         // data is bound to the block of the current index entry
 
-	upper []byte        // read-ahead stops with the block this key falls in; nil: the table's end
-	ahead int           // byte budget of the next read-ahead request
-	scout block.Iter    // index cursor that runs ahead to size a request
-	run   []blockHandle // the request's blocks (scratch)
+	upper []byte // read-ahead stops with the block this key falls in; nil: the table's end
+	ahead int    // byte budget of the next read-ahead request
 	// held keeps the last request's blocks for the iterator itself: there may
 	// be no block cache, or one so small or so busy that a block is evicted
 	// before the walk gets to it, and it must not be read twice.
@@ -376,14 +446,10 @@ type heldBlock struct {
 // forward says the iterator got there by stepping off the block before it.
 func (t *tableIter) loadData(forward bool) bool {
 	t.dataOK = false
-	if !t.index.Valid() {
+	if t.index < 0 || t.index >= len(t.r.index) {
 		return false
 	}
-	h, n := decodeBlockHandle(t.index.Value())
-	if n == 0 {
-		t.err = fmt.Errorf("%w: bad index entry", ErrCorrupt)
-		return false
-	}
+	h := t.r.index[t.index].h
 	contents, ok := t.r.cached(h.offset)
 	for i := 0; !ok && i < len(t.held); i++ {
 		if t.held[i].offset == h.offset {
@@ -425,16 +491,11 @@ func (t *tableIter) readAhead(h blockHandle) error {
 	r := t.r
 	budget := t.ahead
 	t.ahead = min(2*t.ahead, IOChunk)
-	t.scout.Init(&r.index)
-	t.scout.SeekGE(t.index.Key())
-	run, n, _, err := r.nextRun(&t.scout, t.run[:0], budget, t.upper)
-	t.run = run[:0]
-	if err != nil {
-		return err
-	}
+	end, n, _ := r.nextRun(t.index, budget, t.upper)
+	run := r.index[t.index:end]
 	for i := 1; i < len(run); i++ {
-		if _, ok := r.cached(run[i].offset); ok {
-			run, n = run[:i], int(run[i].offset-run[0].offset)
+		if _, ok := r.cached(run[i].h.offset); ok {
+			run, n = run[:i], int(run[i].h.offset-h.offset)
 			break
 		}
 	}
@@ -442,9 +503,11 @@ func (t *tableIter) readAhead(h blockHandle) error {
 		return r.readBlock(&t.blk, h)
 	}
 	chunk := chunkPool.Get().(*[IOChunk]byte)
-	if err = r.readRun(r.f, chunk[:n], h.offset); err == nil {
+	err := r.readRun(r.f, chunk[:n], h.offset)
+	if err == nil {
 		t.held = t.held[:0]
-		for _, b := range run {
+		for _, e := range run {
+			b := e.h
 			start := b.offset - h.offset
 			contents, berr := r.runBlock(&t.blk, chunk[start:start+b.length+blockTrailerLen], b.offset)
 			if berr != nil {
@@ -496,9 +559,7 @@ func (t *tableIter) SeekGE(target []byte) {
 	if t.err != nil {
 		return
 	}
-	// Index keys are the last key of each block, so the first index entry
-	// >= target references the block that could contain it.
-	t.index.SeekGE(target)
+	t.index = t.r.seekIndex(target)
 	if !t.seekData() {
 		return
 	}
@@ -510,7 +571,7 @@ func (t *tableIter) SeekToFirst() {
 	if t.err != nil {
 		return
 	}
-	t.index.SeekToFirst()
+	t.index = 0
 	if !t.seekData() {
 		return
 	}
@@ -522,7 +583,7 @@ func (t *tableIter) SeekToLast() {
 	if t.err != nil {
 		return
 	}
-	t.index.SeekToLast()
+	t.index = len(t.r.index) - 1
 	if !t.seekData() {
 		return
 	}
@@ -553,7 +614,7 @@ func (t *tableIter) skipForwardEmpty() {
 			t.err = err
 			return
 		}
-		t.index.Next()
+		t.index++
 		if !t.loadData(true) {
 			return
 		}
@@ -567,7 +628,7 @@ func (t *tableIter) skipBackwardEmpty() {
 			t.err = err
 			return
 		}
-		t.index.Prev()
+		t.index--
 		if !t.loadData(false) {
 			return
 		}
@@ -583,11 +644,9 @@ func (t *tableIter) Error() error {
 		return t.err
 	}
 	if t.dataOK {
-		if err := t.data.Error(); err != nil {
-			return err
-		}
+		return t.data.Error()
 	}
-	return t.index.Error()
+	return nil
 }
 
 // Close returns the iterator to the pool. Double-Close is tolerated (the

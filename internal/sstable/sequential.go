@@ -39,7 +39,7 @@ var (
 // same file. With a window, the pass covers exactly the entries whose user
 // key lies in it (an LDC slice of a frozen table); without, the whole table.
 //
-// The pass walks the index r pins and reads only the data blocks that can
+// The pass walks r's decoded index and reads only the data blocks that can
 // hold a key of the window: from the first block whose last key reaches
 // window.Lo through the first block whose last key reaches window.Hi. Those
 // blocks are fetched in runs of whole, adjacent blocks of at most IOChunk
@@ -57,7 +57,6 @@ func (r *Reader) NewSequential(f vfs.File, window *keys.KeyRange) iterator.Itera
 	r.checkOpen("NewSequential")
 	t := seqIterPool.Get().(*seqIter)
 	t.r, t.f = r, f
-	t.idx.Init(&r.index)
 	t.clamped = window != nil
 	if window != nil {
 		// The smallest and the largest internal key a user key in the window
@@ -65,7 +64,7 @@ func (r *Reader) NewSequential(f vfs.File, window *keys.KeyRange) iterator.Itera
 		t.lo = keys.MakeSearchKey(t.lo[:0], window.Lo, keys.MaxSeq)
 		t.hi = keys.MakeInternalKey(t.hi[:0], window.Hi, 0, keys.KindDelete)
 	}
-	t.run, t.last, t.dataOK = t.run[:0], false, false
+	t.run, t.last, t.dataOK = nil, false, false
 	t.err = nil
 	t.closed = false
 	return t
@@ -80,10 +79,10 @@ type seqIter struct {
 	clamped bool
 	lo, hi  keys.InternalKey
 
-	idx  block.Iter    // index cursor: the first block after the current run
-	run  []blockHandle // the current run's blocks, adjacent on disk
-	last bool          // the run ends with the window's last block
-	pos  int           // data is bound to run[pos]
+	next int          // position in r.index of the first block after the current run
+	run  []indexEntry // the current run's blocks, adjacent on disk: a stretch of r.index
+	last bool         // the run ends with the window's last block
+	pos  int          // data is bound to run[pos]
 
 	chunk *[IOChunk]byte // pooled run buffer, taken at the first fetch
 	buf   []byte         // the run's bytes: chunk[:n], or a one-off for an oversized block
@@ -114,31 +113,24 @@ func poison(b []byte) {
 	}
 }
 
-// nextRun collects the next run of a forward pass: the blocks from the index
-// cursor on, for as long as they are adjacent on disk and together fit budget
-// bytes (the first is taken whatever its size), through the block that holds
-// upper when there is one — index keys are the last key of their block, so
-// the first to reach upper names the last block a key up to it can be in. The
-// cursor is left on the first block not taken. n is the run's length on disk;
-// last reports that the run ends with upper's block.
-func (r *Reader) nextRun(idx *block.Iter, run []blockHandle, budget int, upper []byte) (_ []blockHandle, n int, last bool, err error) {
-	for ; idx.Valid() && !last; idx.Next() {
-		h, w := decodeBlockHandle(idx.Value())
-		if w == 0 {
-			return run, n, last, fmt.Errorf("%w: bad index entry", ErrCorrupt)
-		}
-		if err := r.checkHandle(h); err != nil {
-			return run, n, last, err
-		}
+// nextRun sizes the run of a forward pass that starts with block i of the
+// index: the blocks from i on, for as long as they are adjacent on disk and
+// together fit budget bytes (the first is taken whatever its size), through the
+// block that holds upper when there is one — index keys are the last key of
+// their block, so the first to reach upper names the last block a key up to it
+// can be in. The run is r.index[i:end]; n is its length on disk, and last
+// reports that it ends with upper's block.
+func (r *Reader) nextRun(i, budget int, upper []byte) (end, n int, last bool) {
+	for end = i; end < len(r.index) && !last; end++ {
+		h := r.index[end].h
 		size := int(h.length) + blockTrailerLen
-		if len(run) > 0 && (h.offset != run[0].offset+uint64(n) || n+size > budget) {
+		if end > i && (h.offset != r.index[i].h.offset+uint64(n) || n+size > budget) {
 			break
 		}
-		run = append(run, h)
 		n += size
-		last = upper != nil && r.cmp(idx.Key(), upper) >= 0
+		last = upper != nil && r.cmp(r.indexKey(end), upper) >= 0
 	}
-	return run, n, last, nil
+	return end, n, last
 }
 
 // readRun fills buf with the run that starts at off, through f. A short read
@@ -163,9 +155,9 @@ func (t *seqIter) fetchRun() bool {
 	if t.clamped {
 		upper = t.hi
 	}
-	var n int
-	t.run, n, t.last, t.err = t.r.nextRun(&t.idx, t.run[:0], IOChunk, upper)
-	if t.err != nil || len(t.run) == 0 {
+	end, n, last := t.r.nextRun(t.next, IOChunk, upper)
+	t.run, t.next, t.last = t.r.index[t.next:end], end, last
+	if len(t.run) == 0 {
 		return false
 	}
 	if n <= IOChunk {
@@ -176,7 +168,7 @@ func (t *seqIter) fetchRun() bool {
 	} else {
 		t.buf = make([]byte, n)
 	}
-	t.err = t.r.readRun(t.f, t.buf, t.run[0].offset)
+	t.err = t.r.readRun(t.f, t.buf, t.run[0].h.offset)
 	return t.err == nil
 }
 
@@ -188,8 +180,8 @@ func (t *seqIter) nextBlock() bool {
 	if t.pos >= len(t.run) && (t.last || !t.fetchRun()) {
 		return false
 	}
-	h := t.run[t.pos]
-	start := h.offset - t.run[0].offset
+	h := t.run[t.pos].h
+	start := h.offset - t.run[0].h.offset
 	contents, err := t.r.decodeBlock(t.buf[start:start+h.length+blockTrailerLen], h.offset)
 	if err == nil {
 		if err = t.blk.Init(t.r.cmp, contents); err != nil {
@@ -231,7 +223,7 @@ func (t *seqIter) seek(target []byte) {
 	if t.err != nil {
 		return
 	}
-	t.run, t.pos, t.last, t.dataOK = t.run[:0], -1, false, false
+	t.run, t.pos, t.last, t.dataOK = nil, -1, false, false
 	if t.clamped {
 		if target == nil || t.r.cmp(target, t.lo) < 0 {
 			target = t.lo
@@ -240,12 +232,9 @@ func (t *seqIter) seek(target []byte) {
 			return // nothing at or after target is inside the window
 		}
 	}
-	// Index keys are the last key of each block, so the first index entry
-	// >= target references the block that could contain it.
-	if target == nil {
-		t.idx.SeekToFirst()
-	} else {
-		t.idx.SeekGE(target)
+	t.next = 0
+	if target != nil {
+		t.next = t.r.seekIndex(target)
 	}
 	if !t.nextBlock() {
 		return
@@ -293,11 +282,9 @@ func (t *seqIter) Error() error {
 		return t.err
 	}
 	if t.dataOK {
-		if err := t.data.Error(); err != nil {
-			return err
-		}
+		return t.data.Error()
 	}
-	return t.idx.Error()
+	return nil
 }
 
 // Close releases the file and the run buffer and returns the iterator to the
@@ -318,8 +305,7 @@ func (t *seqIter) Close() error {
 		t.chunk = nil
 	}
 	// Drop every reference into the run and the index before pooling.
-	t.r, t.f, t.buf, t.blk, t.dataOK = nil, nil, nil, block.Reader{}, false
-	t.idx.Init(nil)
+	t.r, t.f, t.buf, t.run, t.blk, t.dataOK = nil, nil, nil, nil, block.Reader{}, false
 	t.data.Init(nil)
 	if invariants.Enabled {
 		return t.err // the carcass stays out of the pool: see assertOpen

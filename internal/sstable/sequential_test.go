@@ -60,12 +60,13 @@ type tableBlock struct {
 	lastKey   []byte
 }
 
-// layout lists r's data blocks in file order and returns where the data ends
-// (the first byte of the filter block, or of the index).
+// layout lists r's data blocks in file order, as its on-disk index names them,
+// and returns where the data ends (the first byte of the filter block, or of
+// the index).
 func layout(t testing.TB, r *Reader) (blocks []tableBlock, dataEnd int64) {
 	t.Helper()
 	var it block.Iter
-	it.Init(&r.index)
+	it.Init(onDiskIndex(t, r))
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		h, n := decodeBlockHandle(it.Value())
 		if n == 0 {

@@ -286,8 +286,8 @@ func (w *Writer) OpenReader(f vfs.File, opts ReaderOptions) (*Reader, error) {
 	if w.props.FileSize == 0 { // set by a Finish that succeeded, and only then
 		return nil, fmt.Errorf("sstable: OpenReader on a table that is not finished")
 	}
-	r := &Reader{opts: opts, cmp: opts.Cmp.Compare, f: f, size: w.props.FileSize, cksum: w.opts.Checksum}
-	if err := r.index.Init(r.cmp, w.indexBlock); err != nil {
+	r := newReader(f, opts, w.props.FileSize, w.opts.Checksum)
+	if err := r.decodeIndex(w.indexBlock); err != nil {
 		return nil, err
 	}
 	if len(w.filter) > 0 {

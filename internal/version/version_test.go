@@ -1,6 +1,7 @@
 package version
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -383,6 +384,69 @@ func TestSetRecover(t *testing.T) {
 	}
 	if got := s2.NewFileNum(); got <= fileNumBefore {
 		t.Errorf("file allocator regressed: %d <= %d", got, fileNumBefore)
+	}
+}
+
+// TestSetRecoverZeroTail: a MANIFEST followed by zeros to the end of its file
+// — one that grew before its last write landed, as a crash can leave it —
+// recovers to the state its records describe. Zeros with anything after them
+// are damage, and fail Recover with wal.ErrCorrupt as any other damage does.
+func TestSetRecoverZeroTail(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tail []byte
+		ok   bool
+	}{
+		{"zeros", make([]byte, wal.BlockSize+10), true},
+		{"zeros, then a byte", append(make([]byte, 10), 1), false},
+	} {
+		s, fs := newTestSet(t)
+		e := &Edit{}
+		e.AddFile(1, fm(10, "a", "m", 100))
+		if err := s.LogAndApply(e); err != nil {
+			t.Fatal(err)
+		}
+		name, err := s.readCurrent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		f, err := fs.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, _ := f.Size()
+		raw := make([]byte, size)
+		if _, err := f.ReadAt(raw, 0); err != nil {
+			t.Fatal(err)
+		}
+		_ = f.Close()
+		out, err := fs.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := out.Write(append(raw, tc.tail...)); err != nil {
+			t.Fatal(err)
+		}
+		_ = out.Close()
+
+		s2 := NewSet(fs, "/db", icmp)
+		err = s2.Recover()
+		if !tc.ok {
+			if !errors.Is(err, wal.ErrCorrupt) {
+				t.Errorf("%s: Recover = %v, want wal.ErrCorrupt", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: Recover = %v", tc.name, err)
+		}
+		v := s2.Current()
+		if v.NumFiles(1) != 1 || v.Levels[1][0].Num != 10 {
+			t.Errorf("%s: recovered %d L1 files", tc.name, v.NumFiles(1))
+		}
+		v.Unref()
+		s2.Close()
 	}
 }
 

@@ -9,6 +9,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -185,7 +186,8 @@ func NewReader(f vfs.File) *Reader {
 }
 
 // Next returns the next record, io.EOF at the clean end of the log, or an
-// error wrapping ErrCorrupt at a torn/damaged point.
+// error wrapping ErrCorrupt at a torn/damaged point. A log that is all zeros
+// from a record boundary to the end of the file ends cleanly there.
 func (r *Reader) Next() ([]byte, error) {
 	var rec []byte
 	inFragmented := false
@@ -201,13 +203,26 @@ func (r *Reader) Next() ([]byte, error) {
 			continue
 		}
 		hdr := r.block[r.blockI : r.blockI+headerLen]
+		if isZero(hdr) {
+			// The writer never writes a zero header (a fragment's type is never
+			// 0) and pads only block tails too short for one, which the check
+			// above skips. Zeros from here to the end of the file are a file
+			// grown past its last write, as a crash can leave it: the log ends
+			// here. Zeros with anything after them are damage, not padding to
+			// skip: skipping would leave a hole where records were.
+			zero, err := r.zeroToEnd()
+			switch {
+			case err != nil:
+				return nil, err
+			case !zero:
+				return nil, fmt.Errorf("%w: zero header before the end of the log", ErrCorrupt)
+			case inFragmented:
+				return nil, fmt.Errorf("%w: log ended mid-record", ErrCorrupt)
+			}
+			return nil, io.EOF
+		}
 		length := int(hdr[4]) | int(hdr[5])<<8
 		typ := hdr[6]
-		if typ == 0 && length == 0 {
-			// Zero padding within the block: advance to next block.
-			r.blockI = r.blockN
-			continue
-		}
 		if r.blockI+headerLen+length > r.blockN {
 			return nil, fmt.Errorf("%w: fragment overruns block", ErrCorrupt)
 		}
@@ -246,6 +261,24 @@ func (r *Reader) Next() ([]byte, error) {
 		}
 	}
 }
+
+// zeroToEnd reports whether every byte of the log from the cursor on is zero.
+// It reads the rest of the log to find out.
+func (r *Reader) zeroToEnd() (bool, error) {
+	for {
+		if !isZero(r.block[r.blockI:r.blockN]) {
+			return false, nil
+		}
+		switch err := r.readBlock(); {
+		case err == io.EOF:
+			return true, nil
+		case err != nil:
+			return false, err
+		}
+	}
+}
+
+func isZero(b []byte) bool { return len(bytes.TrimLeft(b, "\x00")) == 0 }
 
 func (r *Reader) readBlock() error {
 	if r.eof {

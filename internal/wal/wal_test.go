@@ -143,6 +143,47 @@ func TestBitFlipDetected(t *testing.T) {
 	}
 }
 
+// TestZeroTail: a log followed by zeros up to the end of the file — a file
+// that grew before its last write landed — reads back whole and ends cleanly,
+// for the WAL and the MANIFEST alike. Zeros with anything after them are a
+// hole, and a record whose first fragment the zeros follow was torn; both end
+// in ErrCorrupt after the records before them.
+func TestZeroTail(t *testing.T) {
+	big := bytes.Repeat([]byte("s"), BlockSize+100) // its first fragment ends the first block
+	recs := [][]byte{[]byte("a"), big, []byte("b")}
+	for _, tc := range []struct {
+		name string
+		tail []byte
+		keep int // bytes of the log kept before the tail; 0 keeps it all
+		n    int // records read back
+		bad  bool
+	}{
+		{"a few zeros", make([]byte, 100), 0, 3, false},
+		{"zeros past two block edges", make([]byte, 2*BlockSize), 0, 3, false},
+		{"zeros, then a byte", append(make([]byte, 100), 1), 0, 3, true},
+		{"zeros, then a byte two blocks on", append(make([]byte, 2*BlockSize), 1), 0, 3, true},
+		{"zeros after a first fragment", make([]byte, 2*BlockSize), BlockSize, 1, true},
+	} {
+		fs := vfs.Mem()
+		writeLog(t, fs, "/log", recs...)
+		raw := readFile(t, fs, "/log")
+		if tc.keep > 0 {
+			raw = raw[:tc.keep]
+		}
+		writeFile(t, fs, "/log", append(raw, tc.tail...))
+		got, err := readAll(t, fs, "/log")
+		if len(got) != tc.n || (err != nil) != tc.bad || (tc.bad && !errors.Is(err, ErrCorrupt)) {
+			t.Errorf("%s: %d records, %v; want %d records, error %v", tc.name, len(got), err, tc.n, tc.bad)
+			continue
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], recs[i]) {
+				t.Errorf("%s: record %d differs", tc.name, i)
+			}
+		}
+	}
+}
+
 func TestEmptyLog(t *testing.T) {
 	fs := vfs.Mem()
 	writeLog(t, fs, "/log")
