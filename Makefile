@@ -56,15 +56,18 @@ test:
 # rule, the picker draining the staging level before L0, and the L0→L1 share
 # of the write bill on a bench-shaped tree; and the write path's allocation
 # budget — a Put, a commit with and without followers, a memtable Add, a
-# skiplist insert across slab changes, a table entry, a log record, a link
-# edit — whose bounds must not depend on GOMAXPROCS, with the pipeline's
-# writer recycling under a racing Close; and the read path's allocation
+# skiplist insert across slab changes, a table entry and a table from a warm
+# writer pool, a log record, a link, flush and merge edit, a file name —
+# whose bounds must not depend on GOMAXPROCS, with the pipeline's writer
+# recycling under a racing Close; and the WAL list each shard keeps, whose
+# entries the post-job cleanups of both workers take exactly once; and the
+# read path's allocation
 # budget — a warm 100-pair Scan, a Get that misses a full block cache, a
 # table Probe on a cached block, a block-cache Set on a full shard — whose
 # bounds must not depend on the cache's stripe count, which follows GOMAXPROCS.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup' $(TESTFLAGS) ./internal/core
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSetAllocsOnFullShard' $(TESTFLAGS) ./internal/cache
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLevelTargets|TestLDCDrainsStagingLevel|TestDebt' $(TESTFLAGS) ./internal/compaction
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead|TestWriterAddAllocs|TestProbeAllocs|TestDecodedIndexMatchesOnDisk' $(TESTFLAGS) ./internal/sstable
@@ -73,7 +76,7 @@ stress:
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestAddAllocs|TestRecordChunkEdges' $(TESTFLAGS) ./internal/memtable
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestInsertAllocs|TestTowerAtSlabBoundary|TestSlabsKeepNodesApart|TestIteratorHeldAcrossSlabChange' $(TESTFLAGS) ./internal/skiplist
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestAddRecordAllocs' $(TESTFLAGS) ./internal/wal
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLinkEditAllocs' $(TESTFLAGS) ./internal/version
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLinkEditAllocs|TestFlushEditAllocs|TestMergeEditAllocs|TestFileNamesMatchPrintf' $(TESTFLAGS) ./internal/version
 
 vet:
 	$(GO) vet $(TESTFLAGS) ./...
@@ -109,12 +112,14 @@ invariants:
 # The background engine must stay race-clean; -short skips the multi-minute
 # stress runs but still covers each shard's flush and compaction worker, the
 # read state, and the cache.
-# Then the commit pipeline's recycled writers, group and follower slice, and
-# the block cache's recycled entries, ten times at each scheduler width:
-# committers, followers and a Close racing them; Sets, Gets and EvictFiles
-# racing over a cache that recycles an entry on nearly every Set.
+# Then the commit pipeline's recycled writers, group and follower slice, the
+# block cache's recycled entries, and each shard's WAL list, ten times at
+# each scheduler width: committers, followers and a Close racing them; Sets,
+# Gets and EvictFiles racing over a cache that recycles an entry on nearly
+# every Set; post-job cleanups racing to remove the same covered WALs.
 race:
 	$(GO) test -race -short $(TESTFLAGS) ./...
+	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestWAL|TestCrashLeftWALs|TestFailedRotationWALTracked' $(TESTFLAGS) ./internal/core
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters' $(TESTFLAGS) ./internal/commit
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestRecycledEntries' $(TESTFLAGS) ./internal/cache
 

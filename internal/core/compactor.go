@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/compaction"
@@ -509,8 +511,10 @@ func (db *store) execRewrite(pick compaction.Pick) error {
 }
 
 // deleteObsoleteFiles removes table files no longer referenced by any
-// version. Called without db.mu; safe for concurrent callers (TakeObsolete
-// hands each file number to exactly one of them).
+// version, and this shard's WALs below the covered floor. Called without
+// db.mu; safe for concurrent callers: TakeObsolete hands each table number
+// to exactly one of them, and each WAL number leaves db.logs under db.mu
+// before it is removed.
 func (db *store) deleteObsoleteFiles() {
 	for _, num := range db.set.TakeObsolete() {
 		db.tables.evict(num)
@@ -518,20 +522,27 @@ func (db *store) deleteObsoleteFiles() {
 			db.stats.obsoleteDeleted.Add(1)
 		}
 	}
-	// Old WALs below the covered floor. Listing goes through this shard's
-	// name filter, so in a shared WAL directory each shard only ever
-	// touches its own SHARD-<id>-* segments.
-	nums, err := db.listLogs()
-	if err != nil {
+	// The floor never passes the live WAL.
+	floor := db.set.LogNum()
+	var buf [8]uint64
+	db.mu.Lock()
+	n, _ := slices.BinarySearch(db.logs, floor)
+	dead := append(buf[:0], db.logs[:n]...)
+	db.logs = slices.Delete(db.logs, 0, n)
+	db.mu.Unlock()
+	if len(dead) == 0 {
 		return
 	}
-	floor := db.set.LogNum()
-	db.mu.Lock()
-	cur := db.logNum
-	db.mu.Unlock()
-	for _, num := range nums {
-		if num < floor && num != cur {
-			db.fsMeta.Remove(db.logFileName(num))
+	failed := dead[:0]
+	for _, num := range dead {
+		if err := db.fsMeta.Remove(db.logFileName(num)); err != nil && !errors.Is(err, vfs.ErrNotExist) {
+			failed = append(failed, num) // the next job retries it
 		}
+	}
+	if len(failed) > 0 {
+		db.mu.Lock()
+		db.logs = append(db.logs, failed...)
+		slices.Sort(db.logs)
+		db.mu.Unlock()
 	}
 }

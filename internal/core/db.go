@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,6 +106,11 @@ type store struct {
 	logw    *wal.Writer
 	logFile vfs.File
 	logNum  uint64
+	// logs are this shard's WAL numbers on disk, ascending: listed once at
+	// Open, appended when a rotation creates a file (even one the rotation
+	// then fails to switch to), and cut by deleteObsoleteFiles, which puts
+	// back a number whose removal failed.
+	logs []uint64
 
 	// rotBoundarySeq is the highest sequence that can be in the immutable
 	// memtable (set at rotation); flushedThroughSeq is the highest sequence
@@ -288,8 +293,10 @@ func (db *store) logFileName(num uint64) string {
 }
 
 // listLogs returns the WAL segment numbers belonging to this shard that are
-// present in its WAL directory. In the sharded layout the directory holds
-// every shard's segments; names route each segment to its shard.
+// present in its WAL directory, ascending. In the sharded layout the
+// directory holds every shard's segments; names route each segment to its
+// shard. Only recovery lists: from then on the store tracks its WALs in
+// db.logs.
 func (db *store) listLogs() ([]uint64, error) {
 	names, err := db.fsMeta.List(db.walDir)
 	if err != nil {
@@ -301,6 +308,7 @@ func (db *store) listLogs() ([]uint64, error) {
 			logs = append(logs, num)
 		}
 	}
+	slices.Sort(logs)
 	return logs, nil
 }
 
@@ -322,19 +330,16 @@ func (db *store) recover() error {
 	}
 	db.mem = memtable.New(db.icmp)
 
-	all, err := db.listLogs()
+	logs, err := db.listLogs()
 	if err != nil {
 		return err
 	}
+	db.logs = logs
 	floor := db.set.LogNum()
-	var logs []uint64
-	for _, num := range all {
-		if num >= floor {
-			logs = append(logs, num)
+	for _, num := range db.logs {
+		if num < floor {
+			continue // covered by tables; removed once Open is done
 		}
-	}
-	sort.Slice(logs, func(i, j int) bool { return logs[i] < logs[j] })
-	for _, num := range logs {
 		if err := db.replayLog(num); err != nil {
 			return err
 		}
@@ -451,6 +456,10 @@ func (db *store) newLogLocked() error {
 	if err != nil {
 		return err
 	}
+	// Tracked from here, so a failure below leaves no untracked file: it is
+	// above every tracked number, and a later job removes it once the floor
+	// passes it.
+	db.logs = append(db.logs, num)
 	if db.logw != nil {
 		// The old writer may hold buffered frames; push them down before the
 		// file is closed so the retiring WAL is complete on disk.

@@ -95,8 +95,8 @@ func TestLDCFrozenFilesReleasedEventually(t *testing.T) {
 
 	v := db.shards[0].set.Current()
 	defer v.Unref()
-	// Invariant (also enforced in CheckInvariants): every frozen file is
-	// referenced by at least one slice.
+	// Invariant (also enforced when the version is built): every frozen file
+	// is referenced by at least one slice.
 	refs := map[uint64]int{}
 	for level := 1; level < version.NumLevels; level++ {
 		for _, f := range v.Sliced[level] {

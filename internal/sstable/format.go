@@ -85,11 +85,10 @@ type footer struct {
 }
 
 // encode renders the v2 footer.
-func (f footer) encode() []byte {
-	buf := make([]byte, 0, footerLenV2)
-	buf = f.filterHandle.encode(buf)
+func (f footer) encode(dst []byte) []byte {
+	buf := f.filterHandle.encode(dst)
 	buf = f.indexHandle.encode(buf)
-	for len(buf) < handlesLen {
+	for len(buf)-len(dst) < handlesLen {
 		buf = append(buf, 0)
 	}
 	buf = append(buf, byte(f.checksum))

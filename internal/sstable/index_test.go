@@ -295,7 +295,7 @@ func withIndex(t *testing.T, raw []byte, interval int, edit func([]blockHandle))
 	out = append(out, byte(compress.None))
 	out = encoding.PutFixed32(out, checksum.Sum(ftr.checksum, payload, byte(compress.None)))
 	ftr.indexHandle = blockHandle{offset: ih.offset, length: uint64(len(payload))}
-	return append(out, ftr.encode()...)
+	return ftr.encode(out)
 }
 
 // TestOpenRejectsBadIndex: an index that names a block outside the file, or

@@ -2,7 +2,10 @@ package sstable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/block"
 	"repro/internal/bloom"
@@ -75,28 +78,20 @@ type Props struct {
 }
 
 // Writer builds one table. Add keys in strictly increasing internal-key
-// order, then call Finish (or Abandon).
+// order, then call Finish.
 type Writer struct {
 	opts   WriterOptions
 	f      vfs.File
 	offset uint64
 
-	data  block.Writer
-	index block.Writer
+	// writerBufs holds the buffers that grow with the table. It comes from
+	// writerPool and goes back at Finish, and is nil after that.
+	*writerBufs
+
 	// pendingIndex defers the index entry for a finished data block until
 	// the next key is known, so a shortened separator can be used.
 	pendingHandle blockHandle
-	pendingKey    []byte
 	havePending   bool
-
-	// compressBuf is the reusable destination for per-block compression.
-	compressBuf []byte
-
-	// keyHashes holds bloom.Hash of every entry's user key, which is all the
-	// filter block is built from.
-	keyHashes []uint32
-	// trailer is writeBlock's scratch; a local would escape through f.Write.
-	trailer [blockTrailerLen]byte
 
 	// indexBlock and filter are the finished table's index and filter block
 	// contents, kept by Finish for OpenReader.
@@ -107,16 +102,38 @@ type Writer struct {
 	err   error
 }
 
+// writerBufs are a Writer's buffers. A compaction writes its tables one after
+// another, so pooling them means that only a job's first tables grow them.
+// Nothing a Writer returns aliases them: Finish copies out the index block,
+// the one a writer-built Reader pins.
+type writerBufs struct {
+	data  block.Writer
+	index block.Writer
+	// pendingKey is the last key of the block the pending index entry names.
+	pendingKey []byte
+	// compressBuf is the reusable destination for per-block compression.
+	compressBuf []byte
+	// keyHashes holds bloom.Hash of every entry's user key, which is all the
+	// filter block is built from.
+	keyHashes []uint32
+	// trailer and footer are writeBlock's and Finish's scratch; locals would
+	// escape through f.Write.
+	trailer [blockTrailerLen]byte
+	footer  [footerLenV2]byte
+}
+
+var writerPool = sync.Pool{New: func() any { return new(writerBufs) }}
+
+// errFinished is the sticky error of a Writer after Finish.
+var errFinished = errors.New("sstable: writer already finished")
+
 // NewWriter starts writing a table to f. The writer does not close f; the
 // caller owns the handle (and should Sync before Close for durability).
 func NewWriter(f vfs.File, opts WriterOptions) *Writer {
 	opts = opts.withDefaults()
-	w := &Writer{
-		opts:  opts,
-		f:     f,
-		data:  block.Writer{Interval: opts.RestartInterval},
-		index: block.Writer{Interval: 1},
-	}
+	w := &Writer{opts: opts, f: f, writerBufs: writerPool.Get().(*writerBufs)}
+	w.data.Interval = opts.RestartInterval
+	w.index.Interval = 1
 	// Reject unknown format knobs before any block hits the disk; the
 	// sticky error surfaces on the first Add or Finish.
 	if !opts.Compression.Valid() {
@@ -216,6 +233,9 @@ func (w *Writer) writeBlock(contents []byte) (blockHandle, error) {
 // EstimatedSize reports bytes written so far plus the buffered block, used
 // by compaction to cut output files at the target size.
 func (w *Writer) EstimatedSize() int64 {
+	if w.writerBufs == nil {
+		return int64(w.offset)
+	}
 	return int64(w.offset) + int64(w.data.EstimatedSize())
 }
 
@@ -223,11 +243,31 @@ func (w *Writer) EstimatedSize() int64 {
 func (w *Writer) Entries() int { return w.props.Entries }
 
 // Finish flushes everything and writes filter, index, and footer. It
-// returns the table's properties. The file is synced.
+// returns the table's properties. The file is synced. Finish returns the
+// writer's buffers to the pool, so any later Add or Finish fails.
 func (w *Writer) Finish() (Props, error) {
 	if w.err != nil {
 		return Props{}, w.err
 	}
+	props, err := w.finish()
+	w.release()
+	return props, err
+}
+
+// release returns the buffers to the pool.
+func (w *Writer) release() {
+	b := w.writerBufs
+	w.writerBufs = nil
+	if w.err == nil {
+		w.err = errFinished
+	}
+	b.data.Reset()
+	b.index.Reset()
+	b.keyHashes = b.keyHashes[:0]
+	writerPool.Put(b)
+}
+
+func (w *Writer) finish() (Props, error) {
 	w.finishDataBlock()
 	if w.havePending {
 		w.flushPendingIndex(nil)
@@ -248,15 +288,16 @@ func (w *Writer) Finish() (Props, error) {
 		ftr.filterHandle = h
 	}
 
-	w.indexBlock = w.index.Finish()
-	ih, err := w.writeBlock(w.indexBlock)
+	index := w.index.Finish()
+	ih, err := w.writeBlock(index)
 	if err != nil {
 		w.err = err
 		return Props{}, err
 	}
 	ftr.indexHandle = ih
+	w.indexBlock = slices.Clone(index)
 
-	ftrBytes := ftr.encode()
+	ftrBytes := ftr.encode(w.footer[:0])
 	if w.opts.legacyV1Footer {
 		if w.opts.Compression != compress.None || w.opts.Checksum != checksum.CRC32C {
 			w.err = fmt.Errorf("sstable: legacy v1 footer requires raw blocks and CRC32C")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/keys"
@@ -82,4 +83,40 @@ func TestWriterAddAllocs(t *testing.T) {
 	if perEntry > 0.1 {
 		t.Errorf("%.3f allocations per entry written, want <= 0.1", perEntry)
 	}
+
+	// A second table takes the buffers the first one grew from the pool, so
+	// what it allocates does not grow with it: the Writer, its smallest and
+	// largest keys, the filter, and the copy of the index block that a
+	// writer-built Reader pins. A table ten times larger allocates the same.
+	if !exactAllocs {
+		return // the race detector's sync.Pool drops items at random
+	}
+	perTable := func(entries int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			w := NewWriter(discardFile{}, WriterOptions{Cmp: icmp, BloomBitsPerKey: 10})
+			for _, ik := range ikeys[:entries] {
+				if err := w.Add(ik, value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := w.Finish(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := perTable(n/10), perTable(n)
+	t.Logf("a table from a warm pool: %.0f allocations at %d entries, %.0f at %d", small, n/10, large, n)
+	if small > 5 || large > 5 {
+		t.Errorf("a table from a warm pool allocates %.0f times at %d entries and %.0f at %d, want <= 5",
+			small, n/10, large, n)
+	}
 }
+
+// discardFile is a table file that keeps nothing.
+type discardFile struct{}
+
+func (discardFile) Write(p []byte) (int, error)           { return len(p), nil }
+func (discardFile) ReadAt(p []byte, _ int64) (int, error) { return 0, io.EOF }
+func (discardFile) Close() error                          { return nil }
+func (discardFile) Sync() error                           { return nil }
+func (discardFile) Size() (int64, error)                  { return 0, nil }

@@ -103,8 +103,10 @@ func (e *Edit) AddSlice(level int, fileNum uint64, s Slice) {
 }
 
 // Encode serializes the edit as one MANIFEST record.
-func (e *Edit) Encode() []byte {
-	var b []byte
+func (e *Edit) Encode() []byte { return e.AppendEncoded(nil) }
+
+// AppendEncoded appends the edit's MANIFEST record to b.
+func (e *Edit) AppendEncoded(b []byte) []byte {
 	if e.ComparerName != "" {
 		b = encoding.PutUvarint(b, tagComparer)
 		b = encoding.PutLengthPrefixed(b, []byte(e.ComparerName))
@@ -184,6 +186,16 @@ func (d *editDecoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// level reads a level number, which indexes fixed arrays in the builder and
+// the Set, so one out of range is corruption.
+func (d *editDecoder) level() (int, error) {
+	v, err := d.uvarint()
+	if err == nil && v >= NumLevels {
+		err = fmt.Errorf("%w: level %d", ErrCorruptEdit, v)
+	}
+	return int(v), err
+}
+
 func (d *editDecoder) bytes() ([]byte, error) {
 	v, n := encoding.GetLengthPrefixed(d.b)
 	if n == 0 {
@@ -257,7 +269,7 @@ func DecodeEdit(data []byte) (*Edit, error) {
 			}
 			e.SetNextLinkSeq(v)
 		case tagCompactPointer:
-			lvl, err := d.uvarint()
+			lvl, err := d.level()
 			if err != nil {
 				return nil, err
 			}
@@ -266,9 +278,9 @@ func DecodeEdit(data []byte) (*Edit, error) {
 				return nil, err
 			}
 			e.CompactPointers = append(e.CompactPointers,
-				CompactPointer{Level: int(lvl), Key: k})
+				CompactPointer{Level: lvl, Key: k})
 		case tagDeletedFile:
-			lvl, err := d.uvarint()
+			lvl, err := d.level()
 			if err != nil {
 				return nil, err
 			}
@@ -276,9 +288,9 @@ func DecodeEdit(data []byte) (*Edit, error) {
 			if err != nil {
 				return nil, err
 			}
-			e.DeleteFile(int(lvl), num)
+			e.DeleteFile(lvl, num)
 		case tagNewFile:
-			lvl, err := d.uvarint()
+			lvl, err := d.level()
 			if err != nil {
 				return nil, err
 			}
@@ -312,7 +324,7 @@ func DecodeEdit(data []byte) (*Edit, error) {
 				}
 				fm.Slices = append(fm.Slices, sl)
 			}
-			e.AddFile(int(lvl), fm)
+			e.AddFile(lvl, fm)
 		case tagFrozenFile:
 			fm := &FrozenMeta{}
 			var err error
@@ -336,7 +348,7 @@ func DecodeEdit(data []byte) (*Edit, error) {
 			fm.Largest = l
 			e.FreezeFile(fm)
 		case tagNewSlice:
-			lvl, err := d.uvarint()
+			lvl, err := d.level()
 			if err != nil {
 				return nil, err
 			}
@@ -348,7 +360,7 @@ func DecodeEdit(data []byte) (*Edit, error) {
 			if err != nil {
 				return nil, err
 			}
-			e.AddSlice(int(lvl), num, sl)
+			e.AddSlice(lvl, num, sl)
 		default:
 			return nil, fmt.Errorf("%w: unknown tag %d", ErrCorruptEdit, tag)
 		}

@@ -1,7 +1,6 @@
 package version
 
 import (
-	"fmt"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -22,17 +21,17 @@ const (
 
 // TableFileName returns the path of table file num.
 func TableFileName(dir string, num uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%06d.sst", num))
+	return numberedPath(dir, "", -1, num, ".sst")
 }
 
 // LogFileName returns the path of WAL file num.
 func LogFileName(dir string, num uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%06d.log", num))
+	return numberedPath(dir, "", -1, num, ".log")
 }
 
 // ManifestFileName returns the path of MANIFEST file num.
 func ManifestFileName(dir string, num uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("MANIFEST-%06d", num))
+	return numberedPath(dir, "MANIFEST-", -1, num, "")
 }
 
 // CurrentFileName returns the path of the CURRENT pointer file.
@@ -42,7 +41,43 @@ func CurrentFileName(dir string) string {
 
 // TempFileName returns a scratch path for atomic replacement of CURRENT.
 func TempFileName(dir string, num uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%06d.tmp", num))
+	return numberedPath(dir, "", -1, num, ".tmp")
+}
+
+// numberedPath returns filepath.Join(dir, name) for the file name
+// prefix[shard-]NNNNNN suffix, where the shard number (left out when
+// negative) is unpadded and num is padded to six digits, as "%d-%06d" would
+// print them. A table, a log or a MANIFEST is named on every job, so the path
+// is built in one allocation; a dir that filepath.Join would clean takes the
+// general route.
+func numberedPath(dir, prefix string, shard int, num uint64, suffix string) string {
+	var shardBuf, numBuf [20]byte
+	var sh []byte
+	if shard >= 0 {
+		sh = strconv.AppendInt(shardBuf[:0], int64(shard), 10)
+	}
+	digits := strconv.AppendUint(numBuf[:0], num, 10)
+	pad := max(0, 6-len(digits))
+	join := dir != "" && dir != "." && dir[len(dir)-1] != filepath.Separator && filepath.Clean(dir) == dir
+
+	var b strings.Builder
+	b.Grow(len(dir) + 1 + len(prefix) + len(sh) + 1 + pad + len(digits) + len(suffix))
+	if join {
+		b.WriteString(dir)
+		b.WriteByte(filepath.Separator)
+	}
+	b.WriteString(prefix)
+	if sh != nil {
+		b.Write(sh)
+		b.WriteByte('-')
+	}
+	b.WriteString("000000"[:pad])
+	b.Write(digits)
+	b.WriteString(suffix)
+	if !join {
+		return filepath.Join(dir, b.String())
+	}
+	return b.String()
 }
 
 // ParseFileName classifies a bare file name, returning its type and number
@@ -85,7 +120,7 @@ func ParseFileName(name string) (FileType, uint64) {
 // shard's log tail with a single listing and route each segment to its
 // shard by name. The single-shard (legacy) layout keeps LogFileName.
 func ShardLogFileName(dir string, sh int, num uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("SHARD-%d-%06d.log", sh, num))
+	return numberedPath(dir, "SHARD-", sh, num, ".log")
 }
 
 // ParseShardLogName parses a bare "SHARD-<shard>-<num>.log" name produced

@@ -12,7 +12,7 @@ import (
 // TestQuickBuilderNeverCorrupts applies random sequences of well-formed
 // edits (adds into free ranges, deletes, freeze+link, merge-style
 // replace) and asserts the builder always yields a version satisfying
-// CheckInvariants, with Sliced/Frozen derived consistently.
+// the builder's checks, with Sliced/Frozen derived consistently.
 func TestQuickBuilderNeverCorrupts(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -79,10 +79,8 @@ func TestQuickBuilderNeverCorrupts(t *testing.T) {
 				nextLink++
 				delete(occupied[1], l1slot)
 			}
-			b := newBuilder(icmp, v)
-			b.apply(e)
-			nv, _ := b.finish()
-			if err := nv.CheckInvariants(); err != nil {
+			nv, err := applyEdit(v, e)
+			if err != nil {
 				t.Logf("seed %d step %d: %v", seed, step, err)
 				return false
 			}

@@ -49,6 +49,11 @@ type Set struct {
 	manifest     *wal.Writer
 	manifestFile vfs.File
 	manifestNum  uint64
+
+	// b and rec are LogAndApply's builder and MANIFEST record buffer, reused
+	// from edit to edit under logMu (and by Recover before any edit).
+	b   *builder
+	rec []byte
 }
 
 // NewSet creates a Set rooted at dir. Call Create for a fresh database or
@@ -61,6 +66,7 @@ func NewSet(fs vfs.FS, dir string, icmp keys.InternalComparer) *Set {
 		fileRefs:    map[uint64]int{},
 		nextFileNum: 2,
 		nextLinkSeq: 1,
+		b:           newBuilder(icmp),
 	}
 	s.logMu.Rank("version.set.logMu", 40)
 	s.mu.Rank("version.set.mu", 45)
@@ -185,25 +191,22 @@ func (s *Set) Recover() error {
 					e.ComparerName, s.icmp.User.Name())
 			}
 		}
-		b := newBuilder(s.icmp, base)
-		b.apply(e)
-		base, _ = b.finish()
+		s.b.reset(base)
+		s.b.apply(e)
+		if base, err = s.b.finish(); err != nil {
+			return fmt.Errorf("version: manifest describes an invalid version: %w", err)
+		}
 		s.applyAllocators(e)
 	}
 	if !sawComparer {
 		return errors.New("version: manifest missing comparer record")
-	}
-	if err := base.CheckInvariants(); err != nil {
-		return err
 	}
 
 	s.mu.Lock()
 	base.set = s
 	s.current = base
 	s.current.Ref()
-	for _, num := range base.allFileNums() {
-		s.fileRefs[num]++
-	}
+	base.eachFileNum(func(num uint64) { s.fileRefs[num]++ })
 	s.mu.Unlock()
 
 	// Continue in a fresh MANIFEST so the old one can be dropped.
@@ -364,15 +367,16 @@ func (s *Set) LogAndApply(e *Edit) error {
 	base := s.current
 	s.mu.Unlock()
 
-	b := newBuilder(s.icmp, base)
-	b.apply(e)
-	nv, _ := b.finish()
-	nv.set = s
-	if err := nv.CheckInvariants(); err != nil {
+	s.b.reset(base)
+	s.b.apply(e)
+	nv, err := s.b.finish()
+	if err != nil {
 		return fmt.Errorf("version: edit produces invalid version: %w", err)
 	}
+	nv.set = s
 
-	if err := s.manifest.AddRecord(e.Encode()); err != nil {
+	s.rec = e.AppendEncoded(s.rec[:0])
+	if err := s.manifest.AddRecord(s.rec); err != nil {
 		return err
 	}
 	// logMu is held across the MANIFEST fsync by design: it exists precisely
@@ -392,9 +396,7 @@ func (s *Set) LogAndApply(e *Edit) error {
 		s.logNum = e.LogNum
 	}
 	// Acquire refs for the new version's files before dropping the old's.
-	for _, num := range nv.allFileNums() {
-		s.fileRefs[num]++
-	}
+	nv.eachFileNum(func(num uint64) { s.fileRefs[num]++ })
 	old := s.current
 	s.current = nv
 	nv.Ref()
@@ -410,7 +412,7 @@ func (s *Set) LogAndApply(e *Edit) error {
 func (s *Set) releaseVersionFiles(v *Version) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, num := range v.allFileNums() {
+	v.eachFileNum(func(num uint64) {
 		s.fileRefs[num]--
 		if s.fileRefs[num] == 0 {
 			delete(s.fileRefs, num)
@@ -418,7 +420,7 @@ func (s *Set) releaseVersionFiles(v *Version) {
 		} else if s.fileRefs[num] < 0 {
 			panic(fmt.Sprintf("version: file %06d refcount below zero", num))
 		}
-	}
+	})
 }
 
 // TakeObsolete returns and clears the list of table files no longer

@@ -6,11 +6,8 @@ import "repro/internal/keys"
 // validating invariants. It exists for other packages' unit tests, which
 // need synthetic versions without a Set or MANIFEST.
 func BuildForTest(icmp keys.InternalComparer, e *Edit) (*Version, error) {
-	b := newBuilder(icmp, NewVersion(icmp))
+	b := newBuilder(icmp)
+	b.reset(NewVersion(icmp))
 	b.apply(e)
-	v, _ := b.finish()
-	if err := v.CheckInvariants(); err != nil {
-		return nil, err
-	}
-	return v, nil
+	return b.finish()
 }

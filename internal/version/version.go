@@ -1,8 +1,6 @@
 package version
 
 import (
-	"cmp"
-	"fmt"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -28,6 +26,9 @@ type Version struct {
 	// immutable: the read path finds the windows that cover a key, or that a
 	// scan is about to enter, without walking the rest.
 	Windows [NumLevels]Windows
+
+	// dupFrozen is DuplicatedFrozenBytes, fixed when the version is built.
+	dupFrozen int64
 
 	refs atomic.Int32
 	set  *Set // for file refcount release; nil in standalone tests
@@ -95,27 +96,9 @@ func (v *Version) FrozenBytes() int64 {
 // DuplicatedFrozenBytes estimates the *true* space overhead of the frozen
 // region: the portions of frozen files whose slices were already merged
 // down (the paper's "gray slices", §III-D) and therefore exist twice. The
-// not-yet-merged remainder of a frozen file is live data, not overhead.
-func (v *Version) DuplicatedFrozenBytes() int64 {
-	if len(v.Frozen) == 0 {
-		return 0
-	}
-	outstanding := map[uint64]int64{}
-	for level := 1; level < NumLevels; level++ {
-		for _, f := range v.Sliced[level] {
-			for i := range f.Slices {
-				outstanding[f.Slices[i].FrozenNum] += f.Slices[i].Bytes
-			}
-		}
-	}
-	var dup int64
-	for num, fm := range v.Frozen {
-		if d := fm.Size - outstanding[num]; d > 0 {
-			dup += d
-		}
-	}
-	return dup
-}
+// not-yet-merged remainder of a frozen file is live data, not overhead. The
+// builder computes it once per version from its slice tally.
+func (v *Version) DuplicatedFrozenBytes() int64 { return v.dupFrozen }
 
 // SliceCount sums attached slices across a level.
 func (v *Version) SliceCount(level int) int {
@@ -209,170 +192,15 @@ func (v *Version) FindFile(level int, ukey []byte) *FileMeta {
 	return files[i]
 }
 
-// allFileNums lists every table file (level + frozen) in the version.
-func (v *Version) allFileNums() []uint64 {
-	var nums []uint64
+// eachFileNum calls fn with the number of every table file (level and
+// frozen) in the version.
+func (v *Version) eachFileNum(fn func(num uint64)) {
 	for _, lvl := range v.Levels {
 		for _, f := range lvl {
-			nums = append(nums, f.Num)
+			fn(f.Num)
 		}
 	}
 	for num := range v.Frozen {
-		nums = append(nums, num)
+		fn(num)
 	}
-	return nums
-}
-
-// CheckInvariants validates level ordering (levels >= 1 hold disjoint files)
-// and slice consistency. The Set runs it on every edit and on recovery, so a
-// MANIFEST describing overlapping files is an error, never a served tree.
-func (v *Version) CheckInvariants() error {
-	ucmp := v.icmp.User
-	for level := 1; level < NumLevels; level++ {
-		files := v.Levels[level]
-		for i := range files {
-			if v.icmp.Compare(files[i].Smallest, files[i].Largest) > 0 {
-				return fmt.Errorf("L%d file %06d: smallest > largest", level, files[i].Num)
-			}
-			if i > 0 && ucmp.Compare(files[i-1].Largest.UserKey(), files[i].Smallest.UserKey()) >= 0 {
-				return fmt.Errorf("L%d files %06d and %06d overlap",
-					level, files[i-1].Num, files[i].Num)
-			}
-			for _, s := range files[i].Slices {
-				if _, ok := v.Frozen[s.FrozenNum]; !ok {
-					return fmt.Errorf("L%d file %06d: slice references missing frozen file %06d",
-						level, files[i].Num, s.FrozenNum)
-				}
-			}
-		}
-	}
-	// Every frozen file must be referenced by at least one slice.
-	refs := map[uint64]int{}
-	for level := 1; level < NumLevels; level++ {
-		for _, f := range v.Levels[level] {
-			for _, s := range f.Slices {
-				refs[s.FrozenNum]++
-			}
-		}
-	}
-	for num := range v.Frozen {
-		if refs[num] == 0 {
-			return fmt.Errorf("frozen file %06d has no referencing slices", num)
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Builder
-
-// builder accumulates one edit's effect on a base version.
-type builder struct {
-	icmp    keys.InternalComparer
-	base    *Version
-	deleted map[uint64]bool
-	added   [NumLevels][]*FileMeta
-	slices  map[uint64][]Slice // fileNum -> slices to append
-	frozen  []*FrozenMeta
-}
-
-func newBuilder(icmp keys.InternalComparer, base *Version) *builder {
-	return &builder{
-		icmp:    icmp,
-		base:    base,
-		deleted: map[uint64]bool{},
-		slices:  map[uint64][]Slice{},
-	}
-}
-
-func (b *builder) apply(e *Edit) {
-	for _, df := range e.DeletedFiles {
-		b.deleted[df.Num] = true
-	}
-	for _, nf := range e.NewFiles {
-		b.added[nf.Level] = append(b.added[nf.Level], nf.Meta)
-	}
-	for _, ns := range e.NewSlices {
-		b.slices[ns.FileNum] = append(b.slices[ns.FileNum], ns.Slice)
-	}
-	b.frozen = append(b.frozen, e.FrozenFiles...)
-}
-
-// finish builds the resulting version. Frozen files whose referencing
-// slices all disappeared are dropped (their numbers are returned so the Set
-// can release them).
-func (b *builder) finish() (*Version, []uint64) {
-	// The maps are sized from the base version and the sliced lists counted
-	// before they are made: an edit changes a handful of files, and growing
-	// these entry by entry was most of what applying it allocated.
-	v := &Version{icmp: b.icmp, Frozen: make(map[uint64]*FrozenMeta, len(b.base.Frozen)+len(b.frozen))}
-	for level := 0; level < NumLevels; level++ {
-		files := make([]*FileMeta, 0, len(b.base.Levels[level])+len(b.added[level]))
-		for _, f := range b.base.Levels[level] {
-			if !b.deleted[f.Num] {
-				files = append(files, f)
-			}
-		}
-		files = append(files, b.added[level]...)
-		// Attach pending slices by replacing metas.
-		for i, f := range files {
-			if add, ok := b.slices[f.Num]; ok {
-				merged := make([]Slice, 0, len(f.Slices)+len(add))
-				merged = append(merged, f.Slices...)
-				merged = append(merged, add...)
-				files[i] = f.withSlices(merged)
-			}
-		}
-		if level == 0 {
-			slices.SortFunc(files, func(x, y *FileMeta) int { return cmp.Compare(x.Num, y.Num) })
-		} else {
-			slices.SortFunc(files, func(x, y *FileMeta) int { return b.icmp.Compare(x.Smallest, y.Smallest) })
-		}
-		v.Levels[level] = files
-		sliced := 0
-		for _, f := range files {
-			if len(f.Slices) > 0 {
-				sliced++
-			}
-		}
-		if sliced > 0 {
-			v.Sliced[level] = make([]*FileMeta, 0, sliced)
-			for _, f := range files {
-				if len(f.Slices) > 0 {
-					v.Sliced[level] = append(v.Sliced[level], f)
-				}
-			}
-		}
-		if slices.Equal(v.Sliced[level], b.base.Sliced[level]) {
-			// The edit left this level's links alone (metas are replaced when
-			// a slice is attached), so the base's index still describes them.
-			v.Windows[level] = b.base.Windows[level]
-		} else {
-			v.Windows[level] = newWindows(b.icmp.User, v.Sliced[level])
-		}
-	}
-
-	// Frozen set: carry over base + newly frozen, then drop unreferenced.
-	for num, fm := range b.base.Frozen {
-		v.Frozen[num] = fm
-	}
-	for _, fm := range b.frozen {
-		v.Frozen[fm.Num] = fm
-	}
-	refs := make(map[uint64]int, len(v.Frozen))
-	for level := 1; level < NumLevels; level++ {
-		for _, f := range v.Sliced[level] {
-			for i := range f.Slices {
-				refs[f.Slices[i].FrozenNum]++
-			}
-		}
-	}
-	var droppedFrozen []uint64
-	for num := range v.Frozen {
-		if refs[num] == 0 {
-			delete(v.Frozen, num)
-			droppedFrozen = append(droppedFrozen, num)
-		}
-	}
-	return v, droppedFrozen
 }

@@ -28,6 +28,7 @@ type ErrFS struct {
 	mu        sync.Mutex
 	writeOps  int64
 	syncHook  func(name string) error // consulted at the top of every File.Sync
+	rmHook    func(name string) error // consulted at the top of every Remove
 	readHook  func(name string, off int64, n int) (int, error)
 	tornFiles map[string]int // name -> bytes to drop from the tail at Close
 }
@@ -61,6 +62,15 @@ func (e *ErrFS) Disarm() { e.armed.Store(false) }
 func (e *ErrFS) SetSyncHook(fn func(name string) error) {
 	e.mu.Lock()
 	e.syncHook = fn
+	e.mu.Unlock()
+}
+
+// SetRemoveHook installs fn, called with the name at the start of every
+// Remove before fault accounting or delegation; an error it returns fails
+// that Remove, and the file stays. nil removes the hook.
+func (e *ErrFS) SetRemoveHook(fn func(name string) error) {
+	e.mu.Lock()
+	e.rmHook = fn
 	e.mu.Unlock()
 }
 
@@ -192,6 +202,14 @@ func (e *ErrFS) Open(name string) (File, error) {
 
 // Remove implements FS.
 func (e *ErrFS) Remove(name string) error {
+	e.mu.Lock()
+	hook := e.rmHook
+	e.mu.Unlock()
+	if hook != nil {
+		if err := hook(name); err != nil {
+			return err
+		}
+	}
 	if e.step() {
 		return e.FailErr
 	}

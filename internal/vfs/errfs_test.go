@@ -205,3 +205,34 @@ func TestErrFSReadHookFailsAndShortens(t *testing.T) {
 		t.Fatalf("read after the hook is removed = %d %v", n, err)
 	}
 }
+
+func TestRemoveHookFailsRemove(t *testing.T) {
+	efs := NewErrFS(Mem())
+	for _, name := range []string{"/dir/a.log", "/dir/b.log"} {
+		f, err := efs.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = f.Close()
+	}
+	boom := errors.New("injected remove failure")
+	efs.SetRemoveHook(func(name string) error {
+		if name == "/dir/a.log" {
+			return boom
+		}
+		return nil
+	})
+	if err := efs.Remove("/dir/a.log"); err != boom {
+		t.Fatalf("Remove of the named file = %v, want the injected error", err)
+	}
+	if !efs.Exists("/dir/a.log") {
+		t.Fatal("a failed Remove deleted the file")
+	}
+	if err := efs.Remove("/dir/b.log"); err != nil || efs.Exists("/dir/b.log") {
+		t.Fatalf("Remove of another file = %v, exists %v", err, efs.Exists("/dir/b.log"))
+	}
+	efs.SetRemoveHook(nil)
+	if err := efs.Remove("/dir/a.log"); err != nil || efs.Exists("/dir/a.log") {
+		t.Fatalf("Remove after the hook is gone = %v", err)
+	}
+}
