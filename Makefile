@@ -16,11 +16,11 @@ TESTFLAGS := $(TAGFLAGS) $(GOFLAGS)
 unexport GOFLAGS
 unexport TAGS
 
-# ldclint is the repo's custom vettool (tools/ldclint): five analyzers that
-# machine-check the engine's concurrency invariants (I/O under mutex,
-# unbalanced refcounts, mixed atomic/plain field access, dropped errors from
-# durability-critical Close/Sync, and whole-program lock acquisition order
-# against the //ldclint:lockrank catalog). Built from source on demand.
+# ldclint is the repo's custom vettool (tools/ldclint): two analyzers that
+# machine-check the engine's rules with a recorded catch (I/O under a mutex,
+# dropped errors from durability-critical Close/Sync). Lock order is checked
+# at run time by `make invariants`, against each lock's Rank call. Built from
+# source on demand.
 LDCLINT := bin/ldclint
 
 .PHONY: all build test stress vet fmt-check lint invariants race fuzz-smoke bench bench-spine-smoke bench-smoke bench-read bench-format bench-shards bench-blob exhibits-smoke loc run-server server-smoke ci
@@ -161,10 +161,10 @@ bench-smoke:
 bench-read:
 	$(GO) test -race -run XXX -bench 'BenchmarkGetConcurrent|BenchmarkGetCacheHit|BenchmarkScan100$$' -benchtime 1x -benchmem $(TESTFLAGS) ./internal/core
 
-# One race-checked pass over the format exhibit (raw vs flate vs lz4
-# fill/scan/footprint): exercises every codec and checksum through flush,
-# compaction, and the block cache without measuring anything. Real numbers
-# live in EXPERIMENTS.json.
+# One race-checked pass over the format exhibit (raw vs lz4
+# fill/scan/footprint): exercises the codec through flush, compaction, and
+# the block cache without measuring anything. Real numbers live in
+# EXPERIMENTS.json.
 bench-format:
 	$(GO) test -race -run XXX -bench 'BenchmarkExhibit/format$$' -benchtime 1x $(TESTFLAGS) .
 

@@ -39,7 +39,6 @@ type Cache struct {
 
 // shard is one lock stripe: the original single-mutex LRU.
 type shard struct {
-	//ldclint:lockrank cache.shard.mu 70
 	mu       invariants.Mutex
 	capacity int64
 	used     int64

@@ -13,9 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
+	"repro/internal/invariants"
 	"repro/internal/resp"
 )
 
@@ -24,8 +24,7 @@ var ErrNil = errors.New("client: nil reply")
 
 // Client is one connection to the server.
 type Client struct {
-	//ldclint:lockrank client.client.mu 12
-	mu sync.Mutex
+	mu invariants.Mutex
 	nc net.Conn
 	r  *resp.Reader
 	w  *resp.Writer
@@ -47,7 +46,9 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	return &Client{nc: nc, r: resp.NewReader(nc), w: resp.NewWriter(nc)}, nil
+	c := &Client{nc: nc, r: resp.NewReader(nc), w: resp.NewWriter(nc)}
+	c.mu.Rank("client.client.mu", 12)
+	return c, nil
 }
 
 // Close tears the connection down. The socket is closed outside c.mu so a

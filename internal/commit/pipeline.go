@@ -67,7 +67,6 @@ type Pipeline struct {
 	maxBytes  int
 	closedErr error
 
-	//ldclint:lockrank commit.pipeline.mu 35
 	mu      invariants.Mutex
 	cond    *sync.Cond
 	queue   []*writer // waiting committers; queue[0] is the next leader

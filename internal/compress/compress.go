@@ -4,19 +4,19 @@
 // trailer's type byte, so one table may legitimately mix codecs: every
 // block that fails to earn its keep is stored raw.
 //
-// Two real codecs exist behind the Kind byte:
+// One real codec exists behind the Kind byte: LZ4, a from-scratch LZ4-class
+// byte-oriented codec (greedy hash-table match finder, literal/match token
+// stream). Kind 1 was stdlib DEFLATE, deleted because it compressed less and
+// filled slower than LZ4 in the format exhibit; a block that names it fails
+// to decode.
 //
-//   - Flate: stdlib DEFLATE at BestSpeed — the density option.
-//   - LZ4: a from-scratch LZ4-class byte-oriented codec (greedy hash-table
-//     match finder, literal/match token stream) — the speed option.
-//
-// Compress applies the incompressible-block bailout for both: unless the
+// Compress applies the incompressible-block bailout: unless the
 // encoded form saves at least 1/8th (12.5%) of the input, the block is
 // stored raw, so high-entropy data (Bloom filters, already-compressed
 // values) never pays a decompression tax on read.
 //
 // Kind values are part of the on-disk format (the block trailer type byte)
-// and must never be renumbered.
+// and must never be renumbered or reused.
 package compress
 
 import (
@@ -34,24 +34,22 @@ const (
 	// None stores blocks raw (the default, and the fallback when a block is
 	// incompressible).
 	None Kind = 0
-	// Flate is stdlib DEFLATE at BestSpeed.
-	Flate Kind = 1
+	// removedFlate is reserved: blocks written with DEFLATE no longer decode.
+	removedFlate Kind = 1
 	// LZ4 is the from-scratch LZ4-class codec in this package.
 	LZ4 Kind = 2
-
-	numKinds = 3
 )
 
-// Valid reports whether k names a known codec.
-func (k Kind) Valid() bool { return k < numKinds }
+// Valid reports whether k names a codec this build can decode.
+func (k Kind) Valid() bool { return k == None || k == LZ4 }
 
 // String names the codec for options, stats, and errors.
 func (k Kind) String() string {
 	switch k {
 	case None:
 		return "none"
-	case Flate:
-		return "flate"
+	case removedFlate:
+		return "flate (removed)"
 	case LZ4:
 		return "lz4"
 	default:
@@ -71,31 +69,22 @@ var ErrCorrupt = errors.New("compress: corrupt payload")
 const maxDecodedLen = 1 << 28
 
 // Compress encodes src with codec k into a payload for a block of the
-// returned kind. When k is None, or the encoded form does not save at
+// returned kind. When k is not LZ4, or the encoded form does not save at
 // least 1/8th of src, src itself is returned with kind None — the caller
-// stores the block raw. For Flate and LZ4 the payload is
-// uvarint(len(src)) || stream, so Decompress can size its output exactly.
+// stores the block raw. An LZ4 payload is uvarint(len(src)) || stream, so
+// Decompress can size its output exactly.
 // scratch, if non-nil, may be used as the output buffer (the table writer
 // reuses one across blocks); the returned slice aliases either scratch or
 // src and is only valid until the next call with the same scratch.
 func Compress(k Kind, scratch, src []byte) ([]byte, Kind) {
-	if k == None || len(src) == 0 {
+	if k != LZ4 || len(src) == 0 {
 		return src, None
 	}
 	// Bail out unless the encoding saves >= 1/8th of the input. The encoder
 	// is handed a budget-capped destination so it can abandon an
 	// incompressible block early instead of finishing a too-big encoding.
 	budget := len(src) - len(src)/8
-	dst := encoding.PutUvarint(scratch[:0], uint64(len(src)))
-	var ok bool
-	switch k {
-	case Flate:
-		dst, ok = flateCompress(dst, src, budget)
-	case LZ4:
-		dst, ok = lz4Compress(dst, src, budget)
-	default:
-		return src, None
-	}
+	dst, ok := lz4Compress(encoding.PutUvarint(scratch[:0], uint64(len(src))), src, budget)
 	if !ok || len(dst) > budget {
 		return src, None
 	}
@@ -112,7 +101,7 @@ func Decompress(k Kind, payload []byte) ([]byte, error) {
 		return payload, nil
 	}
 	if !k.Valid() {
-		return nil, fmt.Errorf("%w: unknown codec %d", ErrCorrupt, uint8(k))
+		return nil, fmt.Errorf("%w: unsupported codec %v", ErrCorrupt, k)
 	}
 	rawLen, n := encoding.Uvarint(payload)
 	if n <= 0 {
@@ -126,12 +115,6 @@ func Decompress(k Kind, payload []byte) ([]byte, error) {
 	if rawLen > maxDecodedLen {
 		return nil, fmt.Errorf("%w: claimed length %d exceeds limit", ErrCorrupt, rawLen)
 	}
-	stream := payload[n:]
 	dst := make([]byte, rawLen)
-	switch k {
-	case Flate:
-		return dst, flateDecompress(dst, stream)
-	default:
-		return dst, lz4Decompress(dst, stream)
-	}
+	return dst, lz4Decompress(dst, payload[n:])
 }

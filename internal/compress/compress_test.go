@@ -39,7 +39,7 @@ func corpus() map[string][]byte {
 }
 
 func TestRoundTrip(t *testing.T) {
-	for _, kind := range []Kind{None, Flate, LZ4} {
+	for _, kind := range []Kind{None, LZ4} {
 		for name, src := range corpus() {
 			payload, got := Compress(kind, nil, src)
 			if kind == None && got != None {
@@ -61,30 +61,26 @@ func TestRoundTrip(t *testing.T) {
 
 func TestCompressibleInputsShrink(t *testing.T) {
 	c := corpus()
-	for _, kind := range []Kind{Flate, LZ4} {
-		for _, name := range []string{"text", "longtext", "runs", "block4k"} {
-			src := c[name]
-			payload, got := Compress(kind, nil, src)
-			if got != kind {
-				t.Errorf("%v/%s: bailed out to %v on compressible input", kind, name, got)
-				continue
-			}
-			if len(payload) > len(src)-len(src)/8 {
-				t.Errorf("%v/%s: payload %d bytes does not clear the 12.5%% savings bar on %d",
-					kind, name, len(payload), len(src))
-			}
+	for _, name := range []string{"text", "longtext", "runs", "block4k"} {
+		src := c[name]
+		payload, got := Compress(LZ4, nil, src)
+		if got != LZ4 {
+			t.Errorf("%s: bailed out to %v on compressible input", name, got)
+			continue
+		}
+		if len(payload) > len(src)-len(src)/8 {
+			t.Errorf("%s: payload %d bytes does not clear the 12.5%% savings bar on %d",
+				name, len(payload), len(src))
 		}
 	}
 }
 
 func TestIncompressibleBailout(t *testing.T) {
 	c := corpus()
-	for _, kind := range []Kind{Flate, LZ4} {
-		for _, name := range []string{"noise", "noise4k", "one", "short", "empty"} {
-			if payload, got := Compress(kind, nil, c[name]); got != None {
-				t.Errorf("%v/%s: stored compressed (%d bytes for %d) instead of bailing to raw",
-					kind, name, len(payload), len(c[name]))
-			}
+	for _, name := range []string{"noise", "noise4k", "one", "short", "empty"} {
+		if payload, got := Compress(LZ4, nil, c[name]); got != None {
+			t.Errorf("%s: stored compressed (%d bytes for %d) instead of bailing to raw",
+				name, len(payload), len(c[name]))
 		}
 	}
 }
@@ -113,40 +109,45 @@ func TestScratchReuse(t *testing.T) {
 
 func TestDecompressCorruptInputs(t *testing.T) {
 	src := bytes.Repeat([]byte("abcdefgh12345678"), 512)
-	for _, kind := range []Kind{Flate, LZ4} {
-		payload, got := Compress(kind, nil, src)
-		if got != kind {
-			t.Fatalf("%v: expected compression to engage", kind)
+	payload, got := Compress(LZ4, nil, src)
+	if got != LZ4 {
+		t.Fatal("expected compression to engage")
+	}
+	t.Run(LZ4.String(), func(t *testing.T) {
+		for cut := 0; cut < len(payload); cut += 1 + len(payload)/97 {
+			if _, err := Decompress(LZ4, payload[:cut]); err == nil {
+				t.Fatalf("truncation to %d bytes decoded cleanly", cut)
+			} else if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("truncation to %d: got %v, want ErrCorrupt", cut, err)
+			}
 		}
-		t.Run(kind.String(), func(t *testing.T) {
-			for cut := 0; cut < len(payload); cut += 1 + len(payload)/97 {
-				if _, err := Decompress(kind, payload[:cut]); err == nil {
-					t.Fatalf("truncation to %d bytes decoded cleanly", cut)
-				} else if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("truncation to %d: got %v, want ErrCorrupt", cut, err)
-				}
-			}
-			// A length header that disagrees with the stream must be caught.
-			grown := append([]byte{0xff, 0xff, 0x03}, payload[1:]...)
-			if out, err := Decompress(kind, grown); err == nil && len(out) != len(src) {
-				t.Fatalf("forged length header accepted: %d bytes out", len(out))
-			}
-		})
+		// A length header that disagrees with the stream must be caught.
+		grown := append([]byte{0xff, 0xff, 0x03}, payload[1:]...)
+		if out, err := Decompress(LZ4, grown); err == nil && len(out) != len(src) {
+			t.Fatalf("forged length header accepted: %d bytes out", len(out))
+		}
+		if _, err := Decompress(LZ4, nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("empty payload: got %v, want ErrCorrupt", err)
+		}
+	})
+	// The removed DEFLATE codec's kind decodes nothing, and says so.
+	if _, err := Decompress(removedFlate, payload); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "flate (removed)") {
+		t.Fatalf("flate kind: got %v, want ErrCorrupt naming the removed codec", err)
 	}
 	if _, err := Decompress(Kind(9), []byte{1, 2, 3}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unknown kind: got %v, want ErrCorrupt", err)
 	}
-	if _, err := Decompress(LZ4, nil); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("empty payload: got %v, want ErrCorrupt", err)
-	}
 }
 
 func TestKindStringsAndValidity(t *testing.T) {
-	cases := map[Kind]string{None: "none", Flate: "flate", LZ4: "lz4"}
+	cases := map[Kind]string{None: "none", LZ4: "lz4"}
 	for k, want := range cases {
 		if !k.Valid() || k.String() != want {
 			t.Errorf("kind %d: valid=%v string=%q", k, k.Valid(), k)
 		}
+	}
+	if removedFlate.Valid() || removedFlate.String() != "flate (removed)" {
+		t.Errorf("kind 1: valid=%v string=%q, want the reserved removed codec", removedFlate.Valid(), removedFlate)
 	}
 	if Kind(3).Valid() || Kind(255).Valid() {
 		t.Error("out-of-range kinds report valid")
@@ -173,14 +174,5 @@ func BenchmarkLZ4Decompress4K(b *testing.B) {
 		if _, err := Decompress(kind, payload); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkFlateCompress4K(b *testing.B) {
-	src := corpus()["block4k"]
-	b.SetBytes(int64(len(src)))
-	var scratch []byte
-	for i := 0; i < b.N; i++ {
-		scratch, _ = Compress(Flate, scratch, src)
 	}
 }

@@ -6,9 +6,8 @@ import (
 	"testing"
 )
 
-// FuzzLZ4Decode feeds arbitrary bytes to the LZ4-class decoder (and, for
-// coverage, the flate path) as both the framed payload and the bare
-// stream. The contract under fuzzing: decode either succeeds or returns
+// FuzzLZ4Decode feeds arbitrary bytes to the LZ4-class decoder as the framed
+// payload. The contract under fuzzing: decode either succeeds or returns
 // ErrCorrupt — it never panics, never over-reads, and never writes outside
 // the declared output.
 func FuzzLZ4Decode(f *testing.F) {
@@ -22,14 +21,12 @@ func FuzzLZ4Decode(f *testing.F) {
 		f.Add(good)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		for _, k := range []Kind{LZ4, Flate} {
-			out, err := Decompress(k, payload)
-			if err != nil && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%v: non-ErrCorrupt failure: %v", k, err)
-			}
-			if err == nil && out == nil {
-				t.Fatalf("%v: success with nil output", k)
-			}
+		out, err := Decompress(LZ4, payload)
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("non-ErrCorrupt failure: %v", err)
+		}
+		if err == nil && out == nil {
+			t.Fatal("success with nil output")
 		}
 	})
 }
@@ -38,12 +35,12 @@ func FuzzLZ4Decode(f *testing.F) {
 // codec on arbitrary inputs — including the bailout path, where the block
 // is stored raw.
 func FuzzCodecRoundTrip(f *testing.F) {
-	f.Add([]byte{}, uint8(2))
-	f.Add([]byte("hello hello hello hello"), uint8(2))
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte("hello hello hello hello"), uint8(1))
 	f.Add(bytes.Repeat([]byte{0}, 5000), uint8(1))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0))
 	f.Fuzz(func(t *testing.T, src []byte, kindByte uint8) {
-		kind := Kind(kindByte % numKinds)
+		kind := []Kind{None, LZ4}[kindByte%2]
 		payload, used := Compress(kind, nil, src)
 		if !used.Valid() {
 			t.Fatalf("Compress returned invalid kind %d", used)

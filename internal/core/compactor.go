@@ -194,7 +194,6 @@ func (db *store) writeTables(fs vfs.FS, it iterator.Iterator,
 		BlockSize:       db.opts.BlockSize,
 		BloomBitsPerKey: db.opts.BloomBitsPerKey,
 		Compression:     db.opts.Compression,
-		Checksum:        db.opts.ChecksumKind,
 	}
 	var (
 		outputs []*version.FileMeta

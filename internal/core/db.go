@@ -99,7 +99,6 @@ type store struct {
 	// readstate.go). nil once the store is closed.
 	readState atomic.Pointer[readState]
 
-	//ldclint:lockrank core.store.mu 30
 	mu      invariants.Mutex
 	mem     *memtable.MemTable
 	imm     *memtable.MemTable
@@ -886,7 +885,6 @@ func (db *store) tableProbe(table *atomic.Pointer[sstable.Reader], num uint64, s
 // Snapshots
 
 type snapshotList struct {
-	//ldclint:lockrank core.snapshots.mu 50
 	mu   invariants.Mutex
 	seqs map[keys.Seq]int
 }

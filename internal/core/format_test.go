@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/checksum"
 	"repro/internal/compaction"
 	"repro/internal/compress"
 	"repro/internal/sstable"
@@ -14,25 +13,24 @@ import (
 )
 
 // compressibleValue returns a deterministic, highly repetitive value so that
-// flate and lz4 actually engage (the writer stores incompressible blocks
+// lz4 actually engages (the writer stores incompressible blocks
 // raw, which would defeat these tests).
 func compressibleValue(i int) string {
 	return strings.Repeat(fmt.Sprintf("value-%04d ", i%97), 20)
 }
 
-// TestBitFlipDetectedBothChecksums corrupts one byte of a table file for
-// each checksum kind (over compressed blocks, the harder case) and requires
-// every damaged read to surface sstable.ErrCorrupt — silent media
-// corruption is the fault block checksums exist to catch.
-func TestBitFlipDetectedBothChecksums(t *testing.T) {
-	for _, ck := range []checksum.Kind{checksum.CRC32C, checksum.XXH3} {
-		t.Run(ck.String(), func(t *testing.T) {
+// TestBitFlipDetected corrupts one byte of a table file over raw and over
+// compressed blocks (the harder case) and requires every damaged read to
+// surface sstable.ErrCorrupt — silent media corruption is the fault block
+// checksums exist to catch.
+func TestBitFlipDetected(t *testing.T) {
+	for _, codec := range []compress.Kind{compress.None, compress.LZ4} {
+		t.Run(codec.String(), func(t *testing.T) {
 			mem := vfs.Mem()
 			efs := vfs.NewErrFS(mem)
 			opts := smallOpts(compaction.UDC)
 			opts.FS = efs
-			opts.Compression = compress.LZ4
-			opts.ChecksumKind = ck
+			opts.Compression = codec
 
 			db := openTestDB(t, opts)
 			const n = 400
@@ -87,10 +85,10 @@ func TestBitFlipDetectedBothChecksums(t *testing.T) {
 				}
 			}
 			if corrupt == 0 {
-				t.Errorf("%v: no read detected the flipped bit", ck)
+				t.Errorf("%v: no read detected the flipped bit", codec)
 			}
 			if silent != 0 {
-				t.Errorf("%v: %d reads returned wrong data without error", ck, silent)
+				t.Errorf("%v: %d reads returned wrong data without error", codec, silent)
 			}
 		})
 	}
@@ -111,28 +109,19 @@ func listTables(t *testing.T, fs vfs.FS, dir string) []string {
 	return out
 }
 
-// TestMixedCompressionReopen reopens one store under three different
-// (compression, checksum) configurations in sequence. Every phase must read
-// tables written by every earlier phase — the codec and checksum kind are
-// per-table facts recorded on disk, not global options — and compactions
-// must merge mixed inputs into the currently configured output format.
+// TestMixedCompressionReopen reopens one store under raw, lz4 and raw again
+// in sequence. Every phase must read tables written by every earlier phase —
+// the codec is a per-block fact recorded on disk, not a global option — and
+// compactions must merge mixed inputs into the currently configured output
+// format.
 func TestMixedCompressionReopen(t *testing.T) {
 	fs := vfs.Mem()
 	const perPhase = 300
-	phases := []struct {
-		comp compress.Kind
-		ck   checksum.Kind
-	}{
-		{compress.None, checksum.CRC32C}, // the legacy/default format
-		{compress.LZ4, checksum.XXH3},
-		{compress.Flate, checksum.CRC32C},
-	}
 	total := 0
-	for pi, ph := range phases {
+	for pi, comp := range []compress.Kind{compress.None, compress.LZ4, compress.None} {
 		opts := smallOpts(compaction.LDC)
 		opts.FS = fs
-		opts.Compression = ph.comp
-		opts.ChecksumKind = ph.ck
+		opts.Compression = comp
 		db, err := Open("/db", opts)
 		if err != nil {
 			t.Fatalf("phase %d: open: %v", pi, err)
@@ -164,11 +153,11 @@ func TestMixedCompressionReopen(t *testing.T) {
 			t.Fatalf("phase %d: scan saw %d keys, want %d", pi, len(pairs), total)
 		}
 		s := db.Stats()
-		if ph.comp != compress.None {
+		if comp != compress.None {
 			if s.CompressedBytesWritten == 0 ||
 				s.CompressedBytesWritten >= s.UncompressedBytesWritten {
 				t.Errorf("phase %d (%v): wrote %d on-disk for %d raw bytes; expected compression",
-					pi, ph.comp, s.CompressedBytesWritten, s.UncompressedBytesWritten)
+					pi, comp, s.CompressedBytesWritten, s.UncompressedBytesWritten)
 			}
 			if s.CompressionRatio <= 1.0 {
 				t.Errorf("phase %d: CompressionRatio = %v, want > 1", pi, s.CompressionRatio)

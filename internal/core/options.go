@@ -7,7 +7,6 @@ package core
 
 import (
 	"repro/internal/cache"
-	"repro/internal/checksum"
 	"repro/internal/compaction"
 	"repro/internal/compress"
 	"repro/internal/keys"
@@ -62,18 +61,13 @@ type Options struct {
 	// BlockSize is the SSTable data block size (default 4 KiB).
 	BlockSize int
 	// Compression selects the per-block codec for newly written tables:
-	// compress.None (default), compress.Flate (stdlib DEFLATE, densest),
-	// or compress.LZ4 (the from-scratch LZ4-class codec, fastest). The
-	// choice applies to flushes and every compaction rewrite, so changing
-	// it on reopen progressively recompresses the tree; individual
+	// compress.None (default) or compress.LZ4 (the from-scratch LZ4-class
+	// codec). The choice applies to flushes and every compaction rewrite, so
+	// changing it on reopen progressively recompresses the tree; individual
 	// incompressible blocks are stored raw regardless, and tables written
-	// with any codec (or by older versions) always read back.
+	// with either codec always read back. Every block is checksummed with
+	// CRC32C.
 	Compression compress.Kind
-	// ChecksumKind selects the block checksum for newly written tables:
-	// checksum.CRC32C (default) or checksum.XXH3 (the from-scratch
-	// XXH-family hash; faster where crc32 lacks hardware support). The
-	// kind is recorded per table, so mixed trees verify correctly.
-	ChecksumKind checksum.Kind
 	// BloomBitsPerKey sizes table filters; 0 uses the default (10);
 	// negative disables filters.
 	BloomBitsPerKey int

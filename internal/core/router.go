@@ -63,8 +63,7 @@ type DB struct {
 	// nil when Options.BlobThreshold is 0 and no segments exist on disk.
 	// The background GC worker (startValueGC) and the manual RunValueGC /
 	// CompactValueLog entry points serialize passes through gcMu.
-	vlog *vlog.Log
-	//ldclint:lockrank core.db.gcMu 20
+	vlog   *vlog.Log
 	gcMu   invariants.Mutex
 	gcStop chan struct{}
 	gcWG   sync.WaitGroup

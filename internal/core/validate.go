@@ -50,12 +50,8 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: unknown Policy %d (use compaction.UDC or LDC)", ErrInvalidOptions, int(o.Policy))
 	}
 	if !o.Compression.Valid() {
-		return fmt.Errorf("%w: unknown Compression %d (use compress.None, Flate, or LZ4)",
-			ErrInvalidOptions, uint8(o.Compression))
-	}
-	if !o.ChecksumKind.Valid() {
-		return fmt.Errorf("%w: unknown ChecksumKind %d (use checksum.CRC32C or XXH3)",
-			ErrInvalidOptions, uint8(o.ChecksumKind))
+		return fmt.Errorf("%w: unsupported Compression %v (use compress.None or LZ4)",
+			ErrInvalidOptions, o.Compression)
 	}
 
 	// Relational checks run on the defaulted view, so setting one trigger

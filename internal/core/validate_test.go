@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/checksum"
 	"repro/internal/compaction"
 	"repro/internal/compress"
 	"repro/internal/vfs"
@@ -37,8 +36,7 @@ func TestValidateRejections(t *testing.T) {
 		{"negative Policy", func(o *Options) { o.Policy = compaction.Policy(-1) }, "Policy"},
 		{"unknown Compression", func(o *Options) { o.Compression = compress.Kind(3) }, "Compression"},
 		{"wild Compression", func(o *Options) { o.Compression = compress.Kind(255) }, "Compression"},
-		{"unknown ChecksumKind", func(o *Options) { o.ChecksumKind = checksum.Kind(2) }, "ChecksumKind"},
-		{"wild ChecksumKind", func(o *Options) { o.ChecksumKind = checksum.Kind(255) }, "ChecksumKind"},
+		{"removed flate Compression", func(o *Options) { o.Compression = compress.Kind(1) }, "flate (removed)"},
 		{"negative Shards", func(o *Options) { o.Shards = -1 }, "Shards"},
 		{"wildly negative Shards", func(o *Options) { o.Shards = -64 }, "Shards"},
 		{"negative BlobThreshold", func(o *Options) { o.BlobThreshold = -1 }, "BlobThreshold"},
@@ -107,9 +105,7 @@ func TestValidateAccepts(t *testing.T) {
 		{"compaction trigger equal to default slowdown", Options{L0CompactionTrigger: 8}},
 		{"slowdown equal to default stop", Options{L0SlowdownTrigger: 12}},
 		{"block size equal to table size", Options{BlockSize: 64 << 10, SSTableSize: 64 << 10}},
-		{"flate blocks", Options{Compression: compress.Flate}},
-		{"lz4 with xxh3", Options{Compression: compress.LZ4, ChecksumKind: checksum.XXH3}},
-		{"xxh3 on raw blocks", Options{ChecksumKind: checksum.XXH3}},
+		{"lz4 blocks", Options{Compression: compress.LZ4}},
 		{"one shard", Options{Shards: 1}},
 		{"power-of-two shards", Options{Shards: 8}},
 		{"non-power-of-two shards (rounded up)", Options{Shards: 5}},

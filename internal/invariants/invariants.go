@@ -11,8 +11,9 @@
 // The checks guard the engine's reference-counting and lifecycle contracts:
 // refcounts never go negative, released objects are never handed out again,
 // pooled iterators are not used after Close, cache accounting never drifts.
-// They are wired into internal/version, internal/core, and internal/cache;
-// the static half of the same contracts is enforced by tools/ldclint.
+// They are wired into internal/version, internal/core, and internal/cache,
+// beside the lock-rank tracker (lockrank_enabled.go) that checks the order
+// in which every engine lock nests.
 package invariants
 
 import "fmt"

@@ -10,15 +10,18 @@ import "sync"
 // compiler deletes, and the struct adds no fields, so ranked call sites
 // cost nothing in production builds.
 //
-// The static half of the same discipline is tools/ldclint's lockorder
-// analyzer, driven by //ldclint:lockrank annotations on the fields.
+// Lock order has no static checker: the Rank call in a lock's constructor is
+// its one declaration, and the -tags invariants build checks every
+// acquisition against it. TestLockCatalogIsTracked holds every struct lock
+// under internal/ to a wrapper with a Rank call, no two of which share a name
+// or a rank.
 type Mutex struct {
 	sync.Mutex
 }
 
 // Rank declares the lock's name and rank for the runtime validator. No-op
-// without -tags invariants. The name and rank must match the field's
-// //ldclint:lockrank annotation; the lockorder analyzer checks they agree.
+// without -tags invariants. Both must be unique across the engine, and the
+// rank is the one DESIGN.md's lock-order catalog lists.
 func (m *Mutex) Rank(name string, rank int) {}
 
 // RWMutex is the read-write counterpart of Mutex.

@@ -12,11 +12,11 @@ import (
 // The runtime lock-rank validator: every ranked mutex acquisition is pushed
 // onto a per-goroutine stack, and acquiring a lock whose rank is not
 // strictly greater than the innermost held lock's rank panics with both
-// acquisition contexts. This is the dynamic half of the lock-order
-// discipline; tools/ldclint's lockorder analyzer proves the same ordering
-// statically from the //ldclint:lockrank annotations. Ranks must strictly
-// increase inward so that the global acquisition graph stays acyclic; see
-// DESIGN.md's "Lock order" catalog for the ranked inventory.
+// acquisition contexts. It is the lock-order discipline's only checker: a
+// static one cannot follow calls through an interface such as vfs.FS, which
+// is how the engine reaches the filesystem's and the device's locks. Ranks
+// must strictly increase inward so that the global acquisition graph stays
+// acyclic; see DESIGN.md's "Lock order" catalog for the ranked inventory.
 
 // Mutex is a sync.Mutex that validates the declared lock ranking on every
 // acquisition. Zero-value Mutexes (Rank never called) are usable but
@@ -25,6 +25,7 @@ type Mutex struct {
 	sync.Mutex
 	name string
 	rank int
+	g    uint64 // the holder's goroutine, so Unlock need not look it up again
 }
 
 // Rank declares the lock's name and rank for the runtime validator. Call
@@ -34,12 +35,12 @@ func (m *Mutex) Rank(name string, rank int) { m.name, m.rank = name, rank }
 // Lock acquires the mutex and records it on the goroutine's held stack.
 func (m *Mutex) Lock() {
 	m.Mutex.Lock()
-	LockAcquired(m.name, m.rank)
+	m.g = lockAcquired(m.name, m.rank)
 }
 
 // Unlock removes the mutex from the held stack and releases it.
 func (m *Mutex) Unlock() {
-	LockReleased(m.name)
+	lockReleased(m.g, m.name)
 	m.Mutex.Unlock()
 }
 
@@ -51,6 +52,7 @@ type RWMutex struct {
 	sync.RWMutex
 	name string
 	rank int
+	g    uint64 // the writer's goroutine, as Mutex.g; readers look theirs up
 }
 
 // Rank declares the lock's name and rank for the runtime validator.
@@ -58,11 +60,11 @@ func (m *RWMutex) Rank(name string, rank int) { m.name, m.rank = name, rank }
 
 func (m *RWMutex) Lock() {
 	m.RWMutex.Lock()
-	LockAcquired(m.name, m.rank)
+	m.g = lockAcquired(m.name, m.rank)
 }
 
 func (m *RWMutex) Unlock() {
-	LockReleased(m.name)
+	lockReleased(m.g, m.name)
 	m.RWMutex.Unlock()
 }
 
@@ -94,9 +96,14 @@ var lockState struct {
 // panicking if the acquisition inverts the declared ranking: a newly
 // acquired lock's rank must be strictly greater than the innermost held
 // lock's. Empty names (zero-value wrappers) are ignored.
-func LockAcquired(name string, rank int) {
+func LockAcquired(name string, rank int) { lockAcquired(name, rank) }
+
+// lockAcquired is LockAcquired, returning the calling goroutine's id (0 for
+// an untracked lock): goid walks the whole stack, so a lock that knows its
+// holder hands the id back to lockReleased instead of paying for it twice.
+func lockAcquired(name string, rank int) uint64 {
 	if name == "" {
-		return
+		return 0
 	}
 	g := goid()
 	lockState.Lock()
@@ -114,6 +121,7 @@ func LockAcquired(name string, rank int) {
 		}
 	}
 	lockState.held[g] = append(stack, heldLock{name, rank})
+	return g
 }
 
 // LockReleased records that the calling goroutine released the named lock.
@@ -122,10 +130,16 @@ func LockAcquired(name string, rank int) {
 // lock that was never tracked is ignored: the acquisition may predate the
 // Rank call during construction.
 func LockReleased(name string) {
+	if name != "" {
+		lockReleased(goid(), name)
+	}
+}
+
+// lockReleased is LockReleased for goroutine g.
+func lockReleased(g uint64, name string) {
 	if name == "" {
 		return
 	}
-	g := goid()
 	lockState.Lock()
 	defer lockState.Unlock()
 	stack := lockState.held[g]

@@ -118,7 +118,6 @@ type Server struct {
 	sem  chan struct{} // connection slots; acquired before Accept
 	quit chan struct{} // closed by Shutdown: stop accepting, start draining
 
-	//ldclint:lockrank server.server.mu 10
 	mu    invariants.Mutex
 	ln    net.Listener
 	conns map[*conn]struct{}

@@ -23,10 +23,10 @@
 package ssdsim
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/invariants"
 	"repro/internal/vfs"
 )
 
@@ -135,8 +135,7 @@ func (s Stats) FlushWrite() int64      { return s.ByCategory[CatFlush].WriteByte
 type Device struct {
 	prof Profile
 
-	//ldclint:lockrank ssdsim.device.mu 85
-	mu   sync.Mutex
+	mu   invariants.Mutex
 	cats [numCategories]CatStats
 
 	busyNanos  atomic.Int64
@@ -153,7 +152,9 @@ func NewDevice(p Profile) *Device {
 	if p.EraseBlockBytes == 0 {
 		p.EraseBlockBytes = 2 << 20
 	}
-	return &Device{prof: p, start: time.Now()}
+	d := &Device{prof: p, start: time.Now()}
+	d.mu.Rank("ssdsim.device.mu", 85)
+	return d
 }
 
 // minSleep is the smallest backlog worth sleeping for; smaller reservations

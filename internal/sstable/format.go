@@ -11,9 +11,10 @@
 //
 // Every block is stored as: payload | type byte | fixed32 checksum, where
 // the checksum covers payload and type. The type byte is the block's codec
-// (compress.Kind: 0 = raw, 1 = flate, 2 = lz4); a table may mix types
-// freely, because incompressible blocks fall back to raw. The checksum
-// function is a per-table choice (checksum.Kind) recorded in the footer.
+// (compress.Kind: 0 = raw, 2 = lz4; 1, the removed flate codec, is rejected);
+// a table may mix types freely, because incompressible blocks fall back to
+// raw. The checksum is CRC32C, and the footer records it (checksum.Kind; 1,
+// the removed XXH3, is rejected).
 // Handles are varint (offset, length-of-payload) pairs, where the length
 // is the ON-DISK payload length — possibly compressed.
 //
@@ -22,9 +23,8 @@
 //	v1 (legacy): handles | zero pad | magicV1           (48 bytes)
 //	v2:          handles | zero pad | checksum-kind byte | magicV2 (49 bytes)
 //
-// v1 tables are CRC32C throughout and predate compression (all their
-// blocks are type 0); the reader accepts both versions, the writer emits
-// only v2. The footer is fixed-size per version so it can be read with one
+// v1 tables predate compression (all their blocks are type 0); the reader
+// accepts both versions, the writer emits only v2. The footer is fixed-size per version so it can be read with one
 // positioned read from the end of the file.
 package sstable
 
@@ -80,8 +80,6 @@ func decodeBlockHandle(b []byte) (blockHandle, int) {
 type footer struct {
 	filterHandle blockHandle
 	indexHandle  blockHandle
-	// checksum is the per-table checksum function of every block trailer.
-	checksum checksum.Kind
 }
 
 // encode renders the v2 footer.
@@ -91,7 +89,7 @@ func (f footer) encode(dst []byte) []byte {
 	for len(buf)-len(dst) < handlesLen {
 		buf = append(buf, 0)
 	}
-	buf = append(buf, byte(f.checksum))
+	buf = append(buf, byte(checksum.CRC32C))
 	return encoding.PutFixed64(buf, magicV2)
 }
 
@@ -122,15 +120,13 @@ func decodeFooter(b []byte) (footer, error) {
 			return footer{}, fmt.Errorf("%w: v2 footer is %d bytes", ErrCorrupt, len(b))
 		}
 		b = b[len(b)-footerLenV2:]
-		f.checksum = checksum.Kind(b[handlesLen])
-		if !f.checksum.Valid() {
-			return footer{}, fmt.Errorf("%w: unknown checksum kind %d", ErrCorrupt, b[handlesLen])
+		if k := checksum.Kind(b[handlesLen]); k != checksum.CRC32C {
+			return footer{}, fmt.Errorf("%w: unsupported checksum kind %v", ErrCorrupt, k)
 		}
 	case magicV1:
-		// Legacy: CRC32C, raw blocks only (the block type byte is still
-		// validated per read).
+		// Legacy: raw blocks only (the block type byte is still validated
+		// per read).
 		b = b[len(b)-footerLenV1:]
-		f.checksum = checksum.CRC32C
 	default:
 		return footer{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}

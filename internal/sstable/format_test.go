@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/checksum"
 	"repro/internal/compress"
+	"repro/internal/encoding"
 	"repro/internal/keys"
 	"repro/internal/vfs"
 )
@@ -27,17 +29,14 @@ func compressibleKVs(n int) []kv {
 	return kvs
 }
 
-// formatCombos is the full (compression, checksum) matrix plus the legacy
-// v1 footer — every on-disk shape a reader can meet.
+// formatCombos is every codec plus the legacy v1 footer — every on-disk
+// shape a reader can meet.
 func formatCombos() []WriterOptions {
 	var combos []WriterOptions
-	for _, comp := range []compress.Kind{compress.None, compress.Flate, compress.LZ4} {
-		for _, ck := range []checksum.Kind{checksum.CRC32C, checksum.XXH3} {
-			o := defaultWOpts()
-			o.Compression = comp
-			o.Checksum = ck
-			combos = append(combos, o)
-		}
+	for _, comp := range []compress.Kind{compress.None, compress.LZ4} {
+		o := defaultWOpts()
+		o.Compression = comp
+		combos = append(combos, o)
 	}
 	legacy := defaultWOpts()
 	legacy.legacyV1Footer = true
@@ -49,12 +48,11 @@ func comboName(o WriterOptions) string {
 	if o.legacyV1Footer {
 		return "legacy-v1"
 	}
-	return o.Compression.String() + "-" + o.Checksum.String()
+	return o.Compression.String()
 }
 
-// TestFormatMatrix writes a table with every (compression, checksum)
-// combination — including the legacy raw/CRC32C v1 footer — and reads each
-// back fully: iteration order, point gets, and the footer's checksum kind.
+// TestFormatMatrix writes a table with every codec — and with the legacy raw
+// v1 footer — and reads each back fully: iteration order and point gets.
 func TestFormatMatrix(t *testing.T) {
 	kvs := compressibleKVs(800)
 	for _, wopts := range formatCombos() {
@@ -71,10 +69,6 @@ func TestFormatMatrix(t *testing.T) {
 
 			r := openTable(t, fs, "/t.sst", defaultROpts())
 			defer r.Close()
-			wantKind := wopts.Checksum
-			if got := r.ChecksumKind(); got != wantKind {
-				t.Errorf("footer checksum kind = %v, want %v", got, wantKind)
-			}
 			it := r.NewIterator()
 			i := 0
 			for it.SeekToFirst(); it.Valid(); it.Next() {
@@ -252,7 +246,7 @@ func TestWriterRejectsUnknownKinds(t *testing.T) {
 	fs := vfs.Mem()
 	for _, o := range []WriterOptions{
 		func() WriterOptions { o := defaultWOpts(); o.Compression = compress.Kind(7); return o }(),
-		func() WriterOptions { o := defaultWOpts(); o.Checksum = checksum.Kind(9); return o }(),
+		func() WriterOptions { o := defaultWOpts(); o.Compression = compress.Kind(1); return o }(),
 	} {
 		f, err := fs.Create("/bad.sst")
 		if err != nil {
@@ -268,4 +262,95 @@ func TestWriterRejectsUnknownKinds(t *testing.T) {
 		}
 		_ = f.Close()
 	}
+}
+
+// TestRemovedKindsRejected: kind 1 of both format bytes names a deleted
+// function — the flate codec in a block's type byte, XXH3 in the footer's
+// checksum-kind byte. A table whose index block or footer carries either
+// fails to open with ErrCorrupt naming what it needs, even with every
+// checksum intact; a data block retyped to flate fails every read of it —
+// a point get, a table iterator, a sequential pass — the same way.
+func TestRemovedKindsRejected(t *testing.T) {
+	fs := vfs.Mem()
+	buildTable(t, fs, "/t.sst", defaultWOpts(), sortedKVs(300))
+	raw := readAll(t, fs, "/t.sst")
+	ftr, err := decodeFooter(raw[len(raw)-footerLenV2:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// retype marks the block at h as flate and checksums it as the writer
+	// would have.
+	retype := func(b []byte, h blockHandle) {
+		end := h.offset + h.length
+		b[end] = 1
+		encoding.PutFixed32(b[end+1:end+1], checksum.Sum(checksum.CRC32C, b[h.offset:end], 1))
+	}
+	const flateErr = "block type flate (removed)"
+	for _, tc := range []struct {
+		name, want string
+		edit       func(b []byte)
+	}{
+		{"flate index block", flateErr, func(b []byte) { retype(b, ftr.indexHandle) }},
+		{"xxh3 footer", "checksum kind xxh3 (removed)", func(b []byte) { b[len(b)-9] = 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := bytes.Clone(raw)
+			tc.edit(data)
+			writeAll(t, fs, "/x.sst", data)
+			f, err := fs.Open("/x.sst")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if r, err := OpenReader(f, defaultROpts()); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+				if err == nil {
+					_ = r.Close()
+				}
+				t.Errorf("OpenReader = %v, want ErrCorrupt naming %q", err, tc.want)
+			}
+		})
+	}
+
+	t.Run("flate data block", func(t *testing.T) {
+		r := openTable(t, fs, "/t.sst", defaultROpts())
+		blocks, _ := layout(t, r)
+		_ = r.Close()
+		first := blocks[0]
+		data := bytes.Clone(raw)
+		retype(data, blockHandle{offset: uint64(first.off), length: uint64(first.size - blockTrailerLen)})
+		writeAll(t, fs, "/d.sst", data)
+		r = openTable(t, fs, "/d.sst", defaultROpts())
+		defer r.Close()
+		check := func(t *testing.T, op string, err error) {
+			t.Helper()
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), flateErr) {
+				t.Errorf("%s: %v, want ErrCorrupt naming %q", op, err, flateErr)
+			}
+		}
+		t.Run("get", func(t *testing.T) {
+			_, _, _, err := r.Get([]byte("key-000000"), keys.MaxSeq)
+			check(t, "Get", err)
+		})
+		t.Run("iterator", func(t *testing.T) {
+			it := r.NewIterator()
+			it.SeekToFirst()
+			if it.Valid() {
+				t.Errorf("iterator positioned at %s inside the flate block", keys.InternalKey(it.Key()))
+			}
+			check(t, "SeekToFirst", it.Error())
+			_ = it.Close()
+		})
+		t.Run("sequential", func(t *testing.T) {
+			f, err := fs.Open("/d.sst")
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := r.NewSequential(f, nil)
+			seq.SeekToFirst()
+			if seq.Valid() {
+				t.Errorf("sequential pass positioned at %s inside the flate block", keys.InternalKey(seq.Key()))
+			}
+			check(t, "sequential pass", seq.Close())
+		})
+	})
 }

@@ -51,9 +51,6 @@ type Reader struct {
 	index      []indexEntry
 	indexBlock []byte
 	filter     bloom.Filter
-	// cksum is the table's checksum function, read from the footer (legacy
-	// v1 footers imply CRC32C).
-	cksum checksum.Kind
 
 	// BlockReads counts data-block fetches that missed the cache; exposed
 	// for the Fig 13 experiment and tests.
@@ -94,7 +91,7 @@ func OpenReader(f vfs.File, opts ReaderOptions) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := newReader(f, opts, size, ftr.checksum)
+	r := newReader(f, opts, size)
 	idxData, err := r.readBlockContents(ftr.indexHandle)
 	if err != nil {
 		return nil, err
@@ -112,8 +109,8 @@ func OpenReader(f vfs.File, opts ReaderOptions) (*Reader, error) {
 	return r, nil
 }
 
-func newReader(f vfs.File, opts ReaderOptions, size int64, cksum checksum.Kind) *Reader {
-	return &Reader{opts: opts, cmp: opts.Cmp.Compare, f: f, size: size, cksum: cksum}
+func newReader(f vfs.File, opts ReaderOptions, size int64) *Reader {
+	return &Reader{opts: opts, cmp: opts.Cmp.Compare, f: f, size: size}
 }
 
 // indexEntry is one data block as the index names it: where the block's last
@@ -220,9 +217,6 @@ func (r *Reader) IOBytes() (compressed, uncompressed int64) {
 	return r.compressedBytesRead.Load(), r.uncompressedBytesRead.Load()
 }
 
-// ChecksumKind reports the table's checksum function from its footer.
-func (r *Reader) ChecksumKind() checksum.Kind { return r.cksum }
-
 // readBlockContents fetches, verifies, and decompresses a block, without
 // caching.
 func (r *Reader) readBlockContents(h blockHandle) ([]byte, error) {
@@ -256,21 +250,20 @@ func (r *Reader) checkHandle(h blockHandle) error {
 }
 
 // decodeBlock verifies and decompresses one on-disk block (payload plus
-// trailer) read from offset off. The checksum (per the table's footer kind)
-// covers the payload and type byte, so it is verified before any decode
-// touches the bytes; the type byte then names the codec. A raw block's
-// contents alias buf.
+// trailer) read from offset off. The checksum covers the payload and type
+// byte, so it is verified before any decode touches the bytes; the type byte
+// then names the codec. A raw block's contents alias buf.
 func (r *Reader) decodeBlock(buf []byte, off uint64) ([]byte, error) {
 	payload, trailer := buf[:len(buf)-blockTrailerLen], buf[len(buf)-blockTrailerLen:]
 	if r.opts.VerifyChecksums {
-		if checksum.Sum(r.cksum, payload, trailer[0]) != encoding.Fixed32(trailer[1:]) {
-			return nil, fmt.Errorf("%w: %v mismatch in file %06d at offset %d",
-				ErrCorrupt, r.cksum, r.opts.FileNum, off)
+		if checksum.Sum(checksum.CRC32C, payload, trailer[0]) != encoding.Fixed32(trailer[1:]) {
+			return nil, fmt.Errorf("%w: crc32c mismatch in file %06d at offset %d",
+				ErrCorrupt, r.opts.FileNum, off)
 		}
 	}
 	kind := compress.Kind(trailer[0])
 	if !kind.Valid() {
-		return nil, fmt.Errorf("%w: unknown block type %d in file %06d", ErrCorrupt, trailer[0], r.opts.FileNum)
+		return nil, fmt.Errorf("%w: unsupported block type %v in file %06d", ErrCorrupt, kind, r.opts.FileNum)
 	}
 	contents, err := compress.Decompress(kind, payload)
 	if err != nil {

@@ -30,13 +30,10 @@ type WriterOptions struct {
 	// Individual blocks that do not compress well enough are stored raw
 	// regardless; the block trailer's type byte records the outcome.
 	Compression compress.Kind
-	// Checksum selects the block checksum function for the whole table
-	// (default checksum.CRC32C); recorded in the footer.
-	Checksum checksum.Kind
 
 	// legacyV1Footer emits the pre-compression v1 footer (tests only: it
 	// reproduces seed-era tables to pin backward compatibility). Requires
-	// Compression == None and Checksum == CRC32C.
+	// Compression == None.
 	legacyV1Footer bool
 }
 
@@ -134,12 +131,10 @@ func NewWriter(f vfs.File, opts WriterOptions) *Writer {
 	w := &Writer{opts: opts, f: f, writerBufs: writerPool.Get().(*writerBufs)}
 	w.data.Interval = opts.RestartInterval
 	w.index.Interval = 1
-	// Reject unknown format knobs before any block hits the disk; the
-	// sticky error surfaces on the first Add or Finish.
+	// Reject an unknown codec before any block hits the disk; the sticky
+	// error surfaces on the first Add or Finish.
 	if !opts.Compression.Valid() {
-		w.err = fmt.Errorf("sstable: unknown compression kind %d", uint8(opts.Compression))
-	} else if !opts.Checksum.Valid() {
-		w.err = fmt.Errorf("sstable: unknown checksum kind %d", uint8(opts.Checksum))
+		w.err = fmt.Errorf("sstable: unsupported compression kind %v", opts.Compression)
 	}
 	return w
 }
@@ -207,7 +202,7 @@ func (w *Writer) finishDataBlock() {
 // writeBlock compresses contents per the table's codec (with per-block
 // raw fallback), writes payload + trailer, and returns the payload's
 // handle. The trailer checksum covers the on-disk payload and the type
-// byte, computed with the table's checksum kind.
+// byte.
 func (w *Writer) writeBlock(contents []byte) (blockHandle, error) {
 	payload, kind := compress.Compress(w.opts.Compression, w.compressBuf, contents)
 	if kind != compress.None {
@@ -219,7 +214,7 @@ func (w *Writer) writeBlock(contents []byte) (blockHandle, error) {
 
 	h := blockHandle{offset: w.offset, length: uint64(len(payload))}
 	w.trailer[0] = byte(kind)
-	encoding.PutFixed32(w.trailer[1:1], checksum.Sum(w.opts.Checksum, payload, byte(kind)))
+	encoding.PutFixed32(w.trailer[1:1], checksum.Sum(checksum.CRC32C, payload, byte(kind)))
 	if _, err := w.f.Write(payload); err != nil {
 		return blockHandle{}, err
 	}
@@ -276,7 +271,7 @@ func (w *Writer) finish() (Props, error) {
 		return Props{}, w.err
 	}
 
-	ftr := footer{checksum: w.opts.Checksum}
+	var ftr footer
 	if w.opts.BloomBitsPerKey > 0 {
 		w.filter = bloom.FromHashes(w.keyHashes, w.opts.BloomBitsPerKey)
 		w.props.FilterBytes = len(w.filter)
@@ -299,8 +294,8 @@ func (w *Writer) finish() (Props, error) {
 
 	ftrBytes := ftr.encode(w.footer[:0])
 	if w.opts.legacyV1Footer {
-		if w.opts.Compression != compress.None || w.opts.Checksum != checksum.CRC32C {
-			w.err = fmt.Errorf("sstable: legacy v1 footer requires raw blocks and CRC32C")
+		if w.opts.Compression != compress.None {
+			w.err = fmt.Errorf("sstable: legacy v1 footer requires raw blocks")
 			return Props{}, w.err
 		}
 		ftrBytes = ftr.encodeV1()
@@ -327,7 +322,7 @@ func (w *Writer) OpenReader(f vfs.File, opts ReaderOptions) (*Reader, error) {
 	if w.props.FileSize == 0 { // set by a Finish that succeeded, and only then
 		return nil, fmt.Errorf("sstable: OpenReader on a table that is not finished")
 	}
-	r := newReader(f, opts, w.props.FileSize, w.opts.Checksum)
+	r := newReader(f, opts, w.props.FileSize)
 	if err := r.decodeIndex(w.indexBlock); err != nil {
 		return nil, err
 	}

@@ -54,6 +54,9 @@ func TestTableBytesUnchanged(t *testing.T) {
 // 0.02 per entry at four 1 KiB entries to a 4 KiB block, where a key copy per
 // entry and a handle per block made it 1.5.
 func TestWriterAddAllocs(t *testing.T) {
+	if !exactAllocs {
+		t.Skip("allocation counts are exact only without -race and -tags invariants")
+	}
 	const n = 4000
 	ikeys := make([]keys.InternalKey, n)
 	for i := range ikeys {
@@ -88,9 +91,6 @@ func TestWriterAddAllocs(t *testing.T) {
 	// what it allocates does not grow with it: the Writer, its smallest and
 	// largest keys, the filter, and the copy of the index block that a
 	// writer-built Reader pins. A table ten times larger allocates the same.
-	if !exactAllocs {
-		return // the race detector's sync.Pool drops items at random
-	}
 	perTable := func(entries int) float64 {
 		return testing.AllocsPerRun(20, func() {
 			w := NewWriter(discardFile{}, WriterOptions{Cmp: icmp, BloomBitsPerKey: 10})

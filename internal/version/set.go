@@ -26,10 +26,8 @@ type Set struct {
 	// the same order versions are installed, and each edit must build on the
 	// version produced by the previous one. Held across I/O, so it is separate
 	// from mu (which protects in-memory state and is never held across I/O).
-	//ldclint:lockrank version.set.logMu 40
 	logMu invariants.Mutex
 
-	//ldclint:lockrank version.set.mu 45
 	mu       invariants.Mutex
 	current  *Version
 	fileRefs map[uint64]int

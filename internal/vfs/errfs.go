@@ -3,8 +3,9 @@ package vfs
 import (
 	"errors"
 	"io"
-	"sync"
 	"sync/atomic"
+
+	"repro/internal/invariants"
 )
 
 // errOutOfRange reports a FlipBit offset outside the file.
@@ -24,8 +25,7 @@ type ErrFS struct {
 	// FailErr is the injected error (required when arming).
 	FailErr error
 
-	//ldclint:lockrank vfs.errfs.mu 78
-	mu        sync.Mutex
+	mu        invariants.Mutex
 	writeOps  int64
 	syncHook  func(name string) error // consulted at the top of every File.Sync
 	rmHook    func(name string) error // consulted at the top of every Remove
@@ -36,7 +36,9 @@ type ErrFS struct {
 // NewErrFS wraps inner. The returned filesystem behaves identically until
 // a fault is armed.
 func NewErrFS(inner FS) *ErrFS {
-	return &ErrFS{inner: inner, tornFiles: map[string]int{}}
+	e := &ErrFS{inner: inner, tornFiles: map[string]int{}}
+	e.mu.Rank("vfs.errfs.mu", 78)
+	return e
 }
 
 // Inner returns the wrapped filesystem.

@@ -16,6 +16,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"repro/internal/invariants"
 )
 
 // ErrNotExist reports an operation on a missing file.
@@ -130,18 +132,20 @@ func (f osFile) Size() (int64, error) {
 // In-memory filesystem
 
 // Mem returns an empty in-memory filesystem. It is safe for concurrent use.
-func Mem() FS { return &memFS{files: map[string]*memData{}} }
+func Mem() FS {
+	fs := &memFS{files: map[string]*memData{}}
+	fs.mu.Rank("vfs.memfs.mu", 80)
+	return fs
+}
 
 type memFS struct {
-	//ldclint:lockrank vfs.memfs.mu 80
-	mu    sync.Mutex
+	mu    invariants.Mutex
 	files map[string]*memData
 	dirs  sync.Map // set of created directories
 }
 
 type memData struct {
-	//ldclint:lockrank vfs.memdata.mu 82
-	mu   sync.RWMutex
+	mu   invariants.RWMutex
 	data []byte
 }
 
@@ -151,6 +155,7 @@ func (fs *memFS) Create(name string) (File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	d := &memData{}
+	d.mu.Rank("vfs.memdata.mu", 82)
 	fs.files[clean(name)] = d
 	return &memFile{fs: fs, d: d}, nil
 }

@@ -71,7 +71,6 @@ type segment struct {
 
 	active atomic.Bool // owned by a Writer; ineligible for GC
 
-	//ldclint:lockrank vlog.segment.mu 65
 	mu invariants.Mutex
 	rf vfs.File // shared lazy read handle for pointer resolution
 }
@@ -93,7 +92,6 @@ type Log struct {
 	dir     string
 	segSize int64
 
-	//ldclint:lockrank vlog.log.mu 60
 	mu      invariants.Mutex
 	segs    map[uint64]*segment
 	nextSeg uint64

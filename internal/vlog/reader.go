@@ -5,9 +5,8 @@ import (
 )
 
 // Reader resolves pointers to values. Readers are pooled: GetReader must
-// be paired with Release (the ldclint refpair analyzer enforces this), and
-// the slices returned by Read are valid only until the next Read or
-// Release.
+// be paired with Release, and the slices returned by Read are valid only
+// until the next Read or Release.
 type Reader struct {
 	log *Log
 	buf []byte

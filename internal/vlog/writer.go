@@ -20,7 +20,6 @@ type Writer struct {
 	log   *Log
 	shard int
 
-	//ldclint:lockrank vlog.writer.mu 55
 	mu     invariants.Mutex
 	closed bool
 	seg    *segment

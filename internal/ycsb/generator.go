@@ -119,34 +119,6 @@ func scramble(rank, n int64) int64 {
 	return int64(h.Sum64() % uint64(n))
 }
 
-// NewLatest returns a generator skewed toward recently inserted items,
-// driven by the supplied insert-counter callback (YCSB's "latest"
-// distribution).
-func NewLatest(rng *rand.Rand, count func() int64) Generator {
-	return &latestGen{rng: rng, count: count}
-}
-
-type latestGen struct {
-	rng   *rand.Rand
-	count func() int64
-}
-
-func (l *latestGen) Next() int64 {
-	n := l.count()
-	if n <= 0 {
-		return 0
-	}
-	// Exponentially decaying recency skew: most picks land near the newest
-	// insert, with a tail reaching ~5% of the item space back.
-	back := int64(l.rng.ExpFloat64() * float64(n) * 0.05)
-	if back >= n {
-		back = n - 1
-	}
-	return n - 1 - back
-}
-
-func (l *latestGen) N() int64 { return l.count() }
-
 // Key renders item index i as the paper's 16-byte key.
 func Key(i int64) []byte {
 	return []byte(fmt.Sprintf("u%015d", i))

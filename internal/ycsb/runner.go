@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/histogram"
@@ -110,9 +109,6 @@ func Run(ops Ops, w Workload, ro RunnerOptions) (*Result, error) {
 			switch w.Dist.Kind {
 			case "zipfian":
 				gen = NewZipfian(rng, w.KeySpace, w.Dist.Theta)
-			case "latest":
-				counter := int64(w.Preload)
-				gen = NewLatest(rng, func() int64 { return atomic.LoadInt64(&counter) })
 			default:
 				gen = NewUniform(rng, w.KeySpace)
 			}

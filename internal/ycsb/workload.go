@@ -14,7 +14,7 @@ const (
 
 // Distribution selects the key popularity model.
 type Distribution struct {
-	// Kind is "uniform", "zipfian", or "latest".
+	// Kind is "uniform" or "zipfian".
 	Kind string
 	// Theta is the Zipf constant (used when Kind == "zipfian").
 	Theta float64

@@ -70,24 +70,6 @@ func TestZipfianSkewGrowsWithTheta(t *testing.T) {
 	}
 }
 
-func TestLatestPrefersRecent(t *testing.T) {
-	count := int64(10000)
-	g := NewLatest(rand.New(rand.NewSource(3)), func() int64 { return count })
-	recent := 0
-	for i := 0; i < 10000; i++ {
-		v := g.Next()
-		if v < 0 || v >= count {
-			t.Fatalf("out of range: %d", v)
-		}
-		if v >= count-count/10 {
-			recent++
-		}
-	}
-	if recent < 5000 {
-		t.Errorf("only %d/10000 picks in newest decile", recent)
-	}
-}
-
 func TestKeyFormat(t *testing.T) {
 	k := Key(42)
 	if len(k) != 16 {

@@ -73,7 +73,6 @@ package ldc
 
 import (
 	"repro/internal/batch"
-	"repro/internal/checksum"
 	"repro/internal/compaction"
 	"repro/internal/compress"
 	"repro/internal/core"
@@ -134,23 +133,8 @@ type Compression = compress.Kind
 const (
 	// CompressionNone stores blocks raw (the default).
 	CompressionNone = compress.None
-	// CompressionFlate is stdlib DEFLATE at BestSpeed — densest.
-	CompressionFlate = compress.Flate
-	// CompressionLZ4 is a from-scratch LZ4-class codec — fastest.
+	// CompressionLZ4 is a from-scratch LZ4-class codec.
 	CompressionLZ4 = compress.LZ4
-)
-
-// ChecksumKind selects the per-table block checksum
-// (Options.ChecksumKind); the choice is recorded in each table's footer,
-// so mixed trees verify correctly.
-type ChecksumKind = checksum.Kind
-
-// Block checksum kinds.
-const (
-	// ChecksumCRC32C is crc32 (Castagnoli), the default.
-	ChecksumCRC32C = checksum.CRC32C
-	// ChecksumXXH3 is a from-scratch XXH-family 64→32-bit hash.
-	ChecksumXXH3 = checksum.XXH3
 )
 
 // Errors re-exported from the engine.

@@ -1,9 +1,8 @@
 package main
 
 // A miniature analysis framework (the shape of golang.org/x/tools/go/analysis,
-// reduced to what five analyzers need — four intraprocedural and factless,
-// plus lockorder, whose cross-package facts ride in Pass.locks), and the
-// //ldclint:ignore directive machinery shared by all of them.
+// reduced to what two intraprocedural, factless analyzers need), and the
+// //ldclint:ignore directive machinery shared by both.
 
 import (
 	"fmt"
@@ -24,10 +23,7 @@ type Analyzer struct {
 // Analyzers lists every check ldclint runs, in reporting order.
 var Analyzers = []*Analyzer{
 	mutexioAnalyzer,
-	refpairAnalyzer,
-	atomicfieldAnalyzer,
 	errcloseAnalyzer,
-	lockorderAnalyzer,
 }
 
 // Pass carries one package's worth of inputs to an analyzer and collects
@@ -38,11 +34,6 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-
-	// locks is the merged whole-program lock environment (this package's
-	// summaries plus its dependencies' facts); nil when the caller has no
-	// facts channel, in which case lockorder stands down.
-	locks *lockEnv
 
 	diags   *[]Diagnostic
 	ignores ignoreIndex
@@ -75,7 +66,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 // findings in their own right so they cannot silently rot — and so is a
 // well-formed directive that suppressed nothing: a stale ignore is a lie
 // about which invariants the code still violates.
-func runAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, locks *lockEnv) []Diagnostic {
+func runAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) []Diagnostic {
 	var diags []Diagnostic
 	ignores, bad := buildIgnoreIndex(fset, files)
 	for _, d := range bad {
@@ -88,7 +79,6 @@ func runAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
 			Files:    files,
 			Pkg:      pkg,
 			Info:     info,
-			locks:    locks,
 			diags:    &diags,
 			ignores:  ignores,
 		}
@@ -298,40 +288,25 @@ func exprKey(fset *token.FileSet, e ast.Expr) string {
 }
 
 // funcsOf yields every function body in the package: declarations and
-// function literals, each paired with its name for messages. Literals are
-// visited as independent functions (they run on their own schedule — often
-// on another goroutine — so lock state never flows into them).
-type funcBody struct {
-	name string
-	body *ast.BlockStmt
-	decl *ast.FuncDecl // nil for literals
-}
-
-func funcsOf(files []*ast.File) []funcBody {
-	var out []funcBody
+// function literals. Literals are visited as independent functions (they run
+// on their own schedule — often on another goroutine — so lock state never
+// flows into them).
+func funcsOf(files []*ast.File) []*ast.BlockStmt {
+	var out []*ast.BlockStmt
 	for _, f := range files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.FuncLit); ok {
+						out = append(out, lit.Body)
+					}
+					return true
+				})
+				out = append(out, fd.Body)
 			}
-			out = append(out, funcBody{name: fd.Name.Name, body: fd.Body, decl: fd})
-			collectLits(fd.Body, fd.Name.Name, &out)
 		}
 	}
 	return out
-}
-
-func collectLits(root ast.Node, outer string, out *[]funcBody) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			name := outer + ".func"
-			*out = append(*out, funcBody{name: name, body: lit.Body})
-			collectLits(lit.Body, name, out)
-			return false
-		}
-		return true
-	})
 }
 
 // callsIn yields the call expressions syntactically inside n, not descending

@@ -1,7 +1,7 @@
 package main
 
-// Unit tests for the directive machinery itself — the ignore index and the
-// lockrank annotation parser — at a finer grain than the fixture suite:
+// Unit tests for the directive machinery itself — the ignore index — at a
+// finer grain than the fixture suite:
 // these feed sources straight to the parser and assert on the intermediate
 // structures, so a regression pinpoints the broken stage rather than
 // surfacing as a mysterious fixture diff.
@@ -23,39 +23,6 @@ func parseOne(t *testing.T, src string) (*token.FileSet, []*ast.File) {
 		t.Fatal(err)
 	}
 	return fset, []*ast.File{f}
-}
-
-// fakeSyncSrc keeps these tests hermetic: a structural stand-in for the two
-// sync types the analyzers model, compiled on demand by checkPkg's importer.
-const fakeSyncSrc = `package sync
-type Mutex struct{ state int }
-func (m *Mutex) Lock() {}
-func (m *Mutex) Unlock() {}
-type RWMutex struct{ state int }
-func (m *RWMutex) Lock() {}
-func (m *RWMutex) Unlock() {}
-func (m *RWMutex) RLock() {}
-func (m *RWMutex) RUnlock() {}
-`
-
-func checkPkg(t *testing.T, path string, fset *token.FileSet, files []*ast.File) (*types.Package, *types.Info) {
-	t.Helper()
-	info := newTypesInfo()
-	conf := types.Config{Importer: importerFunc(func(ip string) (*types.Package, error) {
-		if ip != "sync" {
-			t.Fatalf("unexpected import %q", ip)
-		}
-		f, err := parser.ParseFile(fset, "fake_sync.go", fakeSyncSrc, 0)
-		if err != nil {
-			return nil, err
-		}
-		return (&types.Config{}).Check("sync", fset, []*ast.File{f}, nil)
-	})}
-	pkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pkg, info
 }
 
 func TestBuildIgnoreIndex(t *testing.T) {
@@ -167,74 +134,6 @@ func a() {
 	}
 }
 
-func TestLockrankAnnotationParsing(t *testing.T) {
-	src := `package p
-
-import "sync"
-
-type s struct {
-	//ldclint:lockrank good.name 42
-	good sync.Mutex
-
-	plain sync.Mutex
-
-	//ldclint:lockrank broken
-	bad1 sync.Mutex
-
-	//ldclint:lockrank bad.rank notanumber
-	bad2 sync.Mutex
-
-	trailing sync.Mutex //ldclint:lockrank trail.name 7
-}
-`
-	fset, files := parseOne(t, src)
-	pkg, info := checkPkg(t, "dtest", fset, files)
-	env := buildLockEnv(fset, files, pkg, info, nil)
-
-	if got := len(env.malformed); got != 2 {
-		t.Errorf("got %d malformed annotations, want 2 (missing rank, non-numeric rank)", got)
-	}
-
-	good := env.classes["dtest.s.good"]
-	if good == nil || !good.Ranked || good.Name != "good.name" || good.Rank != 42 {
-		t.Errorf("doc-comment annotation not parsed: %+v", good)
-	}
-	trail := env.classes["dtest.s.trailing"]
-	if trail == nil || !trail.Ranked || trail.Name != "trail.name" || trail.Rank != 7 {
-		t.Errorf("trailing-comment annotation not parsed: %+v", trail)
-	}
-	plain := env.classes["dtest.s.plain"]
-	if plain == nil || plain.Ranked {
-		t.Errorf("unannotated field should register an unranked class: %+v", plain)
-	}
-
-	// Package path "dtest" is not internal/: no undeclared findings even for
-	// the bare field.
-	if len(env.undeclared) != 0 {
-		t.Errorf("non-internal package produced undeclared findings: %v", env.undeclared)
-	}
-}
-
-func TestUndeclaredOnlyInInternalNonTest(t *testing.T) {
-	src := `package p
-
-import "sync"
-
-type s struct {
-	bare sync.Mutex
-}
-`
-	fset, files := parseOne(t, src)
-	pkg, info := checkPkg(t, "repro/internal/dtest", fset, files)
-	env := buildLockEnv(fset, files, pkg, info, nil)
-	if len(env.undeclared) != 1 {
-		t.Fatalf("internal package: got %d undeclared, want 1", len(env.undeclared))
-	}
-	if env.undeclared[0].key != "repro/internal/dtest.s.bare" {
-		t.Errorf("undeclared key = %q", env.undeclared[0].key)
-	}
-}
-
 func TestStaleIgnoreReported(t *testing.T) {
 	src := `package p
 
@@ -244,8 +143,12 @@ func a() {
 }
 `
 	fset, files := parseOne(t, src)
-	pkg, info := checkPkg(t, "dtest", fset, files)
-	diags := runAnalyzers(Analyzers, fset, files, pkg, info, nil)
+	info := newTypesInfo()
+	pkg, err := (&types.Config{}).Check("dtest", fset, files, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := runAnalyzers(Analyzers, fset, files, pkg, info)
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want 1 stale-ignore: %v", len(diags), diags)
 	}

@@ -38,10 +38,10 @@ var errcloseMethods = map[string]bool{
 var errclosePackages = []string{"wal", "sstable", "vfs", "net", "vlog"}
 
 func runErrclose(pass *Pass) {
-	for _, fn := range funcsOf(pass.Files) {
-		ast.Inspect(fn.body, func(n ast.Node) bool {
+	for _, body := range funcsOf(pass.Files) {
+		ast.Inspect(body, func(n ast.Node) bool {
 			if _, ok := n.(*ast.FuncLit); ok {
-				return false // visited as its own funcBody
+				return false // visited as its own body
 			}
 			stmt, ok := n.(*ast.ExprStmt)
 			if !ok {

@@ -3,7 +3,7 @@ package main
 // Fixture-driven analyzer regression tests: a stdlib-only analogue of
 // golang.org/x/tools' analysistest. Each package under testdata/src is
 // parsed and type-checked hermetically — fixtures import fake lookalikes of
-// sync, sync/atomic, net, wal, vfs, and sstable that live in the same tree,
+// sync, net, wal, vfs, vlog, sstable and invariants that live in the same tree,
 // so the tests need no compiled stdlib export data and no network.
 //
 // Expectations are `// want "regexp"` comments: every diagnostic reported on
@@ -31,12 +31,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	pkgs := []string{
 		"mutexio_fire", "mutexio_clean",
 		"mutexio_wrapped_fire", "mutexio_wrapped_clean",
-		"refpair_fire", "refpair_clean",
-		"atomicfield_fire", "atomicfield_clean",
 		"errclose_fire", "errclose_clean",
-		"lockorder_fire", "lockorder_clean",
-		"lockorder_xdep", "lockorder_xfire",
-		"internal/lockrank_fire",
 		"ignores",
 	}
 	for _, pkg := range pkgs {
@@ -51,11 +46,7 @@ func TestFirePackagesActuallyFire(t *testing.T) {
 	for _, tc := range []struct{ pkg, analyzer string }{
 		{"mutexio_fire", "mutexio"},
 		{"mutexio_wrapped_fire", "mutexio"},
-		{"refpair_fire", "refpair"},
-		{"atomicfield_fire", "atomicfield"},
 		{"errclose_fire", "errclose"},
-		{"lockorder_fire", "lockorder"},
-		{"internal/lockrank_fire", "lockorder"},
 	} {
 		diags := analyzeFixture(t, tc.pkg)
 		n := 0
@@ -74,9 +65,7 @@ func TestFirePackagesActuallyFire(t *testing.T) {
 // all — the false-positive budget for sanctioned shapes is zero.
 func TestCleanPackagesStaySilent(t *testing.T) {
 	for _, pkg := range []string{
-		"mutexio_clean", "mutexio_wrapped_clean",
-		"refpair_clean", "atomicfield_clean", "errclose_clean",
-		"lockorder_clean", "lockorder_xdep",
+		"mutexio_clean", "mutexio_wrapped_clean", "errclose_clean",
 	} {
 		if diags := analyzeFixture(t, pkg); len(diags) != 0 {
 			for _, d := range diags {
@@ -101,7 +90,6 @@ type fixturePkg struct {
 	files []*ast.File
 	pkg   *types.Package
 	info  *types.Info
-	env   *lockEnv
 }
 
 func newFixtureLoader(t *testing.T) *fixtureLoader {
@@ -150,17 +138,7 @@ func (l *fixtureLoader) load(path string) (*fixturePkg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("typechecking fixture %q: %w", path, err)
 	}
-	// Mirror the vet facts protocol in-memory: each package's lock
-	// environment merges the facts of its direct imports, which already
-	// carry their own dependencies transitively.
-	var deps []*lockFacts
-	for _, imp := range pkg.Imports() {
-		if d := l.pkgs[imp.Path()]; d != nil && d.env != nil {
-			deps = append(deps, d.env.facts())
-		}
-	}
 	p := &fixturePkg{files: files, pkg: pkg, info: info}
-	p.env = buildLockEnv(l.fset, files, pkg, info, deps)
 	l.pkgs[path] = p
 	return p, nil
 }
@@ -172,7 +150,7 @@ func analyzeFixture(t *testing.T, path string) []Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return runAnalyzers(Analyzers, l.fset, p.files, p.pkg, p.info, p.env)
+	return runAnalyzers(Analyzers, l.fset, p.files, p.pkg, p.info)
 }
 
 // ---------------------------------------------------------------------------
@@ -238,7 +216,7 @@ func runFixture(t *testing.T, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := runAnalyzers(Analyzers, l.fset, p.files, p.pkg, p.info, p.env)
+	diags := runAnalyzers(Analyzers, l.fset, p.files, p.pkg, p.info)
 	wants := collectWants(t, l.fset, p.files)
 
 	matched := map[wantKey][]bool{}

@@ -9,23 +9,14 @@
 //	go build -o bin/ldclint ./tools/ldclint
 //	go vet -vettool=bin/ldclint ./...
 //
-// Five analyzers are registered (see their files for the precise rules):
+// Two analyzers are registered (see their files for the precise rules), the
+// two with a recorded catch in this engine:
 //
-//	mutexio     — fsync/network I/O performed while a mutex is held
-//	refpair     — Ref/Acquire without a dominating Unref/Release on every path
-//	atomicfield — plain access to fields published via sync/atomic
-//	errclose    — dropped errors from Close/Sync/Flush on WAL/SSTable/net/vfs types
-//	lockorder   — whole-program lock acquisition order: cycles (potential
-//	              deadlocks) with full witness chains, violations of the
-//	              //ldclint:lockrank ranking, unranked mutex fields in
-//	              internal/ packages, and Rank() calls disagreeing with
-//	              their field's annotation
+//	mutexio  — fsync/network I/O performed while a mutex is held
+//	errclose — dropped errors from Close/Sync/Flush on WAL/SSTable/net/vfs types
 //
-// lockorder is interprocedural: each package's per-function lock summaries
-// travel as vet "facts" (unit.go), so a cycle spanning packages is reported
-// in the package that completes it. Its runtime counterpart is
-// internal/invariants' -tags invariants lock-rank tracker, which validates
-// the same declared order on real executions.
+// Lock order has a single checker, and it is not here: the -tags invariants
+// build's lock-rank tracker in internal/invariants.
 //
 // A finding can be suppressed with a directive comment on the flagged line
 // or the line above it:

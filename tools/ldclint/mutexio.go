@@ -1,6 +1,6 @@
 package main
 
-// mutexio encodes the PR-2 locking rule: fsync-class and network I/O must
+// mutexio encodes the engine's locking rule: fsync-class and network I/O must
 // never run while a mutex is held. The write path appends to the WAL under
 // db.mu but pays the fsync after releasing it; version.Set never holds
 // set.mu across I/O; the serving layer never writes a connection under a
@@ -26,6 +26,10 @@ package main
 //
 // Intentional exceptions — version.Set.logMu is documented as held across
 // MANIFEST I/O — carry a //ldclint:ignore mutexio <reason> directive.
+//
+// The order in which locks nest is not checked here: every engine lock is an
+// internal/invariants wrapper whose Rank call declares its place, and the
+// -tags invariants build panics on an inverted acquisition at run time.
 
 import (
 	"go/ast"
@@ -40,9 +44,9 @@ var mutexioAnalyzer = &Analyzer{
 }
 
 func runMutexIO(pass *Pass) {
-	for _, fn := range funcsOf(pass.Files) {
+	for _, body := range funcsOf(pass.Files) {
 		m := &mutexWalker{pass: pass}
-		m.walk(fn.body.List, map[string]token.Pos{})
+		m.walk(body.List, map[string]token.Pos{})
 	}
 }
 
@@ -50,37 +54,29 @@ type mutexWalker struct {
 	pass *Pass
 }
 
-// lockMethod classifies a call as mutex bookkeeping: +1 Lock, -1 Unlock.
+// lockMethod reports whether call is mutex bookkeeping: delta is +1 for
+// Lock/RLock and -1 for Unlock/RUnlock; key is the receiver's expression key.
 func (m *mutexWalker) lockMethod(call *ast.CallExpr) (key string, delta int, ok bool) {
-	key, _, delta, ok = classifyLockCall(m.pass.Info, m.pass.Fset, call)
-	return key, delta, ok
-}
-
-// classifyLockCall reports whether call is mutex bookkeeping: delta is +1
-// for Lock/RLock and -1 for Unlock/RUnlock; key is the receiver's
-// expression key and recv the receiver expression itself. Shared by mutexio
-// (I/O-under-lock regions) and lockorder (acquisition summaries).
-func classifyLockCall(info *types.Info, fset *token.FileSet, call *ast.CallExpr) (key string, recv ast.Expr, delta int, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
-		return "", nil, 0, false
+		return "", 0, false
 	}
-	rt := recvType(info, call)
+	rt := recvType(m.pass.Info, call)
 	if rt == nil || !isMutex(rt) {
-		return "", nil, 0, false
+		return "", 0, false
 	}
 	switch sel.Sel.Name {
 	case "Lock", "RLock":
-		return exprKey(fset, sel.X), sel.X, +1, true
+		return exprKey(m.pass.Fset, sel.X), +1, true
 	case "Unlock", "RUnlock":
-		return exprKey(fset, sel.X), sel.X, -1, true
+		return exprKey(m.pass.Fset, sel.X), -1, true
 	}
-	return "", nil, 0, false
+	return "", 0, false
 }
 
 // isMutex covers the raw sync types and the invariants wrappers that
-// replaced them on ranked locks — the wrappers must stay in the model or
-// converting a field would silently disable both analyzers on it.
+// replaced them on every ranked lock — the wrappers must stay in the model
+// or converting a field would silently disable the analyzer on it.
 func isMutex(t types.Type) bool {
 	return typeFromPkg(t, "sync", "Mutex") || typeFromPkg(t, "sync", "RWMutex") ||
 		typeFromPkg(t, "invariants", "Mutex") || typeFromPkg(t, "invariants", "RWMutex")

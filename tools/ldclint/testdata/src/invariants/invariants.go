@@ -1,7 +1,7 @@
 // Package invariants is a fixture stand-in for repro/internal/invariants:
-// the ranked mutex wrappers, shaped like the real !invariants build. The
-// analyzers must treat these exactly like sync mutexes — converting a field
-// to the wrapper must not silence mutexio or lockorder.
+// the ranked mutex wrappers, shaped like the real !invariants build. mutexio
+// must treat these exactly like sync mutexes — converting a field to the
+// wrapper must not silence it.
 package invariants
 
 import "sync"

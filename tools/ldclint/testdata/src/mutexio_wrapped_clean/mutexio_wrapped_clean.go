@@ -1,6 +1,5 @@
 // Package mutexio_wrapped_clean releases the invariants wrapper before any
-// I/O — the sanctioned shape, with ranks nested in order. Both analyzers
-// must stay silent.
+// I/O — the sanctioned shape. mutexio must stay silent.
 package mutexio_wrapped_clean
 
 import (
@@ -9,7 +8,6 @@ import (
 )
 
 type store struct {
-	//ldclint:lockrank wclean.mu 10
 	mu invariants.Mutex
 	f  *vfs.File
 }

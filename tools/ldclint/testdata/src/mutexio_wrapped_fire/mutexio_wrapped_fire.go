@@ -9,9 +9,7 @@ import (
 )
 
 type store struct {
-	//ldclint:lockrank wrapped.mu 10
 	mu invariants.Mutex
-	//ldclint:lockrank wrapped.rw 20
 	rw invariants.RWMutex
 	f  *vfs.File
 	fs *vfs.FS

@@ -1,6 +1,5 @@
 // Package vlog is a hermetic stand-in for repro/internal/vlog; errclose
-// matches it by the "/vlog"-suffix package-path rule, and refpair tracks
-// GetReader's pooled result (Release returns it to the pool).
+// matches it by the "/vlog"-suffix package-path rule.
 package vlog
 
 type Pointer struct {
@@ -9,15 +8,9 @@ type Pointer struct {
 	Length  uint32
 }
 
-type Log struct{ r Reader }
+type Log struct{ n int }
 
-func (l *Log) GetReader() *Reader { return &l.r }
-func (l *Log) Close() error       { return nil }
-
-type Reader struct{ held bool }
-
-func (r *Reader) Read(p Pointer) (key, value []byte, err error) { return nil, nil, nil }
-func (r *Reader) Release()                                      {}
+func (l *Log) Close() error { return nil }
 
 type Writer struct{ n int }
 
@@ -27,5 +20,4 @@ func (w *Writer) Close() error                              { return nil }
 
 type Segment struct{ size int64 }
 
-func (s *Segment) Scan(fn func(Pointer, []byte, []byte) error) error { return nil }
-func (s *Segment) Close() error                                      { return nil }
+func (s *Segment) Close() error { return nil }

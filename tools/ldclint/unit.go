@@ -5,13 +5,11 @@ package main
 // For every package in the build graph, `go vet -vettool=ldclint` invokes
 // the tool with one argument: a JSON config file naming the package's Go
 // files and mapping each import path to the compiler export data of the
-// dependency. Dependency packages are visited first with VetxOnly set: they
-// exist to produce analysis "facts", which for ldclint are the lockorder
-// analyzer's per-function lock summaries (lockorder.go). Each unit merges
-// the facts of its direct imports with its own summaries and writes the
-// union, so transitive summaries reach dependents without a global pass.
-// Standard-library packages are skipped (empty facts): they carry no
-// lockrank annotations and parsing GOROOT would only cost time.
+// dependency. Dependency packages are visited first with VetxOnly set, to
+// produce analysis "facts" for their dependents. ldclint's analyzers are
+// intraprocedural and use none, so such a unit — and every standard-library
+// unit — just writes the empty facts file cmd/go expects and returns, without
+// parsing or type-checking anything.
 
 import (
 	"encoding/json"
@@ -24,7 +22,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
 )
 
 // vetConfig mirrors the fields of cmd/go's vet config (the same JSON
@@ -44,9 +41,8 @@ type vetConfig struct {
 	PackageFile map[string]string // canonical package path → export data file
 	Standard    map[string]bool   // canonical package path → is stdlib
 
-	VetxOnly    bool              // just produce facts for dependents; don't report diagnostics
-	VetxOutput  string            // where to write facts
-	PackageVetx map[string]string // canonical package path → facts file of direct dependency
+	VetxOnly   bool   // just produce facts for dependents; don't report diagnostics
+	VetxOutput string // where to write facts
 
 	SucceedOnTypecheckFailure bool
 }
@@ -63,11 +59,12 @@ func runUnit(cfgFile string, analyzers []*Analyzer) ([]Diagnostic, error) {
 		return nil, fmt.Errorf("parsing vet config %s: %w", cfgFile, err)
 	}
 
-	// Standard-library units produce empty facts without being parsed: std
-	// declares no lockrank classes, and a missing or empty facts entry is
-	// tolerated on the consuming side.
-	if cfg.Standard[cfg.ImportPath] || cfg.ImportPath == "unsafe" {
-		return nil, writeFacts(cfg.VetxOutput, []byte{})
+	if err := writeFacts(cfg.VetxOutput); err != nil {
+		return nil, err
+	}
+	// Dependency-only and standard-library units have nothing to report.
+	if cfg.VetxOnly || cfg.Standard[cfg.ImportPath] || cfg.ImportPath == "unsafe" {
+		return nil, nil
 	}
 
 	fset := token.NewFileSet()
@@ -76,7 +73,7 @@ func runUnit(cfgFile string, analyzers []*Analyzer) ([]Diagnostic, error) {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
 			if cfg.SucceedOnTypecheckFailure {
-				return nil, writeFacts(cfg.VetxOutput, []byte{})
+				return nil, nil
 			}
 			return nil, err
 		}
@@ -111,63 +108,24 @@ func runUnit(cfgFile string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	pkg, err := tc.Check(cfg.ImportPath, fset, files, info)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
-			return nil, writeFacts(cfg.VetxOutput, []byte{})
+			return nil, nil
 		}
 		return nil, fmt.Errorf("typechecking %s: %w", cfg.ImportPath, err)
 	}
-
-	deps, err := loadDepFacts(cfg.PackageVetx)
-	if err != nil {
-		return nil, err
-	}
-	env := buildLockEnv(fset, files, pkg, info, deps)
-	facts, err := json.Marshal(env.facts())
-	if err != nil {
-		return nil, fmt.Errorf("encoding facts: %w", err)
-	}
-	if err := writeFacts(cfg.VetxOutput, facts); err != nil {
-		return nil, err
-	}
-	if cfg.VetxOnly {
-		return nil, nil
-	}
-
-	return runAnalyzers(analyzers, fset, files, pkg, info, env), nil
+	return runAnalyzers(analyzers, fset, files, pkg, info), nil
 }
 
 // writeFacts satisfies the facts half of the protocol: cmd/go expects the
-// file to exist after every invocation that names one.
-func writeFacts(path string, data []byte) error {
+// file to exist after every invocation that names one. ldclint has no facts,
+// so the file is empty.
+func writeFacts(path string) error {
 	if path == "" {
 		return nil
 	}
-	if err := os.WriteFile(path, data, 0o666); err != nil {
+	if err := os.WriteFile(path, nil, 0o666); err != nil {
 		return fmt.Errorf("writing facts: %w", err)
 	}
 	return nil
-}
-
-// loadDepFacts reads the lock summaries of every direct dependency. Empty
-// files (std units, typecheck-failure fallbacks) contribute nothing.
-func loadDepFacts(vetx map[string]string) ([]*lockFacts, error) {
-	paths := make([]string, 0, len(vetx))
-	for p := range vetx {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	var deps []*lockFacts
-	for _, p := range paths {
-		data, err := os.ReadFile(vetx[p])
-		if err != nil || len(data) == 0 {
-			continue // tolerated: std or facts-less dependency
-		}
-		var f lockFacts
-		if err := json.Unmarshal(data, &f); err != nil {
-			return nil, fmt.Errorf("parsing facts of %s: %w", p, err)
-		}
-		deps = append(deps, &f)
-	}
-	return deps, nil
 }
 
 // importerFunc adapts a function to types.Importer.
