@@ -62,12 +62,13 @@ test:
 # recycling under a racing Close; and the WAL list each shard keeps, whose
 # entries the post-job cleanups of both workers take exactly once; and the
 # read path's allocation
-# budget — a warm 100-pair Scan, a Get that misses a full block cache, a
+# budget — a warm 100-pair Scan, the device reads and allocations of a cold
+# one, a Get that misses a full block cache, a
 # table Probe on a cached block, a block-cache Set on a full shard — whose
 # bounds must not depend on the cache's stripe count, which follows GOMAXPROCS.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup' $(TESTFLAGS) ./internal/core
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSetAllocsOnFullShard' $(TESTFLAGS) ./internal/cache
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLevelTargets|TestLDCDrainsStagingLevel|TestDebt' $(TESTFLAGS) ./internal/compaction
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead|TestWriterAddAllocs|TestProbeAllocs|TestDecodedIndexMatchesOnDisk' $(TESTFLAGS) ./internal/sstable

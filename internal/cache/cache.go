@@ -200,6 +200,16 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	return nil, false
 }
 
+// Contains reports whether k is cached. It is a check, not a read: it counts
+// neither a hit nor a miss and leaves k's place in the LRU order alone.
+func (c *Cache) Contains(k Key) bool {
+	s := c.shardFor(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.items[k]
+	return ok
+}
+
 // Set inserts or replaces the value for k with the given byte charge,
 // evicting least-recently-used entries of k's shard as needed. The charge
 // must be len(v), the value's resident (decoded, uncompressed) size: the

@@ -148,6 +148,24 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestContainsIsNoRead: Contains counts no lookup and leaves the LRU order as
+// it is, so the entry it found is still the one evicted first.
+func TestContainsIsNoRead(t *testing.T) {
+	c := NewSharded(20, 1)
+	c.Set(Key{FileNum: 1}, sized(1, 10), 10)
+	c.Set(Key{FileNum: 2}, sized(2, 10), 10)
+	if !c.Contains(Key{FileNum: 1}) || c.Contains(Key{FileNum: 3}) {
+		t.Fatal("Contains disagrees with what was set")
+	}
+	if h, m := c.Stats(); h != 0 || m != 0 {
+		t.Errorf("Contains counted %d hits, %d misses", h, m)
+	}
+	c.Set(Key{FileNum: 3}, sized(3, 10), 10)
+	if c.Contains(Key{FileNum: 1}) || !c.Contains(Key{FileNum: 2}) {
+		t.Error("Contains refreshed the entry it found")
+	}
+}
+
 func TestShardCountRounding(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{
 		{1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {16, 16},

@@ -130,25 +130,13 @@ func BenchmarkGetCacheHit(b *testing.B) {
 // the most-linked file, where the scan crosses that file's slice windows, and
 // from a region no window reaches, where the slices must cost nothing; with the
 // block cache emptied before every scan and with it warm. Beside time and
-// allocations it reports the device requests and bytes of one scan.
+// allocations it reports the device requests and bytes of one scan, and the
+// blocks it decoded out of what it read.
 func BenchmarkScan100(b *testing.B) {
 	prof := ssdsim.DefaultProfile()
 	prof.Scale = 0
 	dev := ssdsim.NewDevice(prof)
 	db, _, sliced := slicedTree(b, ssdsim.Wrap(vfs.Mem(), dev), 300)
-	st := db.shards[0]
-	emptyCache := func() {
-		v := st.set.Current()
-		defer v.Unref()
-		for _, files := range v.Levels {
-			for _, f := range files {
-				db.blockCache.EvictFile(st.tables.cacheNum(f.Num))
-			}
-		}
-		for num := range v.Frozen {
-			db.blockCache.EvictFile(st.tables.cacheNum(num))
-		}
-	}
 	for _, cold := range []bool{true, false} {
 		for _, start := range []struct {
 			name string
@@ -165,13 +153,13 @@ func BenchmarkScan100(b *testing.B) {
 					}
 				}
 				scan()
-				before := dev.Snapshot().ByCategory[ssdsim.CatUserRead]
+				before, decoded := dev.Snapshot().ByCategory[ssdsim.CatUserRead], db.BlockReads()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if cold {
 						b.StopTimer()
-						emptyCache()
+						emptyBlockCache(db)
 						b.StartTimer()
 					}
 					scan()
@@ -180,6 +168,7 @@ func BenchmarkScan100(b *testing.B) {
 				after := dev.Snapshot().ByCategory[ssdsim.CatUserRead]
 				b.ReportMetric(float64(after.ReadOps-before.ReadOps)/float64(b.N), "device-reads/op")
 				b.ReportMetric(float64(after.ReadBytes-before.ReadBytes)/float64(b.N), "device-bytes/op")
+				b.ReportMetric(float64(db.BlockReads()-decoded)/float64(b.N), "decoded-blocks/op")
 			})
 		}
 	}

@@ -428,10 +428,13 @@ func (db *DB) GetAt(key []byte, snap *Snapshot) ([]byte, error) {
 	return db.shards[i].getAt(key, snap.seq(i))
 }
 
-// scanChunk is the size of the buffers Scan copies pairs into, the largest
-// size class the Go allocator serves without a large-object allocation. A
-// pair larger than a chunk is copied into an allocation of its own.
-const scanChunk = 32 << 10
+// scanChunk is the size of the buffers Scan copies pairs into: the largest the
+// Go allocator serves from its 32 KiB size class. It serves a request as a
+// small object only if the request leaves room for a malloc header, 8 bytes,
+// even when the object has no pointers; a full 32 KiB is a large object, with
+// a span of its own that is zeroed on every allocation. A pair larger than a
+// chunk is copied into an allocation of its own.
+const scanChunk = 32<<10 - 8
 
 // Scan returns up to limit pairs with keys >= start, at the latest state
 // (the paper's SCAN operation, covering ~100 pairs per request). With

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
@@ -15,6 +18,7 @@ import (
 	"repro/internal/invariants"
 	"repro/internal/iterator"
 	"repro/internal/keys"
+	"repro/internal/ssdsim"
 	"repro/internal/sstable"
 	"repro/internal/version"
 	"repro/internal/vfs"
@@ -377,6 +381,22 @@ func countSlices(t testing.TB, db *DB) (slices int, sliced []byte) {
 	return slices, sliced
 }
 
+// emptyBlockCache evicts every block of db's live and frozen tables.
+func emptyBlockCache(db *DB) {
+	for _, st := range db.shards {
+		v := st.set.Current()
+		for _, files := range v.Levels {
+			for _, f := range files {
+				db.blockCache.EvictFile(st.tables.cacheNum(f.Num))
+			}
+		}
+		for num := range v.Frozen {
+			db.blockCache.EvictFile(st.tables.cacheNum(num))
+		}
+		v.Unref()
+	}
+}
+
 func regionKey(region byte, i int) []byte { return []byte(fmt.Sprintf("%c-%08d", region, i)) }
 
 // TestLazyScanAllocsIgnoreSlicesOutsideRange: what a scan allocates depends on
@@ -420,6 +440,58 @@ func TestScanAllocs(t *testing.T) {
 		if got > 24 {
 			t.Errorf("Scan(%s, 100) with a warm cache: %.0f allocations, want at most 24", start, got)
 		}
+	}
+}
+
+// TestScanRequests pins what a 100-pair Scan with a cold block cache costs, on
+// a device that only counts (ssdsim at Scale 0): from a key of the most-linked
+// file, where the scan crosses that file's slice windows, and from a region no
+// window reaches. A table iterator's seek reads ahead as its forward steps do,
+// and a block it read ahead is decoded only if it lands there, so the scans
+// make at most 12 and 4 device requests (16 and 5 when a seek read its block
+// alone) and allocate for the blocks they land on, not for all they read (at
+// most 40 and 29 times; 41 and 30 when every block read was decoded).
+func TestScanRequests(t *testing.T) {
+	prof := ssdsim.DefaultProfile()
+	prof.Scale = 0
+	dev := ssdsim.NewDevice(prof)
+	db, _, sliced := slicedTree(t, ssdsim.Wrap(vfs.Mem(), dev), 300)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+	for _, tc := range []struct {
+		name          string
+		start         []byte
+		reads, allocs uint64
+	}{
+		{"sliced", sliced, 12, 40},
+		{"unsliced", regionKey('a', 1000), 4, 29},
+	} {
+		if _, err := db.Scan(tc.start, 100); err != nil { // fills the pools
+			t.Fatal(err)
+		}
+		// A collection in the middle of a scan can empty the pools it draws on,
+		// so the allocation bound holds the fewest of several runs.
+		const runs = 10
+		reads, allocs := uint64(0), uint64(math.MaxUint64)
+		for i := 0; i < runs; i++ {
+			emptyBlockCache(db)
+			var before, after runtime.MemStats
+			ops := dev.Snapshot().ByCategory[ssdsim.CatUserRead].ReadOps
+			runtime.ReadMemStats(&before)
+			kvs, err := db.Scan(tc.start, 100)
+			runtime.ReadMemStats(&after)
+			if err != nil || len(kvs) != 100 {
+				t.Fatalf("%s: Scan = %d pairs, %v", tc.name, len(kvs), err)
+			}
+			reads += uint64(dev.Snapshot().ByCategory[ssdsim.CatUserRead].ReadOps - ops)
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
+		}
+		if reads > tc.reads*runs {
+			t.Errorf("%s: a cold Scan of 100 pairs made %.1f device reads, want at most %d", tc.name, float64(reads)/runs, tc.reads)
+		}
+		if exactAllocs && allocs > tc.allocs {
+			t.Errorf("%s: a cold Scan of 100 pairs made %d allocations, want at most %d", tc.name, allocs, tc.allocs)
+		}
+		t.Logf("%s: %.1f device reads per cold Scan(100), %d allocations", tc.name, float64(reads)/runs, allocs)
 	}
 }
 
@@ -468,6 +540,40 @@ func TestScanPairsEndAtTheirCapacity(t *testing.T) {
 	if kvs, err := db.Scan(nil, 0); kvs != nil || err != nil {
 		t.Errorf("Scan(nil, 0) = %d pairs, %v; want nil, nil", len(kvs), err)
 	}
+}
+
+// chunkSink keeps TestScanChunkIsASmallObject's chunks on the heap.
+var chunkSink [][]byte
+
+// TestScanChunkIsASmallObject: a scan chunk comes out of the allocator's 32 KiB
+// size class. A chunk of a full 32 KiB is a large object, with a span of its
+// own that is zeroed at every allocation. runtime.MemStats.BySize stops at the
+// 18 KiB class, so the test reads the runtime's histogram of allocations by
+// size, whose buckets end at the size classes.
+func TestScanChunkIsASmallObject(t *testing.T) {
+	const n = 64
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs-by-size:bytes"}}
+	inClass := func() uint64 {
+		metrics.Read(sample)
+		h := sample[0].Value.Float64Histogram()
+		for i, c := range h.Counts {
+			if h.Buckets[i] <= 32<<10 && h.Buckets[i+1] > 32<<10 {
+				return c
+			}
+		}
+		t.Fatal("no bucket holds the 32 KiB size class")
+		return 0
+	}
+	before := inClass()
+	for i := 0; i < n; i++ {
+		chunkSink = append(chunkSink, make([]byte, 0, scanChunk))
+	}
+	// A span is counted when the allocator moves on from it, so the last
+	// chunk may not be counted yet.
+	if got := inClass() - before; got < n/2 {
+		t.Errorf("%d chunks of %d bytes: %d allocations in the 32 KiB size class", n, scanChunk, got)
+	}
+	chunkSink = nil
 }
 
 // TestLazyScanCorruptBlock damages one data block of a table and checks, at the

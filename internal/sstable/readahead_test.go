@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/invariants"
 	"repro/internal/iterator"
 	"repro/internal/keys"
 	"repro/internal/vfs"
@@ -107,7 +108,8 @@ func (tb *raTable) walk(t *testing.T, it iterator.Iterator, upTo int) (n int) {
 
 // TestReadAheadRequestShape pins what a user iterator asks the device for. On
 // this table a block is a little over 4 KiB on disk, so a 16 KiB request holds
-// 3 of them, a 32 KiB one 7 and a 64 KiB one 15.
+// 3 of them, a 32 KiB one 7 and a 64 KiB one 15. A seek's request is the first
+// of the ramp; only a step back reads a block alone.
 func TestReadAheadRequestShape(t *testing.T) {
 	fs := newReadLog(vfs.Mem())
 	const n = 60
@@ -123,7 +125,7 @@ func TestReadAheadRequestShape(t *testing.T) {
 		if got := tb.walk(t, it, n); got != 4*n {
 			t.Fatalf("walked %d entries, want %d", got, 4*n)
 		}
-		if got, want := tb.requests(t), "0 1-3 4-10 11-25 26-40 41-55 56-59"; got != want {
+		if got, want := tb.requests(t), "0-2 3-9 10-24 25-39 40-54 55-59"; got != want {
 			t.Errorf("requests %q, want %q", got, want)
 		}
 		// Every block went into the cache under its own offset, charged what it
@@ -152,10 +154,10 @@ func TestReadAheadRequestShape(t *testing.T) {
 		it := tb.r.NewIterator()
 		defer it.Close()
 		it.SeekToFirst()
-		tb.walk(t, it, 12) // two steps up the ramp: the next request would be 64 KiB
+		tb.walk(t, it, 12) // up the ramp to a 64 KiB request
 		it.SeekGE(tb.firstKey(30))
 		tb.walk(t, it, 45)
-		if got, want := tb.requests(t), "0 1-3 4-10 11-25 30 31-33 34-40 41-55"; got != want {
+		if got, want := tb.requests(t), "0-2 3-9 10-24 30-32 33-39 40-54"; got != want {
 			t.Errorf("requests %q, want %q", got, want)
 		}
 	})
@@ -174,7 +176,7 @@ func TestReadAheadRequestShape(t *testing.T) {
 		if got := len(drain(t, it)); got != 68 {
 			t.Fatalf("window yielded %d entries, want 68", got)
 		}
-		if got, want := tb.requests(t), "2 3-5 6-12 13-19"; got != want {
+		if got, want := tb.requests(t), "2-4 5-11 12-19"; got != want {
 			t.Errorf("requests %q, want %q", got, want)
 		}
 	})
@@ -188,7 +190,28 @@ func TestReadAheadRequestShape(t *testing.T) {
 		defer it.Close()
 		it.SeekToFirst()
 		tb.walk(t, it, 30)
-		if got, want := tb.requests(t), "8 0 1-3 4-7 9-23 24-38"; got != want {
+		if got, want := tb.requests(t), "8 0-2 3-7 9-23 24-38"; got != want {
+			t.Errorf("requests %q, want %q", got, want)
+		}
+	})
+
+	t.Run("a seek's request stops at upper's block and short of a cached block", func(t *testing.T) {
+		tb := newRATable(t, fs, n)
+		w := keys.KeyRange{Lo: []byte("key-000010"), Hi: []byte("key-000013")} // blocks 2 and 3
+		it := iterator.NewClamped(icmp.User, tb.r.NewIteratorUpTo(keys.MakeInternalKey(nil, w.Hi, 0, keys.KindDelete)), w)
+		it.SeekToFirst()
+		if got := len(drain(t, it)); got != 4 {
+			t.Fatalf("window yielded %d entries, want 4", got)
+		}
+		it.Close()
+		if _, _, found, err := tb.r.Get([]byte("key-000028"), keys.MaxSeq); !found || err != nil { // block 7
+			t.Fatal(found, err)
+		}
+		it = tb.r.NewIterator()
+		defer it.Close()
+		it.SeekGE(tb.firstKey(5))
+		tb.walk(t, it, 9)
+		if got, want := tb.requests(t), "2-3 7 5-6 8-14"; got != want {
 			t.Errorf("requests %q, want %q", got, want)
 		}
 	})
@@ -234,7 +257,7 @@ func TestReadAheadRequestShape(t *testing.T) {
 		it.SeekGE(tb.firstKey(20))
 		it.Prev() // onto block 19
 		tb.walk(t, it, 30)
-		if got, want := tb.requests(t), "20 19 21-23 24-30"; got != want {
+		if got, want := tb.requests(t), "20-22 19 23-29 30-44"; got != want {
 			t.Errorf("requests %q, want %q", got, want)
 		}
 	})
@@ -250,10 +273,10 @@ func TestReadAheadBlocksOwnTheirBytes(t *testing.T) {
 	it.SeekToFirst()
 	want := drain(t, it)
 	it.Close()
-	if got := tb.requests(t); got != "0 1-3 4-10 11-25 26-29" {
+	if got := tb.requests(t); got != "0-2 3-9 10-24 25-29" {
 		t.Fatalf("requests %q", got)
 	}
-	// Blocks 4 to 10 came in one request. From an entry of block 6, reach as
+	// Blocks 3 to 9 came in one request. From an entry of block 6, reach as
 	// far as the allocation behind it goes.
 	it = tb.r.NewIterator()
 	it.SeekGE(tb.firstKey(6))
@@ -287,13 +310,85 @@ func TestReadAheadBlocksOwnTheirBytes(t *testing.T) {
 	}
 }
 
+// TestReadAheadLandsLazily: a request's blocks are verified, decoded and
+// cached only as the walk lands on them, and neither sizing a request nor
+// landing on a block the iterator holds counts as a cache lookup.
+func TestReadAheadLandsLazily(t *testing.T) {
+	tb := newRATable(t, newReadLog(vfs.Mem()), 30)
+	atOpen, _ := tb.r.IOBytes() // the index and the filter
+	lookups := func() int64 {
+		hits, misses := tb.cache.Stats()
+		return hits + misses
+	}
+	check := func(requests string, landed int) {
+		t.Helper()
+		if got := tb.requests(t); got != requests {
+			t.Errorf("requests %q, want %q", got, requests)
+		}
+		var onDisk int64
+		for _, b := range tb.blocks[:landed] {
+			onDisk += b.size - blockTrailerLen
+		}
+		if got, _ := tb.r.IOBytes(); tb.cache.Len() != landed || tb.r.BlockReads() != int64(landed) || got-atOpen != onDisk {
+			t.Errorf("%d blocks cached, %d decoded, %d bytes counted; want the %d landed on, %d bytes",
+				tb.cache.Len(), tb.r.BlockReads(), got-atOpen, landed, onDisk)
+		}
+	}
+	it := tb.r.NewIterator()
+	defer it.Close()
+	it.SeekToFirst()
+	check("0-2", 1)
+	if got := lookups(); got != 1 {
+		t.Errorf("a seek that read ahead made %d cache lookups, want its own block's", got)
+	}
+	before := lookups()
+	tb.walk(t, it, 2)
+	if got := lookups() - before; got != 0 {
+		t.Errorf("landing on two held blocks made %d cache lookups", got)
+	}
+	check("", 3)
+	tb.walk(t, it, 5)
+	check("3-9", 6)
+	before = lookups()
+	it.Prev() // back onto block 4, held and landed on already
+	if !it.Valid() || lookups() != before {
+		t.Errorf("stepping back onto a held block: valid=%v, %d cache lookups", it.Valid(), lookups()-before)
+	}
+	check("", 6)
+}
+
+// TestReadAheadPoisonsHeldRun: under -tags invariants the held run's buffer is
+// overwritten as it goes back to the pool, so that a block that still aliased
+// it would read garbage in every test.
+func TestReadAheadPoisonsHeldRun(t *testing.T) {
+	if !invariants.Enabled {
+		t.Skip("poisoning compiles away without -tags invariants")
+	}
+	tb := newRATable(t, newReadLog(vfs.Mem()), 30)
+	it := tb.r.NewIterator().(*tableIter)
+	it.SeekToFirst()
+	held := it.chunk
+	if held == nil || tb.requests(t) != "0-2" {
+		t.Fatal("the seek holds no run")
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range held[:3*tb.blocks[0].size] {
+		if b != 0xDD {
+			t.Fatalf("byte %d of the released run reads %#x", i, b)
+		}
+	}
+}
+
 // TestReadAheadBadBytes: a block that fails its checksum inside a request is a
-// problem only for a scan that gets to it, and then the same problem a point
-// read of it has.
+// problem only for a scan that lands on it, and then the same problem a point
+// read of it has: the iterator reads it again alone and reports what that read
+// reports.
 func TestReadAheadBadBytes(t *testing.T) {
 	fs := newReadLog(vfs.Mem())
 	tb := newRATable(t, fs, 30)
-	bad := tb.blocks[7] // inside the 4-10 request
+	bad := tb.blocks[7] // inside the 3-9 request
 	if err := fs.FlipBit("/ra.sst", bad.off+bad.size/2); err != nil {
 		t.Fatal(err)
 	}
@@ -313,19 +408,23 @@ func TestReadAheadBadBytes(t *testing.T) {
 	if !it.Valid() || it.Error() != nil || string(keys.InternalKey(it.Key()).UserKey()) != "key-000027" {
 		t.Fatalf("scan up to the bad block: valid=%v err=%v", it.Valid(), it.Error())
 	}
-	if got := tb.requests(t); got != "0 1-3 4-10" {
+	if got := tb.requests(t); got != "0-2 3-9" {
 		t.Fatalf("requests %q", got)
 	}
-	for i := 4; i <= 10; i++ {
+	for i := 0; i < 10; i++ {
 		if cached(i) != (i < 7) {
-			t.Errorf("block %d cached = %v: the good blocks before the bad one are kept, nothing from it on", i, cached(i))
+			t.Errorf("block %d cached = %v: the blocks landed on are cached, nothing after them", i, cached(i))
 		}
 	}
 
-	// One step further it reports what a point read reports.
-	_, _, _, perr := tb.r.Get([]byte("key-000028"), keys.MaxSeq)
+	// One step further it reads the block again, alone, and reports what a
+	// point read reports.
 	it.Next()
 	err := it.Error()
+	if got := tb.requests(t); got != "7" {
+		t.Errorf("landing on the bad block requested %q, want it alone", got)
+	}
+	_, _, _, perr := tb.r.Get([]byte("key-000028"), keys.MaxSeq)
 	if it.Valid() || !errors.Is(err, ErrCorrupt) || perr == nil || err.Error() != perr.Error() {
 		t.Errorf("scan onto the bad block: valid=%v err=%v; the point read says %v", it.Valid(), err, perr)
 	}
@@ -335,9 +434,21 @@ func TestReadAheadBadBytes(t *testing.T) {
 	if cached(7) {
 		t.Error("the bad block is cached")
 	}
+
+	// A seek onto it fails the same way: the head of its request is bad.
+	tb.fs.reads = nil
+	seek := tb.r.NewIterator()
+	defer seek.Close()
+	seek.SeekGE(tb.firstKey(7))
+	if seek.Valid() || seek.Error() == nil || seek.Error().Error() != perr.Error() {
+		t.Errorf("seek onto the bad block: valid=%v err=%v; the point read says %v", seek.Valid(), seek.Error(), perr)
+	}
+	if got := tb.requests(t); got != "7-9 7" {
+		t.Errorf("seek onto the bad block requested %q", got)
+	}
 }
 
-// TestReadAheadShortRead fails, then shortens, the 4-10 request: the scan
+// TestReadAheadShortRead fails, then shortens, the 3-9 request: the scan
 // stops with an error, never as if the table ended there.
 func TestReadAheadShortRead(t *testing.T) {
 	boom := errors.New("boom")
@@ -353,7 +464,7 @@ func TestReadAheadShortRead(t *testing.T) {
 		fs := newReadLog(vfs.Mem())
 		tb := newRATable(t, fs, 30)
 		fs.fault = func(i, n int) (int, error) {
-			if i != 2 {
+			if i != 1 {
 				return n, nil
 			}
 			return tc.fault(n)
@@ -364,10 +475,10 @@ func TestReadAheadShortRead(t *testing.T) {
 		for ; it.Valid(); it.Next() {
 			entries++
 		}
-		if err := it.Close(); entries != 4*4 || !errors.Is(err, tc.want) {
-			t.Errorf("%s: scan ended after %d entries with %v, want 16 and %v", tc.name, entries, err, tc.want)
+		if err := it.Close(); entries != 3*4 || !errors.Is(err, tc.want) {
+			t.Errorf("%s: scan ended after %d entries with %v, want 12 and %v", tc.name, entries, err, tc.want)
 		}
-		if got := tb.requests(t); got != "0 1-3 4-10" {
+		if got := tb.requests(t); got != "0-2 3-9" {
 			t.Errorf("%s: requests %q", tc.name, got)
 		}
 	}

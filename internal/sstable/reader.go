@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -281,6 +282,13 @@ func (r *Reader) cached(off uint64) ([]byte, bool) {
 	return r.opts.Cache.Get(cache.Key{FileNum: r.opts.FileNum, Offset: off})
 }
 
+// isCached reports whether the block cache holds the data block at offset off,
+// without counting a lookup: read-ahead asks it to know where to stop a
+// request, not to read the block.
+func (r *Reader) isCached(off uint64) bool {
+	return r.opts.Cache != nil && r.opts.Cache.Contains(cache.Key{FileNum: r.opts.FileNum, Offset: off})
+}
+
 // dataBlock binds br to the (possibly cached) data block at h.
 func (r *Reader) dataBlock(br *block.Reader, h blockHandle) error {
 	if contents, ok := r.cached(h.offset); ok {
@@ -407,11 +415,17 @@ func (r *Reader) NewIteratorUpTo(upper []byte) iterator.Iterator {
 // cursor and the data block's reader are held by value so a pooled tableIter
 // re-seeks, and opens a block, without allocating.
 //
-// A block the iterator seeks to, or steps back onto, is read alone, as a point
-// read is. A block it steps forward onto and does not find cached is read
-// together with the blocks after it, in one request (readAhead): the device
-// charges per request, and an iterator that has walked off the end of one
-// block is likely to walk off the next.
+// A block the iterator seeks to, or steps forward onto, and does not find
+// cached is read together with the blocks after it, in one request
+// (readAhead): the device charges per request, and an iterator that has walked
+// off the end of one block is likely to walk off the next. A block it steps
+// back onto, and the last block SeekToLast goes to, is read alone, as a point
+// read is.
+//
+// The request's blocks stay in its pooled buffer, held by the iterator until
+// its next request or Close; a block is verified, decoded, copied out and
+// cached only when the iterator lands on it (landHeld), so a block the walk
+// never reaches costs the bytes it took on the device and nothing else.
 type tableIter struct {
 	r      *Reader
 	index  int          // position in r.index of the current data block
@@ -421,42 +435,37 @@ type tableIter struct {
 
 	upper []byte // read-ahead stops with the block this key falls in; nil: the table's end
 	ahead int    // byte budget of the next read-ahead request
-	// held keeps the last request's blocks for the iterator itself: there may
-	// be no block cache, or one so small or so busy that a block is evicted
-	// before the walk gets to it, and it must not be read twice.
-	held []heldBlock
+
+	// The held run: the last request's blocks, r.index[runAt:runAt+len(held)],
+	// whose bytes lie in chunk; none when held is empty. held[i] is block i's
+	// decoded contents once the iterator has landed on it, nil before. The
+	// iterator looks here before the block cache: there may be no cache, or
+	// one so small or so busy that a landed block is evicted before the walk
+	// comes back to it, and no block is read or decoded twice.
+	chunk *[IOChunk]byte
+	runAt int
+	held  [][]byte
 
 	err    error
 	closed bool
 }
 
-type heldBlock struct {
-	offset   uint64
-	contents []byte
-}
-
 // loadData opens the data block referenced by the current index entry;
-// forward says the iterator got there by stepping off the block before it.
+// forward says a miss there may read ahead.
 func (t *tableIter) loadData(forward bool) bool {
 	t.dataOK = false
 	if t.index < 0 || t.index >= len(t.r.index) {
 		return false
 	}
-	h := t.r.index[t.index].h
-	contents, ok := t.r.cached(h.offset)
-	for i := 0; !ok && i < len(t.held); i++ {
-		if t.held[i].offset == h.offset {
-			contents, ok = t.held[i].contents, true
-		}
-	}
 	var err error
-	switch {
-	case ok:
+	if i := t.index - t.runAt; i >= 0 && i < len(t.held) {
+		err = t.landHeld(i)
+	} else if contents, ok := t.r.cached(t.r.index[t.index].h.offset); ok {
 		err = t.blk.Init(t.r.cmp, contents)
-	case forward:
-		err = t.readAhead(h)
-	default:
-		err = t.r.readBlock(&t.blk, h)
+	} else if forward {
+		err = t.readAhead()
+	} else {
+		err = t.r.readBlock(&t.blk, t.r.index[t.index].h)
 	}
 	if err != nil {
 		t.err = err
@@ -467,57 +476,70 @@ func (t *tableIter) loadData(forward bool) bool {
 	return true
 }
 
-// readAhead fetches the block at h — the current index entry's — and the
-// blocks that follow it in one request: adjacent blocks within the budget, up
-// to upper's block, and short of the first one already cached (someone read
-// that far before, and what lies beyond may be cached as well). Each block is
-// verified and decoded exactly as a block read alone is, and goes into the
-// block cache under its own offset owning its bytes, so that evicting one
-// frees it; the request's buffer is back in the pool when readAhead returns.
-// The iterator also holds the blocks itself until its next request (held),
-// and leaves blk bound to the block at h.
-//
-// Only the block at h can fail the call. A bad block further on is left out
-// (and so is everything after it): if the scan gets that far it reads the
-// block again, at the head of a request, and reports it then.
-func (t *tableIter) readAhead(h blockHandle) error {
+// readAhead fetches the current index entry's block and the blocks that
+// follow it in one request: adjacent blocks within the budget, up to upper's
+// block, and short of the first one already cached (someone read that far
+// before, and what lies beyond may be cached as well). The request becomes the
+// held run, in the buffer of the one before it or a fresh one from chunkPool,
+// and blk is bound to its first block. A run of one block is read alone, as a
+// point read is, and holds nothing.
+func (t *tableIter) readAhead() error {
 	r := t.r
 	budget := t.ahead
 	t.ahead = min(2*t.ahead, IOChunk)
 	end, n, _ := r.nextRun(t.index, budget, t.upper)
-	run := r.index[t.index:end]
-	for i := 1; i < len(run); i++ {
-		if _, ok := r.cached(run[i].h.offset); ok {
-			run, n = run[:i], int(run[i].h.offset-h.offset)
+	first := r.index[t.index].h
+	for i := t.index + 1; i < end; i++ {
+		if r.isCached(r.index[i].h.offset) {
+			end, n = i, int(r.index[i].h.offset-first.offset)
 			break
 		}
 	}
-	if len(run) < 2 {
-		return r.readBlock(&t.blk, h)
+	if end-t.index < 2 {
+		t.release()
+		return r.readBlock(&t.blk, first)
 	}
-	chunk := chunkPool.Get().(*[IOChunk]byte)
-	err := r.readRun(r.f, chunk[:n], h.offset)
-	if err == nil {
-		t.held = t.held[:0]
-		for _, e := range run {
-			b := e.h
-			start := b.offset - h.offset
-			contents, berr := r.runBlock(&t.blk, chunk[start:start+b.length+blockTrailerLen], b.offset)
-			if berr != nil {
-				if len(t.held) == 0 {
-					err = berr // the block asked for; any other is the next reader's
-				}
-				break
-			}
-			t.held = append(t.held, heldBlock{b.offset, contents})
-		}
+	if t.chunk == nil {
+		t.chunk = chunkPool.Get().(*[IOChunk]byte)
 	}
-	poison(chunk[:n])
-	chunkPool.Put(chunk)
-	if err != nil {
+	clear(t.held)
+	t.runAt, t.held = t.index, slices.Grow(t.held[:0], end-t.index)[:end-t.index]
+	if err := r.readRun(r.f, t.chunk[:n], first.offset); err != nil {
+		t.release()
 		return err
 	}
-	return t.blk.Init(r.cmp, t.held[0].contents)
+	return t.landHeld(0)
+}
+
+// landHeld binds blk to block i of the held run, verifying, decoding and
+// caching it the first time the iterator lands there. A block that fails is
+// read again alone, and what that read reports is what a point read of the
+// block reports.
+func (t *tableIter) landHeld(i int) error {
+	if contents := t.held[i]; contents != nil {
+		return t.blk.Init(t.r.cmp, contents)
+	}
+	r := t.r
+	h := r.index[t.runAt+i].h
+	start := h.offset - r.index[t.runAt].h.offset
+	contents, err := r.runBlock(&t.blk, t.chunk[start:start+h.length+blockTrailerLen], h.offset)
+	if err != nil {
+		return r.readBlock(&t.blk, h)
+	}
+	t.held[i] = contents
+	return nil
+}
+
+// release lets go of the held run: the buffer goes back to chunkPool,
+// poisoned under -tags invariants.
+func (t *tableIter) release() {
+	if t.chunk != nil {
+		poison(t.chunk[:])
+		chunkPool.Put(t.chunk)
+		t.chunk = nil
+	}
+	clear(t.held)
+	t.held = t.held[:0]
 }
 
 // runBlock makes one block of a run, read into the run's shared buffer, a
@@ -537,11 +559,12 @@ func (r *Reader) runBlock(br *block.Reader, buf []byte, off uint64) ([]byte, err
 	return contents, r.newDataBlock(br, contents, off)
 }
 
-// seekData opens the block a seek landed on, alone, and starts the read-ahead
-// ramp over: a seek says nothing about how far the caller will walk.
-func (t *tableIter) seekData() bool {
+// seekData opens the block a seek landed on and starts the read-ahead ramp
+// over: a seek says nothing about how far the caller will walk. forward is
+// false for SeekToLast, whose walk goes back from its block.
+func (t *tableIter) seekData(forward bool) bool {
 	t.ahead = readAheadMin
-	return t.loadData(false)
+	return t.loadData(forward)
 }
 
 func (t *tableIter) Valid() bool {
@@ -553,7 +576,7 @@ func (t *tableIter) SeekGE(target []byte) {
 		return
 	}
 	t.index = t.r.seekIndex(target)
-	if !t.seekData() {
+	if !t.seekData(true) {
 		return
 	}
 	t.data.SeekGE(target)
@@ -565,7 +588,7 @@ func (t *tableIter) SeekToFirst() {
 		return
 	}
 	t.index = 0
-	if !t.seekData() {
+	if !t.seekData(true) {
 		return
 	}
 	t.data.SeekToFirst()
@@ -577,7 +600,7 @@ func (t *tableIter) SeekToLast() {
 		return
 	}
 	t.index = len(t.r.index) - 1
-	if !t.seekData() {
+	if !t.seekData(false) {
 		return
 	}
 	t.data.SeekToLast()
@@ -649,10 +672,9 @@ func (t *tableIter) Close() error {
 	err := t.Error()
 	if !t.closed {
 		t.closed = true
+		t.release()
 		t.r, t.upper, t.blk = nil, nil, block.Reader{}
 		t.dataOK = false
-		clear(t.held)
-		t.held = t.held[:0]
 		tableIterPool.Put(t)
 	}
 	return err
