@@ -126,7 +126,7 @@ race:
 
 # Ten seconds of each decoder-facing fuzzer: enough to shake out shallow
 # regressions in the block seek, block, table index, compression, codec, vlog
-# record and WAL parsers on every CI run; long campaigns stay manual
+# record, WAL and MANIFEST edit parsers on every CI run; long campaigns stay manual
 # (go test -fuzz=... -fuzztime=10m).
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -137,6 +137,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/compress
 	$(GO) test -run XXX -fuzz FuzzVlogRecordDecode -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/vlog
 	$(GO) test -run XXX -fuzz FuzzWALReader -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/wal
+	$(GO) test -run XXX -fuzz FuzzDecodeEdit -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/version
 
 # Every exhibit of internal/harness once at the benchmark scale, each headline
 # as a metric.

@@ -46,7 +46,7 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:6380", "TCP listen address (use :0 for an ephemeral port)")
 		policy   = flag.String("policy", "ldc", "compaction policy: udc, ldc")
 		sync     = flag.Bool("sync", false, "fsync the WAL on every commit")
-		shards   = flag.Int("shards", 0, "hash-partitioned engine shards (0 = adopt existing layout or single engine; rounds up to a power of two)")
+		shards   = flag.Int("shards", 0, "hash-partitioned engine shards (0 = the recorded count, or 1 for a new store; rounds up to a power of two)")
 		maxConns = flag.Int("maxconns", 1024, "maximum simultaneous connections")
 		idle     = flag.Duration("idle-timeout", 5*time.Minute, "close connections idle for this long")
 		drain    = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown wait before force-closing connections")

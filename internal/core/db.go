@@ -25,6 +25,11 @@ import (
 	"repro/internal/wal"
 )
 
+// internalComparer orders every shard's internal keys: user keys bytewise,
+// the one order the store supports (LDC's slice windows take bytewise
+// successors), then sequence descending.
+var internalComparer = keys.InternalComparer{User: keys.BytewiseComparer{}}
+
 // Errors returned by the store.
 var (
 	// ErrNotFound reports a missing key.
@@ -34,9 +39,9 @@ var (
 )
 
 // store is one shard's complete engine: memtable + WAL segment + group-
-// commit pipeline + read state + version set + background workers. It is
-// exactly the pre-sharding DB, made unexported; the public DB (router.go) is
-// a thin hash router over Options.Shards of these. All methods are safe for
+// commit pipeline + read state + version set + background workers, rooted
+// at the database's shard-<id> directory. The public DB (router.go) is a
+// thin hash router over Options.Shards of these. All methods are safe for
 // concurrent use.
 type store struct {
 	opts Options
@@ -44,14 +49,10 @@ type store struct {
 	icmp keys.InternalComparer
 
 	// Shard identity. shardID is this store's index in the router; walDir is
-	// the directory holding its WAL segments. walShared marks the sharded
-	// layout, where all shards' segments live side by side in one directory
-	// under SHARD-<id>-<num>.log names. In the single-shard legacy layout
-	// walDir == dir and segments keep their historical NNNNNN.log names —
-	// byte-identical to the pre-sharding engine.
-	shardID   int
-	walDir    string
-	walShared bool
+	// the directory holding its WAL segments, where all shards' segments
+	// live side by side under SHARD-<id>-<num>.log names.
+	shardID int
+	walDir  string
 
 	// Category-tagged filesystem views (identical when the FS is not an
 	// SSD simulator).
@@ -155,14 +156,12 @@ type store struct {
 }
 
 // storeConfig places one shard on disk: its root directory (MANIFEST,
-// CURRENT, tables), its WAL directory and naming mode, and its slot in the
-// shared table cache. The single-shard legacy layout is walDir == dir with
-// walShared off.
+// CURRENT, tables), the shared WAL directory, and its slot in the shared
+// table cache.
 type storeConfig struct {
-	dir       string
-	walDir    string
-	walShared bool
-	shardID   int
+	dir     string
+	walDir  string
+	shardID int
 	// vlog is the database-wide value log (nil = separation off and no
 	// segments on disk); blockCache is the shared block cache, used here to
 	// cache decoded vlog values.
@@ -174,16 +173,15 @@ type storeConfig struct {
 // already validated and defaulted by the router's Open; tables is the
 // database-wide shared table cache (which carries the shared block cache).
 func openStore(cfg storeConfig, opts Options, tables *tableCache) (*store, error) {
-	icmp := keys.InternalComparer{User: opts.Comparer}
+	icmp := internalComparer
 	dir := cfg.dir
 
 	db := &store{
-		opts:      opts,
-		dir:       dir,
-		icmp:      icmp,
-		shardID:   cfg.shardID,
-		walDir:    cfg.walDir,
-		walShared: cfg.walShared,
+		opts:    opts,
+		dir:     dir,
+		icmp:    icmp,
+		shardID: cfg.shardID,
+		walDir:  cfg.walDir,
 	}
 	if cfg.vlog != nil {
 		db.vlog = cfg.vlog
@@ -281,21 +279,16 @@ func (db *store) removeOrphanTables() error {
 	return nil
 }
 
-// logFileName returns the path of this shard's WAL file num: the historical
-// NNNNNN.log name in the legacy layout, SHARD-<id>-NNNNNN.log in the shared
-// WAL directory of a sharded database.
+// logFileName returns the path of this shard's WAL file num,
+// SHARD-<id>-NNNNNN.log in the shared WAL directory.
 func (db *store) logFileName(num uint64) string {
-	if db.walShared {
-		return version.ShardLogFileName(db.walDir, db.shardID, num)
-	}
-	return version.LogFileName(db.walDir, num)
+	return version.ShardLogFileName(db.walDir, db.shardID, num)
 }
 
 // listLogs returns the WAL segment numbers belonging to this shard that are
-// present in its WAL directory, ascending. In the sharded layout the
-// directory holds every shard's segments; names route each segment to its
-// shard. Only recovery lists: from then on the store tracks its WALs in
-// db.logs.
+// present in the WAL directory, ascending. The directory holds every
+// shard's segments; names route each segment to its shard. Only recovery
+// lists: from then on the store tracks its WALs in db.logs.
 func (db *store) listLogs() ([]uint64, error) {
 	names, err := db.fsMeta.List(db.walDir)
 	if err != nil {
@@ -314,12 +307,8 @@ func (db *store) listLogs() ([]uint64, error) {
 // parseLogName reports whether a bare file name is one of this shard's WAL
 // segments, and its number.
 func (db *store) parseLogName(name string) (uint64, bool) {
-	if db.walShared {
-		sh, num, ok := version.ParseShardLogName(name)
-		return num, ok && sh == db.shardID
-	}
-	typ, num := version.ParseFileName(name)
-	return num, typ == version.TypeLog
+	sh, num, ok := version.ParseShardLogName(name)
+	return num, ok && sh == db.shardID
 }
 
 // recover loads the MANIFEST then replays WALs newer than its floor.

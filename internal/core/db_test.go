@@ -406,6 +406,54 @@ func TestSnapshotSurvivesCompaction(t *testing.T) {
 	}
 }
 
+// TestSnapshotDoubleRelease: shards count snapshot registrations per
+// sequence, so a second Release of one snapshot must not drop another
+// snapshot's registration at the same sequence — compaction would then
+// discard the version the other snapshot still reads.
+func TestSnapshotDoubleRelease(t *testing.T) {
+	for _, policy := range []compaction.Policy{compaction.UDC, compaction.LDC} {
+		t.Run(policy.String(), func(t *testing.T) {
+			db := openTestDB(t, smallOpts(policy))
+			defer db.Close()
+			k := []byte("k")
+			if err := db.Put(k, []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			a, err := db.NewSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := db.NewSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Release()
+			a.Release()
+			a.Release()
+			if err := db.Put(k, []byte("new")); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if err := db.Put(key(i), value(i)); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.CompactRange(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := db.GetAt(k, b); err != nil || string(got) != "old" {
+				t.Errorf("GetAt(k, b) = %q, %v; want \"old\"", got, err)
+			}
+		})
+	}
+}
+
 // TestSnapshotsPinMoreVersionsThanATableHolds: the versions of one user key
 // that snapshots keep alive can outgrow a table. A compaction's outputs must
 // still have disjoint user-key ranges — the table is cut at the next change of

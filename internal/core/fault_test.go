@@ -270,7 +270,7 @@ func TestRecoveryAfterTornWAL(t *testing.T) {
 	db.Close()
 
 	// Tear the last 7 bytes off the WAL.
-	name := version.LogFileName("/db", logNum)
+	name := st.logFileName(logNum)
 	f, err := mem.Open(name)
 	if err != nil {
 		t.Fatal(err)

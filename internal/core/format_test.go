@@ -47,7 +47,7 @@ func TestBitFlipDetected(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			tables := listTables(t, mem, "/db")
+			tables := listTables(t, mem, db.shards[0].dir)
 			if len(tables) == 0 {
 				t.Fatal("no table files after flush")
 			}

@@ -525,9 +525,9 @@ func (db *store) newInternalIterator() (iterator.Iterator, func(), error) {
 // User-facing iterator
 
 // storeIter walks one shard's user keys in order, exposing the newest
-// visible version of each and skipping tombstones. The public Iterator
-// (router_iter.go) is either one of these (Shards=1) or an ordered k-way
-// merge of them.
+// visible version of each and skipping tombstones. It is an
+// iterator.Iterator over user keys: the public Iterator (router_iter.go)
+// merges one per shard.
 type storeIter struct {
 	db      *store
 	it      iterator.Iterator
@@ -631,8 +631,8 @@ func (i *storeIter) SeekToFirst() {
 	i.findNextUserEntry(false)
 }
 
-// Seek positions at the first key >= target.
-func (i *storeIter) Seek(target []byte) {
+// SeekGE positions at the first key >= target.
+func (i *storeIter) SeekGE(target []byte) {
 	i.dir = 0
 	i.seekKey = keys.MakeSearchKey(i.seekKey[:0], target, i.seq)
 	i.it.SeekGE(i.seekKey)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/compaction"
 	"repro/internal/compress"
-	"repro/internal/keys"
 	"repro/internal/vfs"
 	"repro/internal/vlog"
 )
@@ -19,23 +18,19 @@ import (
 type Options struct {
 	// FS is the filesystem (possibly an ssdsim.FS). Defaults to vfs.OS().
 	FS vfs.FS
-	// Comparer orders user keys. Defaults to keys.BytewiseComparer.
-	// LDC's slice-window arithmetic assumes bytewise successor semantics,
-	// so custom comparers must be bytewise-compatible.
-	Comparer keys.Comparer
-
 	// Policy selects the compaction algorithm (UDC or LDC).
 	Policy compaction.Policy
 
 	// Shards hash-partitions the store into this many independent engines —
 	// each with its own memtable, WAL segment, group-commit pipeline, read
 	// state, stall controller, flush worker and compaction worker — behind
-	// one DB facade, sharing a single block cache and table cache. 0 or 1
-	// means unsharded: the literal single engine with its historical on-disk
-	// layout. Counts are rounded up to the next power of two (mirroring the
-	// block cache's shard clamping) so key routing is a mask, and clamped to
-	// MaxShards. The count is fixed at creation and recorded on disk
-	// (LDC_SHARDS); reopening with a conflicting explicit value fails.
+	// one DB facade, sharing a single block cache and table cache. 0 means
+	// one shard on creation and the recorded count on reopen; one shard has
+	// the same on-disk layout as many. Counts are rounded up to the next
+	// power of two (mirroring the block cache's shard clamping) so key
+	// routing is a mask, and clamped to MaxShards. The count is fixed at
+	// creation and recorded on disk (LDC_SHARDS); reopening with a
+	// conflicting explicit value fails.
 	Shards int
 
 	// MemTableSize triggers a flush when the memtable reaches it (default 4 MiB).
@@ -110,9 +105,6 @@ func (o Options) withDefaults() Options {
 		o.FS = vfs.OS()
 	}
 	o.Shards = normalizeShards(o.Shards)
-	if o.Comparer == nil {
-		o.Comparer = keys.BytewiseComparer{}
-	}
 	if o.MemTableSize <= 0 {
 		o.MemTableSize = 4 << 20
 	}
@@ -161,7 +153,7 @@ func (o Options) withDefaults() Options {
 const MaxShards = 256
 
 // normalizeShards maps the user's requested shard count to the effective
-// one: 0 (and 1) mean unsharded, other counts round up to the next power of
+// one: 0 and 1 mean one shard, other counts round up to the next power of
 // two — mirroring cache.ClampShards' power-of-two discipline — and clamp to
 // MaxShards. Negative counts are rejected by Validate before this runs.
 func normalizeShards(n int) int {

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/batch"
@@ -46,9 +47,8 @@ import (
 //     the snapshot; an Apply racing NewSnapshot may be partially visible
 //     (per-shard consistent, not a single global cut).
 //
-// With Shards <= 1 the router routes everything to one engine rooted at
-// the database directory itself: the identical pre-sharding engine, same
-// files on disk, same behavior. All methods are safe for concurrent use.
+// One shard is the case N = 1 of the same layout and code path. All
+// methods are safe for concurrent use.
 type DB struct {
 	opts Options
 	dir  string
@@ -75,24 +75,23 @@ type DB struct {
 	closeErr  error
 }
 
-// shardsFileName is the marker recording a sharded database's partition
-// count; created only when Shards > 1, so an unsharded database's
-// directory stays byte-identical to the pre-sharding engine's.
+// shardsFileName is the marker recording the database's partition count
+// ("shards <n>\n"), written at creation for every shard count, one
+// included.
 const shardsFileName = "LDC_SHARDS"
 
 // Open opens (creating if necessary) a database in dir. Nonsensical
 // configurations are rejected up front with an error wrapping
-// ErrInvalidOptions. The shard count is fixed at creation: reopening a
-// sharded database adopts the recorded count when Options.Shards is zero
-// and fails on an explicit mismatch (rehashing keys into a different
-// partition count would silently orphan data).
+// ErrInvalidOptions. The shard count is fixed at creation: reopening
+// adopts the recorded count when Options.Shards is zero and fails on an
+// explicit mismatch (rehashing keys into a different partition count would
+// silently orphan data).
 func Open(dir string, opts Options) (*DB, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	requested := opts.Shards
 	opts = opts.withDefaults()
-	icmp := keys.InternalComparer{User: opts.Comparer}
 	meta := categorized(opts.FS, ssdsim.CatOther) // marker file, directories
 
 	if err := meta.MkdirAll(dir); err != nil {
@@ -112,7 +111,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	db.gcMu.Rank("core.db.gcMu", 20)
 	db.splits.New = func() any { return newApplySplit(db) }
 	db.blockCache = opts.newBlockCache()
-	db.tables = newTableCache(categorized(opts.FS, ssdsim.CatUserRead), icmp, db.blockCache)
+	db.tables = newTableCache(categorized(opts.FS, ssdsim.CatUserRead), internalComparer, db.blockCache)
 
 	// fail unwinds a partial open; the open error wins over any unwind error.
 	fail := func(err error) (*DB, error) {
@@ -126,8 +125,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	// The value log opens when separation is enabled — or when disabled but
 	// segments exist on disk, so a database that once separated values keeps
 	// resolving its old pointers after the knob is turned off. With neither,
-	// no vlog directory is ever created and the on-disk layout stays
-	// byte-identical to the pre-separation engine's.
+	// no vlog directory is ever created.
 	vlogDir := filepath.Join(dir, "vlog")
 	if opts.BlobThreshold > 0 || vlogDirHasSegments(meta, vlogDir) {
 		if err := meta.MkdirAll(vlogDir); err != nil {
@@ -150,34 +148,22 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 	}
 
-	// One shard is rooted at the database directory itself, WAL included —
-	// the pre-sharding layout, byte for byte. Several get a directory each, a
-	// shared WAL directory and the marker recording their count.
-	var cfgs []storeConfig
-	if n == 1 {
-		cfgs = []storeConfig{{dir: dir, walDir: dir}}
-	} else {
-		walDir := filepath.Join(dir, "wal")
-		if err := meta.MkdirAll(walDir); err != nil {
-			return fail(err)
-		}
-		if err := writeShardsMarker(meta, dir, n); err != nil {
-			return fail(err)
-		}
-		for i := 0; i < n; i++ {
-			cfgs = append(cfgs, storeConfig{
-				dir: filepath.Join(dir, fmt.Sprintf("shard-%d", i)), walDir: walDir, walShared: true, shardID: i,
-			})
-		}
+	// Every shard gets a directory of its own; their WAL segments share one
+	// directory, and the marker records their count.
+	walDir := filepath.Join(dir, "wal")
+	if err := meta.MkdirAll(walDir); err != nil {
+		return fail(err)
 	}
-	for _, cfg := range cfgs {
-		cfg.vlog, cfg.blockCache = db.vlog, db.blockCache
-		st, err := openStore(cfg, opts, db.tables)
+	if err := writeShardsMarker(meta, dir, n); err != nil {
+		return fail(err)
+	}
+	for i := 0; i < n; i++ {
+		st, err := openStore(storeConfig{
+			dir: filepath.Join(dir, fmt.Sprintf("shard-%d", i)), walDir: walDir, shardID: i,
+			vlog: db.vlog, blockCache: db.blockCache,
+		}, opts, db.tables)
 		if err != nil {
-			if n > 1 {
-				err = fmt.Errorf("ldc: open shard %d: %w", cfg.shardID, err)
-			}
-			return fail(err)
+			return fail(fmt.Errorf("ldc: open shard %d: %w", i, err))
 		}
 		db.shards = append(db.shards, st)
 	}
@@ -212,7 +198,8 @@ func categorized(fs vfs.FS, cat ssdsim.Category) vfs.FS {
 
 // resolveShardCount reconciles the requested shard count with the
 // database's recorded one. requested is the raw Options.Shards (0 = "use
-// whatever the database has"), normalized its defaulted form.
+// whatever the database has"), normalized its defaulted form. It creates
+// nothing, so a refused directory is left as it was found.
 func resolveShardCount(fs vfs.FS, dir string, requested, normalized int) (int, error) {
 	recorded, found, err := readShardsMarker(fs, dir)
 	if err != nil {
@@ -225,12 +212,12 @@ func resolveShardCount(fs vfs.FS, dir string, requested, normalized int) (int, e
 		}
 		return recorded, nil
 	}
-	// No marker: a pre-existing unsharded database must not be silently
-	// re-partitioned — its keys would hash into shards that cannot see the
-	// legacy files.
-	if normalized > 1 && fs.Exists(version.CurrentFileName(dir)) {
-		return 0, fmt.Errorf("%w: Shards %d requested but %s holds an existing unsharded database",
-			ErrInvalidOptions, requested, dir)
+	// A root CURRENT with no marker is a database in the retired layout, its
+	// files at the root and its WAL named NNNNNN.log: no shard could see it,
+	// and an empty store must not appear beside it.
+	if fs.Exists(version.CurrentFileName(dir)) {
+		return 0, fmt.Errorf("%w: %s holds a database in the retired single-shard layout (no %s marker), which this version does not open",
+			ErrInvalidOptions, dir, shardsFileName)
 	}
 	return normalized, nil
 }
@@ -262,7 +249,7 @@ func readShardsMarker(fs vfs.FS, dir string) (n int, found bool, err error) {
 		return 0, false, fmt.Errorf("ldc: corrupt %s (%q)", shardsFileName, string(buf))
 	}
 	n, err = strconv.Atoi(fields[1])
-	if err != nil || n < 2 || n > MaxShards || n != normalizeShards(n) {
+	if err != nil || n < 1 || n > MaxShards || n != normalizeShards(n) {
 		return 0, false, fmt.Errorf("ldc: corrupt %s (shard count %q)", shardsFileName, fields[1])
 	}
 	return n, true, nil
@@ -301,7 +288,8 @@ func fnv64a(key []byte) uint64 {
 	return h
 }
 
-// shardIndex returns the owning shard's index for a user key.
+// shardIndex returns the owning shard's index for a user key. One shard
+// needs no hash.
 func (db *DB) shardIndex(key []byte) int {
 	if db.mask == 0 {
 		return 0
@@ -314,10 +302,6 @@ func (db *DB) shardOf(key []byte) *store { return db.shards[db.shardIndex(key)] 
 
 // NumShards reports the effective partition count.
 func (db *DB) NumShards() int { return len(db.shards) }
-
-// ShardOf reports which shard owns a key, exposed so the serving layer can
-// fan a multi-key read out by owning shard.
-func (db *DB) ShardOf(key []byte) int { return db.shardIndex(key) }
 
 // ---------------------------------------------------------------------------
 // Writes
@@ -490,8 +474,9 @@ func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
 // racing the acquisition may be partially visible (see the DB doc
 // comment).
 type Snapshot struct {
-	db   *DB
-	seqs []keys.Seq
+	db       *DB
+	seqs     []keys.Seq
+	released atomic.Bool
 }
 
 // seq returns shard i's captured sequence, nil (= latest) for a nil snapshot.
@@ -521,8 +506,13 @@ func (db *DB) NewSnapshot() (*Snapshot, error) {
 
 // Release frees the snapshot on every shard. Reads and iterators using it
 // must have finished: once released, value-log GC may reclaim the values
-// only the snapshot could still see.
+// only the snapshot could still see. Releasing twice is a no-op: shards
+// count registrations per sequence, so a second release would drop another
+// snapshot's.
 func (s *Snapshot) Release() {
+	if s.released.Swap(true) {
+		return
+	}
 	for i, st := range s.db.shards {
 		st.releaseSeq(s.seqs[i])
 	}
@@ -713,19 +703,14 @@ func (db *DB) Stats() Stats {
 		s.BlobResolveCacheHits = vs.ResolveCacheHits
 	}
 	// Distributions cannot be summed field-by-field: merge the shards' raw
-	// histograms, then snapshot. With one shard this is a plain snapshot.
-	if len(db.shards) == 1 {
-		s.ReadLatency = per[0].ReadLatency
-		s.WriteLatency = per[0].WriteLatency
-	} else {
-		var readH, writeH histogram.Histogram
-		for _, st := range db.shards {
-			readH.Merge(&st.stats.readHist)
-			writeH.Merge(&st.stats.writeHist)
-		}
-		s.ReadLatency = readH.Snapshot()
-		s.WriteLatency = writeH.Snapshot()
+	// histograms, then snapshot.
+	var readH, writeH histogram.Histogram
+	for _, st := range db.shards {
+		readH.Merge(&st.stats.readHist)
+		writeH.Merge(&st.stats.writeHist)
 	}
+	s.ReadLatency = readH.Snapshot()
+	s.WriteLatency = writeH.Snapshot()
 	return s
 }
 

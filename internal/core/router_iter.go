@@ -1,16 +1,21 @@
 package core
 
-import "repro/internal/iterator"
+import (
+	"bytes"
+
+	"repro/internal/iterator"
+)
 
 // Iterator is the public ordered cursor over the whole database: an ordered
 // k-way merge of the per-shard iterators through the pooled merging iterator
 // (which, over one shard, is that shard's iterator itself). Hash routing
 // makes every user key live in exactly one shard, so the per-shard
 // iterators — which already collapse versions and tombstones down to live
-// user entries — never produce duplicate keys, and merging by user key
-// alone is exact. Not safe for concurrent use.
+// user entries and yield user keys — never produce duplicate keys, and
+// merging by user key alone is exact: per-shard sequence numbers are never
+// compared. Not safe for concurrent use.
 type Iterator struct {
-	merged iterator.Iterator // k-way merge over one shardUserIter per shard
+	merged iterator.Iterator // k-way merge over one storeIter per shard
 	err    error
 }
 
@@ -28,9 +33,9 @@ func (db *DB) NewIterator(snap *Snapshot) (*Iterator, error) {
 			}
 			return nil, err
 		}
-		children = append(children, &shardUserIter{it: si})
+		children = append(children, si)
 	}
-	return &Iterator{merged: iterator.NewMerging(db.opts.Comparer.Compare, children...)}, nil
+	return &Iterator{merged: iterator.NewMerging(bytes.Compare, children...)}, nil
 }
 
 // Seek positions at the first key >= target.
@@ -91,24 +96,3 @@ func (i *Iterator) Close() error {
 	}
 	return i.err
 }
-
-// shardUserIter adapts one shard's engine iterator (seek-style API over
-// user keys) to the internal iterator.Iterator interface the merging
-// iterator consumes. The adapter surfaces user keys directly: per-shard
-// sequence numbers are incomparable across shards, but they never need
-// comparing — key uniqueness across shards makes the user key a total
-// order by itself.
-type shardUserIter struct {
-	it *storeIter
-}
-
-func (a *shardUserIter) Valid() bool          { return a.it.Valid() }
-func (a *shardUserIter) SeekGE(target []byte) { a.it.Seek(target) }
-func (a *shardUserIter) SeekToFirst()         { a.it.SeekToFirst() }
-func (a *shardUserIter) SeekToLast()          { a.it.SeekToLast() }
-func (a *shardUserIter) Next()                { a.it.Next() }
-func (a *shardUserIter) Prev()                { a.it.Prev() }
-func (a *shardUserIter) Key() []byte          { return a.it.Key() }
-func (a *shardUserIter) Value() []byte        { return a.it.Value() }
-func (a *shardUserIter) Error() error         { return a.it.Error() }
-func (a *shardUserIter) Close() error         { return a.it.Close() }

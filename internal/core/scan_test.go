@@ -248,8 +248,8 @@ func TestLazyScanMatchesEagerReference(t *testing.T) {
 						default:
 							target = key(rng.Intn(space + 10))
 						}
-						lazy.Seek(target)
-						eager.Seek(target)
+						lazy.SeekGE(target)
+						eager.SeekGE(target)
 						check(fmt.Sprintf("seek(%q)", target))
 					case r < 14 || !lazy.Valid():
 						if !lazy.Valid() {
@@ -609,7 +609,7 @@ func TestLazyScanCorruptBlock(t *testing.T) {
 	}
 	// The middle of the file is a data block well inside the third or fourth
 	// read-ahead request of a scan from the start.
-	name := version.TableFileName("/db", tables[0].Num)
+	name := version.TableFileName(db.shards[0].dir, tables[0].Num)
 	if err := fs.FlipBit(name, tables[0].Size/2); err != nil {
 		t.Fatal(err)
 	}

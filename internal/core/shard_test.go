@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/batch"
 	"repro/internal/compaction"
+	"repro/internal/version"
 	"repro/internal/vfs"
 )
 
@@ -175,8 +180,9 @@ func TestShardCrashRecovery(t *testing.T) {
 }
 
 // TestShardMarker pins the shard count's persistence rules: recorded at
-// creation, adopted on a Shards=0 reopen, and defended against an explicit
-// mismatch (which would rehash keys into shards that can't see them).
+// creation, adopted on a Shards=0 reopen, defended against an explicit
+// mismatch (which would rehash keys into shards that can't see them), and
+// read as corrupt when it is not a power of two of at least one.
 func TestShardMarker(t *testing.T) {
 	fs := vfs.Mem()
 	opts := shardOpts(4)
@@ -225,57 +231,162 @@ func TestShardMarker(t *testing.T) {
 	}
 	db3.Close()
 
-	// A pre-existing unsharded database refuses re-partitioning.
-	legacy := shardOpts(1)
-	legacyFS := vfs.Mem()
-	legacy.FS = legacyFS
-	dbL, err := Open("/legacy", legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dbL.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := dbL.Close(); err != nil {
-		t.Fatal(err)
-	}
-	reshard := shardOpts(4)
-	reshard.FS = legacyFS
-	if _, err := Open("/legacy", reshard); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("Open re-partitioning a legacy database = %v, want ErrInvalidOptions", err)
+	// The marker records a power of two no smaller than one.
+	for _, bad := range []string{"shards 0\n", "shards 3\n"} {
+		writeFile(t, fs, "/db/"+shardsFileName, bad)
+		if _, err := Open("/db", opts0); err == nil || !strings.Contains(err.Error(), "corrupt "+shardsFileName) {
+			t.Errorf("Open with marker %q = %v, want a corrupt-marker error", bad, err)
+		}
 	}
 }
 
-// TestShardsOneLayoutUnchanged pins the compatibility guarantee: Shards=1
-// (and the zero default) leaves the on-disk layout byte-for-byte the
-// legacy one — no marker file, no wal/ directory, no shard-* roots.
-func TestShardsOneLayoutUnchanged(t *testing.T) {
-	fs := vfs.Mem()
-	opts := shardOpts(1)
-	opts.FS = fs
-	db, err := Open("/db", opts)
+// TestRetiredLayoutRefused: a directory with a root CURRENT and no marker
+// holds a database in the retired single-shard layout. Open refuses it
+// whatever Shards asks for, and creates nothing there first — an empty
+// store must not appear beside the old files.
+func TestRetiredLayoutRefused(t *testing.T) {
+	for _, shards := range []int{0, 1, 4} {
+		t.Run(fmt.Sprint(shards), func(t *testing.T) {
+			dir := t.TempDir()
+			fs := vfs.OS()
+			for _, name := range []string{"CURRENT", "MANIFEST-000002", "000003.log", "000004.sst"} {
+				writeFile(t, fs, filepath.Join(dir, name), "old\n")
+			}
+			before := treeOf(t, dir)
+			opts := shardOpts(shards)
+			opts.FS = fs
+			db, err := Open(dir, opts)
+			if err == nil {
+				_ = db.Close()
+			}
+			if !errors.Is(err, ErrInvalidOptions) || !strings.Contains(err.Error(), "retired single-shard layout") {
+				t.Errorf("Open = %v, want ErrInvalidOptions naming the retired layout", err)
+			}
+			if after := treeOf(t, dir); !slices.Equal(after, before) {
+				t.Errorf("refused Open changed the directory: %v, was %v", after, before)
+			}
+		})
+	}
+}
+
+// TestShardLayout pins the one on-disk shape of every store, one shard
+// included: the LDC_SHARDS marker, a shard-<i> directory per shard holding
+// its MANIFEST, CURRENT and tables, and one wal directory holding
+// SHARD-<i>-NNNNNN.log segments — and nothing else at the root.
+func TestShardLayout(t *testing.T) {
+	for _, tc := range []struct{ shards, n int }{{0, 1}, {1, 1}, {2, 2}} {
+		t.Run(fmt.Sprint(tc.shards), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := shardOpts(tc.shards)
+			opts.FS = vfs.OS()
+			db, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 100; i++ {
+				if err := db.Put(key(i), value(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(when string, live bool) {
+				t.Helper()
+				want := []string{shardsFileName}
+				for i := 0; i < tc.n; i++ {
+					want = append(want, fmt.Sprintf("shard-%d/", i))
+				}
+				want = append(want, "wal/")
+				slices.Sort(want)
+				if got := entriesOf(t, dir); !slices.Equal(got, want) {
+					t.Fatalf("%s: root holds %v, want %v", when, got, want)
+				}
+				marker, err := os.ReadFile(filepath.Join(dir, shardsFileName))
+				if err != nil || string(marker) != fmt.Sprintf("shards %d\n", tc.n) {
+					t.Fatalf("%s: marker %q, %v", when, marker, err)
+				}
+				logs := make([]int, tc.n)
+				for _, name := range entriesOf(t, filepath.Join(dir, "wal")) {
+					sh, num, ok := version.ParseShardLogName(name)
+					if !ok || sh >= tc.n || name != filepath.Base(version.ShardLogFileName("", sh, num)) {
+						t.Fatalf("%s: wal/ holds %q", when, name)
+					}
+					logs[sh]++
+				}
+				for i := 0; i < tc.n; i++ {
+					names := entriesOf(t, filepath.Join(dir, fmt.Sprintf("shard-%d", i)))
+					if !slices.Contains(names, "CURRENT") {
+						t.Fatalf("%s: shard-%d holds %v, no CURRENT", when, i, names)
+					}
+					for _, name := range names {
+						if typ, _ := version.ParseFileName(name); typ == version.TypeUnknown || typ == version.TypeTemp {
+							t.Fatalf("%s: shard-%d holds %q", when, i, name)
+						}
+					}
+					if live && logs[i] == 0 {
+						t.Fatalf("%s: shard %d has no WAL segment in wal/", when, i)
+					}
+				}
+			}
+			check("open", true)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			check("closed", false)
+			db, err = Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if got, err := db.Get(key(7)); err != nil || !bytes.Equal(got, value(7)) {
+				t.Fatalf("Get after reopen = %q, %v", got, err)
+			}
+			check("reopened", true)
+		})
+	}
+}
+
+// entriesOf lists dir, directories with a trailing slash.
+func entriesOf(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		if err := db.Put(key(i), value(i)); err != nil {
-			t.Fatal(err)
+	var names []string
+	for _, e := range ents {
+		if e.IsDir() {
+			names = append(names, e.Name()+"/")
+		} else {
+			names = append(names, e.Name())
 		}
 	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	names, err := fs.List("/db")
+	return names
+}
+
+// treeOf lists every path under dir, directories included.
+func treeOf(t *testing.T, dir string) []string {
+	t.Helper()
+	var paths []string
+	err := filepath.WalkDir(dir, func(p string, _ fs.DirEntry, err error) error {
+		paths = append(paths, p)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range names {
-		if name == shardsFileName || name == "wal" {
-			t.Errorf("Shards=1 created sharding artifact %q", name)
-		}
-		if len(name) >= 6 && name[:6] == "shard-" {
-			t.Errorf("Shards=1 created shard directory %q", name)
-		}
+	return paths
+}
+
+func writeFile(t *testing.T, fs vfs.FS, name, content string) {
+	t.Helper()
+	f, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte(content)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -305,7 +416,7 @@ func TestShardApplyFanout(t *testing.T) {
 		if err != nil || !bytes.Equal(got, value(i)) {
 			t.Fatalf("Get(%q) after Apply = %q, %v", key(i), got, err)
 		}
-		touched[db.ShardOf(key(i))] = true
+		touched[db.shardIndex(key(i))] = true
 	}
 	if len(touched) != 8 {
 		t.Fatalf("batch of %d keys touched %d shards, want all 8", n, len(touched))
@@ -533,12 +644,12 @@ func TestApplyMultiShardInlineEquivalence(t *testing.T) {
 					k := key(rng.Intn(40)) // few keys: sets and deletes of one key interleave
 					if rng.Intn(4) == 0 {
 						b.Delete(k)
-						subs[byHand.ShardOf(k)].Delete(k)
+						subs[byHand.shardIndex(k)].Delete(k)
 						delete(model, string(k))
 					} else {
 						v := value(rng.Int())
 						b.Set(k, v)
-						subs[byHand.ShardOf(k)].Set(k, v)
+						subs[byHand.shardIndex(k)].Set(k, v)
 						model[string(k)] = string(v)
 					}
 				}
@@ -573,11 +684,11 @@ func TestApplyMultiShardInlineEquivalence(t *testing.T) {
 		seen := map[int]bool{}
 		for i := 0; len(ks) < n || len(seen) < db.NumShards(); i++ {
 			k := []byte(fmt.Sprintf("%s-%04d", prefix, i))
-			if len(ks) == 0 && db.ShardOf(k) != lead {
+			if len(ks) == 0 && db.shardIndex(k) != lead {
 				continue
 			}
 			ks = append(ks, k)
-			seen[db.ShardOf(k)] = true
+			seen[db.shardIndex(k)] = true
 		}
 		return ks
 	}
@@ -604,7 +715,7 @@ func TestApplyMultiShardInlineEquivalence(t *testing.T) {
 			}
 			for _, k := range ks {
 				_, err := db.Get(k)
-				if owner := db.ShardOf(k); owner == failing && !errors.Is(err, ErrNotFound) {
+				if owner := db.shardIndex(k); owner == failing && !errors.Is(err, ErrNotFound) {
 					t.Errorf("%s on the failing shard: %v, want not found", k, err)
 				} else if owner != failing && err != nil {
 					t.Errorf("%s on healthy shard %d: %v, want committed", k, owner, err)
@@ -639,7 +750,7 @@ func TestApplyMultiShardInlineEquivalence(t *testing.T) {
 		apply(bKeys)
 		perShard := make([]uint64, 4)
 		for _, k := range bKeys {
-			perShard[db.ShardOf(k)]++
+			perShard[db.shardIndex(k)]++
 		}
 		for i, st := range db.shards {
 			if got := uint64(st.set.LastSeq()) - lastA[i]; got != perShard[i] {

@@ -365,11 +365,11 @@ func TestStatsCountBatchedWrites(t *testing.T) {
 	b := batch.New()
 	for i := 0; i < 100; i++ {
 		b.Set(key(i), value(i))
-		wantPuts[db.ShardOf(key(i))]++
+		wantPuts[db.shardIndex(key(i))]++
 		if i%10 == 0 {
 			k := []byte(fmt.Sprintf("gone-%d", i))
 			b.Delete(k)
-			wantDeletes[db.ShardOf(k)]++
+			wantDeletes[db.shardIndex(k)]++
 		}
 	}
 	spanned := 0

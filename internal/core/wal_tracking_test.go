@@ -84,7 +84,7 @@ func fillWAL(t *testing.T, db *DB, from, n int) {
 // TestWALsTrackedNotListed: once Open has listed the WAL directory, the
 // store never lists it again — each shard knows its own WAL numbers — and
 // still every job removes the WALs a flush has covered, each exactly once,
-// in the legacy and the shared-directory layouts alike.
+// with one shard and with several alike.
 func TestWALsTrackedNotListed(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/compaction"
-	"repro/internal/version"
 	"repro/internal/vfs"
 )
 
@@ -111,7 +110,7 @@ func TestRecoveryDropsTornFinalWriteGroup(t *testing.T) {
 	db.shards[0].mu.Unlock()
 
 	// Tear into the final group's record (well short of its full length).
-	if err := efs.TearFile(version.LogFileName("/db", logNum), 5); err != nil {
+	if err := efs.TearFile(db.shards[0].logFileName(logNum), 5); err != nil {
 		t.Fatal(err)
 	}
 

@@ -110,8 +110,10 @@ func (ik InternalKey) String() string {
 	return fmt.Sprintf("%q/%d/%s", ik.UserKey(), ik.Seq(), k)
 }
 
-// Comparer compares keys. The store is generic over user-key ordering; the
-// internal comparer derives from a user comparer.
+// Comparer compares keys. The store orders user keys bytewise only — LDC's
+// slice windows take bytewise successors — and names that order in the
+// MANIFEST; the interface lets the internal comparer and the tools that
+// read tables directly name it too.
 type Comparer interface {
 	// Compare returns -1, 0, +1 per bytes.Compare semantics.
 	Compare(a, b []byte) int

@@ -6,7 +6,6 @@ import (
 	"net"
 	"os"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/batch"
@@ -364,48 +363,13 @@ func (c *conn) capPending() {
 	}
 }
 
-// cmdMGet answers MGET. Over one shard it reads the keys in order; over N
-// shards it fans the keys out by owning shard and reads the shards
-// concurrently — each sub-reader walks only its shard's memtable and tree,
-// so a wide MGET overlaps N independent read paths instead of threading
-// one — then replies in request order. Missing or unreadable keys read as
-// null, per Redis.
+// cmdMGet answers MGET, reading the keys in request order. Missing or
+// unreadable keys read as null, per Redis.
 func (c *conn) cmdMGet(keys [][]byte) {
 	c.w.Array(len(keys))
-	db := c.srv.db
-	if db.NumShards() == 1 || len(keys) == 1 {
-		for _, k := range keys {
-			if val, err := db.Get(k); err == nil {
-				c.w.Bulk(val)
-			} else {
-				c.w.Bulk(nil)
-			}
-		}
-		return
-	}
-	vals := make([][]byte, len(keys))
-	found := make([]bool, len(keys)) // distinguishes missing from empty values
-	byShard := make(map[int][]int, db.NumShards())
-	for i, k := range keys {
-		sh := db.ShardOf(k)
-		byShard[sh] = append(byShard[sh], i)
-	}
-	var wg sync.WaitGroup
-	for _, idxs := range byShard {
-		wg.Add(1)
-		go func(idxs []int) {
-			defer wg.Done()
-			for _, i := range idxs {
-				if val, err := db.Get(keys[i]); err == nil {
-					vals[i], found[i] = val, true
-				}
-			}
-		}(idxs)
-	}
-	wg.Wait()
-	for i, v := range vals {
-		if found[i] {
-			c.w.Bulk(v)
+	for _, k := range keys {
+		if val, err := c.srv.db.Get(k); err == nil {
+			c.w.Bulk(val)
 		} else {
 			c.w.Bulk(nil)
 		}

@@ -46,8 +46,8 @@ func TestServerShardedMGetAndScan(t *testing.T) {
 		}
 	}
 
-	// MGET fans out across shards and must reply in request order with
-	// nulls for missing keys.
+	// MGET spans shards and must reply in request order with nulls for
+	// missing keys.
 	keys := [][]byte{kv(3), []byte("missing-a"), kv(150), kv(7), []byte("missing-b"), kv(0)}
 	vals, err := c.MGet(keys...)
 	if err != nil {

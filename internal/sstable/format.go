@@ -18,14 +18,13 @@
 // Handles are varint (offset, length-of-payload) pairs, where the length
 // is the ON-DISK payload length — possibly compressed.
 //
-// Two footer versions exist, distinguished by magic number:
+// The footer is fixed-size, so it is read with one positioned read from the
+// end of the file:
 //
-//	v1 (legacy): handles | zero pad | magicV1           (48 bytes)
-//	v2:          handles | zero pad | checksum-kind byte | magicV2 (49 bytes)
+//	handles | zero pad | checksum-kind byte | magicV2 (49 bytes)
 //
-// v1 tables predate compression (all their blocks are type 0); the reader
-// accepts both versions, the writer emits only v2. The footer is fixed-size per version so it can be read with one
-// positioned read from the end of the file.
+// The seed-era v1 footer (no checksum-kind byte, magicV1) is removed: a
+// table ending in its magic fails to open with ErrCorrupt naming it.
 package sstable
 
 import (
@@ -42,12 +41,10 @@ const (
 
 	// handlesLen is the maximum encoding of the footer's two handles.
 	handlesLen = 2 * 2 * encoding.MaxVarintLen64
-	// footerLenV1 is the legacy footer: handles, padding, magic.
-	footerLenV1 = handlesLen + 8
-	// footerLenV2 adds the checksum-kind byte between padding and magic.
+	// footerLenV2 is the footer: handles, padding, checksum-kind byte, magic.
 	footerLenV2 = handlesLen + 1 + 8
 
-	magicV1 = 0x8773b3a2c2a9d6f1
+	magicV1 = 0x8773b3a2c2a9d6f1 // the removed v1 footer's, recognised to name it
 	magicV2 = 0x8773b3a2c2a9d6f2
 )
 
@@ -82,7 +79,7 @@ type footer struct {
 	indexHandle  blockHandle
 }
 
-// encode renders the v2 footer.
+// encode renders the footer.
 func (f footer) encode(dst []byte) []byte {
 	buf := f.filterHandle.encode(dst)
 	buf = f.indexHandle.encode(buf)
@@ -93,42 +90,20 @@ func (f footer) encode(dst []byte) []byte {
 	return encoding.PutFixed64(buf, magicV2)
 }
 
-// encodeV1 renders the legacy footer (no checksum-kind byte, v1 magic).
-// Only the legacyV1Footer test path uses it: it reproduces seed-era files
-// so backward compatibility stays pinned by tests.
-func (f footer) encodeV1() []byte {
-	buf := make([]byte, 0, footerLenV1)
-	buf = f.filterHandle.encode(buf)
-	buf = f.indexHandle.encode(buf)
-	for len(buf) < handlesLen {
-		buf = append(buf, 0)
-	}
-	return encoding.PutFixed64(buf, magicV1)
-}
-
-// decodeFooter parses the tail of a table file. b is the file's last
-// footerLenV2 bytes (or the last footerLenV1 when the file is smaller);
-// the magic value in the final 8 bytes selects the version.
+// decodeFooter parses the tail of a table file, its last footerLenV2 bytes.
 func decodeFooter(b []byte) (footer, error) {
-	if len(b) < footerLenV1 {
+	if len(b) < footerLenV2 {
 		return footer{}, fmt.Errorf("%w: footer is %d bytes", ErrCorrupt, len(b))
 	}
-	var f footer
-	switch encoding.Fixed64(b[len(b)-8:]) {
-	case magicV2:
-		if len(b) < footerLenV2 {
-			return footer{}, fmt.Errorf("%w: v2 footer is %d bytes", ErrCorrupt, len(b))
-		}
-		b = b[len(b)-footerLenV2:]
-		if k := checksum.Kind(b[handlesLen]); k != checksum.CRC32C {
-			return footer{}, fmt.Errorf("%w: unsupported checksum kind %v", ErrCorrupt, k)
-		}
-	case magicV1:
-		// Legacy: raw blocks only (the block type byte is still validated
-		// per read).
-		b = b[len(b)-footerLenV1:]
-	default:
+	b = b[len(b)-footerLenV2:]
+	switch magic := encoding.Fixed64(b[footerLenV2-8:]); {
+	case magic == magicV1:
+		return footer{}, fmt.Errorf("%w: v1 footer (removed)", ErrCorrupt)
+	case magic != magicV2:
 		return footer{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	if k := checksum.Kind(b[handlesLen]); k != checksum.CRC32C {
+		return footer{}, fmt.Errorf("%w: unsupported checksum kind %v", ErrCorrupt, k)
 	}
 	fh, n1 := decodeBlockHandle(b)
 	if n1 == 0 {
@@ -138,6 +113,5 @@ func decodeFooter(b []byte) (footer, error) {
 	if n2 == 0 {
 		return footer{}, fmt.Errorf("%w: bad index handle", ErrCorrupt)
 	}
-	f.filterHandle, f.indexHandle = fh, ih
-	return f, nil
+	return footer{filterHandle: fh, indexHandle: ih}, nil
 }

@@ -29,8 +29,7 @@ func compressibleKVs(n int) []kv {
 	return kvs
 }
 
-// formatCombos is every codec plus the legacy v1 footer — every on-disk
-// shape a reader can meet.
+// formatCombos is every codec — every on-disk shape a reader can meet.
 func formatCombos() []WriterOptions {
 	var combos []WriterOptions
 	for _, comp := range []compress.Kind{compress.None, compress.LZ4} {
@@ -38,21 +37,13 @@ func formatCombos() []WriterOptions {
 		o.Compression = comp
 		combos = append(combos, o)
 	}
-	legacy := defaultWOpts()
-	legacy.legacyV1Footer = true
-	combos = append(combos, legacy)
 	return combos
 }
 
-func comboName(o WriterOptions) string {
-	if o.legacyV1Footer {
-		return "legacy-v1"
-	}
-	return o.Compression.String()
-}
+func comboName(o WriterOptions) string { return o.Compression.String() }
 
-// TestFormatMatrix writes a table with every codec — and with the legacy raw
-// v1 footer — and reads each back fully: iteration order and point gets.
+// TestFormatMatrix writes a table with every codec and reads each back
+// fully: iteration order and point gets.
 func TestFormatMatrix(t *testing.T) {
 	kvs := compressibleKVs(800)
 	for _, wopts := range formatCombos() {
@@ -266,10 +257,12 @@ func TestWriterRejectsUnknownKinds(t *testing.T) {
 
 // TestRemovedKindsRejected: kind 1 of both format bytes names a deleted
 // function — the flate codec in a block's type byte, XXH3 in the footer's
-// checksum-kind byte. A table whose index block or footer carries either
-// fails to open with ErrCorrupt naming what it needs, even with every
-// checksum intact; a data block retyped to flate fails every read of it —
-// a point get, a table iterator, a sequential pass — the same way.
+// checksum-kind byte — and so does the v1 footer's magic. A table whose
+// index block or footer carries one fails to open with ErrCorrupt naming
+// what it needs, even with every checksum intact; a data block retyped to
+// flate fails every read of it — a point get, a table iterator, a
+// sequential pass — the same way. A file too short to hold a footer is
+// corrupt, whatever its last bytes say.
 func TestRemovedKindsRejected(t *testing.T) {
 	fs := vfs.Mem()
 	buildTable(t, fs, "/t.sst", defaultWOpts(), sortedKVs(300))
@@ -292,6 +285,7 @@ func TestRemovedKindsRejected(t *testing.T) {
 	}{
 		{"flate index block", flateErr, func(b []byte) { retype(b, ftr.indexHandle) }},
 		{"xxh3 footer", "checksum kind xxh3 (removed)", func(b []byte) { b[len(b)-9] = 1 }},
+		{"v1 footer", "v1 footer (removed)", func(b []byte) { encoding.PutFixed64(b[len(b)-8:len(b)-8], magicV1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := bytes.Clone(raw)
@@ -310,6 +304,26 @@ func TestRemovedKindsRejected(t *testing.T) {
 			}
 		})
 	}
+
+	// A v1 footer was handles, padding and its magic: one byte shorter than
+	// the footer that replaced it.
+	const footerLenV1 = handlesLen + 8
+	t.Run("v1-sized file", func(t *testing.T) {
+		data := bytes.Clone(raw[len(raw)-footerLenV1:])
+		encoding.PutFixed64(data[footerLenV1-8:footerLenV1-8], magicV1)
+		writeAll(t, fs, "/short.sst", data)
+		f, err := fs.Open("/short.sst")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if r, err := OpenReader(f, defaultROpts()); !errors.Is(err, ErrCorrupt) {
+			if err == nil {
+				_ = r.Close()
+			}
+			t.Errorf("OpenReader of %d bytes = %v, want ErrCorrupt", footerLenV1, err)
+		}
+	})
 
 	t.Run("flate data block", func(t *testing.T) {
 		r := openTable(t, fs, "/t.sst", defaultROpts())

@@ -75,17 +75,11 @@ func OpenReader(f vfs.File, opts ReaderOptions) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	if size < footerLenV1 {
+	if size < footerLenV2 {
 		return nil, fmt.Errorf("%w: file of %d bytes", ErrCorrupt, size)
 	}
-	// Read enough tail for the largest footer; decodeFooter selects the
-	// version by magic. Files between the v1 and v2 sizes are v1-only.
-	tailLen := int64(footerLenV2)
-	if size < tailLen {
-		tailLen = footerLenV1
-	}
-	buf := make([]byte, tailLen)
-	if _, err := f.ReadAt(buf, size-tailLen); err != nil {
+	buf := make([]byte, footerLenV2)
+	if _, err := f.ReadAt(buf, size-footerLenV2); err != nil {
 		return nil, err
 	}
 	ftr, err := decodeFooter(buf)

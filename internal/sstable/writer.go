@@ -30,11 +30,6 @@ type WriterOptions struct {
 	// Individual blocks that do not compress well enough are stored raw
 	// regardless; the block trailer's type byte records the outcome.
 	Compression compress.Kind
-
-	// legacyV1Footer emits the pre-compression v1 footer (tests only: it
-	// reproduces seed-era tables to pin backward compatibility). Requires
-	// Compression == None.
-	legacyV1Footer bool
 }
 
 func (o WriterOptions) withDefaults() WriterOptions {
@@ -293,13 +288,6 @@ func (w *Writer) finish() (Props, error) {
 	w.indexBlock = slices.Clone(index)
 
 	ftrBytes := ftr.encode(w.footer[:0])
-	if w.opts.legacyV1Footer {
-		if w.opts.Compression != compress.None {
-			w.err = fmt.Errorf("sstable: legacy v1 footer requires raw blocks")
-			return Props{}, w.err
-		}
-		ftrBytes = ftr.encodeV1()
-	}
 	if _, err := w.f.Write(ftrBytes); err != nil {
 		w.err = err
 		return Props{}, err

@@ -107,7 +107,7 @@ func TestParseFileName(t *testing.T) {
 		{"CURRENT", TypeCurrent, 0},
 		{"MANIFEST-000005", TypeManifest, 5},
 		{"000123.sst", TypeTable, 123},
-		{"000007.log", TypeLog, 7},
+		{"000007.log", TypeUnknown, 0}, // WAL segments are SHARD-<i>-NNNNNN.log
 		{"000009.tmp", TypeTemp, 9},
 		{"LOCK", TypeUnknown, 0},
 		{"xyz.sst", TypeUnknown, 0},
@@ -129,7 +129,6 @@ func TestFileNameRoundTrip(t *testing.T) {
 		num  uint64
 	}{
 		{TableFileName(dir, 12), TypeTable, 12},
-		{LogFileName(dir, 3), TypeLog, 3},
 		{ManifestFileName(dir, 9), TypeManifest, 9},
 		{CurrentFileName(dir), TypeCurrent, 0},
 	} {

@@ -13,7 +13,6 @@ type FileType int
 const (
 	TypeUnknown FileType = iota
 	TypeTable
-	TypeLog
 	TypeManifest
 	TypeCurrent
 	TypeTemp
@@ -22,11 +21,6 @@ const (
 // TableFileName returns the path of table file num.
 func TableFileName(dir string, num uint64) string {
 	return numberedPath(dir, "", -1, num, ".sst")
-}
-
-// LogFileName returns the path of WAL file num.
-func LogFileName(dir string, num uint64) string {
-	return numberedPath(dir, "", -1, num, ".log")
 }
 
 // ManifestFileName returns the path of MANIFEST file num.
@@ -80,8 +74,9 @@ func numberedPath(dir, prefix string, shard int, num uint64, suffix string) stri
 	return b.String()
 }
 
-// ParseFileName classifies a bare file name, returning its type and number
-// (when the type carries one).
+// ParseFileName classifies a bare file name in a shard's directory,
+// returning its type and number (when the type carries one). WAL segments
+// live in the shared WAL directory and parse with ParseShardLogName.
 func ParseFileName(name string) (FileType, uint64) {
 	switch {
 	case name == "CURRENT":
@@ -98,12 +93,6 @@ func ParseFileName(name string) (FileType, uint64) {
 			return TypeUnknown, 0
 		}
 		return TypeTable, n
-	case strings.HasSuffix(name, ".log"):
-		n, err := strconv.ParseUint(strings.TrimSuffix(name, ".log"), 10, 64)
-		if err != nil {
-			return TypeUnknown, 0
-		}
-		return TypeLog, n
 	case strings.HasSuffix(name, ".tmp"):
 		n, err := strconv.ParseUint(strings.TrimSuffix(name, ".tmp"), 10, 64)
 		if err != nil {
@@ -118,7 +107,7 @@ func ParseFileName(name string) (FileType, uint64) {
 // database's shared WAL directory (dir/wal). Per-shard WAL segments live
 // side by side in one directory, so crash recovery can enumerate every
 // shard's log tail with a single listing and route each segment to its
-// shard by name. The single-shard (legacy) layout keeps LogFileName.
+// shard by name.
 func ShardLogFileName(dir string, sh int, num uint64) string {
 	return numberedPath(dir, "SHARD-", sh, num, ".log")
 }

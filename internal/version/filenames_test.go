@@ -21,7 +21,6 @@ func TestFileNamesMatchPrintf(t *testing.T) {
 				typ       FileType
 			}{
 				{TableFileName(dir, num), filepath.Join(dir, fmt.Sprintf("%06d.sst", num)), TypeTable},
-				{LogFileName(dir, num), filepath.Join(dir, fmt.Sprintf("%06d.log", num)), TypeLog},
 				{ManifestFileName(dir, num), filepath.Join(dir, fmt.Sprintf("MANIFEST-%06d", num)), TypeManifest},
 				{TempFileName(dir, num), filepath.Join(dir, fmt.Sprintf("%06d.tmp", num)), TypeTemp},
 			} {

@@ -30,9 +30,12 @@
 // segment, and compaction pipeline, so concurrent writers overlap each
 // other's flush and compaction stalls instead of queuing behind one
 // engine. Point operations route by key hash; Scan and NewIterator merge
-// all shards back into one sorted keyspace. Shards=1 (the default) is
-// byte-identical to the classic single-engine layout. See DESIGN.md
-// ("Sharding") for the cross-shard batch-visibility caveat.
+// all shards back into one sorted keyspace. One shard (the default) has
+// the same on-disk layout as many: an LDC_SHARDS marker, shard-<i>
+// directories and a shared wal directory. See DESIGN.md ("Sharding") for
+// the cross-shard batch-visibility caveat.
+//
+// Keys are ordered bytewise; there is no other key order.
 //
 // Bounding tail latency:
 //
@@ -52,8 +55,8 @@
 // garbage collection is driven by compaction's own dead-byte accounting
 // and relocates live records through the normal commit pipeline, guarded
 // so concurrent overwrites always win. The default (0) disables
-// separation and keeps the on-disk layout byte-identical to prior
-// versions. See DESIGN.md ("Value separation").
+// separation and creates no vlog directory. See DESIGN.md ("Value
+// separation").
 //
 // Durability and errors:
 //
@@ -76,7 +79,6 @@ import (
 	"repro/internal/compaction"
 	"repro/internal/compress"
 	"repro/internal/core"
-	"repro/internal/keys"
 	"repro/internal/ssdsim"
 	"repro/internal/vfs"
 )
@@ -144,12 +146,6 @@ var (
 	// ErrClosed reports use after Close.
 	ErrClosed = core.ErrClosed
 )
-
-// Comparer orders user keys; BytewiseComparer is the default.
-type Comparer = keys.Comparer
-
-// BytewiseComparer orders keys lexicographically.
-type BytewiseComparer = keys.BytewiseComparer
 
 // FS abstracts the filesystem under the store.
 type FS = vfs.FS
