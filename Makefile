@@ -46,7 +46,11 @@ test:
 # the worker-lifecycle tests (Close, WaitIdle and CompactRange against a flush
 # and a compaction in flight, a clean Close leaving no unreferenced table); and
 # the sync-commit tests, whose vlog fsync runs beside the WAL's on a goroutine
-# of its own (overlap, failure of either, Close against a parked group); and
+# of its own (overlap, failure of either, Close against a parked group), and
+# the pipelined-commit tests, where a later group appends and fsyncs while an
+# earlier one is held in its fsync (publish order, an earlier group's failure,
+# rotation against groups in flight), with the value-log writer's fsync
+# outside its lock (an append beside it, rotation and Close waiting for it); and
 # the scan path's tests — lazily opened slices against the eager reference
 # under a concurrent writer, and the table iterator's read-ahead requests,
 # block ownership and bad-byte handling; and the point-read path's — the stats
@@ -68,12 +72,13 @@ test:
 # bounds must not depend on the cache's stripe count, which follows GOMAXPROCS.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup|TestPipelinedCommit' $(TESTFLAGS) ./internal/core
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSetAllocsOnFullShard' $(TESTFLAGS) ./internal/cache
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLevelTargets|TestLDCDrainsStagingLevel|TestDebt' $(TESTFLAGS) ./internal/compaction
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead|TestWriterAddAllocs|TestProbeAllocs|TestDecodedIndexMatchesOnDisk' $(TESTFLAGS) ./internal/sstable
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSeekGE' $(TESTFLAGS) ./internal/block
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters' $(TESTFLAGS) ./internal/commit
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters|TestReleaseLetsNextGroupForm' $(TESTFLAGS) ./internal/commit
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestAppendDuringSyncKeepsDirty|TestRotationAndCloseWaitForSync' $(TESTFLAGS) ./internal/vlog
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestAddAllocs|TestRecordChunkEdges' $(TESTFLAGS) ./internal/memtable
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestInsertAllocs|TestTowerAtSlabBoundary|TestSlabsKeepNodesApart|TestIteratorHeldAcrossSlabChange' $(TESTFLAGS) ./internal/skiplist
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestAddRecordAllocs' $(TESTFLAGS) ./internal/wal
@@ -113,20 +118,24 @@ invariants:
 # The background engine must stay race-clean; -short skips the multi-minute
 # stress runs but still covers each shard's flush and compaction worker, the
 # read state, and the cache.
-# Then the commit pipeline's recycled writers, group and follower slice, the
-# block cache's recycled entries, and each shard's WAL list, ten times at
-# each scheduler width: committers, followers and a Close racing them; Sets,
-# Gets and EvictFiles racing over a cache that recycles an entry on nearly
-# every Set; post-job cleanups racing to remove the same covered WALs.
+# Then the commit pipeline's recycled writers and groups, the block cache's
+# recycled entries, each shard's WAL list and the pipelined sync commit, ten
+# times at each scheduler width: committers, followers and a Close racing
+# them; Sets, Gets and EvictFiles racing over a cache that recycles an entry
+# on nearly every Set; post-job cleanups racing to remove the same covered
+# WALs; groups that append and fsync while earlier ones are still syncing,
+# and value-log fsyncs beside appends, rotation and Close.
 race:
 	$(GO) test -race -short $(TESTFLAGS) ./...
-	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestWAL|TestCrashLeftWALs|TestFailedRotationWALTracked' $(TESTFLAGS) ./internal/core
-	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters' $(TESTFLAGS) ./internal/commit
+	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestWAL|TestCrashLeftWALs|TestFailedRotationWALTracked|TestPipelinedCommit|TestSyncCommit' $(TESTFLAGS) ./internal/core
+	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters|TestReleaseLetsNextGroupForm' $(TESTFLAGS) ./internal/commit
+	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestAppendDuringSyncKeepsDirty|TestRotationAndCloseWaitForSync' $(TESTFLAGS) ./internal/vlog
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestRecycledEntries' $(TESTFLAGS) ./internal/cache
 
 # Ten seconds of each decoder-facing fuzzer: enough to shake out shallow
 # regressions in the block seek, block, table index, compression, codec, vlog
-# record, WAL and MANIFEST edit parsers on every CI run; long campaigns stay manual
+# record, WAL, MANIFEST edit, write batch and RESP command parsers on every CI
+# run; long campaigns stay manual
 # (go test -fuzz=... -fuzztime=10m).
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -138,6 +147,8 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzVlogRecordDecode -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/vlog
 	$(GO) test -run XXX -fuzz FuzzWALReader -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/wal
 	$(GO) test -run XXX -fuzz FuzzDecodeEdit -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/version
+	$(GO) test -run XXX -fuzz FuzzBatchDecode -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/batch
+	$(GO) test -run XXX -fuzz FuzzRESPReadCommand -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/resp
 
 # Every exhibit of internal/harness once at the benchmark scale, each headline
 # as a metric.

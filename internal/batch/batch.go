@@ -173,6 +173,9 @@ func (b *Batch) Each(fn func(kind keys.Kind, key, value []byte) error) error {
 			if vn == 0 {
 				return fmt.Errorf("%w: truncated value", ErrCorrupt)
 			}
+			if kind == keys.KindBlobRewrite && len(value) < 8 {
+				return fmt.Errorf("%w: rewrite payload of %d bytes has no guard sequence", ErrCorrupt, len(value))
+			}
 			p = p[vn:]
 		}
 		if err := fn(kind, key, value); err != nil {

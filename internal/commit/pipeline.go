@@ -23,8 +23,13 @@ type Env struct {
 	MakeRoom func() error
 	// Commit durably applies one formed group: stamp its sequence range,
 	// append its single record to the WAL, fsync if sync, and apply it to
-	// the memtable — with the fsync outside the store mutex.
-	Commit func(g *batch.Group, sync bool) error
+	// the memtable — with the fsync outside the store mutex. Once the
+	// record is appended Commit may call release, which lets the next group
+	// form and append while this one is still syncing; the pipeline releases
+	// the slot itself when Commit returns without having done so. Groups
+	// that overlap this way must still publish in the order they appended,
+	// and that order is Commit's to keep.
+	Commit func(g *batch.Group, sync bool, release func()) error
 }
 
 // Options tunes a Pipeline.
@@ -42,7 +47,6 @@ type Metrics struct {
 	Groups     int64 // write groups committed
 	Batches    int64 // member batches committed (≥ Groups)
 	GroupBytes int64 // encoded bytes committed
-	SyncNanos  int64 // reserved for the store's WAL-sync time (not set here)
 }
 
 // writer is one queued commit request. A writer belongs to the committer
@@ -56,12 +60,27 @@ type writer struct {
 	err  error
 }
 
+// group is one formed write group: the members' merged batch and the
+// followers to wake with its outcome. A group belongs to its leader from
+// formation until the followers are woken, then goes back on the pipeline's
+// free list; release is bound once, when the group is made, so handing it to
+// Env.Commit costs nothing.
+type group struct {
+	batch     batch.Group
+	followers []*writer
+	released  bool // the leader slot was given up (under p.mu)
+	release   func()
+}
+
 // Pipeline is the group-commit front end, RocksDB write-group style:
 // concurrent committers enqueue; the writer at the head of the queue
 // becomes the group leader, waits for admission, drains the queue into one
-// group, commits it as a single WAL record, and wakes its followers. At
-// most one group is in flight, which serializes WAL appends and memtable
-// application without any caller holding the store mutex across an fsync.
+// group, commits it as a single WAL record, and wakes its followers. One
+// leader at a time holds the slot that forms a group and appends its record;
+// a sync group gives the slot up once its record is appended (Env.Commit's
+// release), so the next group forms and appends while earlier ones are
+// still in their fsyncs. Several groups may thus be in flight; Close waits
+// for all of them.
 type Pipeline struct {
 	env       Env
 	maxBytes  int
@@ -71,16 +90,15 @@ type Pipeline struct {
 	cond    *sync.Cond
 	queue   []*writer // waiting committers; queue[0] is the next leader
 	free    []*writer // recycled writers
-	leading bool      // a leader is building or committing a group
+	leading bool      // a leader is forming a group or appending its record
+	formed  int       // groups formed and not yet finished
 	closed  bool
 
-	// group and followers are the in-flight group's, reused from one leader
-	// to the next: while leading is set only that leader touches them (the
-	// followers under mu), and it resets them before it gives leading up.
-	group     batch.Group
-	followers []*writer
+	// groups are the recycled groups: a leader takes one under mu and puts
+	// it back, reset, once its followers are woken.
+	groups []*group
 
-	groups     atomic.Int64
+	committed  atomic.Int64
 	batches    atomic.Int64
 	groupBytes atomic.Int64
 }
@@ -102,7 +120,7 @@ func NewPipeline(env Env, opts Options) *Pipeline {
 // Metrics snapshots the group counters.
 func (p *Pipeline) Metrics() Metrics {
 	return Metrics{
-		Groups:     p.groups.Load(),
+		Groups:     p.committed.Load(),
 		Batches:    p.batches.Load(),
 		GroupBytes: p.groupBytes.Load(),
 	}
@@ -135,38 +153,70 @@ func (p *Pipeline) Commit(b *batch.Batch, sync bool) error {
 		p.mu.Unlock()
 		return err
 	}
-	// Leader: claim the in-flight slot and leave the queue; followers keep
-	// enqueueing while this group waits for admission.
+	// Leader: claim the slot, leave the queue and take a group; followers
+	// keep enqueueing while this group waits for admission.
 	p.leading = true
+	p.formed++
 	p.dequeue(1)
+	g := p.newGroupLocked()
 	p.mu.Unlock()
 
 	err := p.env.MakeRoom()
 	if err == nil {
-		p.group.Add(b)
-		p.drainFollowers(sync)
-		err = p.env.Commit(&p.group, sync)
+		g.batch.Add(b)
+		p.drainFollowers(g, sync)
+		err = p.env.Commit(&g.batch, sync, g.release)
 		if err == nil {
-			p.groups.Add(1)
-			p.batches.Add(int64(p.group.Len()))
-			p.groupBytes.Add(int64(p.group.Size()))
+			p.committed.Add(1)
+			p.batches.Add(int64(g.batch.Len()))
+			p.groupBytes.Add(int64(g.batch.Size()))
 		}
 		// The members go back to their callers when those wake: drop them
 		// first.
-		p.group.Reset()
+		g.batch.Reset()
 	}
 
 	p.mu.Lock()
-	for i, f := range p.followers {
+	p.releaseLocked(g)
+	for i, f := range g.followers {
 		f.done, f.err = true, err
-		p.followers[i] = nil
+		g.followers[i] = nil
 	}
-	p.followers = p.followers[:0]
+	g.followers = g.followers[:0]
+	g.released = false
+	p.groups = append(p.groups, g)
+	p.formed--
 	p.recycle(w)
-	p.leading = false
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	return err
+}
+
+// newGroupLocked takes a group off the free list, or makes one. Caller holds
+// p.mu.
+func (p *Pipeline) newGroupLocked() *group {
+	if n := len(p.groups); n > 0 {
+		g := p.groups[n-1]
+		p.groups = p.groups[:n-1]
+		return g
+	}
+	g := new(group)
+	g.release = func() {
+		p.mu.Lock()
+		p.releaseLocked(g)
+		p.cond.Broadcast()
+		p.mu.Unlock()
+	}
+	return g
+}
+
+// releaseLocked gives up the leader slot g holds, once. Caller holds p.mu and
+// wakes the waiters.
+func (p *Pipeline) releaseLocked(g *group) {
+	if !g.released {
+		g.released = true
+		p.leading = false
+	}
 }
 
 // recycle puts a writer whose committer is done with it on the free list.
@@ -184,20 +234,20 @@ func (p *Pipeline) dequeue(n int) {
 	p.queue = p.queue[:m]
 }
 
-// drainFollowers moves queued writers into the leader's group, stopping at
+// drainFollowers moves queued writers into the leader's group g, stopping at
 // the byte cap or — when the leader is non-sync — at the first sync writer,
 // which must lead its own group to get its fsync (LevelDB's rule; a sync
 // leader may absorb non-sync followers, upgrading their durability).
-func (p *Pipeline) drainFollowers(leaderSync bool) {
+func (p *Pipeline) drainFollowers(g *group, leaderSync bool) {
 	p.mu.Lock()
 	n := 0
-	for n < len(p.queue) && p.group.Size() < p.maxBytes {
+	for n < len(p.queue) && g.batch.Size() < p.maxBytes {
 		f := p.queue[n]
 		if f.sync && !leaderSync {
 			break
 		}
-		p.followers = append(p.followers, f)
-		p.group.Add(f.b)
+		g.followers = append(g.followers, f)
+		g.batch.Add(f.b)
 		n++
 	}
 	p.dequeue(n)
@@ -205,8 +255,8 @@ func (p *Pipeline) drainFollowers(leaderSync bool) {
 }
 
 // Close fails all queued writers and every later Commit with the closed
-// error, then waits for an in-flight group to finish. The in-flight
-// leader's own fate is decided by its environment (a closing store fails
+// error, then waits for every formed group to finish. The fate of a group
+// already formed is decided by its environment (a closing store fails
 // admission; a group already admitted commits normally).
 func (p *Pipeline) Close() {
 	p.mu.Lock()
@@ -216,7 +266,7 @@ func (p *Pipeline) Close() {
 	}
 	p.dequeue(len(p.queue))
 	p.cond.Broadcast()
-	for p.leading {
+	for p.formed > 0 {
 		p.cond.Wait()
 	}
 	p.mu.Unlock()

@@ -43,7 +43,7 @@ func (r *recordingEnv) env() Env {
 			r.mu.Unlock()
 			return err
 		},
-		Commit: func(g *batch.Group, sync bool) error {
+		Commit: func(g *batch.Group, sync bool, _ func()) error {
 			if r.entered != nil {
 				r.entered <- struct{}{}
 			}
@@ -175,9 +175,10 @@ func TestSyncWriterNeverRidesNonSyncGroup(t *testing.T) {
 
 	// Non-sync leader: drains up to, but not including, the sync writer.
 	p.queue = mkQueue()
-	p.group.Add(oneOp("leader"))
-	p.drainFollowers(false)
-	followers := p.followers
+	g := p.newGroupLocked()
+	g.batch.Add(oneOp("leader"))
+	p.drainFollowers(g, false)
+	followers := g.followers
 	if len(followers) != 1 || followers[0].sync {
 		t.Fatalf("non-sync leader drained %d followers (sync=%v), want 1 non-sync",
 			len(followers), followers[0].sync)
@@ -189,11 +190,11 @@ func TestSyncWriterNeverRidesNonSyncGroup(t *testing.T) {
 
 	// Sync leader: absorbs everything.
 	p.queue = mkQueue()
-	p.group.Reset()
-	p.group.Add(oneOp("leader"))
-	p.followers = p.followers[:0]
-	p.drainFollowers(true)
-	followers = p.followers
+	g.batch.Reset()
+	g.batch.Add(oneOp("leader"))
+	g.followers = g.followers[:0]
+	p.drainFollowers(g, true)
+	followers = g.followers
 	if len(followers) != 3 || len(p.queue) != 0 {
 		t.Fatalf("sync leader drained %d followers, %d left; want 3, 0", len(followers), len(p.queue))
 	}
@@ -372,7 +373,7 @@ func stubEnv(commit func(g *batch.Group) error) Env {
 	seq := keys.Seq(1)
 	return Env{
 		MakeRoom: func() error { return nil },
-		Commit: func(g *batch.Group, _ bool) error {
+		Commit: func(g *batch.Group, _ bool, _ func()) error {
 			g.SetSequence(seq)
 			seq += keys.Seq(g.Count())
 			_ = g.Batch().Encode()
@@ -381,25 +382,105 @@ func stubEnv(commit func(g *batch.Group) error) Env {
 	}
 }
 
-// TestCommitAllocsLeaderAlone: an uncontended Commit reuses a writer from the
-// free list, the pipeline's one group and the queue's capacity, so in steady
-// state it allocates nothing.
+// TestCommitAllocsLeaderAlone: an uncontended Commit reuses a writer and a
+// group from the free lists and the queue's capacity, so in steady state it
+// allocates nothing — whether its environment gives the leader slot up
+// early or leaves that to the pipeline.
 func TestCommitAllocsLeaderAlone(t *testing.T) {
 	if invariants.Enabled {
 		t.Skip("the invariants build allocates in its lock-rank checks")
 	}
-	p := NewPipeline(stubEnv(func(*batch.Group) error { return nil }), Options{})
-	b := oneOp("k")
-	const n = 1000
-	perCommit := testing.AllocsPerRun(5, func() {
-		for i := 0; i < n; i++ {
-			if err := p.Commit(b, i%2 == 0); err != nil {
-				t.Fatal(err)
+	for _, early := range []bool{false, true} {
+		env := stubEnv(func(*batch.Group) error { return nil })
+		if early {
+			commit := env.Commit
+			env.Commit = func(g *batch.Group, sync bool, release func()) error {
+				release()
+				return commit(g, sync, release)
 			}
 		}
-	}) / n
-	if perCommit > 0.001 {
-		t.Errorf("%.4f allocations per uncontended Commit, want 0", perCommit)
+		p := NewPipeline(env, Options{})
+		b := oneOp("k")
+		const n = 1000
+		perCommit := testing.AllocsPerRun(5, func() {
+			for i := 0; i < n; i++ {
+				if err := p.Commit(b, i%2 == 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}) / n
+		if perCommit > 0.001 {
+			t.Errorf("early release %v: %.4f allocations per uncontended Commit, want 0", early, perCommit)
+		}
+	}
+}
+
+// TestReleaseLetsNextGroupForm: a group that gives the leader slot up inside
+// Commit stays in flight while the next group forms, commits and returns;
+// Close waits for the one still in flight, not only for a slot holder.
+func TestReleaseLetsNextGroupForm(t *testing.T) {
+	entered := make(chan string, 2)
+	gate := make(chan struct{})
+	env := Env{
+		MakeRoom: func() error { return nil },
+		Commit: func(g *batch.Group, _ bool, release func()) error {
+			var first string
+			_ = g.Batch().Each(func(_ keys.Kind, key, _ []byte) error {
+				if first == "" {
+					first = string(key)
+				}
+				return nil
+			})
+			release()
+			release() // a second call is a no-op
+			entered <- first
+			if first == "a" {
+				<-gate
+			}
+			return nil
+		},
+	}
+	p := NewPipeline(env, Options{})
+	aDone := make(chan error, 1)
+	go func() { aDone <- p.Commit(oneOp("a"), true) }()
+	if got := <-entered; got != "a" {
+		t.Fatalf("first group led by %q, want a", got)
+	}
+	bDone := make(chan error, 1)
+	go func() { bDone <- p.Commit(oneOp("b"), true) }()
+	select {
+	case got := <-entered:
+		if got != "b" {
+			t.Fatalf("second group led by %q, want b", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the second group never formed while the first was in flight")
+	}
+	if err := <-bDone; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-aDone:
+		t.Fatalf("the held group returned (%v) before its gate opened", err)
+	default:
+	}
+	closed := make(chan struct{})
+	go func() { p.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a released group was still in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-aDone; err != nil {
+		t.Fatal(err)
+	}
+	<-closed
+	if m := p.Metrics(); m.Groups != 2 || m.Batches != 2 {
+		t.Fatalf("metrics = %+v, want two groups of one", m)
+	}
+	if len(p.groups) != 2 {
+		t.Fatalf("free list holds %d groups, want the 2 that were in flight at once", len(p.groups))
 	}
 }
 
@@ -540,8 +621,13 @@ func TestPipelineRecyclesWriters(t *testing.T) {
 	if m := p.Metrics(); m.Batches != committed.Load() {
 		t.Fatalf("%d batches committed by the metrics, %d by their callers", m.Batches, committed.Load())
 	}
-	if len(p.queue) != 0 || len(p.followers) != 0 || p.group.Len() != 0 {
-		t.Fatalf("idle pipeline holds %d queued, %d followers, %d group members", len(p.queue), len(p.followers), p.group.Len())
+	if len(p.queue) != 0 || p.formed != 0 || p.leading {
+		t.Fatalf("idle pipeline holds %d queued, %d groups formed, leading=%v", len(p.queue), p.formed, p.leading)
+	}
+	for _, g := range p.groups {
+		if len(g.followers) != 0 || g.batch.Len() != 0 || g.released {
+			t.Fatalf("free group holds %d followers, %d members, released=%v", len(g.followers), g.batch.Len(), g.released)
+		}
 	}
 	seen := map[*writer]bool{}
 	for _, w := range p.free {

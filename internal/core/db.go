@@ -76,14 +76,6 @@ type store struct {
 	vlogw      *vlog.Writer
 	blockCache *cache.Cache
 
-	// vlogSyncFn is the body of the goroutine a sync write group's leader
-	// starts to fsync the value log beside its WAL append and fsync, and
-	// vlogSynced carries that fsync's result back to the leader (write.go).
-	// Both are made once: groups commit one at a time, so one func value and
-	// one one-slot channel serve them all without a per-group allocation.
-	vlogSyncFn func()
-	vlogSynced chan error
-
 	// rotateForced asks the next commit leader to rotate the memtable even
 	// though it is not full (the GC flush barrier sets it; see forceRotate).
 	rotateForced atomic.Bool
@@ -119,6 +111,21 @@ type store struct {
 	// flushedThroughSeq is visible in mem ∪ imm". Guarded by mu.
 	rotBoundarySeq    keys.Seq
 	flushedThroughSeq keys.Seq
+
+	// The commit path's sequence state (write.go), guarded by mu. lastAlloc
+	// is the last sequence stamped on a logged group; set.LastSeq is the
+	// last one published, which is what readers, snapshots, the MANIFEST
+	// and rotBoundarySeq see, and trails lastAlloc while sync groups are in
+	// their fsyncs. appended counts groups whose WAL record was appended and
+	// published those that have since published or failed; a group's ticket
+	// is the value of appended at its append, and publishCond wakes the
+	// group whose turn it is and a rotation waiting for the two to meet.
+	// vlogSyncs are the recycled value-log fsync slots of sync groups.
+	lastAlloc   keys.Seq
+	appended    uint64
+	published   uint64
+	publishCond *sync.Cond
+	vlogSyncs   []*vlogSync
 
 	snapshots snapshotList
 
@@ -186,8 +193,6 @@ func openStore(cfg storeConfig, opts Options, tables *tableCache) (*store, error
 	if cfg.vlog != nil {
 		db.vlog = cfg.vlog
 		db.vlogw = cfg.vlog.NewWriter(cfg.shardID)
-		db.vlogSynced = make(chan error, 1)
-		db.vlogSyncFn = func() { db.vlogSynced <- db.vlogw.Sync() }
 		db.blockCache = cfg.blockCache
 	}
 	db.mu.Rank("core.store.mu", 30)
@@ -195,6 +200,7 @@ func openStore(cfg storeConfig, opts Options, tables *tableCache) (*store, error
 	db.flushCond = sync.NewCond(&db.mu)
 	db.workCond = sync.NewCond(&db.mu)
 	db.bgCond = sync.NewCond(&db.mu)
+	db.publishCond = sync.NewCond(&db.mu)
 	db.initFS(opts.FS)
 
 	if err := db.fsMeta.MkdirAll(dir); err != nil {
@@ -487,9 +493,10 @@ func (db *store) Close() error {
 		db.stopBackgroundLocked()
 		db.mu.Unlock()
 
-		// Drain the commit front end: queued writers fail with ErrClosed; an
-		// in-flight group leader (who observes closed under db.mu or via the
-		// controller) finishes before Close proceeds to tear the WAL down.
+		// Drain the commit front end: queued writers fail with ErrClosed;
+		// every group in flight (a forming leader observes closed under db.mu
+		// or via the controller) finishes before Close proceeds to tear the
+		// WAL down.
 		db.pipeline.Close()
 
 		// The final WAL sync and close are the last durability points; their

@@ -256,8 +256,9 @@ func (db *store) blobBarrier(target keys.Seq) error {
 }
 
 // forceRotate rotates to a fresh memtable and WAL via the commit pipeline,
-// the only context allowed to swap the WAL writer (a leader's fsync runs
-// outside db.mu, so rotating from anywhere else would race it). The empty
+// the only context allowed to swap the WAL writer (a leader holds the slot
+// no other group can append under, and rotateMemtableLocked waits out the
+// groups still syncing the old WAL). The empty
 // barrier batch costs one 12-byte WAL record and no sequence numbers.
 func (db *store) forceRotate() error {
 	db.rotateForced.Store(true)

@@ -52,6 +52,7 @@ func (db *store) initCommitPipeline() {
 			Rotate:     db.rotateMemtableLocked,
 			Wait:       db.bgCond.Wait,
 		})
+	db.lastAlloc = db.set.LastSeq()
 	db.pipeline = commit.NewPipeline(commit.Env{
 		MakeRoom: db.controller.MakeRoom,
 		Commit:   db.commitGroup,
@@ -61,9 +62,20 @@ func (db *store) initCommitPipeline() {
 }
 
 // rotateMemtableLocked switches to a fresh WAL and memtable, handing the
-// full table to the flush worker. Caller holds db.mu (the controller, or
-// recovery's exclusive section).
+// full table to the flush worker. Caller holds db.mu (the controller, or a
+// commit leader honoring a forced rotation). It first waits until no sync
+// group is between its WAL append and its publish (commitGroup): each
+// group's entries must land in the memtable whose WAL holds its record.
 func (db *store) rotateMemtableLocked() error {
+	for db.published != db.appended {
+		db.publishCond.Wait()
+	}
+	if db.bgErr != nil {
+		return db.bgErr
+	}
+	if db.closed {
+		return ErrClosed
+	}
 	if err := db.newLogLocked(); err != nil {
 		return err
 	}
@@ -75,6 +87,32 @@ func (db *store) rotateMemtableLocked() error {
 	db.publishReadState()
 	db.flushCond.Signal()
 	return nil
+}
+
+// vlogSync is one sync group's value-log fsync, run on a goroutine of its
+// own beside the group's WAL append and fsync and joined before the group
+// publishes. Groups in flight side by side each hold one; they are recycled
+// through db.vlogSyncs, so a slot is made only when more groups overlap than
+// ever before.
+type vlogSync struct {
+	done chan error
+	run  func()
+}
+
+// startVlogSyncLocked starts an fsync of the shard's value log and returns
+// the slot its result arrives in. Caller holds db.mu.
+func (db *store) startVlogSyncLocked() *vlogSync {
+	var vs *vlogSync
+	if n := len(db.vlogSyncs); n > 0 {
+		vs = db.vlogSyncs[n-1]
+		db.vlogSyncs = db.vlogSyncs[:n-1]
+	} else {
+		vs = &vlogSync{done: make(chan error, 1)}
+		w := db.vlogw
+		vs.run = func() { vs.done <- w.Sync() }
+	}
+	go vs.run()
+	return vs
 }
 
 // commitGroup durably applies one formed write group: append its separated
@@ -91,14 +129,22 @@ func (db *store) rotateMemtableLocked() error {
 // device before the values its pointers name; that order is safe because
 // recovery treats a record whose pointers dangle past the value log's valid
 // extent as torn and drops the batch whole (replayLog) — exactly what a crash
-// before an unacknowledged commit may do. Only the pipeline calls this, one
-// group at a time.
-func (db *store) commitGroup(g *batch.Group, sync bool) error {
-	// Value separation runs before db.mu: the pipeline serializes leaders,
-	// so this shard's vlog appends are single-writer, and the (possibly
-	// slow) value writes overlap reads and background work. The appended
-	// records are readable immediately (write-through) but referenced only
-	// once the group's pointers are applied below.
+// before an unacknowledged commit may do.
+//
+// Sync groups are pipelined: once its record is appended a group releases
+// the pipeline's leader slot, so the next group forms, appends and starts
+// its own fsyncs while this one's are still running. Groups take their
+// sequence ranges from db.lastAlloc and a ticket from db.appended at the
+// append, and publish by ticket (publishLocked), so the published sequence
+// (set.LastSeq) only ever moves past whole, durable groups in order.
+// Non-sync groups keep one critical section from append to publish.
+func (db *store) commitGroup(g *batch.Group, sync bool, release func()) error {
+	// Value separation runs before db.mu: the pipeline's leader slot, held
+	// until the WAL append, keeps this shard's commit-side vlog appends in
+	// group order, and the (possibly slow) value writes overlap reads and
+	// background work. The appended records are readable immediately
+	// (write-through) but referenced only once the group's pointers are
+	// applied below.
 	b := g.Batch()
 	sep, extraUserBytes, err := db.separateValues(b)
 	if err != nil {
@@ -111,39 +157,43 @@ func (db *store) commitGroup(g *batch.Group, sync bool) error {
 		b = sep
 	}
 	// One vlog durability point per sync group, mirroring the WAL's: an
-	// acknowledged sync commit must never lose its separated values. It runs
-	// on its own goroutine, which takes only the writer's lock, and is joined
-	// below on every path — so Close, which waits for the in-flight group,
-	// never tears the writer down under it.
-	vlogSync := sync && db.vlogw != nil && db.vlogw.Dirty()
-	if vlogSync {
-		go db.vlogSyncFn()
-	}
+	// acknowledged sync commit must never lose its separated values. It is
+	// joined below on every path, so Close, which waits for every group in
+	// flight, never tears the writer down under it.
+	vlogDirty := sync && db.vlogw != nil && db.vlogw.Dirty()
 	db.mu.Lock()
-	seq, err := db.logGroupLocked(g, sep, b)
+	var vs *vlogSync
+	if vlogDirty {
+		vs = db.startVlogSyncLocked()
+	}
+	seq, ticket, err := db.logGroupLocked(g, sep, b)
+	appended := err == nil
 	if sync {
-		// The leader waits outside db.mu: readers, the flush worker, and
-		// compactions all proceed during the fsyncs, and followers piling up
-		// behind this group are exactly how sync cost gets amortized. The
-		// WAL writer cannot be swapped concurrently — rotation only happens
-		// on this (leader-exclusive) path.
+		// The fsyncs run outside db.mu and outside the leader slot: readers,
+		// background work and the next group's append all proceed meanwhile.
+		// The WAL writer cannot be swapped under this fsync — rotation waits
+		// for every appended group to publish first.
 		logw := db.logw
 		db.mu.Unlock()
+		release()
 		var syncErr error
-		if err == nil {
+		if appended {
 			start := time.Now()
 			syncErr = logw.Sync()
 			db.stats.walSyncNanos.Add(int64(time.Since(start)))
 			db.stats.walSyncCount.Add(1)
 		}
-		if vlogSync {
+		if vs != nil {
 			// The WAL's error wins when both fsyncs fail: program order, not
 			// completion order, so the reported error is deterministic.
-			if verr := <-db.vlogSynced; syncErr == nil {
+			if verr := <-vs.done; syncErr == nil {
 				syncErr = verr
 			}
 		}
 		db.mu.Lock()
+		if vs != nil {
+			db.vlogSyncs = append(db.vlogSyncs, vs)
+		}
 		if syncErr != nil {
 			db.fatal(syncErr)
 			if err == nil {
@@ -151,10 +201,37 @@ func (db *store) commitGroup(g *batch.Group, sync bool) error {
 			}
 		}
 	}
-	if err != nil {
-		db.mu.Unlock()
-		return err
+	if appended {
+		err = db.publishLocked(ticket, seq, b, extraUserBytes, err)
 	}
+	db.mu.Unlock()
+	return err
+}
+
+// publishLocked is a group's last step: wait until every group appended
+// before it has published or failed, then apply its entries to the memtable
+// and publish its sequence range. A group fails instead, publishing nothing,
+// when its own fsync failed (err) or the store is poisoned — an earlier
+// group's failure included, so the published sequence never skips a range.
+// Caller holds db.mu.
+func (db *store) publishLocked(ticket uint64, seq keys.Seq, b *batch.Batch, extraUserBytes int64, err error) error {
+	for db.published != ticket {
+		db.publishCond.Wait()
+	}
+	if err == nil && db.bgErr != nil {
+		err = db.bgErr
+	}
+	if err == nil {
+		db.applyLocked(seq, b, extraUserBytes)
+	}
+	db.published++
+	db.publishCond.Broadcast()
+	return err
+}
+
+// applyLocked adds a logged group's entries to the memtable and publishes
+// its sequence range. Caller holds db.mu.
+func (db *store) applyLocked(seq keys.Seq, b *batch.Batch, extraUserBytes int64) {
 	i := keys.Seq(0)
 	var userBytes, puts, deletes int64
 	b.Each(func(kind keys.Kind, key, value []byte) error {
@@ -197,35 +274,37 @@ func (db *store) commitGroup(g *batch.Group, sync bool) error {
 	db.stats.deletes.Add(deletes)
 	db.set.SetLastSeq(seq + keys.Seq(b.Count()) - 1)
 	db.observeMix()
-	db.mu.Unlock()
-	return nil
 }
 
 // logGroupLocked is commitGroup's step under db.mu up to the WAL append:
 // refuse a poisoned or closed store, honor a pending forced rotation, stamp
 // the group's sequence range and append its record. It returns the group's
-// first sequence. A failure that leaves the log or the rotation half done
-// poisons the store here; the caller only unlocks and reports.
-func (db *store) logGroupLocked(g *batch.Group, sep, b *batch.Batch) (keys.Seq, error) {
+// first sequence and its publication ticket. A failure that leaves the log
+// or the rotation half done poisons the store here; the caller only unlocks
+// and reports.
+func (db *store) logGroupLocked(g *batch.Group, sep, b *batch.Batch) (keys.Seq, uint64, error) {
 	if db.bgErr != nil {
-		return 0, db.bgErr
+		return 0, 0, db.bgErr
 	}
 	if db.closed {
-		return 0, ErrClosed
+		return 0, 0, ErrClosed
 	}
 	if db.rotateForced.Load() && db.imm == nil {
-		// GC flush barrier requested a rotation; this is the leader-
-		// exclusive path, so swapping the WAL writer is safe here and
-		// nowhere else. The group's own entries land in the fresh memtable.
+		// GC flush barrier requested a rotation; only a leader may swap the
+		// WAL writer, and rotateMemtableLocked outwaits the groups still
+		// syncing the old one. The group's own entries land in the fresh
+		// memtable.
 		db.rotateForced.Store(false)
 		if !db.mem.Empty() {
 			if err := db.rotateMemtableLocked(); err != nil {
-				db.fatal(err)
-				return 0, err
+				if err != ErrClosed {
+					db.fatal(err)
+				}
+				return 0, 0, err
 			}
 		}
 	}
-	seq := db.set.LastSeq() + 1
+	seq := db.lastAlloc + 1
 	g.SetSequence(seq)
 	if sep != nil {
 		// The transformed batch is not a group member; stamp it directly so
@@ -233,15 +312,20 @@ func (db *store) logGroupLocked(g *batch.Group, sep, b *batch.Batch) (keys.Seq, 
 		// the group's callers observe.
 		sep.SetSequence(seq)
 	}
+	// The range is spent from here on, whatever the append does: a failure
+	// poisons the store, so it is never reassigned.
+	db.lastAlloc += keys.Seq(b.Count())
 	rec := b.Encode()
 	if err := db.logw.AddRecord(rec); err != nil {
 		// The log may now hold a partial record for an unpublished sequence
-		// range; poison the store so the range is never reassigned.
+		// range; poison the store.
 		db.fatal(err)
-		return 0, err
+		return 0, 0, err
 	}
 	db.stats.walWriteBytes.Add(int64(len(rec)))
-	return seq, nil
+	ticket := db.appended
+	db.appended++
+	return seq, ticket, nil
 }
 
 // separateValues is the commit-time value-separation transform: every Set

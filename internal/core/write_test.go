@@ -101,7 +101,7 @@ func TestRecoveryDropsTornFinalWriteGroup(t *testing.T) {
 		b.Set([]byte(k), []byte("grouped"))
 		g.Add(b)
 	}
-	if err := db.shards[0].commitGroup(&g, true); err != nil {
+	if err := db.shards[0].commitGroup(&g, true, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	db.shards[0].mu.Lock()

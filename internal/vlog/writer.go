@@ -3,6 +3,7 @@ package vlog
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/invariants"
 	"repro/internal/vfs"
@@ -12,21 +13,25 @@ import (
 var ErrClosed = errors.New("vlog: writer closed")
 
 // Writer is one shard's appender. The shard's group-commit leader calls
-// Append for each separated value and then one Flush/Sync for the whole
-// write group — one durability point per group, mirroring the WAL. The GC
-// worker appends through the same Writer (its own lock acquisition), so
-// rotation and offsets stay single-writer per shard.
+// Append for each separated value and then one Sync for the whole write
+// group — one durability point per group, mirroring the WAL. The GC worker
+// appends through the same Writer (its own lock acquisition), so rotation
+// and offsets stay single-writer per shard. Syncs run their fsync outside
+// the lock, so the next group's appends need not wait for one.
 type Writer struct {
 	log   *Log
 	shard int
 
-	mu     invariants.Mutex
-	closed bool
-	seg    *segment
-	f      vfs.File
-	off    int64
-	dirty  bool // appended since last Sync
-	buf    []byte
+	mu      invariants.Mutex
+	synced  *sync.Cond // broadcast when the last running Sync returns
+	closed  bool
+	seg     *segment
+	f       vfs.File
+	off     int64
+	dirty   bool   // appended since the last Sync that covered every append
+	appends uint64 // records appended, ever: a Sync clears dirty only if none landed during its fsync
+	syncing int    // Syncs in their fsync; rotation and Close wait them out
+	buf     []byte
 }
 
 // NewWriter returns shard's appender. The first segment file is created on
@@ -35,6 +40,7 @@ type Writer struct {
 func (l *Log) NewWriter(shard int) *Writer {
 	w := &Writer{log: l, shard: shard}
 	w.mu.Rank("vlog.writer.mu", 55)
+	w.synced = sync.NewCond(&w.mu)
 	return w
 }
 
@@ -66,11 +72,23 @@ func (w *Writer) Append(key, value []byte) (Pointer, error) {
 	w.seg.size.Store(w.off)
 	w.log.appended.Add(int64(len(w.buf)))
 	w.dirty = true
+	w.appends++
 	return p, nil
 }
 
-// rotateLocked seals the current segment and starts a fresh one.
+// rotateLocked seals the current segment and starts a fresh one. A running
+// Sync holds the current file, so it first waits those out; another append
+// may rotate meanwhile, leaving nothing to do.
 func (w *Writer) rotateLocked() error {
+	for w.syncing > 0 {
+		w.synced.Wait()
+	}
+	if w.closed {
+		return ErrClosed
+	}
+	if w.seg != nil && w.off < w.log.segSize {
+		return nil
+	}
 	if w.f != nil {
 		err := w.f.Sync()
 		if cerr := w.f.Close(); err == nil {
@@ -111,22 +129,38 @@ func (w *Writer) Dirty() bool {
 	return w.f != nil && w.dirty
 }
 
-// Sync makes every appended record durable. No-op when nothing was
-// appended since the last Sync.
+// Sync makes every record appended before the call durable. No-op when
+// nothing was appended since the last Sync that covered every append. The
+// fsync runs outside w.mu, so appends (the next write group's, the GC
+// relocator's) and other Syncs proceed beside it; a Sync clears Dirty only
+// when no record was appended during its fsync.
 func (w *Writer) Sync() error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.closed {
+		w.mu.Unlock()
 		return ErrClosed
 	}
 	if w.f == nil || !w.dirty {
+		w.mu.Unlock()
 		return nil
 	}
-	//ldclint:ignore mutexio the sync must exclude concurrent appends or the dirty flag could clear with unsynced bytes behind it; one vlog fsync per write group, amortized like the WAL's
-	if err := w.f.Sync(); err != nil {
+	f, appends := w.f, w.appends
+	w.syncing++
+	w.mu.Unlock()
+
+	err := f.Sync()
+
+	w.mu.Lock()
+	if err == nil && w.appends == appends {
+		w.dirty = false
+	}
+	if w.syncing--; w.syncing == 0 {
+		w.synced.Broadcast()
+	}
+	w.mu.Unlock()
+	if err != nil {
 		return fmt.Errorf("vlog: sync: %w", err)
 	}
-	w.dirty = false
 	return nil
 }
 
@@ -138,6 +172,9 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
+	for w.syncing > 0 {
+		w.synced.Wait()
+	}
 	if w.f == nil {
 		return nil
 	}
