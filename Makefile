@@ -124,10 +124,12 @@ invariants:
 # them; Sets, Gets and EvictFiles racing over a cache that recycles an entry
 # on nearly every Set; post-job cleanups racing to remove the same covered
 # WALs; groups that append and fsync while earlier ones are still syncing,
-# and value-log fsyncs beside appends, rotation and Close.
+# and value-log fsyncs beside appends, rotation and Close; and readers on
+# several goroutines counting into their shard's one read sink between
+# compactions that delete the tables they read.
 race:
 	$(GO) test -race -short $(TESTFLAGS) ./...
-	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestWAL|TestCrashLeftWALs|TestFailedRotationWALTracked|TestPipelinedCommit|TestSyncCommit' $(TESTFLAGS) ./internal/core
+	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestWAL|TestCrashLeftWALs|TestFailedRotationWALTracked|TestPipelinedCommit|TestSyncCommit|TestCumulativeCountersNeverDecrease' $(TESTFLAGS) ./internal/core
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters|TestReleaseLetsNextGroupForm' $(TESTFLAGS) ./internal/commit
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestAppendDuringSyncKeepsDirty|TestRotationAndCloseWaitForSync' $(TESTFLAGS) ./internal/vlog
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestRecycledEntries' $(TESTFLAGS) ./internal/cache
@@ -159,8 +161,8 @@ bench:
 # commit leaf benchmark (inline vs separated values: overlapped fsyncs), the
 # serving-layer benchmark and the table-iterator leaf benchmark (block at a
 # time vs read-ahead vs sequential): catches write-path, protocol and
-# pooled-buffer races without measuring anything. Real server numbers live in
-# BENCH_server.json.
+# pooled-buffer races without measuring anything. The served_durable workload
+# of BENCHMARK.json measures the serving stack.
 bench-smoke:
 	$(GO) test -race -run XXX -bench BenchmarkTableIterSequential -benchtime 1x -benchmem $(TESTFLAGS) ./internal/sstable
 	$(GO) test -race -run XXX -bench 'BenchmarkConcurrentWriters|BenchmarkCommitSyncBlob' -benchtime 1x -benchmem $(TESTFLAGS) ./internal/core
@@ -169,8 +171,8 @@ bench-smoke:
 # One race-checked pass over the concurrent-read benchmarks and the 100-pair
 # scan over a sliced tree (cold/warm cache x inside/outside the slices):
 # exercises the lock-free read state against flush/compaction republication
-# and the lazy slice children without measuring anything. Real numbers live in
-# BENCH_read_path.json.
+# and the lazy slice children without measuring anything. The read_hot and
+# mixed_rwb workloads of BENCHMARK.json measure the read path.
 bench-read:
 	$(GO) test -race -run XXX -bench 'BenchmarkGetConcurrent|BenchmarkGetCacheHit|BenchmarkScan100$$' -benchtime 1x -benchmem $(TESTFLAGS) ./internal/core
 
@@ -184,7 +186,7 @@ bench-format:
 # One race-checked pass over the sharded-writers sweep (shards 1/2/4/8 x 16
 # writers): exercises hash routing, per-shard commit pipelines, and shared
 # WAL-directory recovery under the race detector without measuring
-# anything. Real numbers live in BENCH_shards.json.
+# anything. The served_durable workload of BENCHMARK.json runs two shards.
 bench-shards:
 	$(GO) test -race -run XXX -bench BenchmarkShardedWriters -benchtime 1x $(TESTFLAGS) ./internal/core
 

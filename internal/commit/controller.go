@@ -79,16 +79,17 @@ type ControllerConfig struct {
 	L0SlowdownTrigger int
 	// L0StopTrigger blocks writes at this many L0 files.
 	L0StopTrigger int
-	// SlowdownDelay caps the per-write delay in the delayed state (default
-	// 1ms). The actual delay scales continuously from a fraction of this at
-	// the slowdown trigger up to the full value just under the stop trigger,
-	// so admission tightens smoothly instead of stepping at a cliff.
-	SlowdownDelay time.Duration
 	// DebtCeiling is the compaction-debt level (bytes) at which the debt
 	// term of the slowdown curve alone reaches the full SlowdownDelay. The
 	// term engages at half the ceiling. 0 disables the debt term.
 	DebtCeiling int64
 }
+
+// SlowdownDelay caps the per-write delay in the delayed state. The actual
+// delay scales continuously from a fraction of this at the slowdown trigger
+// up to the full value just under the stop trigger, so admission tightens
+// smoothly instead of stepping at a cliff.
+const SlowdownDelay = time.Millisecond
 
 // ControllerMetrics is a snapshot of the controller's counters.
 type ControllerMetrics struct {
@@ -115,9 +116,6 @@ type Controller struct {
 
 // NewController builds a controller over env.
 func NewController(cfg ControllerConfig, env ControllerEnv) *Controller {
-	if cfg.SlowdownDelay <= 0 {
-		cfg.SlowdownDelay = time.Millisecond
-	}
 	if env.Sleep == nil {
 		env.Sleep = time.Sleep
 	}
@@ -156,7 +154,7 @@ func (c *Controller) MakeRoom() error {
 			// store mutex so readers and background work proceed, then never
 			// delay again for this write.
 			allowDelay = false
-			if d := time.Duration(c.slowdownFrac() * float64(c.cfg.SlowdownDelay)); d > 0 {
+			if d := time.Duration(c.slowdownFrac() * float64(SlowdownDelay)); d > 0 {
 				c.state.Store(int32(StateDelayed))
 				c.env.Unlock()
 				c.env.Sleep(d)

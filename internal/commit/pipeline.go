@@ -3,7 +3,6 @@ package commit
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/batch"
 	"repro/internal/invariants"
@@ -40,13 +39,6 @@ type Options struct {
 	// ClosedError is returned by commits after Close (default
 	// ErrPipelineClosed).
 	ClosedError error
-}
-
-// Metrics is a snapshot of the pipeline's counters.
-type Metrics struct {
-	Groups     int64 // write groups committed
-	Batches    int64 // member batches committed (≥ Groups)
-	GroupBytes int64 // encoded bytes committed
 }
 
 // writer is one queued commit request. A writer belongs to the committer
@@ -97,10 +89,6 @@ type Pipeline struct {
 	// groups are the recycled groups: a leader takes one under mu and puts
 	// it back, reset, once its followers are woken.
 	groups []*group
-
-	committed  atomic.Int64
-	batches    atomic.Int64
-	groupBytes atomic.Int64
 }
 
 // NewPipeline builds a pipeline over env.
@@ -115,15 +103,6 @@ func NewPipeline(env Env, opts Options) *Pipeline {
 	p.mu.Rank("commit.pipeline.mu", 35)
 	p.cond = sync.NewCond(&p.mu)
 	return p
-}
-
-// Metrics snapshots the group counters.
-func (p *Pipeline) Metrics() Metrics {
-	return Metrics{
-		Groups:     p.committed.Load(),
-		Batches:    p.batches.Load(),
-		GroupBytes: p.groupBytes.Load(),
-	}
 }
 
 // Commit enqueues b and blocks until it is durably applied (as leader or
@@ -166,11 +145,6 @@ func (p *Pipeline) Commit(b *batch.Batch, sync bool) error {
 		g.batch.Add(b)
 		p.drainFollowers(g, sync)
 		err = p.env.Commit(&g.batch, sync, g.release)
-		if err == nil {
-			p.committed.Add(1)
-			p.batches.Add(int64(g.batch.Len()))
-			p.groupBytes.Add(int64(g.batch.Size()))
-		}
 		// The members go back to their callers when those wake: drop them
 		// first.
 		g.batch.Reset()

@@ -16,8 +16,7 @@ import (
 // and 16 concurrent committers, with the WAL fsync'd per commit (sync=on) and
 // OS-buffered (sync=off). The sync=on variant runs on a filesystem whose WAL
 // Sync costs a fixed latency, standing in for a real device fsync: the number
-// the group-commit pipeline exists to amortize. Results are recorded in
-// BENCH_group_commit.json.
+// the group-commit pipeline exists to amortize.
 
 // slowSyncFS charges a fixed latency for every Sync of a file on the commit
 // path — WAL (.log) and value-log segment (.vlog) alike — emulating the fsync

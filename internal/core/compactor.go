@@ -74,8 +74,8 @@ func (db *store) flushWorker() {
 			db.fatal(err)
 		}
 		elapsed := int64(time.Since(start))
-		db.stats.flushNanos.Add(elapsed)
-		db.stats.compactionNanos.Add(elapsed)
+		db.stats.FlushTime.Add(elapsed)
+		db.stats.CompactionTime.Add(elapsed)
 		db.flushActive = false
 		db.finishJobLocked()
 	}
@@ -119,10 +119,10 @@ func (db *store) compactionWorker() {
 			db.workCond.Wait()
 		}
 		db.compActive = true
-		db.stats.maxConcurrentCompactions.Store(1)
+		db.stats.MaxConcurrentCompactions.Store(1)
 		start := time.Now()
 		err := db.execPick(pick)
-		db.stats.compactionNanos.Add(int64(time.Since(start)))
+		db.stats.CompactionTime.Add(int64(time.Since(start)))
 		db.compActive = false
 		if err != nil {
 			db.fatal(err)
@@ -161,7 +161,7 @@ func (db *store) flushImmLocked() error {
 		e.SetLogNum(logNum)
 		for _, meta := range outputs {
 			e.AddFile(0, meta)
-			db.stats.flushWriteBytes.Add(meta.Size)
+			db.stats.FlushWriteBytes.Add(meta.Size)
 		}
 		err = db.set.LogAndApply(e)
 	}
@@ -173,7 +173,7 @@ func (db *store) flushImmLocked() error {
 	db.imm = nil
 	db.flushedThroughSeq = boundary
 	db.publishReadState() // drop imm from the read view; pick up the L0 table
-	db.stats.flushCount.Add(1)
+	db.stats.FlushCount.Add(1)
 	return nil
 }
 
@@ -223,8 +223,8 @@ func (db *store) writeTables(fs vfs.FS, it iterator.Iterator,
 			Smallest: props.Smallest,
 			Largest:  props.Largest,
 		})
-		db.stats.blockBytesUncompressed.Add(props.UncompressedBytes)
-		db.stats.blockBytesCompressed.Add(props.CompressedBytes)
+		db.stats.UncompressedBytesWritten.Add(props.UncompressedBytes)
+		db.stats.CompressedBytesWritten.Add(props.CompressedBytes)
 		return nil
 	}
 	for it.SeekToFirst(); it.Valid(); it.Next() {
@@ -297,9 +297,9 @@ func (db *store) execEdit(pick compaction.Pick) error {
 	su := pick.Inputs[0]
 	e := &version.Edit{}
 	e.DeleteFile(pick.Level, su.Num)
-	count := &db.stats.trivialMoveCount
+	count := &db.stats.TrivialMoveCount
 	if pick.Kind == compaction.PickLink {
-		count = &db.stats.linkCount
+		count = &db.stats.LinkCount
 		overlaps := append([]*version.FileMeta(nil), pick.Overlaps...)
 		windows := compaction.SliceWindows(db.icmp.User, su, overlaps)
 		e.FreezeFile(&version.FrozenMeta{
@@ -497,14 +497,14 @@ func (db *store) execRewrite(pick compaction.Pick) error {
 	}
 	db.applyPointers(e)
 	db.publishReadState()
-	db.stats.compactionReadBytes.Add(readBytes)
-	db.stats.compactionWriteBytes.Add(outBytes)
+	db.stats.CompactionReadBytes.Add(readBytes)
+	db.stats.CompactionWriteBytes.Add(outBytes)
 	if merge {
-		db.stats.mergeReadBytes.Add(readBytes)
-		db.stats.mergeWriteBytes.Add(outBytes)
-		db.stats.mergeCount.Add(1)
+		db.stats.MergeReadBytes.Add(readBytes)
+		db.stats.MergeWriteBytes.Add(outBytes)
+		db.stats.MergeCount.Add(1)
 	} else {
-		db.stats.compactionCount.Add(1)
+		db.stats.CompactionCount.Add(1)
 	}
 	return nil
 }
@@ -518,7 +518,7 @@ func (db *store) deleteObsoleteFiles() {
 	for _, num := range db.set.TakeObsolete() {
 		db.tables.evict(num)
 		if err := db.fsMeta.Remove(version.TableFileName(db.dir, num)); err == nil {
-			db.stats.obsoleteDeleted.Add(1)
+			db.stats.ObsoleteDeleted.Add(1)
 		}
 	}
 	// The floor never passes the live WAL.

@@ -159,7 +159,7 @@ type store struct {
 	// its proof before unlinking a segment. Guarded by mu.
 	retired []*readState
 
-	stats dbStats
+	stats counters
 }
 
 // storeConfig places one shard on disk: its root directory (MANIFEST,
@@ -207,7 +207,7 @@ func openStore(cfg storeConfig, opts Options, tables *tableCache) (*store, error
 		return nil, err
 	}
 
-	db.tables = tables.forShard(cfg.shardID, dir)
+	db.tables = tables.forShard(cfg.shardID, dir, &db.stats.ReadStats)
 	db.set = version.NewSet(db.fsMeta, dir, icmp)
 	db.picker = compaction.NewPicker(opts.Policy, opts.compactionParams(), icmp)
 	if opts.AdaptiveThreshold && opts.Policy == compaction.LDC {
@@ -602,7 +602,7 @@ func (db *store) Apply(b *batch.Batch) error {
 	start := time.Now()
 	defer func() {
 		d := time.Since(start)
-		db.stats.writeNanos.Add(int64(d))
+		db.stats.WriteTime.Add(int64(d))
 		db.stats.writeHist.Record(d)
 	}()
 	return db.pipeline.Commit(b, db.opts.Sync)
@@ -624,13 +624,13 @@ const ReadSampleEvery = 16
 // Stats.Gets counts every call; every ReadSampleEvery-th is timed, standing
 // for itself and the fifteen before it in Stats.ReadTime.
 func (db *store) getAt(key []byte, snapSeq *keys.Seq) ([]byte, error) {
-	if db.stats.gets.Add(1)%ReadSampleEvery != 0 {
+	if db.stats.Gets.Add(1)%ReadSampleEvery != 0 {
 		return db.lookup(key, snapSeq)
 	}
 	start := time.Now()
 	val, err := db.lookup(key, snapSeq)
 	d := time.Since(start)
-	db.stats.readNanos.Add(int64(d) * ReadSampleEvery)
+	db.stats.ReadTime.Add(int64(d) * ReadSampleEvery)
 	db.stats.readHist.Record(d)
 	db.observeMix()
 	return val, err
@@ -641,7 +641,7 @@ func (db *store) getAt(key []byte, snapSeq *keys.Seq) ([]byte, error) {
 func (db *store) observeMix() {
 	if db.adaptive != nil {
 		s := &db.stats
-		db.adaptive.observe(s.gets.Load()+s.scans.Load(), s.puts.Load()+s.deletes.Load())
+		db.adaptive.observe(s.Gets.Load()+s.Scans.Load(), s.Puts.Load()+s.Deletes.Load())
 	}
 }
 
@@ -731,11 +731,12 @@ func (db *store) resolveBlob(ptr []byte) ([]byte, error) {
 	ck := cache.Key{FileNum: p.Segment | blobCacheBit, Offset: p.Offset}
 	if db.blockCache != nil {
 		if v, hit := db.blockCache.Get(ck); hit {
-			db.vlog.NoteResolve(true)
+			db.stats.BlobResolves.Add(1)
+			db.stats.BlobResolveCacheHits.Add(1)
 			return append([]byte(nil), v...), nil
 		}
 	}
-	db.vlog.NoteResolve(false)
+	db.stats.BlobResolves.Add(1)
 	r := db.vlog.GetReader()
 	_, value, err := r.Read(p)
 	if err != nil {
@@ -781,9 +782,9 @@ type probeTally struct {
 func (db *store) versionEntry(v *version.Version, sc *readScratch, sk keys.InternalKey) ([]byte, keys.Kind, bool, error) {
 	sc.hash, sc.n = bloom.Hash(sk.UserKey()), probeTally{}
 	val, kind, found, err := db.searchTables(v, sc, sk)
-	db.stats.bloomProbes.Add(sc.n.bloomProbes)
-	db.stats.bloomNegatives.Add(sc.n.bloomNegatives)
-	db.stats.tableProbes.Add(sc.n.tableProbes)
+	db.stats.BloomProbes.Add(sc.n.bloomProbes)
+	db.stats.BloomNegatives.Add(sc.n.bloomNegatives)
+	db.stats.TableProbes.Add(sc.n.tableProbes)
 	return val, kind, found, err
 }
 
@@ -935,14 +936,10 @@ func (db *store) smallestSnapshot() keys.Seq {
 // ---------------------------------------------------------------------------
 // Misc accessors
 
-// Stats returns this shard's counters as one coherent snapshot: the atomic
-// counter block, the commit front end's metrics (group counts from the
-// pipeline, stall accounting from the controller), and this shard's table-
-// reader I/O are all gathered in a single pass here, so the router's
-// aggregation reads each shard exactly once and derives every ratio from
-// the summed raw counters — no field-by-field reads that could tear against
-// concurrent writers. Shared-resource counters (the block cache) are folded
-// in once by the router, not per shard.
+// Stats returns this shard's counters: its counter block and the
+// controller's stall accounting, read once, with the ratios derived. The
+// router sums these; the shared block cache and value log are folded in
+// there, once.
 func (db *store) Stats() Stats {
 	s := db.stats.snapshot()
 	if db.controller != nil {
@@ -952,17 +949,7 @@ func (db *store) Stats() Stats {
 		s.StallTime = time.Duration(cm.StallNanos)
 		s.WriteState = cm.State.String()
 	}
-	if db.pipeline != nil {
-		pm := db.pipeline.Metrics()
-		s.WriteGroupsTotal = pm.Groups
-		s.WriteBatchesTotal = pm.Batches
-		if pm.Groups > 0 {
-			s.AvgGroupSize = float64(pm.Batches) / float64(pm.Groups)
-		}
-	}
-	if db.tables != nil {
-		s.CompressedBytesRead, s.UncompressedBytesRead = db.tables.totalIOBytes()
-	}
+	s.derive()
 	return s
 }
 
@@ -999,9 +986,6 @@ func (db *store) CurrentProfile() Profile {
 	p.FrozenBytes = v.FrozenBytes()
 	return p
 }
-
-// BlockReads reports cumulative data-block fetches from storage (Fig 13).
-func (db *store) BlockReads() int64 { return db.tables.totalBlockReads() }
 
 // TableBytes reports the total size of live table files plus the frozen
 // region — the store's disk footprint (Fig 15).

@@ -546,7 +546,7 @@ type storeIter struct {
 // newIter returns an iterator over the pinned sequence (nil = latest
 // state). Close it when done.
 func (db *store) newIter(snapSeq *keys.Seq) (*storeIter, error) {
-	db.stats.scans.Add(1)
+	db.stats.Scans.Add(1)
 	db.observeMix()
 	it, cleanup, err := db.newInternalIterator()
 	if err != nil {

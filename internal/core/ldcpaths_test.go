@@ -192,7 +192,7 @@ func TestProfileAndTableBytesConsistent(t *testing.T) {
 	if got := db.TableBytes(); got != levelBytes+prof.FrozenBytes {
 		t.Errorf("TableBytes %d != levels %d + frozen %d", got, levelBytes, prof.FrozenBytes)
 	}
-	if db.BlockReads() < 0 {
+	if db.Stats().BlockReads < 0 {
 		t.Error("negative block reads")
 	}
 }

@@ -76,7 +76,7 @@ func TestPipelinedCommitOrder(t *testing.T) {
 
 	gate := newWALSyncGate(efs, nil)
 	defer gate.open()
-	walSyncs := st.stats.walSyncCount.Load()
+	walSyncs := st.stats.WALSyncCount.Load()
 	a, b := tripleBatch("a"), tripleBatch("b")
 	aDone, bDone := make(chan error, 1), make(chan error, 1)
 	go func() { aDone <- db.Apply(a) }()
@@ -85,7 +85,7 @@ func TestPipelinedCommitOrder(t *testing.T) {
 	// B forms behind A's fsync, appends, and its own fsync returns.
 	awaitSignal(t, gate.entered, "group B's WAL fsync while A's is held")
 	eventually(t, "group B's WAL fsync to return", func() bool {
-		return st.stats.walSyncCount.Load() > walSyncs
+		return st.stats.WALSyncCount.Load() > walSyncs
 	})
 
 	select {

@@ -13,8 +13,8 @@ import (
 
 // Read-path benchmarks: concurrent point-get throughput with and without a
 // competing writer (the scenario the read-state refactor targets), a
-// single-threaded cache-hit Get for allocs/op tracking (results recorded in
-// BENCH_read_path.json), and a 100-pair scan with the device requests it makes.
+// single-threaded cache-hit Get for allocs/op tracking, and a 100-pair scan
+// with the device requests it makes.
 
 // benchReadDB opens a store preloaded with n sequential keys, compacted to a
 // steady state. The block cache is sized to hold the whole dataset so the
@@ -153,7 +153,7 @@ func BenchmarkScan100(b *testing.B) {
 					}
 				}
 				scan()
-				before, decoded := dev.Snapshot().ByCategory[ssdsim.CatUserRead], db.BlockReads()
+				before, decoded := dev.Snapshot().ByCategory[ssdsim.CatUserRead], db.Stats().BlockReads
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -168,7 +168,7 @@ func BenchmarkScan100(b *testing.B) {
 				after := dev.Snapshot().ByCategory[ssdsim.CatUserRead]
 				b.ReportMetric(float64(after.ReadOps-before.ReadOps)/float64(b.N), "device-reads/op")
 				b.ReportMetric(float64(after.ReadBytes-before.ReadBytes)/float64(b.N), "device-bytes/op")
-				b.ReportMetric(float64(db.BlockReads()-decoded)/float64(b.N), "decoded-blocks/op")
+				b.ReportMetric(float64(db.Stats().BlockReads-decoded)/float64(b.N), "decoded-blocks/op")
 			})
 		}
 	}

@@ -106,7 +106,7 @@ func (db *store) publishReadState() {
 	rs := &readState{mem: db.mem, imm: db.imm, v: db.set.Current(), seq: db.set.LastSeq(), done: make(chan struct{})}
 	rs.refs.Store(1) // the pointer's own reference
 	db.retireReadState(db.readState.Swap(rs))
-	db.stats.readStatePublishes.Add(1)
+	db.stats.ReadStatePublishes.Add(1)
 }
 
 // retireReadState drops the pointer's own reference on a swapped-out state

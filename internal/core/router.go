@@ -669,39 +669,20 @@ func (db *DB) WaitIdle() {
 // ---------------------------------------------------------------------------
 // Introspection
 
-// Stats aggregates all shards' counters plus the shared block cache into
-// one snapshot. Each shard is read exactly once (its Stats method gathers
-// everything in a single pass) and derived ratios are recomputed from the
-// summed raw counters, so the aggregate never mixes numerators and
-// denominators torn from different moments. Per-shard breakdowns come from
-// ShardStats.
+// Stats is the sum of the shards' Stats (ShardStats), plus what only the
+// database has: the shared block cache's and value log's own counters and
+// the merged latency histograms. Ratios are derived from the sums.
 func (db *DB) Stats() Stats {
-	per := make([]Stats, len(db.shards))
-	for i, st := range db.shards {
-		per[i] = st.Stats()
-	}
-	s := aggregateStats(per)
+	s := aggregateStats(db.ShardStats())
 	if db.blockCache != nil {
-		hits, misses := db.blockCache.Stats()
-		s.BlockCacheHits, s.BlockCacheMisses = hits, misses
-		if hits+misses > 0 {
-			s.BlockCacheHitRatio = float64(hits) / float64(hits+misses)
-		}
+		s.BlockCacheHits, s.BlockCacheMisses = db.blockCache.Stats()
 	}
-	// The value log is shared; fold its counters in once.
 	if db.vlog != nil {
 		vs := db.vlog.Stats()
-		s.VlogSegments = vs.Segments
-		s.VlogTotalBytes = vs.TotalBytes
-		s.VlogDeadBytes = vs.DeadBytes
-		s.VlogLiveRatio = vs.LiveRatio()
-		s.VlogAppendedBytes = vs.AppendedBytes
-		s.VlogGCPasses = vs.GCPasses
-		s.VlogGCBytesRewritten = vs.GCBytesRewritten
-		s.VlogGCRecordsGuarded = vs.GCRecordsGuarded
-		s.BlobResolves = vs.Resolves
-		s.BlobResolveCacheHits = vs.ResolveCacheHits
+		s.VlogSegments, s.VlogTotalBytes = vs.Segments, vs.TotalBytes
+		s.VlogDeadBytes, s.VlogAppendedBytes = vs.DeadBytes, vs.AppendedBytes
 	}
+	s.derive()
 	// Distributions cannot be summed field-by-field: merge the shards' raw
 	// histograms, then snapshot.
 	var readH, writeH histogram.Histogram
@@ -715,9 +696,8 @@ func (db *DB) Stats() Stats {
 }
 
 // ShardStats returns one Stats snapshot per shard — the per-shard
-// breakdown behind the aggregated Stats. Block-cache fields are zero in
-// the breakdown: the cache is shared, so its counters appear once, in
-// Stats.
+// breakdown behind the aggregated Stats. The shared folds (block cache,
+// value-log state) are zero in the breakdown: they appear once, in Stats.
 func (db *DB) ShardStats() []Stats {
 	per := make([]Stats, len(db.shards))
 	for i, st := range db.shards {
@@ -742,16 +722,6 @@ func (db *DB) CurrentProfile() Profile {
 		p.FrozenBytes += q.FrozenBytes
 	}
 	return p
-}
-
-// BlockReads reports cumulative data-block fetches from storage across all
-// shards (Fig 13).
-func (db *DB) BlockReads() int64 {
-	var n int64
-	for _, st := range db.shards {
-		n += st.BlockReads()
-	}
-	return n
 }
 
 // TableBytes reports the total size of live table files plus the frozen

@@ -38,8 +38,8 @@ func (s *slowDeviceFS) Create(name string) (vfs.File, error) {
 // each shard sees 1/N of the inflow against the same stall thresholds —
 // the vLSM argument that cross-partition compaction interference, not raw
 // write bandwidth, is what caps fill throughput. The slowdowns/stall-ms
-// metrics surface that mechanism next to the ns/op. Results are recorded
-// in BENCH_shards.json; `make bench-shards` reruns the sweep.
+// metrics surface that mechanism next to the ns/op; `make bench-shards`
+// runs the sweep once under -race.
 //
 // The sync=true variant adds the WAL fsync to every commit: there the
 // group-commit pipeline already amortizes all 16 writers into one fsync

@@ -510,24 +510,38 @@ func TestShardSnapshot(t *testing.T) {
 	}
 }
 
-// TestShardStatsAggregate checks the router's Stats aggregation: request
-// counters sum across shards, the breakdown's totals match the aggregate,
-// and derived ratios come from the summed counters.
+// TestShardStatsAggregate checks the router's Stats aggregation: every
+// integer field of Stats is the sum over ShardStats but for the shared folds,
+// which are zero per shard, and derived ratios come from the summed counters.
 func TestShardStatsAggregate(t *testing.T) {
-	db := openTestDB(t, shardOpts(4))
+	opts := shardOpts(4)
+	opts.BlobThreshold = 256
+	db := openTestDB(t, opts)
 	defer db.Close()
 
 	const n = 300
+	big := bytes.Repeat([]byte("b"), 300)
 	for i := 0; i < n; i++ {
-		if err := db.Put(key(i), value(i)); err != nil {
+		v := value(i)
+		if i%10 == 0 {
+			v = big
+		}
+		if err := db.Put(key(i), v); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
 		if _, err := db.Get(key(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if _, err := db.Scan(nil, 10); err != nil {
+		t.Fatal(err)
+	}
+	db.WaitIdle()
 
 	s := db.Stats()
 	if s.Puts != n || s.Gets != n {
@@ -564,6 +578,28 @@ func TestShardStatsAggregate(t *testing.T) {
 	}
 	if s.WriteState == "" {
 		t.Error("aggregate WriteState is empty")
+	}
+
+	sum := map[string]int64{}
+	for i, p := range per {
+		intFields(p, func(name string, v int64) {
+			sum[name] += v
+			if sharedFolds[name] && v != 0 {
+				t.Errorf("shard %d: shared fold %s = %d, want 0", i, name, v)
+			}
+		})
+	}
+	nonzero := 0
+	intFields(s, func(name string, v int64) {
+		if v != 0 {
+			nonzero++
+		}
+		if !sharedFolds[name] && v != sum[name] {
+			t.Errorf("Stats.%s = %d, shards sum to %d", name, v, sum[name])
+		}
+	})
+	if nonzero < 25 {
+		t.Errorf("only %d integer fields of Stats are non-zero: the workload exercises too little", nonzero)
 	}
 }
 

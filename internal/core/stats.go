@@ -2,16 +2,26 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/histogram"
+	"repro/internal/sstable"
 )
 
 // Stats is a snapshot of the store's internal counters. The categories map
 // onto the paper's measurements: compaction read/write bytes (Fig 10c,
-// Fig 12d/e/f, Fig 14), time share of compaction work (Table I), and write
-// stalls (the mechanism behind Fig 1 and Fig 8 tail latencies).
+// Fig 12d/e/f, Fig 14), time share of compaction work (Table I), block
+// reads (Fig 13), and write stalls (the mechanism behind Fig 1 and Fig 8
+// tail latencies).
+//
+// DB.Stats is the sum of the shards' Stats: every integer field adds up
+// across ShardStats, except the shared folds — BlockCacheHits and
+// BlockCacheMisses (the one block cache) and VlogSegments, VlogTotalBytes,
+// VlogDeadBytes and VlogAppendedBytes (the one value log's own state) —
+// which are zero per shard and appear once, in DB.Stats. The ratio fields
+// are derived from the counters they divide.
 type Stats struct {
 	// I/O volumes in bytes, counted at the table-building layer.
 	FlushWriteBytes      int64
@@ -65,6 +75,9 @@ type Stats struct {
 	BlockCacheHits     int64
 	BlockCacheMisses   int64
 	BlockCacheHitRatio float64
+	// BlockReads counts data blocks fetched from storage and decoded (block
+	// cache misses of user reads; Fig 13).
+	BlockReads int64
 
 	// On-disk format (per-block compression, the hot-format work).
 	// Read side: totals over block fetches that missed the block cache —
@@ -82,8 +95,8 @@ type Stats struct {
 
 	// Foreground latency distributions: full percentile ladders for the
 	// user-facing read (Get) and write (Apply) paths — the tail-latency lens
-	// of Fig 1 and Fig 8. Populated by the router from merged per-shard
-	// histograms; zero in aggregateStats input. WriteLatency holds
+	// of Fig 1 and Fig 8. DB.Stats merges the shards' histograms rather than
+	// summing their snapshots. WriteLatency holds
 	// every Apply. ReadLatency is a 1-in-16 sample (ReadSampleEvery): every
 	// sixteenth Get of a shard, by ordinal, so Count is Gets/16. It stands for
 	// all Gets only when the traffic has no period that divides 16: a client
@@ -91,16 +104,16 @@ type Stats struct {
 	ReadLatency  histogram.Distribution
 	WriteLatency histogram.Distribution
 
-	// Value separation (internal/vlog). The first two are per-shard commit
-	// path counters; the Vlog*/Blob* group reflects the one shared value
-	// log and is folded in once by the router (zero per shard, like the
-	// block cache).
+	// Value separation (internal/vlog). Each shard counts the values it
+	// separates, the pointers it resolves and the GC work it does; the
+	// segment, total, dead and appended bytes are the one shared value log's
+	// own state, zero per shard like the block cache.
 	BlobValuesSeparated  int64   // Set entries redirected to the value log
 	BlobBytesSeparated   int64   // user value bytes those entries carried
 	VlogSegments         int     // live segment files
 	VlogTotalBytes       int64   // valid extents of all segments
 	VlogDeadBytes        int64   // bytes compactions/GC proved unreachable
-	VlogLiveRatio        float64 // 1 - dead/total (1.0 when empty)
+	VlogLiveRatio        float64 // 1 - dead/total (0 when the log holds nothing)
 	VlogAppendedBytes    int64   // lifetime appends, foreground + GC
 	VlogGCPasses         int64   // segments reclaimed
 	VlogGCBytesRewritten int64   // live bytes relocated by GC
@@ -130,11 +143,6 @@ func (s Stats) WriteAmplification() float64 {
 	return float64(s.FlushWriteBytes+s.CompactionWriteBytes) / float64(s.UserWriteBytes)
 }
 
-// CompactionIOBytes reports the paper's Fig 10(c) quantity.
-func (s Stats) CompactionIOBytes() (read, write int64) {
-	return s.CompactionReadBytes, s.CompactionWriteBytes
-}
-
 // String renders a compact summary.
 func (s Stats) String() string {
 	return fmt.Sprintf(
@@ -145,101 +153,117 @@ func (s Stats) String() string {
 		s.StallTime, s.SlowdownCount, s.StopCount)
 }
 
-// dbStats is the live atomic counterpart of Stats.
-type dbStats struct {
-	flushWriteBytes      atomic.Int64
-	compactionReadBytes  atomic.Int64
-	compactionWriteBytes atomic.Int64
-	mergeReadBytes       atomic.Int64
-	mergeWriteBytes      atomic.Int64
-	userWriteBytes       atomic.Int64
-	walWriteBytes        atomic.Int64
+// counters is one shard's block of live counters, the only place a
+// shard-owned counter is declared. Each field is named after the Stats field
+// it fills (durations count nanoseconds), so snapshot copies the block in
+// one loop; the embedded sstable.ReadStats is the sink the shard's table
+// readers count into. Adding a counter takes its Stats field, its field here
+// and its increment.
+type counters struct {
+	sstable.ReadStats // BlockReads, CompressedBytesRead, UncompressedBytesRead
 
-	flushCount       atomic.Int64
-	compactionCount  atomic.Int64
-	linkCount        atomic.Int64
-	mergeCount       atomic.Int64
-	trivialMoveCount atomic.Int64
-	obsoleteDeleted  atomic.Int64
+	FlushWriteBytes      atomic.Int64
+	CompactionReadBytes  atomic.Int64
+	CompactionWriteBytes atomic.Int64
+	MergeReadBytes       atomic.Int64
+	MergeWriteBytes      atomic.Int64
+	UserWriteBytes       atomic.Int64
+	WALWriteBytes        atomic.Int64
 
-	compactionNanos atomic.Int64
-	flushNanos      atomic.Int64
-	writeNanos      atomic.Int64
-	readNanos       atomic.Int64
-	walSyncNanos    atomic.Int64
-	walSyncCount    atomic.Int64
+	FlushCount       atomic.Int64
+	CompactionCount  atomic.Int64
+	LinkCount        atomic.Int64
+	MergeCount       atomic.Int64
+	TrivialMoveCount atomic.Int64
+	ObsoleteDeleted  atomic.Int64
 
-	maxConcurrentCompactions atomic.Int64 // 1 once the compaction worker has run a job
+	CompactionTime atomic.Int64
+	FlushTime      atomic.Int64
+	WriteTime      atomic.Int64
+	ReadTime       atomic.Int64
 
-	puts, gets, deletes, scans atomic.Int64
+	WriteGroupsTotal  atomic.Int64 // counted by commitGroup once a group publishes
+	WriteBatchesTotal atomic.Int64
+	WALSyncNanos      atomic.Int64
+	WALSyncCount      atomic.Int64
 
-	bloomProbes        atomic.Int64
-	bloomNegatives     atomic.Int64
-	tableProbes        atomic.Int64
-	readStatePublishes atomic.Int64
+	MaxConcurrentCompactions atomic.Int64 // 1 once the compaction worker has run a job
 
-	blockBytesUncompressed atomic.Int64 // block payloads written, pre-compression
-	blockBytesCompressed   atomic.Int64 // block payloads written, on-disk form
+	Puts, Gets, Deletes, Scans atomic.Int64
 
-	blobValuesSeparated atomic.Int64 // Sets redirected to the value log
-	blobBytesSeparated  atomic.Int64 // value bytes those Sets carried
+	BloomProbes        atomic.Int64
+	BloomNegatives     atomic.Int64
+	TableProbes        atomic.Int64
+	ReadStatePublishes atomic.Int64
 
-	// Foreground latency histograms (lock-free atomic buckets). The router
-	// merges shards' histograms and snapshots the result; the per-shard
-	// Stats carries its own snapshot.
+	UncompressedBytesWritten atomic.Int64
+	CompressedBytesWritten   atomic.Int64
+
+	BlobValuesSeparated  atomic.Int64
+	BlobBytesSeparated   atomic.Int64
+	BlobResolves         atomic.Int64
+	BlobResolveCacheHits atomic.Int64
+	VlogGCPasses         atomic.Int64
+	VlogGCBytesRewritten atomic.Int64
+	VlogGCRecordsGuarded atomic.Int64 // counted where the commit-time guard drops a rewrite
+
+	// Foreground latency histograms (lock-free atomic buckets). DB.Stats
+	// merges the shards' histograms and snapshots the result.
 	readHist  histogram.Histogram
 	writeHist histogram.Histogram
 }
 
-func (d *dbStats) snapshot() Stats {
-	s := Stats{
-		FlushWriteBytes:      d.flushWriteBytes.Load(),
-		CompactionReadBytes:  d.compactionReadBytes.Load(),
-		CompactionWriteBytes: d.compactionWriteBytes.Load(),
-		MergeReadBytes:       d.mergeReadBytes.Load(),
-		MergeWriteBytes:      d.mergeWriteBytes.Load(),
-		UserWriteBytes:       d.userWriteBytes.Load(),
-		WALWriteBytes:        d.walWriteBytes.Load(),
-		FlushCount:           d.flushCount.Load(),
-		CompactionCount:      d.compactionCount.Load(),
-		LinkCount:            d.linkCount.Load(),
-		MergeCount:           d.mergeCount.Load(),
-		TrivialMoveCount:     d.trivialMoveCount.Load(),
-		ObsoleteDeleted:      d.obsoleteDeleted.Load(),
-		CompactionTime:       time.Duration(d.compactionNanos.Load()),
-		FlushTime:            time.Duration(d.flushNanos.Load()),
-		WriteTime:            time.Duration(d.writeNanos.Load()),
-		ReadTime:             time.Duration(d.readNanos.Load()),
-		WALSyncNanos:         d.walSyncNanos.Load(),
-		WALSyncCount:         d.walSyncCount.Load(),
+// counterField pairs a live counter, by its index path in counters, with the
+// Stats field of the same name.
+type counterField struct {
+	live []int
+	stat int
+}
 
-		MaxConcurrentCompactions: d.maxConcurrentCompactions.Load(),
+// counterFields is every counter of the block, matched to its Stats field
+// by name once; TestEveryCounterHasAStatsField fails on a counter left out.
+var counterFields = matchCounters()
 
-		Puts:    d.puts.Load(),
-		Gets:    d.gets.Load(),
-		Deletes: d.deletes.Load(),
-		Scans:   d.scans.Load(),
-
-		BloomProbes:        d.bloomProbes.Load(),
-		BloomNegatives:     d.bloomNegatives.Load(),
-		TableProbes:        d.tableProbes.Load(),
-		ReadStatePublishes: d.readStatePublishes.Load(),
-
-		UncompressedBytesWritten: d.blockBytesUncompressed.Load(),
-		CompressedBytesWritten:   d.blockBytesCompressed.Load(),
-
-		BlobValuesSeparated: d.blobValuesSeparated.Load(),
-		BlobBytesSeparated:  d.blobBytesSeparated.Load(),
+func matchCounters() []counterField {
+	var out []counterField
+	stats := reflect.TypeOf(Stats{})
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(counters{})) {
+		if f.Type != reflect.TypeOf(atomic.Int64{}) || !f.IsExported() {
+			continue
+		}
+		if sf, ok := stats.FieldByName(f.Name); ok {
+			out = append(out, counterField{live: f.Index, stat: sf.Index[0]})
+		}
 	}
-	if s.Gets > 0 {
-		s.PointReadAmp = float64(s.TableProbes) / float64(s.Gets)
+	return out
+}
+
+// snapshot copies every counter into the Stats field of its name.
+func (c *counters) snapshot() Stats {
+	var s Stats
+	cv, sv := reflect.ValueOf(c).Elem(), reflect.ValueOf(&s).Elem()
+	for _, f := range counterFields {
+		sv.Field(f.stat).SetInt(cv.FieldByIndex(f.live).Addr().Interface().(*atomic.Int64).Load())
 	}
-	if s.CompressedBytesWritten > 0 {
-		s.CompressionRatio = float64(s.UncompressedBytesWritten) / float64(s.CompressedBytesWritten)
-	}
-	s.ReadLatency = d.readHist.Snapshot()
-	s.WriteLatency = d.writeHist.Snapshot()
+	s.ReadLatency = c.readHist.Snapshot()
+	s.WriteLatency = c.writeHist.Snapshot()
 	return s
+}
+
+// derive computes the ratio fields from the counters they divide. A shard's
+// Stats and the sum both call it, so a ratio is never averaged.
+func (s *Stats) derive() {
+	ratio := func(num, den int64) float64 {
+		if den == 0 {
+			return 0
+		}
+		return float64(num) / float64(den)
+	}
+	s.AvgGroupSize = ratio(s.WriteBatchesTotal, s.WriteGroupsTotal)
+	s.PointReadAmp = ratio(s.TableProbes, s.Gets)
+	s.CompressionRatio = ratio(s.UncompressedBytesWritten, s.CompressedBytesWritten)
+	s.BlockCacheHitRatio = ratio(s.BlockCacheHits, s.BlockCacheHits+s.BlockCacheMisses)
+	s.VlogLiveRatio = ratio(max(s.VlogTotalBytes-s.VlogDeadBytes, 0), s.VlogTotalBytes)
 }
 
 // writeStateRank orders controller admission states by severity so the
@@ -255,81 +279,24 @@ func writeStateRank(s string) int {
 	}
 }
 
-// aggregateStats folds per-shard snapshots into one database-wide Stats.
-// Raw counters sum; derived ratios (AvgGroupSize, PointReadAmp,
-// CompressionRatio) are recomputed from the summed numerators and
-// denominators rather than averaged, so they stay exact; WriteState reports
-// the most-restricted shard; MaxConcurrentCompactions sums the per-shard
-// high-water marks (shards compact independently, so the sum is the
-// database-wide capacity bound). Block-cache and latency-distribution fields
-// are left zero — the cache is shared and folded in exactly once by the
-// router, and distributions cannot be summed (the router merges the shards'
-// raw histograms instead).
+// aggregateStats sums per-shard snapshots: every integer field adds up,
+// durations included (MaxConcurrentCompactions, a per-shard high-water mark,
+// sums to the database-wide bound), and WriteState reports the most
+// restricted shard. Ratios, the shared folds and the distributions are the
+// caller's.
 func aggregateStats(per []Stats) Stats {
 	var s Stats
+	sv := reflect.ValueOf(&s).Elem()
 	for _, p := range per {
-		s.FlushWriteBytes += p.FlushWriteBytes
-		s.CompactionReadBytes += p.CompactionReadBytes
-		s.CompactionWriteBytes += p.CompactionWriteBytes
-		s.MergeReadBytes += p.MergeReadBytes
-		s.MergeWriteBytes += p.MergeWriteBytes
-		s.UserWriteBytes += p.UserWriteBytes
-		s.WALWriteBytes += p.WALWriteBytes
-
-		s.FlushCount += p.FlushCount
-		s.CompactionCount += p.CompactionCount
-		s.LinkCount += p.LinkCount
-		s.MergeCount += p.MergeCount
-		s.TrivialMoveCount += p.TrivialMoveCount
-		s.ObsoleteDeleted += p.ObsoleteDeleted
-
-		s.CompactionTime += p.CompactionTime
-		s.FlushTime += p.FlushTime
-		s.WriteTime += p.WriteTime
-		s.ReadTime += p.ReadTime
-		s.StallTime += p.StallTime
-		s.SlowdownCount += p.SlowdownCount
-		s.StopCount += p.StopCount
-
-		s.WriteGroupsTotal += p.WriteGroupsTotal
-		s.WriteBatchesTotal += p.WriteBatchesTotal
-		s.WALSyncNanos += p.WALSyncNanos
-		s.WALSyncCount += p.WALSyncCount
-		if writeStateRank(p.WriteState) > writeStateRank(s.WriteState) {
+		pv := reflect.ValueOf(p)
+		for i := 0; i < sv.NumField(); i++ {
+			if f := sv.Field(i); f.CanInt() {
+				f.SetInt(f.Int() + pv.Field(i).Int())
+			}
+		}
+		if s.WriteState == "" || writeStateRank(p.WriteState) > writeStateRank(s.WriteState) {
 			s.WriteState = p.WriteState
 		}
-
-		s.MaxConcurrentCompactions += p.MaxConcurrentCompactions
-
-		s.Puts += p.Puts
-		s.Gets += p.Gets
-		s.Deletes += p.Deletes
-		s.Scans += p.Scans
-
-		s.BloomProbes += p.BloomProbes
-		s.BloomNegatives += p.BloomNegatives
-		s.TableProbes += p.TableProbes
-		s.ReadStatePublishes += p.ReadStatePublishes
-
-		s.CompressedBytesRead += p.CompressedBytesRead
-		s.UncompressedBytesRead += p.UncompressedBytesRead
-		s.UncompressedBytesWritten += p.UncompressedBytesWritten
-		s.CompressedBytesWritten += p.CompressedBytesWritten
-
-		s.BlobValuesSeparated += p.BlobValuesSeparated
-		s.BlobBytesSeparated += p.BlobBytesSeparated
-	}
-	if s.WriteState == "" && len(per) > 0 {
-		s.WriteState = per[0].WriteState
-	}
-	if s.WriteGroupsTotal > 0 {
-		s.AvgGroupSize = float64(s.WriteBatchesTotal) / float64(s.WriteGroupsTotal)
-	}
-	if s.Gets > 0 {
-		s.PointReadAmp = float64(s.TableProbes) / float64(s.Gets)
-	}
-	if s.CompressedBytesWritten > 0 {
-		s.CompressionRatio = float64(s.UncompressedBytesWritten) / float64(s.CompressedBytesWritten)
 	}
 	return s
 }

@@ -101,7 +101,7 @@ func TestSyncCommitOverlapsAndOrders(t *testing.T) {
 	})
 
 	st := db.shards[0]
-	walSyncs := st.stats.walSyncCount.Load()
+	walSyncs := st.stats.WALSyncCount.Load()
 	applied := make(chan error, 1)
 	go func() {
 		b := batch.New()
@@ -112,7 +112,7 @@ func TestSyncCommitOverlapsAndOrders(t *testing.T) {
 	awaitSignal(t, vlogEntered, "the vlog fsync to be entered")
 	awaitSignal(t, logEntered, "the WAL fsync to be entered")
 	eventually(t, "the WAL fsync to return while the vlog fsync is held open", func() bool {
-		return st.stats.walSyncCount.Load() > walSyncs
+		return st.stats.WALSyncCount.Load() > walSyncs
 	})
 
 	// WAL durable, vlog fsync still open: not visible, not acknowledged.

@@ -48,19 +48,21 @@ func newTableCache(fs vfs.FS, icmp keys.InternalComparer, bc *cache.Cache) *tabl
 	return &tableCache{fs: fs, icmp: icmp, blockCache: bc}
 }
 
-// forShard binds the shared cache to one shard's identity and table
-// directory. The returned view is what a store holds as db.tables.
-func (tc *tableCache) forShard(shard int, dir string) *shardTables {
-	return &shardTables{tc: tc, shard: shard, dir: dir}
+// forShard binds the shared cache to one shard's identity, table directory
+// and read sink. The returned view is what a store holds as db.tables.
+func (tc *tableCache) forShard(shard int, dir string, reads *sstable.ReadStats) *shardTables {
+	return &shardTables{tc: tc, shard: shard, dir: dir, reads: reads}
 }
 
 // shardTables is one shard's view of the shared table cache: same reader
 // map and block cache, but file numbers resolve against this shard's
-// directory and are namespaced with its ID.
+// directory and are namespaced with its ID, and its readers count into the
+// shard's sink.
 type shardTables struct {
 	tc    *tableCache
 	shard int
 	dir   string
+	reads *sstable.ReadStats
 }
 
 // cacheNum namespaces a file number for the shared block cache.
@@ -121,6 +123,7 @@ func (st *shardTables) readerOptions(num uint64) sstable.ReaderOptions {
 		Cache:           st.tc.blockCache,
 		FileNum:         st.cacheNum(num),
 		VerifyChecksums: true,
+		Stats:           st.reads,
 	}
 }
 
@@ -150,34 +153,6 @@ func (st *shardTables) evict(num uint64) {
 		_ = r.(*sstable.Reader).Close() // file is being deleted; errors are moot
 	}
 	st.tc.blockCache.EvictFile(st.cacheNum(num))
-}
-
-// totalBlockReads sums device block fetches across this shard's open
-// readers (Fig 13).
-func (st *shardTables) totalBlockReads() int64 {
-	var n int64
-	st.tc.readers.Range(func(k, r interface{}) bool {
-		if k.(tableKey).shard == st.shard {
-			n += r.(*sstable.Reader).BlockReads()
-		}
-		return true
-	})
-	return n
-}
-
-// totalIOBytes sums on-disk vs decoded block-fetch bytes across this
-// shard's open readers (the read side of the compression stats). Like
-// totalBlockReads, counters of evicted (deleted) files drop out of the sum.
-func (st *shardTables) totalIOBytes() (compressed, uncompressed int64) {
-	st.tc.readers.Range(func(k, r interface{}) bool {
-		if k.(tableKey).shard == st.shard {
-			c, u := r.(*sstable.Reader).IOBytes()
-			compressed += c
-			uncompressed += u
-		}
-		return true
-	})
-	return compressed, uncompressed
 }
 
 // closeShard releases this shard's readers. Each shard tears its own

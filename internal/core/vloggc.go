@@ -66,7 +66,8 @@ func (db *store) vlogGCSegment(num uint64) error {
 			if err := db.vlogGCDelete(num); err != nil {
 				return err
 			}
-			db.vlog.NoteGCPass(rewritten)
+			db.stats.VlogGCPasses.Add(1)
+			db.stats.VlogGCBytesRewritten.Add(rewritten)
 			return nil
 		}
 	}

@@ -180,8 +180,8 @@ func (db *store) commitGroup(g *batch.Group, sync bool, release func()) error {
 		if appended {
 			start := time.Now()
 			syncErr = logw.Sync()
-			db.stats.walSyncNanos.Add(int64(time.Since(start)))
-			db.stats.walSyncCount.Add(1)
+			db.stats.WALSyncNanos.Add(int64(time.Since(start)))
+			db.stats.WALSyncCount.Add(1)
 		}
 		if vs != nil {
 			// The WAL's error wins when both fsyncs fail: program order, not
@@ -205,6 +205,10 @@ func (db *store) commitGroup(g *batch.Group, sync bool, release func()) error {
 		err = db.publishLocked(ticket, seq, b, extraUserBytes, err)
 	}
 	db.mu.Unlock()
+	if err == nil {
+		db.stats.WriteGroupsTotal.Add(1)
+		db.stats.WriteBatchesTotal.Add(int64(g.Len()))
+	}
 	return err
 }
 
@@ -250,7 +254,7 @@ func (db *store) applyLocked(seq keys.Seq, b *batch.Batch, extraUserBytes int64)
 				if p, ok := vlog.DecodePointer(ptr); ok {
 					db.vlog.MarkDead(p.Segment, int64(p.Length))
 				}
-				db.vlog.NoteGuardedRewrite()
+				db.stats.VlogGCRecordsGuarded.Add(1)
 			}
 			i++
 			return nil
@@ -267,11 +271,11 @@ func (db *store) applyLocked(seq keys.Seq, b *batch.Batch, extraUserBytes int64)
 	})
 	// Separated entries count at their original size: the user wrote the
 	// value, even though the tree stores a 20-byte pointer.
-	db.stats.userWriteBytes.Add(userBytes + extraUserBytes)
+	db.stats.UserWriteBytes.Add(userBytes + extraUserBytes)
 	// Request counters move where entries are applied, so a write counts the
 	// same whether it arrived through Put, Delete or a batch.
-	db.stats.puts.Add(puts)
-	db.stats.deletes.Add(deletes)
+	db.stats.Puts.Add(puts)
+	db.stats.Deletes.Add(deletes)
 	db.set.SetLastSeq(seq + keys.Seq(b.Count()) - 1)
 	db.observeMix()
 }
@@ -322,7 +326,7 @@ func (db *store) logGroupLocked(g *batch.Group, sep, b *batch.Batch) (keys.Seq, 
 		db.fatal(err)
 		return 0, 0, err
 	}
-	db.stats.walWriteBytes.Add(int64(len(rec)))
+	db.stats.WALWriteBytes.Add(int64(len(rec)))
 	ticket := db.appended
 	db.appended++
 	return seq, ticket, nil
@@ -379,8 +383,8 @@ func (db *store) separateValues(b *batch.Batch) (sep *batch.Batch, extraUserByte
 	if eachErr != nil {
 		return nil, 0, eachErr
 	}
-	db.stats.blobValuesSeparated.Add(sepCount)
-	db.stats.blobBytesSeparated.Add(sepBytes)
+	db.stats.BlobValuesSeparated.Add(sepCount)
+	db.stats.BlobBytesSeparated.Add(sepBytes)
 	return out, extraUserBytes, nil
 }
 

@@ -174,7 +174,7 @@ func (c Cell) trial(seed int64, m *Measurement) (last *ycsb.Result, err error) {
 			db.WaitIdle()
 			p.Ops = s.Mix.Preload
 			dev.Reset()
-			blockBase = db.BlockReads()
+			blockBase = db.Stats().BlockReads
 		case OpRun:
 			last, err = ycsb.Run(ops, s.Mix, ycsb.RunnerOptions{Seed: seed, Clients: c.Clients, TimelineSlot: c.Timeline})
 			db.WaitIdle()
@@ -198,7 +198,7 @@ func (c Cell) trial(seed int64, m *Measurement) (last *ycsb.Result, err error) {
 	}
 	m.Stats = db.Stats()
 	m.Device = dev.Snapshot()
-	m.BlockReads = db.BlockReads() - blockBase
+	m.BlockReads = m.Stats.BlockReads - blockBase
 	m.FSBytes, _ = vfs.TotalBytes(opts.FS) // false only off vfs.Mem, which this is
 	m.TableBytes = db.TableBytes()
 	m.Profile = db.CurrentProfile()

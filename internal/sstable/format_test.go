@@ -111,7 +111,7 @@ func TestFormatMatrixThroughCache(t *testing.T) {
 			if n != len(kvs) {
 				t.Fatalf("iterated %d of %d", n, len(kvs))
 			}
-			comp, uncomp := r.IOBytes()
+			comp, uncomp := ioBytes(r)
 			if uncomp < comp {
 				t.Errorf("IOBytes: decoded %d < on-disk %d", uncomp, comp)
 			}
@@ -122,14 +122,14 @@ func TestFormatMatrixThroughCache(t *testing.T) {
 				t.Errorf("cache charged %d bytes after full scan", used)
 			}
 			// Second scan must come from cache: no new device block reads.
-			before := r.BlockReads()
+			before := r.opts.Stats.BlockReads.Load()
 			it2 := r.NewIterator()
 			for it2.SeekToFirst(); it2.Valid(); it2.Next() {
 			}
 			if err := it2.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if got := r.BlockReads(); got != before {
+			if got := r.opts.Stats.BlockReads.Load(); got != before {
 				t.Errorf("second scan fetched %d blocks from device", got-before)
 			}
 		})

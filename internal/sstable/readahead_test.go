@@ -315,7 +315,7 @@ func TestReadAheadBlocksOwnTheirBytes(t *testing.T) {
 // landing on a block the iterator holds counts as a cache lookup.
 func TestReadAheadLandsLazily(t *testing.T) {
 	tb := newRATable(t, newReadLog(vfs.Mem()), 30)
-	atOpen, _ := tb.r.IOBytes() // the index and the filter
+	atOpen, _ := ioBytes(tb.r) // the index and the filter
 	lookups := func() int64 {
 		hits, misses := tb.cache.Stats()
 		return hits + misses
@@ -329,9 +329,9 @@ func TestReadAheadLandsLazily(t *testing.T) {
 		for _, b := range tb.blocks[:landed] {
 			onDisk += b.size - blockTrailerLen
 		}
-		if got, _ := tb.r.IOBytes(); tb.cache.Len() != landed || tb.r.BlockReads() != int64(landed) || got-atOpen != onDisk {
+		if got, _ := ioBytes(tb.r); tb.cache.Len() != landed || tb.r.opts.Stats.BlockReads.Load() != int64(landed) || got-atOpen != onDisk {
 			t.Errorf("%d blocks cached, %d decoded, %d bytes counted; want the %d landed on, %d bytes",
-				tb.cache.Len(), tb.r.BlockReads(), got-atOpen, landed, onDisk)
+				tb.cache.Len(), tb.r.opts.Stats.BlockReads.Load(), got-atOpen, landed, onDisk)
 		}
 	}
 	it := tb.r.NewIterator()

@@ -35,6 +35,24 @@ type ReaderOptions struct {
 	// VerifyChecksums controls per-read CRC validation (the zero value
 	// disables it; the engine always sets it).
 	VerifyChecksums bool
+	// Stats, when non-nil, is the sink the reader counts its fetches into;
+	// many readers may share one. A reader opened without one counts into a
+	// private sink.
+	Stats *ReadStats
+}
+
+// ReadStats counts the blocks a table reader fetched from its file. The
+// counters outlive the reader, so a sink shared by every table of a store
+// keeps the reads of tables compaction has since deleted.
+type ReadStats struct {
+	// BlockReads counts data blocks fetched from the file and decoded
+	// (cache misses).
+	BlockReads atomic.Int64
+	// CompressedBytesRead and UncompressedBytesRead total the on-disk and
+	// decoded sizes of every block fetched from the file, index and filter
+	// blocks included; equal when the table stores every block raw.
+	CompressedBytesRead   atomic.Int64
+	UncompressedBytesRead atomic.Int64
 }
 
 // Reader provides random access to one table. It is safe for concurrent use.
@@ -52,15 +70,6 @@ type Reader struct {
 	index      []indexEntry
 	indexBlock []byte
 	filter     bloom.Filter
-
-	// BlockReads counts data-block fetches that missed the cache; exposed
-	// for the Fig 13 experiment and tests.
-	blockReads atomic.Int64
-	// compressedBytesRead / uncompressedBytesRead total the on-disk and
-	// post-decompression sizes of every block fetched from the file; their
-	// ratio is the read-side compression ratio surfaced by DB.Stats.
-	compressedBytesRead   atomic.Int64
-	uncompressedBytesRead atomic.Int64
 
 	// closedInv records Close under -tags invariants: a lookup or a new
 	// iterator on a reader after that is the use of a table its owner has
@@ -105,6 +114,9 @@ func OpenReader(f vfs.File, opts ReaderOptions) (*Reader, error) {
 }
 
 func newReader(f vfs.File, opts ReaderOptions, size int64) *Reader {
+	if opts.Stats == nil {
+		opts.Stats = new(ReadStats)
+	}
 	return &Reader{opts: opts, cmp: opts.Cmp.Compare, f: f, size: size}
 }
 
@@ -201,17 +213,6 @@ func (r *Reader) MayContainHash(h uint32) bool {
 	return r.filter.MayContainHash(h)
 }
 
-// BlockReads reports how many data blocks were fetched from the file
-// (i.e. cache misses) over the reader's lifetime.
-func (r *Reader) BlockReads() int64 { return r.blockReads.Load() }
-
-// IOBytes reports the total on-disk (possibly compressed) and
-// post-decompression sizes of blocks fetched from the file over the
-// reader's lifetime. Equal when the table stores every block raw.
-func (r *Reader) IOBytes() (compressed, uncompressed int64) {
-	return r.compressedBytesRead.Load(), r.uncompressedBytesRead.Load()
-}
-
 // readBlockContents fetches, verifies, and decompresses a block, without
 // caching.
 func (r *Reader) readBlockContents(h blockHandle) ([]byte, error) {
@@ -226,8 +227,8 @@ func (r *Reader) readBlockContents(h blockHandle) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.compressedBytesRead.Add(int64(h.length))
-	r.uncompressedBytesRead.Add(int64(len(contents)))
+	r.opts.Stats.CompressedBytesRead.Add(int64(h.length))
+	r.opts.Stats.UncompressedBytesRead.Add(int64(len(contents)))
 	return contents, nil
 }
 
@@ -305,7 +306,7 @@ func (r *Reader) readBlock(br *block.Reader, h blockHandle) error {
 // reader must own, a fetched block: bound to br, counted, and in the block
 // cache if there is one. A block br rejects is not cached.
 func (r *Reader) newDataBlock(br *block.Reader, contents []byte, off uint64) error {
-	r.blockReads.Add(1)
+	r.opts.Stats.BlockReads.Add(1)
 	if err := br.Init(r.cmp, contents); err != nil {
 		return err
 	}
@@ -548,8 +549,8 @@ func (r *Reader) runBlock(br *block.Reader, buf []byte, off uint64) ([]byte, err
 	if compress.Kind(buf[len(buf)-blockTrailerLen]) == compress.None {
 		contents = bytes.Clone(contents)
 	}
-	r.compressedBytesRead.Add(int64(len(buf) - blockTrailerLen))
-	r.uncompressedBytesRead.Add(int64(len(contents)))
+	r.opts.Stats.CompressedBytesRead.Add(int64(len(buf) - blockTrailerLen))
+	r.opts.Stats.UncompressedBytesRead.Add(int64(len(contents)))
 	return contents, r.newDataBlock(br, contents, off)
 }
 

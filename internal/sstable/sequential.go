@@ -46,7 +46,7 @@ var (
 // bytes per read (a single block larger than that is read alone), and every
 // block is verified and decoded out of the run exactly as a point read does.
 // Nothing else of r is touched: not its file handle, not its read counters
-// (BlockReads and IOBytes describe user reads), and not the block cache — a
+// (its ReadStats describe user reads), and not the block cache — a
 // compaction reads each block once, so caching them would only evict what
 // user reads put there. The footer, index and filter blocks are not read.
 //

@@ -156,11 +156,11 @@ func checkSequential(t *testing.T, fs vfs.FS, name string, r *Reader, w *keys.Ke
 	ref.SeekToFirst()
 	want := drain(t, ref)
 	ref.Close()
-	blockReads, hits, misses := r.BlockReads(), int64(0), int64(0)
+	blockReads, hits, misses := r.opts.Stats.BlockReads.Load(), int64(0), int64(0)
 	if r.opts.Cache != nil {
 		hits, misses = r.opts.Cache.Stats()
 	}
-	onDisk, decoded := r.IOBytes()
+	onDisk, decoded := ioBytes(r)
 
 	cf := newReadLog(fs)
 	f, err := cf.Open(name)
@@ -178,10 +178,10 @@ func checkSequential(t *testing.T, fs vfs.FS, name string, r *Reader, w *keys.Ke
 	}
 
 	// The pass shares r's index and nothing else.
-	if r.BlockReads() != blockReads {
-		t.Errorf("pass moved BlockReads %d -> %d", blockReads, r.BlockReads())
+	if r.opts.Stats.BlockReads.Load() != blockReads {
+		t.Errorf("pass moved BlockReads %d -> %d", blockReads, r.opts.Stats.BlockReads.Load())
 	}
-	if a, b := r.IOBytes(); a != onDisk || b != decoded {
+	if a, b := ioBytes(r); a != onDisk || b != decoded {
 		t.Errorf("pass moved IOBytes (%d,%d) -> (%d,%d)", onDisk, decoded, a, b)
 	}
 	if r.opts.Cache != nil {

@@ -234,11 +234,11 @@ func TestBloomFilterSkipsAbsentKeys(t *testing.T) {
 	if misses > 30 {
 		t.Errorf("bloom passed %d/1000 absent keys", misses)
 	}
-	before := r.BlockReads()
+	before := r.opts.Stats.BlockReads.Load()
 	for i := 0; i < 100; i++ {
 		r.Get([]byte(fmt.Sprintf("nothere-%06d", i)), keys.MaxSeq)
 	}
-	if got := r.BlockReads() - before; got > 10 {
+	if got := r.opts.Stats.BlockReads.Load() - before; got > 10 {
 		t.Errorf("%d block reads for 100 absent-key Gets; filter not consulted", got)
 	}
 }
@@ -275,7 +275,7 @@ func TestBlockCacheReducesReads(t *testing.T) {
 		}
 		it.Close()
 	}
-	firstPass := r.BlockReads()
+	firstPass := r.opts.Stats.BlockReads.Load()
 	if firstPass == 0 {
 		t.Fatal("no block reads at all")
 	}
@@ -286,8 +286,43 @@ func TestBlockCacheReducesReads(t *testing.T) {
 	it := r.NewIterator()
 	it.SeekToFirst()
 	it.Close()
-	if r.BlockReads() != firstPass {
-		t.Errorf("cached re-read still fetched blocks: %d -> %d", firstPass, r.BlockReads())
+	if r.opts.Stats.BlockReads.Load() != firstPass {
+		t.Errorf("cached re-read still fetched blocks: %d -> %d", firstPass, r.opts.Stats.BlockReads.Load())
+	}
+}
+
+// ioBytes reports the on-disk and decoded bytes r has counted into its sink.
+func ioBytes(r *Reader) (compressed, uncompressed int64) {
+	return r.opts.Stats.CompressedBytesRead.Load(), r.opts.Stats.UncompressedBytesRead.Load()
+}
+
+// TestReadStatsSinkOutlivesReaders: readers that share a sink add to it, and
+// what they counted stays there after they are closed.
+func TestReadStatsSinkOutlivesReaders(t *testing.T) {
+	fs := vfs.Mem()
+	buildTable(t, fs, "/t.sst", defaultWOpts(), sortedKVs(500))
+	var sink ReadStats
+	ropts := defaultROpts()
+	ropts.Stats = &sink
+	for i := 0; i < 2; i++ {
+		r := openTable(t, fs, "/t.sst", ropts)
+		if _, _, found, err := r.Get([]byte("key-000100"), keys.MaxSeq); err != nil || !found {
+			t.Fatalf("reader %d: Get found=%v err=%v", i, found, err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sink.BlockReads.Load(); got != 2 {
+		t.Errorf("two readers, one block each: sink counts %d block reads, want 2", got)
+	}
+	if c, u := sink.CompressedBytesRead.Load(), sink.UncompressedBytesRead.Load(); c == 0 || u < c {
+		t.Errorf("sink bytes: on-disk %d, decoded %d", c, u)
+	}
+	r := openTable(t, fs, "/t.sst", defaultROpts())
+	defer r.Close()
+	if r.opts.Stats == nil || r.opts.Stats == &sink {
+		t.Error("a reader opened without a sink must count into a private one")
 	}
 }
 

@@ -22,8 +22,6 @@ type WriterOptions struct {
 	Cmp keys.InternalComparer
 	// BlockSize is the uncompressed data block size threshold (default 4 KiB).
 	BlockSize int
-	// RestartInterval for data blocks (default block.DefaultInterval).
-	RestartInterval int
 	// BloomBitsPerKey sizes the filter; 0 disables the filter block.
 	BloomBitsPerKey int
 	// Compression selects the per-block codec (default compress.None).
@@ -35,9 +33,6 @@ type WriterOptions struct {
 func (o WriterOptions) withDefaults() WriterOptions {
 	if o.BlockSize <= 0 {
 		o.BlockSize = 4 << 10
-	}
-	if o.RestartInterval <= 0 {
-		o.RestartInterval = block.DefaultInterval
 	}
 	return o
 }
@@ -124,7 +119,7 @@ var errFinished = errors.New("sstable: writer already finished")
 func NewWriter(f vfs.File, opts WriterOptions) *Writer {
 	opts = opts.withDefaults()
 	w := &Writer{opts: opts, f: f, writerBufs: writerPool.Get().(*writerBufs)}
-	w.data.Interval = opts.RestartInterval
+	w.data.Interval = block.DefaultInterval
 	w.index.Interval = 1
 	// Reject an unknown codec before any block hits the disk; the sticky
 	// error surfaces on the first Add or Finish.

@@ -48,9 +48,6 @@ type FileMeta struct {
 	// FileMeta's Slices value is immutable once published in a Version.
 	Slices []Slice
 
-	// AllowedSeeks implements LevelDB's seek-triggered compaction budget.
-	AllowedSeeks atomic.Int32
-
 	// Table is the file's open reader once a read has fetched it from the
 	// table cache, so that a probe reaches it by a pointer load. The table
 	// cache stays the owner: it closes a reader only when the file is
@@ -104,7 +101,6 @@ func (f *FileMeta) withSlices(slices []Slice) *FileMeta {
 		Largest:  f.Largest,
 		Slices:   slices,
 	}
-	nf.AllowedSeeks.Store(f.AllowedSeeks.Load())
 	nf.Table.Store(f.Table.Load())
 	return nf
 }

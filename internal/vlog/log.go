@@ -31,31 +31,14 @@ type Options struct {
 	ScanFS vfs.FS
 }
 
-// Stats is a point-in-time summary of the log, folded once into the
-// database-wide Stats() like the other shared resources.
+// Stats is a point-in-time summary of the log's own state, folded once into
+// the database-wide Stats() like the other shared resources. The resolves
+// and GC work the store does through the log are counted by the store.
 type Stats struct {
-	Segments         int
-	TotalBytes       int64 // valid extents of all segments
-	DeadBytes        int64 // bytes of records known dropped or superseded
-	AppendedBytes    int64 // lifetime foreground + GC appends
-	GCPasses         int64
-	GCBytesRewritten int64
-	GCRecordsGuarded int64 // rewrites skipped by the commit-time guard
-	Resolves         int64
-	ResolveCacheHits int64
-}
-
-// LiveRatio reports the live fraction of the log's valid bytes (1.0 when
-// empty).
-func (s Stats) LiveRatio() float64 {
-	if s.TotalBytes == 0 {
-		return 1.0
-	}
-	live := s.TotalBytes - s.DeadBytes
-	if live < 0 {
-		live = 0
-	}
-	return float64(live) / float64(s.TotalBytes)
+	Segments      int
+	TotalBytes    int64 // valid extents of all segments
+	DeadBytes     int64 // bytes of records known dropped or superseded
+	AppendedBytes int64 // lifetime foreground + GC appends
 }
 
 // segment is a registry entry. size is the valid extent: everything below
@@ -96,12 +79,7 @@ type Log struct {
 	segs    map[uint64]*segment
 	nextSeg uint64
 
-	appended    atomic.Int64
-	gcPasses    atomic.Int64
-	gcRewritten atomic.Int64
-	gcGuarded   atomic.Int64
-	resolves    atomic.Int64
-	resolveHits atomic.Int64
+	appended atomic.Int64
 
 	readers sync.Pool
 }
@@ -246,29 +224,6 @@ func (l *Log) MarkDead(num uint64, n int64) {
 	}
 }
 
-// NoteResolve counts one pointer resolution; hit marks a decoded-value
-// cache hit that skipped the device read.
-func (l *Log) NoteResolve(hit bool) {
-	l.resolves.Add(1)
-	if hit {
-		l.resolveHits.Add(1)
-	}
-}
-
-// NoteGCPass counts one completed GC pass that rewrote n live bytes.
-func (l *Log) NoteGCPass(rewritten int64) {
-	l.gcPasses.Add(1)
-	l.gcRewritten.Add(rewritten)
-}
-
-// NoteGuardedRewrite counts one rewrite skipped by the commit-time guard
-// (a newer write for the key landed between the GC's liveness read and the
-// rewrite's application). Called from the commit path, not the GC pass,
-// because the guard is evaluated under the store's mutex.
-func (l *Log) NoteGuardedRewrite() {
-	l.gcGuarded.Add(1)
-}
-
 // segmentInfo is a GC-facing snapshot of one segment.
 type segmentInfo struct {
 	Num   uint64
@@ -378,17 +333,7 @@ func (l *Log) Stats() Stats {
 		dead += seg.dead.Load()
 	}
 	l.mu.Unlock()
-	return Stats{
-		Segments:         n,
-		TotalBytes:       total,
-		DeadBytes:        dead,
-		AppendedBytes:    l.appended.Load(),
-		GCPasses:         l.gcPasses.Load(),
-		GCBytesRewritten: l.gcRewritten.Load(),
-		GCRecordsGuarded: l.gcGuarded.Load(),
-		Resolves:         l.resolves.Load(),
-		ResolveCacheHits: l.resolveHits.Load(),
-	}
+	return Stats{Segments: n, TotalBytes: total, DeadBytes: dead, AppendedBytes: l.appended.Load()}
 }
 
 // Close closes every cached read handle. Writers are closed by their
