@@ -44,7 +44,7 @@ func main() {
 	key := func() []byte { return []byte(fmt.Sprintf("u%015d", rng.Intn(keySpace))) }
 	value := make([]byte, 256)
 
-	fmt.Printf("initial SliceLink threshold T_s = %d (fan-out 8)\n\n", db.SliceThreshold())
+	fmt.Printf("initial SliceLink threshold T_s = %d (fan-out 8)\n\n", db.CurrentProfile().SliceThreshold)
 
 	phases := []struct {
 		name       string
@@ -64,7 +64,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		fmt.Printf("after %-36s T_s = %d\n", ph.name+":", db.SliceThreshold())
+		fmt.Printf("after %-36s T_s = %d\n", ph.name+":", db.CurrentProfile().SliceThreshold)
 	}
 
 	s := db.Stats()

@@ -13,6 +13,8 @@ package commit
 import (
 	"sync/atomic"
 	"time"
+
+	"repro/internal/compaction"
 )
 
 // State is the controller's write-admission state.
@@ -71,14 +73,11 @@ type ControllerEnv struct {
 	Sleep func(time.Duration)
 }
 
-// ControllerConfig carries the throttle thresholds.
+// ControllerConfig carries the throttle thresholds that scale with the
+// store; the L0 ladder is compaction's constants.
 type ControllerConfig struct {
 	// MemTableSize triggers a rotation when the memtable reaches it.
 	MemTableSize int64
-	// L0SlowdownTrigger starts the graduated delay at this many L0 files.
-	L0SlowdownTrigger int
-	// L0StopTrigger blocks writes at this many L0 files.
-	L0StopTrigger int
 	// DebtCeiling is the compaction-debt level (bytes) at which the debt
 	// term of the slowdown curve alone reaches the full SlowdownDelay. The
 	// term engages at half the ceiling. 0 disables the debt term.
@@ -172,7 +171,7 @@ func (c *Controller) MakeRoom() error {
 		case c.env.ImmPending():
 			// Previous memtable still flushing: hard stop.
 			c.waitStopped()
-		case c.env.L0Files() >= c.cfg.L0StopTrigger:
+		case c.env.L0Files() >= compaction.L0StopTrigger:
 			c.waitStopped()
 		default:
 			// Full memtable, flush worker idle: rotate and retry (the fresh
@@ -193,12 +192,8 @@ func (c *Controller) MakeRoom() error {
 // mutex held.
 func (c *Controller) slowdownFrac() float64 {
 	var frac float64
-	if l0 := c.env.L0Files(); l0 >= c.cfg.L0SlowdownTrigger {
-		if span := c.cfg.L0StopTrigger - c.cfg.L0SlowdownTrigger; span > 0 {
-			frac += float64(l0-c.cfg.L0SlowdownTrigger+1) / float64(span)
-		} else {
-			frac = 1 // degenerate ladder: slowdown == stop trigger
-		}
+	if l0 := c.env.L0Files(); l0 >= compaction.L0SlowdownTrigger {
+		frac += float64(l0-compaction.L0SlowdownTrigger+1) / (compaction.L0StopTrigger - compaction.L0SlowdownTrigger)
 	}
 	if c.cfg.DebtCeiling > 0 && c.env.CompactionDebt != nil {
 		if half := c.cfg.DebtCeiling / 2; half > 0 {

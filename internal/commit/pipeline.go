@@ -31,11 +31,13 @@ type Env struct {
 	Commit func(g *batch.Group, sync bool, release func()) error
 }
 
+// MaxGroupBytes stops a leader draining followers once the group's encoded
+// record reaches it. The server applies a connection's pipelined writes in
+// bursts of the same size, so a burst never outgrows one group.
+const MaxGroupBytes = 1 << 20
+
 // Options tunes a Pipeline.
 type Options struct {
-	// MaxGroupBytes stops the leader draining followers once the group's
-	// encoded record reaches this size (default 1 MiB).
-	MaxGroupBytes int
 	// ClosedError is returned by commits after Close (default
 	// ErrPipelineClosed).
 	ClosedError error
@@ -75,7 +77,6 @@ type group struct {
 // for all of them.
 type Pipeline struct {
 	env       Env
-	maxBytes  int
 	closedErr error
 
 	mu      invariants.Mutex
@@ -93,13 +94,10 @@ type Pipeline struct {
 
 // NewPipeline builds a pipeline over env.
 func NewPipeline(env Env, opts Options) *Pipeline {
-	if opts.MaxGroupBytes <= 0 {
-		opts.MaxGroupBytes = 1 << 20
-	}
 	if opts.ClosedError == nil {
 		opts.ClosedError = ErrPipelineClosed
 	}
-	p := &Pipeline{env: env, maxBytes: opts.MaxGroupBytes, closedErr: opts.ClosedError}
+	p := &Pipeline{env: env, closedErr: opts.ClosedError}
 	p.mu.Rank("commit.pipeline.mu", 35)
 	p.cond = sync.NewCond(&p.mu)
 	return p
@@ -215,7 +213,7 @@ func (p *Pipeline) dequeue(n int) {
 func (p *Pipeline) drainFollowers(g *group, leaderSync bool) {
 	p.mu.Lock()
 	n := 0
-	for n < len(p.queue) && g.batch.Size() < p.maxBytes {
+	for n < len(p.queue) && g.batch.Size() < MaxGroupBytes {
 		f := p.queue[n]
 		if f.sync && !leaderSync {
 			break

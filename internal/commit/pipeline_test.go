@@ -193,32 +193,26 @@ func TestSyncWriterNeverRidesNonSyncGroup(t *testing.T) {
 	}
 }
 
-// TestMaxGroupBytesDefaultsToOneMiB pins the cap the store gets: it passes
-// no MaxGroupBytes since core.Options.MaxWriteGroupBytes was deleted.
-func TestMaxGroupBytesDefaultsToOneMiB(t *testing.T) {
-	for _, n := range []int{0, -1} {
-		if p := NewPipeline(newRecordingEnv().env(), Options{MaxGroupBytes: n}); p.maxBytes != 1<<20 {
-			t.Errorf("MaxGroupBytes %d: cap = %d, want %d", n, p.maxBytes, 1<<20)
-		}
-	}
-}
-
 func TestMaxGroupBytesCapsDraining(t *testing.T) {
 	r := newRecordingEnv()
 	r.gate = make(chan struct{})
 	r.entered = make(chan struct{}, 64)
-	// Each one-op batch is ~20 bytes encoded; cap the group around two.
-	p := NewPipeline(r.env(), Options{MaxGroupBytes: 40})
+	p := NewPipeline(r.env(), Options{})
+	big := func(key string) *batch.Batch {
+		b := batch.New()
+		b.Set([]byte(key), make([]byte, 300<<10))
+		return b
+	}
 
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); p.Commit(oneOp("g1"), false) }()
+	go func() { defer wg.Done(); p.Commit(big("g1"), false) }()
 	<-r.entered
 
 	const n = 6
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int) { defer wg.Done(); p.Commit(oneOp(fmt.Sprintf("w%d", i)), false) }(i)
+		go func(i int) { defer wg.Done(); p.Commit(big(fmt.Sprintf("w%d", i)), false) }(i)
 	}
 	for {
 		p.mu.Lock()
@@ -240,11 +234,11 @@ func TestMaxGroupBytesCapsDraining(t *testing.T) {
 			running = false
 		}
 	}
-	// Each one-op batch adds 6 payload bytes to an 18-byte leader record;
-	// the 40-byte cap stops draining once the group holds 5 members.
+	// Each batch carries a 300 KiB value: the 1 MiB cap stops draining once
+	// the group holds 4 members.
 	for i, s := range r.sizes[1:] {
-		if s > 5 {
-			t.Fatalf("group %d has %d members despite 40-byte cap (sizes %v)", i+1, s, r.sizes)
+		if s > 4 {
+			t.Fatalf("group %d has %d members despite the %d-byte cap (sizes %v)", i+1, s, MaxGroupBytes, r.sizes)
 		}
 	}
 	if len(r.sizes) < 3 {

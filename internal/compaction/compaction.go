@@ -46,6 +46,21 @@ func (p Policy) String() string {
 	}
 }
 
+// LevelDB's L0 ladder, held as constants as LevelDB holds it: the picker
+// compacts L0 at L0Trigger files and drains it ahead of ripe merges from
+// L0SlowdownTrigger on; the commit controller delays writers from
+// L0SlowdownTrigger and stops them at L0StopTrigger.
+const (
+	L0Trigger         = 4
+	L0SlowdownTrigger = 8
+	L0StopTrigger     = 12
+)
+
+// FrozenFraction caps LDC's duplicated frozen bytes relative to total table
+// bytes; above it the most-linked file is force-merged (the paper's
+// worst-case space bound, §III-D).
+const FrozenFraction = 0.25
+
 // Params are the sizing knobs of the tree, mirroring the paper's symbols:
 // Fanout is k, SSTableSize is b, SliceThreshold is T_s.
 type Params struct {
@@ -53,45 +68,12 @@ type Params struct {
 	Fanout int
 	// SSTableSize is the target output file size (b).
 	SSTableSize int64
-	// L0Trigger is the L0 file count that triggers an L0→L1 compaction.
-	L0Trigger int
-	// L0SlowdownTrigger is the L0 file count at which the commit controller
-	// starts delaying writers. At or past it the LDC picker drains L0
-	// before serving ripe merges — foreground admission outranks background
-	// debt. When zero it defaults to 2 × L0Trigger.
-	L0SlowdownTrigger int
 	// SliceThreshold is LDC's T_s: the slice count on a lower-level file
-	// that triggers its merge. When zero it defaults to Fanout.
+	// that triggers its merge.
 	SliceThreshold int
-	// FrozenFraction caps the frozen region relative to total table bytes;
-	// above it the most-linked file is force-merged. Defaults to 0.25 (the
-	// paper's worst-case space bound, §III-D).
-	FrozenFraction float64
 	// DisableTrivialMove forces a rewrite even when a file could move down
 	// by metadata only (ablation benchmarks).
 	DisableTrivialMove bool
-}
-
-func (p Params) withDefaults() Params {
-	if p.Fanout <= 1 {
-		p.Fanout = 10
-	}
-	if p.SSTableSize <= 0 {
-		p.SSTableSize = 2 << 20
-	}
-	if p.L0Trigger <= 0 {
-		p.L0Trigger = 4
-	}
-	if p.L0SlowdownTrigger <= 0 {
-		p.L0SlowdownTrigger = 2 * p.L0Trigger
-	}
-	if p.SliceThreshold <= 0 {
-		p.SliceThreshold = p.Fanout
-	}
-	if p.FrozenFraction <= 0 {
-		p.FrozenFraction = 0.25
-	}
-	return p
 }
 
 // Kind discriminates what a Pick asks the store to do.
@@ -168,7 +150,7 @@ type Picker struct {
 
 // NewPicker returns a picker for the given policy.
 func NewPicker(policy Policy, params Params, icmp keys.InternalComparer) *Picker {
-	return &Picker{policy: policy, params: params.withDefaults(), icmp: icmp}
+	return &Picker{policy: policy, params: params, icmp: icmp}
 }
 
 // SetThresholdFunc installs a dynamic SliceThreshold source (the adaptive
@@ -180,9 +162,6 @@ func (p *Picker) SetPointer(level int, key keys.InternalKey) { p.pointers[level]
 
 // Pointer reads a cursor (persisted into version edits by the store).
 func (p *Picker) Pointer(level int) keys.InternalKey { return p.pointers[level] }
-
-// Params returns the effective parameters.
-func (p *Picker) Params() Params { return p.params }
 
 // SliceThreshold returns the current T_s.
 func (p *Picker) SliceThreshold() int {
@@ -199,7 +178,7 @@ func (p *Picker) SliceThreshold() int {
 // relative to the level target.
 func (p *Picker) Score(v *version.Version, level int) float64 {
 	if level == 0 {
-		return float64(v.NumFiles(0)) / float64(p.params.L0Trigger)
+		return float64(v.NumFiles(0)) / L0Trigger
 	}
 	return float64(p.levelBytes(v, level)) / float64(p.MaxBytesForLevel(level))
 }
@@ -223,7 +202,7 @@ func (p *Picker) levelBytes(v *version.Version, level int) int64 {
 // by the next L0 compaction (DESIGN, "Level targets").
 func (p *Picker) MaxBytesForLevel(level int) int64 {
 	if p.policy == LDC && level == 1 {
-		return int64(min(p.params.L0Trigger, p.params.Fanout)) * p.params.SSTableSize
+		return int64(min(L0Trigger, p.params.Fanout)) * p.params.SSTableSize
 	}
 	n := p.params.SSTableSize
 	for l := 0; l < level; l++ {
@@ -240,7 +219,7 @@ func (p *Picker) MaxBytesForLevel(level int) int64 {
 // work falls behind rather than stepping at the L0 cliff.
 func (p *Picker) Debt(v *version.Version) int64 {
 	var debt int64
-	if extra := v.NumFiles(0) - p.params.L0Trigger; extra > 0 {
+	if extra := v.NumFiles(0) - L0Trigger; extra > 0 {
 		debt += int64(extra) * p.params.SSTableSize
 	}
 	for level := 1; level < version.NumLevels; level++ {
@@ -402,7 +381,7 @@ func (p *Picker) pickLDC(v *version.Version) Pick {
 	// compaction storm cannot keep the worker on merges while foreground
 	// writes sit in the slowdown curve. Level 1's links go first: free, and
 	// each takes a table out of what L0 rewrites.
-	if v.NumFiles(0) >= p.params.L0SlowdownTrigger {
+	if v.NumFiles(0) >= L0SlowdownTrigger {
 		if s := p.Score(v, 1); s >= 1 {
 			if pick := p.pickLDCLevel(v, 1, s); pick.Kind == PickLink || pick.Kind == PickTrivialMove {
 				return pick
@@ -433,7 +412,7 @@ func (p *Picker) pickLDC(v *version.Version) Pick {
 		for l := 0; l < version.NumLevels; l++ {
 			total += v.LevelBytes(l)
 		}
-		if float64(dup) > p.params.FrozenFraction*float64(total+dup) {
+		if float64(dup) > FrozenFraction*float64(total+dup) {
 			var best Pick
 			var bestBytes int64
 			for level := 1; level < version.NumLevels; level++ {

@@ -57,7 +57,6 @@ func TestPickIsAFunctionOfTheVersion(t *testing.T) {
 	}
 	params := testParams()
 	params.SliceThreshold = 2
-	params.FrozenFraction = 0.10
 	for name, edit := range fixtures {
 		for _, policy := range []Policy{UDC, LDC} {
 			for _, cursor := range []string{"", "c", "z"} {

@@ -987,21 +987,6 @@ func (db *store) CurrentProfile() Profile {
 	return p
 }
 
-// TableBytes reports the total size of live table files plus the frozen
-// region — the store's disk footprint (Fig 15).
-func (db *store) TableBytes() int64 {
-	v := db.set.Current()
-	defer v.Unref()
-	var n int64
-	for level := 0; level < version.NumLevels; level++ {
-		n += v.LevelBytes(level)
-	}
-	return n + v.FrozenBytes()
-}
-
-// SliceThreshold reports the current T_s (possibly adaptive).
-func (db *store) SliceThreshold() int { return db.picker.SliceThreshold() }
-
 // Flush writes the live memtable out as a table and waits for it to land.
 // Rotation is requested through the commit pipeline (the leader-exclusive
 // path is the only context allowed to swap the WAL writer), so Flush is

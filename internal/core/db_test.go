@@ -20,17 +20,14 @@ import (
 // levels, links, and merges.
 func smallOpts(policy compaction.Policy) Options {
 	return Options{
-		FS:                  vfs.Mem(),
-		Policy:              policy,
-		MemTableSize:        8 << 10,
-		SSTableSize:         8 << 10,
-		Fanout:              4,
-		SliceLinkThreshold:  3,
-		L0CompactionTrigger: 4,
-		L0SlowdownTrigger:   8,
-		L0StopTrigger:       12,
-		BlockSize:           512,
-		BlockCacheSize:      1 << 20,
+		FS:                 vfs.Mem(),
+		Policy:             policy,
+		MemTableSize:       8 << 10,
+		SSTableSize:        8 << 10,
+		Fanout:             4,
+		SliceLinkThreshold: 3,
+		BlockSize:          512,
+		BlockCacheSize:     1 << 20,
 	}
 }
 

@@ -161,7 +161,7 @@ func TestAdaptiveThresholdIntegration(t *testing.T) {
 	for i := 0; i < 3*adaptiveWindow; i++ {
 		db.Put(key(i%2000), value(i))
 	}
-	afterWrites := db.SliceThreshold()
+	afterWrites := db.CurrentProfile().SliceThreshold
 	if afterWrites <= 4 {
 		t.Errorf("T_s after write phase = %d, want > 4", afterWrites)
 	}
@@ -170,30 +170,8 @@ func TestAdaptiveThresholdIntegration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := db.SliceThreshold(); got >= afterWrites {
+	if got := db.CurrentProfile().SliceThreshold; got >= afterWrites {
 		t.Errorf("T_s after read phase = %d, want < %d", got, afterWrites)
-	}
-}
-
-// TestProfileAndTableBytesConsistent sanity-checks the introspection
-// surface used by the experiments.
-func TestProfileAndTableBytesConsistent(t *testing.T) {
-	db := openTestDB(t, smallOpts(compaction.LDC))
-	defer db.Close()
-	fillSequential(t, db, 3000)
-	db.CompactRange()
-	db.WaitIdle()
-
-	prof := db.CurrentProfile()
-	var levelBytes int64
-	for _, lp := range prof.Levels {
-		levelBytes += lp.Bytes
-	}
-	if got := db.TableBytes(); got != levelBytes+prof.FrozenBytes {
-		t.Errorf("TableBytes %d != levels %d + frozen %d", got, levelBytes, prof.FrozenBytes)
-	}
-	if db.Stats().BlockReads < 0 {
-		t.Error("negative block reads")
 	}
 }
 

@@ -46,13 +46,6 @@ type Options struct {
 	// the observed read/write mix.
 	AdaptiveThreshold bool
 
-	// L0CompactionTrigger starts an L0 compaction at this many files (default 4).
-	L0CompactionTrigger int
-	// L0SlowdownTrigger delays each write by 1ms at this many L0 files (default 8).
-	L0SlowdownTrigger int
-	// L0StopTrigger blocks writes entirely at this many L0 files (default 12).
-	L0StopTrigger int
-
 	// BlockSize is the SSTable data block size (default 4 KiB).
 	BlockSize int
 	// Compression selects the per-block codec for newly written tables:
@@ -79,12 +72,6 @@ type Options struct {
 	// vlog segments still resolve, so the knob is reopen-safe in both
 	// directions. Must not exceed SSTableSize.
 	BlobThreshold int64
-	// BlobGCThreshold is the dead-byte fraction at which the value-log GC
-	// rewrites a sealed segment, in (0, 1]. Dead bytes accrue as
-	// compactions and LDC merges drop pointer entries (the same
-	// slice-accounting discipline LDC applies to frozen regions). Default
-	// 0.5.
-	BlobGCThreshold float64
 	// BlobSegmentSize is the value-log rotation threshold (default
 	// 64 MiB). Small values make GC units finer at the cost of more files.
 	BlobSegmentSize int64
@@ -117,15 +104,6 @@ func (o Options) withDefaults() Options {
 	if o.SliceLinkThreshold <= 0 {
 		o.SliceLinkThreshold = o.Fanout
 	}
-	if o.L0CompactionTrigger <= 0 {
-		o.L0CompactionTrigger = 4
-	}
-	if o.L0SlowdownTrigger <= 0 {
-		o.L0SlowdownTrigger = 8
-	}
-	if o.L0StopTrigger <= 0 {
-		o.L0StopTrigger = 12
-	}
 	if o.BlockSize <= 0 {
 		o.BlockSize = 4 << 10
 	}
@@ -137,9 +115,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BlockCacheSize <= 0 {
 		o.BlockCacheSize = 8 << 20
-	}
-	if o.BlobGCThreshold == 0 {
-		o.BlobGCThreshold = 0.5
 	}
 	if o.BlobSegmentSize <= 0 {
 		o.BlobSegmentSize = vlog.DefaultSegmentSize
@@ -174,8 +149,6 @@ func (o Options) compactionParams() compaction.Params {
 	return compaction.Params{
 		Fanout:             o.Fanout,
 		SSTableSize:        o.SSTableSize,
-		L0Trigger:          o.L0CompactionTrigger,
-		L0SlowdownTrigger:  o.L0SlowdownTrigger,
 		SliceThreshold:     o.SliceLinkThreshold,
 		DisableTrivialMove: o.DisableTrivialMove,
 	}

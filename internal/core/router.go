@@ -561,8 +561,14 @@ func (db *DB) closeVlog() {
 // tighter loop.
 const valueGCInterval = 10 * time.Second
 
+// ValueGCRatio is the dead-byte fraction at which value-log GC rewrites a
+// sealed segment. Dead bytes accrue as compactions and LDC merges drop
+// pointer entries (the same slice-accounting discipline LDC applies to
+// frozen regions).
+const ValueGCRatio = 0.5
+
 // startValueGC launches the background GC worker: every tick it asks the
-// value log for segments whose dead ratio crossed Options.BlobGCThreshold
+// value log for segments whose dead ratio crossed ValueGCRatio
 // and hands each to its owning shard. Not started when separation is off or
 // background work is disabled (RunValueGC still works then).
 func (db *DB) startValueGC() {
@@ -582,17 +588,17 @@ func (db *DB) startValueGC() {
 			case <-ticker.C:
 				// Busy skips and close races are normal here; real I/O
 				// errors already poisoned the owning shard.
-				_ = db.runValueGC(db.opts.BlobGCThreshold)
+				_ = db.runValueGC(ValueGCRatio)
 			}
 		}
 	}()
 }
 
 // RunValueGC runs one value-log GC pass: every sealed segment whose dead
-// ratio is at least Options.BlobGCThreshold has its live records relocated
+// ratio is at least ValueGCRatio has its live records relocated
 // and is deleted. Segments that cannot be quiesced in time are skipped for
 // a later pass, not reported as errors.
-func (db *DB) RunValueGC() error { return db.runValueGC(db.opts.BlobGCThreshold) }
+func (db *DB) RunValueGC() error { return db.runValueGC(ValueGCRatio) }
 
 // CompactValueLog forces a full sweep: every sealed segment is processed
 // regardless of dead ratio, relocating all live records forward. Used by
@@ -723,17 +729,3 @@ func (db *DB) CurrentProfile() Profile {
 	}
 	return p
 }
-
-// TableBytes reports the total size of live table files plus the frozen
-// region across all shards — the store's disk footprint (Fig 15).
-func (db *DB) TableBytes() int64 {
-	var n int64
-	for _, st := range db.shards {
-		n += st.TableBytes()
-	}
-	return n
-}
-
-// SliceThreshold reports the current T_s (shard 0's when adaptive tuning
-// has let shards diverge).
-func (db *DB) SliceThreshold() int { return db.shards[0].SliceThreshold() }

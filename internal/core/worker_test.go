@@ -110,7 +110,7 @@ func TestCompactRangeWithAutoCompactionDisabled(t *testing.T) {
 		t.Fatalf("CompactRange: %v", err)
 	}
 	// Quiescent: L0 must be within its trigger now.
-	if files := db.CurrentProfile().Levels[0].Files; files >= opts.L0CompactionTrigger {
+	if files := db.CurrentProfile().Levels[0].Files; files >= compaction.L0Trigger {
 		t.Errorf("L0 still has %d files after CompactRange", files)
 	}
 	checkContents(t, db, model, 500, "manual compaction")

@@ -22,9 +22,7 @@ import (
 func (db *store) initCommitPipeline() {
 	db.controller = commit.NewController(
 		commit.ControllerConfig{
-			MemTableSize:      db.opts.MemTableSize,
-			L0SlowdownTrigger: db.opts.L0SlowdownTrigger,
-			L0StopTrigger:     db.opts.L0StopTrigger,
+			MemTableSize: db.opts.MemTableSize,
 			// The debt term of the slowdown curve saturates when the tree
 			// owes a full level-1's worth of rewriting.
 			DebtCeiling: int64(db.opts.Fanout) * db.opts.SSTableSize,

@@ -200,7 +200,10 @@ func (c Cell) trial(seed int64, m *Measurement) (last *ycsb.Result, err error) {
 	m.Device = dev.Snapshot()
 	m.BlockReads = m.Stats.BlockReads - blockBase
 	m.FSBytes, _ = vfs.TotalBytes(opts.FS) // false only off vfs.Mem, which this is
-	m.TableBytes = db.TableBytes()
 	m.Profile = db.CurrentProfile()
+	m.TableBytes = m.Profile.FrozenBytes
+	for _, l := range m.Profile.Levels {
+		m.TableBytes += l.Bytes
+	}
 	return last, nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/commit"
 	"repro/internal/core"
 	"repro/internal/resp"
 )
@@ -211,52 +212,24 @@ func (c *conn) flushResponses() bool {
 	return c.w.Flush() == nil
 }
 
-// dispatch executes one command. Write commands are absorbed into the
-// pending batch with their ack queued; everything else first forces the
-// pending writes down (read-your-writes within a connection, and reply
-// ordering) and then answers directly.
+// dispatch executes one command. A well-formed write command is absorbed
+// into the pending batch with its ack queued; every other command — a
+// malformed write and QUIT included — first forces the pending writes down
+// (read-your-writes within a connection, and reply ordering) and then
+// answers directly.
 func (c *conn) dispatch(name string, cmd [][]byte) {
+	if c.queueWrite(name, cmd) {
+		return
+	}
+	if !c.flushWrites() {
+		return
+	}
 	switch name {
-	case "set":
-		if len(cmd) != 3 {
-			c.argErr(name)
-			return
-		}
-		c.pending.Set(cmd[1], cmd[2])
-		c.pendingOps++
-		c.replies = append(c.replies, pendingReply{kind: 'S'})
-		c.capPending()
-	case "del":
-		if len(cmd) < 2 {
-			c.argErr(name)
-			return
-		}
-		for _, k := range cmd[1:] {
-			c.pending.Delete(k)
-		}
-		c.pendingOps += int64(len(cmd) - 1)
-		// Deviation from Redis: the engine writes tombstones blindly, so
-		// DEL reports keys named, not keys that existed.
-		c.replies = append(c.replies, pendingReply{kind: 'I', n: int64(len(cmd) - 1)})
-		c.capPending()
-	case "mset":
-		if len(cmd) < 3 || len(cmd)%2 != 1 {
-			c.argErr(name)
-			return
-		}
-		for i := 1; i < len(cmd); i += 2 {
-			c.pending.Set(cmd[i], cmd[i+1])
-		}
-		c.pendingOps += int64(len(cmd) / 2)
-		c.replies = append(c.replies, pendingReply{kind: 'S'})
-		c.capPending()
-
+	case "set", "del", "mset":
+		c.argErr(name) // queueWrite takes every well-formed one
 	case "get":
 		if len(cmd) != 2 {
 			c.argErr(name)
-			return
-		}
-		if !c.flushWrites() {
 			return
 		}
 		val, err := c.srv.db.Get(cmd[1])
@@ -273,16 +246,10 @@ func (c *conn) dispatch(name string, cmd [][]byte) {
 			c.argErr(name)
 			return
 		}
-		if !c.flushWrites() {
-			return
-		}
 		c.cmdMGet(cmd[1:])
 	case "scan":
 		c.cmdScan(cmd)
 	case "dbsize":
-		if !c.flushWrites() {
-			return
-		}
 		n, err := c.dbSize()
 		if err != nil {
 			c.w.Error("ERR " + err.Error())
@@ -291,9 +258,6 @@ func (c *conn) dispatch(name string, cmd [][]byte) {
 		c.w.Int(n)
 
 	case "ping":
-		if !c.flushWrites() {
-			return
-		}
 		if len(cmd) > 1 {
 			c.w.Bulk(cmd[1])
 		} else {
@@ -304,14 +268,8 @@ func (c *conn) dispatch(name string, cmd [][]byte) {
 			c.argErr(name)
 			return
 		}
-		if !c.flushWrites() {
-			return
-		}
 		c.w.Bulk(cmd[1])
 	case "info":
-		if !c.flushWrites() {
-			return
-		}
 		section := ""
 		if len(cmd) > 1 {
 			section = string(cmd[1])
@@ -323,23 +281,14 @@ func (c *conn) dispatch(name string, cmd [][]byte) {
 	case "command":
 		// redis-cli probes COMMAND DOCS on connect; an empty array keeps it
 		// happy without modeling the whole command table.
-		if !c.flushWrites() {
-			return
-		}
 		c.w.Array(0)
 	case "config":
-		if !c.flushWrites() {
-			return
-		}
 		if len(cmd) >= 2 && c.commandName(cmd[1]) == "get" {
 			c.w.Array(0)
 		} else {
 			c.w.Error("ERR CONFIG subcommand not supported")
 		}
 	case "select":
-		if !c.flushWrites() {
-			return
-		}
 		if len(cmd) == 2 && string(cmd[1]) == "0" {
 			c.w.SimpleString("OK")
 		} else {
@@ -347,20 +296,42 @@ func (c *conn) dispatch(name string, cmd [][]byte) {
 		}
 	default:
 		c.srv.stats.unknownCmds.Add(1)
-		if !c.flushWrites() {
-			return
-		}
 		c.w.Error("ERR unknown command '" + string(cmd[0]) + "'")
 	}
 }
 
-// capPending bounds per-connection batch memory: an abusive pipeline of
-// writes is applied in MaxPipelineBytes slices. Acks are still emitted in
-// order, so the client cannot tell the difference.
-func (c *conn) capPending() {
-	if c.pending.Size() >= c.srv.cfg.MaxPipelineBytes {
+// queueWrite absorbs a well-formed SET, DEL or MSET into the pending batch
+// and queues its ack, reporting whether it did.
+func (c *conn) queueWrite(name string, cmd [][]byte) bool {
+	switch {
+	case name == "set" && len(cmd) == 3:
+		c.pending.Set(cmd[1], cmd[2])
+		c.pendingOps++
+		c.replies = append(c.replies, pendingReply{kind: 'S'})
+	case name == "del" && len(cmd) >= 2:
+		for _, k := range cmd[1:] {
+			c.pending.Delete(k)
+		}
+		c.pendingOps += int64(len(cmd) - 1)
+		// Deviation from Redis: the engine writes tombstones blindly, so
+		// DEL reports keys named, not keys that existed.
+		c.replies = append(c.replies, pendingReply{kind: 'I', n: int64(len(cmd) - 1)})
+	case name == "mset" && len(cmd) >= 3 && len(cmd)%2 == 1:
+		for i := 1; i < len(cmd); i += 2 {
+			c.pending.Set(cmd[i], cmd[i+1])
+		}
+		c.pendingOps += int64(len(cmd) / 2)
+		c.replies = append(c.replies, pendingReply{kind: 'S'})
+	default:
+		return false
+	}
+	// Bound per-connection batch memory: an abusive pipeline of writes is
+	// applied in slices of one commit group. Acks are still emitted in
+	// order, so the client cannot tell the difference.
+	if c.pending.Size() >= commit.MaxGroupBytes {
 		c.flushWrites()
 	}
+	return true
 }
 
 // cmdMGet answers MGET, reading the keys in request order. Missing or
@@ -400,9 +371,6 @@ func (c *conn) cmdScan(cmd [][]byte) {
 			return
 		}
 		count = min(n, math.MaxInt-1) // count+1 below must not overflow
-	}
-	if !c.flushWrites() {
-		return
 	}
 	var start []byte
 	if string(cmd[1]) != "0" {

@@ -56,11 +56,6 @@ type Config struct {
 	// DrainTimeout bounds Shutdown's wait for in-flight connections before
 	// it force-closes them (default 10s).
 	DrainTimeout time.Duration
-	// MaxPipelineBytes flushes a connection's pending write batch to the
-	// engine once its encoded size reaches this limit, bounding per-
-	// connection memory under abusive pipelines (default: the engine's
-	// default write-group cap, 1 MiB).
-	MaxPipelineBytes int
 }
 
 // Validate rejects nonsensical server configurations, wrapping
@@ -77,12 +72,6 @@ func (c Config) Validate() error {
 	}
 	if c.DrainTimeout < 0 {
 		return fmt.Errorf("%w: DrainTimeout is negative (%v)", core.ErrInvalidOptions, c.DrainTimeout)
-	}
-	if c.MaxPipelineBytes < 0 {
-		return fmt.Errorf("%w: MaxPipelineBytes is negative (%d)", core.ErrInvalidOptions, c.MaxPipelineBytes)
-	}
-	if c.MaxPipelineBytes > 0 && c.MaxPipelineBytes < 4<<10 {
-		return fmt.Errorf("%w: MaxPipelineBytes %d is below the 4 KiB floor", core.ErrInvalidOptions, c.MaxPipelineBytes)
 	}
 	return nil
 }
@@ -102,9 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 10 * time.Second
-	}
-	if c.MaxPipelineBytes == 0 {
-		c.MaxPipelineBytes = 1 << 20
 	}
 	return c
 }

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"net"
 	"strings"
@@ -20,17 +22,14 @@ import (
 // background compaction, not just the memtable.
 func smallOpts() core.Options {
 	return core.Options{
-		FS:                  vfs.Mem(),
-		Policy:              compaction.LDC,
-		MemTableSize:        8 << 10,
-		SSTableSize:         8 << 10,
-		Fanout:              4,
-		SliceLinkThreshold:  3,
-		L0CompactionTrigger: 4,
-		L0SlowdownTrigger:   8,
-		L0StopTrigger:       12,
-		BlockSize:           512,
-		BlockCacheSize:      1 << 20,
+		FS:                 vfs.Mem(),
+		Policy:             compaction.LDC,
+		MemTableSize:       8 << 10,
+		SSTableSize:        8 << 10,
+		Fanout:             4,
+		SliceLinkThreshold: 3,
+		BlockSize:          512,
+		BlockCacheSize:     1 << 20,
 	}
 }
 
@@ -391,6 +390,95 @@ func TestServerMaxConnsBackpressure(t *testing.T) {
 	}
 }
 
+// TestServerRepliesInCommandOrder sends one raw burst whose error replies
+// and QUIT's +OK follow writes still pending in the connection's batch: each
+// reply must wait for the acks of the commands before it.
+func TestServerRepliesInCommandOrder(t *testing.T) {
+	srv, addr, serveErr := startServer(t, Config{})
+	defer func() {
+		srv.Shutdown()
+		<-serveErr
+	}()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer nc.Close()
+	var burst []byte
+	for _, cmd := range [][]interface{}{
+		{"SET", "a", "1"},
+		{"SCAN", "0", "COUNT", "x"},
+		{"DEL", "a"},
+		{"SET", "b"},
+		{"QUIT"},
+	} {
+		if burst, err = resp.AppendCommand(burst, cmd...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := nc.Write(burst); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(nc) // QUIT closes the connection
+	if err != nil {
+		t.Fatalf("ReadAll: %v", err)
+	}
+	want := "+OK\r\n" +
+		"-ERR value is not an integer or out of range\r\n" +
+		":1\r\n" +
+		"-ERR wrong number of arguments for 'set' command\r\n" +
+		"+OK\r\n"
+	if string(got) != want {
+		t.Fatalf("replies = %q, want %q", got, want)
+	}
+}
+
+// TestServerCapsPipelinedBurst pipelines SETs worth more than one commit
+// group: the connection applies them in group-sized slices, and the client
+// still sees every ack in order and reads every key back.
+func TestServerCapsPipelinedBurst(t *testing.T) {
+	srv, addr, serveErr := startServer(t, Config{})
+	defer func() {
+		srv.Shutdown()
+		<-serveErr
+	}()
+	c := dial(t, addr)
+	defer c.Close()
+
+	const sets = 24
+	val := bytes.Repeat([]byte("v"), 64<<10) // 24 x 64 KiB = 1.5 x commit.MaxGroupBytes
+	p := c.Pipeline()
+	for i := 0; i < sets; i++ {
+		p.Do("SET", fmt.Sprintf("k%02d", i), val)
+	}
+	p.Do("PING") // a reply that must come after every ack
+	replies, err := p.Exec()
+	if err != nil {
+		t.Fatalf("Exec: %v", err)
+	}
+	if len(replies) != sets+1 {
+		t.Fatalf("got %d replies, want %d", len(replies), sets+1)
+	}
+	for i, r := range replies[:sets] {
+		if s, ok := r.(string); !ok || s != "OK" {
+			t.Fatalf("reply %d = %v, want OK", i, r)
+		}
+	}
+	if s, ok := replies[sets].(string); !ok || s != "PONG" {
+		t.Fatalf("last reply = %v, want PONG", replies[sets])
+	}
+	if m := srv.Metrics(); m.ApplyBatches < 2 || m.ApplyOps != sets {
+		t.Fatalf("%d ops in %d applies, want %d ops in at least 2", m.ApplyOps, m.ApplyBatches, sets)
+	}
+	for i := 0; i < sets; i++ {
+		got, err := c.Get([]byte(fmt.Sprintf("k%02d", i)))
+		if err != nil || !bytes.Equal(got, val) {
+			t.Fatalf("k%02d = %d bytes, %v; want the %d-byte value", i, len(got), err, len(val))
+		}
+	}
+}
+
 func TestServerProtocolError(t *testing.T) {
 	srv, addr, serveErr := startServer(t, Config{})
 	defer func() {
@@ -447,13 +535,11 @@ func TestConfigValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero value", Config{}, true},
-		{"explicit", Config{MaxConns: 16, IdleTimeout: time.Second, MaxPipelineBytes: 64 << 10}, true},
+		{"explicit", Config{MaxConns: 16, IdleTimeout: time.Second}, true},
 		{"negative MaxConns", Config{MaxConns: -1}, false},
 		{"negative IdleTimeout", Config{IdleTimeout: -time.Second}, false},
 		{"negative WriteTimeout", Config{WriteTimeout: -time.Second}, false},
 		{"negative DrainTimeout", Config{DrainTimeout: -time.Second}, false},
-		{"negative MaxPipelineBytes", Config{MaxPipelineBytes: -1}, false},
-		{"tiny MaxPipelineBytes", Config{MaxPipelineBytes: 100}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -120,11 +120,8 @@ func (s Stats) Totals() CatStats {
 	return t
 }
 
-// CompactionRead / CompactionWrite / FlushWrite are convenience accessors
-// for the experiment harness.
-func (s Stats) CompactionRead() int64  { return s.ByCategory[CatCompactionRead].ReadBytes }
-func (s Stats) CompactionWrite() int64 { return s.ByCategory[CatCompactionWrite].WriteBytes }
-func (s Stats) FlushWrite() int64      { return s.ByCategory[CatFlush].WriteBytes }
+// FlushWrite reports the bytes flushes wrote.
+func (s Stats) FlushWrite() int64 { return s.ByCategory[CatFlush].WriteBytes }
 
 // Device simulates one SSD as a shared, bandwidth-limited resource: every
 // operation reserves the device's virtual busy-line for its scaled
@@ -247,9 +244,6 @@ func Wrap(inner vfs.FS, dev *Device) *FS {
 func (s *FS) WithCategory(cat Category) *FS {
 	return &FS{inner: s.inner, dev: s.dev, cat: cat}
 }
-
-// Device returns the underlying device, for stats.
-func (s *FS) Device() *Device { return s.dev }
 
 // Inner returns the wrapped filesystem.
 func (s *FS) Inner() vfs.FS { return s.inner }

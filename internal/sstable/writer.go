@@ -224,9 +224,6 @@ func (w *Writer) EstimatedSize() int64 {
 	return int64(w.offset) + int64(w.data.EstimatedSize())
 }
 
-// Entries reports the number of entries added so far.
-func (w *Writer) Entries() int { return w.props.Entries }
-
 // Finish flushes everything and writes filter, index, and footer. It
 // returns the table's properties. The file is synced. Finish returns the
 // writer's buffers to the pool, so any later Add or Finish fails.

@@ -16,8 +16,6 @@ import (
 type Generator interface {
 	// Next returns the next item index.
 	Next() int64
-	// N reports the item space size.
-	N() int64
 }
 
 // NewUniform returns a uniform generator over [0, n).
@@ -31,7 +29,6 @@ type uniformGen struct {
 }
 
 func (u *uniformGen) Next() int64 { return u.rng.Int63n(u.n) }
-func (u *uniformGen) N() int64    { return u.n }
 
 // NewZipfian returns a Zipfian generator over [0, n) with the given
 // constant (theta). Item ranks are scrambled across the key space, as in
@@ -59,7 +56,6 @@ type stdZipfGen struct {
 }
 
 func (g *stdZipfGen) Next() int64 { return scramble(int64(g.z.Uint64()), g.n) }
-func (g *stdZipfGen) N() int64    { return g.n }
 
 // grayZipf is the classic YCSB zipfian sampler (Gray et al., "Quickly
 // generating billion-record synthetic databases"), valid for theta < 1.
@@ -105,8 +101,6 @@ func (g *grayZipf) Next() int64 {
 	}
 	return scramble(rank, g.n)
 }
-
-func (g *grayZipf) N() int64 { return g.n }
 
 // scramble hashes a rank into the item space so hot items are spread out.
 func scramble(rank, n int64) int64 {
