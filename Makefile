@@ -208,9 +208,9 @@ exhibits-smoke:
 # Non-test Go lines, the figures every PR reports its delta of (ROADMAP,
 # design axis): the engine, the repo's own vettool, and their total — last, so
 # a script that reads the last line reads the total. bench/ is the benchmark's
-# own module and is not counted. Before the total, "options" counts the
-# exported fields of the structs that configure the engine and its server,
-# as `go doc` lists them.
+# own module and is not in the total; "bench" prints its non-test lines apart.
+# Before the total, "options" counts the exported fields of the structs that
+# configure the engine and its server, as `go doc` lists them.
 LOCFIND := find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'
 OPTION_STRUCTS := core.Options compaction.Params commit.ControllerConfig commit.Options server.Config
 loc:
@@ -218,6 +218,7 @@ loc:
 	@echo "tools/ldclint $$($(LOCFIND) -path './tools/ldclint/*' | xargs cat | wc -l)"
 	@echo "options $$(for t in $(OPTION_STRUCTS); do $(GO) doc ./internal/$${t%.*} $${t#*.}; done | \
 		awk '/^type .* struct/ { s = 1; next } s && /^}/ { s = 0 } s && /^\t[A-Z]/ { n++ } END { print n }')"
+	@echo "bench $$(find ./bench -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
 	@$(LOCFIND) | xargs cat | wc -l
 
 # The benchmark spine's own smoke test (bench/ is a separate module, so the

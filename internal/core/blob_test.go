@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/compaction"
+	"repro/internal/keys"
 	"repro/internal/vfs"
 	"repro/internal/vlog"
 )
@@ -137,8 +139,8 @@ func TestBlobSeparationRoundTrip(t *testing.T) {
 }
 
 // TestBlobDisabledNoVlogArtifacts checks the layout-compatibility promise:
-// with BlobThreshold zero the database never creates a vlog directory or
-// any segment file, even for huge values.
+// with BlobThreshold zero the database never creates a value-log segment,
+// even for huge values.
 func TestBlobDisabledNoVlogArtifacts(t *testing.T) {
 	opts := smallOpts(compaction.LDC)
 	db := openTestDB(t, opts)
@@ -150,14 +152,12 @@ func TestBlobDisabledNoVlogArtifacts(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	names, _ := opts.FS.List("/db/vlog")
-	if len(names) != 0 {
-		t.Fatalf("vlog artifacts with separation disabled: %v", names)
-	}
-	names, _ = opts.FS.List("/db")
-	for _, name := range names {
-		if strings.Contains(name, "vlog") {
-			t.Fatalf("unexpected vlog entry in db dir: %v", names)
+	for _, dir := range []string{"/db", "/db/shard-0"} {
+		names, _ := opts.FS.List(dir)
+		for _, name := range names {
+			if strings.Contains(name, "vlog") || strings.Contains(name, "VLOG") {
+				t.Fatalf("unexpected vlog entry in %s: %v", dir, names)
+			}
 		}
 	}
 }
@@ -282,8 +282,8 @@ func TestBlobGCReclaimsDeadSegments(t *testing.T) {
 	}
 }
 
-// TestBlobShardedRoundTrip runs separation across a sharded database: one
-// shared log, per-shard writers, GC routed to each segment's owning shard.
+// TestBlobShardedRoundTrip runs separation across a sharded database: a
+// value log per shard, each collected by its own shard.
 func TestBlobShardedRoundTrip(t *testing.T) {
 	opts := blobOpts(compaction.LDC)
 	opts.Shards = 4
@@ -318,23 +318,55 @@ func TestBlobShardedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBlobRepartitionRejected plants a segment owned by a shard the
-// database does not have; Open must refuse rather than orphan the values.
-func TestBlobRepartitionRejected(t *testing.T) {
+// TestBlobCacheKeysArePerShard: segment numbers are per shard, so the first
+// value each of two shards separates sits at segment 1, offset 0 of its own
+// log. The shared block cache must keep the two apart — a cached value of
+// one shard must never answer a read of the other.
+func TestBlobCacheKeysArePerShard(t *testing.T) {
 	opts := blobOpts(compaction.LDC)
-	fs := opts.FS
-	if err := fs.MkdirAll("/db/vlog"); err != nil {
-		t.Fatal(err)
+	opts.Shards = 2
+	db := openTestDB(t, opts)
+	defer db.Close()
+	var byShard [2][]byte
+	for i := 0; byShard[0] == nil || byShard[1] == nil; i++ {
+		if sh := db.shardIndex(key(i)); byShard[sh] == nil {
+			byShard[sh] = key(i)
+		}
 	}
-	f, err := fs.Create(filepath.Join("/db/vlog", vlog.SegmentFileName(3, 1)))
-	if err != nil {
-		t.Fatal(err)
+	for sh, k := range byShard {
+		if err := db.Put(k, blobValue(sh, 200)); err != nil {
+			t.Fatal(err)
+		}
+		if p := rawPointer(t, db.shards[sh], k); p.Segment != 1 || p.Offset != 0 {
+			t.Fatalf("shard %d: pointer %s, want segment 1 at offset 0", sh, p)
+		}
 	}
-	_ = f.Close()
-	_, err = Open("/db", opts) // Shards unset → 1 shard, segment says 3
-	if !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("open = %v, want ErrInvalidOptions", err)
+	for round := 0; round < 2; round++ {
+		for sh, k := range byShard {
+			if got, err := db.Get(k); err != nil || !bytes.Equal(got, blobValue(sh, 200)) {
+				t.Fatalf("round %d: Get(%s) = %.20q, %v; want shard %d's value", round, k, got, err, sh)
+			}
+		}
 	}
+	if s := db.Stats(); s.BlobResolves != 4 || s.BlobResolveCacheHits != 2 {
+		t.Errorf("resolves %d, cache hits %d; want 4 and 2", s.BlobResolves, s.BlobResolveCacheHits)
+	}
+}
+
+// rawPointer returns the value-log pointer st's newest entry for key holds.
+func rawPointer(t *testing.T, st *store, key []byte) vlog.Pointer {
+	t.Helper()
+	rs := st.loadReadState()
+	defer rs.unref()
+	val, kind, found, _, err := st.entry(rs, new(readScratch), key, st.set.LastSeq())
+	if err != nil || !found || kind != keys.KindBlobRef {
+		t.Fatalf("entry of %s: kind %v, found %v, %v; want a pointer", key, kind, found, err)
+	}
+	p, ok := vlog.DecodePointer(val)
+	if !ok {
+		t.Fatalf("entry of %s: malformed pointer %x", key, val)
+	}
+	return p
 }
 
 // TestBlobTornVlogTail crashes with the value log's tail torn off (the
@@ -370,11 +402,11 @@ func TestBlobTornVlogTail(t *testing.T) {
 			st.stopBackgroundLocked()
 			st.mu.Unlock()
 
-			names, err := mem.List("/db/vlog")
-			if err != nil || len(names) == 0 {
-				t.Fatalf("no vlog segment: %v %v", names, err)
+			segs := shardSegments(t, mem, 0)
+			if len(segs) == 0 {
+				t.Fatal("no vlog segment")
 			}
-			seg := filepath.Join("/db/vlog", names[len(names)-1])
+			seg := segs[len(segs)-1]
 			switch corrupt {
 			case "tear":
 				// Drop half of the final record.
@@ -462,12 +494,13 @@ func TestValueGCRatioBoundary(t *testing.T) {
 					t.Fatalf("put %d: %v", i, err)
 				}
 			}
-			sealed := db.vlog.SealedSegments()
+			log := db.shards[0].vlog
+			sealed := log.SealedSegments()
 			if len(sealed) == 0 {
 				t.Fatal("no sealed segment to collect")
 			}
 			num := sealed[0]
-			seg, err := db.vlog.OpenSegment(num)
+			seg, err := log.OpenSegment(num)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -475,11 +508,11 @@ func TestValueGCRatioBoundary(t *testing.T) {
 			if err := seg.Close(); err != nil {
 				t.Fatal(err)
 			}
-			db.vlog.MarkDead(num, tc.dead(size))
+			log.MarkDead(num, tc.dead(size))
 			if err := db.RunValueGC(); err != nil {
 				t.Fatalf("gc: %v", err)
 			}
-			if _, kept := db.vlog.SegmentShard(num); kept == tc.collect {
+			if kept := slices.Contains(log.SealedSegments(), num); kept == tc.collect {
 				t.Fatalf("segment %d of %d bytes with %d dead: kept = %v, want %v",
 					num, size, tc.dead(size), kept, !tc.collect)
 			}
@@ -733,24 +766,41 @@ func TestBlobGCReaderTorture(t *testing.T) {
 	}
 }
 
-// firstSegment returns the path of the lowest-numbered value-log segment
-// that shard owns.
-func firstSegment(t *testing.T, fs vfs.FS, shard int) string {
+// shardSegments returns the paths of the value-log segments in the
+// directory of /db's shard, by ascending segment number.
+func shardSegments(t *testing.T, fs vfs.FS, shard int) []string {
 	t.Helper()
-	names, err := fs.List("/db/vlog")
+	dir := fmt.Sprintf("/db/shard-%d", shard)
+	names, err := fs.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, firstNum := "", uint64(0)
+	var nums []uint64
 	for _, name := range names {
-		if sh, num, ok := vlog.ParseSegmentFileName(name); ok && sh == shard && (first == "" || num < firstNum) {
-			first, firstNum = name, num
+		if sh, num, ok := vlog.ParseSegmentFileName(name); ok {
+			if sh != shard {
+				t.Fatalf("%s holds %s, a segment of shard %d", dir, name, sh)
+			}
+			nums = append(nums, num)
 		}
 	}
-	if first == "" {
-		t.Fatalf("shard %d owns no segment in %v", shard, names)
+	slices.Sort(nums)
+	paths := make([]string, len(nums))
+	for i, num := range nums {
+		paths[i] = filepath.Join(dir, vlog.SegmentFileName(shard, num))
 	}
-	return filepath.Join("/db/vlog", first)
+	return paths
+}
+
+// firstSegment returns the path of the lowest-numbered value-log segment
+// of shard.
+func firstSegment(t *testing.T, fs vfs.FS, shard int) string {
+	t.Helper()
+	segs := shardSegments(t, fs, shard)
+	if len(segs) == 0 {
+		t.Fatalf("shard %d has no value-log segment", shard)
+	}
+	return segs[0]
 }
 
 // TestBlobGCOnlyOlderReadersBlock pins the liveness rule for value-log

@@ -38,21 +38,19 @@ var (
 	ErrClosed = errors.New("ldc: database closed")
 )
 
-// store is one shard's complete engine: memtable + WAL segment + group-
-// commit pipeline + read state + version set + background workers, rooted
-// at the database's shard-<id> directory. The public DB (router.go) is a
-// thin hash router over Options.Shards of these. All methods are safe for
-// concurrent use.
+// store is one shard's complete engine: memtable + WAL + value log +
+// group-commit pipeline + read state + version set + table readers +
+// background workers, all in the database's shard-<id> directory. The
+// public DB (router.go) is a thin hash router over Options.Shards of these.
+// All methods are safe for concurrent use.
 type store struct {
 	opts Options
 	dir  string
 	icmp keys.InternalComparer
 
-	// Shard identity. shardID is this store's index in the router; walDir is
-	// the directory holding its WAL segments, where all shards' segments
-	// live side by side under SHARD-<id>-<num>.log names.
+	// shardID is this store's index in the router; it names the value-log
+	// segments and namespaces the shard's keys in the shared block cache.
 	shardID int
-	walDir  string
 
 	// Category-tagged filesystem views (identical when the FS is not an
 	// SSD simulator).
@@ -66,15 +64,15 @@ type store struct {
 	set      *version.Set
 	picker   *compaction.Picker
 	adaptive *adaptiveThreshold
-	tables   *shardTables
+	// tables holds the shard's table readers; its block cache, the one
+	// resource the shards share, also caches decoded vlog values under the
+	// blobCacheBit namespace.
+	tables *tableCache
 
-	// vlog is the database-wide value log (router-owned, nil when value
-	// separation is disabled and no segments exist on disk); vlogw is this
-	// shard's appender into it. blockCache caches decoded vlog values under
-	// the blobCacheBit namespace, sharing capacity with table blocks.
-	vlog       *vlog.Log
-	vlogw      *vlog.Writer
-	blockCache *cache.Cache
+	// vlog is this shard's value log (nil when value separation is disabled
+	// and no segments exist in the shard's directory); vlogw is its appender.
+	vlog  *vlog.Log
+	vlogw *vlog.Writer
 
 	// rotateForced asks the next commit leader to rotate the memtable even
 	// though it is not full (the GC flush barrier sets it; see forceRotate).
@@ -162,38 +160,16 @@ type store struct {
 	stats counters
 }
 
-// storeConfig places one shard on disk: its root directory (MANIFEST,
-// CURRENT, tables), the shared WAL directory, and its slot in the shared
-// table cache.
-type storeConfig struct {
-	dir     string
-	walDir  string
-	shardID int
-	// vlog is the database-wide value log (nil = separation off and no
-	// segments on disk); blockCache is the shared block cache, used here to
-	// cache decoded vlog values.
-	vlog       *vlog.Log
-	blockCache *cache.Cache
-}
-
-// openStore opens (creating if necessary) one shard engine. Options are
-// already validated and defaulted by the router's Open; tables is the
-// database-wide shared table cache (which carries the shared block cache).
-func openStore(cfg storeConfig, opts Options, tables *tableCache) (*store, error) {
+// openStore opens (creating if necessary) shard shardID's engine in dir.
+// Options are already validated and defaulted by the router's Open;
+// blockCache is the database's shared block cache.
+func openStore(dir string, shardID int, opts Options, blockCache *cache.Cache) (_ *store, err error) {
 	icmp := internalComparer
-	dir := cfg.dir
-
 	db := &store{
 		opts:    opts,
 		dir:     dir,
 		icmp:    icmp,
-		shardID: cfg.shardID,
-		walDir:  cfg.walDir,
-	}
-	if cfg.vlog != nil {
-		db.vlog = cfg.vlog
-		db.vlogw = cfg.vlog.NewWriter(cfg.shardID)
-		db.blockCache = cfg.blockCache
+		shardID: shardID,
 	}
 	db.mu.Rank("core.store.mu", 30)
 	db.snapshots.mu.Rank("core.snapshots.mu", 50)
@@ -206,8 +182,50 @@ func openStore(cfg storeConfig, opts Options, tables *tableCache) (*store, error
 	if err := db.fsMeta.MkdirAll(dir); err != nil {
 		return nil, err
 	}
+	// One listing of the directory finds the WALs recovery replays, the
+	// value-log segments that keep the log open, and the orphan tables.
+	names, err := db.fsMeta.List(dir)
+	if err != nil {
+		return nil, err
+	}
+	var logs []uint64
+	hasSegments := false
+	for _, name := range names {
+		if typ, num := version.ParseFileName(name); typ == version.TypeLog {
+			logs = append(logs, num)
+		} else if _, _, ok := vlog.ParseSegmentFileName(name); ok {
+			hasSegments = true
+		}
+	}
+	slices.Sort(logs)
 
-	db.tables = tables.forShard(cfg.shardID, dir, &db.stats.ReadStats)
+	// The value log opens when separation is enabled — or when disabled but
+	// segments exist, so a shard that once separated values keeps resolving
+	// its old pointers after the knob is turned off. Appends sit on the
+	// foreground write path exactly like WAL records, and GC segment scans
+	// are relocation reads like a compaction's input reads, so each is
+	// accounted in that device category.
+	if opts.BlobThreshold > 0 || hasSegments {
+		db.vlog, err = vlog.Open(db.fsWAL, dir, vlog.Options{
+			SegmentSize: opts.BlobSegmentSize,
+			ReadFS:      db.fsUser,
+			ScanFS:      db.fsCompR,
+		})
+		if err != nil {
+			return nil, err
+		}
+		db.vlogw = db.vlog.NewWriter(shardID)
+		defer func() {
+			if err != nil {
+				_ = db.vlog.Close() // the open error is the one to report
+			}
+		}()
+	}
+
+	db.tables = &tableCache{
+		fs: db.fsUser, icmp: icmp, blockCache: blockCache,
+		shard: shardID, dir: dir, reads: &db.stats.ReadStats,
+	}
 	db.set = version.NewSet(db.fsMeta, dir, icmp)
 	db.picker = compaction.NewPicker(opts.Policy, opts.compactionParams(), icmp)
 	if opts.AdaptiveThreshold && opts.Policy == compaction.LDC {
@@ -216,6 +234,7 @@ func openStore(cfg storeConfig, opts Options, tables *tableCache) (*store, error
 	}
 
 	if db.fsMeta.Exists(version.CurrentFileName(dir)) {
+		db.logs = logs
 		if err := db.recover(); err != nil {
 			return nil, err
 		}
@@ -241,9 +260,7 @@ func openStore(cfg storeConfig, opts Options, tables *tableCache) (*store, error
 		return nil, err
 	}
 
-	if err := db.removeOrphanTables(); err != nil {
-		return nil, err
-	}
+	db.removeOrphanTables(names)
 	db.deleteObsoleteFiles()
 	db.initCommitPipeline()
 	// Publish the initial read state before the DB (and its workers) become
@@ -265,70 +282,35 @@ func (db *store) initFS(fs vfs.FS) {
 	db.fsMeta = categorized(fs, ssdsim.CatOther)
 }
 
-// removeOrphanTables deletes every table file in the shard's directory that
-// the recovered version does not reference. The obsolete list lives only in
-// memory, so these are the files a crash left behind: tables whose removal
-// was pending, and the outputs of a flush or compaction that never committed
-// its edit. Only valid before the workers start — a running job's outputs
-// are in no version until its edit lands.
-func (db *store) removeOrphanTables() error {
-	names, err := db.fsMeta.List(db.dir)
-	if err != nil {
-		return err
-	}
+// removeOrphanTables deletes every table file among names, the shard
+// directory as Open found it, that the recovered version does not reference.
+// The obsolete list lives only in memory, so these are the files a crash
+// left behind: tables whose removal was pending, and the outputs of a flush
+// or compaction that never committed its edit. Only valid before the
+// workers start — a running job's outputs are in no version until its edit
+// lands.
+func (db *store) removeOrphanTables(names []string) {
 	live := db.set.LiveFileNums()
 	for _, name := range names {
 		if typ, num := version.ParseFileName(name); typ == version.TypeTable && !live[num] {
 			_ = db.fsMeta.Remove(version.TableFileName(db.dir, num)) // best effort; the next Open retries
 		}
 	}
-	return nil
 }
 
-// logFileName returns the path of this shard's WAL file num,
-// SHARD-<id>-NNNNNN.log in the shared WAL directory.
+// logFileName returns the path of this shard's WAL file num.
 func (db *store) logFileName(num uint64) string {
-	return version.ShardLogFileName(db.walDir, db.shardID, num)
+	return version.LogFileName(db.dir, num)
 }
 
-// listLogs returns the WAL segment numbers belonging to this shard that are
-// present in the WAL directory, ascending. The directory holds every
-// shard's segments; names route each segment to its shard. Only recovery
-// lists: from then on the store tracks its WALs in db.logs.
-func (db *store) listLogs() ([]uint64, error) {
-	names, err := db.fsMeta.List(db.walDir)
-	if err != nil {
-		return nil, err
-	}
-	var logs []uint64
-	for _, name := range names {
-		if num, ok := db.parseLogName(name); ok {
-			logs = append(logs, num)
-		}
-	}
-	slices.Sort(logs)
-	return logs, nil
-}
-
-// parseLogName reports whether a bare file name is one of this shard's WAL
-// segments, and its number.
-func (db *store) parseLogName(name string) (uint64, bool) {
-	sh, num, ok := version.ParseShardLogName(name)
-	return num, ok && sh == db.shardID
-}
-
-// recover loads the MANIFEST then replays WALs newer than its floor.
+// recover loads the MANIFEST then replays the WALs in db.logs newer than
+// its floor.
 func (db *store) recover() error {
 	if err := db.set.Recover(); err != nil {
 		return err
 	}
 	db.mem = memtable.New(db.icmp)
 
-	logs, err := db.listLogs()
-	if err != nil {
-		return err
-	}
-	db.logs = logs
 	floor := db.set.LogNum()
 	for _, num := range db.logs {
 		if num < floor {
@@ -508,8 +490,8 @@ func (db *store) Close() error {
 			}
 			db.logFile = nil
 		}
-		// Seal this shard's active vlog segment (sync + close); the Log
-		// itself is shared and closed by the router after every shard.
+		// Seal this shard's active vlog segment (sync + close); the Log's
+		// read handles close once the readers below have drained.
 		if db.vlogw != nil {
 			if err := db.vlogw.Close(); db.closeErr == nil {
 				db.closeErr = err
@@ -530,7 +512,12 @@ func (db *store) Close() error {
 		// job's cleanup ran; no later job will come for them (DESIGN,
 		// "Liveness").
 		db.deleteObsoleteFiles()
-		db.tables.closeShard()
+		db.tables.close()
+		if db.vlog != nil {
+			if err := db.vlog.Close(); db.closeErr == nil {
+				db.closeErr = err
+			}
+		}
 		if err := db.set.Close(); db.closeErr == nil {
 			db.closeErr = err
 		}
@@ -713,7 +700,9 @@ func (db *store) entry(rs *readState, sc *readScratch, key []byte, seq keys.Seq)
 
 // blobCacheBit namespaces decoded vlog values inside the shared block
 // cache: table blocks key by (file number | shard<<48, offset) with shard
-// ids below 256, so bit 63 is never set by a table-block key.
+// ids below 256, so bit 63 is never set by a table-block key. Segment
+// numbers are per shard like file numbers, so a value's key carries the
+// shard bits too: (segment | shard<<48 | blobCacheBit, offset).
 const blobCacheBit = uint64(1) << 63
 
 // resolveBlob materializes a pointer entry's value from the value log,
@@ -728,15 +717,13 @@ func (db *store) resolveBlob(ptr []byte) ([]byte, error) {
 	if db.vlog == nil {
 		return nil, fmt.Errorf("ldc: blob pointer %s with no value log", p)
 	}
-	ck := cache.Key{FileNum: p.Segment | blobCacheBit, Offset: p.Offset}
-	if db.blockCache != nil {
-		if v, hit := db.blockCache.Get(ck); hit {
-			db.stats.BlobResolves.Add(1)
-			db.stats.BlobResolveCacheHits.Add(1)
-			return append([]byte(nil), v...), nil
-		}
-	}
+	bc := db.tables.blockCache
+	ck := cache.Key{FileNum: db.tables.cacheNum(p.Segment) | blobCacheBit, Offset: p.Offset}
 	db.stats.BlobResolves.Add(1)
+	if v, hit := bc.Get(ck); hit {
+		db.stats.BlobResolveCacheHits.Add(1)
+		return append([]byte(nil), v...), nil
+	}
 	r := db.vlog.GetReader()
 	_, value, err := r.Read(p)
 	if err != nil {
@@ -745,9 +732,7 @@ func (db *store) resolveBlob(ptr []byte) ([]byte, error) {
 	}
 	cached := append([]byte(nil), value...)
 	r.Release()
-	if db.blockCache != nil {
-		db.blockCache.Set(ck, cached, int64(len(cached)))
-	}
+	bc.Set(ck, cached, int64(len(cached)))
 	return append([]byte(nil), cached...), nil
 }
 
@@ -860,7 +845,7 @@ func (db *store) searchTables(v *version.Version, sc *readScratch, sk keys.Inter
 // tableProbe is the per-table point lookup: bloom filter, then the reader's
 // direct index→data-block probe (no iterator construction), both with what
 // sc carries. table is the reader slot of the meta that named file num in the
-// caller's pinned version (shardTables.through), nil for a slice window's
+// caller's pinned version (tableCache.through), nil for a slice window's
 // frozen file, which is looked up by number. The returned value aliases the
 // data block — callers copy only what they return. The entry sequence orders
 // candidates across overlapping slice windows.
@@ -936,12 +921,17 @@ func (db *store) smallestSnapshot() keys.Seq {
 // ---------------------------------------------------------------------------
 // Misc accessors
 
-// Stats returns this shard's counters: its counter block and the
-// controller's stall accounting, read once, with the ratios derived. The
-// router sums these; the shared block cache and value log are folded in
+// Stats returns this shard's counters: its counter block, its value log's
+// state and the controller's stall accounting, read once, with the ratios
+// derived. The router sums these; the shared block cache is folded in
 // there, once.
 func (db *store) Stats() Stats {
 	s := db.stats.snapshot()
+	if db.vlog != nil {
+		vs := db.vlog.Stats()
+		s.VlogSegments, s.VlogTotalBytes = vs.Segments, vs.TotalBytes
+		s.VlogDeadBytes, s.VlogAppendedBytes = vs.DeadBytes, vs.AppendedBytes
+	}
 	if db.controller != nil {
 		cm := db.controller.Metrics()
 		s.SlowdownCount = cm.Slowdowns

@@ -22,14 +22,14 @@ type Options struct {
 	Policy compaction.Policy
 
 	// Shards hash-partitions the store into this many independent engines —
-	// each with its own memtable, WAL segment, group-commit pipeline, read
-	// state, stall controller, flush worker and compaction worker — behind
-	// one DB facade, sharing a single block cache and table cache. 0 means
-	// one shard on creation and the recorded count on reopen; one shard has
-	// the same on-disk layout as many. Counts are rounded up to the next
-	// power of two (mirroring the block cache's shard clamping) so key
-	// routing is a mask, and clamped to MaxShards. The count is fixed at
-	// creation and recorded on disk (LDC_SHARDS); reopening with a
+	// each with its own directory, memtable, WAL, value log, group-commit
+	// pipeline, read state, table readers, stall controller, flush worker
+	// and compaction worker — behind one DB facade, sharing only the block
+	// cache. 0 means one shard on creation and the recorded count on reopen;
+	// one shard has the same on-disk layout as many. Counts are rounded up
+	// to the next power of two (mirroring the block cache's shard clamping)
+	// so key routing is a mask, and clamped to MaxShards. The count is fixed
+	// at creation and recorded on disk (LDC_SHARDS); reopening with a
 	// conflicting explicit value fails.
 	Shards int
 
@@ -65,7 +65,7 @@ type Options struct {
 	BlockCacheSize int64
 
 	// BlobThreshold enables value separation: values at or above this many
-	// bytes are appended to the shared value log (internal/vlog) inside
+	// bytes are appended to the shard's value log (internal/vlog) inside
 	// the group-commit leader's critical section, and the LSM stores a
 	// 20-byte pointer entry instead — so flushes and compactions move
 	// pointers, not kilobytes. 0 (default) disables separation; existing

@@ -19,7 +19,6 @@ import (
 	"repro/internal/ssdsim"
 	"repro/internal/version"
 	"repro/internal/vfs"
-	"repro/internal/vlog"
 )
 
 // DB is the public key-value store: a thin router over Options.Shards
@@ -28,10 +27,10 @@ import (
 // table — so point operations forward to one engine, batches split into
 // per-shard sub-batches committed through each shard's own group-commit
 // pipeline, and ordered scans merge the shards' iterators. Shards share
-// one block cache and one table cache; everything else (memtable, WAL
-// segment, commit pipeline, read state, stall controller, version set,
-// flush and compaction worker) is per shard, so shards flush, commit, and
-// compact independently.
+// only the block cache; everything else (memtable, WAL, value log, commit
+// pipeline, read state, stall controller, version set, table readers,
+// flush and compaction worker) is per shard and its files live in the
+// shard's directory, so shards flush, commit, and compact independently.
 //
 // Cross-shard semantics (the sequence/visibility rule):
 //
@@ -57,13 +56,10 @@ type DB struct {
 	mask   uint64 // len(shards)-1; len is a power of two
 
 	blockCache *cache.Cache
-	tables     *tableCache
 
-	// vlog is the database-wide value log (WiscKey-style value separation);
-	// nil when Options.BlobThreshold is 0 and no segments exist on disk.
-	// The background GC worker (startValueGC) and the manual RunValueGC /
-	// CompactValueLog entry points serialize passes through gcMu.
-	vlog   *vlog.Log
+	// The background value-log GC worker (startValueGC) and the manual
+	// RunValueGC / CompactValueLog entry points serialize passes through
+	// gcMu.
 	gcMu   invariants.Mutex
 	gcStop chan struct{}
 	gcWG   sync.WaitGroup
@@ -111,57 +107,22 @@ func Open(dir string, opts Options) (*DB, error) {
 	db.gcMu.Rank("core.db.gcMu", 20)
 	db.splits.New = func() any { return newApplySplit(db) }
 	db.blockCache = opts.newBlockCache()
-	db.tables = newTableCache(categorized(opts.FS, ssdsim.CatUserRead), internalComparer, db.blockCache)
 
 	// fail unwinds a partial open; the open error wins over any unwind error.
 	fail := func(err error) (*DB, error) {
 		for _, st := range db.shards {
 			_ = st.Close()
 		}
-		db.closeVlog()
 		return nil, err
 	}
 
-	// The value log opens when separation is enabled — or when disabled but
-	// segments exist on disk, so a database that once separated values keeps
-	// resolving its old pointers after the knob is turned off. With neither,
-	// no vlog directory is ever created.
-	vlogDir := filepath.Join(dir, "vlog")
-	if opts.BlobThreshold > 0 || vlogDirHasSegments(meta, vlogDir) {
-		if err := meta.MkdirAll(vlogDir); err != nil {
-			return fail(err)
-		}
-		// Appends sit on the foreground write path exactly like WAL records,
-		// and GC segment scans are relocation reads like a compaction's
-		// input reads, so each is accounted in that device category.
-		db.vlog, err = vlog.Open(categorized(opts.FS, ssdsim.CatWAL), vlogDir, vlog.Options{
-			SegmentSize: opts.BlobSegmentSize,
-			ReadFS:      categorized(opts.FS, ssdsim.CatUserRead),
-			ScanFS:      categorized(opts.FS, ssdsim.CatCompactionRead),
-		})
-		if err != nil {
-			return fail(err)
-		}
-		if max := db.vlog.MaxShard(); max >= n {
-			return fail(fmt.Errorf("%w: value log holds segments for shard %d but the database has %d shards",
-				ErrInvalidOptions, max, n))
-		}
-	}
-
-	// Every shard gets a directory of its own; their WAL segments share one
-	// directory, and the marker records their count.
-	walDir := filepath.Join(dir, "wal")
-	if err := meta.MkdirAll(walDir); err != nil {
-		return fail(err)
-	}
+	// The marker records the shard count; every shard's files live in a
+	// directory of its own.
 	if err := writeShardsMarker(meta, dir, n); err != nil {
 		return fail(err)
 	}
 	for i := 0; i < n; i++ {
-		st, err := openStore(storeConfig{
-			dir: filepath.Join(dir, fmt.Sprintf("shard-%d", i)), walDir: walDir, shardID: i,
-			vlog: db.vlog, blockCache: db.blockCache,
-		}, opts, db.tables)
+		st, err := openStore(filepath.Join(dir, fmt.Sprintf("shard-%d", i)), i, opts, db.blockCache)
 		if err != nil {
 			return fail(fmt.Errorf("ldc: open shard %d: %w", i, err))
 		}
@@ -169,22 +130,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	db.startValueGC()
 	return db, nil
-}
-
-// vlogDirHasSegments reports whether dir holds at least one value-log
-// segment file — the reopen signal that forces the log open even with
-// separation disabled.
-func vlogDirHasSegments(fs vfs.FS, dir string) bool {
-	names, err := fs.List(dir)
-	if err != nil {
-		return false
-	}
-	for _, name := range names {
-		if _, _, ok := vlog.ParseSegmentFileName(name); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // categorized returns the view of fs whose I/O the SSD simulator accounts
@@ -201,6 +146,15 @@ func categorized(fs vfs.FS, cat ssdsim.Category) vfs.FS {
 // whatever the database has"), normalized its defaulted form. It creates
 // nothing, so a refused directory is left as it was found.
 func resolveShardCount(fs vfs.FS, dir string, requested, normalized int) (int, error) {
+	// Files in a root wal/ or vlog/ are a database in the retired shared
+	// layout, its WAL tails and values outside the shard directories: the
+	// shards would open empty of them and silently drop them.
+	for _, shared := range []string{"wal", "vlog"} {
+		if names, _ := fs.List(filepath.Join(dir, shared)); len(names) > 0 {
+			return 0, fmt.Errorf("%w: %s holds a database in the retired shared layout (files in %s/), which this version does not open",
+				ErrInvalidOptions, dir, shared)
+		}
+	}
 	recorded, found, err := readShardsMarker(fs, dir)
 	if err != nil {
 		return 0, err
@@ -537,20 +491,8 @@ func (db *DB) Close() error {
 				db.closeErr = err
 			}
 		}
-		db.closeVlog()
 	})
 	return db.closeErr
-}
-
-// closeVlog closes the value log (per-shard writers were already closed by
-// the shards). Folds the error into closeErr; safe with no vlog.
-func (db *DB) closeVlog() {
-	if db.vlog == nil {
-		return
-	}
-	if err := db.vlog.Close(); db.closeErr == nil {
-		db.closeErr = err
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -567,12 +509,12 @@ const valueGCInterval = 10 * time.Second
 // frozen regions).
 const ValueGCRatio = 0.5
 
-// startValueGC launches the background GC worker: every tick it asks the
-// value log for segments whose dead ratio crossed ValueGCRatio
-// and hands each to its owning shard. Not started when separation is off or
-// background work is disabled (RunValueGC still works then).
+// startValueGC launches the background GC worker: every tick each shard
+// collects the segments of its value log whose dead ratio crossed
+// ValueGCRatio. Not started when separation is off or background work is
+// disabled (RunValueGC still works then).
 func (db *DB) startValueGC() {
-	if db.vlog == nil || db.opts.BlobThreshold <= 0 || db.opts.DisableAutoCompaction {
+	if db.opts.BlobThreshold <= 0 || db.opts.DisableAutoCompaction {
 		return
 	}
 	db.gcStop = make(chan struct{})
@@ -594,10 +536,10 @@ func (db *DB) startValueGC() {
 	}()
 }
 
-// RunValueGC runs one value-log GC pass: every sealed segment whose dead
-// ratio is at least ValueGCRatio has its live records relocated
-// and is deleted. Segments that cannot be quiesced in time are skipped for
-// a later pass, not reported as errors.
+// RunValueGC runs one value-log GC pass over every shard: every sealed
+// segment whose dead ratio is at least ValueGCRatio has its live records
+// relocated and is deleted. Segments that cannot be quiesced in time are
+// skipped for a later pass, not reported as errors.
 func (db *DB) RunValueGC() error { return db.runValueGC(ValueGCRatio) }
 
 // CompactValueLog forces a full sweep: every sealed segment is processed
@@ -609,31 +551,16 @@ func (db *DB) CompactValueLog() error { return db.runValueGC(-1) }
 // segment. Serialized by gcMu so the ticker and manual calls never process
 // one segment twice concurrently.
 func (db *DB) runValueGC(threshold float64) error {
-	if db.vlog == nil {
-		return nil
-	}
 	db.gcMu.Lock()
 	defer db.gcMu.Unlock()
-	var nums []uint64
-	if threshold < 0 {
-		nums = db.vlog.SealedSegments()
-	} else {
-		nums = db.vlog.Candidates(threshold)
-	}
-	for _, num := range nums {
-		shard, ok := db.vlog.SegmentShard(num)
-		if !ok || shard >= len(db.shards) {
-			continue // deleted since listing, or foreign shard (rejected at Open)
-		}
-		if err := db.shards[shard].vlogGCSegment(num); err != nil {
-			if errors.Is(err, errGCBusy) {
+	for _, st := range db.shards {
+		if err := st.runValueGC(threshold); err != nil {
+			if errors.Is(err, errGCBusy) || errors.Is(err, ErrClosed) {
 				// Quiescing usually fails for a database-wide reason (a
 				// long-lived iterator or snapshot pins every deletion), so
-				// paying the barrier timeout once per segment would turn one
-				// busy pass into minutes. End the pass; the next one retries.
-				return nil
-			}
-			if errors.Is(err, ErrClosed) {
+				// paying the barrier timeout once per segment or per shard
+				// would turn one busy pass into minutes. End the pass; the
+				// next one retries.
 				return nil
 			}
 			return err
@@ -676,18 +603,11 @@ func (db *DB) WaitIdle() {
 // Introspection
 
 // Stats is the sum of the shards' Stats (ShardStats), plus what only the
-// database has: the shared block cache's and value log's own counters and
-// the merged latency histograms. Ratios are derived from the sums.
+// database has: the shared block cache's counters and the merged latency
+// histograms. Ratios are derived from the sums.
 func (db *DB) Stats() Stats {
 	s := aggregateStats(db.ShardStats())
-	if db.blockCache != nil {
-		s.BlockCacheHits, s.BlockCacheMisses = db.blockCache.Stats()
-	}
-	if db.vlog != nil {
-		vs := db.vlog.Stats()
-		s.VlogSegments, s.VlogTotalBytes = vs.Segments, vs.TotalBytes
-		s.VlogDeadBytes, s.VlogAppendedBytes = vs.DeadBytes, vs.AppendedBytes
-	}
+	s.BlockCacheHits, s.BlockCacheMisses = db.blockCache.Stats()
 	s.derive()
 	// Distributions cannot be summed field-by-field: merge the shards' raw
 	// histograms, then snapshot.
@@ -702,8 +622,9 @@ func (db *DB) Stats() Stats {
 }
 
 // ShardStats returns one Stats snapshot per shard — the per-shard
-// breakdown behind the aggregated Stats. The shared folds (block cache,
-// value-log state) are zero in the breakdown: they appear once, in Stats.
+// breakdown behind the aggregated Stats. The block cache's counters are
+// zero in the breakdown: the cache is shared, so they appear once, in
+// Stats.
 func (db *DB) ShardStats() []Stats {
 	per := make([]Stats, len(db.shards))
 	for i, st := range db.shards {

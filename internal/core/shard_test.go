@@ -16,6 +16,7 @@ import (
 	"repro/internal/compaction"
 	"repro/internal/version"
 	"repro/internal/vfs"
+	"repro/internal/vlog"
 )
 
 // shardOpts returns smallOpts with a shard count, each DB on its own
@@ -240,45 +241,68 @@ func TestShardMarker(t *testing.T) {
 	}
 }
 
-// TestRetiredLayoutRefused: a directory with a root CURRENT and no marker
-// holds a database in the retired single-shard layout. Open refuses it
-// whatever Shards asks for, and creates nothing there first — an empty
-// store must not appear beside the old files.
+// TestRetiredLayoutRefused: Open refuses a database in a retired layout
+// whatever Shards asks for, and creates nothing there first — an empty store
+// must not appear beside the old files. A root CURRENT with no marker is the
+// single-shard layout; a root wal/ or vlog/ holding files is the shared
+// layout, whose WAL tails and values the shards would not see (a segment of
+// shard 3 in a store whose marker says one shard included).
 func TestRetiredLayoutRefused(t *testing.T) {
-	for _, shards := range []int{0, 1, 4} {
-		t.Run(fmt.Sprint(shards), func(t *testing.T) {
-			dir := t.TempDir()
-			fs := vfs.OS()
-			for _, name := range []string{"CURRENT", "MANIFEST-000002", "000003.log", "000004.sst"} {
-				writeFile(t, fs, filepath.Join(dir, name), "old\n")
-			}
-			before := treeOf(t, dir)
-			opts := shardOpts(shards)
-			opts.FS = fs
-			db, err := Open(dir, opts)
-			if err == nil {
-				_ = db.Close()
-			}
-			if !errors.Is(err, ErrInvalidOptions) || !strings.Contains(err.Error(), "retired single-shard layout") {
-				t.Errorf("Open = %v, want ErrInvalidOptions naming the retired layout", err)
-			}
-			if after := treeOf(t, dir); !slices.Equal(after, before) {
-				t.Errorf("refused Open changed the directory: %v, was %v", after, before)
-			}
-		})
+	marker := func(n int) string { return fmt.Sprintf("shards %d\n", n) }
+	for _, tc := range []struct {
+		name   string
+		files  map[string]string
+		layout string
+	}{
+		{"single-shard", map[string]string{
+			"CURRENT": "old\n", "MANIFEST-000002": "old\n", "000003.log": "old\n", "000004.sst": "old\n",
+		}, "retired single-shard layout"},
+		{"shared-wal", map[string]string{
+			shardsFileName: marker(1), "shard-0/CURRENT": "old\n", "wal/SHARD-0-000003.log": "old\n",
+		}, "retired shared layout"},
+		{"shared-vlog", map[string]string{
+			shardsFileName: marker(1), "shard-0/CURRENT": "old\n", "vlog/" + vlog.SegmentFileName(3, 1): "old\n",
+		}, "retired shared layout"},
+	} {
+		for _, shards := range []int{0, 1, 4} {
+			t.Run(fmt.Sprintf("%s/%d", tc.name, shards), func(t *testing.T) {
+				dir := t.TempDir()
+				fs := vfs.OS()
+				for name, content := range tc.files {
+					if err := fs.MkdirAll(filepath.Dir(filepath.Join(dir, name))); err != nil {
+						t.Fatal(err)
+					}
+					writeFile(t, fs, filepath.Join(dir, name), content)
+				}
+				before := treeOf(t, dir)
+				opts := shardOpts(shards)
+				opts.FS = fs
+				db, err := Open(dir, opts)
+				if err == nil {
+					_ = db.Close()
+				}
+				if !errors.Is(err, ErrInvalidOptions) || !strings.Contains(err.Error(), tc.layout) {
+					t.Errorf("Open = %v, want ErrInvalidOptions naming the %s", err, tc.layout)
+				}
+				if after := treeOf(t, dir); !slices.Equal(after, before) {
+					t.Errorf("refused Open changed the directory: %v, was %v", after, before)
+				}
+			})
+		}
 	}
 }
 
 // TestShardLayout pins the one on-disk shape of every store, one shard
-// included: the LDC_SHARDS marker, a shard-<i> directory per shard holding
-// its MANIFEST, CURRENT and tables, and one wal directory holding
-// SHARD-<i>-NNNNNN.log segments — and nothing else at the root.
+// included: the LDC_SHARDS marker and a shard-<i> directory per shard —
+// nothing else at the root — each holding that shard's CURRENT, MANIFEST,
+// tables, NNNNNN.log WALs and VLOG-<i>-NNNNNN.vlog value-log segments.
 func TestShardLayout(t *testing.T) {
 	for _, tc := range []struct{ shards, n int }{{0, 1}, {1, 1}, {2, 2}} {
 		t.Run(fmt.Sprint(tc.shards), func(t *testing.T) {
 			dir := t.TempDir()
 			opts := shardOpts(tc.shards)
 			opts.FS = vfs.OS()
+			opts.BlobThreshold = 8 // every value is separated
 			db, err := Open(dir, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -294,7 +318,6 @@ func TestShardLayout(t *testing.T) {
 				for i := 0; i < tc.n; i++ {
 					want = append(want, fmt.Sprintf("shard-%d/", i))
 				}
-				want = append(want, "wal/")
 				slices.Sort(want)
 				if got := entriesOf(t, dir); !slices.Equal(got, want) {
 					t.Fatalf("%s: root holds %v, want %v", when, got, want)
@@ -303,26 +326,35 @@ func TestShardLayout(t *testing.T) {
 				if err != nil || string(marker) != fmt.Sprintf("shards %d\n", tc.n) {
 					t.Fatalf("%s: marker %q, %v", when, marker, err)
 				}
-				logs := make([]int, tc.n)
-				for _, name := range entriesOf(t, filepath.Join(dir, "wal")) {
-					sh, num, ok := version.ParseShardLogName(name)
-					if !ok || sh >= tc.n || name != filepath.Base(version.ShardLogFileName("", sh, num)) {
-						t.Fatalf("%s: wal/ holds %q", when, name)
-					}
-					logs[sh]++
-				}
 				for i := 0; i < tc.n; i++ {
 					names := entriesOf(t, filepath.Join(dir, fmt.Sprintf("shard-%d", i)))
 					if !slices.Contains(names, "CURRENT") {
 						t.Fatalf("%s: shard-%d holds %v, no CURRENT", when, i, names)
 					}
+					logs, segs := 0, 0
 					for _, name := range names {
-						if typ, _ := version.ParseFileName(name); typ == version.TypeUnknown || typ == version.TypeTemp {
+						if sh, num, ok := vlog.ParseSegmentFileName(name); ok {
+							if sh != i || name != vlog.SegmentFileName(i, num) {
+								t.Fatalf("%s: shard-%d holds segment %q", when, i, name)
+							}
+							segs++
+							continue
+						}
+						switch typ, num := version.ParseFileName(name); typ {
+						case version.TypeUnknown, version.TypeTemp:
 							t.Fatalf("%s: shard-%d holds %q", when, i, name)
+						case version.TypeLog:
+							if name != filepath.Base(version.LogFileName("", num)) {
+								t.Fatalf("%s: shard-%d holds WAL %q", when, i, name)
+							}
+							logs++
 						}
 					}
-					if live && logs[i] == 0 {
-						t.Fatalf("%s: shard %d has no WAL segment in wal/", when, i)
+					if segs == 0 {
+						t.Fatalf("%s: shard-%d holds no value-log segment: %v", when, i, names)
+					}
+					if live && logs == 0 {
+						t.Fatalf("%s: shard-%d holds no WAL: %v", when, i, names)
 					}
 				}
 			}
@@ -511,8 +543,10 @@ func TestShardSnapshot(t *testing.T) {
 }
 
 // TestShardStatsAggregate checks the router's Stats aggregation: every
-// integer field of Stats is the sum over ShardStats but for the shared folds,
-// which are zero per shard, and derived ratios come from the summed counters.
+// integer field of Stats is the sum over ShardStats, value-log state
+// included, but for the block cache's shared folds, which are zero per
+// shard; each shard reports its own value log; and derived ratios come from
+// the summed counters.
 func TestShardStatsAggregate(t *testing.T) {
 	opts := shardOpts(4)
 	opts.BlobThreshold = 256
@@ -579,6 +613,21 @@ func TestShardStatsAggregate(t *testing.T) {
 	if s.WriteState == "" {
 		t.Error("aggregate WriteState is empty")
 	}
+	withSegments := 0
+	for i, p := range per {
+		if want := db.shards[i].vlog.Stats().Segments; p.VlogSegments != want {
+			t.Errorf("shard %d: VlogSegments = %d, its log holds %d", i, p.VlogSegments, want)
+		}
+		if p.BlobValuesSeparated > 0 && p.VlogSegments == 0 {
+			t.Errorf("shard %d separated %d values but reports no segment", i, p.BlobValuesSeparated)
+		}
+		if p.VlogSegments > 0 {
+			withSegments++
+		}
+	}
+	if withSegments < 2 {
+		t.Errorf("only %d shards report value-log segments", withSegments)
+	}
 
 	sum := map[string]int64{}
 	for i, p := range per {
@@ -603,10 +652,9 @@ func TestShardStatsAggregate(t *testing.T) {
 	}
 }
 
-// TestOpenUnwindsWhenShardMarkerFails: a sharded Open that fails after the
-// value log is open (here: writing the LDC_SHARDS marker) must release the
-// log like every later failure does, and leave a directory the next Open can
-// use.
+// TestOpenUnwindsWhenShardMarkerFails: a sharded Open whose first write,
+// creating the LDC_SHARDS marker, fails must leave a directory the next Open
+// can use.
 func TestOpenUnwindsWhenShardMarkerFails(t *testing.T) {
 	efs := vfs.NewErrFS(vfs.Mem())
 	opts := shardOpts(2)
@@ -634,6 +682,55 @@ func TestOpenUnwindsWhenShardMarkerFails(t *testing.T) {
 	}
 	if err := db.Close(); err != nil {
 		t.Fatalf("Close = %v", err)
+	}
+}
+
+// TestOpenUnwindsWhenAShardFails fails each write of the shards' opens in
+// turn, past the marker's: the first shard may be open and running, the
+// failing one may have opened its value log. Open must report the failure,
+// close what it opened, and leave a directory the next Open can use.
+func TestOpenUnwindsWhenAShardFails(t *testing.T) {
+	scratch := vfs.NewErrFS(vfs.Mem())
+	if err := writeShardsMarker(scratch, "/db", 2); err != nil {
+		t.Fatal(err)
+	}
+	markerOps := scratch.WriteOps()
+	big := bytes.Repeat([]byte("v"), 200) // above BlobThreshold: lands in the value log
+	failed := 0
+	for k := markerOps; ; k++ {
+		efs := vfs.NewErrFS(vfs.Mem())
+		opts := shardOpts(2)
+		opts.FS = efs
+		opts.BlobThreshold = 64
+		efs.FailAfterWrites(k, errInjected)
+		db, err := Open("/db", opts)
+		efs.Disarm()
+		if err == nil {
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			break // every write of Open succeeded: nothing left to fail
+		}
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("write %d failed: Open = %v, want the injected failure", k, err)
+		}
+		failed++
+		db, err = Open("/db", opts)
+		if err != nil {
+			t.Fatalf("write %d failed: reopen = %v", k, err)
+		}
+		if err := db.Put([]byte("k"), big); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := db.Get([]byte("k")); err != nil || !bytes.Equal(got, big) {
+			t.Fatalf("write %d failed: Get after reopen = %d bytes, %v", k, len(got), err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("write %d failed: Close after reopen = %v", k, err)
+		}
+	}
+	if failed < 2*3 {
+		t.Fatalf("only %d writes of the shards' opens failed; expected several per shard", failed)
 	}
 }
 

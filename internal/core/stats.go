@@ -18,8 +18,7 @@ import (
 //
 // DB.Stats is the sum of the shards' Stats: every integer field adds up
 // across ShardStats, except the shared folds — BlockCacheHits and
-// BlockCacheMisses (the one block cache) and VlogSegments, VlogTotalBytes,
-// VlogDeadBytes and VlogAppendedBytes (the one value log's own state) —
+// BlockCacheMisses, the counters of the one block cache the shards share —
 // which are zero per shard and appear once, in DB.Stats. The ratio fields
 // are derived from the counters they divide.
 type Stats struct {
@@ -105,9 +104,8 @@ type Stats struct {
 	WriteLatency histogram.Distribution
 
 	// Value separation (internal/vlog). Each shard counts the values it
-	// separates, the pointers it resolves and the GC work it does; the
-	// segment, total, dead and appended bytes are the one shared value log's
-	// own state, zero per shard like the block cache.
+	// separates, the pointers it resolves and the GC work it does, and
+	// reports its own value log's segments, total, dead and appended bytes.
 	BlobValuesSeparated  int64   // Set entries redirected to the value log
 	BlobBytesSeparated   int64   // user value bytes those entries carried
 	VlogSegments         int     // live segment files
@@ -282,8 +280,8 @@ func writeStateRank(s string) int {
 // aggregateStats sums per-shard snapshots: every integer field adds up,
 // durations included (MaxConcurrentCompactions, a per-shard high-water mark,
 // sums to the database-wide bound), and WriteState reports the most
-// restricted shard. Ratios, the shared folds and the distributions are the
-// caller's.
+// restricted shard. Ratios, the block cache's shared folds and the
+// distributions are the caller's.
 func aggregateStats(per []Stats) Stats {
 	var s Stats
 	sv := reflect.ValueOf(&s).Elem()

@@ -15,12 +15,10 @@ import (
 // current shape, which GC shrinks.
 var gauges = map[string]bool{"VlogSegments": true, "VlogTotalBytes": true, "VlogDeadBytes": true}
 
-// sharedFolds are the Stats integer fields DB.Stats takes from what the
-// shards share rather than from their sum; they are zero per shard.
-var sharedFolds = map[string]bool{
-	"BlockCacheHits": true, "BlockCacheMisses": true,
-	"VlogSegments": true, "VlogTotalBytes": true, "VlogDeadBytes": true, "VlogAppendedBytes": true,
-}
+// sharedFolds are the Stats integer fields DB.Stats takes from the one
+// thing the shards share, the block cache, rather than from their sum; they
+// are zero per shard.
+var sharedFolds = map[string]bool{"BlockCacheHits": true, "BlockCacheMisses": true}
 
 // intFields calls fn with the name and value of every integer field of s.
 func intFields(s Stats, fn func(name string, v int64)) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -230,11 +229,11 @@ func TestSyncCommitFsyncFailure(t *testing.T) {
 			awaitSignal(t, closed, "Close of the poisoned store")
 
 			if tc.tearVlog {
-				names, err := mem.List("/db/vlog")
-				if err != nil || len(names) != 1 {
-					t.Fatalf("vlog segments: %v, %v; want exactly one", names, err)
+				segs := shardSegments(t, mem, 0)
+				if len(segs) != 1 {
+					t.Fatalf("vlog segments: %v; want exactly one", segs)
 				}
-				if err := efs.TearFile(filepath.Join("/db/vlog", names[0]), 150); err != nil {
+				if err := efs.TearFile(segs[0], 150); err != nil {
 					t.Fatal(err)
 				}
 			}

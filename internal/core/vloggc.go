@@ -9,9 +9,10 @@ import (
 	"repro/internal/vlog"
 )
 
-// Value-log garbage collection, shard side. The router picks candidate
-// segments (LDC-style, ranked by the dead-byte accounting compactions feed
-// as they drop pointer entries) and hands each to its owning shard here.
+// Value-log garbage collection. Each shard collects its own log: a pass
+// ranks the log's sealed segments by the dead-byte accounting compactions
+// feed as they drop pointer entries (LDC-style), and collects them worst
+// first. The router only paces the passes and runs them shard by shard.
 //
 // A pass over a segment works in rounds: scan the segment, test each record
 // for liveness through the normal read path, append a fresh copy of every
@@ -48,9 +49,30 @@ const (
 	gcChunkBytes   = 1 << 20
 )
 
-// vlogGCSegment runs one full GC pass over segment num (which this shard
-// owns). Returns nil both on success and on a clean skip (errGCBusy is
-// swallowed by the caller's accounting path); real I/O errors propagate.
+// runValueGC collects every sealed segment of the shard's log whose dead
+// ratio is at least threshold, worst first; threshold < 0 means every
+// sealed segment. The first failure ends the pass: errGCBusy, which the
+// router treats as a skip, or a real error.
+func (db *store) runValueGC(threshold float64) error {
+	if db.vlog == nil {
+		return nil
+	}
+	var nums []uint64
+	if threshold < 0 {
+		nums = db.vlog.SealedSegments()
+	} else {
+		nums = db.vlog.Candidates(threshold)
+	}
+	for _, num := range nums {
+		if err := db.vlogGCSegment(num); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// vlogGCSegment runs one full GC pass over segment num. Returns nil on
+// success, errGCBusy on a clean skip; real I/O errors propagate.
 func (db *store) vlogGCSegment(num uint64) error {
 	var rewritten int64
 	for round := 0; round < gcMaxRounds; round++ {
@@ -172,9 +194,7 @@ func (db *store) vlogGCDelete(num uint64) error {
 	if err := db.blobBarrier(db.set.LastSeq()); err != nil {
 		return err
 	}
-	if db.blockCache != nil {
-		db.blockCache.EvictFile(num | blobCacheBit)
-	}
+	db.tables.blockCache.EvictFile(db.tables.cacheNum(num) | blobCacheBit)
 	return db.vlog.DeleteSegment(num)
 }
 

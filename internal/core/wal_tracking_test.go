@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/compaction"
+	"repro/internal/version"
 	"repro/internal/vfs"
 )
 
@@ -40,16 +41,16 @@ func (c *countingFS) Remove(name string) error {
 	return err
 }
 
-// walsOnDisk lists the WAL numbers of st present in its WAL directory.
+// walsOnDisk lists the WAL numbers of st present in its directory.
 func walsOnDisk(t *testing.T, fs vfs.FS, st *store) []uint64 {
 	t.Helper()
-	names, err := fs.List(st.walDir)
+	names, err := fs.List(st.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []uint64
 	for _, name := range names {
-		if num, ok := st.parseLogName(name); ok {
+		if typ, num := version.ParseFileName(name); typ == version.TypeLog {
 			out = append(out, num)
 		}
 	}
@@ -81,7 +82,7 @@ func fillWAL(t *testing.T, db *DB, from, n int) {
 	db.WaitIdle()
 }
 
-// TestWALsTrackedNotListed: once Open has listed the WAL directory, the
+// TestWALsTrackedNotListed: once Open has listed a shard's directory, the
 // store never lists it again — each shard knows its own WAL numbers — and
 // still every job removes the WALs a flush has covered, each exactly once,
 // with one shard and with several alike.

@@ -107,7 +107,8 @@ func TestParseFileName(t *testing.T) {
 		{"CURRENT", TypeCurrent, 0},
 		{"MANIFEST-000005", TypeManifest, 5},
 		{"000123.sst", TypeTable, 123},
-		{"000007.log", TypeUnknown, 0}, // WAL segments are SHARD-<i>-NNNNNN.log
+		{"000007.log", TypeLog, 7},
+		{"SHARD-0-000007.log", TypeUnknown, 0}, // the retired shared-directory WAL name
 		{"000009.tmp", TypeTemp, 9},
 		{"LOCK", TypeUnknown, 0},
 		{"xyz.sst", TypeUnknown, 0},

@@ -16,16 +16,22 @@ const (
 	TypeManifest
 	TypeCurrent
 	TypeTemp
+	TypeLog
 )
 
 // TableFileName returns the path of table file num.
 func TableFileName(dir string, num uint64) string {
-	return numberedPath(dir, "", -1, num, ".sst")
+	return numberedPath(dir, "", num, ".sst")
+}
+
+// LogFileName returns the path of WAL file num.
+func LogFileName(dir string, num uint64) string {
+	return numberedPath(dir, "", num, ".log")
 }
 
 // ManifestFileName returns the path of MANIFEST file num.
 func ManifestFileName(dir string, num uint64) string {
-	return numberedPath(dir, "MANIFEST-", -1, num, "")
+	return numberedPath(dir, "MANIFEST-", num, "")
 }
 
 // CurrentFileName returns the path of the CURRENT pointer file.
@@ -35,36 +41,27 @@ func CurrentFileName(dir string) string {
 
 // TempFileName returns a scratch path for atomic replacement of CURRENT.
 func TempFileName(dir string, num uint64) string {
-	return numberedPath(dir, "", -1, num, ".tmp")
+	return numberedPath(dir, "", num, ".tmp")
 }
 
 // numberedPath returns filepath.Join(dir, name) for the file name
-// prefix[shard-]NNNNNN suffix, where the shard number (left out when
-// negative) is unpadded and num is padded to six digits, as "%d-%06d" would
-// print them. A table, a log or a MANIFEST is named on every job, so the path
-// is built in one allocation; a dir that filepath.Join would clean takes the
-// general route.
-func numberedPath(dir, prefix string, shard int, num uint64, suffix string) string {
-	var shardBuf, numBuf [20]byte
-	var sh []byte
-	if shard >= 0 {
-		sh = strconv.AppendInt(shardBuf[:0], int64(shard), 10)
-	}
+// prefix NNNNNN suffix, num padded to six digits as "%06d" would print it. A
+// table, a log or a MANIFEST is named on every job, so the path is built in
+// one allocation; a dir that filepath.Join would clean takes the general
+// route.
+func numberedPath(dir, prefix string, num uint64, suffix string) string {
+	var numBuf [20]byte
 	digits := strconv.AppendUint(numBuf[:0], num, 10)
 	pad := max(0, 6-len(digits))
 	join := dir != "" && dir != "." && dir[len(dir)-1] != filepath.Separator && filepath.Clean(dir) == dir
 
 	var b strings.Builder
-	b.Grow(len(dir) + 1 + len(prefix) + len(sh) + 1 + pad + len(digits) + len(suffix))
+	b.Grow(len(dir) + 1 + len(prefix) + pad + len(digits) + len(suffix))
 	if join {
 		b.WriteString(dir)
 		b.WriteByte(filepath.Separator)
 	}
 	b.WriteString(prefix)
-	if sh != nil {
-		b.Write(sh)
-		b.WriteByte('-')
-	}
 	b.WriteString("000000"[:pad])
 	b.Write(digits)
 	b.WriteString(suffix)
@@ -75,8 +72,7 @@ func numberedPath(dir, prefix string, shard int, num uint64, suffix string) stri
 }
 
 // ParseFileName classifies a bare file name in a shard's directory,
-// returning its type and number (when the type carries one). WAL segments
-// live in the shared WAL directory and parse with ParseShardLogName.
+// returning its type and number (when the type carries one).
 func ParseFileName(name string) (FileType, uint64) {
 	switch {
 	case name == "CURRENT":
@@ -93,6 +89,12 @@ func ParseFileName(name string) (FileType, uint64) {
 			return TypeUnknown, 0
 		}
 		return TypeTable, n
+	case strings.HasSuffix(name, ".log"):
+		n, err := strconv.ParseUint(strings.TrimSuffix(name, ".log"), 10, 64)
+		if err != nil {
+			return TypeUnknown, 0
+		}
+		return TypeLog, n
 	case strings.HasSuffix(name, ".tmp"):
 		n, err := strconv.ParseUint(strings.TrimSuffix(name, ".tmp"), 10, 64)
 		if err != nil {
@@ -101,35 +103,4 @@ func ParseFileName(name string) (FileType, uint64) {
 		return TypeTemp, n
 	}
 	return TypeUnknown, 0
-}
-
-// ShardLogFileName returns the path of shard sh's WAL file num inside the
-// database's shared WAL directory (dir/wal). Per-shard WAL segments live
-// side by side in one directory, so crash recovery can enumerate every
-// shard's log tail with a single listing and route each segment to its
-// shard by name.
-func ShardLogFileName(dir string, sh int, num uint64) string {
-	return numberedPath(dir, "SHARD-", sh, num, ".log")
-}
-
-// ParseShardLogName parses a bare "SHARD-<shard>-<num>.log" name produced
-// by ShardLogFileName, reporting ok=false for anything else.
-func ParseShardLogName(name string) (sh int, num uint64, ok bool) {
-	if !strings.HasPrefix(name, "SHARD-") || !strings.HasSuffix(name, ".log") {
-		return 0, 0, false
-	}
-	body := strings.TrimSuffix(strings.TrimPrefix(name, "SHARD-"), ".log")
-	i := strings.IndexByte(body, '-')
-	if i <= 0 {
-		return 0, 0, false
-	}
-	s, err := strconv.Atoi(body[:i])
-	if err != nil || s < 0 {
-		return 0, 0, false
-	}
-	n, err := strconv.ParseUint(body[i+1:], 10, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	return s, n, true
 }

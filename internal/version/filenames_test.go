@@ -10,10 +10,10 @@ import (
 // TestFileNamesMatchPrintf pins the one-pass names to the fmt and filepath
 // form they replace, byte for byte, at the padding edges and the largest
 // number, in clean and uncleaned directories; and each name parses back to
-// its type, shard and number.
+// its type and number.
 func TestFileNamesMatchPrintf(t *testing.T) {
 	nums := []uint64{0, 7, 999_999, 1_000_000, math.MaxUint64}
-	dirs := []string{"/db", "db", "/db/shard-1/wal", "", ".", "/", "db/", "./db", "/a/../b", "a//b"}
+	dirs := []string{"/db", "db", "/db/shard-1", "", ".", "/", "db/", "./db", "/a/../b", "a//b"}
 	for _, dir := range dirs {
 		for _, num := range nums {
 			for _, tc := range []struct {
@@ -21,6 +21,7 @@ func TestFileNamesMatchPrintf(t *testing.T) {
 				typ       FileType
 			}{
 				{TableFileName(dir, num), filepath.Join(dir, fmt.Sprintf("%06d.sst", num)), TypeTable},
+				{LogFileName(dir, num), filepath.Join(dir, fmt.Sprintf("%06d.log", num)), TypeLog},
 				{ManifestFileName(dir, num), filepath.Join(dir, fmt.Sprintf("MANIFEST-%06d", num)), TypeManifest},
 				{TempFileName(dir, num), filepath.Join(dir, fmt.Sprintf("%06d.tmp", num)), TypeTemp},
 			} {
@@ -29,15 +30,6 @@ func TestFileNamesMatchPrintf(t *testing.T) {
 				}
 				if typ, n := ParseFileName(filepath.Base(tc.got)); typ != tc.typ || n != num {
 					t.Errorf("%q parses as %v %d, want %v %d", tc.got, typ, n, tc.typ, num)
-				}
-			}
-			for _, sh := range []int{0, 3, 12} {
-				got := ShardLogFileName(dir, sh, num)
-				if want := filepath.Join(dir, fmt.Sprintf("SHARD-%d-%06d.log", sh, num)); got != want {
-					t.Errorf("dir %q shard %d num %d: %q, want %q", dir, sh, num, got, want)
-				}
-				if s, n, ok := ParseShardLogName(filepath.Base(got)); !ok || s != sh || n != num {
-					t.Errorf("%q parses as shard %d num %d ok %v", got, s, n, ok)
 				}
 			}
 		}

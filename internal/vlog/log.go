@@ -31,9 +31,9 @@ type Options struct {
 	ScanFS vfs.FS
 }
 
-// Stats is a point-in-time summary of the log's own state, folded once into
-// the database-wide Stats() like the other shared resources. The resolves
-// and GC work the store does through the log are counted by the store.
+// Stats is a point-in-time summary of the log's own state, which the owning
+// shard reports in its Stats. The resolves and GC work the store does
+// through the log are counted by the store.
 type Stats struct {
 	Segments      int
 	TotalBytes    int64 // valid extents of all segments
@@ -47,7 +47,7 @@ type Stats struct {
 // compactions re-discover dropped pointers and GC verifies liveness.
 type segment struct {
 	num   uint64
-	shard int
+	shard int // names the file: VLOG-<shard>-<num>.vlog
 
 	size atomic.Int64
 	dead atomic.Int64
@@ -67,7 +67,7 @@ func newSegment(num uint64, shard int) *segment {
 	return s
 }
 
-// Log is the database-wide value log.
+// Log is one shard's value log: the segments in one directory.
 type Log struct {
 	fs      vfs.FS
 	readFS  vfs.FS
@@ -226,10 +226,9 @@ func (l *Log) MarkDead(num uint64, n int64) {
 
 // segmentInfo is a GC-facing snapshot of one segment.
 type segmentInfo struct {
-	Num   uint64
-	Shard int
-	Size  int64
-	Dead  int64
+	Num  uint64
+	Size int64
+	Dead int64
 }
 
 // Candidates returns sealed segments whose dead fraction is at or above
@@ -270,34 +269,10 @@ func (l *Log) sealed() []segmentInfo {
 		if seg.active.Load() {
 			continue
 		}
-		out = append(out, segmentInfo{seg.num, seg.shard, seg.size.Load(), seg.dead.Load()})
+		out = append(out, segmentInfo{seg.num, seg.size.Load(), seg.dead.Load()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Num < out[j].Num })
 	return out
-}
-
-// SegmentShard reports which shard owns segment num.
-func (l *Log) SegmentShard(num uint64) (int, bool) {
-	seg := l.lookup(num)
-	if seg == nil {
-		return 0, false
-	}
-	return seg.shard, true
-}
-
-// MaxShard returns the highest shard id that owns any segment, or -1 when
-// the log is empty. Open-time validation uses it to reject reopening a
-// blob-bearing database under a smaller shard count.
-func (l *Log) MaxShard() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	max := -1
-	for _, seg := range l.segs {
-		if seg.shard > max {
-			max = seg.shard
-		}
-	}
-	return max
 }
 
 // DeleteSegment removes segment num from the registry and the filesystem.
@@ -336,8 +311,8 @@ func (l *Log) Stats() Stats {
 	return Stats{Segments: n, TotalBytes: total, DeadBytes: dead, AppendedBytes: l.appended.Load()}
 }
 
-// Close closes every cached read handle. Writers are closed by their
-// owning shards before the Log.
+// Close closes every cached read handle. The Writer is closed first, by
+// the shard that owns the Log.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -4,10 +4,9 @@
 // the bytes themselves live in checksummed records here, so compactions
 // move 20-byte pointers instead of kilobyte values.
 //
-// One Log is shared database-wide, like the block cache: one device, one
-// log. Each shard appends through its own Writer into its own segments
-// (per-shard offset spaces, globally unique segment numbers), so the
-// group-commit leaders of different shards never contend on an offset.
+// Each shard owns one Log in its own directory and appends through one
+// Writer, so segment numbers and offsets are per shard and the group-commit
+// leaders of different shards never contend on an offset.
 // Segments are never appended to after reopen: recovery seals what it
 // finds (scanning from the front and logically truncating a torn tail)
 // and writers always start fresh segments.

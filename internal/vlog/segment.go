@@ -11,10 +11,9 @@ import (
 // handle (not the pooled resolution handle) so a long scan never contends
 // with foreground reads; Close releases it.
 type Segment struct {
-	num   uint64
-	shard int
-	size  int64
-	f     vfs.File
+	num  uint64
+	size int64
+	f    vfs.File
 }
 
 // OpenSegment opens a scan handle over sealed segment num. The valid
@@ -29,11 +28,8 @@ func (l *Log) OpenSegment(num uint64) (*Segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vlog: open segment %d: %w", num, err)
 	}
-	return &Segment{num: num, shard: seg.shard, size: seg.size.Load(), f: f}, nil
+	return &Segment{num: num, size: seg.size.Load(), f: f}, nil
 }
-
-// Shard reports the shard that owns this segment.
-func (s *Segment) Shard() int { return s.shard }
 
 // Size reports the segment's valid extent at open time.
 func (s *Segment) Size() int64 { return s.size }

@@ -268,9 +268,6 @@ func TestSegmentScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Shard() != 1 {
-		t.Fatalf("Shard() = %d, want 1", s.Shard())
-	}
 	var got []Pointer
 	err = s.Scan(func(ptr Pointer, key, value []byte) error {
 		if string(key) != fmt.Sprintf("k%d", len(got)) {

@@ -26,14 +26,15 @@
 // Scaling out on one machine:
 //
 // Options.Shards splits the store into N hash-partitioned engine
-// instances behind the same DB — each shard has its own memtable, WAL
-// segment, and compaction pipeline, so concurrent writers overlap each
+// instances behind the same DB — each shard has its own memtable, WAL,
+// value log and compaction pipeline, so concurrent writers overlap each
 // other's flush and compaction stalls instead of queuing behind one
-// engine. Point operations route by key hash; Scan and NewIterator merge
-// all shards back into one sorted keyspace. One shard (the default) has
-// the same on-disk layout as many: an LDC_SHARDS marker, shard-<i>
-// directories and a shared wal directory. See DESIGN.md ("Sharding") for
-// the cross-shard batch-visibility caveat.
+// engine; the block cache is the one thing shards share. Point operations
+// route by key hash; Scan and NewIterator merge all shards back into one
+// sorted keyspace. One shard (the default) has the same on-disk layout as
+// many: an LDC_SHARDS marker beside one shard-<i> directory per shard, each
+// holding that shard's every file. See DESIGN.md ("Sharding") for the
+// cross-shard batch-visibility caveat.
 //
 // Keys are ordered bytewise; there is no other key order.
 //
@@ -55,7 +56,7 @@
 // garbage collection is driven by compaction's own dead-byte accounting
 // and relocates live records through the normal commit pipeline, guarded
 // so concurrent overwrites always win. The default (0) disables
-// separation and creates no vlog directory. See DESIGN.md ("Value
+// separation and creates no value-log segment. See DESIGN.md ("Value
 // separation").
 //
 // Durability and errors:
