@@ -212,7 +212,7 @@ exhibits-smoke:
 # Before the total, "options" counts the exported fields of the structs that
 # configure the engine and its server, as `go doc` lists them.
 LOCFIND := find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'
-OPTION_STRUCTS := core.Options compaction.Params commit.ControllerConfig commit.Options server.Config
+OPTION_STRUCTS := core.Options compaction.Params commit.ControllerConfig server.Config
 loc:
 	@echo "engine $$($(LOCFIND) -not -path './tools/*' | xargs cat | wc -l)"
 	@echo "tools/ldclint $$($(LOCFIND) -path './tools/ldclint/*' | xargs cat | wc -l)"

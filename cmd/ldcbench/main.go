@@ -28,7 +28,6 @@ func main() {
 		fanout   = flag.Int("fanout", 0, "LSM-tree fan-out k (0 = preset)")
 		scale    = flag.Float64("devscale", -1, "SSD latency scale (0 disables, <0 = preset)")
 		quick    = flag.Bool("quick", false, "use the sub-second smoke preset")
-		adaptive = flag.Bool("adaptive", false, "enable the self-adaptive SliceLink threshold")
 		seed     = flag.Int64("seed", 0, "workload seed (0 = preset)")
 		clients  = flag.Int("clients", 0, "concurrent workload clients (0 = preset)")
 		jsonPath = flag.String("json", "", "record every exhibit run, with the host and configuration, to this JSON file")
@@ -70,7 +69,6 @@ func main() {
 	if *clients > 0 {
 		cfg.Clients = *clients
 	}
-	cfg.Store.AdaptiveThreshold = *adaptive
 
 	var exhibits []harness.Exhibit
 	for _, name := range flag.Args() {

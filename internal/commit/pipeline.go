@@ -8,9 +8,10 @@ import (
 	"repro/internal/invariants"
 )
 
-// ErrPipelineClosed is the default error returned by Commit after Close;
-// Options.ClosedError substitutes the store's own.
-var ErrPipelineClosed = errors.New("commit: pipeline closed")
+// ErrClosed is returned by Commit after Close. The store exports it as its
+// own ErrClosed, so a commit refused here and a read refused by the store
+// fail with the same error.
+var ErrClosed = errors.New("ldc: database closed")
 
 // Env is the store machinery a Pipeline drives. Neither callback is invoked
 // while the pipeline's internal lock is held, so both may take the store
@@ -35,13 +36,6 @@ type Env struct {
 // record reaches it. The server applies a connection's pipelined writes in
 // bursts of the same size, so a burst never outgrows one group.
 const MaxGroupBytes = 1 << 20
-
-// Options tunes a Pipeline.
-type Options struct {
-	// ClosedError is returned by commits after Close (default
-	// ErrPipelineClosed).
-	ClosedError error
-}
 
 // writer is one queued commit request. A writer belongs to the committer
 // that took it until that committer has read its result under p.mu, which is
@@ -76,8 +70,7 @@ type group struct {
 // still in their fsyncs. Several groups may thus be in flight; Close waits
 // for all of them.
 type Pipeline struct {
-	env       Env
-	closedErr error
+	env Env
 
 	mu      invariants.Mutex
 	cond    *sync.Cond
@@ -93,11 +86,8 @@ type Pipeline struct {
 }
 
 // NewPipeline builds a pipeline over env.
-func NewPipeline(env Env, opts Options) *Pipeline {
-	if opts.ClosedError == nil {
-		opts.ClosedError = ErrPipelineClosed
-	}
-	p := &Pipeline{env: env, closedErr: opts.ClosedError}
+func NewPipeline(env Env) *Pipeline {
+	p := &Pipeline{env: env}
 	p.mu.Rank("commit.pipeline.mu", 35)
 	p.cond = sync.NewCond(&p.mu)
 	return p
@@ -111,7 +101,7 @@ func (p *Pipeline) Commit(b *batch.Batch, sync bool) error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return p.closedErr
+		return ErrClosed
 	}
 	var w *writer
 	if n := len(p.free); n > 0 {
@@ -234,7 +224,7 @@ func (p *Pipeline) Close() {
 	p.mu.Lock()
 	p.closed = true
 	for _, w := range p.queue {
-		w.done, w.err = true, p.closedErr
+		w.done, w.err = true, ErrClosed
 	}
 	p.dequeue(len(p.queue))
 	p.cond.Broadcast()

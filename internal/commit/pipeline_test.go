@@ -69,7 +69,7 @@ func oneOp(key string) *batch.Batch {
 
 func TestSingleWriterSingleGroup(t *testing.T) {
 	r := newRecordingEnv()
-	p := NewPipeline(r.env(), Options{})
+	p := NewPipeline(r.env())
 	b := oneOp("a")
 	if err := p.Commit(b, false); err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestFollowersJoinLeadersGroup(t *testing.T) {
 	r := newRecordingEnv()
 	r.gate = make(chan struct{})
 	r.entered = make(chan struct{}, 16)
-	p := NewPipeline(r.env(), Options{})
+	p := NewPipeline(r.env())
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -157,7 +157,7 @@ func TestFollowersJoinLeadersGroup(t *testing.T) {
 // their durability).
 func TestSyncWriterNeverRidesNonSyncGroup(t *testing.T) {
 	r := newRecordingEnv()
-	p := NewPipeline(r.env(), Options{})
+	p := NewPipeline(r.env())
 	mkQueue := func() []*writer {
 		return []*writer{
 			{b: oneOp("f1"), sync: false},
@@ -197,7 +197,7 @@ func TestMaxGroupBytesCapsDraining(t *testing.T) {
 	r := newRecordingEnv()
 	r.gate = make(chan struct{})
 	r.entered = make(chan struct{}, 64)
-	p := NewPipeline(r.env(), Options{})
+	p := NewPipeline(r.env())
 	big := func(key string) *batch.Batch {
 		b := batch.New()
 		b.Set([]byte(key), make([]byte, 300<<10))
@@ -248,7 +248,7 @@ func TestMaxGroupBytesCapsDraining(t *testing.T) {
 
 func TestMakeRoomErrorFailsOnlyLeader(t *testing.T) {
 	r := newRecordingEnv()
-	p := NewPipeline(r.env(), Options{})
+	p := NewPipeline(r.env())
 	r.roomErr = errors.New("stalled out")
 	if err := p.Commit(oneOp("a"), false); err == nil || err.Error() != "stalled out" {
 		t.Fatalf("err = %v, want stalled out", err)
@@ -266,8 +266,7 @@ func TestCloseFailsPendingAndFutureCommits(t *testing.T) {
 	r := newRecordingEnv()
 	r.gate = make(chan struct{})
 	r.entered = make(chan struct{}, 4)
-	closedErr := errors.New("store closed")
-	p := NewPipeline(r.env(), Options{ClosedError: closedErr})
+	p := NewPipeline(r.env())
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -289,8 +288,8 @@ func TestCloseFailsPendingAndFutureCommits(t *testing.T) {
 
 	closeDone := make(chan struct{})
 	go func() { p.Close(); close(closeDone) }()
-	if err := <-pendingErr; !errors.Is(err, closedErr) {
-		t.Fatalf("pending writer err = %v, want closed error", err)
+	if err := <-pendingErr; !errors.Is(err, ErrClosed) {
+		t.Fatalf("pending writer err = %v, want ErrClosed", err)
 	}
 	select {
 	case <-closeDone:
@@ -301,8 +300,8 @@ func TestCloseFailsPendingAndFutureCommits(t *testing.T) {
 	<-closeDone
 	wg.Wait()
 
-	if err := p.Commit(oneOp("late"), false); !errors.Is(err, closedErr) {
-		t.Fatalf("commit after close = %v, want closed error", err)
+	if err := p.Commit(oneOp("late"), false); !errors.Is(err, ErrClosed) {
+		t.Fatalf("commit after close = %v, want ErrClosed", err)
 	}
 	if len(r.sizes) != 1 || r.sizes[0] != 1 {
 		t.Fatalf("committed groups = %v, want just the in-flight one", r.sizes)
@@ -313,7 +312,7 @@ func TestCloseFailsPendingAndFutureCommits(t *testing.T) {
 // checks every batch got a unique, contiguous sequence range.
 func TestConcurrentCommitStress(t *testing.T) {
 	r := newRecordingEnv()
-	p := NewPipeline(r.env(), Options{})
+	p := NewPipeline(r.env())
 	const writers, per = 8, 200
 	var wg sync.WaitGroup
 	seqs := make(chan keys.Seq, writers*per)
@@ -386,7 +385,7 @@ func TestCommitAllocsLeaderAlone(t *testing.T) {
 				return commit(g, sync, release)
 			}
 		}
-		p := NewPipeline(env, Options{})
+		p := NewPipeline(env)
 		b := oneOp("k")
 		const n = 1000
 		perCommit := testing.AllocsPerRun(5, func() {
@@ -427,7 +426,7 @@ func TestReleaseLetsNextGroupForm(t *testing.T) {
 			return nil
 		},
 	}
-	p := NewPipeline(env, Options{})
+	p := NewPipeline(env)
 	aDone := make(chan error, 1)
 	go func() { aDone <- p.Commit(oneOp("a"), true) }()
 	if got := <-entered; got != "a" {
@@ -498,7 +497,7 @@ func TestCommitAllocsWithFollowers(t *testing.T) {
 			p.mu.Unlock()
 		}
 		return nil
-	}), Options{})
+	}))
 	for i := 0; i < followers; i++ {
 		b := oneOp(fmt.Sprintf("f%d", i))
 		go func() {
@@ -561,7 +560,7 @@ func TestPipelineRecyclesWriters(t *testing.T) {
 			grouped += int64(len(members))
 		}
 		return err
-	}), Options{})
+	}))
 
 	const committers, per = 8, 400
 	var wg sync.WaitGroup
@@ -584,7 +583,7 @@ func TestPipelineRecyclesWriters(t *testing.T) {
 				mu.Unlock()
 				switch {
 				case !grouped:
-					if !errors.Is(err, ErrPipelineClosed) {
+					if !errors.Is(err, ErrClosed) {
 						t.Errorf("%s was in no group but Commit returned %v", key, err)
 					}
 					return
@@ -602,7 +601,7 @@ func TestPipelineRecyclesWriters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if err := p.Commit(oneOp("late"), false); !errors.Is(err, ErrPipelineClosed) {
+	if err := p.Commit(oneOp("late"), false); !errors.Is(err, ErrClosed) {
 		t.Fatalf("commit after close = %v, want the closed error", err)
 	}
 	if grouped != committed.Load() {

@@ -71,9 +71,6 @@ type Params struct {
 	// SliceThreshold is LDC's T_s: the slice count on a lower-level file
 	// that triggers its merge.
 	SliceThreshold int
-	// DisableTrivialMove forces a rewrite even when a file could move down
-	// by metadata only (ablation benchmarks).
-	DisableTrivialMove bool
 }
 
 // Kind discriminates what a Pick asks the store to do.
@@ -132,10 +129,10 @@ type Pick struct {
 }
 
 // Picker chooses compaction work from a version. Pick is a pure function of
-// the version, the round-robin cursors and T_s: it changes none of them, and
-// the store, which runs one compaction job per shard at a time, moves a cursor
-// only after the job's edit has committed. Not safe for concurrent use; the
-// store calls it under its own mutex.
+// the version, the round-robin cursors and Params: it changes none of them,
+// and the store, which runs one compaction job per shard at a time, moves a
+// cursor only after the job's edit has committed. Not safe for concurrent
+// use; the store calls it under its own mutex.
 type Picker struct {
 	policy Policy
 	params Params
@@ -143,9 +140,6 @@ type Picker struct {
 	// pointers are the per-level round-robin cursors (largest key of the
 	// last compacted file), as in LevelDB.
 	pointers [version.NumLevels]keys.InternalKey
-	// threshold supplies T_s dynamically (self-adaptive mode); nil means
-	// use params.SliceThreshold.
-	threshold func() int
 }
 
 // NewPicker returns a picker for the given policy.
@@ -153,25 +147,14 @@ func NewPicker(policy Policy, params Params, icmp keys.InternalComparer) *Picker
 	return &Picker{policy: policy, params: params, icmp: icmp}
 }
 
-// SetThresholdFunc installs a dynamic SliceThreshold source (the adaptive
-// controller). Passing nil reverts to the static parameter.
-func (p *Picker) SetThresholdFunc(fn func() int) { p.threshold = fn }
-
 // SetPointer restores a round-robin cursor (from the MANIFEST on recovery).
 func (p *Picker) SetPointer(level int, key keys.InternalKey) { p.pointers[level] = key }
 
 // Pointer reads a cursor (persisted into version edits by the store).
 func (p *Picker) Pointer(level int) keys.InternalKey { return p.pointers[level] }
 
-// SliceThreshold returns the current T_s.
-func (p *Picker) SliceThreshold() int {
-	if p.threshold != nil {
-		if t := p.threshold(); t > 0 {
-			return t
-		}
-	}
-	return p.params.SliceThreshold
-}
+// SliceThreshold returns T_s.
+func (p *Picker) SliceThreshold() int { return p.params.SliceThreshold }
 
 // Score reports the compaction pressure of a level: >= 1 means the level
 // needs compaction. L0 scores by file count, deeper levels by byte size
@@ -347,16 +330,16 @@ func (p *Picker) pickUDC(v *version.Version) Pick {
 			inputs = p.roundRobin(v, ls.level)[:1] // a level that scores holds a file
 		}
 		r := inputsRange(p.icmp.User, inputs)
-		return p.compactOrMove(ls.level, inputs, v.Overlaps(ls.level+1, r), ls.score)
+		return compactOrMove(ls.level, inputs, v.Overlaps(ls.level+1, r), ls.score)
 	}
 	return Pick{Kind: PickNone}
 }
 
 // compactOrMove builds the conventional pick for an input set: a trivial
-// move when nothing overlaps below (unless disabled), else a compact.
-func (p *Picker) compactOrMove(level int, inputs, overlaps []*version.FileMeta, score float64) Pick {
+// move when a single file has nothing below it, else a compact.
+func compactOrMove(level int, inputs, overlaps []*version.FileMeta, score float64) Pick {
 	pick := Pick{Kind: PickCompact, Level: level, OutputLevel: level + 1, Inputs: inputs, Overlaps: overlaps, Score: score}
-	if len(overlaps) == 0 && len(inputs) == 1 && !p.params.DisableTrivialMove {
+	if len(overlaps) == 0 && len(inputs) == 1 {
 		pick.Kind = PickTrivialMove
 	}
 	return pick
@@ -443,7 +426,7 @@ func (p *Picker) pickLDCLevel(v *version.Version, level int, score float64) Pick
 	if level == 0 {
 		inputs := p.expandL0(v, v.Levels[0][0])
 		r := inputsRange(p.icmp.User, inputs)
-		return p.compactOrMove(0, inputs, v.EffectiveOverlaps(1, r), score)
+		return compactOrMove(0, inputs, v.EffectiveOverlaps(1, r), score)
 	}
 
 	// A file already carrying slices cannot be frozen (paper §III-D); the
@@ -454,7 +437,7 @@ func (p *Picker) pickLDCLevel(v *version.Version, level int, score float64) Pick
 		}
 		inputs := []*version.FileMeta{f}
 		overlaps := v.EffectiveOverlaps(level+1, version.EffectiveRange(p.icmp.User, f))
-		pick := p.compactOrMove(level, inputs, overlaps, score)
+		pick := compactOrMove(level, inputs, overlaps, score)
 		if len(overlaps) > 0 {
 			pick.Kind = PickLink
 		}

@@ -408,20 +408,40 @@ func TestLDCDrainsStagingLevelBeforeL0(t *testing.T) {
 	}
 }
 
-func TestAdaptiveThresholdFeedsPicker(t *testing.T) {
-	params := testParams()
-	params.SliceThreshold = 7
-	pk := NewPicker(LDC, params, icmp)
-	if pk.SliceThreshold() != 7 {
-		t.Fatalf("static threshold = %d", pk.SliceThreshold())
-	}
-	pk.SetThresholdFunc(func() int { return 3 })
-	if pk.SliceThreshold() != 3 {
-		t.Errorf("dynamic threshold = %d", pk.SliceThreshold())
-	}
-	pk.SetThresholdFunc(nil)
-	if pk.SliceThreshold() != 7 {
-		t.Errorf("revert threshold = %d", pk.SliceThreshold())
+// TestLDCTrivialMove pins LDC's move rule: a pressured file with nothing
+// below it moves down by metadata, neither linked (there is no lower file to
+// take a slice) nor compacted, from level 0 as from a deeper level.
+func TestLDCTrivialMove(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		level int
+		edit  func(e *version.Edit)
+	}{
+		{"L1", 1, func(e *version.Edit) {
+			e.AddFile(1, fm(1, "a", "c", 20000)) // over L1's staging target
+			e.AddFile(2, fm(2, "m", "z", 100))   // no overlap with (a,c)
+		}},
+		{"L2", 2, func(e *version.Edit) {
+			e.AddFile(2, fm(1, "a", "c", 200000)) // over L2's target
+			e.AddFile(3, fm(2, "m", "z", 100))
+		}},
+		{"L0", 0, func(e *version.Edit) {
+			// L0 at its trigger, the files disjoint so the closure is one
+			// file, and level 1 empty.
+			for i, lo := range []string{"a", "d", "g", "j"} {
+				e.AddFile(0, fm(uint64(i+1), lo, lo+"z", 100))
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pk := NewPicker(LDC, testParams(), icmp)
+			got := pk.Pick(buildV(t, tc.edit))
+			if got.Kind != PickTrivialMove || got.Level != tc.level || got.OutputLevel != tc.level+1 ||
+				len(got.Inputs) != 1 || len(got.Overlaps) != 0 {
+				t.Errorf("Pick = %v inputs=%d overlaps=%d level %d -> %d, want a trivial move L%d -> L%d",
+					got.Kind, len(got.Inputs), len(got.Overlaps), got.Level, got.OutputLevel, tc.level, tc.level+1)
+			}
+		})
 	}
 }
 

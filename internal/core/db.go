@@ -34,8 +34,9 @@ var internalComparer = keys.InternalComparer{User: keys.BytewiseComparer{}}
 var (
 	// ErrNotFound reports a missing key.
 	ErrNotFound = errors.New("ldc: key not found")
-	// ErrClosed reports use after Close.
-	ErrClosed = errors.New("ldc: database closed")
+	// ErrClosed reports use after Close. It is the commit pipeline's own,
+	// so a refused write and a refused read match the same errors.Is.
+	ErrClosed = commit.ErrClosed
 )
 
 // store is one shard's complete engine: memtable + WAL + value log +
@@ -61,9 +62,8 @@ type store struct {
 	fsCompW vfs.FS // compaction writes
 	fsMeta  vfs.FS // MANIFEST and housekeeping
 
-	set      *version.Set
-	picker   *compaction.Picker
-	adaptive *adaptiveThreshold
+	set    *version.Set
+	picker *compaction.Picker
 	// tables holds the shard's table readers; its block cache, the one
 	// resource the shards share, also caches decoded vlog values under the
 	// blobCacheBit namespace.
@@ -228,10 +228,6 @@ func openStore(dir string, shardID int, opts Options, blockCache *cache.Cache) (
 	}
 	db.set = version.NewSet(db.fsMeta, dir, icmp)
 	db.picker = compaction.NewPicker(opts.Policy, opts.compactionParams(), icmp)
-	if opts.AdaptiveThreshold && opts.Policy == compaction.LDC {
-		db.adaptive = newAdaptiveThreshold(opts.SliceLinkThreshold, opts.Fanout)
-		db.picker.SetThresholdFunc(db.adaptive.threshold)
-	}
 
 	if db.fsMeta.Exists(version.CurrentFileName(dir)) {
 		db.logs = logs
@@ -619,17 +615,7 @@ func (db *store) getAt(key []byte, snapSeq *keys.Seq) ([]byte, error) {
 	d := time.Since(start)
 	db.stats.ReadTime.Add(int64(d) * ReadSampleEvery)
 	db.stats.readHist.Record(d)
-	db.observeMix()
 	return val, err
-}
-
-// observeMix shows the adaptive-T_s controller, if there is one, the request
-// counters it derives the read/write mix from.
-func (db *store) observeMix() {
-	if db.adaptive != nil {
-		s := &db.stats
-		db.adaptive.observe(s.Gets.Load()+s.Scans.Load(), s.Puts.Load()+s.Deletes.Load())
-	}
 }
 
 // lookup is the point read itself. A plain value found in a table aliases a

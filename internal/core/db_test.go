@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -664,110 +663,6 @@ func TestLDCStagingLevelBoundsL0Share(t *testing.T) {
 	t.Logf("L0->L1 wrote %.3f bytes per flushed byte (%d flushes, %d links, %d merges)", share, s.FlushCount, s.LinkCount, s.MergeCount)
 	if share > 2.7 {
 		t.Errorf("L0->L1 wrote %.3f bytes per flushed byte, want at most 2.7", share)
-	}
-}
-
-func TestAdaptiveThresholdMoves(t *testing.T) {
-	a := newAdaptiveThreshold(8, 8)
-	start := a.threshold()
-	// Write-dominated windows push it up.
-	var reads, writes int64
-	for i := 0; i < 3*adaptiveWindow; i++ {
-		writes++
-		a.observe(reads, writes)
-	}
-	if a.threshold() <= start {
-		t.Errorf("threshold did not rise under writes: %d", a.threshold())
-	}
-	high := a.threshold()
-	// Read-dominated windows pull it down.
-	for i := 0; i < 20*adaptiveWindow; i++ {
-		reads++
-		a.observe(reads, writes)
-	}
-	if a.threshold() >= high {
-		t.Errorf("threshold did not fall under reads: %d", a.threshold())
-	}
-	if a.threshold() < 2 {
-		t.Errorf("threshold fell below minimum: %d", a.threshold())
-	}
-}
-
-// Observers on several goroutines hand observe counters that each of them
-// read at a different moment, as Gets, scans and write groups do. Windows must
-// still close once per adaptiveWindow requests at most, and a window's ratio
-// must be the mix of the requests in it: a balanced mix leaves T_s alone.
-func TestAdaptiveThresholdConcurrentObservers(t *testing.T) {
-	const (
-		workers = 8
-		perEach = 8 * adaptiveWindow
-		total   = workers * perEach
-	)
-	drive := func(a *adaptiveThreshold, op func(i int, reads, writes *atomic.Int64)) (reads, writes int64) {
-		var r, w atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < perEach; i++ {
-					op(i, &r, &w)
-					a.observe(r.Load(), w.Load())
-				}
-			}()
-		}
-		wg.Wait()
-		return r.Load(), w.Load()
-	}
-	checkClose := func(a *adaptiveThreshold, reads, writes int64) {
-		t.Helper()
-		closed := a.closedAt.Load()
-		if closed != a.reads+a.writes || a.reads > reads || a.writes > writes {
-			t.Errorf("last close at %d = reads %d + writes %d, counters ended at %d, %d", closed, a.reads, a.writes, reads, writes)
-		}
-		if closed > total || closed < total/2 {
-			t.Errorf("last close at %d of %d requests", closed, total)
-		}
-	}
-
-	// An observer that read its reads before the last close and its writes
-	// long after it: enough in total for a window, all of it writes.
-	a := newAdaptiveThreshold(8, 8)
-	a.observe(5000, 5000)
-	a.observe(1000, 5000+2*adaptiveWindow)
-	if a.threshold() != 8 || a.closedAt.Load() != 10000 {
-		t.Errorf("a stale observer closed a window: T_s %d, last close at %d", a.threshold(), a.closedAt.Load())
-	}
-
-	// Writes only, from T_s = 2 under a bound they cannot reach: every close
-	// takes one step up, so the final T_s tells how many windows closed.
-	a = newAdaptiveThreshold(2, 1<<40)
-	reads, writes := drive(a, func(_ int, _, writes *atomic.Int64) { writes.Add(1) })
-	checkClose(a, reads, writes)
-	closes, ts := 0, int64(2)
-	for ; ts < a.ts.Load(); closes++ {
-		ts += max(ts/4, 1)
-	}
-	if ts != a.ts.Load() {
-		t.Fatalf("T_s = %d is not a whole number of steps from 2", a.ts.Load())
-	}
-	if most := total / adaptiveWindow; closes > most || closes < most/2 {
-		t.Errorf("%d windows closed over %d requests, want %d..%d", closes, total, most/2, most)
-	}
-
-	// Each worker alternates a read and a write: every window's mix is within
-	// a few requests of even, inside the hysteresis band.
-	a = newAdaptiveThreshold(8, 8)
-	reads, writes = drive(a, func(i int, reads, writes *atomic.Int64) {
-		if i%2 == 0 {
-			reads.Add(1)
-		} else {
-			writes.Add(1)
-		}
-	})
-	checkClose(a, reads, writes)
-	if a.threshold() != 8 {
-		t.Errorf("T_s moved from 8 to %d under an even mix", a.threshold())
 	}
 }
 

@@ -547,7 +547,6 @@ type storeIter struct {
 // state). Close it when done.
 func (db *store) newIter(snapSeq *keys.Seq) (*storeIter, error) {
 	db.stats.Scans.Add(1)
-	db.observeMix()
 	it, cleanup, err := db.newInternalIterator()
 	if err != nil {
 		return nil, err

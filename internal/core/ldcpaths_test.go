@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -146,32 +145,6 @@ func TestSliceThresholdControlsMergeTiming(t *testing.T) {
 			t.Errorf("per-merge I/O did not grow with T_s: %d vs %d",
 				smallPerMerge, largePerMerge)
 		}
-	}
-}
-
-// TestAdaptiveThresholdIntegration runs phases of different mixes through
-// the real store and checks T_s moves the right way.
-func TestAdaptiveThresholdIntegration(t *testing.T) {
-	opts := smallOpts(compaction.LDC)
-	opts.AdaptiveThreshold = true
-	opts.SliceLinkThreshold = 4
-	db := openTestDB(t, opts)
-	defer db.Close()
-
-	for i := 0; i < 3*adaptiveWindow; i++ {
-		db.Put(key(i%2000), value(i))
-	}
-	afterWrites := db.CurrentProfile().SliceThreshold
-	if afterWrites <= 4 {
-		t.Errorf("T_s after write phase = %d, want > 4", afterWrites)
-	}
-	for i := 0; i < 20*adaptiveWindow; i++ {
-		if _, err := db.Get(key(i % 2000)); err != nil && !errors.Is(err, ErrNotFound) {
-			t.Fatal(err)
-		}
-	}
-	if got := db.CurrentProfile().SliceThreshold; got >= afterWrites {
-		t.Errorf("T_s after read phase = %d, want < %d", got, afterWrites)
 	}
 }
 

@@ -42,9 +42,6 @@ type Options struct {
 	// SliceLinkThreshold is the paper's T_s (default Fanout). Ignored unless
 	// Policy == LDC.
 	SliceLinkThreshold int
-	// AdaptiveThreshold enables the paper's §III-B-4 self-tuning of T_s from
-	// the observed read/write mix.
-	AdaptiveThreshold bool
 
 	// BlockSize is the SSTable data block size (default 4 KiB).
 	BlockSize int
@@ -82,9 +79,6 @@ type Options struct {
 
 	// DisableAutoCompaction stops the background compactor (tests).
 	DisableAutoCompaction bool
-	// DisableTrivialMove forces rewrites where a metadata-only move would
-	// do (ablation benchmarks).
-	DisableTrivialMove bool
 }
 
 func (o Options) withDefaults() Options {
@@ -147,10 +141,9 @@ func normalizeShards(n int) int {
 
 func (o Options) compactionParams() compaction.Params {
 	return compaction.Params{
-		Fanout:             o.Fanout,
-		SSTableSize:        o.SSTableSize,
-		SliceThreshold:     o.SliceLinkThreshold,
-		DisableTrivialMove: o.DisableTrivialMove,
+		Fanout:         o.Fanout,
+		SSTableSize:    o.SSTableSize,
+		SliceThreshold: o.SliceLinkThreshold,
 	}
 }
 

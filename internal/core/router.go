@@ -93,7 +93,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := meta.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	n, err := resolveShardCount(meta, dir, requested, opts.Shards)
+	n, recorded, err := resolveShardCount(meta, dir, requested, opts.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -116,10 +116,12 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 
-	// The marker records the shard count; every shard's files live in a
-	// directory of its own.
-	if err := writeShardsMarker(meta, dir, n); err != nil {
-		return fail(err)
+	// The marker records the shard count, written once, at creation; every
+	// shard's files live in a directory of its own.
+	if !recorded {
+		if err := writeShardsMarker(meta, dir, n); err != nil {
+			return fail(err)
+		}
 	}
 	for i := 0; i < n; i++ {
 		st, err := openStore(filepath.Join(dir, fmt.Sprintf("shard-%d", i)), i, opts, db.blockCache)
@@ -143,37 +145,38 @@ func categorized(fs vfs.FS, cat ssdsim.Category) vfs.FS {
 
 // resolveShardCount reconciles the requested shard count with the
 // database's recorded one. requested is the raw Options.Shards (0 = "use
-// whatever the database has"), normalized its defaulted form. It creates
-// nothing, so a refused directory is left as it was found.
-func resolveShardCount(fs vfs.FS, dir string, requested, normalized int) (int, error) {
+// whatever the database has"), normalized its defaulted form; recorded
+// reports that the directory holds a marker already. It creates nothing, so
+// a refused directory is left as it was found.
+func resolveShardCount(fs vfs.FS, dir string, requested, normalized int) (n int, recorded bool, err error) {
 	// Files in a root wal/ or vlog/ are a database in the retired shared
 	// layout, its WAL tails and values outside the shard directories: the
 	// shards would open empty of them and silently drop them.
 	for _, shared := range []string{"wal", "vlog"} {
 		if names, _ := fs.List(filepath.Join(dir, shared)); len(names) > 0 {
-			return 0, fmt.Errorf("%w: %s holds a database in the retired shared layout (files in %s/), which this version does not open",
+			return 0, false, fmt.Errorf("%w: %s holds a database in the retired shared layout (files in %s/), which this version does not open",
 				ErrInvalidOptions, dir, shared)
 		}
 	}
-	recorded, found, err := readShardsMarker(fs, dir)
+	n, recorded, err = readShardsMarker(fs, dir)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	if found {
-		if requested != 0 && normalized != recorded {
-			return 0, fmt.Errorf("%w: Shards %d (effective %d) conflicts with the database's recorded shard count %d",
-				ErrInvalidOptions, requested, normalized, recorded)
+	if recorded {
+		if requested != 0 && normalized != n {
+			return 0, false, fmt.Errorf("%w: Shards %d (effective %d) conflicts with the database's recorded shard count %d",
+				ErrInvalidOptions, requested, normalized, n)
 		}
-		return recorded, nil
+		return n, true, nil
 	}
 	// A root CURRENT with no marker is a database in the retired layout, its
 	// files at the root and its WAL named NNNNNN.log: no shard could see it,
 	// and an empty store must not appear beside it.
 	if fs.Exists(version.CurrentFileName(dir)) {
-		return 0, fmt.Errorf("%w: %s holds a database in the retired single-shard layout (no %s marker), which this version does not open",
+		return 0, false, fmt.Errorf("%w: %s holds a database in the retired single-shard layout (no %s marker), which this version does not open",
 			ErrInvalidOptions, dir, shardsFileName)
 	}
-	return normalized, nil
+	return normalized, false, nil
 }
 
 // readShardsMarker parses the LDC_SHARDS marker ("shards <n>\n").
@@ -209,22 +212,28 @@ func readShardsMarker(fs vfs.FS, dir string) (n int, found bool, err error) {
 	return n, true, nil
 }
 
-// writeShardsMarker records the partition count; idempotent (Create
-// truncates and rewrites the same content).
+// writeShardsMarker records the partition count the way CURRENT is
+// written: into a temporary file, synced, then renamed over the marker's
+// name. A failure at any step leaves no marker, never a partial one, so the
+// next Open creates it afresh.
 func writeShardsMarker(fs vfs.FS, dir string, n int) error {
-	f, err := fs.Create(filepath.Join(dir, shardsFileName))
+	tmp := filepath.Join(dir, shardsFileName+".tmp")
+	f, err := fs.Create(tmp)
 	if err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(f, "shards %d\n", n); err != nil {
-		_ = f.Close() // discarding the partial marker
+		_ = f.Close() // abandoning the partial temporary file
 		return err
 	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close() // sync failed; its error is the one to report
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return fs.Rename(tmp, filepath.Join(dir, shardsFileName))
 }
 
 // ---------------------------------------------------------------------------
@@ -634,8 +643,7 @@ func (db *DB) ShardStats() []Stats {
 }
 
 // CurrentProfile captures the tree's current shape, summed across shards.
-// SliceThreshold reports shard 0's (thresholds only diverge under adaptive
-// tuning, and then only slightly).
+// SliceThreshold is the Options' T_s, the same in every shard.
 func (db *DB) CurrentProfile() Profile {
 	p := db.shards[0].CurrentProfile()
 	for _, st := range db.shards[1:] {

@@ -652,36 +652,78 @@ func TestShardStatsAggregate(t *testing.T) {
 	}
 }
 
-// TestOpenUnwindsWhenShardMarkerFails: a sharded Open whose first write,
-// creating the LDC_SHARDS marker, fails must leave a directory the next Open
-// can use.
+// TestOpenUnwindsWhenShardMarkerFails fails each write op of the LDC_SHARDS
+// marker in turn: on a fresh create, where the marker is Open's first write,
+// Open must report the failure; on the reopen of a populated store, which
+// must not rewrite the marker, Open may fail or not. Either way the next Open
+// must work and read back every value written so far.
 func TestOpenUnwindsWhenShardMarkerFails(t *testing.T) {
-	efs := vfs.NewErrFS(vfs.Mem())
-	opts := shardOpts(2)
-	opts.FS = efs
-	opts.BlobThreshold = 64
-	efs.FailAfterWrites(0, errInjected) // the marker's Create is Open's first write
-	if db, err := Open("/db", opts); !errors.Is(err, errInjected) {
-		t.Fatalf("Open = %v, %v; want the injected marker failure", db, err)
-	}
-	if n := efs.WriteOps(); n != 1 {
-		t.Fatalf("Open failed after %d write ops; the test assumes the marker is the first", n)
-	}
-	efs.Disarm()
-
-	db, err := Open("/db", opts)
-	if err != nil {
-		t.Fatalf("reopen after the failed Open: %v", err)
-	}
-	big := bytes.Repeat([]byte("v"), 200) // above BlobThreshold: lands in the value log
-	if err := db.Put([]byte("k"), big); err != nil {
+	scratch := vfs.NewErrFS(vfs.Mem())
+	if err := writeShardsMarker(scratch, "/db", 2); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := db.Get([]byte("k")); err != nil || !bytes.Equal(got, big) {
-		t.Fatalf("Get = %d bytes, %v", len(got), err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatalf("Close = %v", err)
+	markerOps := scratch.WriteOps()
+	big := bytes.Repeat([]byte("v"), 200) // above BlobThreshold: lands in the value log
+	for _, reopen := range []bool{false, true} {
+		for k := int64(0); k < markerOps; k++ {
+			t.Run(fmt.Sprintf("reopen=%v/op=%d", reopen, k), func(t *testing.T) {
+				efs := vfs.NewErrFS(vfs.Mem())
+				opts := shardOpts(2)
+				opts.FS = efs
+				opts.BlobThreshold = 64
+				var want []string
+				put := func(db *DB) {
+					t.Helper()
+					key := fmt.Sprintf("k%d", len(want))
+					if err := db.Put([]byte(key), big); err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, key)
+				}
+				if reopen {
+					db, err := Open("/db", opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					put(db)
+					if err := db.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before := efs.WriteOps()
+				efs.FailAfterWrites(k, errInjected)
+				db, err := Open("/db", opts)
+				efs.Disarm()
+				switch {
+				case err == nil && !reopen:
+					t.Fatalf("Open succeeded with marker write %d failing", k)
+				case err == nil:
+					if err := db.Close(); err != nil {
+						t.Fatal(err)
+					}
+				case !errors.Is(err, errInjected):
+					t.Fatalf("Open = %v, want the injected failure", err)
+				case !reopen && efs.WriteOps()-before != k+1:
+					t.Fatalf("Open failed after %d write ops; the test assumes the marker's %d come first", efs.WriteOps()-before, markerOps)
+				}
+
+				for round := 0; round < 2; round++ { // the next Open, then one more
+					db, err := Open("/db", opts)
+					if err != nil {
+						t.Fatalf("Open after the failed one: %v", err)
+					}
+					put(db)
+					for _, key := range want {
+						if got, err := db.Get([]byte(key)); err != nil || !bytes.Equal(got, big) {
+							t.Fatalf("Get(%s) = %d bytes, %v", key, len(got), err)
+						}
+					}
+					if err := db.Close(); err != nil {
+						t.Fatalf("Close = %v", err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -54,8 +54,6 @@ func (db *store) initCommitPipeline() {
 	db.pipeline = commit.NewPipeline(commit.Env{
 		MakeRoom: db.controller.MakeRoom,
 		Commit:   db.commitGroup,
-	}, commit.Options{
-		ClosedError: ErrClosed,
 	})
 }
 
@@ -275,7 +273,6 @@ func (db *store) applyLocked(seq keys.Seq, b *batch.Batch, extraUserBytes int64)
 	db.stats.Puts.Add(puts)
 	db.stats.Deletes.Add(deletes)
 	db.set.SetLastSeq(seq + keys.Seq(b.Count()) - 1)
-	db.observeMix()
 }
 
 // logGroupLocked is commitGroup's step under db.mu up to the WAL append:

@@ -12,9 +12,9 @@ import (
 	"repro/internal/ycsb"
 )
 
-// Exhibits is the evaluation: the paper's Table I and Figs 1, 7–15, the three
-// exhibits the repository adds beyond it (format, blob) and the
-// ablations of DESIGN.md. A new exhibit is one entry here and nothing in the
+// Exhibits is the evaluation: the paper's Table I and Figs 1, 7–15, the
+// exhibits the repository adds beyond it (format, blob, phase-ts) and the
+// ablation of DESIGN.md. A new exhibit is one entry here and nothing in the
 // drivers.
 var Exhibits = []Exhibit{
 	{
@@ -229,7 +229,7 @@ var Exhibits = []Exhibit{
 		Paper:   "LDC holds a +39-65% throughput lead across 5-30 M requests",
 		Labels:  []string{"requests", "policy"},
 		Grid:    requestSweep,
-		Columns: []Column{colThroughput, {"compactionIO(MB)", "%.1f", func(r Row) float64 { return compactionIO(r) / (1 << 20) }}},
+		Columns: []Column{colThroughput, colCompactionIOMB},
 		Headlines: []Headline{{Name: "min-LDC-gain-%", Value: func(rows []Row) float64 {
 			return slices.Min(ldcGains(rows, throughput))
 		}}},
@@ -362,16 +362,31 @@ var Exhibits = []Exhibit{
 		}}},
 	},
 	{
-		Name: "ablate-move", Desc: "LDC with vs without the metadata-only trivial move",
-		Labels: []string{"move"}, Columns: []Column{colThroughput, colCompactionIOGB},
-		Grid:      onOff(func(c *Config, on bool) { c.Store.DisableTrivialMove = !on }),
-		Headlines: []Headline{onOverOff("move-gain-%")},
-	},
-	{
-		Name: "ablate-adaptive", Desc: "the self-adaptive T_s vs the fixed one on a balanced mix",
-		Labels: []string{"adaptive"}, Columns: []Column{colThroughput, colCompactionIOGB},
-		Grid:      onOff(func(c *Config, on bool) { c.Store.AdaptiveThreshold = on }),
-		Headlines: []Headline{onOverOff("adaptive-gain-%")},
+		// The paper's §III-B-4 has T_s rise under writes and fall under
+		// reads. Here each T_s is fixed for a whole phase shift, so the table
+		// shows which T_s each phase prefers; a read-heavy phase preferring
+		// the lowest T_s is what a controller lowering it would need.
+		Name: "phase-ts", Desc: "fixed T_s across a WH -> RH -> WH phase shift",
+		Paper:  "T_s should rise under writes and fall under reads (§III-B-4)",
+		Labels: []string{"T_s"},
+		Grid: func(c Config) (rows []Row) {
+			c.Store.Policy = compaction.LDC
+			wh, rh := c.mix(ycsb.WH), c.mix(ycsb.RH)
+			wh.Ops, rh.Ops = c.Ops/2, c.Ops/2
+			for _, ts := range []int{5, 10, 20, 40} {
+				c.Store.SliceLinkThreshold = ts
+				rows = append(rows, row(Cell{Config: c, Steps: []Step{{OpLoad, wh}, {OpRun, wh}, {OpRun, rh}, {OpRun, wh}}},
+					fmt.Sprint(ts)))
+			}
+			return rows
+		},
+		// Phases[0] is the load; 1-3 are the runs.
+		Columns: []Column{{"WH(ops/s)", "%.0f", phase(1)}, {"RH(ops/s)", "%.0f", phase(2)},
+			{"WH-again(ops/s)", "%.0f", phase(3)}, colCompactionIOMB},
+		Headlines: []Headline{{Name: "best-Ts-RH", Value: func(rows []Row) float64 {
+			thr := each(rows, phase(2))
+			return float64(rows[slices.Index(thr, slices.Max(thr))].Cells[0].Store.SliceLinkThreshold)
+		}}},
 	},
 	{
 		// Without filters every slice probe costs device reads, the read cost
@@ -475,6 +490,7 @@ func onOff(set func(c *Config, on bool)) func(Config) []Row {
 var (
 	colThroughput     = Column{"throughput(ops/s)", "%.0f", throughput}
 	colCompactionIOGB = Column{"compactionIO(GB)", "%.3f", func(r Row) float64 { return compactionIO(r) / (1 << 30) }}
+	colCompactionIOMB = Column{"compactionIO(MB)", "%.1f", func(r Row) float64 { return compactionIO(r) / (1 << 20) }}
 	colCompactRead    = Column{"compactRead(MB)", "%.1f", func(r Row) float64 { return mb(r.M[0].Stats.CompactionReadBytes) }}
 	colCompactWrite   = Column{"compactWrite(MB)", "%.1f", func(r Row) float64 { return mb(r.M[0].Stats.CompactionWriteBytes) }}
 )
@@ -519,11 +535,19 @@ next:
 	panic(fmt.Sprintf("harness: no row labelled %v", labels))
 }
 
-func throughput(r Row) float64     { return r.M[0].Throughput }
-func fillThroughput(r Row) float64 { return r.M[0].Phases[0].Throughput }
-func blockReads(r Row) float64     { return float64(r.M[0].BlockReads) }
-func space(r Row) float64          { return float64(r.M[0].FSBytes) }
-func fluctuation(r Row) float64    { return histogram.FluctuationFactor(r.M[0].Timeline) }
+func throughput(r Row) float64  { return r.M[0].Throughput }
+func blockReads(r Row) float64  { return float64(r.M[0].BlockReads) }
+func space(r Row) float64       { return float64(r.M[0].FSBytes) }
+func fluctuation(r Row) float64 { return histogram.FluctuationFactor(r.M[0].Timeline) }
+
+// phase is the client-observed throughput of step i of the row's cell.
+func phase(i int) func(Row) float64 {
+	return func(r Row) float64 { return r.M[0].Phases[i].Throughput }
+}
+
+// fillThroughput is the first step's throughput: the fill of a cell that
+// starts with a run.
+var fillThroughput = phase(0)
 
 func compactionIO(r Row) float64 {
 	return float64(r.M[0].Stats.CompactionReadBytes + r.M[0].Stats.CompactionWriteBytes)
