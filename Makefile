@@ -69,15 +69,21 @@ test:
 # budget — a warm 100-pair Scan, the device reads and allocations of a cold
 # one, a Get that misses a full block cache, a
 # table Probe on a cached block, a block-cache Set on a full shard — whose
-# bounds must not depend on the cache's stripe count, which follows GOMAXPROCS.
+# bounds must not depend on the cache's stripe count, which follows GOMAXPROCS;
+# and the pipelined server: read points against compaction and a held fsync,
+# the pipeline's once-per-writer appended notification, and the connection
+# loop's segments and read points under durable writes (the store-buffer
+# litmus, own order, acked-before-sent, MGET, a failed fsync mid-burst, and
+# Shutdown with segments in flight).
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup|TestPipelinedCommit' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup|TestPipelinedCommit|TestReadPoint' $(TESTFLAGS) ./internal/core
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSetAllocsOnFullShard' $(TESTFLAGS) ./internal/cache
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLevelTargets|TestLDCDrainsStagingLevel|TestDebt' $(TESTFLAGS) ./internal/compaction
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead|TestWriterAddAllocs|TestProbeAllocs|TestDecodedIndexMatchesOnDisk' $(TESTFLAGS) ./internal/sstable
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSeekGE' $(TESTFLAGS) ./internal/block
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters|TestReleaseLetsNextGroupForm' $(TESTFLAGS) ./internal/commit
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters|TestReleaseLetsNextGroupForm|TestPipelineNotifies' $(TESTFLAGS) ./internal/commit
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestServerPipelined' $(TESTFLAGS) ./internal/server
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestAppendDuringSyncKeepsDirty|TestRotationAndCloseWaitForSync' $(TESTFLAGS) ./internal/vlog
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestAddAllocs|TestRecordChunkEdges' $(TESTFLAGS) ./internal/memtable
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestInsertAllocs|TestTowerAtSlabBoundary|TestSlabsKeepNodesApart|TestIteratorHeldAcrossSlabChange' $(TESTFLAGS) ./internal/skiplist
@@ -124,13 +130,16 @@ invariants:
 # them; Sets, Gets and EvictFiles racing over a cache that recycles an entry
 # on nearly every Set; post-job cleanups racing to remove the same covered
 # WALs; groups that append and fsync while earlier ones are still syncing,
-# and value-log fsyncs beside appends, rotation and Close; and readers on
+# and value-log fsyncs beside appends, rotation and Close; readers on
 # several goroutines counting into their shard's one read sink between
-# compactions that delete the tables they read.
+# compactions that delete the tables they read; and connections whose
+# segments commit on goroutines of their own while the loop takes read
+# points behind them.
 race:
 	$(GO) test -race -short $(TESTFLAGS) ./...
-	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestWAL|TestCrashLeftWALs|TestFailedRotationWALTracked|TestPipelinedCommit|TestSyncCommit|TestCumulativeCountersNeverDecrease' $(TESTFLAGS) ./internal/core
-	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters|TestReleaseLetsNextGroupForm' $(TESTFLAGS) ./internal/commit
+	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestWAL|TestCrashLeftWALs|TestFailedRotationWALTracked|TestPipelinedCommit|TestSyncCommit|TestReadPoint|TestCumulativeCountersNeverDecrease' $(TESTFLAGS) ./internal/core
+	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters|TestReleaseLetsNextGroupForm|TestPipelineNotifies' $(TESTFLAGS) ./internal/commit
+	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestServerPipelined' $(TESTFLAGS) ./internal/server
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestAppendDuringSyncKeepsDirty|TestRotationAndCloseWaitForSync' $(TESTFLAGS) ./internal/vlog
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestRecycledEntries' $(TESTFLAGS) ./internal/cache
 

@@ -64,8 +64,9 @@ type DB struct {
 	gcStop chan struct{}
 	gcWG   sync.WaitGroup
 
-	// splits pools the scratch of multi-shard Applies (*applySplit).
-	splits sync.Pool
+	// segments pools the scratch of pipelined segments and multi-shard
+	// Applies (*Segment).
+	segments sync.Pool
 
 	closeOnce sync.Once
 	closeErr  error
@@ -105,7 +106,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		mask: uint64(n - 1),
 	}
 	db.gcMu.Rank("core.db.gcMu", 20)
-	db.splits.New = func() any { return newApplySplit(db) }
+	db.segments.New = func() any { return newSegment(db) }
 	db.blockCache = opts.newBlockCache()
 
 	// fail unwinds a partial open; the open error wins over any unwind error.
@@ -286,11 +287,26 @@ func (db *DB) Apply(b *batch.Batch) error {
 	if b.Empty() {
 		return nil
 	}
-	if len(db.shards) == 1 {
-		return db.shards[0].Apply(b)
+	first, multi := db.route(b)
+	if !multi {
+		return db.shards[first].Apply(b)
 	}
-	// First pass: find the owning shard set without copying anything.
-	first, multi := -1, false
+	// Fan out all but one sub-batch, commit that one here — the caller would
+	// otherwise only sleep through the others' commits — then collect.
+	s := NewSegment(db)
+	s.split(b)
+	s.launch(first)
+	s.errs[first] = db.shards[first].Apply(s.subs[first])
+	return s.Wait()
+}
+
+// route finds the shards b's keys hash to without copying anything: the
+// first one, and whether there are others.
+func (db *DB) route(b *batch.Batch) (first int, multi bool) {
+	if len(db.shards) == 1 {
+		return 0, false
+	}
+	first = -1
 	_ = b.Each(func(_ keys.Kind, key, _ []byte) error {
 		if i := db.shardIndex(key); first == -1 {
 			first = i
@@ -299,68 +315,7 @@ func (db *DB) Apply(b *batch.Batch) error {
 		}
 		return nil
 	})
-	if !multi {
-		return db.shards[first].Apply(b)
-	}
-	// Split: entries keep their relative order within each shard (a key's
-	// updates all land in one sub-batch, in batch order).
-	sp := db.splits.Get().(*applySplit)
-	_ = b.Each(func(kind keys.Kind, key, value []byte) error {
-		sb := sp.subs[db.shardIndex(key)]
-		if kind == keys.KindDelete {
-			sb.Delete(key)
-		} else {
-			sb.Set(key, value)
-		}
-		return nil
-	})
-	// Fan out all but one sub-batch, commit that one here — the caller would
-	// otherwise only sleep through the others' commits — then collect.
-	for i, sb := range sp.subs {
-		if i != first && !sb.Empty() {
-			sp.wg.Add(1)
-			go sp.commit[i]()
-		}
-	}
-	sp.errs[first] = db.shards[first].Apply(sp.subs[first])
-	sp.wg.Wait()
-	var err error
-	for i, sb := range sp.subs {
-		if err == nil {
-			err = sp.errs[i]
-		}
-		sp.errs[i] = nil
-		sb.Reset()
-	}
-	db.splits.Put(sp)
-	return err
-}
-
-// applySplit is the scratch of one multi-shard Apply: a sub-batch, an error
-// slot and a fan-out goroutine body per shard. It is pooled on the DB —
-// emptied, never shrunk — so a pipelined burst that keeps spanning shards
-// allocates none of it again. Shard commits copy what they keep (WAL record,
-// memtable entries, separated values), so a sub-batch is free for the next
-// call as soon as its Apply returns.
-type applySplit struct {
-	subs   []*batch.Batch
-	errs   []error
-	commit []func()
-	wg     sync.WaitGroup
-}
-
-func newApplySplit(db *DB) *applySplit {
-	n := len(db.shards)
-	sp := &applySplit{subs: make([]*batch.Batch, n), errs: make([]error, n), commit: make([]func(), n)}
-	for i := range sp.subs {
-		i := i
-		sp.subs[i] = batch.New()
-		sp.commit[i] = func() {
-			defer sp.wg.Done()
-			sp.errs[i] = db.shards[i].Apply(sp.subs[i])
-		}
-	}
-	return sp
+	return first, multi
 }
 
 // ---------------------------------------------------------------------------
@@ -458,7 +413,7 @@ func (db *DB) NewSnapshot() (*Snapshot, error) {
 		seq, err := st.snapshotSeq()
 		if err != nil {
 			for j := 0; j < i; j++ {
-				db.shards[j].releaseSeq(seqs[j])
+				db.shards[j].snapshots.release(seqs[j])
 			}
 			return nil, err
 		}
@@ -477,7 +432,7 @@ func (s *Snapshot) Release() {
 		return
 	}
 	for i, st := range s.db.shards {
-		st.releaseSeq(s.seqs[i])
+		st.snapshots.release(s.seqs[i])
 	}
 }
 

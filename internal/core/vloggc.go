@@ -283,5 +283,5 @@ func (db *store) blobBarrier(target keys.Seq) error {
 // barrier batch costs one 12-byte WAL record and no sequence numbers.
 func (db *store) forceRotate() error {
 	db.rotateForced.Store(true)
-	return db.pipeline.Commit(batch.New(), false)
+	return db.pipeline.Commit(batch.New(), false, nil)
 }

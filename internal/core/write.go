@@ -142,7 +142,7 @@ func (db *store) commitGroup(g *batch.Group, sync bool, release func()) error {
 	// (write-through) but referenced only once the group's pointers are
 	// applied below.
 	b := g.Batch()
-	sep, extraUserBytes, err := db.separateValues(b)
+	sep, extraUserBytes, onVlog, err := db.separateValues(b)
 	if err != nil {
 		db.mu.Lock()
 		db.fatal(err)
@@ -152,14 +152,17 @@ func (db *store) commitGroup(g *batch.Group, sync bool, release func()) error {
 	if sep != nil {
 		b = sep
 	}
-	// One vlog durability point per sync group, mirroring the WAL's: an
-	// acknowledged sync commit must never lose its separated values. It is
-	// joined below on every path, so Close, which waits for every group in
-	// flight, never tears the writer down under it.
-	vlogDirty := sync && db.vlogw != nil && db.vlogw.Dirty()
+	// One vlog durability point per sync group whose records name values in
+	// the log, mirroring the WAL's: an acknowledged sync commit must never
+	// lose its separated values. A group that names none skips it even while
+	// an earlier group's values are unsynced: it publishes after that group,
+	// and recovery stops at the first record whose pointers dangle, so what
+	// it acknowledges never depends on them. The fsync is joined below on
+	// every path, so Close, which waits for every group in flight, never
+	// tears the writer down under it.
 	db.mu.Lock()
 	var vs *vlogSync
-	if vlogDirty {
+	if sync && onVlog {
 		vs = db.startVlogSyncLocked()
 	}
 	seq, ticket, err := db.logGroupLocked(g, sep, b)
@@ -329,24 +332,30 @@ func (db *store) logGroupLocked(g *batch.Group, sep, b *batch.Batch) (keys.Seq, 
 
 // separateValues is the commit-time value-separation transform: every Set
 // whose value is at least Options.BlobThreshold bytes is appended to the
-// value log and replaced by a fixed-size pointer entry. Returns (nil, 0,
-// nil) when nothing qualifies — the common case, detected without building
-// a replacement batch. extraUserBytes is the user-byte undercount of the
+// value log and replaced by a fixed-size pointer entry. Returns a nil sep
+// when nothing qualifies — the common case, detected without building a
+// replacement batch. extraUserBytes is the user-byte undercount of the
 // transformed batch (original value sizes minus the pointers that replaced
-// them), so write accounting reflects what the user wrote.
-func (db *store) separateValues(b *batch.Batch) (sep *batch.Batch, extraUserBytes int64, err error) {
-	if db.vlogw == nil || db.opts.BlobThreshold <= 0 {
-		return nil, 0, nil
+// them), so write accounting reflects what the user wrote. onVlog reports
+// that the batch names values in the value log that its own commit depends
+// on: one it separated, or a GC rewrite, whose relocated copy the GC
+// appended.
+func (db *store) separateValues(b *batch.Batch) (sep *batch.Batch, extraUserBytes int64, onVlog bool, err error) {
+	if db.vlogw == nil {
+		return nil, 0, false, nil
 	}
 	qualifies := false
 	_ = b.Each(func(kind keys.Kind, key, value []byte) error {
-		if kind == keys.KindSet && int64(len(value)) >= db.opts.BlobThreshold {
+		switch {
+		case kind == keys.KindBlobRewrite:
+			onVlog = true
+		case kind == keys.KindSet && db.opts.BlobThreshold > 0 && int64(len(value)) >= db.opts.BlobThreshold:
 			qualifies = true
 		}
 		return nil
 	})
 	if !qualifies {
-		return nil, 0, nil
+		return nil, 0, onVlog, nil
 	}
 	out := batch.New()
 	var sepCount, sepBytes int64
@@ -376,11 +385,11 @@ func (db *store) separateValues(b *batch.Batch) (sep *batch.Batch, extraUserByte
 		return nil
 	})
 	if eachErr != nil {
-		return nil, 0, eachErr
+		return nil, 0, false, eachErr
 	}
 	db.stats.BlobValuesSeparated.Add(sepCount)
 	db.stats.BlobBytesSeparated.Add(sepBytes)
-	return out, extraUserBytes, nil
+	return out, extraUserBytes, true, nil
 }
 
 // rewriteGuardLocked decides whether a GC rewrite whose liveness was read

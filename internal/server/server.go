@@ -9,12 +9,14 @@
 // kernel backlog (backpressure) instead of being churned through
 // accept-and-refuse.
 //
-// Pipelining couples directly into the engine's group commit: all write
-// commands in one pipelined burst are absorbed into a single batch.Batch
-// and applied with one DB.Apply call when the burst drains (or a read
-// command forces the writes to become visible). Network concurrency
-// therefore feeds the commit pipeline wider batches instead of fighting it
-// with per-command commits.
+// Pipelining couples directly into the engine's group commit: the write
+// commands of a pipelined burst are absorbed into one batch, a segment
+// (core.Segment), until a read or the end of the burst submits it. A
+// submitted segment commits on while the connection parses on, so a burst's
+// segments fsync side by side; a read answers later, at the read point it
+// took where it stood in the burst (core.TakeReadPoint), and the replies go
+// out in command order. Network concurrency therefore feeds the commit
+// pipeline wider batches instead of fighting it with per-command commits.
 //
 // Shutdown drains gracefully: stop accepting, let every connection finish
 // the commands it has already received, flush responses, then close the

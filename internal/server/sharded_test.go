@@ -15,6 +15,13 @@ func startShardedServer(t testing.TB, shards int) (*Server, string) {
 	t.Helper()
 	opts := smallOpts()
 	opts.Shards = shards
+	return serveDB(t, opts)
+}
+
+// serveDB opens a DB with opts and serves it on an ephemeral port with the
+// default Config; the caller owns Shutdown.
+func serveDB(t testing.TB, opts core.Options) (*Server, string) {
+	t.Helper()
 	db, err := core.Open("/db", opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)

@@ -120,15 +120,6 @@ func (w *Writer) rotateLocked() error {
 	return nil
 }
 
-// Dirty reports whether a Sync issued now would reach the device: records
-// were appended since the last one. The commit leader asks before it starts
-// a sync it would otherwise have to hand to another goroutine for nothing.
-func (w *Writer) Dirty() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f != nil && w.dirty
-}
-
 // Sync makes every record appended before the call durable. No-op when
 // nothing was appended since the last Sync that covered every append. The
 // fsync runs outside w.mu, so appends (the next write group's, the GC

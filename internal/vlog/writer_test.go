@@ -59,6 +59,14 @@ func await[T any](t *testing.T, done <-chan T, what string) T {
 	}
 }
 
+// dirty reports whether a Sync issued now would reach the device: records
+// were appended since the last one.
+func dirty(w *Writer) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.f != nil && w.dirty
+}
+
 // TestAppendDuringSyncKeepsDirty: the fsync runs outside the writer's lock,
 // so an Append issued while a Sync is in its fsync returns at once; the Sync
 // then leaves Dirty set, because the new record is not covered by it, and
@@ -87,20 +95,20 @@ func TestAppendDuringSyncKeepsDirty(t *testing.T) {
 	if !returnsWithin(appended, 10*time.Second) {
 		t.Fatal("Append blocked behind an in-flight Sync")
 	}
-	if !w.Dirty() {
+	if !dirty(w) {
 		t.Fatal("Dirty false with a record appended during the fsync")
 	}
 	h.release()
 	if err := await(t, synced, "Sync"); err != nil {
 		t.Fatal(err)
 	}
-	if !w.Dirty() {
+	if !dirty(w) {
 		t.Fatal("a Sync cleared Dirty although a record landed during its fsync")
 	}
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Dirty() {
+	if dirty(w) {
 		t.Fatal("Dirty still set after a Sync that covered every append")
 	}
 	if err := w.Close(); err != nil {
