@@ -61,8 +61,8 @@ test:
 # of the write bill on a bench-shaped tree; and the write path's allocation
 # budget — a Put, a commit with and without followers, a memtable Add, a
 # skiplist insert across slab changes, a table entry and a table from a warm
-# writer pool, a log record, a link, flush and merge edit, a file name —
-# whose bounds must not depend on GOMAXPROCS, with the pipeline's writer
+# writer pool, a log record, a link, flush and merge edit, a file name, the
+# separation of a sync commit's value (nothing) — whose bounds must not depend on GOMAXPROCS, with the pipeline's writer
 # recycling under a racing Close; and the WAL list each shard keeps, whose
 # entries the post-job cleanups of both workers take exactly once; and the
 # read path's allocation
@@ -74,16 +74,20 @@ test:
 # the pipeline's once-per-writer appended notification, and the connection
 # loop's segments and read points under durable writes (the store-buffer
 # litmus, own order, acked-before-sent, MGET, a failed fsync mid-burst, and
-# Shutdown with segments in flight).
+# Shutdown with segments in flight); and the served command's allocation
+# budget — a GET of a table-resident key, owed or not, allocates nothing in the
+# server or the engine, and the client decodes a status reply for free and a
+# bulk one in at most two allocations.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup|TestPipelinedCommit|TestReadPoint' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup|TestPipelinedCommit|TestReadPoint|TestSeparateValuesAllocs' $(TESTFLAGS) ./internal/core
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSetAllocsOnFullShard' $(TESTFLAGS) ./internal/cache
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLevelTargets|TestLDCDrainsStagingLevel|TestDebt' $(TESTFLAGS) ./internal/compaction
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead|TestWriterAddAllocs|TestProbeAllocs|TestDecodedIndexMatchesOnDisk' $(TESTFLAGS) ./internal/sstable
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSeekGE' $(TESTFLAGS) ./internal/block
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters|TestReleaseLetsNextGroupForm|TestPipelineNotifies' $(TESTFLAGS) ./internal/commit
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestServerPipelined' $(TESTFLAGS) ./internal/server
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestServerPipelined|TestServedReadAllocs' $(TESTFLAGS) ./internal/server
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadReplyAllocs' $(TESTFLAGS) ./internal/resp
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestAppendDuringSyncKeepsDirty|TestRotationAndCloseWaitForSync' $(TESTFLAGS) ./internal/vlog
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestAddAllocs|TestRecordChunkEdges' $(TESTFLAGS) ./internal/memtable
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestInsertAllocs|TestTowerAtSlabBoundary|TestSlabsKeepNodesApart|TestIteratorHeldAcrossSlabChange' $(TESTFLAGS) ./internal/skiplist
@@ -145,7 +149,7 @@ race:
 
 # Ten seconds of each decoder-facing fuzzer: enough to shake out shallow
 # regressions in the block seek, block, table index, compression, codec, vlog
-# record, WAL, MANIFEST edit, write batch and RESP command parsers on every CI
+# record, WAL, MANIFEST edit, write batch, RESP command and RESP reply parsers on every CI
 # run; long campaigns stay manual
 # (go test -fuzz=... -fuzztime=10m).
 FUZZTIME ?= 10s
@@ -160,6 +164,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzDecodeEdit -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/version
 	$(GO) test -run XXX -fuzz FuzzBatchDecode -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/batch
 	$(GO) test -run XXX -fuzz FuzzRESPReadCommand -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/resp
+	$(GO) test -run XXX -fuzz FuzzRESPReadReply -fuzztime $(FUZZTIME) $(TESTFLAGS) ./internal/resp
 
 # Every exhibit of internal/harness once at the benchmark scale, each headline
 # as a metric.
@@ -168,14 +173,19 @@ bench:
 
 # One race-checked pass over the group-commit writer benchmark, the sync-
 # commit leaf benchmark (inline vs separated values: overlapped fsyncs), the
-# serving-layer benchmark and the table-iterator leaf benchmark (block at a
-# time vs read-ahead vs sequential): catches write-path, protocol and
-# pooled-buffer races without measuring anything. The served_durable workload
+# serving-layer benchmark, the table-iterator leaf benchmark (block at a
+# time vs read-ahead vs sequential) and the served path's leaf benchmarks
+# with allocs/op (RESP reply decode, batch Set+Encode, value-log Append):
+# catches write-path, protocol and pooled-buffer races without measuring
+# anything. The served_durable workload
 # of BENCHMARK.json measures the serving stack.
 bench-smoke:
 	$(GO) test -race -run XXX -bench BenchmarkTableIterSequential -benchtime 1x -benchmem $(TESTFLAGS) ./internal/sstable
 	$(GO) test -race -run XXX -bench 'BenchmarkConcurrentWriters|BenchmarkCommitSyncBlob' -benchtime 1x -benchmem $(TESTFLAGS) ./internal/core
 	$(GO) test -race -run XXX -bench 'BenchmarkServerPipelinedSet/sync=false/conns=16' -benchtime 1x $(TESTFLAGS) ./internal/server
+	$(GO) test -race -run XXX -bench BenchmarkReadReply -benchtime 1x -benchmem $(TESTFLAGS) ./internal/resp
+	$(GO) test -race -run XXX -bench BenchmarkSetEncode -benchtime 1x -benchmem $(TESTFLAGS) ./internal/batch
+	$(GO) test -race -run XXX -bench BenchmarkWriterAppend -benchtime 1x -benchmem $(TESTFLAGS) ./internal/vlog
 
 # One race-checked pass over the concurrent-read benchmarks and the 100-pair
 # scan over a sliced tree (cold/warm cache x inside/outside the slices):

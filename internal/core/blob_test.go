@@ -358,7 +358,7 @@ func rawPointer(t *testing.T, st *store, key []byte) vlog.Pointer {
 	t.Helper()
 	rs := st.loadReadState()
 	defer rs.unref()
-	val, kind, found, _, err := st.entry(rs, new(readScratch), key, st.set.LastSeq())
+	val, kind, found, err := st.entry(rs, new(readScratch), key, st.set.LastSeq())
 	if err != nil || !found || kind != keys.KindBlobRef {
 		t.Fatalf("entry of %s: kind %v, found %v, %v; want a pointer", key, kind, found, err)
 	}

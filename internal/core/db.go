@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -610,36 +611,39 @@ const ReadSampleEvery = 16
 // getAt reads at a pinned sequence (nil = latest). The router resolves a
 // public Snapshot to this shard's captured sequence before calling in.
 // Stats.Gets counts every call; every ReadSampleEvery-th is timed, standing
-// for itself and the fifteen before it in Stats.ReadTime.
-func (db *store) getAt(key []byte, snapSeq *keys.Seq) ([]byte, error) {
+// for itself and the fifteen before it in Stats.ReadTime. With own set the
+// caller gets bytes of its own; without, the value as it lies, read-only
+// (find).
+func (db *store) getAt(key []byte, snapSeq *keys.Seq, own bool) ([]byte, error) {
 	if db.stats.Gets.Add(1)%ReadSampleEvery != 0 {
-		return db.lookup(key, snapSeq)
+		return db.lookup(key, snapSeq, own)
 	}
 	start := time.Now()
-	val, err := db.lookup(key, snapSeq)
+	val, err := db.lookup(key, snapSeq, own)
 	d := time.Since(start)
 	db.stats.ReadTime.Add(int64(d) * ReadSampleEvery)
 	db.stats.readHist.Record(d)
 	return val, err
 }
 
-// lookup is the point read itself. A plain value found in a table aliases a
-// data block, and is copied only here, after find has released the read
-// state: block bytes belong to the collector, and neither the block cache nor
-// anything else writes them once they are filled (see "Liveness" in DESIGN).
-func (db *store) lookup(key []byte, snapSeq *keys.Seq) ([]byte, error) {
-	val, inBlock, err := db.find(key, snapSeq)
-	if err != nil || !inBlock {
+// lookup is the point read itself: find, then, for a caller that owns its
+// result, the one copy. The copy comes after find has released the read
+// state: the bytes it aliases belong to the collector, and nothing writes
+// them once they are filled (see "Liveness" in DESIGN).
+func (db *store) lookup(key []byte, snapSeq *keys.Seq, own bool) ([]byte, error) {
+	val, err := db.find(key, snapSeq)
+	if err != nil || !own {
 		return val, err
 	}
-	return append([]byte(nil), val...), nil
+	return bytes.Clone(val), nil
 }
 
 // find returns the value of key visible at snapSeq (nil = latest) under a
-// read state it holds for the call: a memtable's value as it lies in the
-// skiplist, a resolved blob as a copy of its own, and a table's plain value as
-// it lies in its data block, which inBlock reports.
-func (db *store) find(key []byte, snapSeq *keys.Seq) (val []byte, inBlock bool, err error) {
+// read state it holds for the call, as it lies: a memtable's value in the
+// skiplist's records, a table's plain value in its data block, a separated
+// value in the block cache. Each outlives the read state and none is
+// written again, so the caller may keep it but must not write to it.
+func (db *store) find(key []byte, snapSeq *keys.Seq) ([]byte, error) {
 	// Lock-free: one atomic load + ref pins (mem, imm, version) together; the
 	// visible sequence is then read from the Set's atomic counter. Entries at
 	// or below that sequence were applied to a memtable before the sequence
@@ -647,7 +651,7 @@ func (db *store) find(key []byte, snapSeq *keys.Seq) (val []byte, inBlock bool, 
 	// applied data, so the pair is always consistent.
 	rs := db.loadReadState()
 	if rs == nil {
-		return nil, false, ErrClosed
+		return nil, ErrClosed
 	}
 	defer rs.unref()
 	seq := db.set.LastSeq()
@@ -656,26 +660,25 @@ func (db *store) find(key []byte, snapSeq *keys.Seq) (val []byte, inBlock bool, 
 	}
 	sc := readScratchPool.Get().(*readScratch)
 	defer readScratchPool.Put(sc)
-	val, kind, found, inBlock, err := db.entry(rs, sc, key, seq)
+	val, kind, found, err := db.entry(rs, sc, key, seq)
 	switch {
 	case err != nil:
-		return nil, false, err
+		return nil, err
 	case !found || kind == keys.KindDelete:
-		return nil, false, ErrNotFound
+		return nil, ErrNotFound
 	case kind == keys.KindBlobRef:
-		val, err = db.resolveBlob(val)
-		return val, false, err
+		return db.resolveBlob(val)
 	}
-	return val, inBlock, nil
+	return val, nil
 }
 
 // entry returns the newest raw entry of key visible at seq in rs — kind and
 // stored value; for a pointer entry, the pointer bytes — searching the
 // memtables, then the tables, all with the one record it builds into sc.
-// inBlock reports that the entry came from a table: its value aliases a data
-// block. A memtable's value aliases the skiplist's buffers, which outlive the
-// read state (the Go GC keeps them alive through the returned slice).
-func (db *store) entry(rs *readState, sc *readScratch, key []byte, seq keys.Seq) (val []byte, kind keys.Kind, found, inBlock bool, err error) {
+// A memtable's value aliases the skiplist's buffers and a table's a data
+// block; both outlive the read state (the Go GC keeps them alive through
+// the returned slice).
+func (db *store) entry(rs *readState, sc *readScratch, key []byte, seq keys.Seq) (val []byte, kind keys.Kind, found bool, err error) {
 	var sk keys.InternalKey
 	sc.rec, sk = memtable.SearchRecord(sc.rec, key, seq)
 	val, kind, found = rs.mem.GetEntry(sc.rec)
@@ -683,10 +686,9 @@ func (db *store) entry(rs *readState, sc *readScratch, key []byte, seq keys.Seq)
 		val, kind, found = rs.imm.GetEntry(sc.rec)
 	}
 	if found {
-		return val, kind, true, false, nil
+		return val, kind, true, nil
 	}
-	val, kind, found, err = db.versionEntry(rs.v, sc, sk)
-	return val, kind, found, found, err
+	return db.versionEntry(rs.v, sc, sk)
 }
 
 // blobCacheBit namespaces decoded vlog values inside the shared block
@@ -697,9 +699,9 @@ func (db *store) entry(rs *readState, sc *readScratch, key []byte, seq keys.Seq)
 const blobCacheBit = uint64(1) << 63
 
 // resolveBlob materializes a pointer entry's value from the value log,
-// consulting the shared block cache first. The cache holds its own private
-// copy and the returned slice is always another copy, so a caller mutating
-// its result can never corrupt cached state.
+// consulting the shared block cache first. The value it returns is the
+// cache's private copy, read-only: the cache never writes an entry's bytes,
+// and a caller that keeps or changes the value copies it.
 func (db *store) resolveBlob(ptr []byte) ([]byte, error) {
 	p, ok := vlog.DecodePointer(ptr)
 	if !ok {
@@ -713,7 +715,7 @@ func (db *store) resolveBlob(ptr []byte) ([]byte, error) {
 	db.stats.BlobResolves.Add(1)
 	if v, hit := bc.Get(ck); hit {
 		db.stats.BlobResolveCacheHits.Add(1)
-		return append([]byte(nil), v...), nil
+		return v, nil
 	}
 	r := db.vlog.GetReader()
 	_, value, err := r.Read(p)
@@ -724,7 +726,7 @@ func (db *store) resolveBlob(ptr []byte) ([]byte, error) {
 	cached := append([]byte(nil), value...)
 	r.Release()
 	bc.Set(ck, cached, int64(len(cached)))
-	return append([]byte(nil), cached...), nil
+	return cached, nil
 }
 
 // readScratch is one point read's working state, pooled so that a

@@ -586,7 +586,8 @@ func (i *storeIter) Close() error {
 	return err
 }
 
-// Key returns the current user key, valid until the next positioning call.
+// Key returns the current user key, valid until the next positioning call
+// and read-only.
 func (i *storeIter) Key() []byte {
 	if i.dir == 0 {
 		return keys.InternalKey(i.it.Key()).UserKey()
@@ -594,9 +595,11 @@ func (i *storeIter) Key() []byte {
 	return i.savedKey
 }
 
-// Value returns the current value, valid until the next positioning call.
-// Pointer entries resolve through the value log here, on demand, so scans
-// that only look at keys never touch the log. A resolution failure returns
+// Value returns the current value, valid until the next positioning call
+// and read-only: a memtable record, a data block, or the block cache's copy
+// of a separated value (resolveBlob). Pointer entries resolve through the
+// value log here, on demand, so scans that only look at keys never touch
+// the log. A resolution failure returns
 // nil and invalidates the iterator (Valid false, Error set): a value is
 // either right or the iterator has stopped.
 func (i *storeIter) Value() []byte {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -273,4 +274,115 @@ func immPresent(db *DB) bool {
 	rs := db.shards[0].loadReadState()
 	defer rs.unref()
 	return rs.imm != nil
+}
+
+// TestGetResultIsCallersOwn holds Get and GetAt to handing out bytes nothing
+// else refers to, from every place a value lies: the memtable, the immutable
+// memtable, a table's data block, a separated value read from the value log
+// and from the block cache, and an older version under a snapshot. Each
+// result is scribbled over, then the key is read again; then everything is
+// flushed, the store reopened and every key read once more. A Get that
+// returned the store's own bytes would show the scribble in the next read,
+// and, from a memtable, in the table it is flushed to.
+func TestGetResultIsCallersOwn(t *testing.T) {
+	fs := vfs.NewErrFS(vfs.Mem())
+	opts := smallOpts(compaction.LDC)
+	opts.FS = fs
+	opts.BlobThreshold = 64
+	db := openTestDB(t, opts)
+	inline, separated := []byte("value"), blobValue(0, 200)
+	put := func(k, v []byte) {
+		t.Helper()
+		if err := db.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type row struct {
+		name      string
+		key, want []byte
+		read      func() ([]byte, error)
+		final     []byte // the key's value after reopening
+	}
+	get := func(name string, k, v []byte) row {
+		return row{name: name, key: k, want: v, final: v, read: func() ([]byte, error) { return db.Get(k) }}
+	}
+	check := func(r row) {
+		t.Helper()
+		v, err := r.read()
+		if err != nil || !bytes.Equal(v, r.want) {
+			t.Fatalf("%s: read %q, %v; want %q", r.name, v, err, r.want)
+		}
+		for i := range v {
+			v[i] = 'X'
+		}
+		if v, err := r.read(); err != nil || !bytes.Equal(v, r.want) {
+			t.Errorf("%s: after scribbling over a result, read %q, %v; want %q", r.name, v, err, r.want)
+		}
+	}
+
+	put([]byte("table"), inline)
+	put([]byte("blob"), separated)
+	put([]byte("cached blob"), separated)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Get([]byte("cached blob")); err != nil {
+		t.Fatal(err)
+	}
+	hits := db.Stats().BlobResolveCacheHits
+	check(get("table", []byte("table"), inline))
+	check(get("blob uncached", []byte("blob"), separated))
+	check(get("blob cached", []byte("cached blob"), separated))
+	if got := db.Stats().BlobResolveCacheHits - hits; got != 3 {
+		t.Fatalf("%d block-cache hits in the blob rows' four reads, want 3 (all but the first)", got)
+	}
+
+	// Park the flush of the next memtable in its table's fsync, so that what
+	// it holds stays in the immutable memtable.
+	release := make(chan struct{})
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(release) }) }
+	defer unpark()
+	fs.SetSyncHook(func(name string) error {
+		if strings.HasSuffix(name, ".sst") {
+			<-release
+		}
+		return nil
+	})
+	put([]byte("imm"), inline)
+	for i := 0; !immPresent(db); i++ {
+		put(key(i), inline)
+	}
+	put([]byte("mem"), inline)
+	check(get("imm", []byte("imm"), inline))
+	check(get("memtable", []byte("mem"), inline))
+
+	old := []byte("old value")
+	put([]byte("snap"), old)
+	snap, err := db.NewSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	put([]byte("snap"), inline)
+	atSnap := row{name: "GetAt under a snapshot", key: []byte("snap"), want: old, final: inline,
+		read: func() ([]byte, error) { return db.GetAt([]byte("snap"), snap) }}
+	check(atSnap)
+	snap.Release()
+
+	unpark()
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = openTestDB(t, opts)
+	defer db.Close()
+	for _, r := range []row{atSnap, get("table", []byte("table"), inline), get("blob uncached", []byte("blob"), separated),
+		get("blob cached", []byte("cached blob"), separated), get("imm", []byte("imm"), inline),
+		get("memtable", []byte("mem"), inline)} {
+		if v, err := db.Get(r.key); err != nil || !bytes.Equal(v, r.final) {
+			t.Errorf("%s: after flush and reopen, Get(%s) = %q, %v; want %q", r.name, r.key, v, err, r.final)
+		}
+	}
 }

@@ -321,13 +321,14 @@ func (db *DB) route(b *batch.Batch) (first int, multi bool) {
 // ---------------------------------------------------------------------------
 // Reads
 
-// Get returns the value of key, or ErrNotFound.
-func (db *DB) Get(key []byte) ([]byte, error) { return db.shardOf(key).getAt(key, nil) }
+// Get returns the value of key, or ErrNotFound. The value is the caller's
+// own: nothing else refers to its bytes.
+func (db *DB) Get(key []byte) ([]byte, error) { return db.shardOf(key).getAt(key, nil, true) }
 
-// GetAt reads at a snapshot (nil = latest).
+// GetAt reads at a snapshot (nil = latest). The value is the caller's own.
 func (db *DB) GetAt(key []byte, snap *Snapshot) ([]byte, error) {
 	i := db.shardIndex(key)
-	return db.shards[i].getAt(key, snap.seq(i))
+	return db.shards[i].getAt(key, snap.seq(i), true)
 }
 
 // scanChunk is the size of the buffers Scan copies pairs into: the largest the

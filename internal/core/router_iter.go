@@ -64,12 +64,14 @@ func (i *Iterator) Prev() {
 // Valid reports whether the iterator is positioned at an entry.
 func (i *Iterator) Valid() bool { return i.err == nil && i.merged.Valid() }
 
-// Key returns the current key; valid until the next move.
+// Key returns the current key; valid until the next move, and read-only:
+// copy it to keep or change it.
 func (i *Iterator) Key() []byte { return i.merged.Key() }
 
-// Value returns the current value; valid until the next move. A value that
-// cannot be read (a dangling value-log pointer) returns nil and invalidates
-// the iterator: Valid turns false and Error reports the cause.
+// Value returns the current value; valid until the next move, and read-only
+// like Key: it may be the store's own bytes (Scan returns copies). A value
+// that cannot be read (a dangling value-log pointer) returns nil and
+// invalidates the iterator: Valid turns false and Error reports the cause.
 func (i *Iterator) Value() []byte {
 	v := i.merged.Value()
 	if v == nil {

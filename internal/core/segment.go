@@ -10,8 +10,8 @@ import (
 // This file holds the two halves of a pipelined client stream (the server's
 // connection loop): a Segment, a write batch whose commit runs on while the
 // stream goes on, and a ReadPoint, the sequence a read in the stream answers
-// at. Neither is a method of DB, so the public package, which aliases DB,
-// does not grow them.
+// at, with ReadLatest, its read of the latest state. None is a method of DB,
+// so the public package, which aliases DB, does not grow them.
 
 // Segment is a write batch committed ahead of its acknowledgement. Submit
 // returns once every shard the batch touches has appended the batch's WAL
@@ -158,17 +158,26 @@ func TakeReadPoint(db *DB, key []byte) ReadPoint {
 
 // Read waits until the point's shard has published through the point, or
 // fails with the store's error, then reads key at the point and releases it.
-// key must be the key the point was taken for.
+// key must be the key the point was taken for. The value is returned as it
+// lies in the store (a memtable record, a data block, the block cache's copy
+// of a separated value): read-only, to be copied, not written.
 func (p ReadPoint) Read(key []byte) ([]byte, error) {
 	defer p.Release()
 	if err := p.st.awaitPublished(p.seq); err != nil {
 		return nil, err
 	}
-	return p.st.getAt(key, &p.seq)
+	return p.st.getAt(key, &p.seq, false)
 }
 
 // Release drops the point's registration without reading.
 func (p ReadPoint) Release() { p.st.snapshots.release(p.seq) }
+
+// ReadLatest is DB.Get for a stream with nothing owed, which copies the
+// value into its reply at once: the same read, counted and sampled the same
+// way, but the value comes back as ReadPoint.Read returns it, read-only.
+func ReadLatest(db *DB, key []byte) ([]byte, error) {
+	return db.shardOf(key).getAt(key, nil, false)
+}
 
 // LiveReadPoints counts the read points and snapshots registered on db's
 // shards now: what holds compaction to the versions a reader still needs.

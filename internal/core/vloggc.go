@@ -172,7 +172,7 @@ func (db *store) recordLive(key []byte, ptr vlog.Pointer) (bool, error) {
 	defer rs.unref()
 	sc := readScratchPool.Get().(*readScratch)
 	defer readScratchPool.Put(sc)
-	val, kind, found, _, err := db.entry(rs, sc, key, db.set.LastSeq())
+	val, kind, found, err := db.entry(rs, sc, key, db.set.LastSeq())
 	if err != nil {
 		return false, err
 	}

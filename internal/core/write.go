@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/batch"
@@ -151,6 +152,7 @@ func (db *store) commitGroup(g *batch.Group, sync bool, release func()) error {
 	}
 	if sep != nil {
 		b = sep
+		defer recycleSeparated(sep)
 	}
 	// One vlog durability point per sync group whose records name values in
 	// the log, mirroring the WAL's: an acknowledged sync commit must never
@@ -339,7 +341,8 @@ func (db *store) logGroupLocked(g *batch.Group, sep, b *batch.Batch) (keys.Seq, 
 // them), so write accounting reflects what the user wrote. onVlog reports
 // that the batch names values in the value log that its own commit depends
 // on: one it separated, or a GC rewrite, whose relocated copy the GC
-// appended.
+// appended. A non-nil sep comes from sepBatches and belongs to the caller
+// until it recycles it (recycleSeparated).
 func (db *store) separateValues(b *batch.Batch) (sep *batch.Batch, extraUserBytes int64, onVlog bool, err error) {
 	if db.vlogw == nil {
 		return nil, 0, false, nil
@@ -357,7 +360,7 @@ func (db *store) separateValues(b *batch.Batch) (sep *batch.Batch, extraUserByte
 	if !qualifies {
 		return nil, 0, onVlog, nil
 	}
-	out := batch.New()
+	out := sepBatches.Get().(*batch.Batch)
 	var sepCount, sepBytes int64
 	var ptrBuf [vlog.PointerLen]byte
 	eachErr := b.Each(func(kind keys.Kind, key, value []byte) error {
@@ -385,11 +388,27 @@ func (db *store) separateValues(b *batch.Batch) (sep *batch.Batch, extraUserByte
 		return nil
 	})
 	if eachErr != nil {
+		recycleSeparated(out)
 		return nil, 0, false, eachErr
 	}
 	db.stats.BlobValuesSeparated.Add(sepCount)
 	db.stats.BlobBytesSeparated.Add(sepBytes)
 	return out, extraUserBytes, true, nil
+}
+
+// sepBatches holds separateValues' rewritten batches, each grown to the
+// largest group it carried. A rewritten batch is in use until its group's
+// commitGroup returns: the WAL record is encoded from it at the append, and a
+// pipelined group applies it to the memtable only at its publish, after its
+// fsyncs. Nothing refers to it after that (the WAL and the memtable copy
+// what they keep), so commitGroup hands it back then, reset; under -tags
+// invariants Reset poisons the payload, which is what would show a
+// reference that was kept.
+var sepBatches = sync.Pool{New: func() any { return batch.New() }}
+
+func recycleSeparated(b *batch.Batch) {
+	b.Reset()
+	sepBatches.Put(b)
 }
 
 // rewriteGuardLocked decides whether a GC rewrite whose liveness was read

@@ -200,3 +200,40 @@ func TestPutAllocsSteadyState(t *testing.T) {
 		db.Close()
 	}
 }
+
+// TestSeparateValuesAllocs: a warm sync commit that separates its value into
+// the value log allocates no more than one that keeps it inline, so the
+// separation itself allocates nothing — its rewritten batch comes from
+// sepBatches and goes back once the commit returns.
+func TestSeparateValuesAllocs(t *testing.T) {
+	if !exactAllocs {
+		t.Skip("the race detector empties sync.Pool at random and the invariants build allocates in its checks")
+	}
+	v := bytes.Repeat([]byte{'v'}, 1<<10)
+	perPut := func(blobThreshold int64) (float64, Stats) {
+		opts := smallOpts(compaction.LDC)
+		opts.MemTableSize, opts.BlobSegmentSize = 256<<20, 256<<20
+		opts.BlobThreshold, opts.Sync = blobThreshold, true
+		db := openTestDB(t, opts)
+		defer db.Close()
+		i := 0
+		put := func() {
+			i++
+			if err := db.Put(key(i%100), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j := 0; j < 100; j++ { // grow the pooled batches and the log writers' buffers
+			put()
+		}
+		return testing.AllocsPerRun(1000, put), db.Stats()
+	}
+	inline, _ := perPut(0)
+	separated, st := perPut(64)
+	if st.BlobValuesSeparated < 1000 {
+		t.Fatalf("%d values separated, want every Put's", st.BlobValuesSeparated)
+	}
+	if separated > inline {
+		t.Errorf("a sync Put that separates its value allocates %.0f times, one that does not %.0f", separated, inline)
+	}
+}

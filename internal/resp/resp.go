@@ -35,6 +35,9 @@ const (
 	MaxBulkLen = 64 << 20
 	// maxInline bounds an inline (telnet-style) command line.
 	maxInline = 1 << 16
+	// maxArrayPrealloc bounds the elements ReadReply allocates room for
+	// before it has read them.
+	maxArrayPrealloc = 1 << 10
 )
 
 // ErrProtocol reports malformed or oversized input; the connection is not
@@ -245,11 +248,16 @@ func (r *Reader) resolveArgs() [][]byte {
 //
 // Unlike ReadCommand, the returned value does not alias the Reader's buffer
 // — bulk payloads are copied — because clients hand replies to application
-// code with unbounded lifetime.
+// code with unbounded lifetime. The status replies the server sends on every
+// write and PING, "OK" and "PONG", come back as shared values boxed once
+// (okReply, pongReply): a Go string is immutable, so sharing one is safe.
 func (r *Reader) ReadReply() (interface{}, error) {
 	r.compact()
 	return r.readReplyValue()
 }
+
+// okReply and pongReply are boxed once: boxing a string allocates.
+var okReply, pongReply interface{} = "OK", "PONG"
 
 func (r *Reader) readReplyValue() (interface{}, error) {
 	for r.r >= r.w {
@@ -262,9 +270,18 @@ func (r *Reader) readReplyValue() (interface{}, error) {
 	if err != nil {
 		return nil, err
 	}
+	if end == start {
+		return nil, fmt.Errorf("%w: empty reply line", ErrProtocol)
+	}
 	line := r.buf[start+1 : end]
 	switch typ {
 	case '+':
+		switch string(line) {
+		case "OK":
+			return okReply, nil
+		case "PONG":
+			return pongReply, nil
+		}
 		return string(line), nil
 	case '-':
 		return Error(string(line)), nil
@@ -304,7 +321,9 @@ func (r *Reader) readReplyValue() (interface{}, error) {
 		if n < 0 || n > MaxArgs {
 			return nil, fmt.Errorf("%w: array length %d", ErrProtocol, n)
 		}
-		out := make([]interface{}, 0, n)
+		// Capped: a hostile length prefix must not allocate ahead of the
+		// elements that back it.
+		out := make([]interface{}, 0, min(n, maxArrayPrealloc))
 		for i := int64(0); i < n; i++ {
 			v, err := r.readReplyValue()
 			if err != nil {

@@ -417,7 +417,7 @@ func (c *conn) read(name string, keys [][]byte, start time.Time) (owed bool) {
 			c.w.Array(len(keys))
 		}
 		for _, k := range keys {
-			val, err := c.srv.db.Get(k)
+			val, err := core.ReadLatest(c.srv.db, k)
 			c.readReply(name, val, err)
 		}
 		return false
@@ -431,8 +431,9 @@ func (c *conn) read(name string, keys [][]byte, start time.Time) (owed bool) {
 	return true
 }
 
-// readReply writes one value of a GET or an MGET: the value, or a null for
-// a missing key. A GET reports any other error; an MGET reads an
+// readReply writes one value of a GET or an MGET: the value, which it copies
+// into the reply buffer and nowhere else (val is the store's own, read-only),
+// or a null for a missing key. A GET reports any other error; an MGET reads an
 // unreadable key as null, per Redis.
 func (c *conn) readReply(name string, val []byte, err error) {
 	switch {
