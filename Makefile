@@ -77,10 +77,11 @@ test:
 # Shutdown with segments in flight); and the served command's allocation
 # budget — a GET of a table-resident key, owed or not, allocates nothing in the
 # server or the engine, and the client decodes a status reply for free and a
-# bulk one in at most two allocations.
+# bulk one in at most two allocations; and a second Close of an iterator,
+# which must leave the pooled merges it let go of to their next owners.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup|TestPipelinedCommit|TestReadPoint|TestSeparateValuesAllocs' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup|TestPipelinedCommit|TestReadPoint|TestSeparateValuesAllocs|TestIteratorCloseTwice' $(TESTFLAGS) ./internal/core
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSetAllocsOnFullShard' $(TESTFLAGS) ./internal/cache
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLevelTargets|TestLDCDrainsStagingLevel|TestDebt' $(TESTFLAGS) ./internal/compaction
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead|TestWriterAddAllocs|TestProbeAllocs|TestDecodedIndexMatchesOnDisk' $(TESTFLAGS) ./internal/sstable
@@ -138,10 +139,11 @@ invariants:
 # several goroutines counting into their shard's one read sink between
 # compactions that delete the tables they read; and connections whose
 # segments commit on goroutines of their own while the loop takes read
-# points behind them.
+# points behind them; and an iterator closed twice while another holds the
+# merges it gave back to the pool.
 race:
 	$(GO) test -race -short $(TESTFLAGS) ./...
-	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestWAL|TestCrashLeftWALs|TestFailedRotationWALTracked|TestPipelinedCommit|TestSyncCommit|TestReadPoint|TestCumulativeCountersNeverDecrease' $(TESTFLAGS) ./internal/core
+	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestWAL|TestCrashLeftWALs|TestFailedRotationWALTracked|TestPipelinedCommit|TestSyncCommit|TestReadPoint|TestCumulativeCountersNeverDecrease|TestIteratorCloseTwice' $(TESTFLAGS) ./internal/core
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters|TestReleaseLetsNextGroupForm|TestPipelineNotifies' $(TESTFLAGS) ./internal/commit
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestServerPipelined' $(TESTFLAGS) ./internal/server
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestAppendDuringSyncKeepsDirty|TestRotationAndCloseWaitForSync' $(TESTFLAGS) ./internal/vlog
@@ -175,7 +177,9 @@ bench:
 # commit leaf benchmark (inline vs separated values: overlapped fsyncs), the
 # serving-layer benchmark, the table-iterator leaf benchmark (block at a
 # time vs read-ahead vs sequential) and the served path's leaf benchmarks
-# with allocs/op (RESP reply decode, batch Set+Encode, value-log Append):
+# with allocs/op (RESP reply decode, batch Set+Encode, value-log Append), and
+# the read path's (a five-way merge step with and without a lazy child, a
+# memtable walk):
 # catches write-path, protocol and pooled-buffer races without measuring
 # anything. The served_durable workload
 # of BENCHMARK.json measures the serving stack.
@@ -186,6 +190,8 @@ bench-smoke:
 	$(GO) test -race -run XXX -bench BenchmarkReadReply -benchtime 1x -benchmem $(TESTFLAGS) ./internal/resp
 	$(GO) test -race -run XXX -bench BenchmarkSetEncode -benchtime 1x -benchmem $(TESTFLAGS) ./internal/batch
 	$(GO) test -race -run XXX -bench BenchmarkWriterAppend -benchtime 1x -benchmem $(TESTFLAGS) ./internal/vlog
+	$(GO) test -race -run XXX -bench BenchmarkMergingNext -benchtime 1x -benchmem $(TESTFLAGS) ./internal/iterator
+	$(GO) test -race -run XXX -bench BenchmarkMemtableIterate -benchtime 1x -benchmem $(TESTFLAGS) ./internal/memtable
 
 # One race-checked pass over the concurrent-read benchmarks and the 100-pair
 # scan over a sliced tree (cold/warm cache x inside/outside the slices):

@@ -343,21 +343,6 @@ func (it *Iter) SeekToFirst() {
 	it.seekRestart(0)
 }
 
-func (it *Iter) SeekToLast() {
-	if it.err != nil {
-		return
-	}
-	if len(it.r.data) == 0 {
-		it.offset = -1
-		return
-	}
-	it.seekRestart(it.r.numRestarts - 1)
-	for it.err == nil && it.next < len(it.r.data) {
-		it.offset = it.next
-		it.next = it.decodeAt(it.next)
-	}
-}
-
 func (it *Iter) Next() {
 	if !it.Valid() {
 		return
@@ -368,31 +353,6 @@ func (it *Iter) Next() {
 	}
 	it.offset = it.next
 	it.next = it.decodeAt(it.next)
-}
-
-// Prev re-scans from the preceding restart point, as in LevelDB.
-func (it *Iter) Prev() {
-	if !it.Valid() {
-		return
-	}
-	target := it.offset
-	if target == 0 {
-		it.offset = -1
-		return
-	}
-	// Find the last restart strictly before the current entry.
-	ri := 0
-	for i := it.r.numRestarts - 1; i >= 0; i-- {
-		if it.r.restartOffset(i) < target {
-			ri = i
-			break
-		}
-	}
-	it.seekRestart(ri)
-	for it.err == nil && it.next < target {
-		it.offset = it.next
-		it.next = it.decodeAt(it.next)
-	}
 }
 
 func (it *Iter) Key() []byte   { return it.key }

@@ -47,10 +47,6 @@ func TestEmptyBlock(t *testing.T) {
 	if it.Valid() {
 		t.Error("empty block iterator valid")
 	}
-	it.SeekToLast()
-	if it.Valid() {
-		t.Error("SeekToLast valid on empty block")
-	}
 	it.SeekGE([]byte("x"))
 	if it.Valid() {
 		t.Error("SeekGE valid on empty block")
@@ -86,17 +82,38 @@ func TestSeekGE(t *testing.T) {
 	}
 }
 
-func TestSeekToLastAndPrev(t *testing.T) {
-	r := buildBlock(t, 3, "a", "1", "b", "2", "c", "3", "d", "4", "e", "5")
+// TestReseekAfterWalk: a seek lands right wherever the iterator stands —
+// mid-walk, past the end, or on a later restart run than the target's — and
+// the walk that follows it yields every later entry in order.
+func TestReseekAfterWalk(t *testing.T) {
+	r := buildBlock(t, 2, "a", "1", "b", "2", "c", "3", "d", "4", "e", "5", "f", "6", "g", "7")
+	all := []string{"a=1", "b=2", "c=3", "d=4", "e=5", "f=6", "g=7"}
 	it := r.Iter()
-	var got []string
-	for it.SeekToLast(); it.Valid(); it.Prev() {
-		got = append(got, string(it.Key()))
+	rest := func(op string, from int) {
+		t.Helper()
+		var got []string
+		for ; it.Valid(); it.Next() {
+			got = append(got, string(it.Key())+"="+string(it.Value()))
+		}
+		if err := it.Error(); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(all[from:]) {
+			t.Errorf("%s: walk got %v want %v", op, got, all[from:])
+		}
 	}
-	want := []string{"e", "d", "c", "b", "a"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("reverse scan got %v want %v", got, want)
-	}
+	it.SeekGE([]byte("f"))
+	rest("SeekGE(f)", 5)
+	it.SeekGE([]byte("b")) // from past the end back to an earlier restart run
+	rest("SeekGE(b) after the end", 1)
+	it.SeekToFirst()
+	it.Next()
+	it.Next()
+	it.Next() // on d
+	it.SeekGE([]byte("bb"))
+	rest("SeekGE(bb) from d", 2)
+	it.SeekToFirst()
+	rest("SeekToFirst after the end", 0)
 }
 
 func TestEstimatedSizeGrows(t *testing.T) {

@@ -94,9 +94,9 @@ func TestBlobSeparationRoundTrip(t *testing.T) {
 					t.Fatalf("%s: iterator: %v", stage, err)
 				}
 				seen := 0
-				for it.SeekToLast(); it.Valid(); it.Prev() {
+				for it.SeekToFirst(); it.Valid(); it.Next() {
 					if !bytes.Equal(it.Value(), want[string(it.Key())]) {
-						t.Fatalf("%s: reverse iter %s: wrong value", stage, it.Key())
+						t.Fatalf("%s: iter %s: wrong value", stage, it.Key())
 					}
 					seen++
 				}
@@ -104,7 +104,7 @@ func TestBlobSeparationRoundTrip(t *testing.T) {
 					t.Fatalf("%s: iter close: %v", stage, err)
 				}
 				if seen != n {
-					t.Fatalf("%s: reverse iter saw %d keys, want %d", stage, seen, n)
+					t.Fatalf("%s: iter saw %d keys, want %d", stage, seen, n)
 				}
 			}
 
@@ -905,32 +905,25 @@ func TestBlobDanglingPointerIsAnError(t *testing.T) {
 			if kvs, err := db.Scan(key(0), 5); !errors.Is(err, vlog.ErrSegmentGone) {
 				t.Fatalf("Scan = %d pairs, %v; want ErrSegmentGone", len(kvs), err)
 			}
-			for _, dir := range []string{"forward", "reverse"} {
-				it, err := db.NewIterator(nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if dir == "forward" {
-					it.Seek(key(0))
-				} else {
-					it.Seek(key(1))
-					it.Prev()
-				}
-				if !it.Valid() || !bytes.Equal(it.Key(), key(0)) {
-					t.Fatalf("%s: not positioned on key 0 (valid %v)", dir, it.Valid())
-				}
-				if v := it.Value(); v != nil {
-					t.Fatalf("%s: Value = %d bytes from a missing segment", dir, len(v))
-				}
-				if it.Valid() {
-					t.Fatalf("%s: still Valid after a failed resolution", dir)
-				}
-				if err := it.Error(); !errors.Is(err, vlog.ErrSegmentGone) {
-					t.Fatalf("%s: Error = %v; want ErrSegmentGone", dir, err)
-				}
-				if err := it.Close(); !errors.Is(err, vlog.ErrSegmentGone) {
-					t.Fatalf("%s: Close = %v; want ErrSegmentGone", dir, err)
-				}
+			it, err := db.NewIterator(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it.Seek(key(0))
+			if !it.Valid() || !bytes.Equal(it.Key(), key(0)) {
+				t.Fatalf("not positioned on key 0 (valid %v)", it.Valid())
+			}
+			if v := it.Value(); v != nil {
+				t.Fatalf("Value = %d bytes from a missing segment", len(v))
+			}
+			if it.Valid() {
+				t.Fatal("still Valid after a failed resolution")
+			}
+			if err := it.Error(); !errors.Is(err, vlog.ErrSegmentGone) {
+				t.Fatalf("Error = %v; want ErrSegmentGone", err)
+			}
+			if err := it.Close(); !errors.Is(err, vlog.ErrSegmentGone) {
+				t.Fatalf("Close = %v; want ErrSegmentGone", err)
 			}
 		})
 	}

@@ -306,52 +306,180 @@ func TestScanMatchesModel(t *testing.T) {
 	}
 }
 
-func TestReverseIteration(t *testing.T) {
+// TestIteratorCloseTwice: a second Close of an iterator is a no-op returning
+// the first result. The merges under it are pooled, so a Close that reached
+// them again would close whatever iterator had taken them since.
+func TestIteratorCloseTwice(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := smallOpts(compaction.LDC)
+			opts.Shards = shards
+			db := openTestDB(t, opts)
+			const flushed, n = 2000, 2050
+			fillSequential(t, db, flushed)
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i := flushed; i < n; i++ {
+				if err := db.Put(key(i), value(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			it1, err := db.NewIterator(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it1.SeekToFirst()
+			if err := it1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			it2, err := db.NewIterator(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it2.SeekToFirst()
+			if err := it1.Close(); err != nil {
+				t.Fatalf("second Close = %v", err)
+			}
+			walked, panicked := 0, false
+			func() {
+				// A broken iterator panics here; recover so that the failure
+				// is reported instead of Close waiting for its read state.
+				defer func() {
+					if r := recover(); r != nil {
+						panicked = true
+						t.Errorf("walk after the other iterator's second Close panicked: %v", r)
+					}
+				}()
+				for ; it2.Valid(); it2.Next() {
+					if !bytes.Equal(it2.Key(), key(walked)) || !bytes.Equal(it2.Value(), value(walked)) {
+						t.Fatalf("entry %d is %q=%q", walked, it2.Key(), it2.Value())
+					}
+					walked++
+				}
+			}()
+			if panicked {
+				return // the store's read state is wedged: leave it open
+			}
+			if err := it2.Close(); err != nil || walked != n {
+				t.Fatalf("walked %d of %d keys, Close = %v", walked, n, err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestIteratorSeekSkipsDeleted: with tombstones both compacted into the tree
+// and still in the memtable, over live versions in lower levels, a seek to a
+// deleted key lands on the next live one and a whole walk skips every
+// deleted key.
+func TestIteratorSeekSkipsDeleted(t *testing.T) {
 	db := openTestDB(t, smallOpts(compaction.LDC))
 	defer db.Close()
 	const n = 3000
 	fillSequential(t, db, n)
-	db.Delete(key(100))
-	db.CompactRange()
+	deleted := map[int]bool{}
+	for _, i := range []int{0, 100, 101, 1500} {
+		if err := db.Delete(key(i)); err != nil {
+			t.Fatal(err)
+		}
+		deleted[i] = true
+	}
+	if err := db.CompactRange(); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{102, 2000, n - 1} { // these stay in the memtable
+		if err := db.Delete(key(i)); err != nil {
+			t.Fatal(err)
+		}
+		deleted[i] = true
+	}
 
 	it, err := db.NewIterator(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	i := n - 1
-	for it.SeekToLast(); it.Valid(); it.Prev() {
-		if i == 100 {
-			i-- // deleted
+	i := 0
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		for deleted[i] {
+			i++
 		}
-		if string(it.Key()) != string(key(i)) {
-			t.Fatalf("reverse at %d: got %q", i, it.Key())
+		if !bytes.Equal(it.Key(), key(i)) || !bytes.Equal(it.Value(), value(i)) {
+			t.Fatalf("walk at %d: got %q=%q", i, it.Key(), it.Value())
 		}
-		i--
+		i++
 	}
-	if i != -1 {
-		t.Errorf("reverse stopped at %d", i)
+	if err := it.Error(); err != nil || i != n-1 {
+		t.Fatalf("walk stopped at %d: %v", i, err)
+	}
+	for d := range deleted {
+		it.Seek(key(d))
+		next := d + 1
+		for deleted[next] {
+			next++
+		}
+		if next >= n {
+			if it.Valid() {
+				t.Errorf("Seek(%d) landed on %q, want the end", d, it.Key())
+			}
+			continue
+		}
+		if !it.Valid() || !bytes.Equal(it.Key(), key(next)) {
+			t.Errorf("Seek(%d) landed on %q (valid %v), want key %d", d, it.Key(), it.Valid(), next)
+		}
 	}
 }
 
-func TestIteratorDirectionSwitch(t *testing.T) {
-	db := openTestDB(t, smallOpts(compaction.LDC))
-	defer db.Close()
-	for i := 0; i < 10; i++ {
-		db.Put(key(i), value(i))
-	}
-	it, _ := db.NewIterator(nil)
-	defer it.Close()
-	it.SeekToFirst()
-	it.Next() // 1
-	it.Next() // 2
-	it.Prev() // 1
-	if string(it.Key()) != string(key(1)) {
-		t.Fatalf("after fwd,prev at %q", it.Key())
-	}
-	it.Next() // 2
-	if string(it.Key()) != string(key(2)) {
-		t.Fatalf("after rev,next at %q", it.Key())
+// TestIteratorReseekAfterWalk: an iterator over a memtable and several levels
+// is re-seeked — back to earlier keys, from mid-walk and from past the end —
+// and each walk that follows yields every later key with its value.
+func TestIteratorReseekAfterWalk(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := smallOpts(compaction.LDC)
+			opts.Shards = shards
+			db := openTestDB(t, opts)
+			defer db.Close()
+			const n = 2500
+			fillSequential(t, db, n)
+			for i := 0; i < n; i += 7 { // newer versions, some in the memtable
+				if err := db.Put(key(i), value(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			it, err := db.NewIterator(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer it.Close()
+			walk := func(op string, from, steps int) {
+				t.Helper()
+				i := from
+				for ; it.Valid() && (steps < 0 || i < from+steps); it.Next() {
+					if !bytes.Equal(it.Key(), key(i)) || !bytes.Equal(it.Value(), value(i)) {
+						t.Fatalf("%s: entry %d is %q=%q", op, i, it.Key(), it.Value())
+					}
+					i++
+				}
+				if err := it.Error(); err != nil {
+					t.Fatalf("%s: %v", op, err)
+				}
+				if steps < 0 && i != n {
+					t.Fatalf("%s: walk stopped at %d", op, i)
+				}
+			}
+			it.SeekToFirst()
+			walk("SeekToFirst", 0, -1)
+			for _, s := range []struct{ from, steps int }{{2000, 30}, {10, 300}, {1200, -1}, {1199, 5}, {0, 2}, {n - 1, -1}} {
+				it.Seek(key(s.from))
+				walk(fmt.Sprintf("Seek(%d)", s.from), s.from, s.steps)
+			}
+			it.SeekToFirst()
+			walk("SeekToFirst after the end", 0, -1)
+		})
 	}
 }
 

@@ -101,32 +101,12 @@ func (l *levelIter) SeekToFirst() {
 	l.skipForward()
 }
 
-func (l *levelIter) SeekToLast() {
-	l.assertOpen()
-	if l.err != nil {
-		return
-	}
-	if !l.open(len(l.files) - 1) {
-		return
-	}
-	l.cur.SeekToLast()
-	l.skipBackward()
-}
-
 func (l *levelIter) Next() {
 	if !l.Valid() {
 		return
 	}
 	l.cur.Next()
 	l.skipForward()
-}
-
-func (l *levelIter) Prev() {
-	if !l.Valid() {
-		return
-	}
-	l.cur.Prev()
-	l.skipBackward()
 }
 
 func (l *levelIter) skipForward() {
@@ -139,19 +119,6 @@ func (l *levelIter) skipForward() {
 			return
 		}
 		l.cur.SeekToFirst()
-	}
-}
-
-func (l *levelIter) skipBackward() {
-	for l.err == nil && l.cur != nil && !l.cur.Valid() {
-		if err := l.cur.Error(); err != nil {
-			l.err = err
-			return
-		}
-		if !l.open(l.idx - 1) {
-			return
-		}
-		l.cur.SeekToLast()
 	}
 }
 
@@ -202,30 +169,26 @@ func (l *levelIter) Close() error {
 // range alone, and the ones still ahead stand in the merge as one bound
 // (iterator.Lazy), entered one at a time as the merge reaches them.
 //
-// Moving forward the windows are taken in Range.Lo order (version.Windows):
-// the ones not yet reached are ByLo[next:], and the search key of
-// ByLo[next].Range.Lo is a lower bound of everything in them, since every key
-// of a window is at or above its Lo and the Los only grow. Moving backward is
-// the mirror image: the windows not yet reached are ByLo[:next], and no entry
-// of theirs lies above MaxHi[next-1].
+// The windows are taken in Range.Lo order (version.Windows): the ones not yet
+// reached are ByLo[next:], and the search key of ByLo[next].Range.Lo is a
+// lower bound of everything in them, since every key of a window is at or
+// above its Lo and the Los only grow.
 //
 // sliceIters are pooled like levelIters; Close recycles them.
 type sliceIter struct {
 	db *store
 	w  *version.Windows
 
-	reverse bool
-	next    int
-	bound   []byte // the bound the unreached windows stand on, if any are left
+	next  int
+	bound []byte // the bound the unreached windows stand on, if any are left
 	// open holds the windows the position is inside, by value so that their
 	// bound keys are rebuilt into kept buffers. There are only a handful (a
-	// lower file carries at most T_s links), so the one on the smallest key —
-	// largest, moving backward — is found by comparing them all.
+	// lower file carries at most T_s links), so the one on the smallest key is
+	// found by comparing them all.
 	open    []iterator.Clamped
 	cur     int  // index in open of that window, -1 if none is open
 	pending bool // the bound comes before open[cur]: the iterator rests on it
 
-	turn   []byte // copy of the position across a change of direction
 	err    error
 	closed bool
 }
@@ -277,13 +240,13 @@ func (l *sliceIter) leave(i int) {
 	l.open = l.open[:last]
 }
 
-// restart closes every open window ahead of a seek in the given direction.
-func (l *sliceIter) restart(reverse bool) bool {
+// restart closes every open window ahead of a seek.
+func (l *sliceIter) restart() bool {
 	l.assertOpen()
 	for len(l.open) > 0 {
 		l.leave(len(l.open) - 1)
 	}
-	l.reverse, l.cur, l.pending = reverse, -1, false
+	l.cur, l.pending = -1, false
 	return l.err == nil
 }
 
@@ -301,25 +264,18 @@ func (l *sliceIter) settle() {
 	for i := range l.open {
 		if l.cur < 0 {
 			l.cur = i
-		} else if c := cmp(l.open[i].Key(), l.open[l.cur].Key()); c != 0 && (c < 0) != l.reverse {
+		} else if cmp(l.open[i].Key(), l.open[l.cur].Key()) < 0 {
 			l.cur = i
 		}
 	}
-	if l.reverse {
-		l.pending = l.next > 0 && (l.cur < 0 || cmp(l.bound, l.open[l.cur].Key()) >= 0)
-	} else {
-		l.pending = l.next < len(l.w.ByLo) && (l.cur < 0 || cmp(l.bound, l.open[l.cur].Key()) <= 0)
-	}
+	l.pending = l.next < len(l.w.ByLo) && (l.cur < 0 || cmp(l.bound, l.open[l.cur].Key()) <= 0)
 }
 
-// reach records that the unreached windows now begin (end, moving backward)
-// at next, and builds the bound they stand on.
+// reach records that the unreached windows now begin at next, and builds the
+// bound they stand on.
 func (l *sliceIter) reach(next int) {
 	l.next = next
-	switch {
-	case l.reverse && next > 0:
-		l.bound = keys.MakeInternalKey(l.bound[:0], l.w.MaxHi[next-1], 0, keys.KindDelete)
-	case !l.reverse && next < len(l.w.ByLo):
+	if next < len(l.w.ByLo) {
 		l.bound = keys.MakeSearchKey(l.bound[:0], l.w.ByLo[next].Range.Lo, keys.MaxSeq)
 	}
 }
@@ -335,22 +291,15 @@ func (l *sliceIter) Pending() bool { return l.err == nil && l.pending }
 // Open implements iterator.Lazy: it enters the nearest unreached window.
 func (l *sliceIter) Open() {
 	l.assertOpen()
-	if l.reverse {
-		l.reach(l.next - 1)
-		if c := l.enter(l.next); c != nil {
-			c.SeekToLast()
-		}
-	} else {
-		if c := l.enter(l.next); c != nil {
-			c.SeekToFirst()
-		}
-		l.reach(l.next + 1)
+	if c := l.enter(l.next); c != nil {
+		c.SeekToFirst()
 	}
+	l.reach(l.next + 1)
 	l.settle()
 }
 
 func (l *sliceIter) SeekGE(target []byte) {
-	if !l.restart(false) {
+	if !l.restart() {
 		return
 	}
 	ucmp, uk := l.db.icmp.User, keys.InternalKey(target).UserKey()
@@ -370,77 +319,19 @@ func (l *sliceIter) SeekGE(target []byte) {
 }
 
 func (l *sliceIter) SeekToFirst() {
-	if l.restart(false) {
+	if l.restart() {
 		l.reach(0)
 		l.settle()
 	}
 }
 
-func (l *sliceIter) SeekToLast() { l.seekLT(nil) }
-
-// seekLT rests the iterator, moving backward, on the last entry below key; nil
-// is the end. Windows that start above key hold nothing below it; of the
-// others, the ones that could reach key are entered at once — down to where
-// MaxHi drops below it, a few more than those that do reach it when a long
-// window precedes short ones — and the rest stand on the bound.
-func (l *sliceIter) seekLT(key []byte) {
-	if !l.restart(true) {
-		return
-	}
-	n := len(l.w.ByLo)
-	if key != nil {
-		ucmp, uk := l.db.icmp.User, keys.InternalKey(key).UserKey()
-		i := l.w.StartingAtOrBelow(ucmp, uk) - 1
-		for ; i >= 0 && ucmp.Compare(l.w.MaxHi[i], uk) >= 0; i-- {
-			c := l.enter(i)
-			if c == nil {
-				continue
-			}
-			if c.SeekGE(key); c.Valid() {
-				c.Prev()
-			} else {
-				c.SeekToLast()
-			}
-		}
-		n = i + 1
-	}
-	l.reach(n)
-	l.settle()
-}
-
-// Next steps forward. Moving backward it first turns around; the merge only
-// asks that of an iterator resting on an entry, which the seek finds again.
+// Next steps forward; the merge only asks that of an iterator resting on an
+// entry.
 func (l *sliceIter) Next() {
 	if !l.Valid() || l.pending {
 		return
 	}
-	if l.reverse {
-		l.turn = append(l.turn[:0], l.Key()...)
-		l.SeekGE(l.turn)
-		if !l.Valid() || l.pending || l.db.icmp.Compare(l.Key(), l.turn) != 0 {
-			return
-		}
-	}
 	l.open[l.cur].Next()
-	l.settle()
-}
-
-// Prev steps backward. Moving forward it first turns around, onto the last
-// entry below the position — which may be the bound: no entry lies between
-// the entries already passed and a bound the iterator rests on.
-func (l *sliceIter) Prev() {
-	if !l.Valid() {
-		return
-	}
-	if !l.reverse {
-		l.turn = append(l.turn[:0], l.Key()...)
-		l.seekLT(l.turn)
-		return
-	}
-	if l.pending {
-		return
-	}
-	l.open[l.cur].Prev()
 	l.settle()
 }
 
@@ -468,7 +359,7 @@ func (l *sliceIter) Close() error {
 	if l.closed {
 		return l.err
 	}
-	l.restart(false)
+	l.restart()
 	l.closed = true
 	err := l.err
 	l.db, l.w = nil, nil
@@ -534,13 +425,10 @@ type storeIter struct {
 	cleanup func()
 	seq     keys.Seq
 
-	seekKey    []byte // the search key of the last seek, built into kept capacity
-	valid      bool
-	dir        int8 // 0 forward, 1 reverse
-	savedKey   []byte
-	savedValue []byte
-	savedKind  keys.Kind // kind of the entry savedValue came from (reverse)
-	err        error
+	seekKey  []byte // the search key of the last seek, built into kept capacity
+	valid    bool
+	savedKey []byte // the user key Next skips the older versions of
+	err      error
 }
 
 // newIter returns an iterator over the pinned sequence (nil = latest
@@ -573,27 +461,25 @@ func (i *storeIter) Error() error {
 	return i.it.Error()
 }
 
-// Close releases the iterator. Idempotent (cleanup doubles as the
-// first-close marker).
+// Close releases the iterator. Only the first call closes the merged
+// iterator, which is pooled and may belong to another scan by the second
+// (cleanup doubles as the first-close marker); later calls return the first
+// call's result.
 func (i *storeIter) Close() error {
-	err := i.Error()
-	i.it.Close()
-	if i.cleanup != nil {
-		i.cleanup()
-		i.cleanup = nil
+	if i.cleanup == nil {
+		return i.err
 	}
+	i.err = i.Error()
+	i.it.Close()
+	i.cleanup()
+	i.cleanup = nil
 	i.valid = false
-	return err
+	return i.err
 }
 
 // Key returns the current user key, valid until the next positioning call
 // and read-only.
-func (i *storeIter) Key() []byte {
-	if i.dir == 0 {
-		return keys.InternalKey(i.it.Key()).UserKey()
-	}
-	return i.savedKey
-}
+func (i *storeIter) Key() []byte { return keys.InternalKey(i.it.Key()).UserKey() }
 
 // Value returns the current value, valid until the next positioning call
 // and read-only: a memtable record, a data block, or the block cache's copy
@@ -603,16 +489,10 @@ func (i *storeIter) Key() []byte {
 // nil and invalidates the iterator (Valid false, Error set): a value is
 // either right or the iterator has stopped.
 func (i *storeIter) Value() []byte {
-	if i.dir == 0 {
-		if keys.InternalKey(i.it.Key()).Kind() == keys.KindBlobRef {
-			return i.resolve(i.it.Value())
-		}
-		return i.it.Value()
+	if keys.InternalKey(i.it.Key()).Kind() == keys.KindBlobRef {
+		return i.resolve(i.it.Value())
 	}
-	if i.savedKind == keys.KindBlobRef {
-		return i.resolve(i.savedValue)
-	}
-	return i.savedValue
+	return i.it.Value()
 }
 
 // resolve materializes a pointer entry's value; a failure invalidates the
@@ -628,42 +508,20 @@ func (i *storeIter) resolve(ptr []byte) []byte {
 
 // SeekToFirst positions at the smallest key.
 func (i *storeIter) SeekToFirst() {
-	i.dir = 0
 	i.it.SeekToFirst()
 	i.findNextUserEntry(false)
 }
 
 // SeekGE positions at the first key >= target.
 func (i *storeIter) SeekGE(target []byte) {
-	i.dir = 0
 	i.seekKey = keys.MakeSearchKey(i.seekKey[:0], target, i.seq)
 	i.it.SeekGE(i.seekKey)
 	i.findNextUserEntry(false)
 }
 
-// SeekToLast positions at the largest key.
-func (i *storeIter) SeekToLast() {
-	i.dir = 1
-	i.it.SeekToLast()
-	i.findPrevUserEntry()
-}
-
 // Next advances to the following user key.
 func (i *storeIter) Next() {
 	if !i.valid {
-		return
-	}
-	if i.dir == 1 {
-		// Switch reverse→forward: position the internal iterator at the
-		// first entry past savedKey.
-		i.dir = 0
-		i.seekKey = keys.MakeSearchKey(i.seekKey[:0], i.savedKey, keys.MaxSeq)
-		i.it.SeekGE(i.seekKey)
-		for i.it.Valid() &&
-			i.db.icmp.User.Compare(keys.InternalKey(i.it.Key()).UserKey(), i.savedKey) == 0 {
-			i.it.Next()
-		}
-		i.findNextUserEntry(false)
 		return
 	}
 	i.savedKey = append(i.savedKey[:0], keys.InternalKey(i.it.Key()).UserKey()...)
@@ -693,61 +551,6 @@ func (i *storeIter) findNextUserEntry(skipping bool) {
 		}
 	}
 	i.valid = false
-}
-
-// Prev retreats to the preceding user key.
-func (i *storeIter) Prev() {
-	if !i.valid {
-		return
-	}
-	if i.dir == 0 {
-		// Switch forward→reverse: walk back before every version of the
-		// current user key.
-		cur := append([]byte(nil), keys.InternalKey(i.it.Key()).UserKey()...)
-		i.savedKey = cur
-		for {
-			i.it.Prev()
-			if !i.it.Valid() {
-				i.valid = false
-				i.dir = 1
-				return
-			}
-			if i.db.icmp.User.Compare(keys.InternalKey(i.it.Key()).UserKey(), cur) < 0 {
-				break
-			}
-		}
-		i.dir = 1
-	}
-	i.findPrevUserEntry()
-}
-
-// findPrevUserEntry scans backwards and leaves savedKey/savedValue holding
-// the newest visible version of the nearest preceding non-deleted user key
-// (ports LevelDB's DBIter::FindPrevUserEntry).
-func (i *storeIter) findPrevUserEntry() {
-	ucmp := i.db.icmp.User
-	deleted := true
-	i.savedKey = i.savedKey[:0]
-	for i.it.Valid() {
-		ik := keys.InternalKey(i.it.Key())
-		if ik.Seq() <= i.seq {
-			if !deleted && ucmp.Compare(ik.UserKey(), i.savedKey) < 0 {
-				break // savedKey holds the answer
-			}
-			if ik.Kind() == keys.KindDelete {
-				deleted = true
-				i.savedKey = i.savedKey[:0]
-				i.savedValue = i.savedValue[:0]
-			} else {
-				deleted = false
-				i.savedKind = ik.Kind()
-				i.savedKey = append(i.savedKey[:0], ik.UserKey()...)
-				i.savedValue = append(i.savedValue[:0], i.it.Value()...)
-			}
-		}
-		i.it.Prev()
-	}
-	i.valid = !deleted
 }
 
 // KV is a returned key/value pair; both slices are private copies. Scan may

@@ -13,16 +13,18 @@ import (
 // iterators — which already collapse versions and tombstones down to live
 // user entries and yield user keys — never produce duplicate keys, and
 // merging by user key alone is exact: per-shard sequence numbers are never
-// compared. Not safe for concurrent use.
+// compared. It moves forward only, as every range read of the store does.
+// Not safe for concurrent use.
 type Iterator struct {
 	merged iterator.Iterator // k-way merge over one storeIter per shard
 	err    error
+	closed bool
 }
 
 // NewIterator returns an iterator over the database at snap (nil = the
 // latest state, capturing each shard as it is first touched by the merge's
-// initial positioning pass). The iterator starts unpositioned; call Seek,
-// SeekToFirst, or SeekToLast.
+// initial positioning pass). The iterator starts unpositioned; call Seek or
+// SeekToFirst.
 func (db *DB) NewIterator(snap *Snapshot) (*Iterator, error) {
 	children := make([]iterator.Iterator, 0, len(db.shards))
 	for i, st := range db.shards {
@@ -44,20 +46,10 @@ func (i *Iterator) Seek(target []byte) { i.merged.SeekGE(target) }
 // SeekToFirst positions at the smallest key.
 func (i *Iterator) SeekToFirst() { i.merged.SeekToFirst() }
 
-// SeekToLast positions at the largest key.
-func (i *Iterator) SeekToLast() { i.merged.SeekToLast() }
-
 // Next advances; no-op when invalid.
 func (i *Iterator) Next() {
 	if i.Valid() {
 		i.merged.Next()
-	}
-}
-
-// Prev steps backward; no-op when invalid.
-func (i *Iterator) Prev() {
-	if i.Valid() {
-		i.merged.Prev()
 	}
 }
 
@@ -90,8 +82,14 @@ func (i *Iterator) Error() error {
 	return i.merged.Error()
 }
 
-// Close releases the iterator's pinned resources on every shard.
+// Close releases the iterator's pinned resources on every shard. Only the
+// first call closes the merge, which is pooled and may serve another
+// iterator by the second; later calls return the first call's result.
 func (i *Iterator) Close() error {
+	if i.closed {
+		return i.err
+	}
+	i.closed = true
 	i.err = i.Error()
 	if err := i.merged.Close(); err != nil && i.err == nil {
 		i.err = err

@@ -39,15 +39,13 @@ func (c *Clamped) Init(ucmp keys.Comparer, r keys.KeyRange) {
 // Hi returns the largest internal key an entry of the window can have.
 func (c *Clamped) Hi() []byte { return c.hi }
 
-func (c *Clamped) inRange() bool {
-	uk := keys.InternalKey(c.Child.Key()).UserKey()
-	return c.ucmp.Compare(uk, c.r.Lo) >= 0 && c.ucmp.Compare(uk, c.r.Hi) <= 0
-}
-
-// settle updates validity after a positioning call; the child may be on a
-// key outside the clamp window, in which case the iterator is invalid.
+// settle updates validity after a positioning call: the child may have
+// walked past the window's Hi, in which case the iterator is invalid. Every
+// positioning call starts the child at or above Lo, and it only moves forward
+// from there, so Lo needs no check.
 func (c *Clamped) settle() {
-	c.valid = c.Child.Valid() && c.inRange()
+	c.valid = c.Child.Valid() &&
+		c.ucmp.Compare(keys.InternalKey(c.Child.Key()).UserKey(), c.r.Hi) <= 0
 }
 
 func (c *Clamped) Valid() bool { return c.valid }
@@ -74,35 +72,11 @@ func (c *Clamped) SeekToFirst() {
 	c.settle()
 }
 
-func (c *Clamped) SeekToLast() {
-	// Position after every version of Hi, then step back.
-	c.Child.SeekGE(c.hi)
-	if c.Child.Valid() {
-		if c.ucmp.Compare(keys.InternalKey(c.Child.Key()).UserKey(), c.r.Hi) == 0 {
-			// Landed on the oldest version of Hi itself — still in range.
-			c.settle()
-			return
-		}
-		c.Child.Prev()
-	} else {
-		c.Child.SeekToLast()
-	}
-	c.settle()
-}
-
 func (c *Clamped) Next() {
 	if !c.valid {
 		return
 	}
 	c.Child.Next()
-	c.settle()
-}
-
-func (c *Clamped) Prev() {
-	if !c.valid {
-		return
-	}
-	c.Child.Prev()
 	c.settle()
 }
 

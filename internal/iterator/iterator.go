@@ -9,9 +9,14 @@
 package iterator
 
 // Iterator is the uniform cursor interface. Positioning methods leave the
-// iterator either on a valid entry or invalid (past either end). Key and
-// Value may only be called while Valid, and the returned slices are only
-// guaranteed until the next positioning call.
+// iterator either on a valid entry or invalid (past the end). Key and Value
+// may only be called while Valid, and the returned slices are only guaranteed
+// until the next positioning call.
+//
+// Iterators move forward only. Every reader of a key range in the store — a
+// scan, a compaction's merge — walks it ascending, as the paper's and YCSB's
+// SCAN do, so there is no Prev or SeekToLast and no layer keeps a backward
+// path: a seek, then Next until the caller has enough.
 type Iterator interface {
 	// Valid reports whether the iterator is positioned on an entry.
 	Valid() bool
@@ -19,12 +24,8 @@ type Iterator interface {
 	SeekGE(target []byte)
 	// SeekToFirst positions at the first entry.
 	SeekToFirst()
-	// SeekToLast positions at the last entry.
-	SeekToLast()
 	// Next advances; calling it on an invalid iterator is a no-op.
 	Next()
-	// Prev retreats; calling it on an invalid iterator is a no-op.
-	Prev()
 	// Key returns the current internal key.
 	Key() []byte
 	// Value returns the current value.
@@ -44,9 +45,7 @@ type emptyIter struct{ err error }
 func (e *emptyIter) Valid() bool   { return false }
 func (e *emptyIter) SeekGE([]byte) {}
 func (e *emptyIter) SeekToFirst()  {}
-func (e *emptyIter) SeekToLast()   {}
 func (e *emptyIter) Next()         {}
-func (e *emptyIter) Prev()         {}
 func (e *emptyIter) Key() []byte   { return nil }
 func (e *emptyIter) Value() []byte { return nil }
 func (e *emptyIter) Error() error  { return e.err }

@@ -49,14 +49,6 @@ func TestSliceIterBasics(t *testing.T) {
 	if !it.Valid() || string(keys.InternalKey(it.Key()).UserKey()) != "c" {
 		t.Errorf("SeekGE(b) landed on %q", it.Key())
 	}
-	it.SeekToLast()
-	if string(it.Value()) != "5" {
-		t.Errorf("SeekToLast value = %q", it.Value())
-	}
-	it.Prev()
-	if string(it.Value()) != "3" {
-		t.Errorf("Prev value = %q", it.Value())
-	}
 }
 
 func TestEmptyIterator(t *testing.T) {
@@ -115,73 +107,185 @@ func TestMergingSeekGE(t *testing.T) {
 	}
 }
 
-func TestMergingReverse(t *testing.T) {
-	a := NewSlice(icmp.Compare, pairs("a", "1", "d", "4"))
-	b := NewSlice(icmp.Compare, pairs("b", "2", "c", "3"))
-	m := NewMerging(icmp.Compare, a, b)
-	var got []string
-	for m.SeekToLast(); m.Valid(); m.Prev() {
-		got = append(got, string(keys.InternalKey(m.Key()).UserKey()))
+// TestMergingReseekAfterWalk: once a walk has run every child dry, a seek
+// back to an earlier key (and SeekToFirst) puts every child back in the heap,
+// the duplicate user key "c" included, newest version first.
+func TestMergingReseekAfterWalk(t *testing.T) {
+	a := NewSlice(icmp.Compare, pairs("a", "1", "e", "5"))
+	b := NewSlice(icmp.Compare, []KV{{K: ik("b", 1), V: []byte("2")}, {K: ik("c", 9), V: []byte("3new")}})
+	c := NewSlice(icmp.Compare, pairs("c", "3old", "d", "4", "f", "6"))
+	m := NewMerging(icmp.Compare, a, b, c)
+	all := []string{"a=1", "b=2", "c=3new", "c=3old", "d=4", "e=5", "f=6"}
+	rest := func(op string, from int) {
+		t.Helper()
+		var got []string
+		for ; m.Valid(); m.Next() {
+			got = append(got, string(keys.InternalKey(m.Key()).UserKey())+"="+string(m.Value()))
+		}
+		if err := m.Error(); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(all[from:]) {
+			t.Errorf("%s: walk got %v want %v", op, got, all[from:])
+		}
 	}
-	want := []string{"d", "c", "b", "a"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("reverse got %v want %v", got, want)
+	m.SeekToFirst()
+	rest("SeekToFirst", 0)
+	m.SeekGE(ik("c", keys.MaxSeq))
+	rest("SeekGE(c) after the end", 2)
+	m.SeekGE(ik("c", 5)) // between the two versions of c
+	rest("SeekGE(c@5)", 3)
+	m.SeekToFirst()
+	m.Next()
+	m.Next()
+	m.Next() // on c@1, with b's child exhausted
+	m.SeekGE(ik("b", keys.MaxSeq))
+	rest("SeekGE(b) mid-walk", 1)
+	m.SeekToFirst()
+	rest("SeekToFirst after the end", 0)
+}
+
+// lazyChild is a test Lazy: a sorted run that stands in the merge on lo, a
+// lower bound of its entries, until the merge opens it. Like a slice window
+// it is entered at once by a seek whose target reaches lo, and otherwise
+// waits on the bound. At Open it checks that the bound is on top of the
+// merge's heap: no sibling is on a smaller key, nor on an equal key ahead of
+// it in child order.
+type lazyChild struct {
+	Iterator
+	lo       []byte
+	pending  bool
+	siblings []Iterator // the merge's children, this one among them
+	self     int
+	early    bool // Open came while the bound was not on top
+}
+
+func (l *lazyChild) SeekGE(target []byte) {
+	l.pending = icmp.Compare(l.lo, target) > 0
+	if !l.pending {
+		l.Iterator.SeekGE(target)
 	}
 }
 
-func TestMergingDirectionSwitch(t *testing.T) {
-	a := NewSlice(icmp.Compare, pairs("a", "1", "c", "3", "e", "5"))
-	b := NewSlice(icmp.Compare, pairs("b", "2", "d", "4", "f", "6"))
-	m := NewMerging(icmp.Compare, a, b)
-	m.SeekToFirst() // a
-	m.Next()        // b
-	m.Next()        // c
-	m.Prev()        // back to b
-	if string(keys.InternalKey(m.Key()).UserKey()) != "b" {
-		t.Fatalf("after fwd-then-prev, at %q", keys.InternalKey(m.Key()).UserKey())
+func (l *lazyChild) SeekToFirst() { l.pending = true }
+
+func (l *lazyChild) Valid() bool { return l.pending || l.Iterator.Valid() }
+
+func (l *lazyChild) Key() []byte {
+	if l.pending {
+		return l.lo
 	}
-	m.Prev() // a
-	if string(keys.InternalKey(m.Key()).UserKey()) != "a" {
-		t.Fatalf("at %q want a", keys.InternalKey(m.Key()).UserKey())
+	return l.Iterator.Key()
+}
+
+func (l *lazyChild) Value() []byte {
+	if l.pending {
+		return nil
 	}
-	m.Next() // b again (reverse->forward switch)
-	if string(keys.InternalKey(m.Key()).UserKey()) != "b" {
-		t.Fatalf("after prev-then-next, at %q want b", keys.InternalKey(m.Key()).UserKey())
+	return l.Iterator.Value()
+}
+
+func (l *lazyChild) Next() {
+	if !l.pending {
+		l.Iterator.Next()
 	}
 }
 
-// TestMergingQuickAgainstSorted fuzzes the merging iterator against a flat
-// sort of the same data.
+func (l *lazyChild) Pending() bool { return l.pending }
+
+func (l *lazyChild) Open() {
+	for j, c := range l.siblings {
+		if j == l.self || !c.Valid() {
+			continue
+		}
+		if r := icmp.Compare(c.Key(), l.lo); r < 0 || (r == 0 && j < l.self) {
+			l.early = true
+		}
+	}
+	l.pending = false
+	l.Iterator.SeekToFirst()
+}
+
+// TestMergingQuickAgainstSorted fuzzes the merging iterator, plain and lazy
+// children mixed, against a flat sort of the same data: a whole walk, then a
+// random program of SeekGE, SeekToFirst and Next, each step checked against
+// the reference position. A lazy child is opened only once its bound reaches
+// the top of the heap.
 func TestMergingQuickAgainstSorted(t *testing.T) {
 	f := func(seed int64, nSrc uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nSrc%5) + 1
 		var all []KV
 		var children []Iterator
+		var lazies []*lazyChild
 		seq := keys.Seq(1)
 		for i := 0; i < n; i++ {
 			var p []KV
+			lowest := 50
 			for j := 0; j < rng.Intn(20); j++ {
-				k := ik(fmt.Sprintf("%03d", rng.Intn(50)), seq)
+				u := rng.Intn(50)
+				lowest = min(lowest, u)
+				p = append(p, KV{K: ik(fmt.Sprintf("%03d", u), seq), V: []byte{byte(i)}})
 				seq++
-				p = append(p, KV{K: k, V: []byte{byte(i)}})
 			}
 			sort.Slice(p, func(x, y int) bool { return icmp.Compare(p[x].K, p[y].K) < 0 })
 			all = append(all, p...)
-			children = append(children, NewSlice(icmp.Compare, p))
+			var c Iterator = NewSlice(icmp.Compare, p)
+			// A lazy child needs a merge: alone it would show its bound.
+			if n > 1 && len(p) > 0 && rng.Intn(2) == 0 {
+				lo := keys.MakeSearchKey(nil, []byte(fmt.Sprintf("%03d", max(0, lowest-rng.Intn(5)))), keys.MaxSeq)
+				l := &lazyChild{Iterator: c, lo: lo, self: i}
+				lazies = append(lazies, l)
+				c = l
+			}
+			children = append(children, c)
+		}
+		for _, l := range lazies {
+			l.siblings = children
 		}
 		sort.Slice(all, func(x, y int) bool { return icmp.Compare(all[x].K, all[y].K) < 0 })
 		m := NewMerging(icmp.Compare, children...)
+		defer m.Close()
 		i := 0
 		for m.SeekToFirst(); m.Valid(); m.Next() {
-			if i >= len(all) || !bytes.Equal(m.Key(), all[i].K) {
+			if i >= len(all) || !bytes.Equal(m.Key(), all[i].K) || !bytes.Equal(m.Value(), all[i].V) {
 				return false
 			}
 			i++
 		}
-		return i == len(all)
+		if i != len(all) {
+			return false
+		}
+		pos := len(all)
+		for step := 0; step < 60; step++ {
+			switch r := rng.Intn(10); {
+			case r == 0:
+				m.SeekToFirst()
+				pos = 0
+			case r < 4:
+				target := ik(fmt.Sprintf("%03d", rng.Intn(55)), keys.Seq(rng.Intn(int(seq)+1)))
+				m.SeekGE(target)
+				pos = sort.Search(len(all), func(x int) bool { return icmp.Compare(all[x].K, target) >= 0 })
+			default:
+				m.Next()
+				pos = min(pos+1, len(all))
+			}
+			if m.Valid() != (pos < len(all)) || m.Error() != nil {
+				return false
+			}
+			if pos < len(all) && (!bytes.Equal(m.Key(), all[pos].K) || !bytes.Equal(m.Value(), all[pos].V)) {
+				return false
+			}
+		}
+		for _, l := range lazies {
+			if l.early {
+				t.Errorf("seed %d: a lazy child was opened before its bound reached the top", seed)
+				return false
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
@@ -209,32 +313,42 @@ func TestClampedSeekBelowAndAbove(t *testing.T) {
 	}
 }
 
-func TestClampedSeekToLast(t *testing.T) {
-	src := NewSlice(icmp.Compare, pairs("a", "1", "b", "2", "d", "4", "e", "5"))
-	cl := NewClamped(keys.BytewiseComparer{}, src, keys.KeyRange{Lo: []byte("b"), Hi: []byte("c")})
-	cl.SeekToLast()
-	if !cl.Valid() || string(keys.InternalKey(cl.Key()).UserKey()) != "b" {
-		t.Errorf("SeekToLast landed on %v", cl.Valid())
-	}
-	// Window whose Hi matches an existing key.
-	cl2 := NewClamped(keys.BytewiseComparer{}, NewSlice(icmp.Compare, pairs("a", "1", "b", "2", "d", "4")), keys.KeyRange{Lo: []byte("a"), Hi: []byte("d")})
-	cl2.SeekToLast()
-	if !cl2.Valid() || string(keys.InternalKey(cl2.Key()).UserKey()) != "d" {
-		t.Error("SeekToLast with Hi on existing key failed")
-	}
-}
-
-func TestClampedReverse(t *testing.T) {
+// TestClampedReseekAfterEnd: a walk that leaves the window ends it, Next
+// there stays ended, and a later seek or SeekToFirst re-enters the window
+// wherever the child was left.
+func TestClampedReseekAfterEnd(t *testing.T) {
 	src := NewSlice(icmp.Compare, pairs("a", "1", "b", "2", "c", "3", "d", "4", "e", "5"))
 	cl := NewClamped(keys.BytewiseComparer{}, src, keys.KeyRange{Lo: []byte("b"), Hi: []byte("d")})
-	var got []string
-	for cl.SeekToLast(); cl.Valid(); cl.Prev() {
-		got = append(got, string(keys.InternalKey(cl.Key()).UserKey()))
+	at := func(op, want string) {
+		t.Helper()
+		if want == "" {
+			if cl.Valid() {
+				t.Errorf("%s: valid on %q, want the end", op, cl.Key())
+			}
+			return
+		}
+		if !cl.Valid() || string(keys.InternalKey(cl.Key()).UserKey())+"="+string(cl.Value()) != want {
+			t.Errorf("%s: valid=%v on %q, want %s", op, cl.Valid(), cl.Key(), want)
+		}
 	}
-	want := []string{"d", "c", "b"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("got %v want %v", got, want)
-	}
+	cl.SeekGE(ik("d", keys.MaxSeq))
+	at("SeekGE(d)", "d=4")
+	cl.Next()
+	at("Next past Hi", "")
+	cl.Next()
+	at("Next at the end", "")
+	cl.SeekGE(ik("c", keys.MaxSeq))
+	at("SeekGE(c) after the end", "c=3")
+	cl.SeekGE(ik("e", keys.MaxSeq))
+	at("SeekGE(e) above the window", "")
+	cl.SeekGE(ik("a", keys.MaxSeq))
+	at("SeekGE(a) below the window", "b=2")
+	cl.SeekGE(ik("d", keys.MaxSeq))
+	cl.Next()
+	cl.SeekToFirst()
+	at("SeekToFirst after the end", "b=2")
+	cl.Next()
+	at("Next from Lo", "c=3")
 }
 
 func TestClampedInsideMerging(t *testing.T) {

@@ -3,6 +3,8 @@ package iterator
 import (
 	"container/heap"
 	"sync"
+
+	"repro/internal/invariants"
 )
 
 // CompareFunc orders internal keys (see keys.InternalComparer).
@@ -34,33 +36,25 @@ func NewMerging(cmp CompareFunc, children ...Iterator) Iterator {
 	}
 	m.heap.m = m
 	m.heap.idx = m.heap.idx[:0]
-	m.dir = forward
 	m.err = nil
 	m.closed = false
 	return m
 }
 
-// Lazy is a child that can stand in a merge on a bound of the entries it has
-// not reached yet instead of on an entry: a lower bound while moving forward,
-// an upper bound while moving backward. While Pending it is Valid and Key
-// returns the bound, so the merge orders it like any other child; only when
-// the bound comes to the top — no other child has anything before it — does
-// the merge call Open, which moves the child off the bound: onto its next
+// Lazy is a child that can stand in a merge on a lower bound of the entries
+// it has not reached yet instead of on an entry. While Pending it is Valid and
+// Key returns the bound, so the merge orders it like any other child; only
+// when the bound comes to the top — no other child has anything before it —
+// does the merge call Open, which moves the child off the bound: onto its next
 // entry, onto its next bound, or to its end. What a scan never reaches is
-// never opened. A Lazy child only makes sense inside a merge; alone it would
-// show its bounds as entries.
+// never opened; a bound is a lower one because iterators move forward only. A
+// Lazy child only makes sense inside a merge; alone it would show its bounds
+// as entries.
 type Lazy interface {
 	Iterator
 	Pending() bool
 	Open()
 }
-
-type direction int8
-
-const (
-	forward direction = iota
-	reverse
-)
 
 type mergingIter struct {
 	cmp      CompareFunc
@@ -69,10 +63,8 @@ type mergingIter struct {
 	// without one (every compaction's) pays a single untaken branch per step.
 	lazy    []Lazy
 	anyLazy bool
-	// heap holds the indexes of valid children, ordered by current key
-	// (min-heap when dir==forward, max-heap when dir==reverse).
+	// heap holds the indexes of valid children, a min-heap on current key.
 	heap   mergeHeap
-	dir    direction
 	err    error
 	closed bool
 }
@@ -85,19 +77,10 @@ type mergeHeap struct {
 func (h *mergeHeap) Len() int { return len(h.idx) }
 func (h *mergeHeap) Less(i, j int) bool {
 	a, b := h.m.children[h.idx[i]], h.m.children[h.idx[j]]
-	r := h.m.cmp(a.Key(), b.Key())
-	if r == 0 {
-		// Stable tie-break on child position; reversed in reverse mode so the
-		// same child wins from both directions.
-		if h.m.dir == forward {
-			return h.idx[i] < h.idx[j]
-		}
-		return h.idx[i] > h.idx[j]
-	}
-	if h.m.dir == forward {
+	if r := h.m.cmp(a.Key(), b.Key()); r != 0 {
 		return r < 0
 	}
-	return r > 0
+	return h.idx[i] < h.idx[j] // stable tie-break on child position
 }
 func (h *mergeHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
 func (h *mergeHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
@@ -150,7 +133,6 @@ func (m *mergingIter) openPending() {
 func (m *mergingIter) Valid() bool { return m.err == nil && len(m.heap.idx) > 0 }
 
 func (m *mergingIter) SeekGE(target []byte) {
-	m.dir = forward
 	for _, c := range m.children {
 		c.SeekGE(target)
 	}
@@ -158,17 +140,8 @@ func (m *mergingIter) SeekGE(target []byte) {
 }
 
 func (m *mergingIter) SeekToFirst() {
-	m.dir = forward
 	for _, c := range m.children {
 		c.SeekToFirst()
-	}
-	m.rebuild()
-}
-
-func (m *mergingIter) SeekToLast() {
-	m.dir = reverse
-	for _, c := range m.children {
-		c.SeekToLast()
 	}
 	m.rebuild()
 }
@@ -179,59 +152,7 @@ func (m *mergingIter) Next() {
 	if !m.Valid() {
 		return
 	}
-	if m.dir == reverse {
-		// Direction switch: reposition every non-current child at the first
-		// key strictly greater than the current key, then rebuild the heap
-		// (children that fell out of it while reversing may be valid again).
-		key := append([]byte(nil), m.top().Key()...)
-		cur := m.heap.idx[0]
-		m.dir = forward
-		for i, c := range m.children {
-			if i == cur {
-				continue
-			}
-			c.SeekGE(key)
-			if c.Valid() && m.cmp(c.Key(), key) == 0 {
-				c.Next()
-			}
-		}
-		m.children[cur].Next()
-		m.rebuild()
-		return
-	}
 	m.top().Next()
-	m.fixTop()
-	if m.anyLazy {
-		m.openPending()
-	}
-}
-
-func (m *mergingIter) Prev() {
-	if !m.Valid() {
-		return
-	}
-	if m.dir == forward {
-		// Direction switch: every non-current child moves to the last key
-		// strictly less than the current key.
-		key := append([]byte(nil), m.top().Key()...)
-		cur := m.heap.idx[0]
-		m.dir = reverse
-		for i, c := range m.children {
-			if i == cur {
-				continue
-			}
-			c.SeekGE(key)
-			if c.Valid() {
-				c.Prev() // step before key
-			} else {
-				c.SeekToLast() // all keys < key
-			}
-		}
-		m.children[cur].Prev()
-		m.rebuild()
-		return
-	}
-	m.top().Prev()
 	m.fixTop()
 	if m.anyLazy {
 		m.openPending()
@@ -253,9 +174,11 @@ func (m *mergingIter) Error() error {
 	return nil
 }
 
-// Close closes every child and returns the iterator to the pool.
-// Double-Close is tolerated (the second call is a no-op); any other use
-// after Close is invalid.
+// Close closes every child and returns the iterator to the pool. A second
+// Close is a no-op only until the pool hands the iterator to a new owner, so
+// an owner that may be closed twice closes its merge once itself; any other
+// use after Close is invalid. Under -tags invariants the closed iterator
+// stays out of the pool, as the core's pooled iterators do.
 func (m *mergingIter) Close() error {
 	err := m.Error()
 	if m.closed {
@@ -270,6 +193,8 @@ func (m *mergingIter) Close() error {
 	m.children = m.children[:0]
 	m.heap.idx = m.heap.idx[:0]
 	m.err = nil
-	mergingPool.Put(m)
+	if !invariants.Enabled {
+		mergingPool.Put(m)
+	}
 	return err
 }

@@ -28,17 +28,10 @@ func (s *sliceIter) SeekGE(target []byte) {
 }
 
 func (s *sliceIter) SeekToFirst() { s.pos = 0 }
-func (s *sliceIter) SeekToLast()  { s.pos = len(s.pairs) - 1 }
 
 func (s *sliceIter) Next() {
 	if s.pos < len(s.pairs) {
 		s.pos++
-	}
-}
-
-func (s *sliceIter) Prev() {
-	if s.pos >= 0 {
-		s.pos--
 	}
 }
 

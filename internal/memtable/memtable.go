@@ -184,9 +184,7 @@ func (m *memIter) SeekGE(target []byte) {
 }
 
 func (m *memIter) SeekToFirst() { m.it.SeekToFirst() }
-func (m *memIter) SeekToLast()  { m.it.SeekToLast() }
 func (m *memIter) Next()        { m.it.Next() }
-func (m *memIter) Prev()        { m.it.Prev() }
 
 func (m *memIter) Key() []byte {
 	k, _ := decodeKey(m.it.Key())

@@ -260,3 +260,28 @@ func TestRecordChunkEdges(t *testing.T) {
 		t.Fatalf("ApproximateBytes = %d, want the %d record bytes", m.ApproximateBytes(), want)
 	}
 }
+
+// BenchmarkMemtableIterate walks a full memtable of 10 000 entries with
+// 100 B values from its first entry to its end, as a flush does; an op is
+// one walk.
+func BenchmarkMemtableIterate(b *testing.B) {
+	const n = 10000
+	m := New(icmp)
+	value := bytes.Repeat([]byte("v"), 100)
+	for i := 0; i < n; i++ {
+		m.Add(keys.Seq(i+1), keys.KindSet, []byte(fmt.Sprintf("key-%08d", i*7919%n)), value)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it := m.NewIterator()
+		entries := 0
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			entries++
+		}
+		if entries != n {
+			b.Fatalf("walked %d entries, want %d", entries, n)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entry")
+}

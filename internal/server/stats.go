@@ -35,9 +35,10 @@ type serverStats struct {
 	protoErrors   atomic.Int64
 
 	// Write batching: pipelined write commands coalesce into one engine
-	// batch per burst. applyBatches counts DB.Apply calls, applyOps the
-	// write commands they carried; ops/batches is the server-side batching
-	// factor that then feeds the engine's group commit.
+	// batch per segment. applyBatches counts the segments submitted
+	// (core.Segment.Submit), applyOps the write commands they carried;
+	// ops/batches is the server-side batching factor that then feeds the
+	// engine's group commit.
 	applyBatches atomic.Int64
 	applyOps     atomic.Int64
 	applyHist    histogram.Histogram

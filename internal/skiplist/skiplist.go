@@ -106,40 +106,6 @@ func (l *List) findGreaterOrEqual(k []byte, prev []*node) *node {
 	}
 }
 
-// findLessThan returns the last node with key < k, or the head sentinel.
-func (l *List) findLessThan(k []byte) *node {
-	x := l.head
-	level := int(l.height.Load()) - 1
-	for {
-		next := x.next[level].Load()
-		if next != nil && l.cmp(next.key, k) < 0 {
-			x = next
-			continue
-		}
-		if level == 0 {
-			return x
-		}
-		level--
-	}
-}
-
-// findLast returns the last node in the list, or the head sentinel if empty.
-func (l *List) findLast() *node {
-	x := l.head
-	level := int(l.height.Load()) - 1
-	for {
-		next := x.next[level].Load()
-		if next != nil {
-			x = next
-			continue
-		}
-		if level == 0 {
-			return x
-		}
-		level--
-	}
-}
-
 // newNode carves a node of height h from the slabs, starting a fresh slab
 // when the current one cannot hold it whole.
 func (l *List) newNode(key []byte, h int) *node {
@@ -207,29 +173,8 @@ func (it *Iterator) Key() []byte { return it.node.key }
 // Next advances to the following key.
 func (it *Iterator) Next() { it.node = it.node.next[0].Load() }
 
-// Prev moves to the preceding key. O(log n): skip lists have no back links,
-// so it re-searches from the head, as in LevelDB.
-func (it *Iterator) Prev() {
-	n := it.list.findLessThan(it.node.key)
-	if n == it.list.head {
-		it.node = nil
-		return
-	}
-	it.node = n
-}
-
 // SeekGE positions at the first key >= k.
 func (it *Iterator) SeekGE(k []byte) { it.node = it.list.findGreaterOrEqual(k, nil) }
 
 // SeekToFirst positions at the smallest key.
 func (it *Iterator) SeekToFirst() { it.node = it.list.head.next[0].Load() }
-
-// SeekToLast positions at the largest key.
-func (it *Iterator) SeekToLast() {
-	n := it.list.findLast()
-	if n == it.list.head {
-		it.node = nil
-		return
-	}
-	it.node = n
-}

@@ -25,10 +25,6 @@ func TestEmpty(t *testing.T) {
 	if it.Valid() {
 		t.Error("iterator valid on empty list")
 	}
-	it.SeekToLast()
-	if it.Valid() {
-		t.Error("SeekToLast valid on empty list")
-	}
 	it.SeekGE([]byte("a"))
 	if it.Valid() {
 		t.Error("SeekGE valid on empty list")
@@ -83,25 +79,6 @@ func TestOrderedIteration(t *testing.T) {
 	}
 }
 
-func TestReverseIteration(t *testing.T) {
-	l := newList()
-	for i := 0; i < 100; i++ {
-		l.Insert([]byte(fmt.Sprintf("k%03d", i)))
-	}
-	it := l.NewIterator()
-	i := 99
-	for it.SeekToLast(); it.Valid(); it.Prev() {
-		want := fmt.Sprintf("k%03d", i)
-		if string(it.Key()) != want {
-			t.Fatalf("got %q want %q", it.Key(), want)
-		}
-		i--
-	}
-	if i != -1 {
-		t.Errorf("stopped at %d", i)
-	}
-}
-
 func TestSeekGE(t *testing.T) {
 	l := newList()
 	for _, k := range []string{"b", "d", "f"} {
@@ -121,6 +98,41 @@ func TestSeekGE(t *testing.T) {
 	if it.Valid() {
 		t.Error("SeekGE past end is valid")
 	}
+}
+
+// TestReseekAfterWalk: after a walk to the end, seeks back to earlier keys
+// and SeekToFirst position the iterator afresh, and the walk from each yields
+// every later key in order.
+func TestReseekAfterWalk(t *testing.T) {
+	l := newList()
+	const n = 100
+	for i := n - 1; i >= 0; i-- {
+		l.Insert([]byte(fmt.Sprintf("k%03d", i)))
+	}
+	it := l.NewIterator()
+	walk := func(op string, from int) {
+		t.Helper()
+		i := from
+		for ; it.Valid(); it.Next() {
+			if want := fmt.Sprintf("k%03d", i); string(it.Key()) != want {
+				t.Fatalf("%s: got %q want %q", op, it.Key(), want)
+			}
+			i++
+		}
+		if i != n {
+			t.Fatalf("%s: walk stopped at %d", op, i)
+		}
+	}
+	it.SeekToFirst()
+	walk("SeekToFirst", 0)
+	for _, from := range []int{90, 40, 41, 0, 99} {
+		it.SeekGE([]byte(fmt.Sprintf("k%03d", from)))
+		walk(fmt.Sprintf("SeekGE(k%03d)", from), from)
+		it.SeekGE([]byte(fmt.Sprintf("k%03d~", from-1))) // between two keys
+		walk(fmt.Sprintf("SeekGE(k%03d~)", from-1), from)
+	}
+	it.SeekToFirst()
+	walk("SeekToFirst after the end", 0)
 }
 
 func TestBytesAccounting(t *testing.T) {
@@ -274,10 +286,10 @@ func TestIteratorHeldAcrossSlabChange(t *testing.T) {
 			t.Fatalf("step %d after the held key: got %q want %q", i, it.Key(), want)
 		}
 	}
-	it.SeekGE([]byte("m"))
-	it.Prev()
-	if want := fmt.Sprintf("a%05d", n-1); !it.Valid() || string(it.Key()) != want {
-		t.Fatalf("Prev from the held key: got %q want %q", it.Key(), want)
+	it.SeekGE([]byte(fmt.Sprintf("a%05d", n-1)))
+	it.Next()
+	if !it.Valid() || &it.Key()[0] != &held[0] {
+		t.Fatalf("step from the last key before the held one: got %q want %q", it.Key(), "m")
 	}
 }
 

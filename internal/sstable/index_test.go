@@ -150,8 +150,6 @@ func checkIndexMatchesOnDisk(t *testing.T, r *Reader, targets [][]byte) {
 	}
 	it.SeekToFirst()
 	same("SeekToFirst", 0)
-	it.SeekToLast()
-	same("SeekToLast", len(r.index)-1)
 	for _, target := range targets {
 		i := r.seekIndex(target)
 		it.SeekGE(target)
@@ -161,9 +159,6 @@ func checkIndexMatchesOnDisk(t *testing.T, r *Reader, targets [][]byte) {
 		}
 		it.Next()
 		same("Next", i+1)
-		it.SeekGE(target)
-		it.Prev()
-		same("Prev", i-1)
 		if it.Error() != nil {
 			t.Fatal(it.Error())
 		}
@@ -171,8 +166,8 @@ func checkIndexMatchesOnDisk(t *testing.T, r *Reader, targets [][]byte) {
 }
 
 // checkIterMatches holds a table iterator over r to want, the table's entries:
-// whole walks both ways, and from every target's SeekGE a step each way, so
-// that steps cross every block edge.
+// a whole walk, and from every target's SeekGE a step forward, so that steps
+// cross every block edge.
 func checkIterMatches(t *testing.T, r *Reader, want []pair, targets [][]byte) {
 	t.Helper()
 	it := r.NewIterator()
@@ -180,16 +175,6 @@ func checkIterMatches(t *testing.T, r *Reader, want []pair, targets [][]byte) {
 	it.SeekToFirst()
 	if err := samePairs(drain(t, it), want); err != nil {
 		t.Fatalf("forward walk: %v", err)
-	}
-	var back []pair
-	for it.SeekToLast(); it.Valid(); it.Prev() {
-		back = append(back, pair{bytes.Clone(it.Key()), bytes.Clone(it.Value())})
-	}
-	for i, j := 0, len(back)-1; i < j; i, j = i+1, j-1 {
-		back[i], back[j] = back[j], back[i]
-	}
-	if err := samePairs(back, want); err != nil || it.Error() != nil {
-		t.Fatalf("backward walk: %v (iterator %v)", err, it.Error())
 	}
 	at := func(op string, j int) {
 		t.Helper()
@@ -214,14 +199,8 @@ func checkIterMatches(t *testing.T, r *Reader, want []pair, targets [][]byte) {
 		if j == len(want) {
 			continue
 		}
-		if j+1 < len(want) {
-			it.Next()
-			at(op+".Next", j+1)
-			it.Prev()
-			at(op+".Next.Prev", j)
-		}
-		it.Prev()
-		at(op+".Prev", j-1)
+		it.Next()
+		at(op+".Next", j+1)
 	}
 }
 
@@ -381,8 +360,8 @@ func TestProbeAllocs(t *testing.T) {
 }
 
 // checkDamagedTable reads every entry of r, a table that may be damaged,
-// every way a reader can — a Get of each entry, a table iterator walked
-// forward and backward, a sequential pass through a handle of its own — and
+// every way a reader can — a Get of each entry, a table iterator walk, a
+// sequential pass through a handle of its own — and
 // requires each to return the table's entries exactly, up to an ErrCorrupt
 // that ends it; a pristine table must return them all.
 func checkDamagedTable(t *testing.T, fs vfs.FS, name string, r *Reader, want []pair, pristine bool) {
@@ -415,14 +394,6 @@ func checkDamagedTable(t *testing.T, fs vfs.FS, name string, r *Reader, want []p
 		n++
 	}
 	ended("forward walk", n, it.Error())
-	n = 0
-	for it.SeekToLast(); it.Valid(); it.Prev() {
-		if j := len(want) - 1 - n; j < 0 || !bytes.Equal(it.Key(), want[j].k) || !bytes.Equal(it.Value(), want[j].v) {
-			t.Fatalf("backward walk: entry %d from the end is %s", n, keys.InternalKey(it.Key()))
-		}
-		n++
-	}
-	ended("backward walk", n, it.Error())
 	_ = it.Close()
 	f, err := fs.Open(name)
 	if err != nil {

@@ -109,7 +109,7 @@ func (tb *raTable) walk(t *testing.T, it iterator.Iterator, upTo int) (n int) {
 // TestReadAheadRequestShape pins what a user iterator asks the device for. On
 // this table a block is a little over 4 KiB on disk, so a 16 KiB request holds
 // 3 of them, a 32 KiB one 7 and a 64 KiB one 15. A seek's request is the first
-// of the ramp; only a step back reads a block alone.
+// of the ramp; only a point read reads a block alone.
 func TestReadAheadRequestShape(t *testing.T) {
 	fs := newReadLog(vfs.Mem())
 	const n = 60
@@ -216,26 +216,23 @@ func TestReadAheadRequestShape(t *testing.T) {
 		}
 	})
 
-	t.Run("reverse walks and point reads take one block", func(t *testing.T) {
+	t.Run("a seek back starts the ramp over below the blocks read", func(t *testing.T) {
 		tb := newRATable(t, fs, n)
 		it := tb.r.NewIterator()
 		defer it.Close()
-		entries := 0
-		for it.SeekToLast(); it.Valid(); it.Prev() {
-			entries++
+		it.SeekGE(tb.firstKey(20))
+		tb.walk(t, it, 30)
+		it.SeekGE(tb.firstKey(10))
+		if got := tb.walk(t, it, 20); got != 40 {
+			t.Fatalf("walked %d entries back up to block 20, want 40", got)
 		}
-		if err := it.Error(); err != nil || entries != 4*n {
-			t.Fatalf("reverse walk: %d entries, %v", entries, err)
+		if got, want := tb.requests(t), "20-22 23-29 30-44 10-12 13-19"; got != want {
+			t.Errorf("requests %q, want %q", got, want)
 		}
-		if len(tb.fs.reads) != n {
-			t.Errorf("reverse walk made %d reads of %d blocks", len(tb.fs.reads), n)
-		}
-		for i, rd := range tb.fs.reads {
-			if b := tb.blocks[n-1-i]; rd.off != b.off || int64(rd.n) != b.size {
-				t.Fatalf("reverse read %d is [%d,+%d), want block %d alone", i, rd.off, rd.n, n-1-i)
-			}
-		}
-		tb = newRATable(t, fs, n)
+	})
+
+	t.Run("point reads take one block", func(t *testing.T) {
+		tb := newRATable(t, fs, n)
 		for i := 0; i < 4*n; i += 4 {
 			if _, _, found, err := tb.r.Get([]byte(fmt.Sprintf("key-%06d", i)), keys.MaxSeq); !found || err != nil {
 				t.Fatal(i, found, err)
@@ -247,18 +244,6 @@ func TestReadAheadRequestShape(t *testing.T) {
 		}
 		if got := tb.requests(t); got != strings.Join(want, " ") {
 			t.Errorf("point reads requested %q", got)
-		}
-	})
-
-	t.Run("a forward step after a reverse one reads ahead again", func(t *testing.T) {
-		tb := newRATable(t, fs, n)
-		it := tb.r.NewIterator()
-		defer it.Close()
-		it.SeekGE(tb.firstKey(20))
-		it.Prev() // onto block 19
-		tb.walk(t, it, 30)
-		if got, want := tb.requests(t), "20-22 19 23-29 30-44"; got != want {
-			t.Errorf("requests %q, want %q", got, want)
 		}
 	})
 }
@@ -350,9 +335,9 @@ func TestReadAheadLandsLazily(t *testing.T) {
 	tb.walk(t, it, 5)
 	check("3-9", 6)
 	before = lookups()
-	it.Prev() // back onto block 4, held and landed on already
+	it.SeekGE(tb.firstKey(4)) // back onto block 4, held and landed on already
 	if !it.Valid() || lookups() != before {
-		t.Errorf("stepping back onto a held block: valid=%v, %d cache lookups", it.Valid(), lookups()-before)
+		t.Errorf("seeking back onto a held block: valid=%v, %d cache lookups", it.Valid(), lookups()-before)
 	}
 	check("", 6)
 }

@@ -410,12 +410,10 @@ func (r *Reader) NewIteratorUpTo(upper []byte) iterator.Iterator {
 // cursor and the data block's reader are held by value so a pooled tableIter
 // re-seeks, and opens a block, without allocating.
 //
-// A block the iterator seeks to, or steps forward onto, and does not find
-// cached is read together with the blocks after it, in one request
-// (readAhead): the device charges per request, and an iterator that has walked
-// off the end of one block is likely to walk off the next. A block it steps
-// back onto, and the last block SeekToLast goes to, is read alone, as a point
-// read is.
+// A block the iterator seeks to, or steps onto, and does not find cached is
+// read together with the blocks after it, in one request (readAhead): the
+// device charges per request, and an iterator that has walked off the end of
+// one block is likely to walk off the next.
 //
 // The request's blocks stay in its pooled buffer, held by the iterator until
 // its next request or Close; a block is verified, decoded, copied out and
@@ -445,9 +443,8 @@ type tableIter struct {
 	closed bool
 }
 
-// loadData opens the data block referenced by the current index entry;
-// forward says a miss there may read ahead.
-func (t *tableIter) loadData(forward bool) bool {
+// loadData opens the data block referenced by the current index entry.
+func (t *tableIter) loadData() bool {
 	t.dataOK = false
 	if t.index < 0 || t.index >= len(t.r.index) {
 		return false
@@ -457,10 +454,8 @@ func (t *tableIter) loadData(forward bool) bool {
 		err = t.landHeld(i)
 	} else if contents, ok := t.r.cached(t.r.index[t.index].h.offset); ok {
 		err = t.blk.Init(t.r.cmp, contents)
-	} else if forward {
-		err = t.readAhead()
 	} else {
-		err = t.r.readBlock(&t.blk, t.r.index[t.index].h)
+		err = t.readAhead()
 	}
 	if err != nil {
 		t.err = err
@@ -555,11 +550,10 @@ func (r *Reader) runBlock(br *block.Reader, buf []byte, off uint64) ([]byte, err
 }
 
 // seekData opens the block a seek landed on and starts the read-ahead ramp
-// over: a seek says nothing about how far the caller will walk. forward is
-// false for SeekToLast, whose walk goes back from its block.
-func (t *tableIter) seekData(forward bool) bool {
+// over: a seek says nothing about how far the caller will walk.
+func (t *tableIter) seekData() bool {
 	t.ahead = readAheadMin
-	return t.loadData(forward)
+	return t.loadData()
 }
 
 func (t *tableIter) Valid() bool {
@@ -571,7 +565,7 @@ func (t *tableIter) SeekGE(target []byte) {
 		return
 	}
 	t.index = t.r.seekIndex(target)
-	if !t.seekData(true) {
+	if !t.seekData() {
 		return
 	}
 	t.data.SeekGE(target)
@@ -583,23 +577,11 @@ func (t *tableIter) SeekToFirst() {
 		return
 	}
 	t.index = 0
-	if !t.seekData(true) {
+	if !t.seekData() {
 		return
 	}
 	t.data.SeekToFirst()
 	t.skipForwardEmpty()
-}
-
-func (t *tableIter) SeekToLast() {
-	if t.err != nil {
-		return
-	}
-	t.index = len(t.r.index) - 1
-	if !t.seekData(false) {
-		return
-	}
-	t.data.SeekToLast()
-	t.skipBackwardEmpty()
 }
 
 func (t *tableIter) Next() {
@@ -610,14 +592,6 @@ func (t *tableIter) Next() {
 	t.skipForwardEmpty()
 }
 
-func (t *tableIter) Prev() {
-	if !t.Valid() {
-		return
-	}
-	t.data.Prev()
-	t.skipBackwardEmpty()
-}
-
 // skipForwardEmpty advances over exhausted data blocks.
 func (t *tableIter) skipForwardEmpty() {
 	for t.err == nil && t.dataOK && !t.data.Valid() {
@@ -626,24 +600,10 @@ func (t *tableIter) skipForwardEmpty() {
 			return
 		}
 		t.index++
-		if !t.loadData(true) {
+		if !t.loadData() {
 			return
 		}
 		t.data.SeekToFirst()
-	}
-}
-
-func (t *tableIter) skipBackwardEmpty() {
-	for t.err == nil && t.dataOK && !t.data.Valid() {
-		if err := t.data.Error(); err != nil {
-			t.err = err
-			return
-		}
-		t.index--
-		if !t.loadData(false) {
-			return
-		}
-		t.data.SeekToLast()
 	}
 }
 

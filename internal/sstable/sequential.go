@@ -1,7 +1,6 @@
 package sstable
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -27,8 +26,6 @@ const IOChunk = 64 << 10
 // short scan so over-reads little, a long one soon reads like a compaction.
 const readAheadMin = 16 << 10
 
-var errForwardOnly = errors.New("sstable: sequential iterator cannot move backwards")
-
 var (
 	chunkPool   = sync.Pool{New: func() interface{} { return new([IOChunk]byte) }}
 	seqIterPool = sync.Pool{New: func() interface{} { return new(seqIter) }}
@@ -50,9 +47,8 @@ var (
 // compaction reads each block once, so caching them would only evict what
 // user reads put there. The footer, index and filter blocks are not read.
 //
-// The iterator owns f and closes it on Close. It moves forward only:
-// SeekToLast and Prev fail it. Values alias the run's buffer and, as the
-// Iterator contract says, die at the next positioning call.
+// The iterator owns f and closes it on Close. Values alias the run's buffer
+// and, as the Iterator contract says, die at the next positioning call.
 func (r *Reader) NewSequential(f vfs.File, window *keys.KeyRange) iterator.Iterator {
 	r.checkOpen("NewSequential")
 	t := seqIterPool.Get().(*seqIter)
@@ -257,16 +253,6 @@ func (t *seqIter) Next() {
 	}
 	t.data.Next()
 	t.settle()
-}
-
-func (t *seqIter) SeekToLast() { t.failBackwards() }
-func (t *seqIter) Prev()       { t.failBackwards() }
-
-func (t *seqIter) failBackwards() {
-	t.assertOpen()
-	if t.err == nil {
-		t.err = errForwardOnly
-	}
 }
 
 func (t *seqIter) Valid() bool {

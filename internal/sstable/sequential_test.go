@@ -411,23 +411,48 @@ func TestSequentialSeekGE(t *testing.T) {
 	}
 }
 
-func TestSequentialIsForwardOnly(t *testing.T) {
+// TestSequentialReseek: a pass is forward-only, but one iterator can be
+// re-seeked — back to an earlier block, from mid-run or from past the window's
+// end — and each time yields what a fresh pass from that target does.
+func TestSequentialReseek(t *testing.T) {
 	fs := vfs.Mem()
-	buildTable(t, fs, "/t.sst", defaultWOpts(), sortedKVs(100))
+	rng := rand.New(rand.NewSource(5))
+	buildTable(t, fs, "/t.sst", WriterOptions{Cmp: icmp, BlockSize: 512}, randomKVs(rng, 400, 100))
 	r := openTable(t, fs, "/t.sst", defaultROpts())
 	defer r.Close()
-	for name, move := range map[string]func(iterator.Iterator){
-		"SeekToLast": func(it iterator.Iterator) { it.SeekToLast() },
-		"Prev":       func(it iterator.Iterator) { it.SeekToFirst(); it.Prev() },
-	} {
+	for _, w := range []*keys.KeyRange{nil, {Lo: []byte("key-000100"), Hi: []byte("key-000300")}} {
 		f, _ := fs.Open("/t.sst")
-		it := r.NewSequential(f, nil)
-		move(it)
-		if it.Valid() || !errors.Is(it.Error(), errForwardOnly) {
-			t.Errorf("%s: valid=%v err=%v, want the forward-only error", name, it.Valid(), it.Error())
+		it := r.NewSequential(f, w)
+		for trial := 0; trial < 60; trial++ {
+			var target []byte
+			ref := reference(r, w)
+			if trial%10 == 0 {
+				it.SeekToFirst()
+				ref.SeekToFirst()
+			} else {
+				target = keys.MakeInternalKey(nil, []byte(fmt.Sprintf("key-%06d", rng.Intn(420)-10)), keys.Seq(rng.Intn(12)), keys.KindSet)
+				it.SeekGE(target)
+				ref.SeekGE(target)
+			}
+			want := drain(t, ref)
+			ref.Close()
+			steps := len(want)
+			if trial%3 != 0 {
+				steps = rng.Intn(steps + 1) // leave the pass partway through a run
+			}
+			var got []pair
+			for ; it.Valid() && len(got) < steps; it.Next() {
+				got = append(got, pair{bytes.Clone(it.Key()), bytes.Clone(it.Value())})
+			}
+			if err := it.Error(); err != nil {
+				t.Fatal(err)
+			}
+			if err := samePairs(got, want[:steps]); err != nil {
+				t.Fatalf("trial %d in %v, target %v: %v", trial, w, target, err)
+			}
 		}
-		if err := it.Close(); !errors.Is(err, errForwardOnly) {
-			t.Errorf("%s: Close = %v", name, err)
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -560,7 +585,6 @@ func TestSequentialUseAfterCloseCaught(t *testing.T) {
 		"Next":        func(it iterator.Iterator) { it.Next() },
 		"SeekToFirst": func(it iterator.Iterator) { it.SeekToFirst() },
 		"SeekGE":      func(it iterator.Iterator) { it.SeekGE([]byte("key-000001\x00\x00\x00\x00\x00\x00\x00\x01")) },
-		"Prev":        func(it iterator.Iterator) { it.Prev() },
 	} {
 		f, _ := fs.Open("/t.sst")
 		it := r.NewSequential(f, nil)
@@ -609,8 +633,8 @@ func (s *seekOnly) Next() {
 
 // BenchmarkTableIterSequential walks one 4 MiB table of 1 KiB values from a
 // counting in-memory file the three ways there are to read one: a block per
-// request, as point reads, seeks and reverse steps do; a user iterator's
-// forward walk, reading ahead; and a compaction input's sequential pass.
+// request, as point reads do; a user iterator's forward walk, reading ahead;
+// and a compaction input's sequential pass.
 func BenchmarkTableIterSequential(b *testing.B) {
 	fs := newReadLog(vfs.Mem())
 	val := strings.Repeat("v", 1024)

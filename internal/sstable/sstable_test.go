@@ -198,7 +198,10 @@ func TestSeekGEAcrossBlocks(t *testing.T) {
 	}
 }
 
-func TestReverseIteration(t *testing.T) {
+// TestReseekAcrossBlocks: one table iterator, re-seeked back and forth across
+// block edges and to the table's ends — from mid-walk and from past the end —
+// yields every entry from the target on, in order, each time.
+func TestReseekAcrossBlocks(t *testing.T) {
 	fs := vfs.Mem()
 	kvs := sortedKVs(257)
 	buildTable(t, fs, "/t.sst", defaultWOpts(), kvs)
@@ -206,17 +209,36 @@ func TestReverseIteration(t *testing.T) {
 	defer r.Close()
 	it := r.NewIterator()
 	defer it.Close()
-	i := 256
-	for it.SeekToLast(); it.Valid(); it.Prev() {
-		want := fmt.Sprintf("key-%06d", i)
-		if string(keys.InternalKey(it.Key()).UserKey()) != want {
-			t.Fatalf("reverse at %d: got %q", i, keys.InternalKey(it.Key()).UserKey())
+	walk := func(op string, from, steps int) {
+		t.Helper()
+		i := from
+		for ; it.Valid() && (steps < 0 || i < from+steps); it.Next() {
+			if i >= len(kvs) || string(keys.InternalKey(it.Key()).UserKey()) != kvs[i].u || string(it.Value()) != kvs[i].val {
+				t.Fatalf("%s: entry %d is %q", op, i, keys.InternalKey(it.Key()).UserKey())
+			}
+			i++
 		}
-		i--
+		if err := it.Error(); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if steps < 0 && i != len(kvs) {
+			t.Fatalf("%s: walk stopped at %d", op, i)
+		}
 	}
-	if i != -1 {
-		t.Errorf("reverse stopped at %d", i)
+	it.SeekToFirst()
+	walk("SeekToFirst", 0, -1)
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		i := rng.Intn(len(kvs))
+		it.SeekGE(keys.MakeSearchKey(nil, []byte(kvs[i].u), keys.MaxSeq))
+		steps := rng.Intn(40)
+		if trial%8 == 7 {
+			steps = -1 // to the end, so the next seek starts from there
+		}
+		walk(fmt.Sprintf("SeekGE(%s)", kvs[i].u), i, steps)
 	}
+	it.SeekToFirst()
+	walk("SeekToFirst after the trials", 0, -1)
 }
 
 func TestBloomFilterSkipsAbsentKeys(t *testing.T) {

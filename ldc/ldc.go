@@ -36,7 +36,9 @@
 // holding that shard's every file. See DESIGN.md ("Sharding") for the
 // cross-shard batch-visibility caveat.
 //
-// Keys are ordered bytewise; there is no other key order.
+// Keys are ordered bytewise; there is no other key order. Iterators move
+// forward only — Seek or SeekToFirst, then Next — because every range read
+// the store serves, the paper's SCAN among them, walks keys ascending.
 //
 // Bounding tail latency:
 //
@@ -105,8 +107,9 @@ type Profile = core.Profile
 // Snapshot pins a point-in-time view for reads and iterators.
 type Snapshot = core.Snapshot
 
-// Iterator walks user keys in order, newest visible version of each,
-// skipping deletions.
+// Iterator walks user keys in ascending order, newest visible version of
+// each, skipping deletions. It moves forward only: there is no Prev or
+// SeekToLast, since no range read of the store walks backward.
 type Iterator = core.Iterator
 
 // KV is a key/value pair returned by Scan.
