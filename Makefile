@@ -78,10 +78,13 @@ test:
 # budget — a GET of a table-resident key, owed or not, allocates nothing in the
 # server or the engine, and the client decodes a status reply for free and a
 # bulk one in at most two allocations; and a second Close of an iterator,
-# which must leave the pooled merges it let go of to their next owners.
+# which must leave the pooled merges it let go of to their next owners, and of
+# a shard's pooled store iterator, which must go back to its pool once; and
+# the Scans counter, once per request at any shard count; and a Get that a
+# slice window answers, which must not probe its level's file.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup|TestPipelinedCommit|TestReadPoint|TestSeparateValuesAllocs|TestIteratorCloseTwice' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup|TestPipelinedCommit|TestReadPoint|TestSeparateValuesAllocs|TestIteratorCloseTwice|TestIteratorPartsReturnedOnce|TestScansCountedPerRequest|TestGetStopsAtWindowHit' $(TESTFLAGS) ./internal/core
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSetAllocsOnFullShard' $(TESTFLAGS) ./internal/cache
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLevelTargets|TestLDCDrainsStagingLevel|TestDebt' $(TESTFLAGS) ./internal/compaction
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead|TestWriterAddAllocs|TestProbeAllocs|TestDecodedIndexMatchesOnDisk' $(TESTFLAGS) ./internal/sstable
@@ -140,10 +143,11 @@ invariants:
 # compactions that delete the tables they read; and connections whose
 # segments commit on goroutines of their own while the loop takes read
 # points behind them; and an iterator closed twice while another holds the
-# merges it gave back to the pool.
+# merges it gave back to the pool, and a shard's pooled store iterator closed
+# twice while scans on another goroutine take iterators from the same pools.
 race:
 	$(GO) test -race -short $(TESTFLAGS) ./...
-	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestWAL|TestCrashLeftWALs|TestFailedRotationWALTracked|TestPipelinedCommit|TestSyncCommit|TestReadPoint|TestCumulativeCountersNeverDecrease|TestIteratorCloseTwice' $(TESTFLAGS) ./internal/core
+	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestWAL|TestCrashLeftWALs|TestFailedRotationWALTracked|TestPipelinedCommit|TestSyncCommit|TestReadPoint|TestCumulativeCountersNeverDecrease|TestIteratorCloseTwice|TestIteratorPartsReturnedOnce' $(TESTFLAGS) ./internal/core
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters|TestReleaseLetsNextGroupForm|TestPipelineNotifies' $(TESTFLAGS) ./internal/commit
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestServerPipelined' $(TESTFLAGS) ./internal/server
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestAppendDuringSyncKeepsDirty|TestRotationAndCloseWaitForSync' $(TESTFLAGS) ./internal/vlog
@@ -179,19 +183,21 @@ bench:
 # time vs read-ahead vs sequential) and the served path's leaf benchmarks
 # with allocs/op (RESP reply decode, batch Set+Encode, value-log Append), and
 # the read path's (a five-way merge step with and without a lazy child, a
-# memtable walk):
+# memtable walk and seek, an internal-key comparison, a warm 100-pair scan over
+# one shard and over two):
 # catches write-path, protocol and pooled-buffer races without measuring
 # anything. The served_durable workload
 # of BENCHMARK.json measures the serving stack.
 bench-smoke:
 	$(GO) test -race -run XXX -bench BenchmarkTableIterSequential -benchtime 1x -benchmem $(TESTFLAGS) ./internal/sstable
-	$(GO) test -race -run XXX -bench 'BenchmarkConcurrentWriters|BenchmarkCommitSyncBlob' -benchtime 1x -benchmem $(TESTFLAGS) ./internal/core
+	$(GO) test -race -run XXX -bench 'BenchmarkConcurrentWriters|BenchmarkCommitSyncBlob|BenchmarkScan$$' -benchtime 1x -benchmem $(TESTFLAGS) ./internal/core
 	$(GO) test -race -run XXX -bench 'BenchmarkServerPipelinedSet/sync=false/conns=16' -benchtime 1x $(TESTFLAGS) ./internal/server
 	$(GO) test -race -run XXX -bench BenchmarkReadReply -benchtime 1x -benchmem $(TESTFLAGS) ./internal/resp
 	$(GO) test -race -run XXX -bench BenchmarkSetEncode -benchtime 1x -benchmem $(TESTFLAGS) ./internal/batch
 	$(GO) test -race -run XXX -bench BenchmarkWriterAppend -benchtime 1x -benchmem $(TESTFLAGS) ./internal/vlog
 	$(GO) test -race -run XXX -bench BenchmarkMergingNext -benchtime 1x -benchmem $(TESTFLAGS) ./internal/iterator
-	$(GO) test -race -run XXX -bench BenchmarkMemtableIterate -benchtime 1x -benchmem $(TESTFLAGS) ./internal/memtable
+	$(GO) test -race -run XXX -bench 'BenchmarkMemtableIterate|BenchmarkMemtableSeek' -benchtime 1x -benchmem $(TESTFLAGS) ./internal/memtable
+	$(GO) test -race -run XXX -bench BenchmarkInternalCompare -benchtime 1x -benchmem $(TESTFLAGS) ./internal/keys
 
 # One race-checked pass over the concurrent-read benchmarks and the 100-pair
 # scan over a sliced tree (cold/warm cache x inside/outside the slices):

@@ -158,6 +158,10 @@ type store struct {
 	// its proof before unlinking a segment. Guarded by mu.
 	retired []*readState
 
+	// iters are the shard's recycled store iterators (storeIter), each
+	// bound to this store.
+	iters sync.Pool
+
 	stats counters
 }
 
@@ -178,6 +182,7 @@ func openStore(dir string, shardID int, opts Options, blockCache *cache.Cache) (
 	db.workCond = sync.NewCond(&db.mu)
 	db.bgCond = sync.NewCond(&db.mu)
 	db.publishCond = sync.NewCond(&db.mu)
+	db.iters.New = func() any { return &storeIter{db: db, cmp: db.icmp.Compare} }
 	db.initFS(opts.FS)
 
 	if err := db.fsMeta.MkdirAll(dir); err != nil {
@@ -789,8 +794,12 @@ func (db *store) searchTables(v *version.Version, sc *readScratch, sk keys.Inter
 	// Sorted levels: probe the slice windows that cover the key, then the
 	// file. Files are disjoint, so the key lives in at most one file's own
 	// range, but windows of neighbouring files may overlap, so several can
-	// cover it; the candidate with the highest visible sequence wins, which
-	// makes the order they are probed in immaterial.
+	// cover it; the window candidate with the highest visible sequence wins,
+	// which makes the order they are probed in immaterial. Every window of a
+	// level reads a file frozen out of the level above after the level's
+	// file for the key took its data, so a version a window holds is newer
+	// than any the file holds: once a window answers, the file is not
+	// probed. Under -tags invariants it is, and a newer version there fails.
 	for level := 1; level < version.NumLevels; level++ {
 		f := v.FindFile(level, key)
 		w := &v.Windows[level]
@@ -819,20 +828,36 @@ func (db *store) searchTables(v *version.Version, sc *readScratch, sk keys.Inter
 				bestSeq, bestVal, bestKind, bestFound = entrySeq, val, kind, true
 			}
 		}
+		if bestFound {
+			if invariants.Enabled && f != nil {
+				db.checkWindowNewer(f, sc, sk, bestSeq)
+			}
+			return bestVal, bestKind, true, nil
+		}
 		if f != nil {
-			val, kind, entrySeq, found, err := db.tableProbe(&f.Table, f.Num, sc, sk)
+			val, kind, _, found, err := db.tableProbe(&f.Table, f.Num, sc, sk)
 			if err != nil {
 				return nil, 0, false, err
 			}
-			if found && (!bestFound || entrySeq > bestSeq) {
-				bestSeq, bestVal, bestKind, bestFound = entrySeq, val, kind, true
+			if found {
+				return val, kind, true, nil
 			}
-		}
-		if bestFound {
-			return bestVal, bestKind, true, nil
 		}
 	}
 	return nil, 0, false, nil
+}
+
+// checkWindowNewer probes file f, which a window of its level has answered
+// for sk's key at sequence windowSeq, and fails if f holds a newer visible
+// version: the read would have returned a stale one. The probe stays out of
+// the read's tally.
+func (db *store) checkWindowNewer(f *version.FileMeta, sc *readScratch, sk keys.InternalKey, windowSeq keys.Seq) {
+	tally := sc.n
+	_, _, seq, found, err := db.tableProbe(&f.Table, f.Num, sc, sk)
+	sc.n = tally
+	if err == nil && found && seq > windowSeq {
+		invariants.Violatedf("file %d holds %q at seq %d, newer than its level's window at seq %d", f.Num, sk.UserKey(), seq, windowSeq)
+	}
 }
 
 // tableProbe is the per-table point lookup: bloom filter, then the reader's

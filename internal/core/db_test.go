@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/batch"
 	"repro/internal/compaction"
+	"repro/internal/invariants"
 	"repro/internal/vfs"
 )
 
@@ -366,6 +368,207 @@ func TestIteratorCloseTwice(t *testing.T) {
 			}
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestIteratorPartsReturnedOnce: the parts of the store's iterator stack go
+// back to their pools once, however often their owner is closed. A public
+// Iterator closed twice and a shard's pooled iterator closed twice, each
+// before and after another scan took parts from the pools, leave two
+// iterators opened afterwards sharing nothing — a part put back twice would
+// be handed to both — so that stepped in turn, beside scans running on
+// another goroutine, each walks every key.
+func TestIteratorPartsReturnedOnce(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := smallOpts(compaction.LDC)
+			opts.Shards = shards
+			db := openTestDB(t, opts)
+			defer db.Close()
+			const flushed, n = 2000, 2050
+			fillSequential(t, db, flushed)
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i := flushed; i < n; i++ {
+				if err := db.Put(key(i), value(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			stop := make(chan struct{})
+			scanErr := make(chan error, 1)
+			go func() {
+				defer close(scanErr)
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					start := (i * 37) % (n - 50)
+					kvs, err := db.Scan(key(start), 50)
+					if err == nil && len(kvs) != 50 {
+						err = fmt.Errorf("Scan(%d, 50) = %d pairs", start, len(kvs))
+					}
+					for j := 0; err == nil && j < len(kvs); j++ {
+						if !bytes.Equal(kvs[j].Key, key(start+j)) || !bytes.Equal(kvs[j].Value, value(start+j)) {
+							err = fmt.Errorf("Scan(%d, 50)[%d] = %q=%q", start, j, kvs[j].Key, kvs[j].Value)
+						}
+					}
+					if err != nil {
+						scanErr <- err
+						return
+					}
+				}
+			}()
+
+			for round := 0; round < 20; round++ {
+				it, err := db.NewIterator(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				it.SeekToFirst()
+				if err := it.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := db.Scan(key(0), 10); err != nil {
+					t.Fatal(err)
+				}
+				if err := it.Close(); err != nil {
+					t.Fatalf("second Close = %v", err)
+				}
+				for _, st := range db.shards {
+					si, err := st.newIter(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					si.SeekToFirst()
+					if err := si.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if err := si.Close(); err != nil {
+						t.Fatalf("second Close of a shard iterator = %v", err)
+					}
+					a, errA := st.newIter(nil)
+					b, errB := st.newIter(nil)
+					if errA != nil || errB != nil {
+						t.Fatal(errA, errB)
+					}
+					if a == b {
+						t.Fatal("two open shard iterators are one object: a Close put it back twice")
+					}
+					a.Close()
+					b.Close()
+				}
+
+				x, err := db.NewIterator(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				y, err := db.NewIterator(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				walked := 0
+				x.SeekToFirst()
+				y.SeekToFirst()
+				for x.Valid() && y.Valid() {
+					for _, it := range []*Iterator{x, y} {
+						if !bytes.Equal(it.Key(), key(walked)) || !bytes.Equal(it.Value(), value(walked)) {
+							t.Fatalf("round %d: entry %d is %q=%q", round, walked, it.Key(), it.Value())
+						}
+						it.Next()
+					}
+					walked++
+				}
+				if x.Valid() || y.Valid() || walked != n {
+					t.Fatalf("round %d: the iterators walked %d of %d keys together", round, walked, n)
+				}
+				if err := x.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := y.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(stop)
+			if err := <-scanErr; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestStoreIterUseAfterCloseCaught: under -tags invariants a closed store
+// iterator stays out of its pool, so a late use panics instead of reading
+// through parts that another scan holds.
+func TestStoreIterUseAfterCloseCaught(t *testing.T) {
+	if !invariants.Enabled {
+		t.Skip("poison checks compile away without -tags invariants")
+	}
+	db := openTestDB(t, smallOpts(compaction.LDC))
+	defer db.Close()
+	fillSequential(t, db, 10)
+	st := db.shards[0]
+	for name, use := range map[string]func(*storeIter){
+		"SeekGE":      func(it *storeIter) { it.SeekGE(key(0)) },
+		"SeekToFirst": func(it *storeIter) { it.SeekToFirst() },
+	} {
+		it, err := st.newIter(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it.SeekToFirst()
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := st.newIter(nil); err != nil || again == it {
+			t.Fatalf("newIter after Close = %p, %v: the closed iterator went back to the pool", again, err)
+		} else {
+			again.Close()
+		}
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "invariant violated") {
+					t.Errorf("%s after Close: recovered %q, want an invariant violation", name, msg)
+				}
+			}()
+			use(it)
+		}()
+	}
+}
+
+// TestScansCountedPerRequest: Stats.Scans counts each Scan and each
+// NewIterator once, whatever the number of shards it reads, as Gets counts
+// each Get once.
+func TestScansCountedPerRequest(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := smallOpts(compaction.LDC)
+			opts.Shards = shards
+			db := openTestDB(t, opts)
+			defer db.Close()
+			fillSequential(t, db, 100)
+			for i := 0; i < 3; i++ {
+				if _, err := db.Scan(key(i), 10); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 2; i++ {
+				it, err := db.NewIterator(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				it.SeekToFirst()
+				if err := it.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := db.Stats().Scans; got != 5 {
+				t.Errorf("Scans = %d after 3 Scans and 2 iterators over %d shards, want 5", got, shards)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/invariants"
 	"repro/internal/iterator"
 	"repro/internal/keys"
+	"repro/internal/memtable"
 	"repro/internal/version"
 )
 
@@ -370,32 +371,84 @@ func (l *sliceIter) Close() error {
 	return err
 }
 
-// newInternalIterator assembles the full merged view: memtables, L0 tables
-// (as independent children), and per sorted level one levelIter over its
-// files plus one sliceIter over the slices linked to them.
-// The returned cleanup must be called when the iterator is closed.
-func (db *store) newInternalIterator() (iterator.Iterator, func(), error) {
+// ---------------------------------------------------------------------------
+// User-facing iterator
+
+// storeIter walks one shard's user keys in order, exposing the newest
+// visible version of each and skipping tombstones. It is an
+// iterator.Iterator over user keys: a scan over several shards merges one
+// per shard.
+//
+// storeIters are pooled per shard (store.iters), and each keeps, from one
+// read to the next, everything it builds: the memtables' iterators, the
+// merge's child list and its key buffers. The rest of the stack comes from
+// the pools of its parts, so once warm, opening and seeking one allocates
+// nothing. Its owner — a scan, a public Iterator, or the merge of either —
+// is the only holder of it and closes it once; Close returns it to the pool.
+type storeIter struct {
+	db *store
+	// rs is the read state pinned for the iterator's life; nil once closed,
+	// which is what makes a second Close a no-op until the pool hands the
+	// iterator out again.
+	rs  *readState
+	seq keys.Seq
+	it  iterator.Iterator    // the merge over children
+	cmp iterator.CompareFunc // db.icmp.Compare, bound once: a method value allocates
+
+	mems     [2]memtable.Iter    // the mutable and the immutable memtable's
+	children []iterator.Iterator // the merge's children, rebuilt on every open
+
+	seekKey  []byte // the search key of the last seek, built into kept capacity
+	valid    bool
+	savedKey []byte // the user key Next skips the older versions of
+	err      error
+}
+
+// newIter returns a pooled iterator over the pinned sequence (nil = latest
+// state). Close it when done.
+func (db *store) newIter(snapSeq *keys.Seq) (*storeIter, error) {
 	// Lock-free acquisition: the read state pins (mem, imm, version) with a
-	// single atomic load + ref; the ref is held until cleanup runs.
+	// single atomic load + ref, held until Close.
 	rs := db.loadReadState()
 	if rs == nil {
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
-	v := rs.v
+	i := db.iters.Get().(*storeIter)
+	if err := i.open(rs); err != nil {
+		rs.unref()
+		i.release()
+		return nil, err
+	}
+	// The sequence is read after the read state is pinned, like every other
+	// read: the pinned state then bounds it from below (readState.seq), which
+	// is what lets value-log GC wait only for states older than its proof.
+	i.seq = db.set.LastSeq()
+	if snapSeq != nil {
+		i.seq = *snapSeq
+	}
+	i.rs, i.valid, i.err = rs, false, nil
+	return i, nil
+}
 
-	var children []iterator.Iterator
-	children = append(children, rs.mem.NewIterator())
+// open assembles the full merged view of rs: memtables, L0 tables (as
+// independent children), and per sorted level one levelIter over its files
+// plus one sliceIter over the slices linked to them.
+func (i *storeIter) open(rs *readState) error {
+	db, v := i.db, rs.v
+	i.mems[0].Init(rs.mem)
+	children := append(i.children[:0], &i.mems[0])
 	if rs.imm != nil {
-		children = append(children, rs.imm.NewIterator())
+		i.mems[1].Init(rs.imm)
+		children = append(children, &i.mems[1])
 	}
-	for i := len(v.Levels[0]) - 1; i >= 0; i-- {
-		r, err := db.tables.get(v.Levels[0][i].Num)
+	for j := len(v.Levels[0]) - 1; j >= 0; j-- {
+		r, err := db.tables.get(v.Levels[0][j].Num)
 		if err != nil {
 			for _, c := range children {
 				c.Close()
 			}
-			rs.unref()
-			return nil, nil, err
+			i.children = children
+			return err
 		}
 		children = append(children, r.NewIterator())
 	}
@@ -408,45 +461,16 @@ func (db *store) newInternalIterator() (iterator.Iterator, func(), error) {
 			children = append(children, db.newSliceIter(w))
 		}
 	}
-	merged := iterator.NewMerging(db.icmp.Compare, children...)
-	return merged, rs.unref, nil
+	i.children = children
+	i.it = iterator.NewMerging(i.cmp, children...)
+	return nil
 }
 
-// ---------------------------------------------------------------------------
-// User-facing iterator
-
-// storeIter walks one shard's user keys in order, exposing the newest
-// visible version of each and skipping tombstones. It is an
-// iterator.Iterator over user keys: the public Iterator (router_iter.go)
-// merges one per shard.
-type storeIter struct {
-	db      *store
-	it      iterator.Iterator
-	cleanup func()
-	seq     keys.Seq
-
-	seekKey  []byte // the search key of the last seek, built into kept capacity
-	valid    bool
-	savedKey []byte // the user key Next skips the older versions of
-	err      error
-}
-
-// newIter returns an iterator over the pinned sequence (nil = latest
-// state). Close it when done.
-func (db *store) newIter(snapSeq *keys.Seq) (*storeIter, error) {
-	db.stats.Scans.Add(1)
-	it, cleanup, err := db.newInternalIterator()
-	if err != nil {
-		return nil, err
+// assertOpen is levelIter.assertOpen for the store iterator.
+func (i *storeIter) assertOpen() {
+	if invariants.Enabled && i.rs == nil {
+		panic("invariant violated: storeIter used after Close")
 	}
-	// The sequence is read after the read state is pinned, like every other
-	// read: the pinned state then bounds it from below (readState.seq), which
-	// is what lets value-log GC wait only for states older than its proof.
-	seq := db.set.LastSeq()
-	if snapSeq != nil {
-		seq = *snapSeq
-	}
-	return &storeIter{db: db, it: it, cleanup: cleanup, seq: seq}, nil
 }
 
 // Valid reports whether the iterator is positioned on an entry. An iterator
@@ -455,26 +479,38 @@ func (i *storeIter) Valid() bool { return i.valid && i.err == nil }
 
 // Error returns the first error encountered.
 func (i *storeIter) Error() error {
-	if i.err != nil {
+	if i.err != nil || i.rs == nil {
 		return i.err
 	}
 	return i.it.Error()
 }
 
-// Close releases the iterator. Only the first call closes the merged
-// iterator, which is pooled and may belong to another scan by the second
-// (cleanup doubles as the first-close marker); later calls return the first
-// call's result.
+// Close releases the iterator and returns it to its shard's pool. Only the
+// first call closes the merge, whose parts are pooled and may belong to
+// another scan by the second, and unpins the read state; a later call
+// returns the first call's result, until the pool hands the iterator to its
+// next owner. Under -tags invariants the closed iterator stays out of the
+// pool, and any use of it trips assertOpen.
 func (i *storeIter) Close() error {
-	if i.cleanup == nil {
+	if i.rs == nil {
 		return i.err
 	}
-	i.err = i.Error()
+	err := i.Error()
 	i.it.Close()
-	i.cleanup()
-	i.cleanup = nil
-	i.valid = false
-	return i.err
+	i.rs.unref()
+	i.rs, i.it, i.valid, i.err = nil, nil, false, err
+	i.release() // the pool's now: nothing below may touch i
+	return err
+}
+
+// release drops what the iterator refers to — its closed children — and
+// gives it back to the pool.
+func (i *storeIter) release() {
+	clear(i.children)
+	i.children = i.children[:0]
+	if !invariants.Enabled {
+		i.db.iters.Put(i)
+	}
 }
 
 // Key returns the current user key, valid until the next positioning call
@@ -508,12 +544,14 @@ func (i *storeIter) resolve(ptr []byte) []byte {
 
 // SeekToFirst positions at the smallest key.
 func (i *storeIter) SeekToFirst() {
+	i.assertOpen()
 	i.it.SeekToFirst()
 	i.findNextUserEntry(false)
 }
 
 // SeekGE positions at the first key >= target.
 func (i *storeIter) SeekGE(target []byte) {
+	i.assertOpen()
 	i.seekKey = keys.MakeSearchKey(i.seekKey[:0], target, i.seq)
 	i.it.SeekGE(i.seekKey)
 	i.findNextUserEntry(false)

@@ -173,3 +173,50 @@ func BenchmarkScan100(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkScan is a warm 100-pair Scan from a random key of a compacted
+// store that the block cache holds whole, over one shard and through the
+// merge of two: the engine's cost of a scan once no block is read. Its
+// allocs/op are the result and its chunk: the iterators come from pools.
+func BenchmarkScan(b *testing.B) {
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			opts := benchOpts(compaction.LDC)
+			opts.BlockCacheSize = 64 << 20
+			opts.Shards = shards
+			db, err := Open("/bench", opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			const n = 10000
+			val := make([]byte, 256)
+			for i := 0; i < n; i++ {
+				if err := db.Put(benchReadKey(i), val); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := db.CompactRange(); err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			starts := make([][]byte, 256)
+			for i := range starts {
+				starts[i] = benchReadKey(rng.Intn(n - 100))
+			}
+			scan := func(start []byte) {
+				if kvs, err := db.Scan(start, 100); err != nil || len(kvs) != 100 {
+					b.Fatalf("Scan = %d pairs, %v", len(kvs), err)
+				}
+			}
+			for _, start := range starts {
+				scan(start) // loads every block the scans read
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scan(starts[i%len(starts)])
+			}
+		})
+	}
+}

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -18,9 +20,9 @@ import (
 
 // countProbes is the test's own account of what one Get of key costs on the
 // tables of v: filter consultations, negative answers and table probes, made
-// with the probe-everything-then-stop rule of DESIGN "Read path" (L0 newest
-// first; per sorted level every covering window and the file, stopping at the
-// first level that holds a visible version) directly on the table readers.
+// with the rule of DESIGN "Read path" (L0 newest first; per sorted level every
+// covering window, then the file only if no window holds a visible version,
+// stopping at the first level that holds one) directly on the table readers.
 func countProbes(t *testing.T, st *store, v *version.Version, key []byte) (n probeTally) {
 	t.Helper()
 	ucmp := st.icmp.User
@@ -56,7 +58,9 @@ func countProbes(t *testing.T, st *store, v *version.Version, key []byte) (n pro
 					found = true
 				}
 			}
-			if f.UserRange().Contains(ucmp, key) && probe(f.Num) {
+		}
+		for _, f := range v.Levels[level] {
+			if !found && f.UserRange().Contains(ucmp, key) && probe(f.Num) {
 				found = true
 			}
 		}
@@ -114,7 +118,9 @@ func TestGetStatsContract(t *testing.T) {
 		t.Errorf("ReadLatency.Count = %d, want %d/%d", d.Count, n, ReadSampleEvery)
 	}
 	got := probeTally{s.BloomProbes, s.BloomNegatives, s.TableProbes}
-	if got != want || want.tableProbes < n/4 || want.bloomNegatives == 0 {
+	// The floor only says the Gets reach tables at all: 3 893 of the 16 000
+	// probe one, a window's answer ending its level's search.
+	if got != want || want.tableProbes < n/5 || want.bloomNegatives == 0 {
 		t.Errorf("bloom probes / negatives / table probes = %+v, the test counted %+v", got, want)
 	}
 	if amp := float64(s.TableProbes) / float64(s.Gets); s.PointReadAmp != amp {
@@ -129,6 +135,169 @@ func TestGetStatsContract(t *testing.T) {
 	}
 	if s.ReadTime < n*d.P50/2 || s.ReadTime > n*d.Max {
 		t.Errorf("ReadTime = %v for %d Gets with sampled median %v and maximum %v", s.ReadTime, n, d.P50, d.Max)
+	}
+}
+
+// windowHit is a key whose newest version lies in a slice window of level,
+// over an older version in the level's file.
+type windowHit struct {
+	key, windowVal, fileVal []byte
+	level                   int
+	fileSeq                 keys.Seq
+	fileNum                 uint64
+}
+
+// findWindowHit looks through every window of v for a key that the level's
+// file holds too and whose newest version in the store is the window's.
+func findWindowHit(t *testing.T, db *DB, v *version.Version) (windowHit, bool) {
+	t.Helper()
+	st := db.shards[0]
+	ucmp := st.icmp.User
+	var c sstable.ProbeCursor
+	for level := 1; level < version.NumLevels; level++ {
+		for _, s := range v.Windows[level].ByLo {
+			r, err := st.tables.get(s.FrozenNum)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it := r.NewIterator()
+			for it.SeekGE(keys.MakeSearchKey(nil, s.Range.Lo, keys.MaxSeq)); it.Valid(); it.Next() {
+				uk := keys.InternalKey(it.Key()).UserKey()
+				if ucmp.Compare(uk, s.Range.Hi) > 0 {
+					break
+				}
+				f := v.FindFile(level, uk)
+				if f == nil {
+					continue
+				}
+				fr, err := st.tables.get(f.Num)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fval, _, fseq, found, err := fr.Probe(&c, keys.MakeSearchKey(nil, uk, keys.MaxSeq))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := db.Get(uk); !found || err != nil || !bytes.Equal(got, it.Value()) {
+					continue // not in the file, or a newer version lies above
+				}
+				it.Close()
+				return windowHit{key: bytes.Clone(uk), level: level, windowVal: bytes.Clone(it.Value()), fileSeq: fseq, fileVal: bytes.Clone(fval), fileNum: f.Num}, true
+			}
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return windowHit{}, false
+}
+
+// TestGetStopsAtWindowHit: a Get whose newest version lies in a slice window
+// probes the windows of that level that cover the key and not the level's
+// file, though the file holds an older version of the key; a read at a
+// snapshot below the window's version reaches the file and returns its.
+func TestGetStopsAtWindowHit(t *testing.T) {
+	db, err := Open("/hit", Options{
+		FS: vfs.Mem(), Policy: compaction.LDC,
+		MemTableSize: 32 << 10, SSTableSize: 32 << 10, Fanout: 10, SliceLinkThreshold: 10,
+		BlockCacheSize: 4 << 20, DisableAutoCompaction: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	st := db.shards[0]
+	pad := strings.Repeat("v", 240)
+	rng := rand.New(rand.NewSource(2))
+	var (
+		hit windowHit
+		ok  bool
+		v   *version.Version
+	)
+	// Rounds of puts with values unique to the round, each flushed and
+	// compacted by the test, the way slicedTree builds its tree, until a
+	// window holds a key's newest version over the file's.
+	for round := 0; !ok; round++ {
+		if round == 400 {
+			t.Fatal("no window holds a newer version of a key its level's file holds")
+		}
+		for i := 0; i < 250; i++ {
+			if err := db.Put(regionKey('b', rng.Intn(20000)), []byte(fmt.Sprintf("round-%04d-%s", round, pad))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for pick := nextPick(st); pick.Kind != compaction.PickNone; pick = nextPick(st) {
+			if err := runPick(t, st, pick); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round%10 == 9 {
+			v = st.set.Current()
+			if hit, ok = findWindowHit(t, db, v); !ok {
+				v.Unref()
+			}
+		}
+	}
+	defer v.Unref()
+
+	// Nothing above the level holds the key, so each table a Get probes there
+	// is one its filter let through; at the level, the windows that cover the
+	// key and, under the old rule, the file.
+	ucmp := st.icmp.User
+	passes := func(num uint64) int64 {
+		r, err := st.tables.get(num)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.MayContain(hit.key) {
+			return 1
+		}
+		return 0
+	}
+	var above, windows int64
+	for _, f := range v.Levels[0] {
+		if f.UserRange().Contains(ucmp, hit.key) {
+			above += passes(f.Num)
+		}
+	}
+	for level := 1; level <= hit.level; level++ {
+		n := int64(0)
+		for _, s := range v.Windows[level].ByLo {
+			if s.Range.Contains(ucmp, hit.key) {
+				n += passes(s.FrozenNum)
+			}
+		}
+		if level == hit.level {
+			windows = n
+		} else if f := v.FindFile(level, hit.key); f != nil {
+			above += n + passes(f.Num)
+		} else {
+			above += n
+		}
+	}
+	if passes(hit.fileNum) != 1 {
+		t.Fatalf("file %d holds %q but its filter rules the key out", hit.fileNum, hit.key)
+	}
+
+	before := st.stats.TableProbes.Load()
+	got, err := db.Get(hit.key)
+	if err != nil || !bytes.Equal(got, hit.windowVal) {
+		t.Fatalf("Get(%q) = %q, %v; want the window's %q", hit.key, got, err, hit.windowVal)
+	}
+	if probes := st.stats.TableProbes.Load() - before; probes != above+windows {
+		t.Errorf("Get(%q) probed %d tables: want %d above level %d and the %d windows covering the key there, not the file", hit.key, probes, above, hit.level, windows)
+	}
+	if st.set.CurrentNoRef() != v {
+		t.Fatal("the version changed under the test")
+	}
+
+	t.Logf("%q: newest in %d window(s) of level %d, older at seq %d in file %d; %d probes above", hit.key, windows, hit.level, hit.fileSeq, hit.fileNum, above)
+	seq := hit.fileSeq
+	if got, err := st.getAt(hit.key, &seq, true); err != nil || !bytes.Equal(got, hit.fileVal) {
+		t.Errorf("Get(%q) at the file's sequence %d = %q, %v; want the file's %q", hit.key, seq, got, err, hit.fileVal)
 	}
 }
 

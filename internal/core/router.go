@@ -351,7 +351,7 @@ func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
 	if limit <= 0 {
 		return nil, nil
 	}
-	it, err := db.NewIterator(nil)
+	it, err := db.openMerged(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -360,10 +360,10 @@ func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
 	// not be allocated up front.
 	out := make([]KV, 0, min(limit, 256))
 	var chunk []byte
-	for it.Seek(start); it.Valid(); it.Next() {
+	for it.SeekGE(start); it.Valid(); it.Next() {
 		k, v := it.Key(), it.Value()
-		if !it.Valid() {
-			break // the value failed to resolve; Error says why
+		if v == nil && it.Error() != nil {
+			break // the value failed to resolve
 		}
 		n := len(k) + len(v)
 		var b []byte

@@ -24,9 +24,24 @@ type Iterator struct {
 // NewIterator returns an iterator over the database at snap (nil = the
 // latest state, capturing each shard as it is first touched by the merge's
 // initial positioning pass). The iterator starts unpositioned; call Seek or
-// SeekToFirst.
+// SeekToFirst. The handle is the one allocation: the iterators under it are
+// pooled.
 func (db *DB) NewIterator(snap *Snapshot) (*Iterator, error) {
-	children := make([]iterator.Iterator, 0, len(db.shards))
+	merged, err := db.openMerged(snap)
+	if err != nil {
+		return nil, err
+	}
+	return &Iterator{merged: merged}, nil
+}
+
+// openMerged opens one storeIter per shard at snap and returns their merge:
+// over one shard the shard's iterator itself, else a pooled merging iterator
+// whose Close closes them all. The caller owns the result and closes it once.
+// It counts one Scan, on shard 0, for the whole database.
+func (db *DB) openMerged(snap *Snapshot) (iterator.Iterator, error) {
+	db.shards[0].stats.Scans.Add(1)
+	var stack [16]iterator.Iterator // lists up to 16 shards without a heap allocation
+	children := stack[:0]
 	for i, st := range db.shards {
 		si, err := st.newIter(snap.seq(i))
 		if err != nil {
@@ -37,7 +52,7 @@ func (db *DB) NewIterator(snap *Snapshot) (*Iterator, error) {
 		}
 		children = append(children, si)
 	}
-	return &Iterator{merged: iterator.NewMerging(bytes.Compare, children...)}, nil
+	return iterator.NewMerging(bytes.Compare, children...), nil
 }
 
 // Seek positions at the first key >= target.

@@ -62,7 +62,8 @@ type Stats struct {
 	// executing compaction jobs: 0 or 1 per shard, summed across shards.
 	MaxConcurrentCompactions int64
 
-	// Request counts (exact: every request counts itself).
+	// Request counts (exact: every request counts itself). Scans counts
+	// each Scan and NewIterator once, on shard 0, whatever the shards read.
 	Puts, Gets, Deletes, Scans int64
 
 	// Read path (the lock-free read-state refactor's observability).

@@ -170,31 +170,48 @@ func (m *MemTable) Empty() bool { return m.list.Len() == 0 }
 // NewIterator returns an iterator over internal keys, satisfying the store's
 // iterator contract.
 func (m *MemTable) NewIterator() iterator.Iterator {
-	return &memIter{it: m.list.NewIterator()}
+	it := new(Iter)
+	it.Init(m)
+	return it
 }
 
-type memIter struct {
-	it *skiplist.Iterator
+// Iter is an iterator over a memtable's internal keys. An owner that opens
+// one per read keeps it by value and rebinds it with Init, which keeps the
+// buffer its seeks build their record in: once warm, binding and seeking one
+// allocates nothing.
+type Iter struct {
+	cur  skiplist.Iterator
+	seek []byte // the length-prefixed record of the last seek target
 }
 
-func (m *memIter) Valid() bool { return m.it.Valid() }
+// Init binds it, unpositioned, to m.
+func (it *Iter) Init(m *MemTable) { it.cur.Init(m.list) }
 
-func (m *memIter) SeekGE(target []byte) {
-	m.it.SeekGE(encoding.PutLengthPrefixed(nil, target))
+func (it *Iter) Valid() bool { return it.cur.Valid() }
+
+func (it *Iter) SeekGE(target []byte) {
+	it.seek = encoding.PutLengthPrefixed(it.seek[:0], target)
+	it.cur.SeekGE(it.seek)
 }
 
-func (m *memIter) SeekToFirst() { m.it.SeekToFirst() }
-func (m *memIter) Next()        { m.it.Next() }
+func (it *Iter) SeekToFirst() { it.cur.SeekToFirst() }
+func (it *Iter) Next()        { it.cur.Next() }
 
-func (m *memIter) Key() []byte {
-	k, _ := decodeKey(m.it.Key())
+func (it *Iter) Key() []byte {
+	k, _ := decodeKey(it.cur.Key())
 	return k
 }
 
-func (m *memIter) Value() []byte {
-	_, rest := decodeKey(m.it.Key())
+func (it *Iter) Value() []byte {
+	_, rest := decodeKey(it.cur.Key())
 	return decodeValue(rest)
 }
 
-func (m *memIter) Error() error { return nil }
-func (m *memIter) Close() error { return nil }
+func (it *Iter) Error() error { return nil }
+
+// Close unbinds the iterator, so that an owner keeping it for a later read
+// keeps no memtable alive; Init binds it again.
+func (it *Iter) Close() error {
+	it.cur.Init(nil)
+	return nil
+}

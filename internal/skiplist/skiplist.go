@@ -155,7 +155,8 @@ func (l *List) Contains(k []byte) bool {
 
 // Iterator traverses the list. It is valid to create and use iterators
 // concurrently with a writer; an iterator observes all keys inserted before
-// its positioning call, and possibly some inserted after.
+// its positioning call, and possibly some inserted after. It holds no buffer,
+// so an owner may keep one by value and rebind it with Init.
 type Iterator struct {
 	list *List
 	node *node
@@ -163,6 +164,10 @@ type Iterator struct {
 
 // NewIterator returns an unpositioned iterator.
 func (l *List) NewIterator() *Iterator { return &Iterator{list: l} }
+
+// Init binds it, unpositioned, to l; a nil l leaves it bound to nothing, so
+// that it keeps no list alive.
+func (it *Iterator) Init(l *List) { *it = Iterator{list: l} }
 
 // Valid reports whether the iterator is positioned on a key.
 func (it *Iterator) Valid() bool { return it.node != nil }
