@@ -44,7 +44,10 @@ test:
 # (both historical failures passed at GOMAXPROCS=1 and failed at 2); plus the
 # compaction-input fault tests, whose failed job races the workers' cleanup;
 # the worker-lifecycle tests (Close, WaitIdle and CompactRange against a flush
-# and a compaction in flight, a clean Close leaving no unreferenced table); and
+# and a compaction in flight, a clean Close leaving no unreferenced table,
+# CompactRange outwaiting a worker's held table removals, each half of a step
+# counting its busy time once) and the step itself — two stores stepped at the
+# same points of one seeded stream run the same picks into the same tree; and
 # the sync-commit tests, whose vlog fsync runs beside the WAL's on a goroutine
 # of its own (overlap, failure of either, Close against a parked group), and
 # the pipelined-commit tests, where a later group appends and fsyncs while an
@@ -84,7 +87,7 @@ test:
 # slice window answers, which must not probe its level's file.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeWithAutoCompactionDisabled|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup|TestPipelinedCommit|TestReadPoint|TestSeparateValuesAllocs|TestIteratorCloseTwice|TestIteratorPartsReturnedOnce|TestScansCountedPerRequest|TestGetStopsAtWindowHit' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeStepsManualStore|TestCompactRangeWaitsForCleanup|TestStepIsDeterministic|TestBusyTimeCountedOnce|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup|TestPipelinedCommit|TestReadPoint|TestSeparateValuesAllocs|TestIteratorCloseTwice|TestIteratorPartsReturnedOnce|TestScansCountedPerRequest|TestGetStopsAtWindowHit' $(TESTFLAGS) ./internal/core
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSetAllocsOnFullShard' $(TESTFLAGS) ./internal/cache
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLevelTargets|TestLDCDrainsStagingLevel|TestDebt' $(TESTFLAGS) ./internal/compaction
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead|TestWriterAddAllocs|TestProbeAllocs|TestDecodedIndexMatchesOnDisk' $(TESTFLAGS) ./internal/sstable
@@ -144,10 +147,12 @@ invariants:
 # segments commit on goroutines of their own while the loop takes read
 # points behind them; and an iterator closed twice while another holds the
 # merges it gave back to the pool, and a shard's pooled store iterator closed
-# twice while scans on another goroutine take iterators from the same pools.
+# twice while scans on another goroutine take iterators from the same pools;
+# and CompactRange stepping beside a compaction worker whose cleanup is held,
+# and the stepped stores that must end in the same tree.
 race:
 	$(GO) test -race -short $(TESTFLAGS) ./...
-	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestWAL|TestCrashLeftWALs|TestFailedRotationWALTracked|TestPipelinedCommit|TestSyncCommit|TestReadPoint|TestCumulativeCountersNeverDecrease|TestIteratorCloseTwice|TestIteratorPartsReturnedOnce' $(TESTFLAGS) ./internal/core
+	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestWAL|TestCrashLeftWALs|TestFailedRotationWALTracked|TestPipelinedCommit|TestSyncCommit|TestReadPoint|TestCumulativeCountersNeverDecrease|TestIteratorCloseTwice|TestIteratorPartsReturnedOnce|TestCompactRangeWaitsForCleanup|TestStepIsDeterministic' $(TESTFLAGS) ./internal/core
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters|TestReleaseLetsNextGroupForm|TestPipelineNotifies' $(TESTFLAGS) ./internal/commit
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestServerPipelined' $(TESTFLAGS) ./internal/server
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestAppendDuringSyncKeepsDirty|TestRotationAndCloseWaitForSync' $(TESTFLAGS) ./internal/vlog

@@ -18,21 +18,34 @@ import (
 	"repro/internal/vfs"
 )
 
-// nextPick is the compaction the worker would run next on an idle store.
+// openManualDB opens a store with no compaction worker: the test is the
+// worker, and steps it.
+func openManualDB(t testing.TB, opts Options) *DB {
+	t.Helper()
+	db, err := openDB("/db", opts, false)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	return db
+}
+
+// nextPick is the compaction the next step of st runs when no flush is
+// pending (after a Flush, with no writer): Pick is a pure function of the
+// version and the cursors, so the peeked pick is the one step runs.
 func nextPick(st *store) compaction.Pick {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.picker.Pick(st.set.CurrentNoRef())
 }
 
-// runPick executes pick the way the compaction worker does, on the test's
-// goroutine: the store must have DisableAutoCompaction set, so the worker idles.
-func runPick(t testing.TB, st *store, pick compaction.Pick) error {
+// runStep runs st's next job on the test's goroutine, as the compaction
+// worker would, and fails the test if there was none.
+func runStep(t testing.TB, st *store) error {
 	t.Helper()
-	st.mu.Lock()
-	err := st.execPick(pick)
-	st.mu.Unlock()
-	st.deleteObsoleteFiles()
+	did, err := st.step()
+	if !did && err == nil {
+		t.Fatal("step found no job")
+	}
 	return err
 }
 
@@ -55,7 +68,7 @@ func nextRewrite(t *testing.T, db *DB, perRound int) compaction.Pick {
 			if pick.Kind == compaction.PickCompact || pick.Kind == compaction.PickMerge {
 				return pick
 			}
-			if err := runPick(t, st, pick); err != nil {
+			if err := runStep(t, st); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -83,8 +96,7 @@ func TestCompactionReadBytesAreMeasured(t *testing.T) {
 	dev := ssdsim.NewDevice(ssdsim.Profile{}) // accounting only
 	opts := smallOpts(compaction.LDC)
 	opts.FS = ssdsim.Wrap(vfs.Mem(), dev)
-	opts.DisableAutoCompaction = true
-	db := openTestDB(t, opts)
+	db := openManualDB(t, opts)
 	defer db.Close()
 	st := db.shards[0]
 	rng := rand.New(rand.NewSource(16))
@@ -108,7 +120,7 @@ func TestCompactionReadBytesAreMeasured(t *testing.T) {
 				}
 				v.Unref()
 			}
-			if err := runPick(t, st, pick); err != nil {
+			if err := runStep(t, st); err != nil {
 				t.Fatal(err)
 			}
 			if pick.Kind != compaction.PickLink && pick.Kind != compaction.PickTrivialMove {
@@ -145,8 +157,7 @@ func TestCompactionInputCorruptBlock(t *testing.T) {
 	efs := vfs.NewErrFS(vfs.Mem())
 	opts := smallOpts(compaction.LDC)
 	opts.FS = efs
-	opts.DisableAutoCompaction = true
-	db := openTestDB(t, opts)
+	db := openManualDB(t, opts)
 	defer db.Close()
 	st := db.shards[0]
 	pick := nextRewrite(t, db, 300)
@@ -204,11 +215,10 @@ func TestCompactionInputReadError(t *testing.T) {
 			efs := vfs.NewErrFS(mem)
 			opts := smallOpts(compaction.LDC)
 			opts.FS = efs
-			opts.DisableAutoCompaction = true
 			opts.BlockSize = 4096
 			opts.MemTableSize = 256 << 10 // tables of several runs each
 			opts.SSTableSize = 256 << 10
-			db := openTestDB(t, opts)
+			db := openManualDB(t, opts)
 			st := db.shards[0]
 			val := bytes.Repeat([]byte("v"), 1024)
 			const n = 4 * 200
@@ -270,7 +280,7 @@ func TestCompactionInputReadError(t *testing.T) {
 			// The partial output is an orphan: the reopened store sweeps it and
 			// the retried job sees every entry.
 			opts.FS = mem
-			db2 := openTestDB(t, opts)
+			db2 := openManualDB(t, opts)
 			defer db2.Close()
 			if err := db2.CompactRange(); err != nil {
 				t.Fatal(err)

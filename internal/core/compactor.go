@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/compaction"
@@ -14,17 +15,16 @@ import (
 	"repro/internal/vlog"
 )
 
-// The background engine: one flush worker and one compaction worker per
-// shard, long-lived goroutines started by Open and drained by Close. Shards
-// are the unit of background parallelism.
-//
-// The flush worker owns immutable-memtable flushes exclusively, so a flush
-// never queues behind a long merge — the write path's "previous memtable
-// still flushing" stall only lasts as long as the flush itself. The
-// compaction worker loops { pick, execute }: two compactions of one shard
-// never overlap, so a pick is a function of the current version alone. A
-// flush and a compaction do overlap; their version edits touch disjoint files
-// (a flush only adds L0 tables) and are ordered by version.Set.
+// The background engine. A background job is one step: the pending flush, or
+// else one pick and its execution. Each shard has a flush worker and a
+// compaction worker, long-lived goroutines started by Open and drained by
+// Close, each looping over one half of the step; CompactRange is the caller
+// stepping until the shard is idle. A flush never queues behind a long merge,
+// so the write path's "previous memtable still flushing" stall only lasts as
+// long as the flush itself. Two compactions of one shard never overlap
+// (compActive), so a pick is a function of the current version alone. A flush
+// and a compaction do overlap; their version edits touch disjoint files (a
+// flush only adds L0 tables) and are ordered by version.Set.
 //
 // A compaction.Pick is data — the files to take out of each level and the
 // level the outputs land in — and the executor has two shapes for it: a
@@ -36,59 +36,105 @@ import (
 // during all file I/O and during LogAndApply, so foreground reads and writes
 // only contend with the brief bookkeeping sections.
 
-// startWorkers launches the flush worker and the compaction worker. Called
-// once at the end of Open, before the DB is visible to any other goroutine.
-func (db *store) startWorkers() {
-	db.mu.Lock()
-	db.workersRunning = 2
-	db.mu.Unlock()
-	go db.flushWorker()
-	go db.compactionWorker()
-}
-
-// workerExit records a worker goroutine's termination; Close waits for the
-// count to reach zero.
-func (db *store) workerExit() {
-	db.mu.Lock()
-	db.workersRunning--
-	db.bgCond.Broadcast()
-	db.mu.Unlock()
-}
-
-// flushWorker turns immutable memtables into L0 tables, one at a time, for
-// the DB's whole lifetime.
-func (db *store) flushWorker() {
-	defer db.workerExit()
-	db.mu.Lock()
-	for {
-		for !db.closed && (db.imm == nil || db.bgErr != nil) {
-			db.flushCond.Wait()
-		}
-		if db.closed {
-			db.mu.Unlock()
-			return
-		}
-		db.flushActive = true
-		start := time.Now()
-		if err := db.flushImmLocked(); err != nil {
-			db.fatal(err)
-		}
-		elapsed := int64(time.Since(start))
-		db.stats.FlushTime.Add(elapsed)
-		db.stats.CompactionTime.Add(elapsed)
-		db.flushActive = false
-		db.finishJobLocked()
+// startWorkers launches the flush worker and, if compactor is set, the
+// compaction worker (without it the shard compacts only when stepped), once,
+// at the end of Open, before the DB is visible to any other goroutine.
+func (db *store) startWorkers(compactor bool) {
+	halves := []func() bool{db.flushHalfLocked}
+	if compactor {
+		halves = append(halves, db.compactHalfLocked)
+	}
+	db.workersRunning = len(halves)
+	for _, half := range halves {
+		go db.worker(half)
 	}
 }
 
-// finishJobLocked ends a background job: it wakes the compaction worker (the
-// installed version may expose new work) and the foreground waiters (writes
-// stalled on the memtable or L0), then deletes the files the job made
-// obsolete with db.mu released. The cleanup is announced before mu drops so
-// WaitIdle covers the deletions too.
-func (db *store) finishJobLocked() {
+// worker runs one half of step whenever it has work, until the DB closes;
+// Close waits for workersRunning to reach zero.
+func (db *store) worker(half func() bool) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for !db.closed {
+		if !half() {
+			db.bgCond.Wait()
+		}
+	}
+	db.workersRunning--
+	db.bgCond.Broadcast()
+}
+
+// step runs one background job on the caller's goroutine, as the workers
+// do: the flush half, or else the pick half. It reports whether it ran one,
+// and the store's background error (or ErrClosed).
+func (db *store) step() (did bool, err error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.stepLocked()
+}
+
+func (db *store) stepLocked() (bool, error) {
+	if db.bgErr != nil {
+		return false, db.bgErr
+	}
+	if db.closed {
+		return false, ErrClosed
+	}
+	did := db.flushHalfLocked() || db.compactHalfLocked()
+	return did, db.bgErr
+}
+
+// flushHalfLocked is step's flush half: it flushes the immutable memtable if
+// no one is flushing it, and reports whether it did. db.mu held on entry and
+// exit.
+func (db *store) flushHalfLocked() bool {
+	if db.imm == nil || db.flushActive || db.bgErr != nil {
+		return false
+	}
+	db.runJobLocked(&db.flushActive, &db.stats.FlushTime, db.flushImmLocked)
+	return true
+}
+
+// compactHalfLocked is step's pick half: if no compaction is in flight, it
+// executes the next pick, and reports whether there was one. db.mu held on
+// entry and exit.
+func (db *store) compactHalfLocked() bool {
+	if db.compActive || db.bgErr != nil {
+		return false
+	}
+	pick := db.picker.Pick(db.set.CurrentNoRef())
+	if pick.Kind == compaction.PickNone {
+		return false
+	}
+	db.stats.MaxConcurrentCompactions.Store(1)
+	db.runJobLocked(&db.compActive, &db.stats.CompactionTime, func() error { return db.execPick(pick) })
+	return true
+}
+
+// idleLocked is the one quiescence predicate: no flush pending, no job or
+// its cleanup running on any goroutine, and nothing pickable.
+func (db *store) idleLocked() bool {
+	return db.imm == nil && !db.flushActive && !db.compActive && db.cleanActive == 0 &&
+		db.picker.Pick(db.set.CurrentNoRef()).Kind == compaction.PickNone
+}
+
+// runJobLocked runs one background job under its flag (active), adds its
+// time to its half's busy counter and no other, and ends it: it wakes the
+// workers (the installed version may expose new work) and the foreground
+// waiters (writes stalled on the memtable or L0), then deletes the files the
+// job made obsolete with db.mu released. The cleanup is announced before mu
+// drops, so the idle predicate covers the deletions too. A failed job
+// poisons the store.
+func (db *store) runJobLocked(active *bool, busy *atomic.Int64, job func() error) {
+	*active = true
+	start := time.Now()
+	err := job()
+	busy.Add(int64(time.Since(start)))
+	*active = false
+	if err != nil {
+		db.fatal(err)
+	}
 	db.cleanActive++
-	db.workCond.Broadcast()
 	db.bgCond.Broadcast()
 	db.mu.Unlock()
 
@@ -96,39 +142,6 @@ func (db *store) finishJobLocked() {
 	db.mu.Lock()
 	db.cleanActive--
 	db.bgCond.Broadcast()
-}
-
-// compactionWorker picks and executes compaction jobs, one at a time, until
-// the DB closes.
-func (db *store) compactionWorker() {
-	defer db.workerExit()
-	db.mu.Lock()
-	for {
-		var pick compaction.Pick
-		for {
-			if db.closed {
-				db.mu.Unlock()
-				return
-			}
-			if db.bgErr == nil && (!db.opts.DisableAutoCompaction || db.manualWant > 0) {
-				pick = db.picker.Pick(db.set.CurrentNoRef())
-				if pick.Kind != compaction.PickNone {
-					break
-				}
-			}
-			db.workCond.Wait()
-		}
-		db.compActive = true
-		db.stats.MaxConcurrentCompactions.Store(1)
-		start := time.Now()
-		err := db.execPick(pick)
-		db.stats.CompactionTime.Add(int64(time.Since(start)))
-		db.compActive = false
-		if err != nil {
-			db.fatal(err)
-		}
-		db.finishJobLocked()
-	}
 }
 
 // execPick runs one unit of compaction work in the shape its kind
@@ -143,7 +156,7 @@ func (db *store) execPick(pick compaction.Pick) error {
 
 // flushImmLocked writes the immutable memtable as an L0 table. db.mu is
 // held on entry and exit; it is released during file I/O and the MANIFEST
-// edit. Also called directly from recovery, before workers start.
+// edit.
 func (db *store) flushImmLocked() error {
 	imm := db.imm
 	logNum := db.logNum // WAL in use *after* the switch; older logs die with the flush

@@ -128,20 +128,17 @@ type store struct {
 
 	snapshots snapshotList
 
-	// Background-engine state, all guarded by mu. Three condition variables
-	// partition the wakeups: flushCond wakes the flush worker (imm set, or
-	// shutdown), workCond wakes the compaction worker (new version, manual
-	// compaction, or shutdown), and bgCond announces progress to foreground
-	// waiters (stalled writes, WaitIdle, CompactRange, Close).
-	flushCond *sync.Cond
-	workCond  *sync.Cond
-	bgCond    *sync.Cond
+	// Background-engine state, all guarded by mu. bgCond is broadcast on
+	// every change of it — a rotation hands over a memtable, a job or its
+	// cleanup ends, the store closes — and the workers and the foreground
+	// waiters (stalled writes, Flush, WaitIdle, CompactRange, Close) all wait
+	// on it. The job flags are set by whichever goroutine runs the job (step).
+	bgCond *sync.Cond
 
-	flushActive    bool // flush worker is mid-flush
-	compActive     bool // compaction worker is mid-job
-	cleanActive    int  // workers mid-deleteObsoleteFiles (post-job cleanup)
+	flushActive    bool // a flush is running
+	compActive     bool // a compaction is running
+	cleanActive    int  // jobs mid-deleteObsoleteFiles (post-job cleanup)
 	workersRunning int  // live worker goroutines; Close drains to zero
-	manualWant     int  // CompactRange callers forcing work despite DisableAutoCompaction
 
 	bgErr  error
 	closed bool
@@ -167,8 +164,9 @@ type store struct {
 
 // openStore opens (creating if necessary) shard shardID's engine in dir.
 // Options are already validated and defaulted by the router's Open;
-// blockCache is the database's shared block cache.
-func openStore(dir string, shardID int, opts Options, blockCache *cache.Cache) (_ *store, err error) {
+// blockCache is the database's shared block cache. compactor starts the
+// compaction worker (see startWorkers).
+func openStore(dir string, shardID int, opts Options, blockCache *cache.Cache, compactor bool) (_ *store, err error) {
 	icmp := internalComparer
 	db := &store{
 		opts:    opts,
@@ -178,8 +176,7 @@ func openStore(dir string, shardID int, opts Options, blockCache *cache.Cache) (
 	}
 	db.mu.Rank("core.store.mu", 30)
 	db.snapshots.mu.Rank("core.snapshots.mu", 50)
-	db.flushCond = sync.NewCond(&db.mu)
-	db.workCond = sync.NewCond(&db.mu)
+	db.snapshots.released = sync.NewCond(&db.snapshots.mu)
 	db.bgCond = sync.NewCond(&db.mu)
 	db.publishCond = sync.NewCond(&db.mu)
 	db.iters.New = func() any { return &storeIter{db: db, cmp: db.icmp.Compare} }
@@ -269,7 +266,7 @@ func openStore(dir string, shardID int, opts Options, blockCache *cache.Cache) (
 	// visible; Open is exclusive, which satisfies publishReadState's locking
 	// contract.
 	db.publishReadState()
-	db.startWorkers()
+	db.startWorkers(compactor)
 	return db, nil
 }
 
@@ -313,43 +310,42 @@ func (db *store) recover() error {
 	}
 	db.mem = memtable.New(db.icmp)
 
-	floor := db.set.LogNum()
+	// Tables cover every sequence below the first replayed one; the floor
+	// starts there, so a Flush or a GC barrier waits for the replayed
+	// entries to reach a table, and every entry above it is in mem ∪ imm
+	// (see rewriteGuardLocked).
+	floor, covered := db.set.LogNum(), db.set.LastSeq()
 	for _, num := range db.logs {
 		if num < floor {
 			continue // covered by tables; removed once Open is done
 		}
-		if err := db.replayLog(num); err != nil {
-			return err
-		}
-	}
-	// The GC guard floors start at the recovered sequence: everything at or
-	// below it is either in tables or in the freshly replayed memtable, and
-	// any newer write will land in mem ∪ imm until a flush promotes the
-	// floor (see rewriteGuardLocked).
-	db.flushedThroughSeq = db.set.LastSeq()
-	db.rotBoundarySeq = db.flushedThroughSeq
-	// Anything replayed lives in the new memtable; if it outgrew the limit,
-	// flush it straight away so the WAL floor can advance.
-	if db.mem.ApproximateBytes() >= db.opts.MemTableSize {
-		db.mu.Lock()
-		db.imm, db.mem = db.mem, memtable.New(db.icmp)
-		db.rotBoundarySeq = db.set.LastSeq()
-		err := db.flushImmLocked()
-		db.mu.Unlock()
+		first, err := db.replayLog(num)
 		if err != nil {
 			return err
 		}
+		if first > 0 {
+			covered = min(covered, first-1)
+		}
+	}
+	db.flushedThroughSeq = covered
+	db.rotBoundarySeq = db.set.LastSeq()
+	// Anything replayed lives in the new memtable; if it outgrew the limit,
+	// it is the flush worker's first job, so the WAL floor can advance.
+	if db.mem.ApproximateBytes() >= db.opts.MemTableSize {
+		db.imm, db.mem = db.mem, memtable.New(db.icmp)
 	}
 	return nil
 }
 
-func (db *store) replayLog(num uint64) error {
+// replayLog applies WAL num to the memtable and returns the first sequence
+// it replayed, 0 if none.
+func (db *store) replayLog(num uint64) (first keys.Seq, err error) {
 	f, err := db.fsWAL.Open(db.logFileName(num))
 	if err != nil {
 		if err == vfs.ErrNotExist {
-			return nil
+			return 0, nil
 		}
-		return err
+		return 0, err
 	}
 	defer f.Close()
 	r := wal.NewReader(f)
@@ -376,6 +372,9 @@ func (db *store) replayLog(num uint64) error {
 			break
 		}
 		seq := b.Sequence()
+		if first == 0 {
+			first = seq
+		}
 		i := keys.Seq(0)
 		b.Each(func(kind keys.Kind, key, value []byte) error {
 			if kind == keys.KindBlobRewrite {
@@ -401,7 +400,7 @@ func (db *store) replayLog(num uint64) error {
 		}
 	}
 	db.set.SetLastSeq(maxSeq)
-	return nil
+	return first, nil
 }
 
 // validBlobRefs reports whether every pointer entry in a replayed batch
@@ -527,17 +526,14 @@ func (db *store) Close() error {
 	return db.closeErr
 }
 
-// stopBackgroundLocked marks the store closed and waits until every worker
-// goroutine has exited. In-flight jobs run to completion (their version
-// edits resolve normally); idle workers wake, observe closed, and
-// return. Callers hold db.mu. Also used by crash-simulation tests, which
-// abandon the handle without a clean Close.
+// stopBackgroundLocked marks the store closed and waits until the workers
+// have exited and no job runs on any goroutine: in-flight jobs run to
+// completion, none starts after. Callers hold db.mu. Also used by
+// crash-simulation tests, which abandon the handle without a clean Close.
 func (db *store) stopBackgroundLocked() {
 	db.closed = true
-	db.flushCond.Broadcast()
-	db.workCond.Broadcast()
 	db.bgCond.Broadcast()
-	for db.workersRunning > 0 {
+	for db.workersRunning > 0 || db.flushActive || db.compActive || db.cleanActive > 0 {
 		db.bgCond.Wait()
 	}
 	// All republishers are drained (workers exited; rotation and commit are
@@ -885,10 +881,12 @@ func (db *store) tableProbe(table *atomic.Pointer[sstable.Reader], num uint64, s
 // Snapshots
 
 // snapshotList counts the registrations of each sequence that snapshots and
-// read points (ReadPoint) pin on a shard.
+// read points (ReadPoint) pin on a shard. released is broadcast on every
+// release, for awaitFloor.
 type snapshotList struct {
-	mu   invariants.Mutex
-	seqs map[keys.Seq]int
+	mu       invariants.Mutex
+	seqs     map[keys.Seq]int
+	released *sync.Cond
 }
 
 // add registers seq once more.
@@ -914,6 +912,30 @@ func (l *snapshotList) release(seq keys.Seq) {
 	} else {
 		l.seqs[seq] = n - 1
 	}
+	l.released.Broadcast()
+}
+
+// floorLocked returns the lowest registered sequence, or seq if none is lower.
+func (l *snapshotList) floorLocked(seq keys.Seq) keys.Seq {
+	for s := range l.seqs {
+		seq = min(seq, s)
+	}
+	return seq
+}
+
+// awaitFloor waits until no registration below seq is left: errGCBusy if
+// one still is once deadline has passed.
+func (l *snapshotList) awaitFloor(seq keys.Seq, deadline time.Time) error {
+	defer wakeAt(deadline, &l.mu, l.released)()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.floorLocked(seq) < seq {
+		if !time.Now().Before(deadline) {
+			return errGCBusy
+		}
+		l.released.Wait()
+	}
+	return nil
 }
 
 // len counts the registrations live now.
@@ -953,13 +975,7 @@ func (db *store) snapshotSeq() (keys.Seq, error) {
 func (db *store) smallestSnapshot() keys.Seq {
 	db.snapshots.mu.Lock()
 	defer db.snapshots.mu.Unlock()
-	smallest := db.set.LastSeq()
-	for seq := range db.snapshots.seqs {
-		if seq < smallest {
-			smallest = seq
-		}
-	}
-	return smallest
+	return db.snapshots.floorLocked(db.set.LastSeq())
 }
 
 // ---------------------------------------------------------------------------
@@ -1024,84 +1040,83 @@ func (db *store) CurrentProfile() Profile {
 // Flush writes the live memtable out as a table and waits for it to land.
 // Rotation is requested through the commit pipeline (the leader-exclusive
 // path is the only context allowed to swap the WAL writer), so Flush is
-// safe against concurrent writers — though with a continuous writer it only
-// guarantees data present when the call began has reached a table.
+// safe against concurrent writers; with a continuous writer it guarantees
+// that data published when the call began has reached a table.
 func (db *store) Flush() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.flushThroughLocked(db.set.LastSeq(), time.Time{})
+}
+
+// flushThroughLocked returns once tables cover every sequence up to target,
+// rotating the memtable out when no immutable one is pending and waiting on
+// bgCond for the flush; with a deadline, errGCBusy once it passes. db.mu held.
+func (db *store) flushThroughLocked(target keys.Seq, deadline time.Time) error {
+	if !deadline.IsZero() {
+		defer wakeAt(deadline, &db.mu, db.bgCond)()
+	}
 	for {
-		db.mu.Lock()
-		if db.bgErr != nil {
-			err := db.bgErr
-			db.mu.Unlock()
-			return err
-		}
-		if db.closed {
-			db.mu.Unlock()
+		switch {
+		case db.bgErr != nil:
+			return db.bgErr
+		case db.closed:
 			return ErrClosed
-		}
-		if db.mem.Empty() && db.imm == nil && !db.flushActive {
-			db.mu.Unlock()
+		case db.flushedThroughSeq >= target:
 			return nil
-		}
-		needRotate := db.imm == nil && !db.mem.Empty()
-		db.mu.Unlock()
-		if needRotate {
-			if err := db.forceRotate(); err != nil {
+		case db.imm == nil && db.mem.Empty():
+			// Nothing above the floor lives outside tables: all entries up to
+			// LastSeq were flushed, and any sequences consumed since
+			// (guard-dropped rewrites) added no entries. Promote directly —
+			// the rewrite-guard invariant is preserved.
+			db.flushedThroughSeq = db.set.LastSeq()
+		case !deadline.IsZero() && !time.Now().Before(deadline):
+			return errGCBusy
+		case db.imm != nil:
+			db.bgCond.Wait() // the flush half broadcasts once the memtable has landed
+		default:
+			db.mu.Unlock()
+			err := db.forceRotate()
+			db.mu.Lock()
+			if err != nil {
 				return err
 			}
-		} else {
-			// An imm is mid-flush; the flush worker signals on finish.
-			time.Sleep(2 * time.Millisecond)
 		}
 	}
 }
 
-// CompactRange forces compaction work until the tree is quiescent — used by
-// tests and experiments to reach a steady state. It drives the compaction
-// worker even when DisableAutoCompaction is set.
+// wakeAt broadcasts c under its lock l once deadline has passed, so a wait
+// bounded by it wakes to see that. It returns the timer's Stop.
+func wakeAt(deadline time.Time, l sync.Locker, c *sync.Cond) func() bool {
+	return time.AfterFunc(time.Until(deadline), func() {
+		l.Lock()
+		c.Broadcast()
+		l.Unlock()
+	}).Stop
+}
+
+// CompactRange steps the shard on the caller's goroutine until it is idle
+// (idleLocked), waiting out the jobs and cleanups other goroutines have in
+// flight — used by tests and experiments to reach a steady state.
 func (db *store) CompactRange() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.manualWant++
-	defer func() { db.manualWant-- }()
-	db.workCond.Broadcast()
 	for {
-		if db.bgErr != nil {
-			return db.bgErr
+		did, err := db.stepLocked()
+		if err != nil || (!did && db.idleLocked()) {
+			return err
 		}
-		if db.closed {
-			return ErrClosed
+		if !did {
+			db.bgCond.Wait()
 		}
-		if db.imm == nil && !db.flushActive && !db.compActive {
-			// Quiescent moment: with no job running, a None pick means the
-			// tree has truly converged.
-			if db.picker.Pick(db.set.CurrentNoRef()).Kind == compaction.PickNone {
-				return nil
-			}
-			db.workCond.Broadcast()
-		}
-		db.bgCond.Wait()
 	}
 }
 
-// WaitIdle blocks until no background work is running or immediately
-// pickable: the flush worker is idle with no pending immutable memtable,
-// the compaction worker is between jobs, and neither is still mid
-// obsolete-file cleanup (workers delete after their job is accounted done,
-// so without the cleanActive term a caller could observe dead table files
-// that a worker is about to remove). Returns early if the store is closed
-// or poisoned by a background error.
+// WaitIdle blocks until the shard is idle (idleLocked), closed or poisoned by
+// a background error. A store opened without a compaction worker has no one
+// to run its picks: step it with CompactRange instead.
 func (db *store) WaitIdle() {
 	db.mu.Lock()
-	for !db.closed && db.bgErr == nil {
-		if db.imm == nil && !db.flushActive && !db.compActive && db.cleanActive == 0 {
-			if db.opts.DisableAutoCompaction && db.manualWant == 0 {
-				break
-			}
-			if db.picker.Pick(db.set.CurrentNoRef()).Kind == compaction.PickNone {
-				break
-			}
-			db.workCond.Broadcast()
-		}
+	for !db.closed && db.bgErr == nil && !db.idleLocked() {
 		db.bgCond.Wait()
 	}
 	db.mu.Unlock()

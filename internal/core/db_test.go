@@ -121,9 +121,7 @@ func TestPersistenceThroughFlushAndCompaction(t *testing.T) {
 // shard's table readers count no fetch into its read sink, which keeps what
 // the readers of compacted files counted.
 func TestLDCPerformsLinksAndMerges(t *testing.T) {
-	opts := smallOpts(compaction.LDC)
-	opts.DisableAutoCompaction = true
-	db := openTestDB(t, opts)
+	db := openManualDB(t, smallOpts(compaction.LDC))
 	defer db.Close()
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 12; round++ {

@@ -61,8 +61,7 @@ func TestBitFlipDetected(t *testing.T) {
 
 			opts2 := opts
 			opts2.FS = mem
-			opts2.DisableAutoCompaction = true
-			db2, err := Open("/db", opts2)
+			db2, err := openDB("/db", opts2, false)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}

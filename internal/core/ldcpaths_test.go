@@ -154,8 +154,7 @@ func TestSliceThresholdControlsMergeTiming(t *testing.T) {
 func TestFlushOfOversizedMemtableIsOneTable(t *testing.T) {
 	opts := smallOpts(compaction.LDC)
 	opts.MemTableSize = 256 << 10
-	opts.DisableAutoCompaction = true
-	db := openTestDB(t, opts)
+	db := openManualDB(t, opts)
 	defer db.Close()
 	for i := 0; i < 1000; i++ {
 		if err := db.Put(key(i), bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
@@ -175,14 +174,12 @@ func TestFlushOfOversizedMemtableIsOneTable(t *testing.T) {
 	}
 }
 
-// TestMergeLeavesCompactPointer drives picks by hand and checks the one
+// TestMergeLeavesCompactPointer steps the store by hand and checks the one
 // thing a merge does differently from the other rewrites: its target was
 // chosen by slice count, not by the level's round-robin cursor, so neither
 // the persisted cursor nor the picker's copy moves.
 func TestMergeLeavesCompactPointer(t *testing.T) {
-	opts := smallOpts(compaction.LDC)
-	opts.DisableAutoCompaction = true // the worker idles; the test is the worker
-	db := openTestDB(t, opts)
+	db := openManualDB(t, smallOpts(compaction.LDC)) // the test is the worker
 	defer db.Close()
 	st := db.shards[0]
 	rng := rand.New(rand.NewSource(5))
@@ -196,21 +193,14 @@ func TestMergeLeavesCompactPointer(t *testing.T) {
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		for {
-			st.mu.Lock()
-			pick := st.picker.Pick(st.set.CurrentNoRef())
-			if pick.Kind == compaction.PickNone {
-				st.mu.Unlock()
-				break
-			}
+		for pick := nextPick(st); pick.Kind != compaction.PickNone; pick = nextPick(st) {
 			before := st.set.CompactPointer(pick.Level)
-			err := st.execPick(pick)
-			after, inPicker := st.set.CompactPointer(pick.Level), st.picker.Pointer(pick.Level)
-			st.mu.Unlock()
-			if err != nil {
+			if err := runStep(t, st); err != nil {
 				t.Fatal(err)
 			}
-			st.deleteObsoleteFiles()
+			st.mu.Lock()
+			after, inPicker := st.set.CompactPointer(pick.Level), st.picker.Pointer(pick.Level)
+			st.mu.Unlock()
 			moved := !bytes.Equal(before, after)
 			if !bytes.Equal(after, inPicker) {
 				t.Fatalf("%v at L%d: picker cursor %q, persisted %q", pick.Kind, pick.Level, inPicker, after)

@@ -76,9 +76,6 @@ type Options struct {
 	// Sync makes every committed write fsync the WAL (default false, like
 	// LevelDB: the OS buffers).
 	Sync bool
-
-	// DisableAutoCompaction stops the background compactor (tests).
-	DisableAutoCompaction bool
 }
 
 func (o Options) withDefaults() Options {

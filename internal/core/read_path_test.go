@@ -197,11 +197,11 @@ func findWindowHit(t *testing.T, db *DB, v *version.Version) (windowHit, bool) {
 // file, though the file holds an older version of the key; a read at a
 // snapshot below the window's version reaches the file and returns its.
 func TestGetStopsAtWindowHit(t *testing.T) {
-	db, err := Open("/hit", Options{
+	db, err := openDB("/hit", Options{
 		FS: vfs.Mem(), Policy: compaction.LDC,
 		MemTableSize: 32 << 10, SSTableSize: 32 << 10, Fanout: 10, SliceLinkThreshold: 10,
-		BlockCacheSize: 4 << 20, DisableAutoCompaction: true,
-	})
+		BlockCacheSize: 4 << 20,
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +229,8 @@ func TestGetStopsAtWindowHit(t *testing.T) {
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		for pick := nextPick(st); pick.Kind != compaction.PickNone; pick = nextPick(st) {
-			if err := runPick(t, st, pick); err != nil {
-				t.Fatal(err)
-			}
+		if err := db.CompactRange(); err != nil { // steps the store until it is idle
+			t.Fatal(err)
 		}
 		if round%10 == 9 {
 			v = st.set.Current()

@@ -83,7 +83,12 @@ const shardsFileName = "LDC_SHARDS"
 // adopts the recorded count when Options.Shards is zero and fails on an
 // explicit mismatch (rehashing keys into a different partition count would
 // silently orphan data).
-func Open(dir string, opts Options) (*DB, error) {
+func Open(dir string, opts Options) (*DB, error) { return openDB(dir, opts, true) }
+
+// openDB is Open with the choice of a compaction worker per shard: without
+// one, a shard compacts only when its caller steps it (store.step,
+// CompactRange), which is how a test acts as the compaction worker.
+func openDB(dir string, opts Options, compactor bool) (*DB, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -125,7 +130,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		st, err := openStore(filepath.Join(dir, fmt.Sprintf("shard-%d", i)), i, opts, db.blockCache)
+		st, err := openStore(filepath.Join(dir, fmt.Sprintf("shard-%d", i)), i, opts, db.blockCache, compactor)
 		if err != nil {
 			return fail(fmt.Errorf("ldc: open shard %d: %w", i, err))
 		}
@@ -476,10 +481,10 @@ const ValueGCRatio = 0.5
 
 // startValueGC launches the background GC worker: every tick each shard
 // collects the segments of its value log whose dead ratio crossed
-// ValueGCRatio. Not started when separation is off or background work is
-// disabled (RunValueGC still works then).
+// ValueGCRatio. Not started when separation is off (RunValueGC still works
+// then).
 func (db *DB) startValueGC() {
-	if db.opts.BlobThreshold <= 0 || db.opts.DisableAutoCompaction {
+	if db.opts.BlobThreshold <= 0 {
 		return
 	}
 	db.gcStop = make(chan struct{})

@@ -301,23 +301,22 @@ func TestLazyScanMatchesEagerReference(t *testing.T) {
 // written once and compacted to the bottom before anything else, so that no
 // slice window ever reaches into it, and "b-…", churned a round of puts at a
 // time until the quiesced tree carries at least minSlices live slices. The
-// store's compaction worker idles and the test is the worker: after every
-// round it flushes and runs each pick the worker would, in the worker's order,
+// store has no compaction worker and the test is the worker: after every
+// round it flushes and steps the store until nothing is pickable,
 // so no merge races a put and the tree — its slice count with it — is the same
 // on every run. It returns the tree, the number of slices, and a key of b in
 // the most-linked file.
 func slicedTree(t testing.TB, fs vfs.FS, minSlices int) (db *DB, slices int, sliced []byte) {
 	t.Helper()
-	db, err := Open("/sliced", Options{
+	db, err := openDB("/sliced", Options{
 		FS: fs, Policy: compaction.LDC,
 		MemTableSize: 32 << 10, SSTableSize: 32 << 10, Fanout: 10, SliceLinkThreshold: 10,
-		BlockCacheSize: 4 << 20, DisableAutoCompaction: true,
-	})
+		BlockCacheSize: 4 << 20,
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	st := db.shards[0]
 	val := bytes.Repeat([]byte("v"), 256)
 	// A round is two memtables or so: L0 stays far below the stop trigger,
 	// where a put would wait for a worker that is not coming.
@@ -331,10 +330,8 @@ func slicedTree(t testing.TB, fs vfs.FS, minSlices int) (db *DB, slices int, sli
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		for pick := nextPick(st); pick.Kind != compaction.PickNone; pick = nextPick(st) {
-			if err := runPick(t, st, pick); err != nil {
-				t.Fatal(err)
-			}
+		if err := db.CompactRange(); err != nil { // steps the store until it is idle
+			t.Fatal(err)
 		}
 	}
 	for base := 0; base < 4000; base += roundPuts {

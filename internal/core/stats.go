@@ -42,8 +42,8 @@ type Stats struct {
 	ObsoleteDeleted  int64
 
 	// Timing (Table I's breakdown).
-	CompactionTime time.Duration // background compaction + flush work
-	FlushTime      time.Duration // flush-worker subset of CompactionTime
+	CompactionTime time.Duration // compaction jobs' busy time (step's pick half), flushes excluded
+	FlushTime      time.Duration // flushes' busy time (step's flush half)
 	WriteTime      time.Duration // user write path (DoWrite)
 	ReadTime       time.Duration // user read path; an estimate: the 1-in-16 sampled Gets' time, scaled by 16
 	StallTime      time.Duration // write-path waits on compaction

@@ -212,52 +212,20 @@ func (db *store) vlogGCDelete(num uint64) error {
 func (db *store) blobBarrier(target keys.Seq) error {
 	deadline := time.Now().Add(gcBarrierTimeout)
 	var older []*readState
-	for {
-		db.mu.Lock()
-		if db.bgErr != nil {
-			err := db.bgErr
-			db.mu.Unlock()
-			return err
-		}
-		if db.closed {
-			db.mu.Unlock()
-			return ErrClosed
-		}
-		if db.flushedThroughSeq < target && db.imm == nil && db.mem.Empty() {
-			// Nothing above the floor lives outside tables: all entries up
-			// to LastSeq were flushed, and any sequences consumed since
-			// (guard-dropped rewrites) added no entries. Promote directly —
-			// the rewrite-guard invariant is preserved.
-			db.flushedThroughSeq = db.set.LastSeq()
-		}
-		if db.flushedThroughSeq >= target {
-			if db.readState.Load().seq < target {
-				db.publishReadState()
-			}
-			for _, rs := range db.retired {
-				if rs.seq < target {
-					older = append(older, rs)
-				}
-			}
-			db.mu.Unlock()
-			break
-		}
-		needRotate := db.imm == nil
+	db.mu.Lock()
+	if err := db.flushThroughLocked(target, deadline); err != nil {
 		db.mu.Unlock()
-		if time.Now().After(deadline) {
-			return errGCBusy
-		}
-		if needRotate {
-			// Rotation may only run on the leader-exclusive commit path
-			// (it swaps the WAL writer); request it through the pipeline.
-			if err := db.forceRotate(); err != nil {
-				return err
-			}
-		} else {
-			// An imm is mid-flush; the flush worker broadcasts on finish.
-			time.Sleep(2 * time.Millisecond)
+		return err
+	}
+	if db.readState.Load().seq < target {
+		db.publishReadState()
+	}
+	for _, rs := range db.retired {
+		if rs.seq < target {
+			older = append(older, rs)
 		}
 	}
+	db.mu.Unlock()
 	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
 	for _, rs := range older {
@@ -267,13 +235,7 @@ func (db *store) blobBarrier(target keys.Seq) error {
 			return errGCBusy
 		}
 	}
-	for db.smallestSnapshot() < target {
-		if time.Now().After(deadline) {
-			return errGCBusy
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return nil
+	return db.snapshots.awaitFloor(target, deadline)
 }
 
 // forceRotate rotates to a fresh memtable and WAL via the commit pipeline,

@@ -97,21 +97,33 @@ func TestCloseDuringCompaction(t *testing.T) {
 	t.Errorf("goroutines leaked: %d before, %d after Close", before, runtime.NumGoroutine())
 }
 
-// TestCompactRangeWithAutoCompactionDisabled: CompactRange must drive the
-// compaction worker to quiescence itself when the automatic picker is off.
-func TestCompactRangeWithAutoCompactionDisabled(t *testing.T) {
-	opts := smallOpts(compaction.UDC)
-	opts.DisableAutoCompaction = true
-	db := openTestDB(t, opts)
+// TestCompactRangeStepsManualStore: a store opened with no compaction worker
+// flushes but never compacts on its own; CompactRange steps it to
+// quiescence, after which a step finds no job.
+func TestCompactRangeStepsManualStore(t *testing.T) {
+	db := openManualDB(t, smallOpts(compaction.UDC))
 	defer db.Close()
 
 	model := runWorkload(t, db, 7, 500)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s := db.Stats()
+	if jobs := s.CompactionCount + s.LinkCount + s.MergeCount + s.TrivialMoveCount; s.FlushCount == 0 || jobs != 0 {
+		t.Fatalf("before CompactRange: %d flushes, %d compaction jobs; want flushes and no job", s.FlushCount, jobs)
+	}
+	if files := db.CurrentProfile().Levels[0].Files; files < compaction.L0Trigger {
+		t.Fatalf("L0 has %d files; the test needs at least the trigger %d", files, compaction.L0Trigger)
+	}
 	if err := db.CompactRange(); err != nil {
 		t.Fatalf("CompactRange: %v", err)
 	}
 	// Quiescent: L0 must be within its trigger now.
 	if files := db.CurrentProfile().Levels[0].Files; files >= compaction.L0Trigger {
 		t.Errorf("L0 still has %d files after CompactRange", files)
+	}
+	if did, err := db.shards[0].step(); did || err != nil {
+		t.Errorf("step after CompactRange = %v, %v; want no job", did, err)
 	}
 	checkContents(t, db, model, 500, "manual compaction")
 }
@@ -170,15 +182,14 @@ func TestOneCompactionPerShard(t *testing.T) {
 // the version recovered from it names.
 func TestCloseLeavesNoUnreferencedTable(t *testing.T) {
 	opts := smallOpts(compaction.LDC)
-	opts.DisableAutoCompaction = true // the worker idles; the test runs the picks
-	db := openTestDB(t, opts)
-	pick := nextRewrite(t, db, 300)
+	db := openManualDB(t, opts) // the test runs the picks
+	nextRewrite(t, db, 300)
 	it, err := db.NewIterator(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	it.SeekToFirst()
-	if err := runPick(t, db.shards[0], pick); err != nil { // its cleanup finds the inputs pinned
+	if err := runStep(t, db.shards[0]); err != nil { // the rewrite's cleanup finds its inputs pinned
 		t.Fatal(err)
 	}
 	if err := it.Close(); err != nil {

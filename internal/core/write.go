@@ -82,7 +82,7 @@ func (db *store) rotateMemtableLocked() error {
 	// boundary when the imm lands (see rewriteGuardLocked).
 	db.rotBoundarySeq = db.set.LastSeq()
 	db.publishReadState()
-	db.flushCond.Signal()
+	db.bgCond.Broadcast()
 	return nil
 }
 

@@ -642,12 +642,14 @@ func timeShares(r Row) map[string]float64 {
 	for _, p := range m.Phases {
 		wall += float64(p.Duration)
 	}
-	// Compaction work includes the device time its I/O spends; report the
-	// paper's split by charging device time to "file system".
+	// Compaction work is both workers' busy time, flushes included, and
+	// includes the device time its I/O spends; report the paper's split by
+	// charging device time to "file system".
+	busy := float64(m.Stats.CompactionTime + m.Stats.FlushTime)
 	fsTime := float64(m.Device.BusyTime) * r.Cells[0].Device.Scale
-	compact := float64(m.Stats.CompactionTime) - fsTime
+	compact := busy - fsTime
 	if compact < 0 {
-		compact, fsTime = float64(m.Stats.CompactionTime), 0
+		compact, fsTime = busy, 0
 	}
 	write := max(float64(m.Stats.WriteTime-m.Stats.StallTime), 0)
 	other := max(wall-compact-fsTime-write, 0)
