@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/compaction"
+	"repro/internal/invariants"
 	"repro/internal/iterator"
 	"repro/internal/keys"
 	"repro/internal/sstable"
@@ -420,14 +422,32 @@ func (m meteredFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// inputIterators builds a rewrite's input iterators: one sequential pass per
-// file, plus one per attached slice, clamped to the slice's window of its
-// frozen file. A pass walks the index the table cache's reader pins but reads
-// through a handle of its own on db.fsCompR, which charges the I/O to the
-// compaction-read category; the bytes it reads are added to *read while the
-// merge runs.
-func (db *store) inputIterators(files []*version.FileMeta, read *int64) ([]iterator.Iterator, error) {
-	var its []iterator.Iterator
+// compactionInput is one input pass of a rewrite: a view of the input's
+// table, the view's read sink, and for a slice the clamp to its window.
+// Pooled, with the buffers of the clamp's bounds, so that opening a pass
+// allocates nothing but its file handle.
+type compactionInput struct {
+	view  sstable.Reader
+	stats sstable.ReadStats
+	clamp iterator.Clamped
+}
+
+var inputPool = sync.Pool{New: func() interface{} { return new(compactionInput) }}
+
+// inputIterators builds a rewrite's input iterators: one pass per file, plus
+// one per attached slice, clamped to the slice's window of its frozen file as
+// a scan clamps it (sliceIter.enter). A pass is a table iterator on a view of
+// the table cache's reader (sstable.Reader.View), which reads through a handle
+// of its own on db.fsCompR, charging the I/O to the compaction-read category;
+// the bytes it reads are added to *read while the merge runs. The caller
+// hands the inputs to closeInputs once the iterators are closed; on error,
+// the iterators already are.
+func (db *store) inputIterators(files []*version.FileMeta, read *int64) ([]iterator.Iterator, []*compactionInput, error) {
+	n := 0
+	for _, f := range files {
+		n += 1 + len(f.Slices)
+	}
+	its, inputs := make([]iterator.Iterator, 0, n), make([]*compactionInput, 0, n)
 	open := func(num uint64, window *keys.KeyRange) error {
 		r, err := db.tables.get(num)
 		if err != nil {
@@ -437,7 +457,16 @@ func (db *store) inputIterators(files []*version.FileMeta, read *int64) ([]itera
 		if err != nil {
 			return err
 		}
-		its = append(its, r.NewSequential(meteredFile{f, read}, window))
+		in := inputPool.Get().(*compactionInput)
+		inputs = append(inputs, in)
+		r.View(&in.view, meteredFile{f, read}, &in.stats)
+		if window == nil {
+			its = append(its, in.view.NewIterator())
+			return nil
+		}
+		in.clamp.Init(db.icmp.User, *window)
+		in.clamp.Child = in.view.NewIteratorUpTo(in.clamp.Hi())
+		its = append(its, &in.clamp)
 		return nil
 	}
 	for _, f := range files {
@@ -447,12 +476,26 @@ func (db *store) inputIterators(files []*version.FileMeta, read *int64) ([]itera
 		}
 		if err != nil {
 			for _, it := range its {
-				_ = it.Close() // read-only handles
+				_ = it.Close() // read-only
 			}
-			return nil, err
+			return nil, inputs, err
 		}
 	}
-	return its, nil
+	return its, inputs, nil
+}
+
+// closeInputs closes the views of a rewrite's inputs, whose iterators the
+// merge has closed, and pools them without their references into the tables.
+// Under -tags invariants a closed view stays out of the pool, so a late use
+// of it trips the reader's use-after-Close trap.
+func closeInputs(inputs []*compactionInput) {
+	for _, in := range inputs {
+		_ = in.view.Close() // read-only handles
+		if !invariants.Enabled {
+			in.view, in.clamp.Child = sstable.Reader{}, nil
+			inputPool.Put(in)
+		}
+	}
 }
 
 // execRewrite runs the picks that move data, all of them one merge sort: the
@@ -479,7 +522,7 @@ func (db *store) execRewrite(pick compaction.Pick) error {
 	e := &version.Edit{}
 	var readBytes, outBytes int64
 	all := append(append([]*version.FileMeta(nil), pick.Inputs...), pick.Overlaps...)
-	its, err := db.inputIterators(all, &readBytes)
+	its, inputs, err := db.inputIterators(all, &readBytes)
 	if err == nil {
 		cs := &compactionState{db: db, v: v, outputLevel: pick.OutputLevel, smallestSnap: smallestSnap}
 		merged := iterator.NewMerging(db.icmp.Compare, its...)
@@ -502,6 +545,7 @@ func (db *store) execRewrite(pick compaction.Pick) error {
 			err = db.set.LogAndApply(e)
 		}
 	}
+	closeInputs(inputs)
 	v.Unref()
 
 	db.mu.Lock()

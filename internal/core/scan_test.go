@@ -192,7 +192,10 @@ func TestLazyScanMatchesEagerReference(t *testing.T) {
 			if testing.Short() {
 				programs = 8 // the race detector and the invariants build run this 20 to 50 times slower
 			}
-			for prog := 0; prog < programs; prog++ {
+			// program runs one program; its deferred Close leaves no iterator
+			// pinning a read state when a check fails, or db.Close would wait
+			// on it for good.
+			program := func(prog int) {
 				select {
 				case burst <- struct{}{}:
 				default: // the last burst is still going
@@ -204,6 +207,11 @@ func TestLazyScanMatchesEagerReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				eager := st.newEagerIter(t, seq)
+				defer func() {
+					if err := errors.Join(lazy.Close(), eager.Close()); err != nil {
+						t.Error(err)
+					}
+				}()
 				var trace []string
 				check := func(op string) {
 					t.Helper()
@@ -268,9 +276,9 @@ func TestLazyScanMatchesEagerReference(t *testing.T) {
 						check("next")
 					}
 				}
-				if err := errors.Join(lazy.Close(), eager.Close()); err != nil {
-					t.Fatal(err)
-				}
+			}
+			for prog := 0; prog < programs; prog++ {
+				program(prog)
 			}
 			if policy == compaction.LDC && maxSlices < 10 {
 				t.Errorf("the tree never carried more than %d slices: the lazy path was hardly exercised", maxSlices)
@@ -405,11 +413,11 @@ func TestLazyScanAllocsIgnoreSlicesOutsideRange(t *testing.T) {
 	want := scanAllocs(bare)
 	db, slices, _ := slicedTree(t, vfs.Mem(), 300)
 	got := scanAllocs(db)
-	// The churned tree has a few more levels and L0 tables to put in the merge,
-	// and a pool may have dropped an iterator in between (the race detector
-	// makes pools do that at random): a handful of allocations, against the one
-	// and more per slice that building every slice's child used to cost.
-	if got > want+8 {
+	// The churned tree has a few more levels and L0 tables to put in the merge:
+	// a handful of allocations, against the one and more per slice that
+	// building every slice's child used to cost. The race detector makes pools
+	// drop items at random, which moves the count by as much again.
+	if exactAllocs && got > want+8 {
 		t.Errorf("Scan of 100 pairs outside every window allocates %.0f times with %d slices in the tree, %.0f with none", got, slices, want)
 	}
 	t.Logf("allocs per Scan(100): %.0f with %d slices elsewhere, %.0f with none", got, slices, want)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/compaction"
+	"repro/internal/ssdsim"
 	"repro/internal/vfs"
 )
 
@@ -158,20 +159,24 @@ func TestFlushLandsReplayedTail(t *testing.T) {
 
 // TestStepIsDeterministic: two stores with no compaction worker, fed the same
 // seeded stream of Puts and Deletes and stepped at the same points, run the
-// same sequence of picks and end with the same tree, file for file and slice
-// for slice. At a step point the memtable is flushed first, so no flush is in
-// flight beside the steps.
+// same sequence of picks, read the same compaction input bytes in the same
+// requests, and end with the same tree, file for file and slice for slice. At
+// a step point the memtable is flushed first, so no flush is in flight beside
+// the steps.
 func TestStepIsDeterministic(t *testing.T) {
 	for _, policy := range []compaction.Policy{compaction.UDC, compaction.LDC} {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%v/shards=%d", policy, shards), func(t *testing.T) {
-				picks, tree := stepTrace(t, policy, shards, 42)
-				picks2, tree2 := stepTrace(t, policy, shards, 42)
+				picks, tree, reads := stepTrace(t, smallOpts(policy), shards, 42)
+				picks2, tree2, reads2 := stepTrace(t, smallOpts(policy), shards, 42)
 				if picks != picks2 {
 					t.Errorf("pick sequences differ:\n%s\n%s", picks, picks2)
 				}
 				if tree != tree2 {
 					t.Errorf("trees differ:\n%s\n%s", tree, tree2)
+				}
+				if reads != reads2 {
+					t.Errorf("compaction reads differ: %+v, then %+v", reads, reads2)
 				}
 				kinds := []compaction.Kind{compaction.PickCompact}
 				if policy == compaction.LDC {
@@ -187,11 +192,43 @@ func TestStepIsDeterministic(t *testing.T) {
 	}
 }
 
-// stepTrace runs the seeded stream on a fresh store and returns the picks its
-// steps ran, in order, and a listing of every shard's tree.
-func stepTrace(t *testing.T, policy compaction.Policy, shards int, seed int64) (picks, tree string) {
-	opts := smallOpts(policy)
+// TestCompactionReadsUnchanged pins what the steps of TestStepIsDeterministic's
+// stream read for compaction on one shard: the requests and bytes the device
+// charged to the compaction-read category. Only the reading of compaction
+// inputs moves them — the run size, where a slice window's reads start and
+// stop — so a refactor of the table iterators must leave them as they are. The
+// small tables carry links and merges (slice windows); the large ones, of
+// more than one IOChunk, are read in several runs.
+func TestCompactionReadsUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		policy            compaction.Policy
+		memTable, sstable int64 // 0: smallOpts'
+		ops, bytes        int64
+	}{
+		{compaction.UDC, 0, 0, 208, 1081962},
+		{compaction.LDC, 0, 0, 218, 885066},
+		{compaction.UDC, 24 << 10, 72 << 10, 103, 1142957},
+	} {
+		opts := smallOpts(tc.policy)
+		if tc.sstable > 0 {
+			opts.MemTableSize, opts.SSTableSize = tc.memTable, tc.sstable
+		}
+		_, _, reads := stepTrace(t, opts, 1, 42)
+		if reads.ReadOps != tc.ops || reads.ReadBytes != tc.bytes {
+			t.Errorf("%v, %d-byte tables: compaction read %d bytes in %d requests, want %d in %d",
+				tc.policy, opts.SSTableSize, reads.ReadBytes, reads.ReadOps, tc.bytes, tc.ops)
+		}
+	}
+}
+
+// stepTrace runs the seeded stream on a fresh store opened with opts and
+// returns the picks its steps ran, in order, a listing of every shard's tree,
+// and what the device served the compaction reads, which
+// Stats.CompactionReadBytes must count.
+func stepTrace(t *testing.T, opts Options, shards int, seed int64) (picks, tree string, reads ssdsim.CatStats) {
+	dev := ssdsim.NewDevice(ssdsim.Profile{}) // accounting only
 	opts.Shards = shards
+	opts.FS = ssdsim.Wrap(vfs.Mem(), dev)
 	db := openManualDB(t, opts)
 	defer db.Close()
 	var log strings.Builder
@@ -254,7 +291,11 @@ func stepTrace(t *testing.T, policy compaction.Policy, shards int, seed int64) (
 		}
 		v.Unref()
 	}
-	return log.String(), b.String()
+	reads = dev.Snapshot().ByCategory[ssdsim.CatCompactionRead]
+	if n := db.Stats().CompactionReadBytes; n != reads.ReadBytes {
+		t.Errorf("Stats.CompactionReadBytes = %d, the device read %d for compaction", n, reads.ReadBytes)
+	}
+	return log.String(), b.String(), reads
 }
 
 // TestNoSleepInEngine: background work wakes on its condition variables and

@@ -67,10 +67,9 @@ func (c *Clamped) SeekGE(target []byte) {
 	c.settle()
 }
 
-func (c *Clamped) SeekToFirst() {
-	c.Child.SeekGE(c.lo)
-	c.settle()
-}
+// SeekToFirst seeks to the window's first key; an inverted window (Lo above
+// Hi) holds none, and reads nothing to learn it.
+func (c *Clamped) SeekToFirst() { c.SeekGE(c.lo) }
 
 func (c *Clamped) Next() {
 	if !c.valid {

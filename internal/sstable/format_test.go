@@ -11,6 +11,7 @@ import (
 	"repro/internal/checksum"
 	"repro/internal/compress"
 	"repro/internal/encoding"
+	"repro/internal/iterator"
 	"repro/internal/keys"
 	"repro/internal/vfs"
 )
@@ -261,7 +262,7 @@ func TestWriterRejectsUnknownKinds(t *testing.T) {
 // index block or footer carries one fails to open with ErrCorrupt naming
 // what it needs, even with every checksum intact; a data block retyped to
 // flate fails every read of it — a point get, a table iterator, a
-// sequential pass — the same way. A file too short to hold a footer is
+// compaction pass over a view — the same way. A file too short to hold a footer is
 // corrupt, whatever its last bytes say.
 func TestRemovedKindsRejected(t *testing.T) {
 	fs := vfs.Mem()
@@ -359,12 +360,55 @@ func TestRemovedKindsRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq := r.NewSequential(f, nil)
+			seq := viewPass(r, f, nil)
 			seq.SeekToFirst()
 			if seq.Valid() {
-				t.Errorf("sequential pass positioned at %s inside the flate block", keys.InternalKey(seq.Key()))
+				t.Errorf("compaction pass positioned at %s inside the flate block", keys.InternalKey(seq.Key()))
 			}
-			check(t, "sequential pass", seq.Close())
+			check(t, "compaction pass", seq.Close())
 		})
 	})
+}
+
+// TestUndecodableBlockIsCorrupt: a data block whose checksum holds but whose
+// restart count does not fit it fails every read of it with ErrCorrupt
+// naming the block — a point probe, a scan's iterator and a compaction pass
+// over a view — rather than with block.Reader's bare error.
+func TestUndecodableBlockIsCorrupt(t *testing.T) {
+	fs := vfs.Mem()
+	buildTable(t, fs, "/t.sst", defaultWOpts(), sortedKVs(300))
+	r := openTable(t, fs, "/t.sst", defaultROpts())
+	blocks, _ := layout(t, r)
+	_ = r.Close()
+	bad := blocks[1]
+	data := readAll(t, fs, "/t.sst")
+	payload := data[bad.off : bad.off+bad.size-blockTrailerLen]
+	encoding.PutFixed32(payload[len(payload)-4:len(payload)-4], 1<<30)
+	encoding.PutFixed32(data[bad.off+bad.size-4:bad.off+bad.size-4], checksum.Sum(checksum.CRC32C, payload, byte(compress.None)))
+	writeAll(t, fs, "/t.sst", data)
+	ropts := defaultROpts()
+	ropts.Cache, ropts.FileNum = cache.New(1<<20), 9
+	r = openTable(t, fs, "/t.sst", ropts)
+	defer r.Close()
+	check := func(op string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("file 000009 offset %d", bad.off)) {
+			t.Errorf("%s: %v, want ErrCorrupt naming file 000009 offset %d", op, err, bad.off)
+		}
+	}
+	walk := func(it iterator.Iterator) error {
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+		}
+		return it.Close()
+	}
+
+	var c ProbeCursor
+	_, _, _, _, err := r.Probe(&c, keys.MakeSearchKey(nil, keys.InternalKey(bad.lastKey).UserKey(), keys.MaxSeq))
+	check("Probe", err)
+	check("scan", walk(r.NewIterator()))
+	f, err := fs.Open("/t.sst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("compaction pass", walk(viewPass(r, f, nil)))
 }

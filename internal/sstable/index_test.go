@@ -361,7 +361,7 @@ func TestProbeAllocs(t *testing.T) {
 
 // checkDamagedTable reads every entry of r, a table that may be damaged,
 // every way a reader can — a Get of each entry, a table iterator walk, a
-// sequential pass through a handle of its own — and
+// compaction pass over a view, through a handle of its own — and
 // requires each to return the table's entries exactly, up to an ErrCorrupt
 // that ends it; a pristine table must return them all.
 func checkDamagedTable(t *testing.T, fs vfs.FS, name string, r *Reader, want []pair, pristine bool) {
@@ -399,20 +399,20 @@ func checkDamagedTable(t *testing.T, fs vfs.FS, name string, r *Reader, want []p
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := r.NewSequential(f, nil)
+	seq := viewPass(r, f, nil)
 	n = 0
 	for seq.SeekToFirst(); seq.Valid(); seq.Next() {
 		if n >= len(want) || !bytes.Equal(seq.Key(), want[n].k) || !bytes.Equal(seq.Value(), want[n].v) {
-			t.Fatalf("sequential pass: entry %d is %s", n, keys.InternalKey(seq.Key()))
+			t.Fatalf("compaction pass: entry %d is %s", n, keys.InternalKey(seq.Key()))
 		}
 		n++
 	}
-	ended("sequential pass", n, seq.Close())
+	ended("compaction pass", n, seq.Close())
 }
 
 // FuzzTableIndex: a multi-block table with one byte changed, or its tail cut
 // off, opens with ErrCorrupt or reads back exactly up to an ErrCorrupt, by
-// point gets, a table iterator both ways and a sequential pass; it never
+// point gets, a table iterator both ways and a compaction pass; it never
 // panics and never returns wrong bytes or silently fewer entries.
 func FuzzTableIndex(f *testing.F) {
 	f.Add(int64(1), uint32(0), uint8(0), uint32(0))

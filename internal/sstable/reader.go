@@ -64,12 +64,14 @@ type Reader struct {
 	f    vfs.File
 	size int64 // file length, fixed at open; bounds-checks block handles
 	// index is the decoded index block, one entry per data block in file
-	// order (decodeIndex); point probes, table iterators and sequential passes
-	// search and walk it by position. Its keys lie in indexBlock, which the
-	// reader pins.
+	// order (decodeIndex); point probes and table iterators search and walk it
+	// by position. Its keys lie in indexBlock, which the reader pins.
 	index      []indexEntry
 	indexBlock []byte
 	filter     bloom.Filter
+	// aheadMin is the budget of an iterator's first read-ahead request after
+	// a seek: readAheadMin, or IOChunk on a compaction view (View).
+	aheadMin int
 
 	// closedInv records Close under -tags invariants: a lookup or a new
 	// iterator on a reader after that is the use of a table its owner has
@@ -117,7 +119,7 @@ func newReader(f vfs.File, opts ReaderOptions, size int64) *Reader {
 	if opts.Stats == nil {
 		opts.Stats = new(ReadStats)
 	}
-	return &Reader{opts: opts, cmp: opts.Cmp.Compare, f: f, size: size}
+	return &Reader{opts: opts, cmp: opts.Cmp.Compare, f: f, size: size, aheadMin: readAheadMin}
 }
 
 // indexEntry is one data block as the index names it: where the block's last
@@ -220,8 +222,8 @@ func (r *Reader) readBlockContents(h blockHandle) ([]byte, error) {
 		return nil, err
 	}
 	buf := make([]byte, h.length+blockTrailerLen)
-	if _, err := r.f.ReadAt(buf, int64(h.offset)); err != nil {
-		return nil, fmt.Errorf("sstable %06d: %w", r.opts.FileNum, err)
+	if err := r.readRun(buf, h.offset); err != nil {
+		return nil, err
 	}
 	contents, err := r.decodeBlock(buf, h.offset)
 	if err != nil {
@@ -302,13 +304,14 @@ func (r *Reader) readBlock(br *block.Reader, h blockHandle) error {
 	return r.newDataBlock(br, contents, h.offset)
 }
 
-// newDataBlock makes the decoded contents of the data block at off, which the
-// reader must own, a fetched block: bound to br, counted, and in the block
-// cache if there is one. A block br rejects is not cached.
+// newDataBlock makes the decoded contents of the data block at off a fetched
+// block: bound to br, counted, and in the block cache if there is one. A block
+// br rejects passed its checksum but is no block, which is ErrCorrupt; it is
+// not cached.
 func (r *Reader) newDataBlock(br *block.Reader, contents []byte, off uint64) error {
 	r.opts.Stats.BlockReads.Add(1)
 	if err := br.Init(r.cmp, contents); err != nil {
-		return err
+		return fmt.Errorf("%w: file %06d offset %d: %v", ErrCorrupt, r.opts.FileNum, off, err)
 	}
 	if r.opts.Cache != nil {
 		// The cache holds UNCOMPRESSED block contents (decompressing on
@@ -387,7 +390,8 @@ var tableIterPool = sync.Pool{New: func() interface{} { return new(tableIter) }}
 
 // NewIterator returns a two-level iterator over the table. Iterators are
 // pooled: Close returns the iterator for reuse, so it must not be used after
-// Close.
+// Close (under -tags invariants a closed iterator stays out of the pool and
+// any later use of it panics).
 func (r *Reader) NewIterator() iterator.Iterator { return r.NewIteratorUpTo(nil) }
 
 // NewIteratorUpTo is NewIterator for a caller that will not read past upper
@@ -418,7 +422,10 @@ func (r *Reader) NewIteratorUpTo(upper []byte) iterator.Iterator {
 // The request's blocks stay in its pooled buffer, held by the iterator until
 // its next request or Close; a block is verified, decoded, copied out and
 // cached only when the iterator lands on it (landHeld), so a block the walk
-// never reaches costs the bytes it took on the device and nothing else.
+// never reaches costs the bytes it took on the device and nothing else. On a
+// reader without a cache (a compaction view) a raw block is not copied out:
+// it aliases the buffer, which is poisoned under -tags invariants before the
+// next request is read into it.
 type tableIter struct {
 	r      *Reader
 	index  int          // position in r.index of the current data block
@@ -441,6 +448,15 @@ type tableIter struct {
 
 	err    error
 	closed bool
+}
+
+// assertOpen catches use-after-Close under -tags invariants, where Close
+// keeps the iterator out of the pool so a stale caller trips here instead of
+// silently driving the next owner's walk.
+func (t *tableIter) assertOpen() {
+	if invariants.Enabled && t.closed {
+		panic("invariant violated: table iterator used after Close")
+	}
 }
 
 // loadData opens the data block referenced by the current index entry.
@@ -471,13 +487,14 @@ func (t *tableIter) loadData() bool {
 // block, and short of the first one already cached (someone read that far
 // before, and what lies beyond may be cached as well). The request becomes the
 // held run, in the buffer of the one before it or a fresh one from chunkPool,
-// and blk is bound to its first block. A run of one block is read alone, as a
-// point read is, and holds nothing.
+// and blk is bound to its first block. A block larger than the buffer, and on
+// a reader with a cache a run of one block, is read alone, as a point read is,
+// and holds nothing.
 func (t *tableIter) readAhead() error {
 	r := t.r
 	budget := t.ahead
 	t.ahead = min(2*t.ahead, IOChunk)
-	end, n, _ := r.nextRun(t.index, budget, t.upper)
+	end, n := r.nextRun(t.index, budget, t.upper)
 	first := r.index[t.index].h
 	for i := t.index + 1; i < end; i++ {
 		if r.isCached(r.index[i].h.offset) {
@@ -485,16 +502,18 @@ func (t *tableIter) readAhead() error {
 			break
 		}
 	}
-	if end-t.index < 2 {
+	if end-t.index < 2 && (n > IOChunk || r.opts.Cache != nil) {
 		t.release()
 		return r.readBlock(&t.blk, first)
 	}
 	if t.chunk == nil {
 		t.chunk = chunkPool.Get().(*[IOChunk]byte)
+	} else {
+		poison(t.chunk[:]) // a value kept across the hand-over reads as garbage at once
 	}
 	clear(t.held)
 	t.runAt, t.held = t.index, slices.Grow(t.held[:0], end-t.index)[:end-t.index]
-	if err := r.readRun(r.f, t.chunk[:n], first.offset); err != nil {
+	if err := r.readRun(t.chunk[:n], first.offset); err != nil {
 		t.release()
 		return err
 	}
@@ -533,15 +552,15 @@ func (t *tableIter) release() {
 }
 
 // runBlock makes one block of a run, read into the run's shared buffer, a
-// fetched data block that owns its bytes, bound to br: a raw block's contents
-// alias the buffer and are copied out, a compressed block's were decoded out
-// of it.
+// fetched data block bound to br: a compressed block's contents were decoded
+// out of the buffer, a raw block's alias it and are copied out when they go
+// into a cache.
 func (r *Reader) runBlock(br *block.Reader, buf []byte, off uint64) ([]byte, error) {
 	contents, err := r.decodeBlock(buf, off)
 	if err != nil {
 		return nil, err
 	}
-	if compress.Kind(buf[len(buf)-blockTrailerLen]) == compress.None {
+	if r.opts.Cache != nil && compress.Kind(buf[len(buf)-blockTrailerLen]) == compress.None {
 		contents = bytes.Clone(contents)
 	}
 	r.opts.Stats.CompressedBytesRead.Add(int64(len(buf) - blockTrailerLen))
@@ -552,15 +571,17 @@ func (r *Reader) runBlock(br *block.Reader, buf []byte, off uint64) ([]byte, err
 // seekData opens the block a seek landed on and starts the read-ahead ramp
 // over: a seek says nothing about how far the caller will walk.
 func (t *tableIter) seekData() bool {
-	t.ahead = readAheadMin
+	t.ahead = t.r.aheadMin
 	return t.loadData()
 }
 
 func (t *tableIter) Valid() bool {
+	t.assertOpen()
 	return t.err == nil && t.dataOK && t.data.Valid()
 }
 
 func (t *tableIter) SeekGE(target []byte) {
+	t.assertOpen()
 	if t.err != nil {
 		return
 	}
@@ -573,6 +594,7 @@ func (t *tableIter) SeekGE(target []byte) {
 }
 
 func (t *tableIter) SeekToFirst() {
+	t.assertOpen()
 	if t.err != nil {
 		return
 	}
@@ -630,7 +652,9 @@ func (t *tableIter) Close() error {
 		t.release()
 		t.r, t.upper, t.blk = nil, nil, block.Reader{}
 		t.dataOK = false
-		tableIterPool.Put(t)
+		if !invariants.Enabled { // the carcass stays out of the pool: see assertOpen
+			tableIterPool.Put(t)
+		}
 	}
 	return err
 }

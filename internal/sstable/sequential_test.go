@@ -77,7 +77,7 @@ func layout(t testing.TB, r *Reader) (blocks []tableBlock, dataEnd int64) {
 	return blocks, dataEnd
 }
 
-// span is the byte range NewSequential documents for window w: from the
+// span is the byte range View documents for a pass over window w: from the
 // first block whose last key reaches w.Lo through the first whose last key
 // reaches w.Hi. ok is false when no block can hold a key of w.
 func span(blocks []tableBlock, w *keys.KeyRange) (first, last int, ok bool) {
@@ -139,13 +139,44 @@ func samePairs(a, b []pair) error {
 	return nil
 }
 
-// reference is what a compaction input read before sequential passes: the
-// block-at-a-time iterator, clamped from outside for a slice.
+// reference is a user iterator over r, clamped from outside for a slice.
 func reference(r *Reader, w *keys.KeyRange) iterator.Iterator {
 	if w == nil {
 		return r.NewIterator()
 	}
 	return iterator.NewClamped(icmp.User, r.NewIterator(), *w)
+}
+
+// viewPass opens a compaction pass the way core does: an iterator over a view
+// of r reading through f, clamped to window w (nil = the whole table) and
+// reading ahead no further than its end. Closing the pass closes the view.
+func viewPass(r *Reader, f vfs.File, w *keys.KeyRange) iterator.Iterator {
+	p := new(passIter)
+	r.View(&p.view, f, new(ReadStats))
+	if w == nil {
+		p.Iterator = p.view.NewIterator()
+		return p
+	}
+	c := new(iterator.Clamped)
+	c.Init(icmp.User, *w)
+	c.Child = p.view.NewIteratorUpTo(c.Hi())
+	p.Iterator = c
+	return p
+}
+
+type passIter struct {
+	iterator.Iterator
+	view   Reader
+	closed bool
+}
+
+func (p *passIter) Close() error {
+	err := p.Iterator.Close()
+	if !p.closed {
+		p.closed = true
+		err = errors.Join(err, p.view.Close())
+	}
+	return err
 }
 
 // checkSequential runs one pass over window w (nil = the whole table) and
@@ -167,7 +198,7 @@ func checkSequential(t *testing.T, fs vfs.FS, name string, r *Reader, w *keys.Ke
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := r.NewSequential(f, w)
+	it := viewPass(r, f, w)
 	it.SeekToFirst()
 	got := drain(t, it)
 	if err := it.Close(); err != nil {
@@ -291,9 +322,10 @@ func windowsFor(rng *rand.Rand, blocks []tableBlock, n int) []*keys.KeyRange {
 }
 
 // TestSequentialMatchesBlockAtATime is the equivalence and bounds property:
-// over random tables in every format, a sequential pass yields what the
-// block-at-a-time iterator yields, whole-file and clamped to windows, and
-// reads exactly the window's blocks in chunk-sized runs.
+// over random tables in every format, a pass over a view yields what a user
+// iterator yields, whole-file and clamped to windows, reads exactly the
+// window's blocks in chunk-sized runs, and leaves the reader's counters and
+// block cache alone.
 func TestSequentialMatchesBlockAtATime(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, comp := range []compress.Kind{compress.None, compress.LZ4} {
@@ -371,7 +403,7 @@ func TestSequentialNeverReadsMetadata(t *testing.T) {
 	_, dataEnd := layout(t, r)
 	cf := newReadLog(fs)
 	f, _ := cf.Open("/t.sst")
-	it := r.NewSequential(f, nil)
+	it := viewPass(r, f, nil)
 	it.SeekToFirst()
 	if n := len(drain(t, it)); n != 2000 {
 		t.Fatalf("pass yielded %d entries", n)
@@ -401,7 +433,7 @@ func TestSequentialSeekGE(t *testing.T) {
 		want := drain(t, ref)
 		ref.Close()
 		f, _ := fs.Open("/t.sst")
-		it := r.NewSequential(f, w)
+		it := viewPass(r, f, w)
 		it.SeekGE(target)
 		got := drain(t, it)
 		it.Close()
@@ -422,7 +454,7 @@ func TestSequentialReseek(t *testing.T) {
 	defer r.Close()
 	for _, w := range []*keys.KeyRange{nil, {Lo: []byte("key-000100"), Hi: []byte("key-000300")}} {
 		f, _ := fs.Open("/t.sst")
-		it := r.NewSequential(f, w)
+		it := viewPass(r, f, w)
 		for trial := 0; trial < 60; trial++ {
 			var target []byte
 			ref := reference(r, w)
@@ -483,7 +515,7 @@ func TestSequentialCorruptBlockInsideRun(t *testing.T) {
 		ref.Close()
 
 		f, _ := fs.Open("/t.sst")
-		it := r.NewSequential(f, nil)
+		it := viewPass(r, f, nil)
 		got := 0
 		for it.SeekToFirst(); it.Valid(); it.Next() {
 			got++
@@ -526,7 +558,7 @@ func TestSequentialReadErrors(t *testing.T) {
 			return tc.fault(n)
 		}
 		f, _ := cf.Open("/t.sst")
-		it := r.NewSequential(f, nil)
+		it := viewPass(r, f, nil)
 		n := 0
 		for it.SeekToFirst(); it.Valid(); it.Next() {
 			n++
@@ -552,7 +584,7 @@ func TestSequentialValuesDieAtHandOver(t *testing.T) {
 	defer r.Close()
 	cf := newReadLog(fs)
 	f, _ := cf.Open("/t.sst")
-	it := r.NewSequential(f, nil)
+	it := viewPass(r, f, nil)
 	defer it.Close()
 	it.SeekToFirst()
 	kept, want := it.Value(), bytes.Clone(it.Value())
@@ -570,8 +602,9 @@ func TestSequentialValuesDieAtHandOver(t *testing.T) {
 	}
 }
 
-// TestSequentialUseAfterCloseCaught runs the use-after-Close trap the other
-// pooled iterators have over the sequential one.
+// TestSequentialUseAfterCloseCaught runs the use-after-Close trap of the
+// pooled iterators over a pass: a closed table iterator panics on any use,
+// and a value kept past Close reads the poisoned run buffer.
 func TestSequentialUseAfterCloseCaught(t *testing.T) {
 	if !invariants.Enabled {
 		t.Skip("poison checks compile away without -tags invariants")
@@ -587,7 +620,7 @@ func TestSequentialUseAfterCloseCaught(t *testing.T) {
 		"SeekGE":      func(it iterator.Iterator) { it.SeekGE([]byte("key-000001\x00\x00\x00\x00\x00\x00\x00\x01")) },
 	} {
 		f, _ := fs.Open("/t.sst")
-		it := r.NewSequential(f, nil)
+		it := viewPass(r, f, nil)
 		it.SeekToFirst()
 		value := it.Value()
 		if err := it.Close(); err != nil {
@@ -634,7 +667,7 @@ func (s *seekOnly) Next() {
 // BenchmarkTableIterSequential walks one 4 MiB table of 1 KiB values from a
 // counting in-memory file the three ways there are to read one: a block per
 // request, as point reads do; a user iterator's forward walk, reading ahead;
-// and a compaction input's sequential pass.
+// and a compaction input's pass over a view.
 func BenchmarkTableIterSequential(b *testing.B) {
 	fs := newReadLog(vfs.Mem())
 	val := strings.Repeat("v", 1024)
@@ -674,8 +707,8 @@ func BenchmarkTableIterSequential(b *testing.B) {
 	}
 	// The user iterators walk a reader opened per pass (footer, index and
 	// filter reads included) over an empty block cache, which is what a
-	// compaction input cost before sequential passes; the sequential pass
-	// shares one pinned reader and leaves the cache alone.
+	// compaction input cost before it read through views; the pass shares one
+	// pinned reader's index through a view and leaves the cache alone.
 	user := func(wrap func(iterator.Iterator) iterator.Iterator) func() (iterator.Iterator, func()) {
 		return func() (iterator.Iterator, func()) {
 			ropts := defaultROpts()
@@ -698,7 +731,7 @@ func BenchmarkTableIterSequential(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			return r.NewSequential(f, nil), func() {}
+			return viewPass(r, f, nil), func() {}
 		})
 	})
 }

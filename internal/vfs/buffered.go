@@ -4,9 +4,9 @@ package vfs
 // the layer below (in particular the SSD simulator) sees large sequential
 // writes instead of per-block or per-record ones — the effect the OS page
 // cache and device write coalescing have on a real deployment. Its read-side
-// counterpart is sstable.Reader.NewSequential, which fetches compaction
-// inputs in runs of the same size (sstable.IOChunk). Sync and Close flush
-// the buffer. ReadAt flushes first, then delegates, so the
+// counterpart is a table iterator on a compaction view (sstable.Reader.View),
+// which fetches compaction inputs in runs of the same size (sstable.IOChunk).
+// Sync and Close flush the buffer. ReadAt flushes first, then delegates, so the
 // wrapper stays a correct File even if a caller mixes modes.
 func NewBuffered(f File, size int) File {
 	if size <= 0 {
