@@ -84,11 +84,15 @@ test:
 # which must leave the pooled merges it let go of to their next owners, and of
 # a shard's pooled store iterator, which must go back to its pool once; and
 # the Scans counter, once per request at any shard count; and a Get that a
-# slice window answers, which must not probe its level's file.
+# slice window answers, which must not probe its level's file; and the block
+# cache's admission of a walk's streamed blocks — into free room only, never
+# evicting (the table iterator's TestReadAheadStreams* and the full-store walk
+# that must leave a hot block cached), a streamed value dying with its request
+# under TAGS=invariants — and the room check itself.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeStepsManualStore|TestCompactRangeWaitsForCleanup|TestStepIsDeterministic|TestBusyTimeCountedOnce|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup|TestPipelinedCommit|TestReadPoint|TestSeparateValuesAllocs|TestIteratorCloseTwice|TestIteratorPartsReturnedOnce|TestScansCountedPerRequest|TestGetStopsAtWindowHit' $(TESTFLAGS) ./internal/core
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSetAllocsOnFullShard' $(TESTFLAGS) ./internal/cache
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeStepsManualStore|TestCompactRangeWaitsForCleanup|TestStepIsDeterministic|TestBusyTimeCountedOnce|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup|TestPipelinedCommit|TestReadPoint|TestSeparateValuesAllocs|TestIteratorCloseTwice|TestIteratorPartsReturnedOnce|TestScansCountedPerRequest|TestGetStopsAtWindowHit|TestFullWalkKeepsHotBlock' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSetAllocsOnFullShard|TestHasRoom' $(TESTFLAGS) ./internal/cache
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLevelTargets|TestLDCDrainsStagingLevel|TestDebt' $(TESTFLAGS) ./internal/compaction
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead|TestWriterAddAllocs|TestProbeAllocs|TestDecodedIndexMatchesOnDisk' $(TESTFLAGS) ./internal/sstable
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSeekGE' $(TESTFLAGS) ./internal/block
@@ -189,13 +193,16 @@ bench:
 # with allocs/op (RESP reply decode, batch Set+Encode, value-log Append), and
 # the read path's (a five-way merge step with and without a lazy child, a
 # memtable walk and seek, an internal-key comparison, a warm 100-pair scan over
-# one shard and over two):
+# one shard and over two, a 100-pair scan into a full block cache), and the
+# leaf benchmarks of compaction and the version (one Pick under each policy on a
+# sliced tree, and the version a link or a merge edit builds):
 # catches write-path, protocol and pooled-buffer races without measuring
 # anything. The served_durable workload
 # of BENCHMARK.json measures the serving stack.
 bench-smoke:
 	$(GO) test -race -run XXX -bench BenchmarkTableIterSequential -benchtime 1x -benchmem $(TESTFLAGS) ./internal/sstable
 	$(GO) test -race -run XXX -bench 'BenchmarkConcurrentWriters|BenchmarkCommitSyncBlob|BenchmarkScan$$' -benchtime 1x -benchmem $(TESTFLAGS) ./internal/core
+	$(GO) test -race -run XXX -bench 'BenchmarkScan100/cache=full' -benchtime 1x -benchmem $(TESTFLAGS) ./internal/core
 	$(GO) test -race -run XXX -bench 'BenchmarkServerPipelinedSet/sync=false/conns=16' -benchtime 1x $(TESTFLAGS) ./internal/server
 	$(GO) test -race -run XXX -bench BenchmarkReadReply -benchtime 1x -benchmem $(TESTFLAGS) ./internal/resp
 	$(GO) test -race -run XXX -bench BenchmarkSetEncode -benchtime 1x -benchmem $(TESTFLAGS) ./internal/batch
@@ -203,9 +210,11 @@ bench-smoke:
 	$(GO) test -race -run XXX -bench BenchmarkMergingNext -benchtime 1x -benchmem $(TESTFLAGS) ./internal/iterator
 	$(GO) test -race -run XXX -bench 'BenchmarkMemtableIterate|BenchmarkMemtableSeek' -benchtime 1x -benchmem $(TESTFLAGS) ./internal/memtable
 	$(GO) test -race -run XXX -bench BenchmarkInternalCompare -benchtime 1x -benchmem $(TESTFLAGS) ./internal/keys
+	$(GO) test -race -run XXX -bench BenchmarkPick -benchtime 1x -benchmem $(TESTFLAGS) ./internal/compaction
+	$(GO) test -race -run XXX -bench BenchmarkEditApply -benchtime 1x -benchmem $(TESTFLAGS) ./internal/version
 
 # One race-checked pass over the concurrent-read benchmarks and the 100-pair
-# scan over a sliced tree (cold/warm cache x inside/outside the slices):
+# scan over a sliced tree (cold/warm/full cache x inside/outside the slices):
 # exercises the lock-free read state against flush/compaction republication
 # and the lazy slice children without measuring anything. The read_hot and
 # mixed_rwb workloads of BENCHMARK.json measure the read path.

@@ -15,6 +15,12 @@
 // allocating. Entries never leave the shard lock, so no caller can see one
 // being recycled. The bytes a Get returned stay valid after their entry goes:
 // the cache only drops its reference to them and never writes to them.
+//
+// Set evicts for whatever it inserts. A caller that would rather not cache a
+// value than push out what is there asks HasRoom first: a table iterator does
+// for the blocks a long walk streams through after its seek, which are rarely
+// read again, so a scan of the whole store leaves the blocks point reads and
+// seeks keep hot where they are.
 package cache
 
 import (
@@ -208,6 +214,18 @@ func (c *Cache) Contains(k Key) bool {
 	defer s.mu.Unlock()
 	_, ok := s.items[k]
 	return ok
+}
+
+// HasRoom reports whether k's shard holds charge more bytes without evicting
+// anything: a caller that would rather not cache a value than push out what is
+// there asks it before it makes the copy it would Set. Like Contains it counts
+// nothing and moves nothing; a Set racing into the shard between the two may
+// still fill it first.
+func (c *Cache) HasRoom(k Key, charge int64) bool {
+	s := c.shardFor(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.used+charge <= s.capacity
 }
 
 // Set inserts or replaces the value for k with the given byte charge,

@@ -166,6 +166,29 @@ func TestContainsIsNoRead(t *testing.T) {
 	}
 }
 
+// TestHasRoom: HasRoom says whether a Set of that charge into the key's shard
+// would leave everything resident, and, like Contains, counts no lookup.
+func TestHasRoom(t *testing.T) {
+	c := NewSharded(30, 1)
+	c.Set(Key{FileNum: 1}, sized(1, 10), 10)
+	if !c.HasRoom(Key{FileNum: 2}, 20) || c.HasRoom(Key{FileNum: 2}, 21) {
+		t.Fatal("HasRoom disagrees with the 20 bytes free")
+	}
+	c.Set(Key{FileNum: 2}, sized(2, 20), 20)
+	if c.HasRoom(Key{FileNum: 3}, 1) || !c.HasRoom(Key{FileNum: 3}, 0) {
+		t.Error("a full shard has room")
+	}
+	if !c.Contains(Key{FileNum: 1}) || c.Used() != 30 {
+		t.Error("a Set into the room HasRoom reported evicted something")
+	}
+	if h, m := c.Stats(); h != 0 || m != 0 {
+		t.Errorf("HasRoom counted %d hits, %d misses", h, m)
+	}
+	if New(0).HasRoom(Key{}, 1) {
+		t.Error("a cache that stores nothing has room")
+	}
+}
+
 func TestShardCountRounding(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{
 		{1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {16, 16},

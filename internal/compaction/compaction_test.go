@@ -20,7 +20,7 @@ func fm(num uint64, lo, hi string, size int64) *version.FileMeta {
 
 // buildV assembles a version from per-level file lists via the public edit
 // path so Sliced etc. are derived.
-func buildV(t *testing.T, edit func(e *version.Edit)) *version.Version {
+func buildV(t testing.TB, edit func(e *version.Edit)) *version.Version {
 	t.Helper()
 	e := &version.Edit{}
 	edit(e)
@@ -678,6 +678,49 @@ func TestLDCFrozenFractionBoundary(t *testing.T) {
 			}
 			if !tc.merge && got.Kind != PickNone {
 				t.Fatalf("Pick = %v level %d, want none within FrozenFraction", got.Kind, got.Level)
+			}
+		})
+	}
+}
+
+// slicedTreeEdit is a four-level tree over keys k00000..k11999 that carries
+// 300 slices: two L0 tables, twelve L1 tables (over target under both
+// policies), 100 L2 tables with three slices each, and 1 000 L3 tables.
+func slicedTreeEdit(e *version.Edit) {
+	key := func(i int) string { return fmt.Sprintf("k%05d", i) }
+	for i := 0; i < 2; i++ {
+		e.AddFile(0, fm(uint64(1+i), key(0), key(11999), 1000))
+	}
+	for i := 0; i < 12; i++ {
+		e.AddFile(1, fm(uint64(10+i), key(1000*i), key(1000*i+999), 1000))
+	}
+	for i := 0; i < 100; i++ {
+		e.AddFile(2, fm(uint64(100+i), key(120*i), key(120*i+119), 1000))
+	}
+	for i := 0; i < 1000; i++ {
+		e.AddFile(3, fm(uint64(1000+i), key(12*i), key(12*i+11), 1000))
+	}
+	for f := 0; f < 300; f++ {
+		num, lo, hi := uint64(5000+f), key(120*(f%100)), key(120*(f%100)+119)
+		e.FreezeFile(&version.FrozenMeta{Num: num, Size: 1000, Smallest: ik(lo, 9), Largest: ik(hi, 8)})
+		e.AddSlice(2, uint64(100+f%100), version.Slice{FrozenNum: num,
+			Range: keys.KeyRange{Lo: []byte(lo), Hi: []byte(hi)}, LinkSeq: uint64(1 + f), Bytes: 100})
+	}
+}
+
+// BenchmarkPick is one Pick on the sliced tree, under each policy: UDC
+// compacts an L1 table into L2, LDC links one.
+func BenchmarkPick(b *testing.B) {
+	v := buildV(b, slicedTreeEdit)
+	for _, policy := range []Policy{UDC, LDC} {
+		b.Run(policy.String(), func(b *testing.B) {
+			pk := NewPicker(policy, testParams(), icmp)
+			if p := pk.Pick(v); p.Kind == PickNone {
+				b.Fatalf("%v picks nothing on the sliced tree", policy)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pk.Pick(v)
 			}
 		})
 	}

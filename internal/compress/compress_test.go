@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -103,6 +104,63 @@ func TestScratchReuse(t *testing.T) {
 		}
 		if got != None {
 			scratch = payload[:0]
+		}
+	}
+}
+
+// TestLZ4OutputIgnoresTableHistory: the match table is recycled uncleared, yet
+// a block encodes to the same bytes whatever the table compressed before it —
+// every corpus input after every other, after itself, and on a table whose base
+// is about to overflow — and those bytes are the ones a fresh table produces.
+func TestLZ4OutputIgnoresTableHistory(t *testing.T) {
+	c := corpus()
+	encode := func(tb *lz4Table, src []byte) []byte {
+		out, ok := tb.compress(nil, src, len(src)+len(src)/255+16)
+		if !ok {
+			t.Fatalf("compress of %d bytes ran over its budget", len(src))
+		}
+		return out
+	}
+	for name, src := range c {
+		want := encode(&lz4Table{base: 1}, src)
+		for before, prior := range c {
+			tb := &lz4Table{base: 1}
+			encode(tb, prior)
+			if got := encode(tb, src); !bytes.Equal(got, want) {
+				t.Errorf("%s after %s: %d bytes, not the %d a fresh table gives", name, before, len(got), len(want))
+			}
+		}
+		tb := &lz4Table{base: 1}
+		encode(tb, src)
+		tb.base = math.MaxInt32 - int32(len(src))/2
+		if got := encode(tb, src); !bytes.Equal(got, want) || len(src) > 0 && tb.base != 1+int32(len(src)) {
+			t.Errorf("%s at the end of the base range: %d bytes (want %d), base %d", name, len(got), len(want), tb.base)
+		}
+		out := make([]byte, len(src))
+		if err := lz4Decompress(out, want); err != nil || !bytes.Equal(out, src) {
+			t.Errorf("%s: round trip failed: %v", name, err)
+		}
+	}
+	// The case a stale slot used to decide: a 4-gram at position q of noise,
+	// copied to p. Past 64 misses the finder probes every other position, so it
+	// skips some q of src and finds no match at p; a prior block whose own match
+	// at 4 shifted that phase probed q and left it in the table, where a
+	// trusted stale slot turns p into a match against q.
+	noise := make([]byte, 256)
+	rand.New(rand.NewSource(1)).Read(noise)
+	prior := append([]byte(nil), noise...)
+	copy(prior[4:8], prior[0:4])
+	for q := 56; q < 80; q++ {
+		for p := 150; p < 170; p++ {
+			src := append([]byte(nil), noise...)
+			copy(src[p:p+4], src[q:q+4])
+			want := encode(&lz4Table{base: 1}, src)
+			tb := &lz4Table{base: 1}
+			encode(tb, prior)
+			if got := encode(tb, src); !bytes.Equal(got, want) {
+				t.Errorf("noise with [%d,+4) copied to %d, after a table that probed %d: %d bytes, not the %d a fresh table gives",
+					q, p, q, len(got), len(want))
+			}
 		}
 	}
 }

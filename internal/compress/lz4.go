@@ -2,6 +2,7 @@ package compress
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -41,19 +42,37 @@ func load32(b []byte, i int) uint32 {
 	return uint32(b[i]) | uint32(b[i+1])<<8 | uint32(b[i+2])<<16 | uint32(b[i+3])<<24
 }
 
+// lz4Table is a match finder's hash table, recycled through lz4TablePool
+// WITHOUT clearing it between blocks: zeroing 64 KiB per 4 KiB block would
+// cost more than the compression. What makes the stale slots harmless is
+// base, LZ4's own scheme: a call stores position i as base+i and trusts only
+// slots at or above its base, then moves base past every position it stored.
+// Whatever earlier blocks left in the table reads as empty, so the output is a
+// function of the input alone. The table is cleared only when base would
+// overflow, once every 2 GiB of input.
+type lz4Table struct {
+	slots [lz4HashLen]int32
+	base  int32 // > every slot written so far; 0 slots read as empty
+}
+
+var lz4TablePool = sync.Pool{New: func() interface{} { return &lz4Table{base: 1} }}
+
 // lz4Compress appends the encoding of src to dst, reporting false once the
 // output would exceed budget bytes (the incompressible bailout; the caller
 // then stores the block raw).
-// lz4TablePool recycles match-finder tables WITHOUT clearing them: zeroing
-// 64 KiB per 4 KiB block would cost more than the compression. Stale slots
-// from a previous block are harmless — candidates are only trusted when
-// cand < i (so the load is in bounds) and the 4 bytes at cand equal the 4
-// bytes at i in the CURRENT input, which makes a stale hit a real match.
-var lz4TablePool = sync.Pool{New: func() interface{} { return new([lz4HashLen]int32) }}
-
 func lz4Compress(dst, src []byte, budget int) ([]byte, bool) {
-	table := lz4TablePool.Get().(*[lz4HashLen]int32)
-	defer lz4TablePool.Put(table)
+	t := lz4TablePool.Get().(*lz4Table)
+	defer lz4TablePool.Put(t)
+	return t.compress(dst, src, budget)
+}
+
+func (t *lz4Table) compress(dst, src []byte, budget int) ([]byte, bool) {
+	if int64(t.base)+int64(len(src)) > math.MaxInt32 {
+		*t = lz4Table{base: 1}
+	}
+	base := int(t.base)
+	t.base += int32(len(src))
+	table := &t.slots
 	litStart := 0 // start of the pending literal run
 	i := 0
 	// Matches must leave minMatch bytes of tail so the last-literals rule
@@ -117,8 +136,8 @@ func lz4Compress(dst, src []byte, budget int) ([]byte, bool) {
 	for i < limit {
 		v := load32(src, i)
 		slot := &table[lz4Hash(v)]
-		cand := int(*slot) - 1
-		*slot = int32(i) + 1
+		cand := int(*slot) - base // negative: empty, or left by an earlier block
+		*slot = int32(base + i)
 		if cand >= 0 && cand < i && i-cand < lz4MaxOffset && load32(src, cand) == v {
 			// Extend the match forward; the greedy finder takes the first
 			// hit rather than searching a chain.
@@ -133,7 +152,7 @@ func lz4Compress(dst, src []byte, budget int) ([]byte, bool) {
 			// mid-copy (one probe per 3 bytes keeps the cost linear).
 			end := i + matchLen
 			for j := i + 1; j+lz4MinMatch <= end && j < limit; j += 3 {
-				table[lz4Hash(load32(src, j))] = int32(j) + 1
+				table[lz4Hash(load32(src, j))] = int32(base + j)
 			}
 			i = end
 			litStart = i

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/compaction"
 	"repro/internal/ssdsim"
 	"repro/internal/vfs"
@@ -129,7 +131,10 @@ func BenchmarkGetCacheHit(b *testing.B) {
 // slices, over a device that only counts (ssdsim at Scale 0): from a key inside
 // the most-linked file, where the scan crosses that file's slice windows, and
 // from a region no window reaches, where the slices must cost nothing; with the
-// block cache emptied before every scan and with it warm. Beside time and
+// block cache emptied before every scan, with it warm, and with it full: before
+// every scan the 4 MiB cache (the tree is 6.5 MiB) is emptied and filled with
+// blocks of another file, as a cache that serves more than scans is, so every
+// block the scan reads goes into a cache with no room. Beside time and
 // allocations it reports the device requests and bytes of one scan, and the
 // blocks it decoded out of what it read.
 func BenchmarkScan100(b *testing.B) {
@@ -137,16 +142,12 @@ func BenchmarkScan100(b *testing.B) {
 	prof.Scale = 0
 	dev := ssdsim.NewDevice(prof)
 	db, _, sliced := slicedTree(b, ssdsim.Wrap(vfs.Mem(), dev), 300)
-	for _, cold := range []bool{true, false} {
+	for _, mode := range []string{"cold", "warm", "full"} {
 		for _, start := range []struct {
 			name string
 			key  []byte
 		}{{"sliced", sliced}, {"unsliced", regionKey('a', 1000)}} {
-			name := fmt.Sprintf("cache=warm/start=%s", start.name)
-			if cold {
-				name = fmt.Sprintf("cache=cold/start=%s", start.name)
-			}
-			b.Run(name, func(b *testing.B) {
+			b.Run(fmt.Sprintf("cache=%s/start=%s", mode, start.name), func(b *testing.B) {
 				scan := func() {
 					if kvs, err := db.Scan(start.key, 100); err != nil || len(kvs) != 100 {
 						b.Fatalf("Scan = %d pairs, %v", len(kvs), err)
@@ -157,9 +158,12 @@ func BenchmarkScan100(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if cold {
+					if mode != "warm" {
 						b.StopTimer()
 						emptyBlockCache(db)
+						if mode == "full" {
+							fillBlockCache(db)
+						}
 						b.StartTimer()
 					}
 					scan()
@@ -171,6 +175,15 @@ func BenchmarkScan100(b *testing.B) {
 				b.ReportMetric(float64(db.Stats().BlockReads-decoded)/float64(b.N), "decoded-blocks/op")
 			})
 		}
+	}
+}
+
+// fillBlockCache sets blocks of a file no table has into db's block cache,
+// twice its capacity's worth, so that every stripe of it is full.
+func fillBlockCache(db *DB) {
+	blk := make([]byte, db.opts.BlockSize)
+	for i := int64(0); i < 2*db.opts.BlockCacheSize; i += int64(len(blk)) {
+		db.blockCache.Set(cache.Key{FileNum: math.MaxUint64, Offset: uint64(i)}, blk, int64(len(blk)))
 	}
 }
 

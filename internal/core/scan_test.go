@@ -540,6 +540,63 @@ func TestScanRequests(t *testing.T) {
 	}
 }
 
+// TestFullWalkKeepsHotBlock: a walk of the whole store, as the server's DBSIZE
+// makes, over a store four times the size of its full block cache streams past
+// the cache. Only each table's first request goes into it, so the block of a
+// key that point reads keep hot is still cached after the walk; a walk that
+// cached every block it landed on would have pushed it out.
+func TestFullWalkKeepsHotBlock(t *testing.T) {
+	db := openTestDB(t, Options{
+		FS: vfs.Mem(), Policy: compaction.LDC,
+		MemTableSize: 256 << 10, SSTableSize: 256 << 10, BlockCacheSize: 512 << 10,
+	})
+	defer db.Close()
+	const n = 2000
+	val := bytes.Repeat([]byte("v"), 1000)
+	for i := 0; i < n; i++ {
+		if err := db.Put(key(i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CompactRange(); err != nil {
+		t.Fatal(err)
+	}
+	get := func(i int) (blocksRead int64) {
+		before := db.Stats().BlockReads
+		if v, err := db.Get(key(i)); err != nil || !bytes.Equal(v, val) {
+			t.Fatalf("Get(%d) = %d bytes, %v", i, len(v), err)
+		}
+		return db.Stats().BlockReads - before
+	}
+	for i := 0; i < n; i++ { // fills the cache with the blocks of point reads
+		get(i)
+	}
+	if used := db.blockCache.Used(); used < 448<<10 {
+		t.Fatalf("the point reads left %d bytes of a 512 KiB cache in use", used)
+	}
+	const hot = 0 // its block went out of the cache long ago
+	if get(hot) != 1 || get(hot) != 0 {
+		t.Fatal("the hot key's block is not cached after its point read")
+	}
+	it, err := db.NewIterator(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walked := 0
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		walked++
+	}
+	if err := it.Close(); err != nil || walked != n {
+		t.Fatalf("walk saw %d keys of %d: %v", walked, n, err)
+	}
+	if got := get(hot); got != 0 {
+		t.Errorf("the hot key's block was read again after the walk: the walk evicted it")
+	}
+}
+
 // TestScanPairsEndAtTheirCapacity: Scan carves pairs out of shared chunks, so
 // every Key and Value ends at its own capacity — appending to one pair never
 // writes into the next — and a pair larger than a chunk comes back whole; from

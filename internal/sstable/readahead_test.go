@@ -468,3 +468,175 @@ func TestReadAheadShortRead(t *testing.T) {
 		}
 	}
 }
+
+// useCache puts the table's reader on c in place of its own cold cache.
+func (tb *raTable) useCache(c *cache.Cache) {
+	tb.cache, tb.r.opts.Cache = c, c
+}
+
+// blockKey is block i's key in the block cache, and blockLen its decoded
+// (here: raw) size, what the cache charges for it.
+func (tb *raTable) blockKey(i int) cache.Key {
+	return cache.Key{FileNum: raFileNum, Offset: uint64(tb.blocks[i].off)}
+}
+
+func (tb *raTable) blockLen(i int) int64 { return tb.blocks[i].size - blockTrailerLen }
+
+// fillCache sets 4 KiB entries of another file into c until it is full to the
+// byte: c has one shard and a capacity that is a multiple of 4 KiB.
+func fillCache(c *cache.Cache, capacity int64) {
+	for i := uint64(0); c.Used() < capacity; i++ {
+		c.Set(cache.Key{FileNum: raFileNum + 1, Offset: i << 12}, make([]byte, 4096), 4096)
+	}
+}
+
+// walkAll walks it from its current position to the end and checks that the
+// walk yields entries from the n-th on, each as the table holds it.
+func (tb *raTable) walkAll(t *testing.T, it iterator.Iterator, n int) {
+	t.Helper()
+	for ; it.Valid(); it.Next() {
+		if string(keys.InternalKey(it.Key()).UserKey()) != fmt.Sprintf("key-%06d", n) || string(it.Value()[:6]) != fmt.Sprintf("%06d", n) {
+			t.Fatalf("entry %d reads %q", n, it.Key())
+		}
+		n++
+	}
+	if err := it.Error(); err != nil || n != 4*len(tb.blocks) {
+		t.Fatalf("walk ended at entry %d of %d: %v", n, 4*len(tb.blocks), err)
+	}
+}
+
+// TestReadAheadStreamsPastAFullCache: on a full block cache a long walk reads
+// as it does on an empty one and lands, verifies and counts every block, but
+// only its seek's request changes the cache: the cache ends as it would after
+// a Set of those blocks, and every block of the later requests, streamed in
+// place, evicted nothing.
+func TestReadAheadStreamsPastAFullCache(t *testing.T) {
+	const n, capacity = 60, 64 << 12
+	tb := newRATable(t, newReadLog(vfs.Mem()), n)
+	tb.useCache(cache.NewSharded(capacity, 1))
+	fillCache(tb.cache, capacity)
+	twin := cache.NewSharded(capacity, 1)
+	fillCache(twin, capacity)
+	for i := 0; i < 3; i++ { // the seek's request, 0-2
+		twin.Set(tb.blockKey(i), make([]byte, tb.blockLen(i)), tb.blockLen(i))
+	}
+
+	atOpen, _ := ioBytes(tb.r) // the index and the filter
+	it := tb.r.NewIterator()
+	defer it.Close()
+	it.SeekToFirst()
+	tb.walkAll(t, it, 0)
+	if got, want := tb.requests(t), "0-2 3-9 10-24 25-39 40-54 55-59"; got != want {
+		t.Errorf("requests %q, want %q", got, want)
+	}
+	var onDisk int64
+	for i := range tb.blocks {
+		onDisk += tb.blockLen(i)
+	}
+	if got, _ := ioBytes(tb.r); tb.r.opts.Stats.BlockReads.Load() != n || got-atOpen != onDisk {
+		t.Errorf("%d blocks decoded and %d bytes counted, want all %d and their %d bytes",
+			tb.r.opts.Stats.BlockReads.Load(), got-atOpen, n, onDisk)
+	}
+	for i := uint64(0); i < capacity>>12; i++ {
+		k := cache.Key{FileNum: raFileNum + 1, Offset: i << 12}
+		if tb.cache.Contains(k) != twin.Contains(k) {
+			t.Errorf("filler entry %d: cached = %v, want %v", i, tb.cache.Contains(k), twin.Contains(k))
+		}
+	}
+	for i := range tb.blocks {
+		if tb.cache.Contains(tb.blockKey(i)) != (i < 3) {
+			t.Errorf("block %d cached = %v: only the seek's request, 0-2, goes into a full cache", i, !(i < 3))
+		}
+	}
+	if tb.cache.Used() != twin.Used() || tb.cache.Len() != twin.Len() {
+		t.Errorf("cache holds %d entries charged %d bytes, want %d charged %d", tb.cache.Len(), tb.cache.Used(), twin.Len(), twin.Used())
+	}
+
+	// A streamed request of one block (the window ends in block 13) is held
+	// in the buffer like a longer one, not read alone into the cache.
+	w := keys.KeyRange{Lo: []byte("key-000040"), Hi: []byte("key-000052")} // blocks 10 to 13
+	win := iterator.NewClamped(icmp.User, tb.r.NewIteratorUpTo(keys.MakeInternalKey(nil, w.Hi, 0, keys.KindDelete)), w)
+	defer win.Close()
+	win.SeekToFirst()
+	if got := len(drain(t, win)); got != 13 {
+		t.Fatalf("window yielded %d entries, want 13", got)
+	}
+	if got := tb.requests(t); got != "10-12 13" {
+		t.Errorf("window requests %q, want %q", got, "10-12 13")
+	}
+	if tb.cache.Contains(tb.blockKey(13)) || !tb.cache.Contains(tb.blockKey(10)) {
+		t.Error("the window's seek request is not cached, or its streamed block is")
+	}
+}
+
+// TestReadAheadStreamsIntoFreeRoom: a walk's streamed blocks go into the cache
+// for as long as it has room for them, and never push out what is there —
+// here the seek's blocks, which came first.
+func TestReadAheadStreamsIntoFreeRoom(t *testing.T) {
+	const n = 60
+	tb := newRATable(t, newReadLog(vfs.Mem()), n)
+	var room int64 // the first ten blocks' worth: 0-2, then 3-9 of the 3-9 request
+	for i := 0; i < 10; i++ {
+		room += tb.blockLen(i)
+	}
+	tb.useCache(cache.NewSharded(room, 1))
+	it := tb.r.NewIterator()
+	defer it.Close()
+	it.SeekToFirst()
+	tb.walkAll(t, it, 0)
+	for i := range tb.blocks {
+		if tb.cache.Contains(tb.blockKey(i)) != (i < 10) {
+			t.Errorf("block %d cached = %v, want the ten that fit", i, !(i < 10))
+		}
+	}
+	if tb.cache.Used() != room || tb.r.opts.Stats.BlockReads.Load() != n {
+		t.Errorf("cache charged %d bytes of %d, %d blocks decoded of %d", tb.cache.Used(), room, tb.r.opts.Stats.BlockReads.Load(), n)
+	}
+	// A second walk finds 0-9 cached and reads the rest again. Its first
+	// request since the seek, 10-12, is the one that goes into the cache as a
+	// seek's does; the ramp goes on from there.
+	it.SeekToFirst()
+	tb.walkAll(t, it, 0)
+	if got, want := tb.requests(t), "0-2 3-9 10-24 25-39 40-54 55-59 10-12 13-19 20-34 35-49 50-59"; got != want {
+		t.Errorf("requests %q, want %q", got, want)
+	}
+}
+
+// TestReadAheadStreamedValueDies: under -tags invariants, a value kept from a
+// block a walk streamed past a full cache reads as poison once the walk's next
+// request is read, while one kept from its seek's request, which the cache
+// owns, reads as before.
+func TestReadAheadStreamedValueDies(t *testing.T) {
+	if !invariants.Enabled {
+		t.Skip("poisoning compiles away without -tags invariants")
+	}
+	const capacity = 64 << 12
+	tb := newRATable(t, newReadLog(vfs.Mem()), 30)
+	tb.useCache(cache.NewSharded(capacity, 1))
+	fillCache(tb.cache, capacity)
+	it := tb.r.NewIteratorUpTo(tb.blocks[11].lastKey) // a short last request: 10-11
+	defer it.Close()
+	it.SeekToFirst()
+	tb.walk(t, it, 2)
+	seekVal := it.Value() // block 2's first entry, in the cache
+	tb.walk(t, it, 9)
+	for i := 0; i < 3; i++ {
+		it.Next()
+	}
+	streamed := it.Value() // block 9's last entry, in the 3-9 request's buffer
+	if string(streamed[:6]) != "000039" {
+		t.Fatalf("at %q, want block 9's last entry", streamed[:6])
+	}
+	it.Next() // onto block 10: the next request
+	if got := tb.requests(t); got != "0-2 3-9 10-11" {
+		t.Fatalf("requests %q", got)
+	}
+	for i, b := range streamed {
+		if b != 0xDD {
+			t.Fatalf("byte %d of a value kept from a streamed block reads %#x after the next request", i, b)
+		}
+	}
+	if string(seekVal[:6]) != "000008" {
+		t.Errorf("a value kept from the seek's request reads %q", seekVal[:6])
+	}
+}

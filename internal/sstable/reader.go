@@ -301,24 +301,24 @@ func (r *Reader) readBlock(br *block.Reader, h blockHandle) error {
 	if err != nil {
 		return err
 	}
-	return r.newDataBlock(br, contents, h.offset)
+	return r.newDataBlock(br, contents, h.offset, r.opts.Cache)
 }
 
 // newDataBlock makes the decoded contents of the data block at off a fetched
-// block: bound to br, counted, and in the block cache if there is one. A block
-// br rejects passed its checksum but is no block, which is ErrCorrupt; it is
-// not cached.
-func (r *Reader) newDataBlock(br *block.Reader, contents []byte, off uint64) error {
+// block: bound to br, counted, and in the block cache into if that is not nil.
+// A block br rejects passed its checksum but is no block, which is ErrCorrupt;
+// it is not cached.
+func (r *Reader) newDataBlock(br *block.Reader, contents []byte, off uint64, into *cache.Cache) error {
 	r.opts.Stats.BlockReads.Add(1)
 	if err := br.Init(r.cmp, contents); err != nil {
 		return fmt.Errorf("%w: file %06d offset %d: %v", ErrCorrupt, r.opts.FileNum, off, err)
 	}
-	if r.opts.Cache != nil {
+	if into != nil {
 		// The cache holds UNCOMPRESSED block contents (decompressing on
 		// every hit would defeat the cache), so the charge is the real
 		// resident footprint — the decoded size, not the on-disk handle
 		// length, which may be several times smaller under compression.
-		r.opts.Cache.Set(cache.Key{FileNum: r.opts.FileNum, Offset: off}, contents, int64(len(contents)))
+		into.Set(cache.Key{FileNum: r.opts.FileNum, Offset: off}, contents, int64(len(contents)))
 	}
 	return nil
 }
@@ -422,10 +422,18 @@ func (r *Reader) NewIteratorUpTo(upper []byte) iterator.Iterator {
 // The request's blocks stay in its pooled buffer, held by the iterator until
 // its next request or Close; a block is verified, decoded, copied out and
 // cached only when the iterator lands on it (landHeld), so a block the walk
-// never reaches costs the bytes it took on the device and nothing else. On a
-// reader without a cache (a compaction view) a raw block is not copied out:
-// it aliases the buffer, which is poisoned under -tags invariants before the
-// next request is read into it.
+// never reaches costs the bytes it took on the device and nothing else.
+//
+// A walk streams past the cache: the blocks of the second and later requests
+// since the last seek are cached only into free room, never evicting anything,
+// because a long walk rarely comes back to the blocks it streamed through while
+// the ones it would evict are what seeks and point reads hit. The first request
+// since the seek is cached as a point read is. A raw block that goes into no cache —
+// a streamed one the cache has no room for, or any block of a reader without a
+// cache (a compaction view) — is not copied out: it aliases the buffer, which
+// is poisoned under -tags invariants before the next request is read into it,
+// so a key or value kept from it dies with that request, as the Iterator
+// contract allows.
 type tableIter struct {
 	r      *Reader
 	index  int          // position in r.index of the current data block
@@ -441,10 +449,13 @@ type tableIter struct {
 	// decoded contents once the iterator has landed on it, nil before. The
 	// iterator looks here before the block cache: there may be no cache, or
 	// one so small or so busy that a landed block is evicted before the walk
-	// comes back to it, and no block is read or decoded twice.
-	chunk *[IOChunk]byte
-	runAt int
-	held  [][]byte
+	// comes back to it, and no block is read or decoded twice. stream marks a
+	// run read by the second or later request since the last seek, whose
+	// blocks are cached only into free room.
+	chunk  *[IOChunk]byte
+	runAt  int
+	held   [][]byte
+	stream bool
 
 	err    error
 	closed bool
@@ -488,12 +499,17 @@ func (t *tableIter) loadData() bool {
 // before, and what lies beyond may be cached as well). The request becomes the
 // held run, in the buffer of the one before it or a fresh one from chunkPool,
 // and blk is bound to its first block. A block larger than the buffer, and on
-// a reader with a cache a run of one block, is read alone, as a point read is,
-// and holds nothing.
+// a reader with a cache a run of one block that does not stream, is read alone,
+// as a point read is, and holds nothing.
+//
+// The first request since a seek is the one whose budget is the ramp's first,
+// aheadMin; every later one streams. On a view the budget never grows and no
+// request streams, which there is no cache for anyway.
 func (t *tableIter) readAhead() error {
 	r := t.r
 	budget := t.ahead
 	t.ahead = min(2*t.ahead, IOChunk)
+	stream := budget > r.aheadMin
 	end, n := r.nextRun(t.index, budget, t.upper)
 	first := r.index[t.index].h
 	for i := t.index + 1; i < end; i++ {
@@ -502,7 +518,7 @@ func (t *tableIter) readAhead() error {
 			break
 		}
 	}
-	if end-t.index < 2 && (n > IOChunk || r.opts.Cache != nil) {
+	if end-t.index < 2 && (n > IOChunk || r.opts.Cache != nil && !stream) {
 		t.release()
 		return r.readBlock(&t.blk, first)
 	}
@@ -513,6 +529,7 @@ func (t *tableIter) readAhead() error {
 	}
 	clear(t.held)
 	t.runAt, t.held = t.index, slices.Grow(t.held[:0], end-t.index)[:end-t.index]
+	t.stream = stream
 	if err := r.readRun(t.chunk[:n], first.offset); err != nil {
 		t.release()
 		return err
@@ -521,9 +538,9 @@ func (t *tableIter) readAhead() error {
 }
 
 // landHeld binds blk to block i of the held run, verifying, decoding and
-// caching it the first time the iterator lands there. A block that fails is
-// read again alone, and what that read reports is what a point read of the
-// block reports.
+// caching it (into free room only, on a streamed run) the first time the
+// iterator lands there. A block that fails is read again alone, and what that
+// read reports is what a point read of the block reports.
 func (t *tableIter) landHeld(i int) error {
 	if contents := t.held[i]; contents != nil {
 		return t.blk.Init(t.r.cmp, contents)
@@ -531,7 +548,7 @@ func (t *tableIter) landHeld(i int) error {
 	r := t.r
 	h := r.index[t.runAt+i].h
 	start := h.offset - r.index[t.runAt].h.offset
-	contents, err := r.runBlock(&t.blk, t.chunk[start:start+h.length+blockTrailerLen], h.offset)
+	contents, err := r.runBlock(&t.blk, t.chunk[start:start+h.length+blockTrailerLen], h.offset, t.stream)
 	if err != nil {
 		return r.readBlock(&t.blk, h)
 	}
@@ -554,18 +571,23 @@ func (t *tableIter) release() {
 // runBlock makes one block of a run, read into the run's shared buffer, a
 // fetched data block bound to br: a compressed block's contents were decoded
 // out of the buffer, a raw block's alias it and are copied out when they go
-// into a cache.
-func (r *Reader) runBlock(br *block.Reader, buf []byte, off uint64) ([]byte, error) {
+// into a cache. A block of a streamed run goes into the cache only if its
+// shard has room for it without evicting, which is asked before the copy.
+func (r *Reader) runBlock(br *block.Reader, buf []byte, off uint64, stream bool) ([]byte, error) {
 	contents, err := r.decodeBlock(buf, off)
 	if err != nil {
 		return nil, err
 	}
-	if r.opts.Cache != nil && compress.Kind(buf[len(buf)-blockTrailerLen]) == compress.None {
+	into := r.opts.Cache
+	if into != nil && stream && !into.HasRoom(cache.Key{FileNum: r.opts.FileNum, Offset: off}, int64(len(contents))) {
+		into = nil
+	}
+	if into != nil && compress.Kind(buf[len(buf)-blockTrailerLen]) == compress.None {
 		contents = bytes.Clone(contents)
 	}
 	r.opts.Stats.CompressedBytesRead.Add(int64(len(buf) - blockTrailerLen))
 	r.opts.Stats.UncompressedBytesRead.Add(int64(len(contents)))
-	return contents, r.newDataBlock(br, contents, off)
+	return contents, r.newDataBlock(br, contents, off, into)
 }
 
 // seekData opens the block a seek landed on and starts the read-ahead ramp

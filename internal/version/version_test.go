@@ -26,7 +26,7 @@ func applyEdit(base *Version, e *Edit) (*Version, error) {
 	return b.finish()
 }
 
-func buildVersion(t *testing.T, edits ...*Edit) *Version {
+func buildVersion(t testing.TB, edits ...*Edit) *Version {
 	t.Helper()
 	v := NewVersion(icmp)
 	for _, e := range edits {
@@ -565,7 +565,7 @@ func TestManifestRotatedOnRecover(t *testing.T) {
 
 // fillShapedVersion is a tree of the shape a fill builds: ten level-1 files,
 // and 150 level-2 files, each with a slice of its own frozen file.
-func fillShapedVersion(t *testing.T) *Version {
+func fillShapedVersion(t testing.TB) *Version {
 	base := &Edit{}
 	for i := 0; i < 10; i++ {
 		base.AddFile(1, fm(uint64(1+i), editKey(150*i), editKey(150*i+149), 100))
@@ -583,7 +583,7 @@ func fillShapedVersion(t *testing.T) *Version {
 // twoSliceVersion is fillShapedVersion with 75 frozen files instead, each
 // linked onto two neighbouring level-2 files, so that a merge can take one
 // slice of a frozen file and leave the other.
-func twoSliceVersion(t *testing.T) *Version {
+func twoSliceVersion(t testing.TB) *Version {
 	base := &Edit{}
 	for i := 0; i < 10; i++ {
 		base.AddFile(1, fm(uint64(1+i), editKey(150*i), editKey(150*i+149), 100))
@@ -632,15 +632,7 @@ func editAllocs(t *testing.T, base *Version, e *Edit) (float64, *Version) {
 // separate invariant check 9 more; this costs 30 with the check, and the bar
 // sits just above it.
 func TestLinkEditAllocs(t *testing.T) {
-	v := fillShapedVersion(t)
-	link := &Edit{}
-	link.DeleteFile(1, 1)
-	link.FreezeFile(&FrozenMeta{Num: 1, Size: 100, Smallest: ik(editKey(0), 2), Largest: ik(editKey(149), 1)})
-	for i := 0; i < 10; i++ {
-		link.AddSlice(2, uint64(100+i), Slice{FrozenNum: 1,
-			Range: keys.KeyRange{Lo: []byte(editKey(10 * i)), Hi: []byte(editKey(10*i + 9))}, LinkSeq: uint64(200 + i), Bytes: 10})
-	}
-	allocs, out := editAllocs(t, v, link)
+	allocs, out := editAllocs(t, fillShapedVersion(t), linkEdit())
 	if len(out.Frozen) != 151 || out.NumFiles(1) != 9 || out.SliceCount(2) != 160 {
 		t.Fatalf("link edit gave %d frozen, %d L1 files, %d L2 slices", len(out.Frozen), out.NumFiles(1), out.SliceCount(2))
 	}
@@ -648,6 +640,19 @@ func TestLinkEditAllocs(t *testing.T) {
 	if allocs > 34 {
 		t.Errorf("one link edit allocates %.0f times, want <= 34", allocs)
 	}
+}
+
+// linkEdit freezes fillShapedVersion's first level-1 file and links it onto
+// the ten level-2 files under it.
+func linkEdit() *Edit {
+	link := &Edit{}
+	link.DeleteFile(1, 1)
+	link.FreezeFile(&FrozenMeta{Num: 1, Size: 100, Smallest: ik(editKey(0), 2), Largest: ik(editKey(149), 1)})
+	for i := 0; i < 10; i++ {
+		link.AddSlice(2, uint64(100+i), Slice{FrozenNum: 1,
+			Range: keys.KeyRange{Lo: []byte(editKey(10 * i)), Hi: []byte(editKey(10*i + 9))}, LinkSeq: uint64(200 + i), Bytes: 10})
+	}
+	return link
 }
 
 // TestFlushEditAllocs: a flush adds one level-0 table and touches nothing
@@ -674,11 +679,7 @@ func TestFlushEditAllocs(t *testing.T) {
 // shrinks and the map is copied once (a fresh build paid 17 and 18, and the
 // separate invariant check 9).
 func TestMergeEditAllocs(t *testing.T) {
-	v := twoSliceVersion(t)
-	merge := &Edit{}
-	merge.DeleteFile(2, 100)
-	merge.AddFile(2, fm(5000, editKey(0), editKey(9), 100))
-	allocs, out := editAllocs(t, v, merge)
+	allocs, out := editAllocs(t, twoSliceVersion(t), mergeEdit())
 	if out.SliceCount(2) != 149 || len(out.Frozen) != 75 || out.DuplicatedFrozenBytes() != 50 {
 		t.Fatalf("merge edit gave %d L2 slices, %d frozen, %d duplicated bytes", out.SliceCount(2), len(out.Frozen), out.DuplicatedFrozenBytes())
 	}
@@ -697,5 +698,40 @@ func TestMergeEditAllocs(t *testing.T) {
 	t.Logf("one merge edit dropping a frozen file: %.0f allocs", allocs)
 	if allocs > 12 {
 		t.Errorf("one merge edit dropping a frozen file allocates %.0f times, want <= 12", allocs)
+	}
+}
+
+// mergeEdit rewrites twoSliceVersion's first level-2 file, whose frozen file
+// keeps its slice on the neighbour.
+func mergeEdit() *Edit {
+	merge := &Edit{}
+	merge.DeleteFile(2, 100)
+	merge.AddFile(2, fm(5000, editKey(0), editKey(9), 100))
+	return merge
+}
+
+// BenchmarkEditApply is the cost of the version a link or a merge makes, as
+// the Set applies it with its reused builder: the edits and trees of
+// TestLinkEditAllocs and TestMergeEditAllocs's first merge.
+func BenchmarkEditApply(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		base *Version
+		edit *Edit
+	}{
+		{"link", fillShapedVersion(b), linkEdit()},
+		{"merge", twoSliceVersion(b), mergeEdit()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			bld := newBuilder(icmp)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bld.reset(tc.base)
+				bld.apply(tc.edit)
+				if _, err := bld.finish(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
