@@ -807,9 +807,6 @@ func firstSegment(t *testing.T, fs vfs.FS, shard int) string {
 // segments: an iterator opened before a segment was proved dead keeps it on
 // disk; an iterator opened afterwards does not.
 func TestBlobGCOnlyOlderReadersBlock(t *testing.T) {
-	defer func(d time.Duration) { gcBarrierTimeout = d }(gcBarrierTimeout)
-	gcBarrierTimeout = 50 * time.Millisecond
-
 	opts := blobOpts(compaction.LDC)
 	db := openTestDB(t, opts)
 	defer db.Close()
@@ -830,6 +827,7 @@ func TestBlobGCOnlyOlderReadersBlock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("iterator A: %v", err)
 	}
+	defer a.Close() // before the store's, if a check fails
 	a.SeekToFirst()
 	for i := 0; i < n; i++ {
 		if err := db.Put(key(i), blobValue(i+1000, 150)); err != nil {
@@ -874,6 +872,282 @@ func TestBlobGCOnlyOlderReadersBlock(t *testing.T) {
 		t.Fatalf("a reader that arrived after the segment died kept it on disk")
 	}
 	walk("B", b, 1000)
+}
+
+// pendingSegments returns how many emptied segments wait for the sweep on
+// each shard.
+func pendingSegments(db *DB) []int {
+	n := make([]int, len(db.shards))
+	for i, st := range db.shards {
+		st.mu.Lock()
+		n[i] = len(st.pendingSegs)
+		st.mu.Unlock()
+	}
+	return n
+}
+
+// overwrittenBlobDB opens a store, writes generation 0 of n separated
+// values, flushes, calls hold (which may pin a reader on generation 0) and
+// overwrites every value with generation 1000: each shard's first segment
+// then holds dead records only.
+func overwrittenBlobDB(t *testing.T, opts Options, n int, hold func(*DB)) *DB {
+	t.Helper()
+	db := openTestDB(t, opts)
+	for i := 0; i < n; i++ {
+		if err := db.Put(key(i), blobValue(i, 150)); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	hold(db)
+	for i := 0; i < n; i++ {
+		if err := db.Put(key(i), blobValue(i+1000, 150)); err != nil {
+			t.Fatalf("overwrite: %v", err)
+		}
+	}
+	return db
+}
+
+// segmentCount counts the value-log segments of every shard on disk.
+func segmentCount(t *testing.T, fs vfs.FS, shards int) int {
+	t.Helper()
+	n := 0
+	for sh := 0; sh < shards; sh++ {
+		n += len(shardSegments(t, fs, sh))
+	}
+	return n
+}
+
+// TestBlobGCHeldReaderDefersDeletion: a reader older than a segment's proof
+// of death neither stalls a GC pass nor ends it. The segment waits in its
+// shard's pending list, the shard relocates nothing more, the other shards
+// are still collected, and the first pass after the reader is gone deletes
+// it and reaches the segment count of a store that never held a reader.
+func TestBlobGCHeldReaderDefersDeletion(t *testing.T) {
+	const n = 100
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := blobOpts(compaction.LDC)
+			opts.Shards = shards
+			control := overwrittenBlobDB(t, opts, n, func(*DB) {})
+			if err := control.CompactValueLog(); err != nil {
+				t.Fatalf("control sweep: %v", err)
+			}
+			want := segmentCount(t, opts.FS, shards)
+			if err := control.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			opts.FS = vfs.Mem()
+			var it *Iterator
+			db := overwrittenBlobDB(t, opts, n, func(db *DB) {
+				var err error
+				if it, err = db.NewIterator(nil); err != nil {
+					t.Fatalf("iterator: %v", err)
+				}
+				it.SeekToFirst()
+			})
+			defer db.Close()
+			defer it.Close() // before the store's, if a check fails
+			first := make([]string, shards)
+			for sh := range first {
+				first[sh] = firstSegment(t, opts.FS, sh)
+			}
+			if err := db.CompactValueLog(); err != nil {
+				t.Fatalf("sweep with the iterator open: %v", err)
+			}
+			for sh, seg := range first {
+				if !opts.FS.Exists(seg) {
+					t.Fatalf("shard %d: %s deleted under an iterator that can reach it", sh, seg)
+				}
+			}
+			if got := pendingSegments(db); slices.ContainsFunc(got, func(p int) bool { return p != 1 }) {
+				t.Fatalf("pending segments per shard = %v, want one each", got)
+			}
+			i := 0
+			for it.SeekToFirst(); it.Valid(); it.Next() {
+				if v := it.Value(); !bytes.Equal(v, blobValue(i, 150)) {
+					t.Fatalf("iterator: key %s: not generation 0 (%d bytes, err %v)", it.Key(), len(v), it.Error())
+				}
+				i++
+			}
+			if err := it.Close(); err != nil || i != n {
+				t.Fatalf("iterator saw %d keys, close %v; want %d", i, err, n)
+			}
+
+			if err := db.CompactValueLog(); err != nil {
+				t.Fatalf("sweep after the iterator closed: %v", err)
+			}
+			for sh, seg := range first {
+				if opts.FS.Exists(seg) {
+					t.Fatalf("shard %d: %s outlived its last reader", sh, seg)
+				}
+			}
+			if got := segmentCount(t, opts.FS, shards); got != want {
+				t.Fatalf("%d segments after the sweeps, want %d as without a reader", got, want)
+			}
+			if shards == 1 {
+				return
+			}
+
+			// A read point pins shard 0 only: shard 1 is collected in full.
+			var k int
+			for db.shardIndex(key(k)) != 0 {
+				k++
+			}
+			rp := TakeReadPoint(db, key(k))
+			for i := 0; i < n; i++ {
+				if err := db.Put(key(i), blobValue(i+2000, 150)); err != nil {
+					t.Fatalf("overwrite: %v", err)
+				}
+			}
+			sealed1 := shardSegments(t, opts.FS, 1)
+			sealed1 = sealed1[:len(sealed1)-1] // the last is the active segment
+			if err := db.CompactValueLog(); err != nil {
+				t.Fatalf("sweep with a read point on shard 0: %v", err)
+			}
+			if got := pendingSegments(db); got[0] != 1 || got[1] != 0 {
+				t.Fatalf("pending segments per shard = %v, want [1 0]", got)
+			}
+			for _, seg := range sealed1 {
+				if opts.FS.Exists(seg) {
+					t.Fatalf("shard 1 kept %s: a read point on shard 0 held it", seg)
+				}
+			}
+			if v, err := rp.Read(key(k)); err != nil || !bytes.Equal(v, blobValue(k+1000, 150)) {
+				t.Fatalf("read point: %d bytes, %v; want generation 1000", len(v), err)
+			}
+			if err := db.CompactValueLog(); err != nil {
+				t.Fatalf("sweep after the read: %v", err)
+			}
+			if got := pendingSegments(db); got[0] != 0 {
+				t.Fatalf("pending segments per shard = %v after the read point's release", got)
+			}
+		})
+	}
+}
+
+// TestBlobGCSnapshotDefersDeletion: a registered snapshot keeps the segment
+// its values live in, GetAt reads them until Release, and the sweep after the
+// next job deletes the segment.
+func TestBlobGCSnapshotDefersDeletion(t *testing.T) {
+	const n = 40
+	opts := blobOpts(compaction.LDC)
+	var snap *Snapshot
+	db := overwrittenBlobDB(t, opts, n, func(db *DB) {
+		var err error
+		if snap, err = db.NewSnapshot(); err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+	})
+	defer db.Close()
+	first := firstSegment(t, opts.FS, 0)
+	if err := db.CompactValueLog(); err != nil {
+		t.Fatalf("sweep with the snapshot held: %v", err)
+	}
+	if !opts.FS.Exists(first) {
+		t.Fatal("segment deleted under a registered snapshot")
+	}
+	for i := 0; i < n; i++ {
+		if v, err := db.GetAt(key(i), snap); err != nil || !bytes.Equal(v, blobValue(i, 150)) {
+			t.Fatalf("GetAt %d: %d bytes, %v; want generation 0", i, len(v), err)
+		}
+	}
+	snap.Release()
+	// Any job's cleanup sweeps: a flush is one. Flush returns once the
+	// table has landed, WaitIdle once the job's cleanup has run too.
+	if err := db.Put(key(0), blobValue(2000, 150)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	db.WaitIdle()
+	if opts.FS.Exists(first) {
+		t.Fatal("segment outlived the snapshot's release and a job's sweep")
+	}
+}
+
+// TestBlobGCCloseDeletesPendingSegment: Close sweeps after the retired read
+// states drain, so a segment whose last reader closed before the store
+// leaves nothing on disk.
+func TestBlobGCCloseDeletesPendingSegment(t *testing.T) {
+	opts := blobOpts(compaction.LDC)
+	var it *Iterator
+	db := overwrittenBlobDB(t, opts, 40, func(db *DB) {
+		var err error
+		if it, err = db.NewIterator(nil); err != nil {
+			t.Fatalf("iterator: %v", err)
+		}
+		it.SeekToFirst()
+	})
+	first := firstSegment(t, opts.FS, 0)
+	if err := db.CompactValueLog(); err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	if got := pendingSegments(db); got[0] != 1 {
+		t.Fatalf("pending segments = %v, want [1]", got)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if opts.FS.Exists(first) {
+		t.Fatalf("Close left %s on disk with no reader left", first)
+	}
+}
+
+// TestBlobGCCrashWithPendingSegment abandons the handle while an emptied
+// segment waits on a reader: the relocations and rewrites it waited for
+// are durable, so the reopened store reads every key, and collects the
+// segment again.
+func TestBlobGCCrashWithPendingSegment(t *testing.T) {
+	const n = 40
+	opts := blobOpts(compaction.LDC)
+	db := overwrittenBlobDB(t, opts, n, func(db *DB) {
+		it, err := db.NewIterator(nil)
+		if err != nil {
+			t.Fatalf("iterator: %v", err)
+		}
+		it.SeekToFirst() // held open across the crash
+	})
+	first := firstSegment(t, opts.FS, 0)
+	if err := db.CompactValueLog(); err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	if got := pendingSegments(db); got[0] != 1 {
+		t.Fatalf("pending segments = %v, want [1]", got)
+	}
+	st := db.shards[0]
+	st.mu.Lock()
+	st.stopBackgroundLocked()
+	st.mu.Unlock()
+
+	db2, err := Open("/db", opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db2.Close()
+	verify := func(stage string) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if v, err := db2.Get(key(i)); err != nil || !bytes.Equal(v, blobValue(i+1000, 150)) {
+				t.Fatalf("%s: get %d: %d bytes, %v", stage, i, len(v), err)
+			}
+		}
+	}
+	verify("after the crash")
+	if err := db2.CompactValueLog(); err != nil {
+		t.Fatalf("sweep after reopen: %v", err)
+	}
+	if opts.FS.Exists(first) {
+		t.Fatalf("%s survived a sweep with no reader", first)
+	}
+	verify("after the sweep")
 }
 
 // TestBlobDanglingPointerIsAnError removes a sealed segment file out from

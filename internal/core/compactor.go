@@ -567,11 +567,13 @@ func (db *store) execRewrite(pick compaction.Pick) error {
 }
 
 // deleteObsoleteFiles removes table files no longer referenced by any
-// version, and this shard's WALs below the covered floor. Called without
-// db.mu; safe for concurrent callers: TakeObsolete hands each table number
-// to exactly one of them, and each WAL number leaves db.logs under db.mu
-// before it is removed.
-func (db *store) deleteObsoleteFiles() {
+// version, this shard's WALs below the covered floor and the value-log
+// segments of its pending list that no reader can reach, and returns how
+// many segments stay pending. Called without db.mu; safe for concurrent
+// callers: TakeObsolete hands each table number to exactly one of them, and
+// each WAL and segment number leaves its list under db.mu before it is
+// removed.
+func (db *store) deleteObsoleteFiles() (pending int) {
 	for _, num := range db.set.TakeObsolete() {
 		db.tables.evict(num)
 		if err := db.fsMeta.Remove(version.TableFileName(db.dir, num)); err == nil {
@@ -585,9 +587,14 @@ func (db *store) deleteObsoleteFiles() {
 	n, _ := slices.BinarySearch(db.logs, floor)
 	dead := append(buf[:0], db.logs[:n]...)
 	db.logs = slices.Delete(db.logs, 0, n)
+	segs := db.takeDeadSegmentsLocked()
+	pending = len(db.pendingSegs)
 	db.mu.Unlock()
-	if len(dead) == 0 {
-		return
+	for _, num := range segs {
+		db.tables.blockCache.EvictFile(db.tables.cacheNum(num) | blobCacheBit)
+		if err := db.vlog.DeleteSegment(num); err == nil {
+			db.stats.VlogGCPasses.Add(1)
+		}
 	}
 	failed := dead[:0]
 	for _, num := range dead {
@@ -601,4 +608,5 @@ func (db *store) deleteObsoleteFiles() {
 		slices.Sort(db.logs)
 		db.mu.Unlock()
 	}
+	return pending
 }

@@ -76,7 +76,7 @@ type store struct {
 	vlogw *vlog.Writer
 
 	// rotateForced asks the next commit leader to rotate the memtable even
-	// though it is not full (the GC flush barrier sets it; see forceRotate).
+	// though it is not full (Flush and a GC pass set it; see forceRotate).
 	rotateForced atomic.Bool
 
 	// pipeline and controller form the commit front end (see write.go):
@@ -151,9 +151,13 @@ type store struct {
 	closeErr  error
 	// retired holds the swapped-out read states that readers still pin
 	// (retireReadState prunes the drained ones). Close waits for all of them
-	// before closing table readers; value-log GC waits for those older than
-	// its proof before unlinking a segment. Guarded by mu.
+	// before closing table readers; the sweep keeps a pending value-log
+	// segment while one older than its proof is pinned. Guarded by mu.
 	retired []*readState
+	// pendingSegs are the value-log segments GC proved dead, each waiting
+	// for the sweep (deleteObsoleteFiles) to find no reader that can still
+	// reach it. Guarded by mu.
+	pendingSegs []pendingSegment
 
 	// iters are the shard's recycled store iterators (storeIter), each
 	// bound to this store.
@@ -176,7 +180,6 @@ func openStore(dir string, shardID int, opts Options, blockCache *cache.Cache, c
 	}
 	db.mu.Rank("core.store.mu", 30)
 	db.snapshots.mu.Rank("core.snapshots.mu", 50)
-	db.snapshots.released = sync.NewCond(&db.snapshots.mu)
 	db.bgCond = sync.NewCond(&db.mu)
 	db.publishCond = sync.NewCond(&db.mu)
 	db.iters.New = func() any { return &storeIter{db: db, cmp: db.icmp.Compare} }
@@ -311,7 +314,7 @@ func (db *store) recover() error {
 	db.mem = memtable.New(db.icmp)
 
 	// Tables cover every sequence below the first replayed one; the floor
-	// starts there, so a Flush or a GC barrier waits for the replayed
+	// starts there, so a Flush or a GC pass waits for the replayed
 	// entries to reach a table, and every entry above it is in mem ∪ imm
 	// (see rewriteGuardLocked).
 	floor, covered := db.set.LogNum(), db.set.LastSeq()
@@ -881,12 +884,10 @@ func (db *store) tableProbe(table *atomic.Pointer[sstable.Reader], num uint64, s
 // Snapshots
 
 // snapshotList counts the registrations of each sequence that snapshots and
-// read points (ReadPoint) pin on a shard. released is broadcast on every
-// release, for awaitFloor.
+// read points (ReadPoint) pin on a shard.
 type snapshotList struct {
-	mu       invariants.Mutex
-	seqs     map[keys.Seq]int
-	released *sync.Cond
+	mu   invariants.Mutex
+	seqs map[keys.Seq]int
 }
 
 // add registers seq once more.
@@ -912,7 +913,6 @@ func (l *snapshotList) release(seq keys.Seq) {
 	} else {
 		l.seqs[seq] = n - 1
 	}
-	l.released.Broadcast()
 }
 
 // floorLocked returns the lowest registered sequence, or seq if none is lower.
@@ -921,21 +921,6 @@ func (l *snapshotList) floorLocked(seq keys.Seq) keys.Seq {
 		seq = min(seq, s)
 	}
 	return seq
-}
-
-// awaitFloor waits until no registration below seq is left: errGCBusy if
-// one still is once deadline has passed.
-func (l *snapshotList) awaitFloor(seq keys.Seq, deadline time.Time) error {
-	defer wakeAt(deadline, &l.mu, l.released)()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.floorLocked(seq) < seq {
-		if !time.Now().Before(deadline) {
-			return errGCBusy
-		}
-		l.released.Wait()
-	}
-	return nil
 }
 
 // len counts the registrations live now.
@@ -1045,16 +1030,13 @@ func (db *store) CurrentProfile() Profile {
 func (db *store) Flush() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.flushThroughLocked(db.set.LastSeq(), time.Time{})
+	return db.flushThroughLocked(db.set.LastSeq())
 }
 
 // flushThroughLocked returns once tables cover every sequence up to target,
 // rotating the memtable out when no immutable one is pending and waiting on
-// bgCond for the flush; with a deadline, errGCBusy once it passes. db.mu held.
-func (db *store) flushThroughLocked(target keys.Seq, deadline time.Time) error {
-	if !deadline.IsZero() {
-		defer wakeAt(deadline, &db.mu, db.bgCond)()
-	}
+// bgCond for the flush. db.mu held.
+func (db *store) flushThroughLocked(target keys.Seq) error {
 	for {
 		switch {
 		case db.bgErr != nil:
@@ -1069,8 +1051,6 @@ func (db *store) flushThroughLocked(target keys.Seq, deadline time.Time) error {
 			// (guard-dropped rewrites) added no entries. Promote directly —
 			// the rewrite-guard invariant is preserved.
 			db.flushedThroughSeq = db.set.LastSeq()
-		case !deadline.IsZero() && !time.Now().Before(deadline):
-			return errGCBusy
 		case db.imm != nil:
 			db.bgCond.Wait() // the flush half broadcasts once the memtable has landed
 		default:
@@ -1082,16 +1062,6 @@ func (db *store) flushThroughLocked(target keys.Seq, deadline time.Time) error {
 			}
 		}
 	}
-}
-
-// wakeAt broadcasts c under its lock l once deadline has passed, so a wait
-// bounded by it wakes to see that. It returns the timer's Stop.
-func wakeAt(deadline time.Time, l sync.Locker, c *sync.Cond) func() bool {
-	return time.AfterFunc(time.Until(deadline), func() {
-		l.Lock()
-		c.Broadcast()
-		l.Unlock()
-	}).Stop
 }
 
 // CompactRange steps the shard on the caller's goroutine until it is idle

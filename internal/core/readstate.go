@@ -53,8 +53,9 @@ type readState struct {
 	released atomic.Bool
 	// done closes when the state is fully released (refs drained and the
 	// version unref'd). Close waits on every retired state's done before
-	// tearing down the table cache, value-log GC on the older ones before
-	// unlinking a segment: no reader sees a file closed or deleted under it.
+	// tearing down the table cache, and the sweep keeps a pending value-log
+	// segment while an older state's done is open: no reader sees a file
+	// closed or deleted under it.
 	done chan struct{}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -498,8 +497,7 @@ func (db *DB) startValueGC() {
 			case <-db.gcStop:
 				return
 			case <-ticker.C:
-				// Busy skips and close races are normal here; real I/O
-				// errors already poisoned the owning shard.
+				// Real I/O errors already poisoned the owning shard.
 				_ = db.runValueGC(ValueGCRatio)
 			}
 		}
@@ -508,11 +506,15 @@ func (db *DB) startValueGC() {
 
 // RunValueGC runs one value-log GC pass over every shard: every sealed
 // segment whose dead ratio is at least ValueGCRatio has its live records
-// relocated and is deleted. Segments that cannot be quiesced in time are
-// skipped for a later pass, not reported as errors.
+// relocated and is deleted once no reader can reach it. The pass never
+// waits on a reader: a segment that an older iterator, snapshot or read
+// point can still reach stays pending, and the shard relocates nothing more
+// until a later sweep (after a job, a pass or Close) deletes it. A segment
+// whose records writers keep overwriting is left for a later pass. Neither
+// is an error, and neither stops the other shards' collection.
 func (db *DB) RunValueGC() error { return db.runValueGC(ValueGCRatio) }
 
-// CompactValueLog forces a full sweep: every sealed segment is processed
+// CompactValueLog runs RunValueGC's pass over every sealed segment
 // regardless of dead ratio, relocating all live records forward. Used by
 // tests and experiments to reach a minimal value-log footprint.
 func (db *DB) CompactValueLog() error { return db.runValueGC(-1) }
@@ -525,14 +527,6 @@ func (db *DB) runValueGC(threshold float64) error {
 	defer db.gcMu.Unlock()
 	for _, st := range db.shards {
 		if err := st.runValueGC(threshold); err != nil {
-			if errors.Is(err, errGCBusy) || errors.Is(err, ErrClosed) {
-				// Quiescing usually fails for a database-wide reason (a
-				// long-lived iterator or snapshot pins every deletion), so
-				// paying the barrier timeout once per segment or per shard
-				// would turn one busy pass into minutes. End the pass; the
-				// next one retries.
-				return nil
-			}
 			return err
 		}
 	}

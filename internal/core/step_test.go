@@ -331,10 +331,12 @@ func stepTrace(t *testing.T, opts Options, shards int, seed int64, ops int, val 
 	return log.String(), b.String(), reads
 }
 
-// TestNoSleepInEngine: background work wakes on its condition variables and
-// timers, never on a polling sleep. No non-test file of the package calls
-// time.Sleep.
+// TestNoSleepInEngine: background work wakes on its condition variables,
+// never on a polling sleep or a deadline. No non-test file of the package
+// calls time.Sleep, time.After, time.AfterFunc or time.NewTimer; the one
+// clock that starts work is the value-GC pacing's time.NewTicker.
 func TestNoSleepInEngine(t *testing.T) {
+	banned := map[string]bool{"Sleep": true, "After": true, "AfterFunc": true, "NewTimer": true}
 	names, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
@@ -352,11 +354,11 @@ func TestNoSleepInEngine(t *testing.T) {
 		files++
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Sleep" {
+			if !ok || !banned[sel.Sel.Name] {
 				return true
 			}
 			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" {
-				t.Errorf("%s: time.Sleep in the engine: wait on a condition instead", fset.Position(sel.Pos()))
+				t.Errorf("%s: time.%s in the engine: wait on a condition instead", fset.Position(sel.Pos()), sel.Sel.Name)
 			}
 			return true
 		})

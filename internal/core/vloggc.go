@@ -2,7 +2,7 @@ package core
 
 import (
 	"errors"
-	"time"
+	"slices"
 
 	"repro/internal/batch"
 	"repro/internal/keys"
@@ -21,20 +21,14 @@ import (
 // guard proves no newer write raced the liveness read). A round that finds
 // zero live records proves the segment dead at the current sequence and at
 // every later one — no future write can ever point into a sealed segment —
-// so once the rewrites are flushed and every reader older than the proof has
-// drained (blobBarrier) the file is deleted. Guarded rewrites leave their
-// old record live, so the next round simply rewrites it again with a fresh
-// guard sequence; the rounds are bounded and a still-live segment is left
-// for a later pass rather than ever deleted unsafely.
-
-// errGCBusy reports a GC pass that could not outwait its older readers (or
-// flush its rewrites) within gcBarrierTimeout; the segment is skipped, not
-// deleted, and a later pass retries. Deliberately not a user-visible error.
-var errGCBusy = errors.New("ldc: value-log gc could not quiesce; segment skipped")
-
-// gcBarrierTimeout bounds blobBarrier; a variable so a test that holds a
-// reader open on purpose need not sit out the full wait.
-var gcBarrierTimeout = 2 * time.Second
+// so once the relocated copies are synced and the rewrites flushed, the
+// segment joins the shard's pending list and dies by the rule that deletes
+// tables and WALs: the post-job sweep (deleteObsoleteFiles) removes it once
+// no reader older than the proof can reach it. Nothing waits on a reader.
+// Guarded rewrites leave their old record live, so the next round simply
+// rewrites it again with a fresh guard sequence; the rounds are bounded and
+// a still-live segment is left for a later pass rather than ever deleted
+// unsafely.
 
 // gcMaxRounds bounds rewrite rounds per segment per pass. Two rounds
 // suffice unless user writes keep racing the guard; beyond that the
@@ -49,10 +43,19 @@ const (
 	gcChunkBytes   = 1 << 20
 )
 
+// pendingSegment is a value-log segment a GC pass proved dead at seq, left
+// for the sweep to delete.
+type pendingSegment struct {
+	num uint64
+	seq keys.Seq
+}
+
 // runValueGC collects every sealed segment of the shard's log whose dead
 // ratio is at least threshold, worst first; threshold < 0 means every
-// sealed segment. The first failure ends the pass: errGCBusy, which the
-// router treats as a skip, or a real error.
+// sealed segment. The pass sweeps before each segment and at its end; while
+// an emptied segment still waits on its readers it relocates nothing more,
+// so at most one per shard does. A contended segment is left for a later
+// pass; only a real error ends the pass.
 func (db *store) runValueGC(threshold float64) error {
 	if db.vlog == nil {
 		return nil
@@ -64,15 +67,19 @@ func (db *store) runValueGC(threshold float64) error {
 		nums = db.vlog.Candidates(threshold)
 	}
 	for _, num := range nums {
+		if db.deleteObsoleteFiles() > 0 {
+			return nil
+		}
 		if err := db.vlogGCSegment(num); err != nil {
 			return err
 		}
 	}
+	db.deleteObsoleteFiles()
 	return nil
 }
 
-// vlogGCSegment runs one full GC pass over segment num. Returns nil on
-// success, errGCBusy on a clean skip; real I/O errors propagate.
+// vlogGCSegment runs one full GC pass over segment num and queues it for
+// deletion once a round finds it empty. Real I/O errors propagate.
 func (db *store) vlogGCSegment(num uint64) error {
 	var rewritten int64
 	for round := 0; round < gcMaxRounds; round++ {
@@ -85,17 +92,13 @@ func (db *store) vlogGCSegment(num uint64) error {
 		}
 		rewritten += bytes
 		if live == 0 {
-			if err := db.vlogGCDelete(num); err != nil {
-				return err
-			}
-			db.stats.VlogGCPasses.Add(1)
 			db.stats.VlogGCBytesRewritten.Add(rewritten)
-			return nil
+			return db.queueSegment(num, db.set.LastSeq())
 		}
 	}
 	// Still-live records after bounded rounds: user writes kept winning the
 	// guard race. Leave the segment; its dead ratio only grows.
-	return errGCBusy
+	return nil
 }
 
 // vlogGCRound scans the segment once, rewriting every record that is still
@@ -183,59 +186,46 @@ func (db *store) recordLive(key []byte, ptr vlog.Pointer) (bool, error) {
 	return ok && cur == ptr, nil
 }
 
-// vlogGCDelete makes segment deletion safe, then deletes: the shard's
-// active segment is synced (the relocated copies must be durable) and
-// blobBarrier outwaits everything that could still reach the old copies.
-// Cached decoded values die with the segment.
-func (db *store) vlogGCDelete(num uint64) error {
+// queueSegment adds segment num, proved dead at sequence seq, to the
+// shard's pending list once the proof holds across a crash: the relocated
+// copies are synced, and tables cover seq, because recovery drops the GC
+// rewrites it finds in the WAL.
+func (db *store) queueSegment(num uint64, seq keys.Seq) error {
 	if err := db.vlogw.Sync(); err != nil {
 		return err
 	}
-	if err := db.blobBarrier(db.set.LastSeq()); err != nil {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.flushThroughLocked(seq); err != nil {
 		return err
 	}
-	db.tables.blockCache.EvictFile(db.tables.cacheNum(num) | blobCacheBit)
-	return db.vlog.DeleteSegment(num)
+	db.pendingSegs = append(db.pendingSegs, pendingSegment{num, seq})
+	return nil
 }
 
-// blobBarrier applies the liveness rule to a segment proved dead at or
-// before sequence target: nil once nothing can reach the segment any more,
-// errGCBusy past gcBarrierTimeout — the caller skips the deletion, never
-// forces it. Three things could still reach it. Recovery, which drops GC
-// rewrites found in the WAL: wait until tables cover every sequence up to
-// target. A reader pinned on a read state published before target: retire
-// the current state if it is that old and wait for the older states to
-// drain; states at or past target read where the segment is unreferenced,
-// so readers arriving during or after the pass neither block nor race it.
-// A read at a registered snapshot below target: wait for the snapshot floor,
-// the one compactions keep shadowed entries for.
-func (db *store) blobBarrier(target keys.Seq) error {
-	deadline := time.Now().Add(gcBarrierTimeout)
-	var older []*readState
-	db.mu.Lock()
-	if err := db.flushThroughLocked(target, deadline); err != nil {
-		db.mu.Unlock()
-		return err
+// takeDeadSegmentsLocked takes off the pending list, and returns, every
+// segment nothing can reach any more (DESIGN.md "Liveness"): tables cover
+// its proof sequence, no retired read state published before the proof is
+// still pinned, and no snapshot or read point is registered below it. A
+// current state older than the proof is retired first; states at or past
+// it read where the segment is unreferenced, so readers arriving later
+// never keep it. db.mu held.
+func (db *store) takeDeadSegmentsLocked() (nums []uint64) {
+	if len(db.pendingSegs) == 0 {
+		return nil
 	}
-	if db.readState.Load().seq < target {
-		db.publishReadState()
-	}
-	for _, rs := range db.retired {
-		if rs.seq < target {
-			older = append(older, rs)
+	db.pendingSegs = slices.DeleteFunc(db.pendingSegs, func(p pendingSegment) bool {
+		if rs := db.readState.Load(); rs != nil && rs.seq < p.seq {
+			db.publishReadState()
 		}
-	}
-	db.mu.Unlock()
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	for _, rs := range older {
-		select {
-		case <-rs.done:
-		case <-timer.C:
-			return errGCBusy
+		dead := db.flushedThroughSeq >= p.seq && db.smallestSnapshot() >= p.seq &&
+			!slices.ContainsFunc(db.retired, func(rs *readState) bool { return rs.seq < p.seq && !rs.drained() })
+		if dead {
+			nums = append(nums, p.num)
 		}
-	}
-	return db.snapshots.awaitFloor(target, deadline)
+		return dead
+	})
+	return nums
 }
 
 // forceRotate rotates to a fresh memtable and WAL via the commit pipeline,

@@ -294,7 +294,7 @@ func (db *store) logGroupLocked(g *batch.Group, sep, b *batch.Batch) (keys.Seq, 
 		return 0, 0, ErrClosed
 	}
 	if db.rotateForced.Load() && db.imm == nil {
-		// GC flush barrier requested a rotation; only a leader may swap the
+		// Flush or a GC pass requested a rotation; only a leader may swap the
 		// WAL writer, and rotateMemtableLocked outwaits the groups still
 		// syncing the old one. The group's own entries land in the fresh
 		// memtable.

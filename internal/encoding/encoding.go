@@ -16,9 +16,6 @@ var ErrCorrupt = errors.New("encoding: corrupt data")
 // MaxVarintLen64 is the maximum number of bytes a 64-bit varint occupies.
 const MaxVarintLen64 = 10
 
-// MaxVarintLen32 is the maximum number of bytes a 32-bit varint occupies.
-const MaxVarintLen32 = 5
-
 // PutFixed32 appends v in little-endian order.
 func PutFixed32(dst []byte, v uint32) []byte {
 	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))

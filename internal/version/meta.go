@@ -7,7 +7,6 @@
 package version
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"repro/internal/keys"
@@ -33,9 +32,8 @@ type Slice struct {
 }
 
 // FileMeta describes one SSTable. The same *FileMeta is shared by every
-// Version that contains the file; refs counts those versions (plus
-// transient holds by compactions), and the file is obsolete when refs
-// reaches zero.
+// Version that contains the file; the Set's per-number count of the versions
+// that list it (Set.fileRefs) decides when the file is obsolete.
 type FileMeta struct {
 	Num      uint64
 	Size     int64
@@ -54,8 +52,6 @@ type FileMeta struct {
 	// obsolete, which no file of a version still referenced is, and a reader
 	// gets at a meta only through such a version.
 	Table atomic.Pointer[sstable.Reader]
-
-	refs atomic.Int32
 }
 
 // UserRange returns the file's inclusive user-key range.
@@ -75,21 +71,6 @@ func (f *FileMeta) SliceBytes() int64 {
 	return n
 }
 
-// Ref acquires a reference.
-func (f *FileMeta) Ref() { f.refs.Add(1) }
-
-// Unref releases a reference, reporting whether the file became obsolete.
-func (f *FileMeta) Unref() bool {
-	n := f.refs.Add(-1)
-	if n < 0 {
-		panic(fmt.Sprintf("version: file %06d refcount below zero", f.Num))
-	}
-	return n == 0
-}
-
-// Refs reports the current reference count (for tests).
-func (f *FileMeta) Refs() int32 { return f.refs.Load() }
-
 // withSlices returns a copy of f sharing the number/size/bounds but carrying
 // the given slice list. Used by the version builder: FileMeta values in
 // versions are immutable, so attaching a slice replaces the meta.
@@ -106,29 +87,14 @@ func (f *FileMeta) withSlices(slices []Slice) *FileMeta {
 }
 
 // FrozenMeta describes an SSTable in LDC's frozen region: removed from the
-// level structure, referenced only through slices. Its reference count is
-// derived (number of slices pointing at it in the current version), not
-// stored.
+// level structure, referenced only through slices. It stays in a version
+// while a slice there points at it, and is obsolete, like any table, once
+// no version the Set still holds lists it.
 type FrozenMeta struct {
 	Num      uint64
 	Size     int64
 	Smallest keys.InternalKey
 	Largest  keys.InternalKey
-
-	refs atomic.Int32
-}
-
-// Ref acquires a reference.
-func (f *FrozenMeta) Ref() { f.refs.Add(1) }
-
-// Unref releases a reference, reporting whether the frozen file became
-// obsolete.
-func (f *FrozenMeta) Unref() bool {
-	n := f.refs.Add(-1)
-	if n < 0 {
-		panic(fmt.Sprintf("version: frozen file %06d refcount below zero", f.Num))
-	}
-	return n == 0
 }
 
 // UserRange returns the frozen file's inclusive user-key range.

@@ -23,9 +23,6 @@ import (
 // ErrNotExist reports an operation on a missing file.
 var ErrNotExist = errors.New("vfs: file does not exist")
 
-// ErrExist reports creation of a file that already exists where forbidden.
-var ErrExist = errors.New("vfs: file already exists")
-
 // File is an open file handle. Writable handles support Write/Sync;
 // readable handles support ReadAt. The store never mixes modes on one
 // handle.
