@@ -61,8 +61,10 @@ test:
 # reference, on intact and on damaged blocks, and each table's decoded index
 # against a walk of its on-disk index block; and LDC's level-1 target — the
 # rule, the picker draining the staging level before L0, and the L0→L1 share
-# of the write bill on a bench-shaped tree; and the write path's allocation
-# budget — a Put, a commit with and without followers, a memtable Add, a
+# of the write bill on a bench-shaped tree; and the write throttle's one
+# signal — levels far over their targets, with L0 shallow, delay no write, and
+# L0 at the slowdown trigger delays every write once; and the write path's
+# allocation budget — a Put, a commit with and without followers, a memtable Add, a
 # skiplist insert across slab changes, a table entry and a table from a warm
 # writer pool, a log record, a link, flush and merge edit, a file name, the
 # separation of a sync commit's value (nothing) — whose bounds must not depend on GOMAXPROCS, with the pipeline's writer
@@ -91,9 +93,9 @@ test:
 # under TAGS=invariants — and the room check itself.
 # Composes with the modes above: make stress TAGS=invariants, GOFLAGS=-race.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeStepsManualStore|TestCompactRangeWaitsForCleanup|TestStepIsDeterministic|TestBusyTimeCountedOnce|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup|TestPipelinedCommit|TestReadPoint|TestSeparateValuesAllocs|TestIteratorCloseTwice|TestIteratorPartsReturnedOnce|TestScansCountedPerRequest|TestGetStopsAtWindowHit|TestFullWalkKeepsHotBlock' $(TESTFLAGS) ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestBlobGC|TestCrashRecovery|TestReadState|TestCompactionInput|TestSyncCommit|TestLazyScan|TestGetStats|TestLDCStagingLevel|TestPutAllocs|TestScanAllocs|TestScanRequests|TestGetMissAllocs|TestCloseDuringCompaction|TestCompactRangeStepsManualStore|TestCompactRangeWaitsForCleanup|TestStepIsDeterministic|TestBusyTimeCountedOnce|TestWaitIdleDrainsWorkers|TestCloseLeavesNoUnreferencedTable|TestOneCompactionPerShard|TestWALRemovedOnceUnderConcurrentCleanup|TestPipelinedCommit|TestReadPoint|TestSeparateValuesAllocs|TestIteratorCloseTwice|TestIteratorPartsReturnedOnce|TestScansCountedPerRequest|TestGetStopsAtWindowHit|TestFullWalkKeepsHotBlock|TestDeepOverageDoesNotDelayWrites|TestL0DepthDelaysWrites' $(TESTFLAGS) ./internal/core
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSetAllocsOnFullShard|TestHasRoom' $(TESTFLAGS) ./internal/cache
-	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLevelTargets|TestLDCDrainsStagingLevel|TestDebt' $(TESTFLAGS) ./internal/compaction
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestLevelTargets|TestLDCDrainsStagingLevel' $(TESTFLAGS) ./internal/compaction
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestReadAhead|TestWriterAddAllocs|TestProbeAllocs|TestDecodedIndexMatchesOnDisk' $(TESTFLAGS) ./internal/sstable
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestSeekGE' $(TESTFLAGS) ./internal/block
 	$(GO) test -count=10 -cpu 1,2,4 -run 'TestCommitAllocs|TestPipelineRecyclesWriters|TestReleaseLetsNextGroupForm|TestPipelineNotifies' $(TESTFLAGS) ./internal/commit
@@ -257,7 +259,7 @@ exhibits-smoke:
 # Before the total, "options" counts the exported fields of the structs that
 # configure the engine and its server, as `go doc` lists them.
 LOCFIND := find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'
-OPTION_STRUCTS := core.Options compaction.Params commit.ControllerConfig server.Config
+OPTION_STRUCTS := core.Options compaction.Params server.Config
 loc:
 	@echo "engine $$($(LOCFIND) -not -path './tools/*' | xargs cat | wc -l)"
 	@echo "tools/ldclint $$($(LOCFIND) -path './tools/ldclint/*' | xargs cat | wc -l)"

@@ -54,34 +54,19 @@ type ControllerEnv struct {
 	Err func() error
 	// L0Files counts level-0 table files.
 	L0Files func() int
-	// MemBytes reports the active memtable's approximate size.
-	MemBytes func() int64
+	// MemFull reports whether the active memtable has reached its size.
+	MemFull func() bool
 	// ImmPending reports whether the previous memtable is still flushing.
 	ImmPending func() bool
 	// Rotate switches to a fresh memtable and WAL, handing the full one to
 	// the flush worker.
 	Rotate func() error
-	// CompactionDebt estimates the bytes of background work the tree owes
-	// before every level is back under its target (see compaction.Picker.Debt).
-	// Nil disables the debt term of the slowdown curve.
-	CompactionDebt func() int64
 	// Wait blocks until background work makes progress, releasing the store
 	// mutex while waiting (a condition-variable wait).
 	Wait func()
 	// Sleep pauses for the slowdown delay; nil uses time.Sleep. Tests
 	// substitute a recorder.
 	Sleep func(time.Duration)
-}
-
-// ControllerConfig carries the throttle thresholds that scale with the
-// store; the L0 ladder is compaction's constants.
-type ControllerConfig struct {
-	// MemTableSize triggers a rotation when the memtable reaches it.
-	MemTableSize int64
-	// DebtCeiling is the compaction-debt level (bytes) at which the debt
-	// term of the slowdown curve alone reaches the full SlowdownDelay. The
-	// term engages at half the ceiling. 0 disables the debt term.
-	DebtCeiling int64
 }
 
 // SlowdownDelay caps the per-write delay in the delayed state. The actual
@@ -104,7 +89,6 @@ type ControllerMetrics struct {
 // paper's write-tail-latency mechanism: the waits it imposes are exactly
 // the stalls behind Fig 1 and Fig 8.
 type Controller struct {
-	cfg ControllerConfig
 	env ControllerEnv
 
 	state      atomic.Int32
@@ -114,11 +98,11 @@ type Controller struct {
 }
 
 // NewController builds a controller over env.
-func NewController(cfg ControllerConfig, env ControllerEnv) *Controller {
+func NewController(env ControllerEnv) *Controller {
 	if env.Sleep == nil {
 		env.Sleep = time.Sleep
 	}
-	return &Controller{cfg: cfg, env: env}
+	return &Controller{env: env}
 }
 
 // State reports the current admission state without locking.
@@ -135,11 +119,10 @@ func (c *Controller) Metrics() ControllerMetrics {
 }
 
 // MakeRoom blocks until the store can accept a write, applying LevelDB's
-// throttle ladder: one graduated slowdown delay scaled by L0 depth and
-// compaction debt (see slowdownFrac), a memtable
-// rotation when the active table is full, and hard waits while the previous
-// memtable is still flushing or L0 hit the stop trigger. It acquires the
-// store mutex itself and returns with it released.
+// throttle ladder: one graduated slowdown delay scaled by L0 depth (see
+// slowdownFrac), a memtable rotation when the active table is full, and hard
+// waits while the previous memtable is still flushing or L0 hit the stop
+// trigger. It acquires the store mutex itself and returns with it released.
 func (c *Controller) MakeRoom() error {
 	c.env.Lock()
 	defer c.env.Unlock()
@@ -165,7 +148,7 @@ func (c *Controller) MakeRoom() error {
 			}
 		}
 		switch {
-		case c.env.MemBytes() < c.cfg.MemTableSize:
+		case !c.env.MemFull():
 			c.state.Store(int32(StateOK))
 			return nil
 		case c.env.ImmPending():
@@ -183,29 +166,16 @@ func (c *Controller) MakeRoom() error {
 	}
 }
 
-// slowdownFrac maps current admission pressure to a fraction of
-// SlowdownDelay in [0, 1]. Two terms add: L0 depth ramps linearly from the
-// slowdown trigger toward the stop trigger, and compaction debt ramps from
-// half the ceiling to the full ceiling. Summing lets moderate pressure on
-// both axes throttle as hard as severe pressure on one; the clamp keeps the
-// worst case at exactly one SlowdownDelay per write. Called with the store
-// mutex held.
+// slowdownFrac maps L0 depth to a fraction of SlowdownDelay in [0, 1]: none
+// below the slowdown trigger, then a linear ramp that reaches the full delay
+// one file under the stop trigger. L0 depth is the throttle's one signal, as
+// in LevelDB's ladder. Called with the store mutex held.
 func (c *Controller) slowdownFrac() float64 {
-	var frac float64
-	if l0 := c.env.L0Files(); l0 >= compaction.L0SlowdownTrigger {
-		frac += float64(l0-compaction.L0SlowdownTrigger+1) / (compaction.L0StopTrigger - compaction.L0SlowdownTrigger)
+	l0 := c.env.L0Files()
+	if l0 < compaction.L0SlowdownTrigger {
+		return 0
 	}
-	if c.cfg.DebtCeiling > 0 && c.env.CompactionDebt != nil {
-		if half := c.cfg.DebtCeiling / 2; half > 0 {
-			if debt := c.env.CompactionDebt(); debt > half {
-				frac += float64(debt-half) / float64(half)
-			}
-		}
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	return frac
+	return min(1, float64(l0-compaction.L0SlowdownTrigger+1)/(compaction.L0StopTrigger-compaction.L0SlowdownTrigger))
 }
 
 // waitStopped enters the stopped state and blocks for background progress.

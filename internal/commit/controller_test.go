@@ -34,7 +34,7 @@ func (s *fakeStore) env() ControllerEnv {
 		Unlock:     s.mu.Unlock,
 		Err:        func() error { return s.err },
 		L0Files:    func() int { return s.l0 },
-		MemBytes:   func() int64 { return s.memBytes },
+		MemFull:    func() bool { return s.memBytes >= memTableSize },
 		ImmPending: func() bool { return s.immPending },
 		Rotate: func() error {
 			s.rotations++
@@ -54,13 +54,13 @@ func (s *fakeStore) env() ControllerEnv {
 	}
 }
 
-func cfg() ControllerConfig {
-	return ControllerConfig{MemTableSize: 100}
-}
+// memTableSize is the fake memtable's capacity: memBytes at or past it is a
+// full memtable.
+const memTableSize = 100
 
 func TestMakeRoomOKFastPath(t *testing.T) {
 	s := &fakeStore{memBytes: 10}
-	c := NewController(cfg(), s.env())
+	c := NewController(s.env())
 	if err := c.MakeRoom(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestMakeRoomOKFastPath(t *testing.T) {
 func TestMakeRoomRotatesFullMemtable(t *testing.T) {
 	s := &fakeStore{memBytes: 200}
 	s.onRotate = func(s *fakeStore) { s.memBytes = 0 }
-	c := NewController(cfg(), s.env())
+	c := NewController(s.env())
 	if err := c.MakeRoom(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestMakeRoomDelaysOnceOnL0Pressure(t *testing.T) {
 	// l0=9 sits a quarter of the way up the 8→12 ladder: the continuous
 	// curve charges (9-8+1)/(12-8) = half the full SlowdownDelay.
 	s := &fakeStore{memBytes: 10, l0: 9}
-	c := NewController(cfg(), s.env())
+	c := NewController(s.env())
 	if err := c.MakeRoom(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestMakeRoomDelaysOnceOnL0Pressure(t *testing.T) {
 func TestMakeRoomStopsOnImmPending(t *testing.T) {
 	s := &fakeStore{memBytes: 200, immPending: true}
 	var observed State
-	c := NewController(cfg(), s.env())
+	c := NewController(s.env())
 	s.onWait = func(s *fakeStore) {
 		observed = c.State() // state while blocked
 		s.immPending = false
@@ -148,7 +148,7 @@ func TestMakeRoomStopsOnImmPending(t *testing.T) {
 
 func TestMakeRoomStopsOnL0StopTrigger(t *testing.T) {
 	s := &fakeStore{memBytes: 200, l0: 12}
-	c := NewController(cfg(), s.env())
+	c := NewController(s.env())
 	s.onWait = func(s *fakeStore) { s.l0 = 3; s.memBytes = 10 }
 	if err := c.MakeRoom(); err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestMakeRoomAtEachRung(t *testing.T) {
 			s := &fakeStore{memBytes: 200, l0: tc.l0}
 			s.onRotate = func(s *fakeStore) { s.memBytes = 0 }
 			s.onWait = func(s *fakeStore) { s.l0 = 0 }
-			c := NewController(cfg(), s.env())
+			c := NewController(s.env())
 			if err := c.MakeRoom(); err != nil {
 				t.Fatal(err)
 			}
@@ -204,7 +204,7 @@ func TestMakeRoomAtEachRung(t *testing.T) {
 func TestMakeRoomPropagatesErr(t *testing.T) {
 	boom := errors.New("background error")
 	s := &fakeStore{memBytes: 10, err: boom}
-	c := NewController(cfg(), s.env())
+	c := NewController(s.env())
 	if err := c.MakeRoom(); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want background error", err)
 	}
@@ -213,7 +213,7 @@ func TestMakeRoomPropagatesErr(t *testing.T) {
 func TestMakeRoomErrCheckedAfterStopWait(t *testing.T) {
 	boom := errors.New("closed during stall")
 	s := &fakeStore{memBytes: 200, immPending: true}
-	c := NewController(cfg(), s.env())
+	c := NewController(s.env())
 	s.onWait = func(s *fakeStore) { s.err = boom }
 	if err := c.MakeRoom(); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the error raised during the stall", err)
@@ -223,7 +223,7 @@ func TestMakeRoomErrCheckedAfterStopWait(t *testing.T) {
 func TestMakeRoomRotateErrorPropagates(t *testing.T) {
 	boom := errors.New("wal create failed")
 	s := &fakeStore{memBytes: 200, rotateErr: boom}
-	c := NewController(cfg(), s.env())
+	c := NewController(s.env())
 	if err := c.MakeRoom(); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want rotate error", err)
 	}
@@ -237,43 +237,38 @@ func TestStateStrings(t *testing.T) {
 	}
 }
 
-// TestSlowdownCurve walks the continuous admission curve through its state
-// transitions: below the trigger no delay, then a linear ramp in L0 depth,
-// a debt term engaging above half the ceiling, additive composition of the
-// two, and a hard clamp at one full SlowdownDelay.
+// TestSlowdownCurve walks the admission curve over L0 depth: no delay below
+// the slowdown trigger, then a linear ramp to one full SlowdownDelay one file
+// under the stop trigger, and a clamp there.
 func TestSlowdownCurve(t *testing.T) {
 	cases := []struct {
 		name string
 		l0   int
-		debt int64
 		want time.Duration
 	}{
-		{"below trigger", 7, 0, 0},
-		{"at trigger", 8, 0, 250 * time.Microsecond},
-		{"mid ramp", 9, 0, 500 * time.Microsecond},
-		{"three quarters ramp", 10, 0, 750 * time.Microsecond},
-		{"just under stop", 11, 0, time.Millisecond},
-		{"debt at half ceiling", 0, 500, 0},
-		{"debt three quarters", 0, 750, 500 * time.Microsecond},
-		{"debt at ceiling", 0, 1000, time.Millisecond},
-		{"debt past ceiling clamps", 0, 4000, time.Millisecond},
-		{"both terms add", 8, 750, 750 * time.Microsecond},
-		{"sum clamps", 9, 1000, time.Millisecond},
+		{"empty L0", 0, 0},
+		{"at compaction trigger", compaction.L0Trigger, 0},
+		{"below trigger", 7, 0},
+		{"at trigger", 8, 250 * time.Microsecond},
+		{"mid ramp", 9, 500 * time.Microsecond},
+		{"three quarters ramp", 10, 750 * time.Microsecond},
+		{"just under stop", 11, time.Millisecond},
+		// With room in the memtable a write at the stop trigger is
+		// admitted after its one delay: the stop rung guards rotation.
+		{"at stop clamps", 12, time.Millisecond},
+		{"past stop clamps", 20, time.Millisecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &fakeStore{memBytes: 10, l0: tc.l0}
 			env := s.env()
-			env.CompactionDebt = func() int64 { return tc.debt }
-			conf := cfg()
-			conf.DebtCeiling = 1000
-			c := NewController(conf, env)
+			var c *Controller
 			var during State
 			env.Sleep = func(d time.Duration) {
 				s.slept = append(s.slept, d)
 				during = c.State()
 			}
-			c = NewController(conf, env)
+			c = NewController(env)
 			if err := c.MakeRoom(); err != nil {
 				t.Fatal(err)
 			}
@@ -299,40 +294,24 @@ func TestSlowdownCurve(t *testing.T) {
 	}
 }
 
-func TestSlowdownCurveNilDebtCallback(t *testing.T) {
-	s := &fakeStore{memBytes: 10}
-	conf := cfg()
-	conf.DebtCeiling = 1000 // ceiling set but no callback: term disabled
-	c := NewController(conf, s.env())
-	if err := c.MakeRoom(); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.slept) != 0 {
-		t.Fatalf("slept %v, want none", s.slept)
-	}
-}
-
 // TestMakeRoomRaceUnderChangingPressure hammers admission decisions while
-// L0 depth and compaction debt move concurrently, as they do when flush and
-// compaction workers install versions mid-write. Run under -race this
-// checks the controller reads its environment only under the store mutex.
+// L0 depth moves concurrently, as it does when flush and compaction workers
+// install versions mid-write. Run under -race this checks the controller
+// reads its environment only under the store mutex.
 func TestMakeRoomRaceUnderChangingPressure(t *testing.T) {
 	var mu sync.Mutex
-	var l0, debt atomic.Int64
-	c := NewController(
-		ControllerConfig{MemTableSize: 100, DebtCeiling: 1000},
-		ControllerEnv{
-			Lock:           mu.Lock,
-			Unlock:         mu.Unlock,
-			Err:            func() error { return nil },
-			L0Files:        func() int { return int(l0.Load()) },
-			MemBytes:       func() int64 { return 10 }, // always admits after the delay check
-			ImmPending:     func() bool { return false },
-			CompactionDebt: func() int64 { return debt.Load() },
-			Rotate:         func() error { panic("unexpected Rotate") },
-			Wait:           func() { panic("unexpected Wait") },
-			Sleep:          func(time.Duration) {},
-		})
+	var l0 atomic.Int64
+	c := NewController(ControllerEnv{
+		Lock:       mu.Lock,
+		Unlock:     mu.Unlock,
+		Err:        func() error { return nil },
+		L0Files:    func() int { return int(l0.Load()) },
+		MemFull:    func() bool { return false }, // always admits after the delay check
+		ImmPending: func() bool { return false },
+		Rotate:     func() error { panic("unexpected Rotate") },
+		Wait:       func() { panic("unexpected Wait") },
+		Sleep:      func(time.Duration) {},
+	})
 	stop := make(chan struct{})
 	var mutator sync.WaitGroup
 	mutator.Add(1)
@@ -344,8 +323,7 @@ func TestMakeRoomRaceUnderChangingPressure(t *testing.T) {
 				return
 			default:
 			}
-			l0.Store(int64(i % 13))
-			debt.Store(int64((i * 137) % 2500))
+			l0.Store(int64((i * 7) % (compaction.L0StopTrigger + 3)))
 		}
 	}()
 	var writers sync.WaitGroup

@@ -194,28 +194,6 @@ func (p *Picker) MaxBytesForLevel(level int) int64 {
 	return n
 }
 
-// Debt estimates the bytes of compaction I/O the tree owes before every
-// level is back under its target: excess L0 files at one table each, plus
-// each deeper level's bytes over target — except LDC's level 1, whose overage
-// leaves by links, one MANIFEST record each. The commit controller scales its
-// continuous slowdown with this figure, so admission tightens as background
-// work falls behind rather than stepping at the L0 cliff.
-func (p *Picker) Debt(v *version.Version) int64 {
-	var debt int64
-	if extra := v.NumFiles(0) - L0Trigger; extra > 0 {
-		debt += int64(extra) * p.params.SSTableSize
-	}
-	for level := 1; level < version.NumLevels; level++ {
-		if p.policy == LDC && level == 1 {
-			continue
-		}
-		if over := p.levelBytes(v, level) - p.MaxBytesForLevel(level); over > 0 {
-			debt += over
-		}
-	}
-	return debt
-}
-
 // Pick returns the next unit of work for v, or a PickNone.
 func (p *Picker) Pick(v *version.Version) Pick {
 	if p.policy == LDC {
@@ -360,7 +338,7 @@ func (p *Picker) pickLDC(v *version.Version) Pick {
 
 	// 0. L0 urgency: once L0 is deep enough that the commit controller is
 	// delaying writers, draining it is the only background work that lifts
-	// the throttle — ripe merges are deferrable debt by comparison, so a
+	// the throttle — ripe merges can wait by comparison, so a
 	// compaction storm cannot keep the worker on merges while foreground
 	// writes sit in the slowdown curve. Level 1's links go first: free, and
 	// each takes a table out of what L0 rewrites.
@@ -378,7 +356,8 @@ func (p *Picker) pickLDC(v *version.Version) Pick {
 	// 1. Merge the first file that accumulated enough upper-level data: either
 	// SliceThreshold slices (Algorithm 1's trigger) or slice bytes matching
 	// its own size ("nearly the same amount of data as itself", §III-A),
-	// scaled with T_s when the threshold is self-adapted away from fan-out.
+	// scaled by T_s/Fanout (SliceLinkThreshold over Fanout, which fig12a
+	// sweeps).
 	for level := 1; level < version.NumLevels; level++ {
 		for _, f := range v.Sliced[level] {
 			if len(f.Slices) >= ts || f.SliceBytes() >= f.Size*int64(ts)/int64(p.params.Fanout) {

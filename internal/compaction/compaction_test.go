@@ -99,6 +99,22 @@ func TestScoreDeepLevelByBytes(t *testing.T) {
 	}
 }
 
+// TestScoreCountsSliceBytesUnderLDC: an LDC level is held against its target
+// with the slice bytes it will absorb; UDC has no slices to count.
+func TestScoreCountsSliceBytesUnderLDC(t *testing.T) {
+	v := buildV(t, func(e *version.Edit) {
+		e.AddFile(2, fm(2, "a", "m", 99000))
+		e.FreezeFile(&version.FrozenMeta{Num: 90, Size: 3500, Smallest: ik("a", 9), Largest: ik("m", 8)})
+		e.AddSlice(2, 2, version.Slice{FrozenNum: 90, Range: keys.KeyRange{Lo: []byte("a"), Hi: []byte("m")}, LinkSeq: 1, Bytes: 3500})
+	})
+	if got := NewPicker(UDC, testParams(), icmp).Score(v, 2); got != 0.99 { // 99000 / 100000
+		t.Errorf("UDC L2 score = %v, want 0.99", got)
+	}
+	if got := NewPicker(LDC, testParams(), icmp).Score(v, 2); got != 1.025 { // (99000+3500) / 100000
+		t.Errorf("LDC L2 score = %v, want 1.025", got)
+	}
+}
+
 func TestPickNoneWhenBalanced(t *testing.T) {
 	pk := NewPicker(UDC, testParams(), icmp)
 	v := buildV(t, func(e *version.Edit) {
@@ -504,67 +520,6 @@ func TestSliceWindowsUseEffectiveBounds(t *testing.T) {
 	}
 	if string(ws[1].Lo) != "k\x00" {
 		t.Errorf("w1.Lo = %q", ws[1].Lo)
-	}
-}
-
-func TestDebtZeroWhenBalanced(t *testing.T) {
-	pk := NewPicker(LDC, testParams(), icmp)
-	v := buildV(t, func(e *version.Edit) {
-		e.AddFile(0, fm(1, "a", "z", 100))
-		e.AddFile(1, fm(2, "a", "c", 1000))
-	})
-	if got := pk.Debt(v); got != 0 {
-		t.Errorf("Debt = %d, want 0", got)
-	}
-}
-
-func TestDebtCountsExcessL0Files(t *testing.T) {
-	pk := NewPicker(UDC, testParams(), icmp) // L0Trigger 4, SSTableSize 1000
-	v := buildV(t, func(e *version.Edit) {
-		for i := 0; i < 6; i++ {
-			e.AddFile(0, fm(uint64(i+1), "a", "z", 100))
-		}
-	})
-	if got := pk.Debt(v); got != 2000 { // 2 excess files x one table each
-		t.Errorf("Debt = %d, want 2000", got)
-	}
-}
-
-// TestDebtCountsDeepOverageAndSliceBytes states what Debt charges under each
-// policy: bytes whose retirement costs I/O. UDC owes every level's overage,
-// each byte of it a rewrite. LDC owes the slice bytes pending on levels >= 2
-// (a merge absorbs them) and L0's excess, but nothing for level 1: a table
-// leaves it by a link. Targets: L1 10000 (UDC) / 4000 (LDC), L2 100000.
-func TestDebtCountsDeepOverageAndSliceBytes(t *testing.T) {
-	l1Over := func(e *version.Edit) { e.AddFile(1, fm(1, "a", "m", 12000)) }
-	l2Slices := func(e *version.Edit) {
-		e.AddFile(2, fm(2, "a", "m", 99000))
-		e.FreezeFile(&version.FrozenMeta{Num: 90, Size: 3500, Smallest: ik("a", 9), Largest: ik("m", 8)})
-		e.AddSlice(2, 2, version.Slice{FrozenNum: 90, Range: keys.KeyRange{Lo: []byte("a"), Hi: []byte("m")}, LinkSeq: 1, Bytes: 3500})
-	}
-	l0Excess := func(e *version.Edit) {
-		for i := 0; i < 6; i++ {
-			e.AddFile(0, fm(uint64(10+i), "a", "z", 100))
-		}
-	}
-	cases := []struct {
-		name     string
-		edit     func(e *version.Edit)
-		udc, ldc int64
-	}{
-		{"L1 over target", l1Over, 2000, 0},
-		{"slice bytes pending on L2", l2Slices, 0, 2500},
-		{"L0 past its trigger", l0Excess, 2000, 2000},
-		{"all three", func(e *version.Edit) { l1Over(e); l2Slices(e); l0Excess(e) }, 4000, 4500},
-	}
-	for _, tc := range cases {
-		v := buildV(t, tc.edit)
-		if got := NewPicker(UDC, testParams(), icmp).Debt(v); got != tc.udc {
-			t.Errorf("%s: UDC Debt = %d, want %d", tc.name, got, tc.udc)
-		}
-		if got := NewPicker(LDC, testParams(), icmp).Debt(v); got != tc.ldc {
-			t.Errorf("%s: LDC Debt = %d, want %d", tc.name, got, tc.ldc)
-		}
 	}
 }
 

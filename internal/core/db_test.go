@@ -12,8 +12,10 @@ import (
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/commit"
 	"repro/internal/compaction"
 	"repro/internal/invariants"
+	"repro/internal/version"
 	"repro/internal/vfs"
 )
 
@@ -959,6 +961,49 @@ func TestLDCLowerCompactionIOThanUDC(t *testing.T) {
 	}
 }
 
+// TestLDCLowerCompactionIOThanUDCStepped is TestLDCLowerCompactionIOThanUDC
+// with the test as the compaction worker: every 1000 Puts (about four
+// memtables) it flushes and steps the tree until idle, so L0 stays under the
+// slowdown trigger and both policies run the same picks on every run, however
+// busy the host. The worker-driven test beside it measures the engine as it
+// ships, where a writer that outruns compaction lets UDC's L0 batch.
+func TestLDCLowerCompactionIOThanUDCStepped(t *testing.T) {
+	run := func(policy compaction.Policy) Stats {
+		db := openManualDB(t, smallOpts(policy))
+		defer db.Close()
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 20000; i++ {
+			if err := db.Put(key(rng.Intn(8000)), value(i)); err != nil {
+				t.Fatal(err)
+			}
+			if (i+1)%1000 == 0 {
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.CompactRange(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return db.Stats()
+	}
+	udc := run(compaction.UDC)
+	ldc := run(compaction.LDC)
+	udcIO := udc.CompactionReadBytes + udc.CompactionWriteBytes
+	ldcIO := ldc.CompactionReadBytes + ldc.CompactionWriteBytes
+	if udcIO == 0 {
+		t.Fatal("UDC did no compaction I/O")
+	}
+	t.Logf("compaction I/O: LDC %d, UDC %d (%.2fx); write amp: LDC %.2f, UDC %.2f",
+		ldcIO, udcIO, float64(ldcIO)/float64(udcIO), ldc.WriteAmplification(), udc.WriteAmplification())
+	if float64(ldcIO) > 0.9*float64(udcIO) {
+		t.Errorf("LDC compaction I/O %d not clearly below UDC %d (paper: ~50%%)", ldcIO, udcIO)
+	}
+	if ldc.WriteAmplification() >= udc.WriteAmplification() {
+		t.Errorf("LDC write amp %.2f >= UDC %.2f", ldc.WriteAmplification(), udc.WriteAmplification())
+	}
+}
+
 // TestLDCStagingLevelBoundsL0Share is the regression bar on LDC's level-1
 // target. On a bench-shaped tree (fan-out and T_s 10, uniform 1 KiB overwrites)
 // it reads the L0→L1 share of the write bill — compaction bytes that no merge
@@ -1144,6 +1189,122 @@ func TestStallAccounting(t *testing.T) {
 	}
 	if s.StallTime == 0 && s.SlowdownCount == 0 && s.StopCount == 0 {
 		t.Log("note: no stalls observed (machine fast relative to workload)")
+	}
+}
+
+// TestDeepOverageDoesNotDelayWrites: the write throttle reads L0 depth
+// alone, so sorted levels far over their targets delay no write while L0
+// sits below the slowdown trigger. The store is built with 64 KiB tables and
+// reopened with 4 KiB ones, which leaves its sorted levels about 2 MB over
+// their targets.
+func TestDeepOverageDoesNotDelayWrites(t *testing.T) {
+	for _, policy := range []compaction.Policy{compaction.UDC, compaction.LDC} {
+		t.Run(policy.String(), func(t *testing.T) {
+			opts := smallOpts(policy)
+			opts.MemTableSize, opts.SSTableSize = 64<<10, 64<<10
+			db := openTestDB(t, opts)
+			val := bytes.Repeat([]byte{'v'}, 100)
+			for i := 0; i < 20000; i++ {
+				if err := db.Put(key(i), val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CompactRange(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			opts.SSTableSize = 4 << 10
+			db = openManualDB(t, opts)
+			defer db.Close()
+			st := db.shards[0]
+			st.mu.Lock()
+			v := st.set.CurrentNoRef()
+			l0 := v.NumFiles(0)
+			var deepOver bool
+			for level := 1; level < version.NumLevels; level++ {
+				deepOver = deepOver || st.picker.Score(v, level) > 1
+			}
+			st.mu.Unlock()
+			if l0 >= compaction.L0SlowdownTrigger || !deepOver {
+				t.Fatalf("setup: L0 at %d files, a deep level over target: %v", l0, deepOver)
+			}
+			before := db.Stats()
+			const n = 20
+			for i := 0; i < n; i++ {
+				if err := db.Put(key(i), val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after := db.Stats()
+			if d := after.SlowdownCount - before.SlowdownCount; d != 0 || after.StallTime != before.StallTime {
+				t.Fatalf("%d of %d writes delayed with L0 at %d files (stall %v)",
+					d, n, l0, after.StallTime-before.StallTime)
+			}
+		})
+	}
+}
+
+// TestL0DepthDelaysWrites: L0 depth sets a write's delay in the store. With
+// no compaction worker each Flush adds one L0 file. Below the slowdown trigger
+// no write is delayed; at the trigger each write pays the ramp's first step,
+// SlowdownDelay over the trigger's distance to the stop trigger, once; and
+// once CompactRange has drained L0, no write is delayed again.
+func TestL0DepthDelaysWrites(t *testing.T) {
+	for _, policy := range []compaction.Policy{compaction.UDC, compaction.LDC} {
+		t.Run(policy.String(), func(t *testing.T) {
+			db := openManualDB(t, smallOpts(policy))
+			defer db.Close()
+			st := db.shards[0]
+			l0 := func() int {
+				st.mu.Lock()
+				defer st.mu.Unlock()
+				return st.set.CurrentNoRef().NumFiles(0)
+			}
+			const n = 20 // well under one memtable
+			next := 0
+			// writes makes n Puts and reports the slowdowns and the stall
+			// time they added.
+			writes := func() (int64, time.Duration) {
+				before := db.Stats()
+				for i := 0; i < n; i++ {
+					if err := db.Put(key(next), value(next)); err != nil {
+						t.Fatal(err)
+					}
+					next++
+				}
+				after := db.Stats()
+				return after.SlowdownCount - before.SlowdownCount, after.StallTime - before.StallTime
+			}
+			step := commit.SlowdownDelay / (compaction.L0StopTrigger - compaction.L0SlowdownTrigger)
+			for files := 0; files <= compaction.L0SlowdownTrigger; files++ {
+				if got := l0(); got != files {
+					t.Fatalf("L0 holds %d files after %d flushes", got, files)
+				}
+				var want int64
+				if files >= compaction.L0SlowdownTrigger {
+					want = n
+				}
+				if d, stall := writes(); d != want || stall != time.Duration(want)*step {
+					t.Fatalf("L0 at %d files: %d of %d writes delayed (stall %v), want %d (stall %v)",
+						files, d, n, stall, want, time.Duration(want)*step)
+				}
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.CompactRange(); err != nil {
+				t.Fatal(err)
+			}
+			if d, stall := writes(); d != 0 || stall != 0 {
+				t.Fatalf("L0 drained to %d files: %d of %d writes delayed (stall %v)", l0(), d, n, stall)
+			}
+		})
 	}
 }
 

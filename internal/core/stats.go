@@ -47,7 +47,7 @@ type Stats struct {
 	WriteTime      time.Duration // user write path (DoWrite)
 	ReadTime       time.Duration // user read path; an estimate: the 1-in-16 sampled Gets' time, scaled by 16
 	StallTime      time.Duration // write-path waits on compaction
-	SlowdownCount  int64         // 1ms L0 slowdowns applied
+	SlowdownCount  int64         // L0 slowdown delays applied (up to 1ms each)
 	StopCount      int64         // hard write stops encountered
 
 	// Commit pipeline (the group-commit front end).

@@ -21,36 +21,26 @@ import (
 // initCommitPipeline builds the controller and pipeline over this store.
 // Called once from Open, before any writer can exist.
 func (db *store) initCommitPipeline() {
-	db.controller = commit.NewController(
-		commit.ControllerConfig{
-			MemTableSize: db.opts.MemTableSize,
-			// The debt term of the slowdown curve saturates when the tree
-			// owes a full level-1's worth of rewriting.
-			DebtCeiling: int64(db.opts.Fanout) * db.opts.SSTableSize,
+	db.controller = commit.NewController(commit.ControllerEnv{
+		Lock:   db.mu.Lock,
+		Unlock: db.mu.Unlock,
+		Err: func() error {
+			if db.bgErr != nil {
+				return db.bgErr
+			}
+			if db.closed {
+				// Close ran while this writer was stalled; don't write
+				// into a store whose WAL is about to be torn down.
+				return ErrClosed
+			}
+			return nil
 		},
-		commit.ControllerEnv{
-			Lock:   db.mu.Lock,
-			Unlock: db.mu.Unlock,
-			Err: func() error {
-				if db.bgErr != nil {
-					return db.bgErr
-				}
-				if db.closed {
-					// Close ran while this writer was stalled; don't write
-					// into a store whose WAL is about to be torn down.
-					return ErrClosed
-				}
-				return nil
-			},
-			L0Files: func() int { return db.set.CurrentNoRef().NumFiles(0) },
-			CompactionDebt: func() int64 {
-				return db.picker.Debt(db.set.CurrentNoRef())
-			},
-			MemBytes:   func() int64 { return db.mem.ApproximateBytes() },
-			ImmPending: func() bool { return db.imm != nil },
-			Rotate:     db.rotateMemtableLocked,
-			Wait:       db.bgCond.Wait,
-		})
+		L0Files:    func() int { return db.set.CurrentNoRef().NumFiles(0) },
+		MemFull:    func() bool { return db.mem.ApproximateBytes() >= db.opts.MemTableSize },
+		ImmPending: func() bool { return db.imm != nil },
+		Rotate:     db.rotateMemtableLocked,
+		Wait:       db.bgCond.Wait,
+	})
 	db.lastAlloc = db.set.LastSeq()
 	db.pipeline = commit.NewPipeline(commit.Env{
 		MakeRoom: db.controller.MakeRoom,

@@ -43,8 +43,8 @@
 // Bounding tail latency:
 //
 // LDC cuts the tail by doing less compaction I/O, not by pacing it. The one
-// throttle is on the foreground: write admission slows continuously with L0
-// depth and compaction debt rather than at a cliff, and once L0 reaches the
+// throttle is on the foreground: write admission slows on a ramp over L0
+// depth, LevelDB's one signal, rather than at a cliff, and once L0 reaches the
 // slowdown trigger the picker runs the L0→L1 compaction ahead of lower-level
 // merges. Stats reports full read/write latency percentile ladders beside
 // the stall, slowdown and stop counters. See DESIGN.md ("Admission
